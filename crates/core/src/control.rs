@@ -712,10 +712,14 @@ impl AnalysisProgram {
         drop(gate);
 
         // Bandwidth accounting: every cell of every window (8 B) plus every
-        // queue-monitor entry (16 B: two halves of flow+seq). The bytes
-        // crossed PCIe even if the checkpoint is subsequently lost.
+        // queue-monitor entry (16 B: two halves of flow+seq) — the whole
+        // array, occupied or not, since the hardware read cannot skip
+        // registers. The bytes crossed PCIe even if the checkpoint is
+        // subsequently lost.
         let tw_entries = u64::from(self.tw_config.t) * self.tw_config.cells() as u64;
-        let qm_entries: u64 = queue_monitors.iter().map(|m| m.entries.len() as u64).sum();
+        let qm_entries: u64 = queue_monitors.iter().map(|m| m.len() as u64).sum();
+        let qm_occupied: usize = queue_monitors.iter().map(|m| m.occupied().len()).sum();
+        self.counters.qm_occupied_entries.record(qm_occupied as u64);
         self.entries_read += tw_entries + qm_entries;
         self.bytes_read += tw_entries * 8 + qm_entries * 16;
         self.counters.entries_read.add(tw_entries + qm_entries);

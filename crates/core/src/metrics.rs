@@ -119,6 +119,7 @@ pub(crate) struct ControlCounters {
     pub entries_read: Counter,
     pub bytes_read: Counter,
     pub read_ns: Histogram,
+    pub qm_occupied_entries: Histogram,
 }
 
 impl ControlCounters {
@@ -140,6 +141,7 @@ impl ControlCounters {
             entries_read: reg.counter(names::CONTROL_ENTRIES_READ, &[]),
             bytes_read: reg.counter(names::CONTROL_BYTES_READ, &[]),
             read_ns: reg.histogram(names::CONTROL_READ_NS, &[]),
+            qm_occupied_entries: reg.histogram(names::CONTROL_QM_OCCUPIED_ENTRIES, &[]),
         }
     }
 

@@ -20,7 +20,7 @@
 
 use pq_packet::{FlowId, Nanos};
 use pq_switch::RegisterArray;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// One half of a depth entry: who moved the depth here, and when (sequence).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -73,6 +73,9 @@ pub struct OriginalCulprit {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct QueueMonitor {
     entries: RegisterArray<Entry>,
+    /// One bit per entry, set by every data-plane write since the last
+    /// `clear()`, so a freeze visits the occupied entries only.
+    written: Vec<u64>,
     /// Buffer cells per entry ("buffer allocation granularity", §5).
     cells_per_entry: u32,
     /// Stack-top pointer: entry index of the latest observed depth.
@@ -88,6 +91,7 @@ impl QueueMonitor {
         assert!(entries > 0 && cells_per_entry > 0);
         QueueMonitor {
             entries: RegisterArray::new(entries),
+            written: vec![0; entries.div_ceil(64)],
             cells_per_entry,
             top: 0,
             next_seq: 1,
@@ -113,35 +117,52 @@ impl QueueMonitor {
         (depth_cells / self.cells_per_entry).min(self.entries.len() as u32 - 1)
     }
 
-    /// A packet of `flow` enqueued, raising the depth to `depth_cells`
-    /// (inclusive of the packet).
-    pub fn on_enqueue(&mut self, flow: FlowId, depth_cells: u32, _now: Nanos) {
+    /// One data-plane update: stamp a half of the entry at `depth_cells`
+    /// with the next sequence number, mark it written, move the stack top.
+    fn update(&mut self, depth_cells: u32, write: impl FnOnce(&mut Entry, u64)) {
         let level = self.level_for(depth_cells);
         let seq = self.next_seq;
         self.next_seq += 1;
         self.entries.begin_packet();
-        self.entries.rmw(level as usize, |e| {
-            e.inc = Half { flow, seq };
-        });
+        self.entries.rmw(level as usize, |e| write(e, seq));
+        // Test before setting: in steady state the bit is already set, and
+        // a load alone neither dirties the line nor chains consecutive
+        // updates of neighbouring levels through store-to-load forwarding.
+        let (word, bit) = (level as usize / 64, 1u64 << (level % 64));
+        if self.written[word] & bit == 0 {
+            self.written[word] |= bit;
+        }
         self.top = level;
+    }
+
+    /// A packet of `flow` enqueued, raising the depth to `depth_cells`
+    /// (inclusive of the packet).
+    pub fn on_enqueue(&mut self, flow: FlowId, depth_cells: u32, _now: Nanos) {
+        self.update(depth_cells, |e, seq| e.inc = Half { flow, seq });
     }
 
     /// A packet of `flow` dequeued, lowering the depth to `depth_cells`.
     pub fn on_dequeue(&mut self, flow: FlowId, depth_cells: u32, _now: Nanos) {
-        let level = self.level_for(depth_cells);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.entries.begin_packet();
-        self.entries.rmw(level as usize, |e| {
-            e.dec = Half { flow, seq };
-        });
-        self.top = level;
+        self.update(depth_cells, |e, seq| e.dec = Half { flow, seq });
     }
 
-    /// Control-plane snapshot of the register state.
+    /// Control-plane snapshot of the register state: the written entries,
+    /// found through the bitmap rather than by scanning the array.
     pub fn snapshot(&self) -> QueueMonitorSnapshot {
+        let cells = self.entries.as_slice();
+        let occupied: u32 = self.written.iter().map(|w| w.count_ones()).sum();
+        let mut rows = Vec::with_capacity(occupied as usize);
+        for (word_idx, &word) in self.written.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let level = word_idx * 64 + bits.trailing_zeros() as usize;
+                rows.push(Row::new(level as u32, cells[level]));
+                bits &= bits - 1;
+            }
+        }
         QueueMonitorSnapshot {
-            entries: self.entries.snapshot(),
+            len: cells.len(),
+            rows,
             top: self.top,
         }
     }
@@ -149,42 +170,127 @@ impl QueueMonitor {
     /// Control-plane reset.
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.written.fill(0);
         self.top = 0;
         // The sequence counter is *not* reset: monotonicity across reads is
         // what lets the filter discard pre-clear stragglers.
     }
 }
 
+/// One occupied depth entry of a snapshot: its level and both halves,
+/// laid out in 32 bytes so a fully written monitor is never larger frozen
+/// than the register array it came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Row {
+    level: u32,
+    inc_flow: FlowId,
+    dec_flow: FlowId,
+    inc_seq: u64,
+    dec_seq: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<Row>() <= std::mem::size_of::<Entry>());
+
+impl Row {
+    /// Pack `entry` at `level`.
+    fn new(level: u32, entry: Entry) -> Row {
+        Row {
+            level,
+            inc_flow: entry.inc.flow,
+            dec_flow: entry.dec.flow,
+            inc_seq: entry.inc.seq,
+            dec_seq: entry.dec.seq,
+        }
+    }
+
+    /// Depth level (entry index) of this row.
+    pub fn level(&self) -> u32 {
+        self.level
+    }
+
+    /// The entry's two halves.
+    pub fn entry(&self) -> Entry {
+        let half = |flow, seq| Half { flow, seq };
+        Entry {
+            inc: half(self.inc_flow, self.inc_seq),
+            dec: half(self.dec_flow, self.dec_seq),
+        }
+    }
+}
+
 /// A frozen copy of queue-monitor register state, as read by the analysis
-/// program.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// program. Held sparse — the array length plus the entries that differ
+/// from [`Entry::default`], ascending by level — because a congestion
+/// regime touches a few thousand of the array's levels.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueueMonitorSnapshot {
-    /// The depth entries.
-    pub entries: Vec<Entry>,
+    len: usize,
+    rows: Vec<Row>,
     /// Stack-top pointer at freeze time.
     pub top: u32,
 }
 
 impl QueueMonitorSnapshot {
+    /// Build from a dense register image (one entry per level).
+    pub fn from_dense(entries: &[Entry], top: u32) -> QueueMonitorSnapshot {
+        assert!(entries.len() <= u32::MAX as usize, "levels are u32");
+        let rows = entries
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| **e != Entry::default())
+            .map(|(level, e)| Row::new(level as u32, *e))
+            .collect();
+        QueueMonitorSnapshot {
+            len: entries.len(),
+            rows,
+            top,
+        }
+    }
+
+    /// The dense register image: `len()` entries, default where unoccupied.
+    pub fn to_dense(&self) -> Vec<Entry> {
+        let mut entries = vec![Entry::default(); self.len];
+        for row in &self.rows {
+            entries[row.level as usize] = row.entry();
+        }
+        entries
+    }
+
+    /// Number of depth entries in the frozen array (occupied or not).
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the frozen array has no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The occupied entries, ascending by level.
+    pub fn occupied(&self) -> &[Row] {
+        &self.rows
+    }
+
     /// Filter stale entries and return the original culprits, bottom-up.
     ///
-    /// Walks entries `0..=top`, tracking the largest sequence number seen in
-    /// *either* half so far; an increase entry is kept only if it is newer
-    /// than everything below it. The surviving entries are precisely the
-    /// packets whose arrival raised the queue, level by level, to its
-    /// current height (§5's correction procedure for Figure 7).
+    /// Walks the occupied entries up to `top`, tracking the largest
+    /// sequence number seen in *either* half so far; an increase entry is
+    /// kept only if it is newer than everything below it. The surviving
+    /// entries are precisely the packets whose arrival raised the queue,
+    /// level by level, to its current height (§5's correction procedure
+    /// for Figure 7). Unoccupied levels carry sequence 0 and change nothing.
     pub fn original_culprits(&self) -> Vec<OriginalCulprit> {
         let mut culprits = Vec::new();
         let mut max_seq = 0u64;
-        for (level, entry) in self.entries.iter().enumerate().take(self.top as usize + 1) {
-            if !entry.inc.is_empty() && entry.inc.seq > max_seq {
+        for row in self.rows.iter().take_while(|r| r.level <= self.top) {
+            if row.inc_seq > max_seq {
                 culprits.push(OriginalCulprit {
-                    level: level as u32,
-                    flow: entry.inc.flow,
-                    seq: entry.inc.seq,
+                    level: row.level,
+                    flow: row.inc_flow,
+                    seq: row.inc_seq,
                 });
             }
-            max_seq = max_seq.max(entry.inc.seq).max(entry.dec.seq);
+            max_seq = max_seq.max(row.inc_seq).max(row.dec_seq);
         }
         culprits
     }
@@ -225,6 +331,28 @@ impl QueueMonitorSnapshot {
                 .or_insert((c.level, c.level));
         }
         ranges
+    }
+}
+
+/// The JSON shape stays the dense `{entries, top}` object older archives
+/// carry, so they load and re-serialise byte for byte.
+#[derive(Serialize, Deserialize)]
+struct DenseSnapshot {
+    entries: Vec<Entry>,
+    top: u32,
+}
+
+impl Serialize for QueueMonitorSnapshot {
+    fn to_value(&self) -> Value {
+        let (entries, top) = (self.to_dense(), self.top);
+        DenseSnapshot { entries, top }.to_value()
+    }
+}
+
+impl Deserialize for QueueMonitorSnapshot {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let dense = DenseSnapshot::from_value(v)?;
+        Ok(QueueMonitorSnapshot::from_dense(&dense.entries, dense.top))
     }
 }
 
@@ -382,5 +510,101 @@ mod buildup_tests {
         let ranges = qm.snapshot().buildup_ranges();
         assert_eq!(ranges[&FlowId(7)], (1, 10));
         assert_eq!(ranges[&FlowId(8)], (11, 12));
+    }
+}
+
+/// The sparse snapshot against the dense register image it replaced.
+#[cfg(test)]
+mod sparse_equivalence {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The filter as it ran over the dense array: every level `0..=top`,
+    /// occupied or not.
+    fn dense_culprits(entries: &[Entry], top: u32) -> Vec<OriginalCulprit> {
+        let mut culprits = Vec::new();
+        let mut max_seq = 0u64;
+        for (level, entry) in entries.iter().enumerate().take(top as usize + 1) {
+            if !entry.inc.is_empty() && entry.inc.seq > max_seq {
+                culprits.push(OriginalCulprit {
+                    level: level as u32,
+                    flow: entry.inc.flow,
+                    seq: entry.inc.seq,
+                });
+            }
+            max_seq = max_seq.max(entry.inc.seq).max(entry.dec.seq);
+        }
+        culprits
+    }
+
+    proptest! {
+        /// Op 0 = enqueue, 1 = dequeue, 2 = clear (one in eight); depths
+        /// run past the 96-entry array so the clamp is exercised too.
+        #[test]
+        fn snapshot_matches_dense_register_image(
+            ops in prop::collection::vec((0u8..16, 0u32..40, 0u32..120), 0..400),
+        ) {
+            let mut qm = QueueMonitor::new(96, 1);
+            for (op, flow, depth) in &ops {
+                match op {
+                    0..=6 => qm.on_enqueue(FlowId(*flow), *depth, 0),
+                    7..=13 => qm.on_dequeue(FlowId(*flow), *depth, 0),
+                    _ => qm.clear(),
+                }
+                let snap = qm.snapshot();
+                let dense = qm.entries.as_slice();
+                prop_assert_eq!(&snap, &QueueMonitorSnapshot::from_dense(dense, qm.top()));
+                prop_assert_eq!(snap.len(), dense.len());
+                prop_assert_eq!(snap.to_dense(), dense.to_vec());
+                prop_assert_eq!(
+                    &QueueMonitorSnapshot::from_dense(&snap.to_dense(), snap.top),
+                    &snap
+                );
+                let reference = dense_culprits(dense, qm.top());
+                prop_assert_eq!(snap.original_culprits(), reference.clone());
+                let mut timeline = reference;
+                timeline.sort_by_key(|c| c.seq);
+                prop_assert_eq!(snap.buildup_timeline(), timeline);
+            }
+        }
+
+        /// Arbitrary dense images — including halves no monitor writes,
+        /// such as a flow with sequence 0 — survive the sparse form, and a
+        /// `top` below stale rows hides them exactly as the dense walk did.
+        #[test]
+        fn arbitrary_dense_images_round_trip(
+            cells in prop::collection::vec((0usize..48, 0u32..5, 0u64..4, 0u32..5, 0u64..4), 0..40),
+            top in 0u32..48,
+        ) {
+            let mut dense = vec![Entry::default(); 48];
+            for (level, inc_flow, inc_seq, dec_flow, dec_seq) in &cells {
+                dense[*level] = Entry {
+                    inc: Half { flow: FlowId(*inc_flow), seq: *inc_seq },
+                    dec: Half { flow: FlowId(*dec_flow), seq: *dec_seq },
+                };
+            }
+            let snap = QueueMonitorSnapshot::from_dense(&dense, top);
+            prop_assert_eq!(snap.to_dense(), dense.clone());
+            prop_assert!(snap.occupied().windows(2).all(|w| w[0].level() < w[1].level()));
+            prop_assert!(snap.occupied().iter().all(|r| r.entry() != Entry::default()));
+            prop_assert_eq!(snap.original_culprits(), dense_culprits(&dense, top));
+        }
+    }
+
+    #[test]
+    fn json_keeps_the_dense_shape() {
+        let mut qm = QueueMonitor::new(4, 1);
+        qm.on_enqueue(FlowId(9), 2, 0);
+        let snap = qm.snapshot();
+        let json = serde_json::to_string(&snap).unwrap();
+        let empty = r#"{"inc":{"flow":4294967295,"seq":0},"dec":{"flow":4294967295,"seq":0}}"#;
+        let written = r#"{"inc":{"flow":9,"seq":1},"dec":{"flow":4294967295,"seq":0}}"#;
+        assert_eq!(
+            json,
+            format!(r#"{{"entries":[{empty},{empty},{written},{empty}],"top":2}}"#)
+        );
+        let back: QueueMonitorSnapshot = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, snap);
+        assert!(serde_json::from_str::<QueueMonitorSnapshot>(r#"{"top":2}"#).is_err());
     }
 }

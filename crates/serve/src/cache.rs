@@ -25,16 +25,17 @@ use pq_telemetry::{names, Counter, Gauge, Telemetry};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// Approximate in-RAM bytes of one decoded checkpoint (register cells +
-/// monitor entries + fixed overhead). Used only for cache budgeting, so
-/// "approximate but monotone in actual size" is enough.
+/// Approximate bytes of one decoded checkpoint (register cells + monitor
+/// entry arrays + fixed overhead). Monitors are counted at their array
+/// length, not at the occupied rows actually resident, so the budget keeps
+/// admitting the segments it always has.
 fn checkpoint_cost(cp: &Checkpoint) -> u64 {
     let tw = cp.windows.config();
     let cells = u64::from(tw.t) * (tw.cells() as u64) * (std::mem::size_of::<Cell>() as u64);
     let monitors: u64 = cp
         .queue_monitors
         .iter()
-        .map(|m| (m.entries.len() * std::mem::size_of::<Entry>()) as u64)
+        .map(|m| (m.len() * std::mem::size_of::<Entry>()) as u64)
         .sum();
     cells + monitors + 64
 }

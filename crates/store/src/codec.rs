@@ -83,13 +83,12 @@ pub struct CodecState {
     prev_frozen: Option<u64>,
 }
 
-fn write_delta_u64(out: &mut Vec<u8>, prev: &mut Option<u64>, value: u64) -> io::Result<()> {
+fn put_delta_u64(out: &mut Vec<u8>, prev: &mut Option<u64>, value: u64) {
     match *prev {
-        None => varint::write_u64(out, value)?,
-        Some(p) => varint::write_i64(out, value.wrapping_sub(p) as i64)?,
+        None => varint::put_u64(out, value),
+        Some(p) => varint::put_i64(out, value.wrapping_sub(p) as i64),
     }
     *prev = Some(value);
-    Ok(())
 }
 
 fn read_delta_u64(cursor: &mut &[u8], prev: &mut Option<u64>) -> io::Result<u64> {
@@ -118,7 +117,7 @@ pub fn encode_checkpoint(
             "checkpoint window config differs from store header",
         ));
     }
-    write_delta_u64(out, &mut state.prev_frozen, cp.frozen_at)?;
+    put_delta_u64(out, &mut state.prev_frozen, cp.frozen_at);
 
     let mut flags = 0u8;
     if cp.on_demand {
@@ -132,14 +131,14 @@ pub fn encode_checkpoint(
     }
     out.push(flags);
     if let Some(trigger) = cp.trigger {
-        varint::write_u64(out, trigger.from)?;
-        varint::write_u64(out, trigger.to.saturating_sub(trigger.from))?;
+        varint::put_u64(out, trigger.from);
+        varint::put_u64(out, trigger.to.saturating_sub(trigger.from));
     }
 
     for w in 0..tw.t {
         let cells = cp.windows.window(w);
         let occupied = cells.iter().filter(|c| **c != Cell::EMPTY).count();
-        varint::write_u64(out, occupied as u64)?;
+        varint::put_u64(out, occupied as u64);
         let mut prev_idx: Option<u64> = None;
         let mut prev_cycle: Option<u64> = None;
         for (idx, cell) in cells.iter().enumerate() {
@@ -148,29 +147,22 @@ pub fn encode_checkpoint(
             }
             // Indices are emitted ascending, so deltas are strictly
             // positive after the first.
-            write_delta_u64(out, &mut prev_idx, idx as u64)?;
-            varint::write_u64(out, u64::from(cell.flow.0))?;
-            write_delta_u64(out, &mut prev_cycle, cell.cycle)?;
+            put_delta_u64(out, &mut prev_idx, idx as u64);
+            varint::put_u64(out, u64::from(cell.flow.0));
+            put_delta_u64(out, &mut prev_cycle, cell.cycle);
         }
     }
 
-    varint::write_u64(out, cp.queue_monitors.len() as u64)?;
+    varint::put_u64(out, cp.queue_monitors.len() as u64);
     let mut prev_seq: Option<u64> = None;
     for monitor in &cp.queue_monitors {
-        varint::write_u64(out, monitor.entries.len() as u64)?;
-        varint::write_u64(out, u64::from(monitor.top))?;
-        let occupied = monitor
-            .entries
-            .iter()
-            .filter(|e| **e != Entry::default())
-            .count();
-        varint::write_u64(out, occupied as u64)?;
+        varint::put_u64(out, monitor.len() as u64);
+        varint::put_u64(out, u64::from(monitor.top));
+        varint::put_u64(out, monitor.occupied().len() as u64);
         let mut prev_idx: Option<u64> = None;
-        for (idx, entry) in monitor.entries.iter().enumerate() {
-            if *entry == Entry::default() {
-                continue;
-            }
-            write_delta_u64(out, &mut prev_idx, idx as u64)?;
+        for row in monitor.occupied() {
+            put_delta_u64(out, &mut prev_idx, u64::from(row.level()));
+            let entry = row.entry();
             let mut halves = 0u8;
             if entry.inc != Half::default() {
                 halves |= HALF_INC;
@@ -183,8 +175,8 @@ pub fn encode_checkpoint(
                 if *half == Half::default() {
                     continue;
                 }
-                varint::write_u64(out, u64::from(half.flow.0))?;
-                write_delta_u64(out, &mut prev_seq, half.seq)?;
+                varint::put_u64(out, u64::from(half.flow.0));
+                put_delta_u64(out, &mut prev_seq, half.seq);
             }
         }
     }
@@ -292,7 +284,7 @@ pub fn decode_checkpoint(
             }
             entries[idx as usize] = entry;
         }
-        queue_monitors.push(QueueMonitorSnapshot { entries, top });
+        queue_monitors.push(QueueMonitorSnapshot::from_dense(&entries, top));
     }
 
     Ok(Checkpoint {
@@ -307,6 +299,7 @@ pub fn decode_checkpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_checkpoint(tw: &TimeWindowConfig, frozen_at: u64) -> Checkpoint {
         let cells = tw.cells();
@@ -348,7 +341,7 @@ mod tests {
                 .is_multiple_of(2)
                 .then(|| QueryInterval::new(5, frozen_at)),
             windows: TimeWindowSnapshot::from_parts(*tw, windows, false),
-            queue_monitors: vec![QueueMonitorSnapshot { entries, top: 5 }],
+            queue_monitors: vec![QueueMonitorSnapshot::from_dense(&entries, 5)],
         }
     }
 
@@ -415,12 +408,41 @@ mod tests {
         assert!(back.windows.is_filtered());
     }
 
+    /// A checkpoint whose one monitor has `rows` occupied levels out of
+    /// `len`, every third with both halves written.
+    fn many_row_checkpoint(tw: &TimeWindowConfig, len: usize, rows: usize) -> Checkpoint {
+        let mut entries = vec![Entry::default(); len];
+        for i in 0..rows {
+            let half = |seq| Half {
+                flow: FlowId((i % 97) as u32),
+                seq,
+            };
+            let e = &mut entries[i * (len / rows)];
+            e.inc = half(2 * i as u64 + 1);
+            if i % 3 == 0 {
+                e.dec = half(2 * i as u64 + 2);
+            }
+        }
+        let mut cp = sample_checkpoint(tw, 501);
+        cp.queue_monitors = vec![QueueMonitorSnapshot::from_dense(&entries, len as u32 - 1)];
+        cp
+    }
+
     #[test]
     fn truncation_and_garbage_never_panic() {
         let tw = TimeWindowConfig::new(4, 2, 4, 3);
-        let cp = sample_checkpoint(&tw, 500);
+        for cp in [
+            sample_checkpoint(&tw, 500),
+            many_row_checkpoint(&tw, 32 * 1024, 3_000),
+        ] {
+            truncate_and_flip(&tw, &cp);
+        }
+    }
+
+    fn truncate_and_flip(tw: &TimeWindowConfig, cp: &Checkpoint) {
+        let tw = *tw;
         let mut buf = Vec::new();
-        encode_checkpoint(&mut buf, &tw, &mut CodecState::default(), &cp).unwrap();
+        encode_checkpoint(&mut buf, &tw, &mut CodecState::default(), cp).unwrap();
         for cut in 0..buf.len() {
             let mut cursor = &buf[..cut];
             let _ = decode_checkpoint(
@@ -474,5 +496,246 @@ mod tests {
         let mut buf = Vec::new();
         let err = encode_checkpoint(&mut buf, &other, &mut CodecState::default(), &cp).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    fn encode_one(tw: &TimeWindowConfig, cp: &Checkpoint) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_checkpoint(&mut buf, tw, &mut CodecState::default(), cp).unwrap();
+        buf
+    }
+
+    fn decode_one(
+        bytes: &[u8],
+        tw: &TimeWindowConfig,
+        budget: &mut DecodeBudget,
+    ) -> io::Result<Checkpoint> {
+        let mut cursor = bytes;
+        decode_checkpoint(&mut cursor, tw, &mut CodecState::default(), budget)
+    }
+
+    /// Byte offset of the first monitor's occupied-count varint in an
+    /// encoding of `cp` (it follows the monitor count, length and top).
+    fn occupied_count_offset(tw: &TimeWindowConfig, cp: &Checkpoint) -> usize {
+        let mut no_monitors = cp.clone();
+        no_monitors.queue_monitors.clear();
+        let mut prefix = encode_one(tw, &no_monitors);
+        prefix.pop(); // the zero monitor count
+        varint::put_u64(&mut prefix, cp.queue_monitors.len() as u64);
+        varint::put_u64(&mut prefix, cp.queue_monitors[0].len() as u64);
+        varint::put_u64(&mut prefix, u64::from(cp.queue_monitors[0].top));
+        prefix.len()
+    }
+
+    #[test]
+    fn occupied_count_beyond_the_array_is_rejected() {
+        let tw = TimeWindowConfig::new(4, 2, 4, 3);
+        let mut cp = sample_checkpoint(&tw, 501);
+        cp.queue_monitors = vec![QueueMonitorSnapshot::from_dense(&[Entry::default(); 8], 0)];
+        let at = occupied_count_offset(&tw, &cp);
+        let mut bytes = encode_one(&tw, &cp);
+        assert_eq!(bytes.len(), at + 1, "empty monitor ends at its zero count");
+        bytes.truncate(at);
+        varint::put_u64(&mut bytes, 9); // nine occupied rows of an 8-entry array
+        bytes.extend(std::iter::repeat_n(1u8, 64));
+        assert!(decode_one(&bytes, &tw, &mut DecodeBudget::default()).is_err());
+    }
+
+    #[test]
+    fn tiny_budget_rejects_a_many_row_monitor() {
+        let tw = TimeWindowConfig::new(4, 2, 4, 3);
+        let cp = many_row_checkpoint(&tw, 32 * 1024, 3_000);
+        let bytes = encode_one(&tw, &cp);
+        let windows = tw.cells() as u64 * 3 * std::mem::size_of::<Cell>() as u64;
+        // The decoder still materialises the whole array, so that is what
+        // it charges, however few rows are occupied.
+        let array = 32 * 1024 * std::mem::size_of::<Entry>() as u64;
+        let err = decode_one(&bytes, &tw, &mut DecodeBudget::new(windows + array - 1)).unwrap_err();
+        assert!(err.to_string().contains("budget exhausted"), "{err}");
+        let back = decode_one(&bytes, &tw, &mut DecodeBudget::new(windows + array)).unwrap();
+        assert_eq!(back.queue_monitors, cp.queue_monitors);
+    }
+
+    #[test]
+    fn default_valued_row_on_the_wire_leaves_no_phantom() {
+        // A writer that spelled out an empty half (flow NONE, sequence 0)
+        // describes the default entry, which the sparse snapshot must not
+        // keep a row for.
+        let tw = TimeWindowConfig::new(4, 2, 4, 3);
+        let mut cp = sample_checkpoint(&tw, 501);
+        cp.queue_monitors = vec![QueueMonitorSnapshot::from_dense(&[Entry::default(); 8], 5)];
+        let at = occupied_count_offset(&tw, &cp);
+        let mut bytes = encode_one(&tw, &cp);
+        bytes.truncate(at);
+        varint::put_u64(&mut bytes, 1); // one occupied row…
+        varint::put_u64(&mut bytes, 3); // …at level 3…
+        bytes.push(HALF_INC); // …with an increase half…
+        varint::put_u64(&mut bytes, u64::from(FlowId::NONE.0)); // …of no flow…
+        varint::put_u64(&mut bytes, 0); // …and sequence 0.
+        let back = decode_one(&bytes, &tw, &mut DecodeBudget::default()).unwrap();
+        assert!(back.queue_monitors[0].occupied().is_empty());
+        assert_eq!(back.queue_monitors, cp.queue_monitors);
+        assert_eq!(encode_one(&tw, &back), encode_one(&tw, &cp));
+    }
+
+    /// The encoder as it ran over dense snapshots: every monitor array
+    /// scanned once to count and once to emit, every varint through
+    /// `Write`. Kept as the byte-for-byte reference for the row walk.
+    fn encode_checkpoint_dense(
+        out: &mut Vec<u8>,
+        tw: &TimeWindowConfig,
+        state: &mut CodecState,
+        cp: &Checkpoint,
+    ) {
+        fn delta(out: &mut Vec<u8>, prev: &mut Option<u64>, value: u64) {
+            match *prev {
+                None => varint::write_u64(out, value).unwrap(),
+                Some(p) => varint::write_i64(out, value.wrapping_sub(p) as i64).unwrap(),
+            }
+            *prev = Some(value);
+        }
+        delta(out, &mut state.prev_frozen, cp.frozen_at);
+        out.push(
+            u8::from(cp.on_demand) * FLAG_ON_DEMAND
+                | u8::from(cp.trigger.is_some()) * FLAG_TRIGGER
+                | u8::from(cp.windows.is_filtered()) * FLAG_FILTERED,
+        );
+        if let Some(trigger) = cp.trigger {
+            varint::write_u64(out, trigger.from).unwrap();
+            varint::write_u64(out, trigger.to.saturating_sub(trigger.from)).unwrap();
+        }
+        for w in 0..tw.t {
+            let cells = cp.windows.window(w);
+            let occupied = cells.iter().filter(|c| **c != Cell::EMPTY).count();
+            varint::write_u64(out, occupied as u64).unwrap();
+            let (mut prev_idx, mut prev_cycle) = (None, None);
+            for (idx, cell) in cells.iter().enumerate() {
+                if *cell != Cell::EMPTY {
+                    delta(out, &mut prev_idx, idx as u64);
+                    varint::write_u64(out, u64::from(cell.flow.0)).unwrap();
+                    delta(out, &mut prev_cycle, cell.cycle);
+                }
+            }
+        }
+        varint::write_u64(out, cp.queue_monitors.len() as u64).unwrap();
+        let mut prev_seq = None;
+        for monitor in &cp.queue_monitors {
+            let entries = monitor.to_dense();
+            varint::write_u64(out, entries.len() as u64).unwrap();
+            varint::write_u64(out, u64::from(monitor.top)).unwrap();
+            let occupied = entries.iter().filter(|e| **e != Entry::default()).count();
+            varint::write_u64(out, occupied as u64).unwrap();
+            let mut prev_idx = None;
+            for (idx, entry) in entries.iter().enumerate() {
+                if *entry == Entry::default() {
+                    continue;
+                }
+                delta(out, &mut prev_idx, idx as u64);
+                out.push(
+                    u8::from(entry.inc != Half::default()) * HALF_INC
+                        | u8::from(entry.dec != Half::default()) * HALF_DEC,
+                );
+                for half in [&entry.inc, &entry.dec] {
+                    if *half != Half::default() {
+                        varint::write_u64(out, u64::from(half.flow.0)).unwrap();
+                        delta(out, &mut prev_seq, half.seq);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Small values (the usual case), full-range ones (wrapping deltas,
+    /// sentinel flows), and the default half, in equal shares.
+    fn arb_half() -> impl Strategy<Value = Half> {
+        (0u8..3, any::<u32>(), any::<u64>()).prop_map(|(kind, flow, seq)| match kind {
+            0 => Half {
+                flow: FlowId(flow % 200),
+                seq: seq % 1_000,
+            },
+            1 => Half {
+                flow: FlowId(flow),
+                seq,
+            },
+            _ => Half::default(),
+        })
+    }
+
+    fn arb_monitor() -> impl Strategy<Value = QueueMonitorSnapshot> {
+        (
+            1usize..200,
+            prop::collection::vec((0usize..200, arb_half(), arb_half()), 0..60),
+            0u32..200,
+        )
+            .prop_map(|(len, writes, top)| {
+                let mut entries = vec![Entry::default(); len];
+                for (level, inc, dec) in writes {
+                    entries[level % len] = Entry { inc, dec };
+                }
+                QueueMonitorSnapshot::from_dense(&entries, top % len as u32)
+            })
+    }
+
+    fn arb_checkpoint(tw: TimeWindowConfig) -> impl Strategy<Value = Checkpoint> {
+        let cells = tw.cells();
+        (
+            any::<u64>(),
+            any::<bool>(),
+            any::<bool>(),
+            prop::collection::vec(
+                (0u8..tw.t, 0usize..cells, any::<u32>(), any::<u64>()),
+                0..40,
+            ),
+            prop::collection::vec(arb_monitor(), 0..4),
+        )
+            .prop_map(
+                move |(frozen_at, on_demand, filtered, writes, queue_monitors)| {
+                    let mut windows = vec![vec![Cell::EMPTY; cells]; usize::from(tw.t)];
+                    for (w, idx, flow, cycle) in writes {
+                        windows[usize::from(w)][idx] = Cell {
+                            flow: FlowId(flow),
+                            cycle,
+                        };
+                    }
+                    Checkpoint {
+                        frozen_at,
+                        on_demand,
+                        trigger: on_demand.then(|| QueryInterval::new(frozen_at / 2, frozen_at)),
+                        windows: TimeWindowSnapshot::from_parts(tw, windows, filtered),
+                        queue_monitors,
+                    }
+                },
+            )
+    }
+
+    proptest! {
+        /// Same bytes as the dense encoder over a run of checkpoints sharing
+        /// one delta chain, and a decode → re-encode that changes nothing.
+        #[test]
+        fn row_walk_matches_dense_reference_encoder(
+            cps in prop::collection::vec(arb_checkpoint(TimeWindowConfig::new(4, 2, 4, 3)), 1..5),
+        ) {
+            let tw = TimeWindowConfig::new(4, 2, 4, 3);
+            let (mut sparse, mut dense) = (Vec::new(), Vec::new());
+            let (mut s_state, mut d_state) = (CodecState::default(), CodecState::default());
+            for cp in &cps {
+                encode_checkpoint(&mut sparse, &tw, &mut s_state, cp).unwrap();
+                encode_checkpoint_dense(&mut dense, &tw, &mut d_state, cp);
+            }
+            prop_assert_eq!(&sparse, &dense);
+
+            let mut cursor = sparse.as_slice();
+            let mut state = CodecState::default();
+            let mut again = Vec::new();
+            let mut a_state = CodecState::default();
+            for cp in &cps {
+                let back =
+                    decode_checkpoint(&mut cursor, &tw, &mut state, &mut DecodeBudget::default())
+                        .map_err(|e| TestCaseError::fail(e.to_string()))?;
+                prop_assert_eq!(&back.queue_monitors, &cp.queue_monitors);
+                encode_checkpoint(&mut again, &tw, &mut a_state, &back).unwrap();
+            }
+            prop_assert!(cursor.is_empty());
+            prop_assert_eq!(&again, &sparse);
+        }
     }
 }

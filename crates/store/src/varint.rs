@@ -26,6 +26,21 @@ pub fn write_i64<W: Write>(w: &mut W, value: i64) -> io::Result<()> {
     write_u64(w, zigzag(value))
 }
 
+/// [`write_u64`] for the checkpoint encoder, which only ever appends to
+/// memory: plain pushes, nothing to fail, no per-byte `Write` call.
+pub fn put_u64(out: &mut Vec<u8>, mut value: u64) {
+    while value >= 0x80 {
+        out.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
+}
+
+/// [`write_i64`] on the push path.
+pub fn put_i64(out: &mut Vec<u8>, value: i64) {
+    put_u64(out, zigzag(value));
+}
+
 /// Zigzag map: 0, -1, 1, -2, … → 0, 1, 2, 3, …
 pub fn zigzag(value: i64) -> u64 {
     ((value << 1) ^ (value >> 63)) as u64
@@ -119,6 +134,22 @@ mod tests {
             let mut cursor = buf.as_slice();
             assert_eq!(read_u64(&mut cursor).unwrap(), v);
             assert!(cursor.is_empty());
+        }
+    }
+
+    #[test]
+    fn push_path_writes_the_same_bytes() {
+        for shift in 0..64 {
+            for v in [1u64 << shift, (1u64 << shift) - 1, u64::MAX >> shift] {
+                let (mut pushed, mut written) = (Vec::new(), Vec::new());
+                put_u64(&mut pushed, v);
+                write_u64(&mut written, v).unwrap();
+                assert_eq!(pushed, written, "u64 {v}");
+                let (mut pushed, mut written) = (Vec::new(), Vec::new());
+                put_i64(&mut pushed, v as i64);
+                write_i64(&mut written, v as i64).unwrap();
+                assert_eq!(pushed, written, "i64 {}", v as i64);
+            }
         }
     }
 

@@ -194,8 +194,8 @@ impl<W: Write> StoreWriter<W> {
     ) -> io::Result<()> {
         self.seal(port)?;
         self.ports.entry(port).or_default();
-        let mut meta = SegmentMeta {
-            offset: self.pos,
+        let meta = SegmentMeta {
+            offset: 0,
             len: 0,
             port,
             count,
@@ -203,16 +203,26 @@ impl<W: Write> StoreWriter<W> {
             max_t,
             prev_periodic: None,
             last_periodic: None,
-            body_crc: crc32(body),
+            body_crc: 0,
             kind,
         };
-        let mut frame = Vec::with_capacity(body.len() + 64);
-        frame.extend_from_slice(&format::SEGMENT_MAGIC);
+        self.write_frame(meta, body)
+    }
+
+    /// Frame `body` as one segment at the current position (filling
+    /// `meta`'s offset, length and body CRC), write it, and index it. The
+    /// whole segment goes out in one buffer so a crash tears at most the
+    /// tail of a single write burst.
+    fn write_frame(&mut self, mut meta: SegmentMeta, body: &[u8]) -> io::Result<()> {
+        meta.offset = self.pos;
+        meta.body_crc = crc32(body);
         let mut hdr = Vec::new();
         meta.write_seg_header(&mut hdr)?;
-        varint::write_u64(&mut frame, hdr.len() as u64)?;
+        let mut frame = Vec::with_capacity(body.len() + hdr.len() + 32);
+        frame.extend_from_slice(&format::SEGMENT_MAGIC);
+        varint::put_u64(&mut frame, hdr.len() as u64);
         frame.extend_from_slice(&hdr);
-        varint::write_u64(&mut frame, body.len() as u64)?;
+        varint::put_u64(&mut frame, body.len() as u64);
         frame.extend_from_slice(body);
         frame.extend_from_slice(&meta.body_crc.to_le_bytes());
         meta.len = frame.len() as u64;
@@ -223,9 +233,13 @@ impl<W: Write> StoreWriter<W> {
             t.bytes_written.add(meta.len);
             t.segment_bytes.record(meta.len);
             if t.plane.tracing_enabled() {
-                t.plane
-                    .spans()
-                    .record(names::SPAN_SEGMENT_FLUSH, min_t, max_t, u32::from(port));
+                // The span covers the sim-time range the segment holds.
+                t.plane.spans().record(
+                    names::SPAN_SEGMENT_FLUSH,
+                    meta.min_t,
+                    meta.max_t,
+                    u32::from(meta.port),
+                );
             }
         }
         self.segments.push(meta);
@@ -251,8 +265,8 @@ impl<W: Write> StoreWriter<W> {
         let Some(open) = state.open.take() else {
             return Ok(());
         };
-        let mut meta = SegmentMeta {
-            offset: self.pos,
+        let meta = SegmentMeta {
+            offset: 0,
             len: 0,
             port,
             count: open.count,
@@ -260,39 +274,10 @@ impl<W: Write> StoreWriter<W> {
             max_t: open.max_t,
             prev_periodic: open.prev_periodic,
             last_periodic: state.chain,
-            body_crc: crc32(&open.body),
+            body_crc: 0,
             kind: format::KIND_CHECKPOINTS,
         };
-        // Frame the whole segment in one buffer so a crash tears at most
-        // the tail of a single write burst.
-        let mut frame = Vec::with_capacity(open.body.len() + 64);
-        frame.extend_from_slice(&format::SEGMENT_MAGIC);
-        let mut hdr = Vec::new();
-        meta.write_seg_header(&mut hdr)?;
-        varint::write_u64(&mut frame, hdr.len() as u64)?;
-        frame.extend_from_slice(&hdr);
-        varint::write_u64(&mut frame, open.body.len() as u64)?;
-        frame.extend_from_slice(&open.body);
-        frame.extend_from_slice(&meta.body_crc.to_le_bytes());
-        meta.len = frame.len() as u64;
-        self.out.write_all(&frame)?;
-        self.pos += meta.len;
-        if let Some(t) = &self.telemetry {
-            t.segments_sealed.inc();
-            t.bytes_written.add(meta.len);
-            t.segment_bytes.record(meta.len);
-            if t.plane.tracing_enabled() {
-                // The span covers the sim-time range the segment holds.
-                t.plane.spans().record(
-                    names::SPAN_SEGMENT_FLUSH,
-                    open.min_t,
-                    open.max_t,
-                    u32::from(port),
-                );
-            }
-        }
-        self.segments.push(meta);
-        Ok(())
+        self.write_frame(meta, &open.body)
     }
 
     fn apply_retention(&mut self) {

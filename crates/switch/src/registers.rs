@@ -95,13 +95,8 @@ impl<T: Copy + Default> RegisterArray<T> {
         self.cells[index] = value;
     }
 
-    /// Control-plane bulk read (PCIe poll). Does not count against the
-    /// per-packet discipline.
-    pub fn snapshot(&self) -> Vec<T> {
-        self.cells.clone()
-    }
-
-    /// Control-plane view without copying.
+    /// Control-plane bulk read (PCIe poll), without copying. Does not
+    /// count against the per-packet discipline.
     pub fn as_slice(&self) -> &[T] {
         &self.cells
     }
@@ -129,18 +124,6 @@ mod tests {
         });
         assert_eq!(old, 0);
         assert_eq!(reg.as_slice(), &[0, 0, 7, 0]);
-    }
-
-    #[test]
-    fn snapshot_is_independent_copy() {
-        let mut reg: RegisterArray<u32> = RegisterArray::new(2);
-        reg.begin_packet();
-        reg.write(0, 5);
-        let snap = reg.snapshot();
-        reg.begin_packet();
-        reg.write(0, 9);
-        assert_eq!(snap, vec![5, 0]);
-        assert_eq!(reg.as_slice(), &[9, 0]);
     }
 
     #[test]

@@ -111,6 +111,9 @@ pub mod names {
     pub const CONTROL_BYTES_READ: &str = "pq_control_bytes_read_total";
     /// Freeze-and-read sim-time duration (histogram, ns).
     pub const CONTROL_READ_NS: &str = "pq_control_read_ns";
+    /// Occupied queue-monitor entries per freeze — what freeze, spill and
+    /// decode cost scale with (histogram, entries).
+    pub const CONTROL_QM_OCCUPIED_ENTRIES: &str = "pq_control_qm_occupied_entries";
 
     // -- pq-store ----------------------------------------------------------
     /// Checkpoints appended to a store (counter).
@@ -294,6 +297,7 @@ pub mod names {
             CONTROL_ENTRIES_READ => "Register entries read across PCIe.",
             CONTROL_BYTES_READ => "Bytes read across PCIe.",
             CONTROL_READ_NS => "Freeze-and-read sim-time duration in ns.",
+            CONTROL_QM_OCCUPIED_ENTRIES => "Occupied queue-monitor entries per freeze.",
             STORE_CHECKPOINTS_WRITTEN => "Checkpoints appended to a store.",
             STORE_SEGMENTS_SEALED => "Segments sealed to disk.",
             STORE_BYTES_WRITTEN => "Encoded segment bytes written, framing included.",

@@ -6,6 +6,7 @@ use printqueue::core::coefficient::Coefficients;
 use printqueue::core::control::{AnalysisProgram, ControlConfig};
 use printqueue::core::export::CheckpointArchive;
 use printqueue::core::params::TimeWindowConfig;
+use printqueue::core::printqueue::{PrintQueue, PrintQueueConfig};
 use printqueue::core::snapshot::QueryInterval;
 use printqueue::packet::FlowId;
 use printqueue::store::{
@@ -288,6 +289,14 @@ fn json_archives_convert_losslessly_and_auto_detect() {
     assert_eq!(parsed.len(), 1);
     assert_eq!(parsed[0].port, PORTS[0]);
     assert_eq!(parsed[0].checkpoints.len(), archives[0].checkpoints.len());
+    // Queue monitors are held sparse in RAM but keep the dense
+    // `{entries, top}` JSON shape, so a legacy document re-serialises
+    // byte for byte.
+    let legacy_text = std::str::from_utf8(&legacy).unwrap();
+    assert!(legacy_text.contains(r#""queue_monitors":[{"entries":[{"inc":{"flow":"#));
+    let mut again = Vec::new();
+    parsed[0].write_json(&mut again).unwrap();
+    assert_eq!(again, legacy);
 
     // JSON → .pqa → archives is lossless down to the serialized bytes.
     let pqa = archives_to_pqa(Vec::new(), &archives, tiny_segments()).unwrap();
@@ -511,6 +520,74 @@ fn replication_verifies_raw_segments() {
     assert!(ship_archive(&bad, &bad_dst).is_err());
     assert!(!bad_dst.exists());
     for p in [src, dst, other, bad] {
+        std::fs::remove_file(p).ok();
+    }
+}
+
+/// PR 12's finding, still open: with the default policy (64 checkpoints a
+/// segment) and `single_port`'s 32 Ki-entry queue monitor, every decoded
+/// checkpoint charges the whole 1 MiB array against the 64 MiB per-segment
+/// `DecodeBudget`, so archives are written fine and then refused
+/// ("decoded 244 of 436 indexed checkpoints"). The decoder still builds
+/// the dense array before thinning it, so it still has to charge it; this
+/// is the test the read-path change (charge per occupied row) must turn
+/// green.
+#[test]
+#[ignore = "known bug: dense DecodeBudget charge refuses default-policy archives (CHANGES.md PR 13)"]
+fn default_policy_archive_of_a_32k_entry_monitor_ships_and_answers() {
+    let tw = tw_small();
+    let mut pq = PrintQueue::new(PrintQueueConfig::single_port(tw, 1));
+    let handle =
+        SharedStoreWriter::new(StoreWriter::new(Vec::new(), tw, SegmentPolicy::default()).unwrap());
+    let ap = pq.analysis_mut();
+    ap.set_spill(Box::new(handle.clone()));
+    for t in 0..130 * tw.set_period() {
+        ap.record_dequeue(0, FlowId((t % 7) as u32), t);
+        if t % 5 == 0 {
+            ap.qm_enqueue(0, 0, FlowId((t % 3) as u32), (t % 20) as u32, t);
+        }
+        ap.on_tick(t);
+    }
+    let stored = ap.checkpoints(0).len() as u64;
+    assert!(stored >= 128, "only {stored} checkpoints");
+    assert_eq!(
+        ap.checkpoints(0)[0].queue_monitor().unwrap().len(),
+        32 * 1024
+    );
+
+    let tmp =
+        |name: &str| std::env::temp_dir().join(format!("pq-budget-{}-{name}", std::process::id()));
+    let (src, dst) = (tmp("src.pqa"), tmp("dst.pqa"));
+    std::fs::write(&src, handle.finish().unwrap()).unwrap();
+    let report = ship_archive(&src, &dst).unwrap();
+    assert_eq!(report.checkpoints, stored);
+
+    let mut reader = StoreReader::open(Cursor::new(std::fs::read(&dst).unwrap())).unwrap();
+    assert!(
+        reader.segments().iter().any(|s| s.count == 64),
+        "the default policy should have sealed full 64-checkpoint segments"
+    );
+    let coeffs = Coefficients::compute(&tw, 1);
+    let end = 130 * tw.set_period();
+    for interval in [
+        QueryInterval::new(0, end),
+        QueryInterval::new(end / 3, end / 2),
+        QueryInterval::new(end - 500, end),
+    ] {
+        let live = ap.query_time_windows(0, interval);
+        let replica = reader.query(0, interval, &coeffs).unwrap();
+        assert_eq!(
+            live.estimates.counts, replica.estimates.counts,
+            "{interval:?}"
+        );
+        assert_eq!(live.gaps, replica.gaps);
+        assert!(!replica.degraded, "{interval:?}");
+    }
+    assert_eq!(
+        reader.read_port(0).unwrap().checkpoints.len() as u64,
+        stored
+    );
+    for p in [src, dst] {
         std::fs::remove_file(p).ok();
     }
 }

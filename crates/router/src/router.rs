@@ -29,21 +29,23 @@ use pq_core::control::CoverageGap;
 use pq_core::snapshot::QueryInterval;
 use pq_packet::FlowId;
 use pq_rtt::RttReport;
+use pq_serve::answer::profile_frames;
+use pq_serve::front::{self, Conn, Front, Handler};
 use pq_serve::wire::{
-    self, chunk_counts, chunk_flows, chunk_gaps, metrics_update_frames, snapshot_to_samples,
-    ErrorCode, Frame, HealthInfo, Request, ShardMap, ShardMapEntry, StreamResult, WireError,
-    ENTRIES_PER_FRAME, MAX_FRAME_LEN, PROTOCOL_VERSION,
+    ErrorCode, Frame, HealthInfo, Request, ShardMap, ShardMapEntry, StreamResult, ENTRIES_PER_FRAME,
 };
-use pq_serve::{Client, ClientError, RetryPolicy};
+use pq_serve::{
+    Client, ClientError, MetricsUpdate, RemoteMonitor, RemoteResult, RemoteRtt, RetryPolicy,
+};
 use pq_stream::{DepthAgg, Emit, RttAgg, Target, TopKSummary};
 use pq_telemetry::{
     names, new_trace_id, provenance, to_prometheus, ActiveTrace, Counter, Gauge, Histogram,
-    Telemetry, Trace, TraceClock, TraceContext,
+    Telemetry, TraceClock, TraceContext,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -105,6 +107,7 @@ struct Instruments {
     req_standing: Counter,
     rtt_merges: Counter,
     errors: Counter,
+    shed: Counter,
     fanout: Histogram,
     failovers: Counter,
     retries: Counter,
@@ -127,6 +130,7 @@ impl Instruments {
             req_standing: req("standing"),
             rtt_merges: reg.counter(names::RTT_MERGES, &[]),
             errors: reg.counter(names::ROUTER_ERRORS, &[]),
+            shed: reg.counter(names::ROUTER_SHED, &[]),
             fanout: reg.histogram(names::ROUTER_FANOUT, &[]),
             failovers: reg.counter(names::ROUTER_FAILOVERS, &[]),
             retries: reg.counter(names::ROUTER_RETRIES, &[]),
@@ -161,27 +165,6 @@ struct Backend {
     latency: Histogram,
 }
 
-/// Per-client-connection state (same write-atomicity contract as the
-/// serve daemon: streamed responses never interleave).
-struct Conn {
-    stream: TcpStream,
-    write: Mutex<()>,
-}
-
-impl Conn {
-    fn send(&self, frames: &[Frame]) -> io::Result<()> {
-        let mut buf = Vec::with_capacity(64);
-        for f in frames {
-            let body = wire::encode_body(f);
-            buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&body);
-        }
-        let _guard = self.write.lock().unwrap();
-        use io::Write as _;
-        (&self.stream).write_all(&buf)
-    }
-}
-
 /// Cancel bookkeeping for a standing subscription whose fan-in already
 /// completed (the merged results were emitted at registration; only the
 /// final `last` frame remains owed).
@@ -199,8 +182,9 @@ struct Shared {
     /// so watchers can cheaply detect topology churn.
     generation: AtomicU64,
     shutdown: AtomicBool,
-    active_conns: AtomicUsize,
-    conns: Mutex<Vec<Weak<Conn>>>,
+    /// The connection front shared with the serve daemon (same cap,
+    /// handshake, framing and write-atomicity contract).
+    front: Front,
     /// Open routed standing subscriptions awaiting cancel.
     standing: Mutex<Vec<StandingEntry>>,
     instruments: Instruments,
@@ -542,14 +526,7 @@ impl Shared {
                 } else {
                     "time_windows"
                 });
-                result_frames(
-                    id,
-                    merged.checkpoints,
-                    merged.estimates.ranked(),
-                    merged.gaps,
-                    merged.degraded,
-                    trace,
-                )
+                RemoteResult { trace, ..merged }.to_frames(id)
             }
         };
         let errored = matches!(frames.first(), Some(Frame::Error { .. }));
@@ -604,19 +581,7 @@ impl Shared {
         let frames = match got {
             Ok(mon) => {
                 self.instruments.completed("queue_monitor");
-                let mut frames = vec![Frame::MonitorHeader {
-                    id,
-                    degraded: mon.degraded,
-                    frozen_at: mon.frozen_at,
-                    staleness: mon.staleness,
-                    counts: mon.counts.len() as u32,
-                    gaps: mon.gaps.len() as u32,
-                    trace,
-                }];
-                frames.extend(chunk_counts(id, &mon.counts));
-                frames.extend(chunk_gaps(id, &mon.gaps));
-                frames.push(Frame::ResultEnd { id });
-                frames
+                RemoteMonitor { trace, ..mon }.to_frames(id)
             }
             Err(e) => {
                 self.instruments.errors.inc();
@@ -720,7 +685,12 @@ impl Shared {
                     );
                 }
                 self.instruments.completed("rtt");
-                wire::rtt_result_frames(id, degraded, &merged.encode(), trace)
+                let answer = RemoteRtt {
+                    report: merged,
+                    degraded,
+                    trace,
+                };
+                answer.to_frames(id)
             }
         };
         let errored = matches!(frames.first(), Some(Frame::Error { .. }));
@@ -769,9 +739,9 @@ impl Shared {
                 Some(e) => format!("no backend answered the profile dump: {e}"),
                 None => "no live backend to profile".to_string(),
             };
-            return vec![protocol_error(id, ErrorCode::Io, &msg)];
+            return vec![Frame::error(id, ErrorCode::Io, &msg)];
         }
-        wire::prof_result_frames(id, &merged.encode())
+        profile_frames(id, &merged.encode())
     }
 
     /// Route a standing query: fan a *stripped* copy (no predicate, no
@@ -797,7 +767,7 @@ impl Shared {
         let parsed = match pq_stream::parse(query) {
             Ok(q) => q,
             Err(e) => {
-                let _ = conn.send(&[protocol_error(id, ErrorCode::BadQuery, &e.to_string())]);
+                let _ = conn.send(&[Frame::error(id, ErrorCode::BadQuery, &e.to_string())]);
                 return;
             }
         };
@@ -973,7 +943,7 @@ impl Shared {
             seq += 1;
             frames.push(Frame::StandingQueryResult {
                 id,
-                result: Box::new(standing_progress(id, seq, gate, true).1),
+                result: Box::new(StreamResult::progress(seq, gate, true)),
             });
             ended = true;
         }
@@ -1062,7 +1032,7 @@ impl Shared {
             .position(|e| e.id == sub && e.conn.upgrade().is_some_and(|c| Arc::ptr_eq(&c, conn)))
         else {
             drop(standing);
-            let _ = conn.send(&[protocol_error(
+            let _ = conn.send(&[Frame::error(
                 id,
                 ErrorCode::Protocol,
                 "unknown standing subscription",
@@ -1071,119 +1041,11 @@ impl Shared {
         };
         let entry = standing.remove(pos);
         drop(standing);
-        let (sub_id, result) = standing_progress(entry.id, entry.seq + 1, entry.watermark, true);
+        let progress = StreamResult::progress(entry.seq + 1, entry.watermark, true);
         let _ = conn.send(&[Frame::StandingQueryResult {
-            id: sub_id,
-            result: Box::new(result),
+            id: entry.id,
+            result: Box::new(progress),
         }]);
-    }
-
-    /// The router's own health. `workers` is repurposed as the backend
-    /// count and `busy_workers` as the quarantined count — the two
-    /// numbers an operator watching a router actually needs.
-    fn health_info(&self) -> HealthInfo {
-        let snap = self.instruments.plane.snapshot();
-        let (version, commit) = provenance::build_info(&snap)
-            .unwrap_or_else(|| ("unknown".to_string(), "unknown".to_string()));
-        let quarantined = self
-            .backends
-            .iter()
-            .filter(|b| b.quarantined.load(Ordering::SeqCst))
-            .count();
-        HealthInfo {
-            uptime_ns: self.now_ns(),
-            workers: self.backends.len() as u32,
-            busy_workers: quarantined as u32,
-            queue_depth: 0,
-            queue_cap: 0,
-            active_conns: self.active_conns.load(Ordering::SeqCst) as u32,
-            max_conns: self.config.max_conns as u32,
-            subscribers: 0,
-            draining: self.shutdown.load(Ordering::SeqCst),
-            version,
-            commit,
-            shard: "router".to_string(),
-        }
-    }
-
-    fn shard_map(&self) -> ShardMap {
-        ShardMap {
-            generation: self.generation.load(Ordering::SeqCst),
-            replication: self.config.replication,
-            epoch_ns: self.config.epoch_ns,
-            backends: self
-                .backends
-                .iter()
-                .map(|b| ShardMapEntry {
-                    shard: b.spec.name.clone(),
-                    addr: b.spec.addr.clone(),
-                    healthy: !b.quarantined.load(Ordering::SeqCst),
-                })
-                .collect(),
-        }
-    }
-}
-
-/// Assemble a streamed time-window answer (same shape as the serve
-/// daemon's, so clients cannot tell a router from a backend).
-fn result_frames(
-    id: u64,
-    checkpoints: u64,
-    flows: Vec<(pq_packet::FlowId, f64)>,
-    gaps: Vec<CoverageGap>,
-    degraded: bool,
-    trace: Option<TraceContext>,
-) -> Vec<Frame> {
-    let mut frames = vec![Frame::ResultHeader {
-        id,
-        degraded,
-        checkpoints,
-        flows: flows.len() as u32,
-        gaps: gaps.len() as u32,
-        trace,
-    }];
-    frames.extend(chunk_flows(id, &flows));
-    frames.extend(chunk_gaps(id, &gaps));
-    frames.push(Frame::ResultEnd { id });
-    frames
-}
-
-/// A window-less progress result (`to == 0`): watermark only, optionally
-/// marking the end of the stream. Mirrors the serve daemon's shape.
-fn standing_progress(id: u64, seq: u64, watermark: u64, last: bool) -> (u64, StreamResult) {
-    (
-        id,
-        StreamResult {
-            seq,
-            watermark_ns: watermark,
-            port: 0,
-            from: 0,
-            to: 0,
-            fired: false,
-            forced: false,
-            degraded: false,
-            last,
-            max: 0,
-            min: u64::MAX,
-            sum: 0,
-            count: 0,
-            last_t: 0,
-            last_depth: 0,
-            flows: Vec::new(),
-            evictions: 0,
-            evicted_weight: 0.0,
-            gaps: Vec::new(),
-            rtt: RttAgg::default(),
-        },
-    )
-}
-
-fn protocol_error(id: u64, code: ErrorCode, message: &str) -> Frame {
-    Frame::Error {
-        id,
-        code,
-        gaps: Vec::new(),
-        message: message.to_string(),
     }
 }
 
@@ -1209,11 +1071,7 @@ impl RouterHandle {
     /// Stop the router, blocking until it has exited.
     pub fn shutdown(self) -> io::Result<()> {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        for conn in self.shared.conns.lock().unwrap().drain(..) {
-            if let Some(conn) = conn.upgrade() {
-                let _ = conn.stream.shutdown(Shutdown::Both);
-            }
-        }
+        self.shared.front.close_all();
         self.join.join().expect("router thread panicked")
     }
 }
@@ -1244,8 +1102,15 @@ impl Router {
             ));
         }
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let instruments = Instruments::resolve(plane);
+        let front = Front::new(
+            config.max_conns,
+            config.retry_after_ms,
+            instruments.shed.clone(),
+            None,
+            plane,
+            "pq-router-conn",
+        );
         let reg = plane.registry();
         let backends = backends
             .into_iter()
@@ -1264,8 +1129,7 @@ impl Router {
                 backends,
                 generation: AtomicU64::new(0),
                 shutdown: AtomicBool::new(false),
-                active_conns: AtomicUsize::new(0),
-                conns: Mutex::new(Vec::new()),
+                front,
                 standing: Mutex::new(Vec::new()),
                 instruments,
                 started: Instant::now(),
@@ -1288,22 +1152,9 @@ impl Router {
                 .name("pq-router-probe".into())
                 .spawn(move || probe_loop(&shared))?
         };
-        while !shared.shutdown.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => accept_connection(&shared, stream),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
+        front::serve(&self.listener, &shared)?;
         let _ = prober.join();
-        for conn in shared.conns.lock().unwrap().drain(..) {
-            if let Some(conn) = conn.upgrade() {
-                let _ = conn.stream.shutdown(Shutdown::Both);
-            }
-        }
+        shared.front.close_all();
         Ok(())
     }
 
@@ -1359,164 +1210,117 @@ fn probe(shared: &Arc<Shared>, backend: &Backend) -> bool {
     }
 }
 
-/// Admit a fresh client connection (connection cap, then a reader
-/// thread that handles requests synchronously — the scatter-gather for
-/// one query runs on its connection's thread).
-fn accept_connection(shared: &Arc<Shared>, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let conn = Arc::new(Conn {
-        stream,
-        write: Mutex::new(()),
-    });
-    if shared.active_conns.load(Ordering::SeqCst) >= shared.config.max_conns {
-        let _ = conn.send(&[Frame::Busy {
-            id: 0,
-            retry_after_ms: shared.config.retry_after_ms,
-        }]);
-        let _ = conn.stream.shutdown(Shutdown::Both);
-        return;
+/// The router behind the shared front: requests are handled synchronously
+/// — the scatter-gather for one query runs on its connection's thread.
+impl Handler for Shared {
+    fn front(&self) -> &Front {
+        &self.front
     }
-    shared.active_conns.fetch_add(1, Ordering::SeqCst);
-    shared.conns.lock().unwrap().push(Arc::downgrade(&conn));
-    let shared = Arc::clone(shared);
-    let _ = thread::Builder::new()
-        .name("pq-router-conn".into())
-        .spawn(move || {
-            let _ = connection_loop(&shared, &conn);
-            let _ = conn.stream.shutdown(Shutdown::Both);
-            shared.active_conns.fetch_sub(1, Ordering::SeqCst);
-        });
-}
 
-fn connection_loop(shared: &Arc<Shared>, conn: &Arc<Conn>) -> io::Result<()> {
-    conn.stream.set_nonblocking(false)?;
-    let mut read = (&conn.stream).take(u64::MAX);
-    let max_frame = match wire::read_frame(&mut read, MAX_FRAME_LEN) {
-        Ok(Frame::Hello { version, max_frame }) => {
-            if version == 0 {
-                let _ = conn.send(&[protocol_error(0, ErrorCode::Unsupported, "version 0")]);
-                return Ok(());
-            }
-            let version = version.min(PROTOCOL_VERSION);
-            let max_frame = max_frame.clamp(1024, MAX_FRAME_LEN);
-            conn.send(&[Frame::HelloAck { version, max_frame }])?;
-            max_frame
+    fn stopping(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    fn stop(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+    }
+
+    /// The router's own health. `workers` is repurposed as the backend
+    /// count and `busy_workers` as the quarantined count — the two
+    /// numbers an operator watching a router actually needs.
+    fn health(&self) -> HealthInfo {
+        let snap = self.instruments.plane.snapshot();
+        let (version, commit) = provenance::build_info(&snap)
+            .unwrap_or_else(|| ("unknown".to_string(), "unknown".to_string()));
+        let quarantined = self
+            .backends
+            .iter()
+            .filter(|b| b.quarantined.load(Ordering::SeqCst))
+            .count();
+        HealthInfo {
+            uptime_ns: self.now_ns(),
+            workers: self.backends.len() as u32,
+            busy_workers: quarantined as u32,
+            queue_depth: 0,
+            queue_cap: 0,
+            active_conns: self.front.active_conns() as u32,
+            max_conns: self.config.max_conns as u32,
+            subscribers: 0,
+            draining: self.shutdown.load(Ordering::SeqCst),
+            version,
+            commit,
+            shard: "router".to_string(),
         }
-        Ok(_) => {
-            let _ = conn.send(&[protocol_error(
-                0,
-                ErrorCode::Protocol,
-                "expected Hello as the first frame",
-            )]);
-            return Ok(());
+    }
+
+    fn shard_map(&self) -> ShardMap {
+        ShardMap {
+            generation: self.generation.load(Ordering::SeqCst),
+            replication: self.config.replication,
+            epoch_ns: self.config.epoch_ns,
+            backends: self
+                .backends
+                .iter()
+                .map(|b| ShardMapEntry {
+                    shard: b.spec.name.clone(),
+                    addr: b.spec.addr.clone(),
+                    healthy: !b.quarantined.load(Ordering::SeqCst),
+                })
+                .collect(),
         }
-        Err(e) => {
-            let _ = conn.send(&[protocol_error(0, ErrorCode::Protocol, &e.to_string())]);
-            return Ok(());
+    }
+
+    fn dispatch(&self, conn: &Arc<Conn>, frame: Frame) {
+        if self.stopping() {
+            let _ = conn.send(&[Frame::error(0, ErrorCode::ShuttingDown, "router stopping")]);
+            conn.close();
+            return;
         }
-    };
-    use std::io::Read as _;
-    loop {
-        let frame = match wire::read_frame(&mut read, max_frame) {
-            Ok(f) => f,
-            Err(WireError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
-            Err(WireError::Io(e)) => return Err(e),
-            Err(e) => {
-                let _ = conn.send(&[protocol_error(0, ErrorCode::Protocol, &e.to_string())]);
-                return Ok(());
-            }
+        // The router has no publisher thread: one full snapshot, marked
+        // `last`, answers `MetricsGet` and a subscription alike.
+        let snapshot = || MetricsUpdate {
+            seq: 0,
+            t_ns: self.now_ns(),
+            last: true,
+            changed: self.instruments.plane.snapshot(),
         };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            let _ = conn.send(&[protocol_error(
-                0,
-                ErrorCode::ShuttingDown,
-                "router stopping",
-            )]);
-            return Ok(());
-        }
         match frame {
             Frame::Request { id, req, trace } => {
                 let frames = match req {
-                    Request::QueueMonitor { port, at } => shared.route_monitor(id, port, at, trace),
+                    Request::QueueMonitor { port, at } => self.route_monitor(id, port, at, trace),
                     Request::Rtt {
                         port,
                         from,
                         to,
                         max_flows,
-                    } => shared.route_rtt(id, port, from, to, max_flows, trace),
-                    other => shared.route_query(id, other, trace),
+                    } => self.route_rtt(id, port, from, to, max_flows, trace),
+                    other => self.route_query(id, other, trace),
                 };
                 let _ = conn.send(&frames);
-            }
-            Frame::TraceDumpReq { id, max, slow_only } => {
-                // The router's own committed traces (route/failover/merge
-                // spans); stitch with each backend's dump for the full
-                // cross-process timeline.
-                let traces = shared.instruments.plane.traces();
-                let max = (max as usize).clamp(1, wire::MAX_TRACES_PER_DUMP);
-                let mut out: Vec<Trace> = if slow_only {
-                    traces.slowest(max)
-                } else {
-                    let mut recent = traces.recent();
-                    recent.reverse();
-                    recent.truncate(max);
-                    recent
-                };
-                for t in &mut out {
-                    t.spans.truncate(wire::MAX_SPANS_PER_TRACE);
-                }
-                let _ = conn.send(&[Frame::TraceDumpAck { id, traces: out }]);
             }
             Frame::ProfileDumpReq { id } => {
-                let frames = shared.route_profile_dump(id);
-                let _ = conn.send(&frames);
-            }
-            Frame::HealthReq { id } => {
-                let health = shared.health_info();
-                let _ = conn.send(&[Frame::HealthAck { id, health }]);
-            }
-            Frame::ShardMapReq { id } => {
-                let map = shared.shard_map();
-                let _ = conn.send(&[Frame::ShardMapAck { id, map }]);
+                let _ = conn.send(&self.route_profile_dump(id));
             }
             Frame::MetricsReq { id } => {
-                let text = to_prometheus(&shared.instruments.plane.snapshot());
+                let text = to_prometheus(&self.instruments.plane.snapshot());
                 let _ = conn.send(&[Frame::MetricsText { id, text }]);
             }
             Frame::MetricsGet { id } => {
-                let snap = shared.instruments.plane.snapshot();
-                let frames = metrics_update_frames(
-                    id,
-                    0,
-                    shared.now_ns(),
-                    true,
-                    &snapshot_to_samples(&snap),
-                );
-                let _ = conn.send(&frames);
+                let _ = conn.send(&snapshot().to_frames(id));
             }
             Frame::MetricsSubscribe {
                 id,
                 interval_ms,
                 max_updates,
             } => {
-                // The router has no publisher thread; a subscription is
-                // acked (echoing the clamp the serve daemon applies) and
-                // answered with one full snapshot marked `last`, which
-                // the protocol allows (`max_updates == 1` semantics).
+                // Acked echoing the clamp the serve daemon applies, then
+                // answered as `max_updates == 1` would be.
                 let _ = conn.send(&[Frame::SubscribeAck {
                     id,
                     interval_ms: interval_ms.clamp(10, 60_000),
                     max_updates,
                 }]);
-                let snap = shared.instruments.plane.snapshot();
-                let frames = metrics_update_frames(
-                    id,
-                    0,
-                    shared.now_ns(),
-                    true,
-                    &snapshot_to_samples(&snap),
-                );
-                let _ = conn.send(&frames);
+                let _ = conn.send(&snapshot().to_frames(id));
             }
             Frame::StandingQueryReq {
                 id,
@@ -1525,24 +1329,9 @@ fn connection_loop(shared: &Arc<Shared>, conn: &Arc<Conn>) -> io::Result<()> {
                 stop_after_seal,
                 query,
                 trace,
-            } => shared.route_standing(conn, id, cap, max_windows, stop_after_seal, &query, trace),
-            Frame::StandingQueryCancel { id, sub } => shared.cancel_standing(conn, id, sub),
-            Frame::ShutdownReq { id } => {
-                let _ = conn.send(&[Frame::ShutdownAck { id }]);
-                shared.shutdown.store(true, Ordering::SeqCst);
-            }
-            Frame::Hello { .. } => {
-                let _ = conn.send(&[protocol_error(0, ErrorCode::Protocol, "duplicate Hello")]);
-                return Ok(());
-            }
-            _ => {
-                let _ = conn.send(&[protocol_error(
-                    0,
-                    ErrorCode::Protocol,
-                    "server-to-client frame received from client",
-                )]);
-                return Ok(());
-            }
+            } => self.route_standing(conn, id, cap, max_windows, stop_after_seal, &query, trace),
+            Frame::StandingQueryCancel { id, sub } => self.cancel_standing(conn, id, sub),
+            other => unreachable!("the front answers {other:?} itself"),
         }
     }
 }

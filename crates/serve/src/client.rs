@@ -1,21 +1,23 @@
 //! The query client: a thin, blocking connection speaking the §[`wire`]
 //! protocol.
 //!
-//! The client reassembles streamed response frames into the same shapes
-//! the in-process query paths return ([`FlowEstimates`], coverage gaps,
-//! degraded flags), so `pqsim query --remote` can print byte-identical
-//! output through the same formatting code as local queries. Flow values
-//! arrive as raw `f64` bits, so nothing is lost in transit.
+//! The client reassembles streamed response frames (through
+//! [`crate::answer`]) into the same shapes the in-process query paths
+//! return (`FlowEstimates`, coverage gaps, degraded flags), so
+//! `pqsim query --remote` can print byte-identical output through the
+//! same formatting code as local queries. Flow values arrive as raw
+//! `f64` bits, so nothing is lost in transit.
+//!
+//! Every request is one exchange: send, then read frames through the one
+//! routine that judges response ids, `Busy` and `Error`.
 
+use crate::answer::{self, unexpected, MetricsUpdate, RemoteMonitor, RemoteResult, RemoteRtt};
 use crate::wire::{
-    self, samples_to_snapshot, ErrorCode, Frame, HealthInfo, Request, ShardMap, StreamResult,
-    WireError, WireSample, MAX_FRAME_LEN, MAX_PROF_DUMP_LEN, MAX_RTT_REPORT_LEN, PROTOCOL_VERSION,
+    self, ErrorCode, Frame, HealthInfo, Request, ShardMap, StreamResult, WireError, MAX_FRAME_LEN,
+    PROTOCOL_VERSION,
 };
 use pq_core::control::CoverageGap;
-use pq_core::snapshot::FlowEstimates;
-use pq_packet::FlowId;
-use pq_rtt::RttReport;
-use pq_telemetry::{RegistrySnapshot, Trace, TraceContext};
+use pq_telemetry::{Trace, TraceContext};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -148,69 +150,6 @@ impl From<WireError> for ClientError {
     }
 }
 
-/// A reassembled time-window answer — the remote mirror of the core's
-/// `QueryResult`, plus the server's checkpoint count for the header line.
-#[derive(Debug, Clone)]
-pub struct RemoteResult {
-    /// Per-flow estimated packet counts (bit-identical to local).
-    pub estimates: FlowEstimates,
-    /// Coverage gaps overlapping the queried interval.
-    pub gaps: Vec<CoverageGap>,
-    /// True when any gap overlapped the interval.
-    pub degraded: bool,
-    /// Checkpoints the server holds for the queried port.
-    pub checkpoints: u64,
-    /// The trace context echoed by the server — present iff the request
-    /// carried one, so the caller can match the answer to its trace.
-    pub trace: Option<TraceContext>,
-}
-
-/// A reassembled queue-monitor answer.
-#[derive(Debug, Clone)]
-pub struct RemoteMonitor {
-    /// When the answering snapshot was frozen.
-    pub frozen_at: u64,
-    /// Distance between the requested instant and the freeze.
-    pub staleness: u64,
-    /// True when the instant fell in a gap or the snapshot is stale.
-    pub degraded: bool,
-    /// Coverage gaps containing the requested instant.
-    pub gaps: Vec<CoverageGap>,
-    /// Original-culprit appearance counts, descending.
-    pub counts: Vec<(FlowId, u64)>,
-    /// The trace context echoed by the server (iff the request carried one).
-    pub trace: Option<TraceContext>,
-}
-
-/// A reassembled RTT answer: the decoded canonical report plus the
-/// server's degraded verdict (report-level degradation OR a `max_flows`
-/// truncation the report itself cannot express).
-#[derive(Debug, Clone)]
-pub struct RemoteRtt {
-    /// The decoded report (codec-validated canonical form).
-    pub report: RttReport,
-    /// Bounded-memory loss anywhere in the lineage, or flows dropped by
-    /// the requested `max_flows` cap.
-    pub degraded: bool,
-    /// The trace context echoed by the server (iff the request carried one).
-    pub trace: Option<TraceContext>,
-}
-
-/// One reassembled metrics update (from `MetricsGet` or a subscription).
-#[derive(Debug, Clone)]
-pub struct MetricsUpdate {
-    /// Update ordinal within its subscription (0 = the full baseline).
-    pub seq: u64,
-    /// Server clock (nanos since server start) when the update was cut.
-    pub t_ns: u64,
-    /// True when the server will send no further updates for this stream.
-    pub last: bool,
-    /// The carried series, as absolute values. For `seq > 0` this holds
-    /// only series that changed; fold onto the baseline with
-    /// [`RegistrySnapshot::apply`].
-    pub changed: RegistrySnapshot,
-}
-
 /// The server's acknowledgment of a standing-query registration.
 #[derive(Debug, Clone)]
 pub struct StandingAck {
@@ -236,12 +175,33 @@ pub struct Client {
     /// Effective cadence of the active subscription, as echoed by the
     /// server's `SubscribeAck` after clamping.
     sub_interval_ms: Option<u32>,
-    /// The protocol version the handshake settled on; the trace-context
-    /// extension is only attached when the peer negotiated v2+.
-    version: u16,
     /// Trace context attached to outgoing requests (see
     /// [`set_trace_context`](Self::set_trace_context)).
     trace: Option<TraceContext>,
+}
+
+/// The one retry loop: run `call` (handed the attempt number, 0 first),
+/// and on `Busy{retry_after}` sleep a jittered, capped backoff honoring
+/// the server's hint, up to `policy.max_retries` times. Any other outcome
+/// is returned immediately; exhausting the budget returns the final
+/// `Busy`.
+fn retry<T>(
+    policy: &RetryPolicy,
+    seed: u64,
+    mut call: impl FnMut(u32) -> Result<T, ClientError>,
+) -> Result<T, ClientError> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut attempt = 0;
+    loop {
+        match call(attempt) {
+            Err(ClientError::Busy { retry_after_ms }) if attempt < policy.max_retries => {
+                attempt += 1;
+                let ms = policy.backoff_ms(attempt, retry_after_ms, &mut rng);
+                std::thread::sleep(Duration::from_millis(ms));
+            }
+            other => return other,
+        }
+    }
 }
 
 impl Client {
@@ -267,72 +227,47 @@ impl Client {
         Client::handshake(stream)
     }
 
-    /// Connect offering a specific protocol version. Primarily a
-    /// compatibility hook: a client that offers version 1 behaves exactly
-    /// like a pre-tracing build — the negotiated version gates the trace
-    /// extension off, so its requests are bit-identical to v1 frames.
-    pub fn connect_with_version<A: ToSocketAddrs>(
+    /// Connect with bounded retry for accept-time `Busy` refusals (the
+    /// connection cap sheds before the handshake, so retrying means
+    /// reconnecting).
+    pub fn connect_retry<A: ToSocketAddrs + Copy>(
         addr: A,
-        version: u16,
+        policy: &RetryPolicy,
     ) -> Result<Client, ClientError> {
-        Client::handshake_version(TcpStream::connect(addr)?, version)
+        retry(policy, policy.seed, |_| Client::connect(addr))
     }
 
     fn handshake(stream: TcpStream) -> Result<Client, ClientError> {
-        Client::handshake_version(stream, PROTOCOL_VERSION)
-    }
-
-    fn handshake_version(stream: TcpStream, offered: u16) -> Result<Client, ClientError> {
         stream.set_nodelay(true).ok();
-        let reader = BufReader::new(stream.try_clone()?);
-        let mut writer = BufWriter::new(stream);
-        wire::write_frame(
-            &mut writer,
-            &Frame::Hello {
-                version: offered,
-                max_frame: MAX_FRAME_LEN,
-            },
-        )?;
-        writer.flush()?;
         let mut client = Client {
-            reader,
-            writer,
+            reader: BufReader::new(stream.try_clone()?),
+            writer: BufWriter::new(stream),
             max_frame: MAX_FRAME_LEN,
             next_id: 1,
             sub_id: None,
             sub_interval_ms: None,
-            version: offered,
             trace: None,
         };
-        match client.read()? {
-            Frame::HelloAck { version, max_frame } => {
-                if version == 0 || version > offered {
-                    return Err(ClientError::Protocol(format!(
-                        "server negotiated unsupported version {version}"
-                    )));
-                }
+        client.send(&Frame::Hello {
+            version: PROTOCOL_VERSION,
+            max_frame: MAX_FRAME_LEN,
+        })?;
+        // The handshake frames carry no id, which is what connection-level
+        // refusals (an accept-time `Busy`, a rejected `Hello`) carry too.
+        match client.recv(0, 0) {
+            Ok(Frame::HelloAck { version, max_frame }) if version == PROTOCOL_VERSION => {
                 client.max_frame = max_frame.min(MAX_FRAME_LEN);
-                client.version = version;
                 Ok(client)
             }
-            Frame::Busy { retry_after_ms, .. } => Err(ClientError::Busy { retry_after_ms }),
-            Frame::Error { code, message, .. } => Err(ClientError::Protocol(format!(
+            Ok(Frame::HelloAck { version, .. }) => Err(ClientError::Protocol(format!(
+                "server negotiated unsupported version {version}"
+            ))),
+            Ok(other) => Err(unexpected("HelloAck", &other)),
+            Err(ClientError::Remote { code, message, .. }) => Err(ClientError::Protocol(format!(
                 "handshake rejected: {code}: {message}"
             ))),
-            other => Err(ClientError::Protocol(format!(
-                "expected HelloAck, got {other:?}"
-            ))),
+            Err(e) => Err(e),
         }
-    }
-
-    fn read(&mut self) -> Result<Frame, ClientError> {
-        Ok(wire::read_frame(&mut self.reader, self.max_frame)?)
-    }
-
-    fn send(&mut self, frame: &Frame) -> Result<(), ClientError> {
-        wire::write_frame(&mut self.writer, frame)?;
-        self.writer.flush()?;
-        Ok(())
     }
 
     fn fresh_id(&mut self) -> u64 {
@@ -341,14 +276,75 @@ impl Client {
         id
     }
 
-    /// The protocol version the handshake settled on.
-    pub fn negotiated_version(&self) -> u16 {
-        self.version
+    fn send(&mut self, frame: &Frame) -> Result<(), ClientError> {
+        wire::write_frame(&mut self.writer, frame)?;
+        self.writer.flush()?;
+        Ok(())
+    }
+
+    /// Read the next frame of the exchange running under `id` (or under
+    /// `also`, for the one exchange that spans two ids). This is the one
+    /// place a response's id, `Busy` and `Error` are judged: id 0 marks a
+    /// connection-level shed or failure and is accepted for any exchange;
+    /// every other frame must carry the exchange's id. `Busy` becomes
+    /// [`ClientError::Busy`] and `Error` [`ClientError::Remote`], typed
+    /// code and gaps intact, whatever the method that was waiting.
+    fn recv(&mut self, id: u64, also: u64) -> Result<Frame, ClientError> {
+        let frame = wire::read_frame(&mut self.reader, self.max_frame)?;
+        let got = frame.id();
+        let ours = got == id || got == also;
+        match frame {
+            Frame::Busy { retry_after_ms, .. } if ours || got == 0 => {
+                Err(ClientError::Busy { retry_after_ms })
+            }
+            Frame::Error {
+                code,
+                gaps,
+                message,
+                ..
+            } if ours || got == 0 => Err(ClientError::Remote {
+                code,
+                message,
+                gaps,
+            }),
+            frame if ours => Ok(frame),
+            _ => Err(ClientError::Protocol(format!(
+                "response id {got} does not match request id {id}"
+            ))),
+        }
+    }
+
+    /// Send the request `build` makes of a fresh id; return the id and
+    /// the head frame of the response.
+    fn exchange(&mut self, build: impl FnOnce(u64) -> Frame) -> Result<(u64, Frame), ClientError> {
+        let id = self.fresh_id();
+        self.send(&build(id))?;
+        Ok((id, self.recv(id, id)?))
+    }
+
+    /// [`retry`] around one of this client's requests. A `Busy` shed also
+    /// force-samples the attached trace context: a request that had to
+    /// queue behind an overloaded server is exactly the tail this
+    /// instrumentation exists to explain, so the retried attempt (and
+    /// every downstream hop) records spans regardless of the
+    /// probabilistic sampling decision.
+    fn retry_busy<T>(
+        &mut self,
+        policy: &RetryPolicy,
+        mut call: impl FnMut(&mut Client) -> Result<T, ClientError>,
+    ) -> Result<T, ClientError> {
+        retry(policy, policy.seed ^ self.next_id, |attempt| {
+            if attempt > 0 {
+                if let Some(ctx) = &mut self.trace {
+                    ctx.sampled = true;
+                }
+            }
+            call(self)
+        })
     }
 
     /// Attach a trace context to every subsequent request (`None` stops
-    /// attaching). On a connection that negotiated v1 the context is
-    /// silently withheld — the wire bytes stay pre-tracing-compatible.
+    /// attaching).
     pub fn set_trace_context(&mut self, ctx: Option<TraceContext>) {
         self.trace = ctx;
     }
@@ -356,26 +352,6 @@ impl Client {
     /// The trace context currently attached to outgoing requests.
     pub fn trace_context(&self) -> Option<TraceContext> {
         self.trace
-    }
-
-    /// The context to put on the wire: gated on the negotiated version.
-    fn attach(&self) -> Option<TraceContext> {
-        if self.version >= 2 {
-            self.trace
-        } else {
-            None
-        }
-    }
-
-    /// Check a response frame's id and unwrap the frames every response
-    /// kind shares (Busy, Error).
-    fn expect_id(&self, got: u64, want: u64) -> Result<(), ClientError> {
-        if got != want {
-            return Err(ClientError::Protocol(format!(
-                "response id {got} does not match request id {want}"
-            )));
-        }
-        Ok(())
     }
 
     /// Run a time-window or replay query and reassemble the streamed
@@ -390,253 +366,125 @@ impl Client {
         if matches!(req, Request::Rtt { .. }) {
             return Err(ClientError::Protocol("rtt requests use Client::rtt".into()));
         }
-        let id = self.fresh_id();
-        let trace = self.attach();
-        self.send(&Frame::Request { id, req, trace })?;
-        let (degraded, checkpoints, want_flows, want_gaps, echo) = match self.read()? {
-            Frame::ResultHeader {
-                id: got,
-                degraded,
-                checkpoints,
-                flows,
-                gaps,
-                trace,
-            } => {
-                self.expect_id(got, id)?;
-                (degraded, checkpoints, flows as usize, gaps as usize, trace)
-            }
-            Frame::Busy {
-                id: got,
-                retry_after_ms,
-            } => {
-                if got != 0 {
-                    self.expect_id(got, id)?;
-                }
-                return Err(ClientError::Busy { retry_after_ms });
-            }
-            Frame::Error {
-                id: got,
-                code,
-                gaps,
-                message,
-            } => {
-                self.expect_id(got, id)?;
-                return Err(ClientError::Remote {
-                    code,
-                    message,
-                    gaps,
-                });
-            }
-            other => {
-                return Err(ClientError::Protocol(format!(
-                    "expected ResultHeader, got {other:?}"
-                )))
-            }
-        };
-        let mut flows: Vec<(FlowId, f64)> = Vec::with_capacity(want_flows.min(1 << 16));
-        let mut gaps: Vec<CoverageGap> = Vec::with_capacity(want_gaps.min(1 << 16));
-        loop {
-            match self.read()? {
-                Frame::ResultFlows { id: got, flows: f } => {
-                    self.expect_id(got, id)?;
-                    flows.extend(f);
-                }
-                Frame::ResultGaps { id: got, gaps: g } => {
-                    self.expect_id(got, id)?;
-                    gaps.extend(g);
-                }
-                Frame::ResultEnd { id: got } => {
-                    self.expect_id(got, id)?;
-                    break;
-                }
-                other => {
-                    return Err(ClientError::Protocol(format!(
-                        "expected result chunk, got {other:?}"
-                    )))
-                }
-            }
-            if flows.len() > want_flows || gaps.len() > want_gaps {
-                return Err(ClientError::Protocol(
-                    "more chunk entries than the header announced".into(),
-                ));
-            }
-        }
-        if flows.len() != want_flows || gaps.len() != want_gaps {
-            return Err(ClientError::Protocol(format!(
-                "header announced {want_flows} flows / {want_gaps} gaps, got {} / {}",
-                flows.len(),
-                gaps.len()
-            )));
-        }
-        let mut estimates = FlowEstimates::default();
-        for (flow, n) in flows {
-            estimates.counts.insert(flow, n);
-        }
-        Ok(RemoteResult {
-            estimates,
-            gaps,
-            degraded,
-            checkpoints,
-            trace: echo,
-        })
+        let trace = self.trace;
+        let (id, head) = self.exchange(|id| Frame::Request { id, req, trace })?;
+        RemoteResult::from_frames(head, || self.recv(id, id))
+    }
+
+    /// Like [`query`](Self::query), but retrying `Busy` sheds under
+    /// `policy` (see [`RetryPolicy`]).
+    pub fn query_retry(
+        &mut self,
+        req: Request,
+        policy: &RetryPolicy,
+    ) -> Result<RemoteResult, ClientError> {
+        self.retry_busy(policy, |c| c.query(req))
     }
 
     /// Run a queue-monitor query and reassemble the streamed answer.
     pub fn queue_monitor(&mut self, port: u16, at: u64) -> Result<RemoteMonitor, ClientError> {
-        let id = self.fresh_id();
-        let trace = self.attach();
-        self.send(&Frame::Request {
-            id,
-            req: Request::QueueMonitor { port, at },
-            trace,
-        })?;
-        let (degraded, frozen_at, staleness, want_counts, want_gaps, echo) = match self.read()? {
-            Frame::MonitorHeader {
-                id: got,
-                degraded,
-                frozen_at,
-                staleness,
-                counts,
-                gaps,
-                trace,
-            } => {
-                self.expect_id(got, id)?;
-                (
-                    degraded,
-                    frozen_at,
-                    staleness,
-                    counts as usize,
-                    gaps as usize,
-                    trace,
-                )
-            }
-            Frame::Busy { retry_after_ms, .. } => return Err(ClientError::Busy { retry_after_ms }),
-            Frame::Error {
-                id: got,
-                code,
-                gaps,
-                message,
-            } => {
-                self.expect_id(got, id)?;
-                return Err(ClientError::Remote {
-                    code,
-                    message,
-                    gaps,
-                });
-            }
-            other => {
-                return Err(ClientError::Protocol(format!(
-                    "expected MonitorHeader, got {other:?}"
-                )))
-            }
+        let (req, trace) = (Request::QueueMonitor { port, at }, self.trace);
+        let (id, head) = self.exchange(|id| Frame::Request { id, req, trace })?;
+        RemoteMonitor::from_frames(head, || self.recv(id, id))
+    }
+
+    /// Like [`queue_monitor`](Self::queue_monitor), retrying `Busy` sheds
+    /// under `policy`.
+    pub fn queue_monitor_retry(
+        &mut self,
+        port: u16,
+        at: u64,
+        policy: &RetryPolicy,
+    ) -> Result<RemoteMonitor, ClientError> {
+        self.retry_busy(policy, |c| c.queue_monitor(port, at))
+    }
+
+    /// Run an RTT query and reassemble + decode the chunked report.
+    pub fn rtt(
+        &mut self,
+        port: u16,
+        from: u64,
+        to: u64,
+        max_flows: u32,
+    ) -> Result<RemoteRtt, ClientError> {
+        let req = Request::Rtt {
+            port,
+            from,
+            to,
+            max_flows,
         };
-        let mut counts: Vec<(FlowId, u64)> = Vec::with_capacity(want_counts.min(1 << 16));
-        let mut gaps: Vec<CoverageGap> = Vec::with_capacity(want_gaps.min(1 << 16));
-        loop {
-            match self.read()? {
-                Frame::MonitorCounts { id: got, counts: c } => {
-                    self.expect_id(got, id)?;
-                    counts.extend(c);
-                }
-                Frame::ResultGaps { id: got, gaps: g } => {
-                    self.expect_id(got, id)?;
-                    gaps.extend(g);
-                }
-                Frame::ResultEnd { id: got } => {
-                    self.expect_id(got, id)?;
-                    break;
-                }
-                other => {
-                    return Err(ClientError::Protocol(format!(
-                        "expected monitor chunk, got {other:?}"
-                    )))
-                }
-            }
-            if counts.len() > want_counts || gaps.len() > want_gaps {
-                return Err(ClientError::Protocol(
-                    "more chunk entries than the header announced".into(),
-                ));
-            }
-        }
-        if counts.len() != want_counts || gaps.len() != want_gaps {
-            return Err(ClientError::Protocol(format!(
-                "header announced {want_counts} counts / {want_gaps} gaps, got {} / {}",
-                counts.len(),
-                gaps.len()
-            )));
-        }
-        Ok(RemoteMonitor {
-            frozen_at,
-            staleness,
-            degraded,
-            gaps,
-            counts,
-            trace: echo,
-        })
+        let trace = self.trace;
+        let (id, head) = self.exchange(|id| Frame::Request { id, req, trace })?;
+        RemoteRtt::from_frames(head, || self.recv(id, id))
+    }
+
+    /// Like [`rtt`](Self::rtt), retrying `Busy` sheds under `policy`.
+    pub fn rtt_retry(
+        &mut self,
+        port: u16,
+        from: u64,
+        to: u64,
+        max_flows: u32,
+        policy: &RetryPolicy,
+    ) -> Result<RemoteRtt, ClientError> {
+        self.retry_busy(policy, |c| c.rtt(port, from, to, max_flows))
     }
 
     /// Fetch the server's Prometheus text exposition.
     pub fn metrics(&mut self) -> Result<String, ClientError> {
-        let id = self.fresh_id();
-        self.send(&Frame::MetricsReq { id })?;
-        match self.read()? {
-            Frame::MetricsText { id: got, text } => {
-                self.expect_id(got, id)?;
-                Ok(text)
-            }
-            Frame::Error {
-                id: got,
-                code,
-                gaps,
-                message,
-            } => {
-                self.expect_id(got, id)?;
-                Err(ClientError::Remote {
-                    code,
-                    message,
-                    gaps,
-                })
-            }
-            other => Err(ClientError::Protocol(format!(
-                "expected MetricsText, got {other:?}"
-            ))),
+        match self.exchange(|id| Frame::MetricsReq { id })? {
+            (_, Frame::MetricsText { text, .. }) => Ok(text),
+            (_, other) => Err(unexpected("MetricsText", &other)),
         }
     }
 
     /// Fetch the server's health summary (answered inline by the server's
     /// reader thread, so it works even when the worker pool is saturated).
     pub fn health(&mut self) -> Result<HealthInfo, ClientError> {
-        let id = self.fresh_id();
-        self.send(&Frame::HealthReq { id })?;
-        match self.read()? {
-            Frame::HealthAck { id: got, health } => {
-                self.expect_id(got, id)?;
-                Ok(health)
-            }
-            Frame::Error {
-                id: got,
-                code,
-                gaps,
-                message,
-            } => {
-                self.expect_id(got, id)?;
-                Err(ClientError::Remote {
-                    code,
-                    message,
-                    gaps,
-                })
-            }
-            other => Err(ClientError::Protocol(format!(
-                "expected HealthAck, got {other:?}"
-            ))),
+        match self.exchange(|id| Frame::HealthReq { id })? {
+            (_, Frame::HealthAck { health, .. }) => Ok(health),
+            (_, other) => Err(unexpected("HealthAck", &other)),
         }
+    }
+
+    /// Fetch the serving topology (answered inline, like health).
+    pub fn shard_map(&mut self) -> Result<ShardMap, ClientError> {
+        match self.exchange(|id| Frame::ShardMapReq { id })? {
+            (_, Frame::ShardMapAck { map, .. }) => Ok(map),
+            (_, other) => Err(unexpected("ShardMapAck", &other)),
+        }
+    }
+
+    /// Fetch the peer's recently committed traces (newest first), or only
+    /// its slowest when `slow_only`. `max` is clamped server-side.
+    pub fn trace_dump(&mut self, max: u32, slow_only: bool) -> Result<Vec<Trace>, ClientError> {
+        match self.exchange(|id| Frame::TraceDumpReq { id, max, slow_only })? {
+            (_, Frame::TraceDumpAck { traces, .. }) => Ok(traces),
+            (_, other) => Err(unexpected("TraceDumpAck", &other)),
+        }
+    }
+
+    /// Fetch the peer's raw encoded profile dump (the `pq-prof`
+    /// canonical bytes, reassembled from chunks but not decoded). The
+    /// routed-dump byte-identity check compares these bytes directly.
+    pub fn profile_dump_bytes(&mut self) -> Result<Vec<u8>, ClientError> {
+        let (id, head) = self.exchange(|id| Frame::ProfileDumpReq { id })?;
+        answer::profile_from_frames(head, || self.recv(id, id))
+    }
+
+    /// Fetch and decode the peer's profile dump. A daemon answers with
+    /// its own process profile; a router answers with the merged dump of
+    /// all its live backends.
+    pub fn profile_dump(&mut self) -> Result<pq_prof::ProfileReport, ClientError> {
+        let bytes = self.profile_dump_bytes()?;
+        pq_prof::ProfileReport::decode(&bytes)
+            .map_err(|e| ClientError::Protocol(format!("profile dump: {e}")))
     }
 
     /// Fetch one full structured metrics snapshot.
     pub fn metrics_snapshot(&mut self) -> Result<MetricsUpdate, ClientError> {
-        let id = self.fresh_id();
-        self.send(&Frame::MetricsGet { id })?;
-        self.read_update(id)
+        let (id, head) = self.exchange(|id| Frame::MetricsGet { id })?;
+        MetricsUpdate::from_frames(head, || self.recv(id, id))
     }
 
     /// Start a metrics subscription and return its first (full-snapshot)
@@ -651,44 +499,18 @@ impl Client {
         interval_ms: u32,
         max_updates: u32,
     ) -> Result<MetricsUpdate, ClientError> {
-        let id = self.fresh_id();
-        self.send(&Frame::MetricsSubscribe {
+        // The ack always precedes the first update (both go through the
+        // server's serialized writer); an admission shed still arrives
+        // as `Busy` right after it and surfaces from `read_update`.
+        let (id, head) = self.exchange(|id| Frame::MetricsSubscribe {
             id,
             interval_ms,
             max_updates,
         })?;
-        // The ack always precedes the first update (both go through the
-        // server's serialized writer); an admission shed still arrives
-        // as `Busy` right after it and surfaces from `read_update`.
-        match self.read()? {
-            Frame::SubscribeAck {
-                id: got,
-                interval_ms: effective,
-                ..
-            } => {
-                self.expect_id(got, id)?;
-                self.sub_interval_ms = Some(effective);
-            }
-            Frame::Busy { retry_after_ms, .. } => return Err(ClientError::Busy { retry_after_ms }),
-            Frame::Error {
-                id: got,
-                code,
-                gaps,
-                message,
-            } => {
-                self.expect_id(got, id)?;
-                return Err(ClientError::Remote {
-                    code,
-                    message,
-                    gaps,
-                });
-            }
-            other => {
-                return Err(ClientError::Protocol(format!(
-                    "expected SubscribeAck, got {other:?}"
-                )))
-            }
-        }
+        let Frame::SubscribeAck { interval_ms, .. } = head else {
+            return Err(unexpected("SubscribeAck", &head));
+        };
+        self.sub_interval_ms = Some(interval_ms);
         let update = self.read_update(id)?;
         self.sub_id = (!update.last).then_some(id);
         Ok(update)
@@ -714,439 +536,10 @@ impl Client {
         Ok(update)
     }
 
-    /// Read one `MetricsHeader` + chunks + `ResultEnd` sequence for `id`.
+    /// Read one pushed metrics update of subscription `id`.
     fn read_update(&mut self, id: u64) -> Result<MetricsUpdate, ClientError> {
-        let (seq, t_ns, total, last) = match self.read()? {
-            Frame::MetricsHeader {
-                id: got,
-                seq,
-                t_ns,
-                total,
-                last,
-            } => {
-                self.expect_id(got, id)?;
-                (seq, t_ns, total as usize, last)
-            }
-            Frame::Busy {
-                id: got,
-                retry_after_ms,
-            } => {
-                if got != 0 {
-                    self.expect_id(got, id)?;
-                }
-                return Err(ClientError::Busy { retry_after_ms });
-            }
-            Frame::Error {
-                id: got,
-                code,
-                gaps,
-                message,
-            } => {
-                self.expect_id(got, id)?;
-                return Err(ClientError::Remote {
-                    code,
-                    message,
-                    gaps,
-                });
-            }
-            other => {
-                return Err(ClientError::Protocol(format!(
-                    "expected MetricsHeader, got {other:?}"
-                )))
-            }
-        };
-        let mut samples: Vec<WireSample> = Vec::with_capacity(total.min(1 << 16));
-        loop {
-            match self.read()? {
-                Frame::MetricsChunk {
-                    id: got,
-                    samples: s,
-                } => {
-                    self.expect_id(got, id)?;
-                    samples.extend(s);
-                }
-                Frame::ResultEnd { id: got } => {
-                    self.expect_id(got, id)?;
-                    break;
-                }
-                other => {
-                    return Err(ClientError::Protocol(format!(
-                        "expected metrics chunk, got {other:?}"
-                    )))
-                }
-            }
-            if samples.len() > total {
-                return Err(ClientError::Protocol(
-                    "more samples than the header announced".into(),
-                ));
-            }
-        }
-        if samples.len() != total {
-            return Err(ClientError::Protocol(format!(
-                "header announced {total} samples, got {}",
-                samples.len()
-            )));
-        }
-        Ok(MetricsUpdate {
-            seq,
-            t_ns,
-            last,
-            changed: samples_to_snapshot(&samples),
-        })
-    }
-
-    /// Like [`query`](Self::query), but on `Busy{retry_after}` sleep a
-    /// jittered, capped backoff (honoring the server's hint) and retry up
-    /// to `policy.max_retries` times. Any other error is returned
-    /// immediately; exhausting the budget returns the final `Busy`.
-    ///
-    /// A `Busy` shed also force-samples the attached trace context: a
-    /// request that had to queue behind an overloaded server is exactly
-    /// the tail this instrumentation exists to explain, so the retried
-    /// attempt (and every downstream hop) records spans regardless of the
-    /// probabilistic sampling decision.
-    pub fn query_retry(
-        &mut self,
-        req: Request,
-        policy: &RetryPolicy,
-    ) -> Result<RemoteResult, ClientError> {
-        let mut rng = SmallRng::seed_from_u64(policy.seed ^ self.next_id);
-        let mut attempt = 0;
-        loop {
-            match self.query(req) {
-                Err(ClientError::Busy { retry_after_ms }) if attempt < policy.max_retries => {
-                    attempt += 1;
-                    if let Some(ctx) = &mut self.trace {
-                        ctx.sampled = true;
-                    }
-                    let ms = policy.backoff_ms(attempt, retry_after_ms, &mut rng);
-                    std::thread::sleep(Duration::from_millis(ms));
-                }
-                other => return other,
-            }
-        }
-    }
-
-    /// Run an RTT query and reassemble + decode the chunked report.
-    ///
-    /// The payload is the `pq-rtt` canonical encoding; all structural
-    /// validation happens in that codec, so a hostile or truncated
-    /// payload surfaces as a protocol error, never a panic. Every length
-    /// is checked against the header's announcement as chunks arrive, so
-    /// a lying server cannot force unbounded buffering.
-    pub fn rtt(
-        &mut self,
-        port: u16,
-        from: u64,
-        to: u64,
-        max_flows: u32,
-    ) -> Result<RemoteRtt, ClientError> {
-        let id = self.fresh_id();
-        let trace = self.attach();
-        self.send(&Frame::Request {
-            id,
-            req: Request::Rtt {
-                port,
-                from,
-                to,
-                max_flows,
-            },
-            trace,
-        })?;
-        let (degraded, total, echo) = match self.read()? {
-            Frame::RttHeader {
-                id: got,
-                degraded,
-                total,
-                trace,
-            } => {
-                self.expect_id(got, id)?;
-                (degraded, total as usize, trace)
-            }
-            Frame::Busy {
-                id: got,
-                retry_after_ms,
-            } => {
-                if got != 0 {
-                    self.expect_id(got, id)?;
-                }
-                return Err(ClientError::Busy { retry_after_ms });
-            }
-            Frame::Error {
-                id: got,
-                code,
-                gaps,
-                message,
-            } => {
-                self.expect_id(got, id)?;
-                return Err(ClientError::Remote {
-                    code,
-                    message,
-                    gaps,
-                });
-            }
-            other => {
-                return Err(ClientError::Protocol(format!(
-                    "expected RttHeader, got {other:?}"
-                )))
-            }
-        };
-        if total > MAX_RTT_REPORT_LEN as usize {
-            return Err(ClientError::Protocol(
-                "rtt report length exceeds cap".into(),
-            ));
-        }
-        let mut bytes: Vec<u8> = Vec::with_capacity(total);
-        loop {
-            match self.read()? {
-                Frame::RttChunk { id: got, bytes: b } => {
-                    self.expect_id(got, id)?;
-                    if bytes.len() + b.len() > total {
-                        return Err(ClientError::Protocol(
-                            "more chunk bytes than the header announced".into(),
-                        ));
-                    }
-                    bytes.extend_from_slice(&b);
-                }
-                Frame::ResultEnd { id: got } => {
-                    self.expect_id(got, id)?;
-                    break;
-                }
-                other => {
-                    return Err(ClientError::Protocol(format!(
-                        "expected rtt chunk, got {other:?}"
-                    )))
-                }
-            }
-        }
-        if bytes.len() != total {
-            return Err(ClientError::Protocol(format!(
-                "header announced {total} report bytes, got {}",
-                bytes.len()
-            )));
-        }
-        let report = RttReport::decode(&bytes)
-            .map_err(|e| ClientError::Protocol(format!("rtt report: {e}")))?;
-        Ok(RemoteRtt {
-            report,
-            degraded,
-            trace: echo,
-        })
-    }
-
-    /// Like [`rtt`](Self::rtt), with the same bounded jittered retry
-    /// (and force-sampling) on `Busy` as [`query_retry`](Self::query_retry).
-    pub fn rtt_retry(
-        &mut self,
-        port: u16,
-        from: u64,
-        to: u64,
-        max_flows: u32,
-        policy: &RetryPolicy,
-    ) -> Result<RemoteRtt, ClientError> {
-        let mut rng = SmallRng::seed_from_u64(policy.seed ^ self.next_id);
-        let mut attempt = 0;
-        loop {
-            match self.rtt(port, from, to, max_flows) {
-                Err(ClientError::Busy { retry_after_ms }) if attempt < policy.max_retries => {
-                    attempt += 1;
-                    if let Some(ctx) = &mut self.trace {
-                        ctx.sampled = true;
-                    }
-                    let ms = policy.backoff_ms(attempt, retry_after_ms, &mut rng);
-                    std::thread::sleep(Duration::from_millis(ms));
-                }
-                other => return other,
-            }
-        }
-    }
-
-    /// Like [`queue_monitor`](Self::queue_monitor), with the same
-    /// bounded jittered retry (and force-sampling) on `Busy` as
-    /// [`query_retry`](Self::query_retry).
-    pub fn queue_monitor_retry(
-        &mut self,
-        port: u16,
-        at: u64,
-        policy: &RetryPolicy,
-    ) -> Result<RemoteMonitor, ClientError> {
-        let mut rng = SmallRng::seed_from_u64(policy.seed ^ self.next_id);
-        let mut attempt = 0;
-        loop {
-            match self.queue_monitor(port, at) {
-                Err(ClientError::Busy { retry_after_ms }) if attempt < policy.max_retries => {
-                    attempt += 1;
-                    if let Some(ctx) = &mut self.trace {
-                        ctx.sampled = true;
-                    }
-                    let ms = policy.backoff_ms(attempt, retry_after_ms, &mut rng);
-                    std::thread::sleep(Duration::from_millis(ms));
-                }
-                other => return other,
-            }
-        }
-    }
-
-    /// Fetch the peer's recently committed traces (newest first), or only
-    /// its slowest when `slow_only`. `max` is clamped server-side. A v1
-    /// peer answers with a protocol error, surfaced as
-    /// [`ClientError::Remote`].
-    pub fn trace_dump(&mut self, max: u32, slow_only: bool) -> Result<Vec<Trace>, ClientError> {
-        let id = self.fresh_id();
-        self.send(&Frame::TraceDumpReq { id, max, slow_only })?;
-        match self.read()? {
-            Frame::TraceDumpAck { id: got, traces } => {
-                self.expect_id(got, id)?;
-                Ok(traces)
-            }
-            Frame::Error {
-                id: got,
-                code,
-                gaps,
-                message,
-            } => {
-                if got != 0 {
-                    self.expect_id(got, id)?;
-                }
-                Err(ClientError::Remote {
-                    code,
-                    message,
-                    gaps,
-                })
-            }
-            other => Err(ClientError::Protocol(format!(
-                "expected TraceDumpAck, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Fetch the peer's raw encoded profile dump (the `pq-prof`
-    /// canonical bytes, reassembled from chunks but not decoded). The
-    /// routed-dump byte-identity check compares these bytes directly. A
-    /// v1 peer answers with a protocol error, surfaced as
-    /// [`ClientError::Remote`].
-    pub fn profile_dump_bytes(&mut self) -> Result<Vec<u8>, ClientError> {
-        let id = self.fresh_id();
-        self.send(&Frame::ProfileDumpReq { id })?;
-        let total = match self.read()? {
-            Frame::ProfHeader { id: got, total } => {
-                self.expect_id(got, id)?;
-                total as usize
-            }
-            Frame::Error {
-                id: got,
-                code,
-                gaps,
-                message,
-            } => {
-                if got != 0 {
-                    self.expect_id(got, id)?;
-                }
-                return Err(ClientError::Remote {
-                    code,
-                    message,
-                    gaps,
-                });
-            }
-            other => {
-                return Err(ClientError::Protocol(format!(
-                    "expected ProfHeader, got {other:?}"
-                )))
-            }
-        };
-        if total > MAX_PROF_DUMP_LEN as usize {
-            return Err(ClientError::Protocol(
-                "profile dump length exceeds cap".into(),
-            ));
-        }
-        let mut bytes: Vec<u8> = Vec::with_capacity(total);
-        loop {
-            match self.read()? {
-                Frame::ProfChunk { id: got, bytes: b } => {
-                    self.expect_id(got, id)?;
-                    if bytes.len() + b.len() > total {
-                        return Err(ClientError::Protocol(
-                            "more chunk bytes than the header announced".into(),
-                        ));
-                    }
-                    bytes.extend_from_slice(&b);
-                }
-                Frame::ResultEnd { id: got } => {
-                    self.expect_id(got, id)?;
-                    break;
-                }
-                other => {
-                    return Err(ClientError::Protocol(format!(
-                        "expected prof chunk, got {other:?}"
-                    )))
-                }
-            }
-        }
-        if bytes.len() != total {
-            return Err(ClientError::Protocol(format!(
-                "header announced {total} dump bytes, got {}",
-                bytes.len()
-            )));
-        }
-        Ok(bytes)
-    }
-
-    /// Fetch and decode the peer's profile dump. A daemon answers with
-    /// its own process profile; a router answers with the merged dump of
-    /// all its live backends.
-    pub fn profile_dump(&mut self) -> Result<pq_prof::ProfileReport, ClientError> {
-        let bytes = self.profile_dump_bytes()?;
-        pq_prof::ProfileReport::decode(&bytes)
-            .map_err(|e| ClientError::Protocol(format!("profile dump: {e}")))
-    }
-
-    /// Connect with the same bounded-retry treatment for accept-time
-    /// `Busy` refusals (the connection cap sheds before the handshake, so
-    /// retrying means reconnecting).
-    pub fn connect_retry<A: ToSocketAddrs + Copy>(
-        addr: A,
-        policy: &RetryPolicy,
-    ) -> Result<Client, ClientError> {
-        let mut rng = SmallRng::seed_from_u64(policy.seed);
-        let mut attempt = 0;
-        loop {
-            match Client::connect(addr) {
-                Err(ClientError::Busy { retry_after_ms }) if attempt < policy.max_retries => {
-                    attempt += 1;
-                    let ms = policy.backoff_ms(attempt, retry_after_ms, &mut rng);
-                    std::thread::sleep(Duration::from_millis(ms));
-                }
-                other => return other,
-            }
-        }
-    }
-
-    /// Fetch the serving topology (answered inline, like health).
-    pub fn shard_map(&mut self) -> Result<ShardMap, ClientError> {
-        let id = self.fresh_id();
-        self.send(&Frame::ShardMapReq { id })?;
-        match self.read()? {
-            Frame::ShardMapAck { id: got, map } => {
-                self.expect_id(got, id)?;
-                Ok(map)
-            }
-            Frame::Error {
-                id: got,
-                code,
-                gaps,
-                message,
-            } => {
-                self.expect_id(got, id)?;
-                Err(ClientError::Remote {
-                    code,
-                    message,
-                    gaps,
-                })
-            }
-            other => Err(ClientError::Protocol(format!(
-                "expected ShardMapAck, got {other:?}"
-            ))),
-        }
+        let head = self.recv(id, id)?;
+        MetricsUpdate::from_frames(head, || self.recv(id, id))
     }
 
     /// Register a standing continuous query. `query` is the `pq-stream`
@@ -1163,9 +556,8 @@ impl Client {
         max_windows: u32,
         stop_after_seal: bool,
     ) -> Result<StandingAck, ClientError> {
-        let id = self.fresh_id();
-        let trace = self.attach();
-        self.send(&Frame::StandingQueryReq {
+        let trace = self.trace;
+        let sent = self.exchange(|id| Frame::StandingQueryReq {
             id,
             cap,
             max_windows,
@@ -1173,38 +565,19 @@ impl Client {
             query: query.to_string(),
             trace,
         })?;
-        match self.read()? {
-            Frame::StandingQueryAck {
-                id: got,
+        match sent {
+            (
+                sub,
+                Frame::StandingQueryAck {
+                    cap, query, trace, ..
+                },
+            ) => Ok(StandingAck {
+                sub,
                 cap,
                 query,
                 trace,
-            } => {
-                self.expect_id(got, id)?;
-                Ok(StandingAck {
-                    sub: id,
-                    cap,
-                    query,
-                    trace,
-                })
-            }
-            Frame::Busy { retry_after_ms, .. } => Err(ClientError::Busy { retry_after_ms }),
-            Frame::Error {
-                id: got,
-                code,
-                gaps,
-                message,
-            } => {
-                self.expect_id(got, id)?;
-                Err(ClientError::Remote {
-                    code,
-                    message,
-                    gaps,
-                })
-            }
-            other => Err(ClientError::Protocol(format!(
-                "expected StandingQueryAck, got {other:?}"
-            ))),
+            }),
+            (_, other) => Err(unexpected("StandingQueryAck", &other)),
         }
     }
 
@@ -1212,27 +585,9 @@ impl Client {
     /// result with `to == 0` is a window-less progress frame (watermark
     /// only); one with `last == true` ends the stream.
     pub fn next_stream_result(&mut self, sub: u64) -> Result<StreamResult, ClientError> {
-        match self.read()? {
-            Frame::StandingQueryResult { id: got, result } => {
-                self.expect_id(got, sub)?;
-                Ok(*result)
-            }
-            Frame::Error {
-                id: got,
-                code,
-                gaps,
-                message,
-            } => {
-                self.expect_id(got, sub)?;
-                Err(ClientError::Remote {
-                    code,
-                    message,
-                    gaps,
-                })
-            }
-            other => Err(ClientError::Protocol(format!(
-                "expected StandingQueryResult, got {other:?}"
-            ))),
+        match self.recv(sub, sub)? {
+            Frame::StandingQueryResult { result, .. } => Ok(*result),
+            other => Err(unexpected("StandingQueryResult", &other)),
         }
     }
 
@@ -1242,50 +597,22 @@ impl Client {
     pub fn cancel_standing(&mut self, sub: u64) -> Result<(), ClientError> {
         let id = self.fresh_id();
         self.send(&Frame::StandingQueryCancel { id, sub })?;
+        // Results arrive under `sub`; a refusal arrives under the cancel's
+        // own id.
         loop {
-            match self.read()? {
-                Frame::StandingQueryResult { id: got, result } => {
-                    self.expect_id(got, sub)?;
-                    if result.last {
-                        return Ok(());
-                    }
-                }
-                Frame::Error {
-                    id: got,
-                    code,
-                    gaps,
-                    message,
-                } => {
-                    if got != id {
-                        self.expect_id(got, sub)?;
-                    }
-                    return Err(ClientError::Remote {
-                        code,
-                        message,
-                        gaps,
-                    });
-                }
-                other => {
-                    return Err(ClientError::Protocol(format!(
-                        "expected StandingQueryResult, got {other:?}"
-                    )))
-                }
+            match self.recv(sub, id)? {
+                Frame::StandingQueryResult { result, .. } if result.last => return Ok(()),
+                Frame::StandingQueryResult { .. } => {}
+                other => return Err(unexpected("StandingQueryResult", &other)),
             }
         }
     }
 
     /// Ask the server to drain and stop. Returns once acknowledged.
     pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
-        let id = self.fresh_id();
-        self.send(&Frame::ShutdownReq { id })?;
-        match self.read()? {
-            Frame::ShutdownAck { id: got } => {
-                self.expect_id(got, id)?;
-                Ok(())
-            }
-            other => Err(ClientError::Protocol(format!(
-                "expected ShutdownAck, got {other:?}"
-            ))),
+        match self.exchange(|id| Frame::ShutdownReq { id })? {
+            (_, Frame::ShutdownAck { .. }) => Ok(()),
+            (_, other) => Err(unexpected("ShutdownAck", &other)),
         }
     }
 }

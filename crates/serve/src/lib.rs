@@ -17,6 +17,11 @@
 //! * [`cache`] — a shared LRU cache of decoded segments keyed by
 //!   `(archive, offset, CRC)`, so hot intervals skip the expensive
 //!   decode path.
+//! * [`answer`] — each streamed answer's frame sequence and its
+//!   reassembler, side by side; the daemon, the router and the client
+//!   all go through it.
+//! * [`front`] — accept loop, connection cap, handshake and framed read
+//!   loop, shared with `pq-router`.
 //! * [`client`] — a blocking client that reassembles streamed answers
 //!   into the same shapes local queries return, enabling bit-identical
 //!   output.
@@ -39,19 +44,19 @@
 //! [`QueryInterval`]: pq_core::snapshot::QueryInterval
 //! [`CoverageGap`]: pq_core::control::CoverageGap
 
+pub mod answer;
 pub mod cache;
 pub mod client;
+pub mod front;
 pub mod server;
 pub mod wire;
 
+pub use answer::{MetricsUpdate, RemoteMonitor, RemoteResult, RemoteRtt};
 pub use cache::{CacheStats, DecodeCache};
-pub use client::{
-    Client, ClientError, MetricsUpdate, RemoteMonitor, RemoteResult, RemoteRtt, RetryPolicy,
-    StandingAck,
-};
+pub use client::{Client, ClientError, RetryPolicy, StandingAck};
 pub use server::{ServeConfig, Server, ServerHandle, Sources};
 pub use wire::{
-    samples_to_snapshot, snapshot_to_samples, ErrorCode, Frame, HealthInfo, Request, ShardMap,
-    ShardMapEntry, StreamResult, WireError, WireSample, WireValue, MAX_BACKENDS_PER_MAP,
-    MAX_FRAME_LEN, METRIC_SAMPLES_PER_FRAME, PROTOCOL_VERSION,
+    ErrorCode, Frame, HealthInfo, Request, ShardMap, ShardMapEntry, StreamResult, WireError,
+    WireSample, WireValue, MAX_BACKENDS_PER_MAP, MAX_FRAME_LEN, METRIC_SAMPLES_PER_FRAME,
+    PROTOCOL_VERSION,
 };

@@ -2,11 +2,10 @@
 //!
 //! Threading model (std-only, no async runtime):
 //!
-//! * one **acceptor** (the thread that called [`Server::run`]) polls the
-//!   listener and enforces the connection cap;
-//! * one lightweight **reader** thread per connection parses frames and
-//!   *admits* requests — admission is where load shedding happens, so a
-//!   slow query can never stall frame parsing;
+//! * one **acceptor** (the thread that called [`Server::run`]) and one
+//!   lightweight **reader** thread per connection, both run by the shared
+//!   [`crate::front`]; the reader *admits* requests — admission is where
+//!   load shedding happens, so a slow query can never stall frame parsing;
 //! * a fixed pool of **workers** executes queries. Live register state
 //!   ([`AnalysisProgram`]) is shared immutably (`Arc`, wait-free reads);
 //!   archive access is **sharded per worker** — each worker owns its own
@@ -21,11 +20,11 @@
 //! until a deadline, then answers the remainder with typed
 //! `ShuttingDown` errors — in-flight work is never abandoned mid-write.
 
+use crate::answer::{self, MetricsUpdate, RemoteMonitor, RemoteResult, RemoteRtt};
 use crate::cache::DecodeCache;
+use crate::front::{self, Conn, Front, Handler};
 use crate::wire::{
-    self, chunk_counts, chunk_flows, chunk_gaps, metrics_update_frames, snapshot_to_samples,
-    ErrorCode, Frame, HealthInfo, Request, ShardMap, ShardMapEntry, StreamResult, WireError,
-    ENTRIES_PER_FRAME, MAX_FRAME_LEN, MAX_SPANS_PER_TRACE, MAX_TRACES_PER_DUMP, PROTOCOL_VERSION,
+    ErrorCode, Frame, HealthInfo, Request, ShardMap, ShardMapEntry, StreamResult, ENTRIES_PER_FRAME,
 };
 use pq_core::coefficient::Coefficients;
 use pq_core::control::{AnalysisProgram, CoverageGap};
@@ -33,18 +32,18 @@ use pq_core::snapshot::QueryInterval;
 use pq_packet::FlowId;
 use pq_rtt::{RttReport, RTT_SEGMENT_KIND};
 use pq_store::StoreReader;
-use pq_stream::{Closed, Emit, Record as StreamRecord, RttAgg, Standing, TopKSummary};
+use pq_stream::{Closed, Emit, Record as StreamRecord, Standing, TopKSummary};
 use pq_telemetry::{
     delta, names, new_trace_id, provenance, to_prometheus, ActiveTrace, Counter, Gauge, Histogram,
-    RegistrySnapshot, Telemetry, Trace, TraceClock, TraceContext,
+    RegistrySnapshot, Telemetry, TraceClock, TraceContext,
 };
 use std::collections::{HashMap, VecDeque};
 use std::fs::File;
-use std::io::{self, BufReader, Read};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, BufReader};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -138,7 +137,6 @@ struct Instruments {
     shed: Counter,
     request_ns: Histogram,
     queue_depth: Gauge,
-    connections: Counter,
     uptime_secs: Gauge,
     subscribers: Gauge,
     metric_updates: Counter,
@@ -173,7 +171,6 @@ impl Instruments {
             shed: reg.counter(names::SERVE_SHED, &[]),
             request_ns: reg.histogram(names::SERVE_REQUEST_NS, &[]),
             queue_depth: reg.gauge(names::SERVE_QUEUE_DEPTH, &[]),
-            connections: reg.counter(names::SERVE_CONNECTIONS, &[]),
             uptime_secs: reg.gauge(names::SERVE_UPTIME, &[]),
             subscribers: reg.gauge(names::SERVE_SUBSCRIBERS, &[]),
             metric_updates: reg.counter(names::SERVE_METRIC_UPDATES, &[]),
@@ -207,30 +204,6 @@ impl Instruments {
             "rtt" => self.err_rtt.inc(),
             _ => self.err_replay.inc(),
         }
-    }
-}
-
-/// Per-connection shared state: the write half (serialized so streamed
-/// responses never interleave) and the in-flight count.
-struct Conn {
-    stream: TcpStream,
-    write: Mutex<()>,
-    inflight: AtomicUsize,
-}
-
-impl Conn {
-    /// Encode `frames` into one buffer and write it atomically with
-    /// respect to other responses on this connection.
-    fn send(&self, frames: &[Frame]) -> io::Result<()> {
-        let mut buf = Vec::with_capacity(64);
-        for f in frames {
-            let body = wire::encode_body(f);
-            buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&body);
-        }
-        let _guard = self.write.lock().unwrap();
-        use io::Write as _;
-        (&self.stream).write_all(&buf)
     }
 }
 
@@ -324,10 +297,9 @@ struct Shared {
     shutdown: AtomicBool,
     /// Drain deadline as nanos since `started` (0 = not shutting down).
     drain_deadline_ns: AtomicU64,
-    active_conns: AtomicUsize,
+    front: Front,
     /// Workers currently executing a job (not waiting on the queue).
     busy_workers: AtomicUsize,
-    conns: Mutex<Vec<Weak<Conn>>>,
     /// Live metrics subscriptions, serviced by the publisher thread.
     subs: Mutex<Vec<Sub>>,
     /// Standing-query subscriptions, serviced by the evaluator thread.
@@ -375,43 +347,6 @@ impl Shared {
             .uptime_secs
             .set(self.started.elapsed().as_secs());
     }
-
-    /// Assemble the health answer from live counters — cheap enough to
-    /// run inline on the reader thread, so health stays answerable even
-    /// when every worker is wedged.
-    fn health_info(&self) -> HealthInfo {
-        let snap = self.instruments.plane.snapshot();
-        let (version, commit) = provenance::build_info(&snap)
-            .unwrap_or_else(|| ("unknown".to_string(), "unknown".to_string()));
-        HealthInfo {
-            uptime_ns: self.now_ns(),
-            workers: self.config.workers.max(1) as u32,
-            busy_workers: self.busy_workers.load(Ordering::SeqCst) as u32,
-            queue_depth: self.queue.lock().unwrap().len() as u32,
-            queue_cap: self.config.queue_cap as u32,
-            active_conns: self.active_conns.load(Ordering::SeqCst) as u32,
-            max_conns: self.config.max_conns as u32,
-            subscribers: self.subs.lock().unwrap().len() as u32,
-            draining: self.shutdown.load(Ordering::SeqCst),
-            version,
-            commit,
-            shard: self.config.shard.clone(),
-        }
-    }
-
-    /// A lone daemon's topology: a one-entry map describing itself.
-    fn shard_map(&self) -> ShardMap {
-        ShardMap {
-            generation: 0,
-            replication: 1,
-            epoch_ns: 0,
-            backends: vec![ShardMapEntry {
-                shard: self.config.shard.clone(),
-                addr: self.local_addr.clone(),
-                healthy: !self.shutdown.load(Ordering::SeqCst),
-            }],
-        }
-    }
 }
 
 /// A bound, not-yet-running server.
@@ -451,11 +386,7 @@ impl ServerHandle {
         self.shared.drain_deadline_ns.store(1, Ordering::SeqCst);
         self.shared.subs.lock().unwrap().clear();
         self.shared.streams.lock().unwrap().clear();
-        for conn in self.shared.conns.lock().unwrap().drain(..) {
-            if let Some(conn) = conn.upgrade() {
-                let _ = conn.stream.shutdown(Shutdown::Both);
-            }
-        }
+        self.shared.front.close_all();
         self.shared.queue_cv.notify_all();
         self.join.join().expect("server thread panicked")
     }
@@ -530,7 +461,6 @@ impl Server {
             }
         }
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener
             .local_addr()
             .map(|a| a.to_string())
@@ -541,6 +471,15 @@ impl Server {
         } else {
             format!("serve:{}", config.shard)
         };
+        let instruments = Instruments::resolve(plane);
+        let front = Front::new(
+            config.max_conns,
+            config.retry_after_ms,
+            instruments.shed.clone(),
+            Some(plane.registry().counter(names::SERVE_CONNECTIONS, &[])),
+            plane,
+            "pq-serve-conn",
+        );
         let shared = Arc::new(Shared {
             local_addr,
             live: sources.live,
@@ -550,14 +489,13 @@ impl Server {
             queue_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             drain_deadline_ns: AtomicU64::new(0),
-            active_conns: AtomicUsize::new(0),
+            front,
             busy_workers: AtomicUsize::new(0),
-            conns: Mutex::new(Vec::new()),
             subs: Mutex::new(Vec::new()),
             streams: Mutex::new(Vec::new()),
             rtt,
             rtt_samples,
-            instruments: Instruments::resolve(plane),
+            instruments,
             started: Instant::now(),
             trace_clock: TraceClock::new(),
             process,
@@ -600,19 +538,7 @@ impl Server {
                 .name("pq-serve-stream".into())
                 .spawn(move || stream_loop(&shared))?
         };
-        while !shared.shutdown.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    shared.instruments.connections.inc();
-                    accept_connection(&shared, stream);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
+        front::serve(&self.listener, &shared)?;
         for w in workers {
             let _ = w.join();
         }
@@ -625,11 +551,7 @@ impl Server {
         drain_stream_subs(&shared);
         // Workers are done; release any reader threads still blocked on
         // their sockets.
-        for conn in shared.conns.lock().unwrap().drain(..) {
-            if let Some(conn) = conn.upgrade() {
-                let _ = conn.stream.shutdown(Shutdown::Both);
-            }
-        }
+        shared.front.close_all();
         Ok(())
     }
 
@@ -644,107 +566,69 @@ impl Server {
     }
 }
 
-/// Admit a fresh connection: enforce the connection cap, then hand the
-/// socket to a reader thread.
-fn accept_connection(shared: &Arc<Shared>, stream: TcpStream) {
-    // Responses are small framed writes; Nagle would stall consecutive
-    // ones behind delayed ACKs.
-    let _ = stream.set_nodelay(true);
-    let conn = Arc::new(Conn {
-        stream,
-        write: Mutex::new(()),
-        inflight: AtomicUsize::new(0),
-    });
-    if shared.active_conns.load(Ordering::SeqCst) >= shared.config.max_conns {
-        shared.instruments.shed.inc();
-        let _ = conn.send(&[Frame::Busy {
-            id: 0,
-            retry_after_ms: shared.config.retry_after_ms,
-        }]);
-        let _ = conn.stream.shutdown(Shutdown::Both);
-        return;
+impl Handler for Shared {
+    fn front(&self) -> &Front {
+        &self.front
     }
-    shared.active_conns.fetch_add(1, Ordering::SeqCst);
-    shared.conns.lock().unwrap().push(Arc::downgrade(&conn));
-    let shared = Arc::clone(shared);
-    let _ = thread::Builder::new()
-        .name("pq-serve-conn".into())
-        .spawn(move || {
-            let _ = connection_loop(&shared, &conn);
-            let _ = conn.stream.shutdown(Shutdown::Both);
-            shared.active_conns.fetch_sub(1, Ordering::SeqCst);
-        });
-}
 
-/// Parse and admit frames from one connection until EOF or a protocol
-/// violation. Blocking reads keep this thread cheap; all real work
-/// happens in the pool.
-fn connection_loop(shared: &Arc<Shared>, conn: &Arc<Conn>) -> io::Result<()> {
-    // The socket was set non-blocking by accept() inheritance on some
-    // platforms; force blocking for the reader.
-    conn.stream.set_nonblocking(false)?;
-    let mut read = (&conn.stream).take(u64::MAX); // plain Read adapter
-                                                  // Handshake: the first frame must be Hello.
-    let max_frame = match wire::read_frame(&mut read, MAX_FRAME_LEN) {
-        Ok(Frame::Hello { version, max_frame }) => {
-            if version == 0 {
-                let _ = conn.send(&[protocol_error(0, ErrorCode::Unsupported, "version 0")]);
-                return Ok(());
-            }
-            let version = version.min(PROTOCOL_VERSION);
-            let max_frame = max_frame.clamp(1024, MAX_FRAME_LEN);
-            conn.send(&[Frame::HelloAck { version, max_frame }])?;
-            max_frame
-        }
-        Ok(_) => {
-            let _ = conn.send(&[protocol_error(
-                0,
-                ErrorCode::Protocol,
-                "expected Hello as the first frame",
-            )]);
-            return Ok(());
-        }
-        Err(e) => {
-            let _ = conn.send(&[protocol_error(0, ErrorCode::Protocol, &e.to_string())]);
-            return Ok(());
-        }
-    };
+    fn stopping(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
 
-    loop {
-        let frame = match wire::read_frame(&mut read, max_frame) {
-            Ok(f) => f,
-            Err(WireError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
-            Err(WireError::Io(e)) => return Err(e),
-            Err(e) => {
-                // Malformed or oversized: the stream is no longer framed;
-                // answer (best effort) and close.
-                let _ = conn.send(&[protocol_error(0, ErrorCode::Protocol, &e.to_string())]);
-                return Ok(());
-            }
-        };
+    fn stop(&self) {
+        self.initiate_shutdown();
+    }
+
+    /// Assemble the health answer from live counters — cheap enough to
+    /// run inline on the reader thread, so health stays answerable even
+    /// when every worker is wedged.
+    fn health(&self) -> HealthInfo {
+        self.instruments.req_health.inc();
+        self.touch_uptime();
+        let snap = self.instruments.plane.snapshot();
+        let (version, commit) = provenance::build_info(&snap)
+            .unwrap_or_else(|| ("unknown".to_string(), "unknown".to_string()));
+        HealthInfo {
+            uptime_ns: self.now_ns(),
+            workers: self.config.workers.max(1) as u32,
+            busy_workers: self.busy_workers.load(Ordering::SeqCst) as u32,
+            queue_depth: self.queue.lock().unwrap().len() as u32,
+            queue_cap: self.config.queue_cap as u32,
+            active_conns: self.front.active_conns() as u32,
+            max_conns: self.config.max_conns as u32,
+            subscribers: self.subs.lock().unwrap().len() as u32,
+            draining: self.shutdown.load(Ordering::SeqCst),
+            version,
+            commit,
+            shard: self.config.shard.clone(),
+        }
+    }
+
+    /// A lone daemon's topology: a one-entry map describing itself.
+    fn shard_map(&self) -> ShardMap {
+        ShardMap {
+            generation: 0,
+            replication: 1,
+            epoch_ns: 0,
+            backends: vec![ShardMapEntry {
+                shard: self.config.shard.clone(),
+                addr: self.local_addr.clone(),
+                healthy: !self.shutdown.load(Ordering::SeqCst),
+            }],
+        }
+    }
+
+    /// Admit or answer one request; all real work happens in the pool.
+    fn dispatch(&self, conn: &Arc<Conn>, frame: Frame) {
         match frame {
-            Frame::Request { id, req, trace } => admit(shared, conn, id, Work::Query(req, trace)),
+            Frame::Request { id, req, trace } => admit(self, conn, id, Work::Query(req, trace)),
             Frame::MetricsReq { id } => {
-                shared.instruments.req_metrics.inc();
-                shared.touch_uptime();
-                let text = to_prometheus(&shared.instruments.plane.snapshot());
+                self.instruments.req_metrics.inc();
+                self.touch_uptime();
+                let text = to_prometheus(&self.instruments.plane.snapshot());
                 let _ = conn.send(&[Frame::MetricsText { id, text }]);
             }
-            Frame::HealthReq { id } => {
-                // Answered inline on the reader thread: health must keep
-                // working when the pool is saturated or draining.
-                shared.instruments.req_health.inc();
-                shared.touch_uptime();
-                let health = shared.health_info();
-                let _ = conn.send(&[Frame::HealthAck { id, health }]);
-            }
-            Frame::ShardMapReq { id } => {
-                // Inline like health: topology must stay answerable under
-                // load so a router's probe loop never starves.
-                let map = shared.shard_map();
-                let _ = conn.send(&[Frame::ShardMapAck { id, map }]);
-            }
-            Frame::MetricsGet { id } => admit(shared, conn, id, Work::MetricsGet),
+            Frame::MetricsGet { id } => admit(self, conn, id, Work::MetricsGet),
             Frame::MetricsSubscribe {
                 id,
                 interval_ms,
@@ -763,7 +647,7 @@ fn connection_loop(shared: &Arc<Shared>, conn: &Arc<Conn>) -> io::Result<()> {
                 }]);
                 let interval = Duration::from_millis(u64::from(effective_ms));
                 admit(
-                    shared,
+                    self,
                     conn,
                     id,
                     Work::Subscribe {
@@ -780,7 +664,7 @@ fn connection_loop(shared: &Arc<Shared>, conn: &Arc<Conn>) -> io::Result<()> {
                 query,
                 trace,
             } => register_standing(
-                shared,
+                self,
                 conn,
                 id,
                 cap,
@@ -789,25 +673,6 @@ fn connection_loop(shared: &Arc<Shared>, conn: &Arc<Conn>) -> io::Result<()> {
                 &query,
                 trace,
             ),
-            Frame::TraceDumpReq { id, max, slow_only } => {
-                // Inline like health: a trace dump is a diagnostic read and
-                // must keep working when the worker pool is saturated — that
-                // saturation is usually exactly what the caller is debugging.
-                let traces = shared.instruments.plane.traces();
-                let max = (max as usize).clamp(1, MAX_TRACES_PER_DUMP);
-                let mut out: Vec<Trace> = if slow_only {
-                    traces.slowest(max)
-                } else {
-                    let mut recent = traces.recent();
-                    recent.reverse(); // newest first
-                    recent.truncate(max);
-                    recent
-                };
-                for t in &mut out {
-                    t.spans.truncate(MAX_SPANS_PER_TRACE);
-                }
-                let _ = conn.send(&[Frame::TraceDumpAck { id, traces: out }]);
-            }
             Frame::ProfileDumpReq { id } => {
                 // Inline like a trace dump: a profile read is a diagnostic
                 // and must keep working when the worker pool is saturated.
@@ -815,40 +680,16 @@ fn connection_loop(shared: &Arc<Shared>, conn: &Arc<Conn>) -> io::Result<()> {
                 // `serve/worker_exec` scope, so a dump never perturbs the
                 // numbers it reports.
                 let bytes = pq_prof::ProfileReport::capture().encode();
-                let _ = conn.send(&wire::prof_result_frames(id, &bytes));
+                let _ = conn.send(&answer::profile_frames(id, &bytes));
             }
-            Frame::StandingQueryCancel { id, sub } => cancel_standing(shared, conn, id, sub),
-            Frame::ShutdownReq { id } => {
-                let _ = conn.send(&[Frame::ShutdownAck { id }]);
-                shared.initiate_shutdown();
-            }
-            Frame::Hello { .. } => {
-                let _ = conn.send(&[protocol_error(0, ErrorCode::Protocol, "duplicate Hello")]);
-                return Ok(());
-            }
-            _ => {
-                let _ = conn.send(&[protocol_error(
-                    0,
-                    ErrorCode::Protocol,
-                    "server-to-client frame received from client",
-                )]);
-                return Ok(());
-            }
+            Frame::StandingQueryCancel { id, sub } => cancel_standing(self, conn, id, sub),
+            other => unreachable!("the front answers {other:?} itself"),
         }
     }
 }
 
-fn protocol_error(id: u64, code: ErrorCode, message: &str) -> Frame {
-    Frame::Error {
-        id,
-        code,
-        gaps: Vec::new(),
-        message: message.to_string(),
-    }
-}
-
 /// Admission control: shed (never block, never silently drop) or enqueue.
-fn admit(shared: &Arc<Shared>, conn: &Arc<Conn>, id: u64, work: Work) {
+fn admit(shared: &Shared, conn: &Arc<Conn>, id: u64, work: Work) {
     let busy = |frame_id| {
         shared.instruments.shed.inc();
         let _ = conn.send(&[Frame::Busy {
@@ -857,7 +698,7 @@ fn admit(shared: &Arc<Shared>, conn: &Arc<Conn>, id: u64, work: Work) {
         }]);
     };
     if shared.shutdown.load(Ordering::SeqCst) {
-        let _ = conn.send(&[protocol_error(id, ErrorCode::ShuttingDown, "draining")]);
+        let _ = conn.send(&[Frame::error(id, ErrorCode::ShuttingDown, "draining")]);
         return;
     }
     if conn.inflight.load(Ordering::SeqCst) >= shared.config.inflight_per_conn {
@@ -915,7 +756,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         };
         let Some(job) = job else { return };
         if shared.shutdown.load(Ordering::SeqCst) && shared.past_drain_deadline() {
-            let _ = job.conn.send(&[protocol_error(
+            let _ = job.conn.send(&[Frame::error(
                 job.id,
                 ErrorCode::ShuttingDown,
                 "drain deadline passed",
@@ -1039,14 +880,13 @@ fn worker_loop(shared: &Arc<Shared>) {
             }
             Work::MetricsGet => {
                 shared.touch_uptime();
-                let snap = shared.instruments.plane.snapshot();
-                let frames = metrics_update_frames(
-                    job.id,
-                    0,
-                    shared.now_ns(),
-                    true,
-                    &snapshot_to_samples(&snap),
-                );
+                let update = MetricsUpdate {
+                    seq: 0,
+                    t_ns: shared.now_ns(),
+                    last: true,
+                    changed: shared.instruments.plane.snapshot(),
+                };
+                let frames = update.to_frames(job.id);
                 let latency = u64::try_from(job.admitted.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 shared.instruments.request_ns.record(latency);
                 shared.instruments.completed(kind);
@@ -1060,11 +900,15 @@ fn worker_loop(shared: &Arc<Shared>) {
                 // The first update carries the full snapshot so the client
                 // can fold later deltas onto a complete baseline.
                 shared.touch_uptime();
-                let snap = shared.instruments.plane.snapshot();
                 let now = shared.now_ns();
                 let last = max_updates == 1;
-                let frames =
-                    metrics_update_frames(job.id, 0, now, last, &snapshot_to_samples(&snap));
+                let update = MetricsUpdate {
+                    seq: 0,
+                    t_ns: now,
+                    last,
+                    changed: shared.instruments.plane.snapshot(),
+                };
+                let frames = update.to_frames(job.id);
                 shared.instruments.metric_updates.inc();
                 shared.instruments.completed(kind);
                 let sent = job.conn.send(&frames);
@@ -1081,7 +925,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                         // `None` in one step.
                         remaining: max_updates.checked_sub(1),
                         seq: 1,
-                        prev: snap,
+                        prev: update.changed,
                     });
                     shared.instruments.subscribers.set(subs.len() as u64);
                 }
@@ -1114,11 +958,13 @@ fn publisher_loop(shared: &Arc<Shared>) {
             if sub.next_due_ns > now {
                 return true;
             }
-            let changed = delta::changed(&sub.prev, &snap);
-            let last = sub.remaining == Some(1);
-            let frames =
-                metrics_update_frames(sub.id, sub.seq, now, last, &snapshot_to_samples(&changed));
-            if sub.conn.send(&frames).is_err() {
+            let update = MetricsUpdate {
+                seq: sub.seq,
+                t_ns: now,
+                last: sub.remaining == Some(1),
+                changed: delta::changed(&sub.prev, &snap),
+            };
+            if sub.conn.send(&update.to_frames(sub.id)).is_err() {
                 return false;
             }
             shared.instruments.metric_updates.inc();
@@ -1146,10 +992,13 @@ fn drain_subscribers(shared: &Arc<Shared>) {
     let now = shared.now_ns();
     let mut subs = shared.subs.lock().unwrap();
     for sub in subs.drain(..) {
-        let changed = delta::changed(&sub.prev, &snap);
-        let frames =
-            metrics_update_frames(sub.id, sub.seq, now, true, &snapshot_to_samples(&changed));
-        if sub.conn.send(&frames).is_ok() {
+        let update = MetricsUpdate {
+            seq: sub.seq,
+            t_ns: now,
+            last: true,
+            changed: delta::changed(&sub.prev, &snap),
+        };
+        if sub.conn.send(&update.to_frames(sub.id)).is_ok() {
             shared.instruments.metric_updates.inc();
         }
     }
@@ -1162,7 +1011,7 @@ fn drain_subscribers(shared: &Arc<Shared>) {
 /// (it only sees the subscription after this function pushes it).
 #[allow(clippy::too_many_arguments)]
 fn register_standing(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     conn: &Arc<Conn>,
     id: u64,
     cap: u32,
@@ -1172,11 +1021,11 @@ fn register_standing(
     trace: Option<TraceContext>,
 ) {
     if shared.shutdown.load(Ordering::SeqCst) {
-        let _ = conn.send(&[protocol_error(id, ErrorCode::ShuttingDown, "draining")]);
+        let _ = conn.send(&[Frame::error(id, ErrorCode::ShuttingDown, "draining")]);
         return;
     }
     let Some(live) = &shared.live else {
-        let _ = conn.send(&[protocol_error(
+        let _ = conn.send(&[Frame::error(
             id,
             ErrorCode::NoLiveState,
             "standing queries evaluate over live state",
@@ -1186,13 +1035,13 @@ fn register_standing(
     let parsed = match pq_stream::parse(query) {
         Ok(q) => q,
         Err(e) => {
-            let _ = conn.send(&[protocol_error(id, ErrorCode::BadQuery, &e.to_string())]);
+            let _ = conn.send(&[Frame::error(id, ErrorCode::BadQuery, &e.to_string())]);
             return;
         }
     };
     if let pq_stream::PortSel::One(port) = parsed.port {
         if !live.is_active(port) {
-            let _ = conn.send(&[protocol_error(
+            let _ = conn.send(&[Frame::error(
                 id,
                 ErrorCode::UnknownPort,
                 &format!("port {port} not activated"),
@@ -1243,13 +1092,13 @@ fn register_standing(
 
 /// Cancel a standing subscription: unregister it and answer with a final
 /// `last=true` progress frame so the client's stream ends cleanly.
-fn cancel_standing(shared: &Arc<Shared>, conn: &Arc<Conn>, id: u64, sub_id: u64) {
+fn cancel_standing(shared: &Shared, conn: &Arc<Conn>, id: u64, sub_id: u64) {
     let mut streams = shared.streams.lock().unwrap();
     let Some(pos) = streams
         .iter()
         .position(|s| s.id == sub_id && Arc::ptr_eq(&s.conn, conn))
     else {
-        let _ = conn.send(&[protocol_error(
+        let _ = conn.send(&[Frame::error(
             id,
             ErrorCode::Protocol,
             "unknown standing subscription",
@@ -1263,35 +1112,14 @@ fn cancel_standing(shared: &Arc<Shared>, conn: &Arc<Conn>, id: u64, sub_id: u64)
     let _ = sub.conn.send(&[frame]);
 }
 
-/// A window-less progress frame: carries the subscription's watermark
-/// (and the `last` flag when the stream is ending). `to == 0` marks it —
-/// real windows always have `to > 0` because sizes are positive.
+/// A window-less progress frame: the subscription's watermark, and the
+/// `last` flag when the stream is ending.
 fn progress_frame(sub: &mut StreamSub, last: bool) -> Frame {
     sub.seq += 1;
+    let progress = StreamResult::progress(sub.seq, sub.state.watermark(), last);
     Frame::StandingQueryResult {
         id: sub.id,
-        result: Box::new(StreamResult {
-            seq: sub.seq,
-            watermark_ns: sub.state.watermark(),
-            port: 0,
-            from: 0,
-            to: 0,
-            fired: false,
-            forced: false,
-            degraded: false,
-            last,
-            max: 0,
-            min: u64::MAX,
-            sum: 0,
-            count: 0,
-            last_t: 0,
-            last_depth: 0,
-            flows: Vec::new(),
-            evictions: 0,
-            evicted_weight: 0.0,
-            gaps: Vec::new(),
-            rtt: RttAgg::default(),
-        }),
+        result: Box::new(progress),
     }
 }
 
@@ -1531,10 +1359,10 @@ fn execute(
     match req {
         Request::TimeWindows { port, from, to } => {
             let Some(live) = &shared.live else {
-                return vec![protocol_error(id, ErrorCode::NoLiveState, "")];
+                return vec![Frame::error(id, ErrorCode::NoLiveState, "")];
             };
             if !live.is_active(port) {
-                return vec![protocol_error(
+                return vec![Frame::error(
                     id,
                     ErrorCode::UnknownPort,
                     &format!("port {port} not activated"),
@@ -1542,29 +1370,28 @@ fn execute(
             }
             let interval = QueryInterval::new(from, to);
             let result = live.query_time_windows(port, interval);
-            let checkpoints = live.checkpoints(port).len() as u64;
-            result_frames(
-                id,
-                checkpoints,
-                result.estimates.ranked(),
-                result.gaps,
-                result.degraded,
-                echo,
-            )
+            let answer = RemoteResult {
+                estimates: result.estimates,
+                gaps: result.gaps,
+                degraded: result.degraded,
+                checkpoints: live.checkpoints(port).len() as u64,
+                trace: echo,
+            };
+            answer.to_frames(id)
         }
         Request::QueueMonitor { port, at } => {
             let Some(live) = &shared.live else {
-                return vec![protocol_error(id, ErrorCode::NoLiveState, "")];
+                return vec![Frame::error(id, ErrorCode::NoLiveState, "")];
             };
             if !live.is_active(port) {
-                return vec![protocol_error(
+                return vec![Frame::error(
                     id,
                     ErrorCode::UnknownPort,
                     &format!("port {port} not activated"),
                 )];
             }
             let Some(ans) = live.query_queue_monitor(port, at) else {
-                return vec![protocol_error(
+                return vec![Frame::error(
                     id,
                     ErrorCode::NoData,
                     "no queue-monitor checkpoint stored",
@@ -1572,23 +1399,19 @@ fn execute(
             };
             let mut counts: Vec<(FlowId, u64)> = ans.culprit_counts().into_iter().collect();
             counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            let mut frames = vec![Frame::MonitorHeader {
-                id,
-                degraded: ans.degraded,
+            let answer = RemoteMonitor {
                 frozen_at: ans.frozen_at,
                 staleness: ans.staleness,
-                counts: counts.len() as u32,
-                gaps: ans.gaps.len() as u32,
+                degraded: ans.degraded,
+                gaps: ans.gaps,
+                counts,
                 trace: echo,
-            }];
-            frames.extend(chunk_counts(id, &counts));
-            frames.extend(chunk_gaps(id, &ans.gaps));
-            frames.push(Frame::ResultEnd { id });
-            frames
+            };
+            answer.to_frames(id)
         }
         Request::Replay { port, from, to, d } => {
             let Some(path) = &shared.archive else {
-                return vec![protocol_error(id, ErrorCode::NoArchive, "")];
+                return vec![Frame::error(id, ErrorCode::NoArchive, "")];
             };
             // This worker's shard: open on first use, reuse after.
             if reader.is_none() {
@@ -1599,7 +1422,7 @@ fn execute(
             }
             let r = reader.as_mut().unwrap();
             if !r.ports().contains(&port) {
-                return vec![protocol_error(
+                return vec![Frame::error(
                     id,
                     ErrorCode::UnknownPort,
                     &format!("port {port} not present in archive"),
@@ -1632,15 +1455,14 @@ fn execute(
             }
             match query {
                 Ok(result) => {
-                    let checkpoints = r.checkpoint_count(port);
-                    result_frames(
-                        id,
-                        checkpoints,
-                        result.estimates.ranked(),
-                        result.gaps,
-                        result.degraded,
-                        echo,
-                    )
+                    let answer = RemoteResult {
+                        estimates: result.estimates,
+                        gaps: result.gaps,
+                        degraded: result.degraded,
+                        checkpoints: r.checkpoint_count(port),
+                        trace: echo,
+                    };
+                    answer.to_frames(id)
                 }
                 Err(e) => {
                     // The reader may now be mid-seek; drop the shard so the
@@ -1680,17 +1502,23 @@ fn execute(
             // max_flows 0 and truncates its own merged answer instead.
             let dropped = merged.truncate_flows(max_flows as usize);
             let degraded = merged.degraded() || dropped > 0;
-            let bytes = merged.encode();
+            let samples = merged.sample_count();
+            let answer = RemoteRtt {
+                report: merged,
+                degraded,
+                trace: echo,
+            };
+            let frames = answer.to_frames(id);
             if let Some(t) = tracer {
                 t.record(
                     names::SPAN_RTT_MEASURE,
                     exec_span,
                     measure_start,
                     shared.trace_clock.now_ns(),
-                    &merged.sample_count().to_string(),
+                    &samples.to_string(),
                 );
             }
-            wire::rtt_result_frames(id, degraded, &bytes, echo)
+            frames
         }
     }
 }
@@ -1710,27 +1538,4 @@ fn io_error(id: u64, from: u64, to: u64, e: &io::Error) -> Frame {
         }],
         message: e.to_string(),
     }
-}
-
-/// Assemble a streamed time-window answer: header, bounded chunks, end.
-fn result_frames(
-    id: u64,
-    checkpoints: u64,
-    flows: Vec<(FlowId, f64)>,
-    gaps: Vec<CoverageGap>,
-    degraded: bool,
-    trace: Option<TraceContext>,
-) -> Vec<Frame> {
-    let mut frames = vec![Frame::ResultHeader {
-        id,
-        degraded,
-        checkpoints,
-        flows: flows.len() as u32,
-        gaps: gaps.len() as u32,
-        trace,
-    }];
-    frames.extend(chunk_flows(id, &flows));
-    frames.extend(chunk_gaps(id, &gaps));
-    frames.push(Frame::ResultEnd { id });
-    frames
 }

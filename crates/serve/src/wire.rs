@@ -28,14 +28,17 @@
 //!
 //! Flow estimates travel as raw `f64` bit patterns, so a remote answer is
 //! bit-identical to the local one — the CI smoke test diffs the two.
+//!
+//! Layouts are stated once: every field type has one `Wire` impl (its
+//! `put` beside its `get`, hostile-input caps included), and the
+//! [`Frame`] table lists each frame's tag and ordered fields. The enum,
+//! `encode_body`, `decode_body` and the per-frame unit tests all derive
+//! from that table; `tests/data/wire_golden.hex` pins the bytes.
 
 use pq_core::control::CoverageGap;
 use pq_packet::FlowId;
 use pq_stream::{RttAgg, RTT_BUCKETS};
-use pq_telemetry::{
-    BucketExemplar, HistogramSnapshot, MetricKey, MetricValue, RegistrySnapshot, Trace,
-    TraceContext, TraceSpan, NUM_BUCKETS,
-};
+use pq_telemetry::{BucketExemplar, Trace, TraceContext, TraceSpan, NUM_BUCKETS};
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -94,8 +97,8 @@ pub const MAX_RTT_REPORT_LEN: u32 = 16 << 20;
 
 /// Most payload bytes one `ProfChunk` frame may carry. An encoded
 /// `pq-prof` report travels exactly like an RTT report: an opaque byte
-/// blob split into bounded chunks.
-pub const PROF_BYTES_PER_FRAME: usize = 64 * 1024;
+/// blob split into bounded chunks, under the one blob-chunk cap.
+pub const PROF_BYTES_PER_FRAME: usize = RTT_BYTES_PER_FRAME;
 
 /// Cap on the total encoded-dump length a [`Frame::ProfHeader`] may
 /// announce. Matches `pq_prof::MAX_ENCODED_LEN` so a header can never
@@ -163,7 +166,7 @@ impl ErrorCode {
             7 => ErrorCode::ShuttingDown,
             8 => ErrorCode::NoData,
             9 => ErrorCode::BadQuery,
-            _ => return Err(WireError::malformed("unknown error code")),
+            _ => return Err(WireError::Malformed("unknown error code")),
         })
     }
 }
@@ -182,58 +185,6 @@ impl fmt::Display for ErrorCode {
             ErrorCode::BadQuery => "bad standing query",
         };
         f.write_str(s)
-    }
-}
-
-/// A query request, as carried inside [`Frame::Request`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Request {
-    /// §6.3 time-window query against the live analysis program.
-    TimeWindows { port: u16, from: u64, to: u64 },
-    /// §5 queue-monitor (original-culprit) query against live state.
-    QueueMonitor { port: u16, at: u64 },
-    /// Time-window query replayed from the `.pqa` archive; `d` is the
-    /// coefficient delay parameter (matches `replay-query --d`).
-    Replay {
-        port: u16,
-        from: u64,
-        to: u64,
-        d: u64,
-    },
-    /// Per-flow RTT report over `[from, to]`, merged from the server's
-    /// RTT measurements (live hook reports and/or archive spill
-    /// segments). `max_flows` bounds the per-flow list in the answer
-    /// (0 = unlimited); truncation is applied only by the hop that
-    /// answers the client, so a router scatters with 0 and truncates
-    /// after its merge — keeping routed answers bit-identical to a
-    /// single daemon holding all the data.
-    Rtt {
-        port: u16,
-        from: u64,
-        to: u64,
-        max_flows: u32,
-    },
-}
-
-impl Request {
-    /// The `kind` label this request reports under in `pq_serve_*` metrics.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Request::TimeWindows { .. } => "time_windows",
-            Request::QueueMonitor { .. } => "queue_monitor",
-            Request::Replay { .. } => "replay",
-            Request::Rtt { .. } => "rtt",
-        }
-    }
-
-    /// The port the request targets.
-    pub fn port(&self) -> u16 {
-        match self {
-            Request::TimeWindows { port, .. }
-            | Request::QueueMonitor { port, .. }
-            | Request::Replay { port, .. }
-            | Request::Rtt { port, .. } => *port,
-        }
     }
 }
 
@@ -382,184 +333,34 @@ pub struct StreamResult {
     pub rtt: RttAgg,
 }
 
-/// One protocol frame.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Frame {
-    // -- client → server ---------------------------------------------------
-    /// Connection opener: highest version spoken, receive frame cap.
-    Hello { version: u16, max_frame: u32 },
-    /// A query; `id` is echoed in every frame of the response. `trace`
-    /// carries the caller's trace context when tracing is on and the
-    /// negotiated version is ≥ 2; `None` encodes zero extra bytes.
-    Request {
-        id: u64,
-        req: Request,
-        trace: Option<TraceContext>,
-    },
-    /// Ask for the server's Prometheus text exposition.
-    MetricsReq { id: u64 },
-    /// Ask the server to drain in-flight queries and exit.
-    ShutdownReq { id: u64 },
-    /// Ask for the server's health self-report.
-    HealthReq { id: u64 },
-    /// Ask for one structured metrics snapshot (streamed like a
-    /// subscription update with `seq` 0 and `last` set).
-    MetricsGet { id: u64 },
-    /// Subscribe to periodic metrics updates every `interval_ms`;
-    /// `max_updates` 0 means unbounded (until shutdown or disconnect).
-    MetricsSubscribe {
-        id: u64,
-        interval_ms: u32,
-        max_updates: u32,
-    },
-    /// Ask for the serving topology: a router answers with its backend
-    /// set, a lone daemon with a one-entry map describing itself.
-    ShardMapReq { id: u64 },
-    /// Register a standing continuous query. `query` is the text form
-    /// parsed by `pq-stream`; `cap` bounds per-window summary state
-    /// (clamped to [`ENTRIES_PER_FRAME`]); `max_windows` 0 means
-    /// unbounded, otherwise the subscription ends after that many
-    /// *fired* windows; `stop_after_seal` ends it once the source is
-    /// exhausted and every window has closed (CI one-shot mode).
-    StandingQueryReq {
-        id: u64,
-        cap: u32,
-        max_windows: u32,
-        stop_after_seal: bool,
-        query: String,
-        trace: Option<TraceContext>,
-    },
-    /// Cancel the standing subscription registered under `sub`; the
-    /// server answers with a final `last=true` result frame on `sub`.
-    StandingQueryCancel { id: u64, sub: u64 },
-    /// Ask for the server's recent completed traces (newest first),
-    /// `max`-bounded; `slow_only` restricts to the slow-query log.
-    TraceDumpReq { id: u64, max: u32, slow_only: bool },
-    /// Ask for the server's profile dump (scopes, locks, sampled
-    /// stacks). Per-process like `TraceDumpReq` in spirit — but a
-    /// router answers with the *merged* dump of all its live backends,
-    /// its own profile excluded, so one request profiles the fleet.
-    ProfileDumpReq { id: u64 },
-
-    // -- server → client ---------------------------------------------------
-    /// Accepted version and frame cap (`min` of both sides).
-    HelloAck { version: u16, max_frame: u32 },
-    /// Start of a time-window answer: totals for the chunks that follow.
-    /// `trace` echoes the request's context iff the request carried one.
-    ResultHeader {
-        id: u64,
-        degraded: bool,
-        /// Checkpoints the serving side holds for the port (the local
-        /// query path prints this; carrying it keeps output identical).
-        checkpoints: u64,
-        flows: u32,
-        gaps: u32,
-        trace: Option<TraceContext>,
-    },
-    /// Up to [`ENTRIES_PER_FRAME`] per-flow estimates (`f64` bits).
-    ResultFlows { id: u64, flows: Vec<(FlowId, f64)> },
-    /// Up to [`ENTRIES_PER_FRAME`] coverage gaps.
-    ResultGaps { id: u64, gaps: Vec<CoverageGap> },
-    /// End of a streamed answer.
-    ResultEnd { id: u64 },
-    /// Start of a queue-monitor answer. `trace` echoes the request's
-    /// context iff the request carried one.
-    MonitorHeader {
-        id: u64,
-        degraded: bool,
-        frozen_at: u64,
-        staleness: u64,
-        counts: u32,
-        gaps: u32,
-        trace: Option<TraceContext>,
-    },
-    /// Up to [`ENTRIES_PER_FRAME`] original-culprit counts.
-    MonitorCounts { id: u64, counts: Vec<(FlowId, u64)> },
-    /// Typed failure, with the coverage-gap summary the local path would
-    /// have seen (so degraded-query semantics survive the wire).
-    Error {
-        id: u64,
-        code: ErrorCode,
-        gaps: Vec<CoverageGap>,
-        message: String,
-    },
-    /// Load shed: retry after the given backoff. `id` 0 means the whole
-    /// connection was refused at accept time.
-    Busy { id: u64, retry_after_ms: u32 },
-    /// Prometheus text exposition.
-    MetricsText { id: u64, text: String },
-    /// Shutdown acknowledged; the server drains and exits.
-    ShutdownAck { id: u64 },
-    /// Health self-report.
-    HealthAck { id: u64, health: HealthInfo },
-    /// Start of one metrics update: `seq` counts updates on this
-    /// subscription, `t_ns` is the server clock, `total` the sample count
-    /// across the chunks that follow, `last` marks the final update of a
-    /// subscription (shutdown drain or `max_updates` reached).
-    MetricsHeader {
-        id: u64,
-        seq: u64,
-        t_ns: u64,
-        total: u32,
-        last: bool,
-    },
-    /// Up to [`METRIC_SAMPLES_PER_FRAME`] metric samples. Terminated by
-    /// `ResultEnd`, like every streamed answer.
-    MetricsChunk { id: u64, samples: Vec<WireSample> },
-    /// The serving topology (answer to `ShardMapReq`).
-    ShardMapAck { id: u64, map: ShardMap },
-    /// Standing query admitted: `query` echoes the canonical form the
-    /// evaluator actually runs, `cap` the effective (clamped) summary
-    /// cap. Results follow asynchronously under the same `id`. `trace`
-    /// echoes the registration's context iff it carried one.
-    StandingQueryAck {
-        id: u64,
-        cap: u32,
-        query: String,
-        trace: Option<TraceContext>,
-    },
-    /// One closed window on a standing subscription (`id` is the
-    /// registering request's id).
-    StandingQueryResult { id: u64, result: Box<StreamResult> },
-    /// Acknowledges a `MetricsSubscribe` with the *effective* interval
-    /// and update budget after server-side clamping, so operators are
-    /// never misled about the cadence they actually get.
-    SubscribeAck {
-        id: u64,
-        interval_ms: u32,
-        max_updates: u32,
-    },
-    /// Recent completed traces, newest first (answer to `TraceDumpReq`).
-    /// Per-process: a router answers with its own traces, not its
-    /// backends' — `pqsim trace` stitches dumps from several addresses.
-    TraceDumpAck { id: u64, traces: Vec<Trace> },
-    /// Start of an RTT answer: the report travels as the `pq-rtt`
-    /// canonical encoding, split into [`Frame::RttChunk`] blobs of at
-    /// most [`RTT_BYTES_PER_FRAME`] bytes and terminated by
-    /// `ResultEnd`. `total` is the byte length of the full encoding
-    /// (capped by [`MAX_RTT_REPORT_LEN`]); `degraded` reports
-    /// bounded-memory loss (collisions, evictions, sample clips) or a
-    /// `max_flows` truncation. Validation of the payload itself lives
-    /// in the `pq-rtt` codec, which the client runs on the reassembled
-    /// bytes. `trace` echoes the request's context iff it carried one.
-    RttHeader {
-        id: u64,
-        degraded: bool,
-        total: u32,
-        trace: Option<TraceContext>,
-    },
-    /// One bounded slice of an encoded RTT report.
-    RttChunk { id: u64, bytes: Vec<u8> },
-    /// Start of a profile-dump answer: the report travels as the
-    /// `pq-prof` canonical encoding, split into [`Frame::ProfChunk`]
-    /// blobs of at most [`PROF_BYTES_PER_FRAME`] bytes and terminated
-    /// by `ResultEnd`. `total` is the byte length of the full encoding
-    /// (capped by [`MAX_PROF_DUMP_LEN`]); payload validation lives in
-    /// the `pq-prof` codec, which the client runs on the reassembled
-    /// bytes.
-    ProfHeader { id: u64, total: u32 },
-    /// One bounded slice of an encoded profile dump.
-    ProfChunk { id: u64, bytes: Vec<u8> },
+impl StreamResult {
+    /// A window-less progress result: the subscription's watermark, and
+    /// `last` when the stream is ending. `to == 0` marks it — real windows
+    /// always have `to > 0` because sizes are positive.
+    pub fn progress(seq: u64, watermark_ns: u64, last: bool) -> StreamResult {
+        StreamResult {
+            seq,
+            watermark_ns,
+            port: 0,
+            from: 0,
+            to: 0,
+            fired: false,
+            forced: false,
+            degraded: false,
+            last,
+            max: 0,
+            min: u64::MAX,
+            sum: 0,
+            count: 0,
+            last_t: 0,
+            last_depth: 0,
+            flows: Vec::new(),
+            evictions: 0,
+            evicted_weight: 0.0,
+            gaps: Vec::new(),
+            rtt: RttAgg::default(),
+        }
+    }
 }
 
 /// Why a frame failed to decode.
@@ -574,12 +375,6 @@ pub enum WireError {
     /// The frame body contradicted itself (truncated fields, counts
     /// exceeding the bytes present, bad UTF-8, unknown discriminants).
     Malformed(&'static str),
-}
-
-impl WireError {
-    pub(crate) fn malformed(what: &'static str) -> WireError {
-        WireError::Malformed(what)
-    }
 }
 
 impl fmt::Display for WireError {
@@ -602,111 +397,835 @@ impl From<io::Error> for WireError {
     }
 }
 
-// -- encoding ---------------------------------------------------------------
+// -- the codec ----------------------------------------------------------------
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// A value with one wire layout: `put` appends it, `get` consumes it from
+/// the front of the cursor. Every impl keeps the two side by side, so a
+/// layout is stated once; `get` is where outside input is validated.
+pub(crate) trait Wire: Sized {
+    fn put(&self, out: &mut Vec<u8>);
+    fn get(cur: &mut &[u8]) -> Result<Self, WireError>;
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u128(out: &mut Vec<u8>, v: u128) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Append the optional trace-context extension: nothing for `None`
-/// (the v1 layout), the fixed [`TRACE_EXT_LEN`]-byte block for `Some`.
-fn put_trace_ext(out: &mut Vec<u8>, trace: &Option<TraceContext>) {
-    if let Some(ctx) = trace {
-        out.push(TRACE_EXT_MAGIC);
-        out.push(u8::from(ctx.sampled));
-        put_u128(out, ctx.trace_id);
-        put_u64(out, ctx.parent_span);
-    }
-}
-
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Append the optional RTT-aggregate suffix: nothing for an empty
-/// aggregate (the pre-RTT layout), otherwise magic + the aggregate's
-/// scalar fields + occupied `(bucket, count)` pairs, index-ascending.
-fn put_rtt_suffix(out: &mut Vec<u8>, rtt: &RttAgg) {
-    if rtt.count == 0 {
-        return;
-    }
-    out.push(RTT_SUFFIX_MAGIC);
-    put_u64(out, rtt.count);
-    put_u64(out, rtt.sum);
-    put_u64(out, rtt.min);
-    put_u64(out, rtt.max);
-    put_u64(out, rtt.last_t);
-    put_u64(out, rtt.last_rtt);
-    let occupied: Vec<(u8, u64)> = rtt
-        .buckets
-        .iter()
-        .enumerate()
-        .filter(|(_, &n)| n != 0)
-        .map(|(i, &n)| (i as u8, n))
-        .collect();
-    out.push(occupied.len() as u8);
-    for (i, n) in occupied {
-        out.push(i);
-        put_u64(out, n);
-    }
-}
-
-fn put_sample(out: &mut Vec<u8>, sample: &WireSample) {
-    put_string(out, &sample.name);
-    debug_assert!(sample.labels.len() <= MAX_LABELS_PER_SAMPLE);
-    out.push(sample.labels.len() as u8);
-    for (k, v) in &sample.labels {
-        put_string(out, k);
-        put_string(out, v);
-    }
-    match &sample.value {
-        WireValue::Counter(v) => {
-            out.push(0);
-            put_u64(out, *v);
-        }
-        WireValue::Gauge(v) => {
-            out.push(1);
-            put_u64(out, *v);
-        }
-        WireValue::Histogram {
-            count,
-            sum,
-            min,
-            max,
-            buckets,
-            exemplars,
-        } => {
-            out.push(2);
-            put_u64(out, *count);
-            put_u64(out, *sum);
-            put_u64(out, *min);
-            put_u64(out, *max);
-            debug_assert!(buckets.len() <= NUM_BUCKETS);
-            out.push(buckets.len() as u8);
-            for (i, n) in buckets {
-                out.push(*i);
-                put_u64(out, *n);
+macro_rules! wire_int {
+    ($($t:ty)*) => {$(
+        impl Wire for $t {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
             }
-            debug_assert!(exemplars.len() <= NUM_BUCKETS);
-            out.push(exemplars.len() as u8);
-            for e in exemplars {
-                out.push(e.bucket);
-                put_u128(out, e.trace_id);
-                put_u64(out, e.value);
+            fn get(cur: &mut &[u8]) -> Result<$t, WireError> {
+                const N: usize = std::mem::size_of::<$t>();
+                if cur.len() < N {
+                    return Err(WireError::Malformed("truncated integer"));
+                }
+                let (head, rest) = cur.split_at(N);
+                *cur = rest;
+                Ok(<$t>::from_le_bytes(head.try_into().expect("split_at(N) yields N bytes")))
             }
+        }
+    )*};
+}
+wire_int!(u8 u16 u32 u64 u128);
+
+impl Wire for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+    fn get(cur: &mut &[u8]) -> Result<bool, WireError> {
+        Ok(u8::get(cur)? != 0)
+    }
+}
+
+/// Raw bit pattern, so estimates (NaN payloads included) survive exactly.
+impl Wire for f64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.to_bits().put(out);
+    }
+    fn get(cur: &mut &[u8]) -> Result<f64, WireError> {
+        Ok(f64::from_bits(u64::get(cur)?))
+    }
+}
+
+impl Wire for FlowId {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+    }
+    fn get(cur: &mut &[u8]) -> Result<FlowId, WireError> {
+        Ok(FlowId(u32::get(cur)?))
+    }
+}
+
+impl Wire for ErrorCode {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.to_u16().put(out);
+    }
+    fn get(cur: &mut &[u8]) -> Result<ErrorCode, WireError> {
+        ErrorCode::from_u16(u16::get(cur)?)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+    fn get(cur: &mut &[u8]) -> Result<(A, B), WireError> {
+        Ok((A::get(cur)?, B::get(cur)?))
+    }
+}
+
+/// A `u32` length, then that many bytes. A length the remaining input
+/// cannot back is refused before anything is copied.
+fn get_slice<'a>(cur: &mut &'a [u8]) -> Result<&'a [u8], WireError> {
+    let len = u32::get(cur)? as usize;
+    if len > cur.len() {
+        return Err(WireError::Malformed("length exceeds bytes present"));
+    }
+    let (head, rest) = cur.split_at(len);
+    *cur = rest;
+    Ok(head)
+}
+
+impl Wire for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+    fn get(cur: &mut &[u8]) -> Result<String, WireError> {
+        let s = std::str::from_utf8(get_slice(cur)?)
+            .map_err(|_| WireError::Malformed("string not utf-8"))?;
+        Ok(s.to_string())
+    }
+}
+
+/// An opaque blob slice (`RttChunk` / `ProfChunk`), capped at
+/// [`RTT_BYTES_PER_FRAME`].
+impl Wire for Vec<u8> {
+    fn put(&self, out: &mut Vec<u8>) {
+        debug_assert!(self.len() <= RTT_BYTES_PER_FRAME);
+        (self.len() as u32).put(out);
+        out.extend_from_slice(self);
+    }
+    fn get(cur: &mut &[u8]) -> Result<Vec<u8>, WireError> {
+        let bytes = get_slice(cur)?;
+        if bytes.len() > RTT_BYTES_PER_FRAME {
+            return Err(WireError::Malformed("chunk exceeds bytes-per-frame cap"));
+        }
+        Ok(bytes.to_vec())
+    }
+}
+
+/// An element of a counted collection, with the hostile-input bounds of
+/// its `Vec`: the `DecodeBudget` rule — never size an allocation off a
+/// claimed count the input cannot back.
+trait Entry: Wire {
+    /// Most entries one collection may carry.
+    const CAP: usize;
+    /// Smallest encoding of one entry; a count claiming more entries than
+    /// the remaining bytes could hold is refused before any allocation.
+    const MIN_BYTES: usize;
+    /// The count travels as one byte instead of a `u32`.
+    const NARROW: bool = false;
+}
+
+macro_rules! entries {
+    ($($t:ty: cap $cap:expr, min $min:expr $(, narrow $narrow:expr)?;)*) => {$(
+        impl Entry for $t {
+            const CAP: usize = $cap;
+            const MIN_BYTES: usize = $min;
+            $(const NARROW: bool = $narrow;)?
+        }
+    )*};
+}
+entries! {
+    (FlowId, f64): cap ENTRIES_PER_FRAME, min 12;
+    (FlowId, u64): cap ENTRIES_PER_FRAME, min 12;
+    CoverageGap: cap ENTRIES_PER_FRAME, min 16;
+    // Empty name (4) + label count (1) + kind (1) + scalar (8).
+    WireSample: cap METRIC_SAMPLES_PER_FRAME, min 14;
+    (String, String): cap MAX_LABELS_PER_SAMPLE, min 8, narrow true;
+    (u8, u64): cap NUM_BUCKETS, min 9, narrow true;
+    BucketExemplar: cap NUM_BUCKETS, min 25, narrow true;
+    // Two empty strings (4 + 4) + healthy (1).
+    ShardMapEntry: cap MAX_BACKENDS_PER_MAP, min 9;
+    // trace_id (16) + root span (8) + duration (8) + slow (1) + span count (4).
+    Trace: cap MAX_TRACES_PER_DUMP, min 37;
+    // Four u64 (32) + three empty strings (12).
+    TraceSpan: cap MAX_SPANS_PER_TRACE, min 44;
+}
+
+impl<T: Entry> Wire for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        debug_assert!(self.len() <= T::CAP, "oversized collection built");
+        if T::NARROW {
+            out.push(self.len() as u8);
+        } else {
+            (self.len() as u32).put(out);
+        }
+        for entry in self {
+            entry.put(out);
+        }
+    }
+    fn get(cur: &mut &[u8]) -> Result<Vec<T>, WireError> {
+        let n = if T::NARROW {
+            usize::from(u8::get(cur)?)
+        } else {
+            u32::get(cur)? as usize
+        };
+        if n > T::CAP {
+            return Err(WireError::Malformed("collection count exceeds its cap"));
+        }
+        if n.saturating_mul(T::MIN_BYTES) > cur.len() {
+            return Err(WireError::Malformed("count exceeds bytes present"));
+        }
+        let mut entries = Vec::with_capacity(n);
+        for _ in 0..n {
+            entries.push(T::get(cur)?);
+        }
+        Ok(entries)
+    }
+}
+
+/// The codec of a plain struct: its fields in the order given (the wire
+/// order, which need not be the declaration order).
+macro_rules! wire_struct {
+    ($name:ident { $($field:ident),* $(,)? }) => {
+        impl Wire for $name {
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$field.put(out);)*
+            }
+            fn get(cur: &mut &[u8]) -> Result<$name, WireError> {
+                Ok($name { $($field: Wire::get(cur)?),* })
+            }
+        }
+
+        #[cfg(test)]
+        impl tests::Sample for $name {
+            fn sample(i: usize) -> $name {
+                $name { $($field: tests::Sample::sample(i)),* }
+            }
+        }
+    };
+}
+
+wire_struct!(CoverageGap { from, to });
+wire_struct!(HealthInfo {
+    uptime_ns,
+    workers,
+    busy_workers,
+    queue_depth,
+    queue_cap,
+    active_conns,
+    max_conns,
+    subscribers,
+    draining,
+    version,
+    commit,
+    shard,
+});
+wire_struct!(ShardMapEntry {
+    shard,
+    addr,
+    healthy
+});
+wire_struct!(ShardMap {
+    generation,
+    replication,
+    epoch_ns,
+    backends,
+});
+wire_struct!(BucketExemplar {
+    bucket,
+    trace_id,
+    value
+});
+wire_struct!(TraceSpan {
+    span_id,
+    parent_span,
+    start_ns,
+    end_ns,
+    name,
+    process,
+    tag,
+});
+wire_struct!(Trace {
+    trace_id,
+    root_span,
+    duration_ns,
+    slow,
+    spans,
+});
+
+impl Wire for WireSample {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.name.put(out);
+        self.labels.put(out);
+        self.value.put(out);
+    }
+    fn get(cur: &mut &[u8]) -> Result<WireSample, WireError> {
+        let name = String::get(cur)?;
+        if name.is_empty() {
+            return Err(WireError::Malformed("empty metric name"));
+        }
+        Ok(WireSample {
+            name,
+            labels: Wire::get(cur)?,
+            value: Wire::get(cur)?,
+        })
+    }
+}
+
+impl Wire for WireValue {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            WireValue::Counter(v) => (0u8, *v).put(out),
+            WireValue::Gauge(v) => (1u8, *v).put(out),
+            WireValue::Histogram {
+                count,
+                sum,
+                min,
+                max,
+                buckets,
+                exemplars,
+            } => {
+                out.push(2);
+                for v in [count, sum, min, max] {
+                    v.put(out);
+                }
+                buckets.put(out);
+                exemplars.put(out);
+            }
+        }
+    }
+    fn get(cur: &mut &[u8]) -> Result<WireValue, WireError> {
+        Ok(match u8::get(cur)? {
+            0 => WireValue::Counter(u64::get(cur)?),
+            1 => WireValue::Gauge(u64::get(cur)?),
+            2 => {
+                let (count, sum): (u64, u64) = Wire::get(cur)?;
+                let (min, max): (u64, u64) = Wire::get(cur)?;
+                let buckets: Vec<(u8, u64)> = Wire::get(cur)?;
+                let exemplars: Vec<BucketExemplar> = Wire::get(cur)?;
+                let mut indices = buckets
+                    .iter()
+                    .map(|(i, _)| *i)
+                    .chain(exemplars.iter().map(|e| e.bucket));
+                if indices.any(|i| usize::from(i) >= NUM_BUCKETS) {
+                    return Err(WireError::Malformed("histogram bucket index out of range"));
+                }
+                WireValue::Histogram {
+                    count,
+                    sum,
+                    min,
+                    max,
+                    buckets,
+                    exemplars,
+                }
+            }
+            _ => return Err(WireError::Malformed("unknown metric value kind")),
+        })
+    }
+}
+
+/// The optional trace-context trailer: nothing for `None` (the v1
+/// layout), the fixed [`TRACE_EXT_LEN`]-byte block for `Some`.
+///
+/// Decoding is all-or-nothing: either the remaining bytes are exactly one
+/// magic-led block, or the context is absent and whatever remains is left
+/// for the trailing-bytes check to reject. A magic-led block with unknown
+/// flag bits fails here — accepting it would break re-encode bit-identity.
+impl Wire for Option<TraceContext> {
+    fn put(&self, out: &mut Vec<u8>) {
+        if let Some(ctx) = self {
+            out.push(TRACE_EXT_MAGIC);
+            ctx.sampled.put(out);
+            ctx.trace_id.put(out);
+            ctx.parent_span.put(out);
+        }
+    }
+    fn get(cur: &mut &[u8]) -> Result<Option<TraceContext>, WireError> {
+        if cur.len() != TRACE_EXT_LEN || cur[0] != TRACE_EXT_MAGIC {
+            return Ok(None);
+        }
+        let (_magic, flags) = <(u8, u8)>::get(cur)?;
+        if flags & !0x01 != 0 {
+            return Err(WireError::Malformed("unknown trace-context flags"));
+        }
+        Ok(Some(TraceContext {
+            trace_id: Wire::get(cur)?,
+            parent_span: Wire::get(cur)?,
+            sampled: flags & 1 != 0,
+        }))
+    }
+}
+
+/// The optional RTT-aggregate suffix: nothing for an empty aggregate (the
+/// pre-RTT layout), otherwise magic + the scalar fields + the occupied
+/// `(bucket, count)` pairs, index-ascending.
+///
+/// All-or-nothing like the trace trailer: bytes that do not start with
+/// the magic are left for the trailing-bytes check; a magic-led suffix
+/// must be fully well-formed. Every invariant the encoder maintains is
+/// enforced — nonzero count, `min ≤ max`, bucket indices strictly
+/// ascending with nonzero counts summing to `count` — so a decoded suffix
+/// always re-encodes bit-identically.
+impl Wire for RttAgg {
+    fn put(&self, out: &mut Vec<u8>) {
+        if self.count == 0 {
+            return;
+        }
+        out.push(RTT_SUFFIX_MAGIC);
+        for v in [
+            self.count,
+            self.sum,
+            self.min,
+            self.max,
+            self.last_t,
+            self.last_rtt,
+        ] {
+            v.put(out);
+        }
+        let occupied = self.buckets.iter().enumerate().filter(|(_, &n)| n != 0);
+        out.push(occupied.clone().count() as u8);
+        for (i, n) in occupied {
+            (i as u8, *n).put(out);
+        }
+    }
+    fn get(cur: &mut &[u8]) -> Result<RttAgg, WireError> {
+        if cur.first() != Some(&RTT_SUFFIX_MAGIC) {
+            return Ok(RttAgg::default());
+        }
+        let _magic = u8::get(cur)?;
+        let mut agg = RttAgg {
+            count: Wire::get(cur)?,
+            sum: Wire::get(cur)?,
+            min: Wire::get(cur)?,
+            max: Wire::get(cur)?,
+            last_t: Wire::get(cur)?,
+            last_rtt: Wire::get(cur)?,
+            buckets: [0; RTT_BUCKETS],
+        };
+        if agg.count == 0 {
+            return Err(WireError::Malformed("empty rtt suffix must be absent"));
+        }
+        if agg.min > agg.max {
+            return Err(WireError::Malformed("rtt suffix min exceeds max"));
+        }
+        let nbuckets = usize::from(u8::get(cur)?);
+        if nbuckets == 0 || nbuckets > RTT_BUCKETS {
+            return Err(WireError::Malformed("rtt suffix bucket count out of range"));
+        }
+        if nbuckets.saturating_mul(9) > cur.len() {
+            return Err(WireError::Malformed("count exceeds bytes present"));
+        }
+        let mut total = 0u64;
+        let mut prev: Option<u8> = None;
+        for _ in 0..nbuckets {
+            let (i, n) = <(u8, u64)>::get(cur)?;
+            if usize::from(i) >= RTT_BUCKETS {
+                return Err(WireError::Malformed("rtt suffix bucket index out of range"));
+            }
+            if prev.is_some_and(|p| i <= p) {
+                return Err(WireError::Malformed("rtt suffix buckets not ascending"));
+            }
+            prev = Some(i);
+            if n == 0 {
+                return Err(WireError::Malformed("rtt suffix carries an empty bucket"));
+            }
+            agg.buckets[usize::from(i)] = n;
+            total = total
+                .checked_add(n)
+                .ok_or(WireError::Malformed("rtt suffix bucket counts overflow"))?;
+        }
+        if total != agg.count {
+            return Err(WireError::Malformed(
+                "rtt suffix bucket counts disagree with count",
+            ));
+        }
+        Ok(agg)
+    }
+}
+
+/// `StandingQueryResult`'s payload. The four booleans share one flags
+/// byte (bit 0 fired, 1 forced, 2 degraded, 3 last) after `to`.
+impl Wire for Box<StreamResult> {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.seq.put(out);
+        self.watermark_ns.put(out);
+        self.port.put(out);
+        self.from.put(out);
+        self.to.put(out);
+        let flags = u8::from(self.fired)
+            | u8::from(self.forced) << 1
+            | u8::from(self.degraded) << 2
+            | u8::from(self.last) << 3;
+        out.push(flags);
+        for v in [
+            self.max,
+            self.min,
+            self.sum,
+            self.count,
+            self.last_t,
+            self.last_depth,
+        ] {
+            v.put(out);
+        }
+        self.flows.put(out);
+        self.evictions.put(out);
+        self.evicted_weight.put(out);
+        self.gaps.put(out);
+        self.rtt.put(out);
+    }
+    fn get(cur: &mut &[u8]) -> Result<Box<StreamResult>, WireError> {
+        let (seq, watermark_ns): (u64, u64) = Wire::get(cur)?;
+        let (port, from): (u16, u64) = Wire::get(cur)?;
+        let (to, flags): (u64, u8) = Wire::get(cur)?;
+        Ok(Box::new(StreamResult {
+            seq,
+            watermark_ns,
+            port,
+            from,
+            to,
+            fired: flags & 1 != 0,
+            forced: flags & 2 != 0,
+            degraded: flags & 4 != 0,
+            last: flags & 8 != 0,
+            max: Wire::get(cur)?,
+            min: Wire::get(cur)?,
+            sum: Wire::get(cur)?,
+            count: Wire::get(cur)?,
+            last_t: Wire::get(cur)?,
+            last_depth: Wire::get(cur)?,
+            flows: Wire::get(cur)?,
+            evictions: Wire::get(cur)?,
+            evicted_weight: Wire::get(cur)?,
+            gaps: Wire::get(cur)?,
+            rtt: Wire::get(cur)?,
+        }))
+    }
+}
+
+/// Whether a row's leading field is its request id, i.e. is named `id`
+/// (the handshake frames, and `Request`'s rows, have none).
+macro_rules! row_id {
+    (id) => {
+        true
+    };
+    ($other:ident) => {
+        false
+    };
+}
+
+/// Declares a tagged enum and its codec from one table of
+/// `tag => Variant { field: type, … }` rows. On the wire a value is its
+/// tag byte, then every field in row order, each in its type's [`Wire`]
+/// layout; a field written `name: u32 [MAX]` is an announced length that
+/// is refused above `MAX`. The table is the only place a variant's layout
+/// is stated — the enum, the encoder, the decoder and the unit tests'
+/// sample values all derive from it.
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident (unknown tag: $unknown:literal) {
+            $(
+                $(#[$vmeta:meta])*
+                $tag:literal => $variant:ident {
+                    $first:ident : $first_ty:ty
+                    $(, $(#[$fmeta:meta])* $field:ident : $ty:ty $([$max:expr])?)* $(,)?
+                }
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant {
+                    $first: $first_ty
+                    $(, $(#[$fmeta])* $field: $ty)*
+                }
+            ),*
+        }
+
+        impl $name {
+            /// Every declared tag, in table order.
+            pub const TAGS: &'static [u8] = &[$($tag),*];
+
+            /// This value's tag byte.
+            pub fn tag(&self) -> u8 {
+                match self {
+                    $($name::$variant { .. } => $tag),*
+                }
+            }
+
+            /// The request id this value travels under: its leading `id`
+            /// field, or 0 for a variant that has none.
+            pub fn id(&self) -> u64 {
+                match self {
+                    $($name::$variant { $first, .. } => {
+                        if row_id!($first) { u64::from(*$first) } else { 0 }
+                    })*
+                }
+            }
+        }
+
+        impl Wire for $name {
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($name::$variant { $first $(, $field)* } => {
+                        out.push($tag);
+                        $first.put(out);
+                        $(
+                            $(debug_assert!(*$field <= $max);)?
+                            $field.put(out);
+                        )*
+                    })*
+                }
+            }
+            fn get(cur: &mut &[u8]) -> Result<$name, WireError> {
+                Ok(match u8::get(cur)? {
+                    $($tag => $name::$variant {
+                        $first: Wire::get(cur)?
+                        $(, $field: {
+                            let v = <$ty>::get(cur)?;
+                            $(if v > $max {
+                                return Err(WireError::Malformed("announced length exceeds its cap"));
+                            })?
+                            v
+                        })*
+                    },)*
+                    _ => return Err(WireError::Malformed($unknown)),
+                })
+            }
+        }
+
+        #[cfg(test)]
+        impl $name {
+            /// One value of every variant, each field its type's `i`-th
+            /// test sample (capped fields clamped to their cap).
+            fn samples(i: usize) -> Vec<$name> {
+                vec![$($name::$variant {
+                    $first: tests::Sample::sample(i)
+                    $(, $field: {
+                        let v = <$ty as tests::Sample>::sample(i);
+                        $(let v = v.min($max);)?
+                        v
+                    })*
+                }),*]
+            }
+        }
+    };
+}
+
+wire_enum! {
+    /// A query request, as carried inside [`Frame::Request`].
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub enum Request (unknown tag: "unknown request kind") {
+        /// §6.3 time-window query against the live analysis program.
+        0 => TimeWindows { port: u16, from: u64, to: u64 },
+        /// §5 queue-monitor (original-culprit) query against live state.
+        1 => QueueMonitor { port: u16, at: u64 },
+        /// Time-window query replayed from the `.pqa` archive; `d` is the
+        /// coefficient delay parameter (matches `replay-query --d`).
+        2 => Replay { port: u16, from: u64, to: u64, d: u64 },
+        /// Per-flow RTT report over `[from, to]`, merged from the server's
+        /// RTT measurements (live hook reports and/or archive spill
+        /// segments). `max_flows` bounds the per-flow list in the answer
+        /// (0 = unlimited); truncation is applied only by the hop that
+        /// answers the client, so a router scatters with 0 and truncates
+        /// after its merge — keeping routed answers bit-identical to a
+        /// single daemon holding all the data.
+        3 => Rtt { port: u16, from: u64, to: u64, max_flows: u32 },
+    }
+}
+
+impl Request {
+    /// The `kind` label this request reports under in `pq_serve_*` metrics.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Request::TimeWindows { .. } => "time_windows",
+            Request::QueueMonitor { .. } => "queue_monitor",
+            Request::Replay { .. } => "replay",
+            Request::Rtt { .. } => "rtt",
+        }
+    }
+
+    /// The port the request targets.
+    pub fn port(&self) -> u16 {
+        match self {
+            Request::TimeWindows { port, .. }
+            | Request::QueueMonitor { port, .. }
+            | Request::Replay { port, .. }
+            | Request::Rtt { port, .. } => *port,
+        }
+    }
+}
+
+wire_enum! {
+    /// One protocol frame. This table is the normative layout of every
+    /// frame body: client frames carry tags below `0x80`, server frames
+    /// `0x80` and above.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Frame (unknown tag: "unknown frame type") {
+        // -- client → server -------------------------------------------------
+        /// Connection opener: highest version spoken, receive frame cap.
+        0x01 => Hello { version: u16, max_frame: u32 },
+        /// A query; `id` is echoed in every frame of the response. `trace`
+        /// carries the caller's trace context when tracing is on; `None`
+        /// encodes zero extra bytes.
+        0x02 => Request { id: u64, req: Request, trace: Option<TraceContext> },
+        /// Ask for the server's Prometheus text exposition.
+        0x03 => MetricsReq { id: u64 },
+        /// Ask the server to drain in-flight queries and exit.
+        0x04 => ShutdownReq { id: u64 },
+        /// Ask for the server's health self-report.
+        0x05 => HealthReq { id: u64 },
+        /// Ask for one structured metrics snapshot (streamed like a
+        /// subscription update with `seq` 0 and `last` set).
+        0x06 => MetricsGet { id: u64 },
+        /// Subscribe to periodic metrics updates every `interval_ms`;
+        /// `max_updates` 0 means unbounded (until shutdown or disconnect).
+        0x07 => MetricsSubscribe { id: u64, interval_ms: u32, max_updates: u32 },
+        /// Ask for the serving topology: a router answers with its backend
+        /// set, a lone daemon with a one-entry map describing itself.
+        0x08 => ShardMapReq { id: u64 },
+        /// Register a standing continuous query. `query` is the text form
+        /// parsed by `pq-stream`; `cap` bounds per-window summary state
+        /// (clamped to [`ENTRIES_PER_FRAME`]); `max_windows` 0 means
+        /// unbounded, otherwise the subscription ends after that many
+        /// *fired* windows; `stop_after_seal` ends it once the source is
+        /// exhausted and every window has closed (CI one-shot mode).
+        0x09 => StandingQueryReq {
+            id: u64,
+            cap: u32,
+            max_windows: u32,
+            stop_after_seal: bool,
+            query: String,
+            trace: Option<TraceContext>,
+        },
+        /// Cancel the standing subscription registered under `sub`; the
+        /// server answers with a final `last=true` result frame on `sub`.
+        0x0A => StandingQueryCancel { id: u64, sub: u64 },
+        /// Ask for the server's recent completed traces (newest first),
+        /// `max`-bounded; `slow_only` restricts to the slow-query log.
+        0x0B => TraceDumpReq { id: u64, max: u32, slow_only: bool },
+        /// Ask for the server's profile dump (scopes, locks, sampled
+        /// stacks). Per-process like `TraceDumpReq` in spirit — but a
+        /// router answers with the *merged* dump of all its live backends,
+        /// its own profile excluded, so one request profiles the fleet.
+        0x0C => ProfileDumpReq { id: u64 },
+
+        // -- server → client -------------------------------------------------
+        /// Accepted version and frame cap (`min` of both sides).
+        0x81 => HelloAck { version: u16, max_frame: u32 },
+        /// Start of a time-window answer: totals for the chunks that follow.
+        /// `trace` echoes the request's context iff the request carried one.
+        0x82 => ResultHeader {
+            id: u64,
+            degraded: bool,
+            /// Checkpoints the serving side holds for the port (the local
+            /// query path prints this; carrying it keeps output identical).
+            checkpoints: u64,
+            flows: u32,
+            gaps: u32,
+            trace: Option<TraceContext>,
+        },
+        /// Up to [`ENTRIES_PER_FRAME`] per-flow estimates (`f64` bits).
+        0x83 => ResultFlows { id: u64, flows: Vec<(FlowId, f64)> },
+        /// Up to [`ENTRIES_PER_FRAME`] coverage gaps.
+        0x84 => ResultGaps { id: u64, gaps: Vec<CoverageGap> },
+        /// End of a streamed answer.
+        0x85 => ResultEnd { id: u64 },
+        /// Start of a queue-monitor answer. `trace` echoes the request's
+        /// context iff the request carried one.
+        0x86 => MonitorHeader {
+            id: u64,
+            degraded: bool,
+            frozen_at: u64,
+            staleness: u64,
+            counts: u32,
+            gaps: u32,
+            trace: Option<TraceContext>,
+        },
+        /// Up to [`ENTRIES_PER_FRAME`] original-culprit counts.
+        0x87 => MonitorCounts { id: u64, counts: Vec<(FlowId, u64)> },
+        /// Typed failure, with the coverage-gap summary the local path would
+        /// have seen (so degraded-query semantics survive the wire). `id` 0
+        /// marks a connection-level failure (bad framing, a stopping router).
+        0x88 => Error { id: u64, code: ErrorCode, gaps: Vec<CoverageGap>, message: String },
+        /// Load shed: retry after the given backoff. `id` 0 means the whole
+        /// connection was refused at accept time.
+        0x89 => Busy { id: u64, retry_after_ms: u32 },
+        /// Prometheus text exposition.
+        0x8A => MetricsText { id: u64, text: String },
+        /// Shutdown acknowledged; the server drains and exits.
+        0x8B => ShutdownAck { id: u64 },
+        /// Health self-report.
+        0x8C => HealthAck { id: u64, health: HealthInfo },
+        /// Start of one metrics update: `seq` counts updates on this
+        /// subscription, `t_ns` is the server clock, `total` the sample count
+        /// across the chunks that follow, `last` marks the final update of a
+        /// subscription (shutdown drain or `max_updates` reached).
+        0x8D => MetricsHeader { id: u64, seq: u64, t_ns: u64, total: u32, last: bool },
+        /// Up to [`METRIC_SAMPLES_PER_FRAME`] metric samples. Terminated by
+        /// `ResultEnd`, like every streamed answer.
+        0x8E => MetricsChunk { id: u64, samples: Vec<WireSample> },
+        /// The serving topology (answer to `ShardMapReq`).
+        0x8F => ShardMapAck { id: u64, map: ShardMap },
+        /// Standing query admitted: `query` echoes the canonical form the
+        /// evaluator actually runs, `cap` the effective (clamped) summary
+        /// cap. Results follow asynchronously under the same `id`. `trace`
+        /// echoes the registration's context iff it carried one.
+        0x90 => StandingQueryAck { id: u64, cap: u32, query: String, trace: Option<TraceContext> },
+        /// One closed window on a standing subscription (`id` is the
+        /// registering request's id).
+        0x91 => StandingQueryResult { id: u64, result: Box<StreamResult> },
+        /// Acknowledges a `MetricsSubscribe` with the *effective* interval
+        /// and update budget after server-side clamping, so operators are
+        /// never misled about the cadence they actually get.
+        0x92 => SubscribeAck { id: u64, interval_ms: u32, max_updates: u32 },
+        /// Recent completed traces, newest first (answer to `TraceDumpReq`).
+        /// Per-process: a router answers with its own traces, not its
+        /// backends' — `pqsim trace` stitches dumps from several addresses.
+        0x93 => TraceDumpAck { id: u64, traces: Vec<Trace> },
+        /// Start of an RTT answer: the report travels as the `pq-rtt`
+        /// canonical encoding, split into [`Frame::RttChunk`] blobs of at
+        /// most [`RTT_BYTES_PER_FRAME`] bytes and terminated by
+        /// `ResultEnd`. `total` is the byte length of the full encoding
+        /// (capped by [`MAX_RTT_REPORT_LEN`]); `degraded` reports
+        /// bounded-memory loss (collisions, evictions, sample clips) or a
+        /// `max_flows` truncation. Validation of the payload itself lives
+        /// in the `pq-rtt` codec, which the client runs on the reassembled
+        /// bytes. `trace` echoes the request's context iff it carried one.
+        0x94 => RttHeader {
+            id: u64,
+            degraded: bool,
+            total: u32 [MAX_RTT_REPORT_LEN],
+            trace: Option<TraceContext>,
+        },
+        /// One bounded slice of an encoded RTT report.
+        0x95 => RttChunk { id: u64, bytes: Vec<u8> },
+        /// Start of a profile-dump answer: the report travels as the
+        /// `pq-prof` canonical encoding, split into [`Frame::ProfChunk`]
+        /// blobs of at most [`PROF_BYTES_PER_FRAME`] bytes and terminated
+        /// by `ResultEnd`. `total` is the byte length of the full encoding
+        /// (capped by [`MAX_PROF_DUMP_LEN`]); payload validation lives in
+        /// the `pq-prof` codec, which the client runs on the reassembled
+        /// bytes.
+        0x96 => ProfHeader { id: u64, total: u32 [MAX_PROF_DUMP_LEN] },
+        /// One bounded slice of an encoded profile dump.
+        0x97 => ProfChunk { id: u64, bytes: Vec<u8> },
+    }
+}
+
+impl Frame {
+    /// A typed failure with no coverage-gap summary.
+    pub fn error(id: u64, code: ErrorCode, message: &str) -> Frame {
+        Frame::Error {
+            id,
+            code,
+            gaps: Vec::new(),
+            message: message.to_string(),
         }
     }
 }
@@ -714,378 +1233,18 @@ fn put_sample(out: &mut Vec<u8>, sample: &WireSample) {
 /// Encode a frame body (type byte + payload), without the length prefix.
 pub fn encode_body(frame: &Frame) -> Vec<u8> {
     let mut out = Vec::with_capacity(32);
-    match frame {
-        Frame::Hello { version, max_frame } => {
-            out.push(0x01);
-            put_u16(&mut out, *version);
-            put_u32(&mut out, *max_frame);
-        }
-        Frame::Request { id, req, trace } => {
-            out.push(0x02);
-            put_u64(&mut out, *id);
-            match req {
-                Request::TimeWindows { port, from, to } => {
-                    out.push(0);
-                    put_u16(&mut out, *port);
-                    put_u64(&mut out, *from);
-                    put_u64(&mut out, *to);
-                }
-                Request::QueueMonitor { port, at } => {
-                    out.push(1);
-                    put_u16(&mut out, *port);
-                    put_u64(&mut out, *at);
-                }
-                Request::Replay { port, from, to, d } => {
-                    out.push(2);
-                    put_u16(&mut out, *port);
-                    put_u64(&mut out, *from);
-                    put_u64(&mut out, *to);
-                    put_u64(&mut out, *d);
-                }
-                Request::Rtt {
-                    port,
-                    from,
-                    to,
-                    max_flows,
-                } => {
-                    out.push(3);
-                    put_u16(&mut out, *port);
-                    put_u64(&mut out, *from);
-                    put_u64(&mut out, *to);
-                    put_u32(&mut out, *max_flows);
-                }
-            }
-            put_trace_ext(&mut out, trace);
-        }
-        Frame::MetricsReq { id } => {
-            out.push(0x03);
-            put_u64(&mut out, *id);
-        }
-        Frame::ShutdownReq { id } => {
-            out.push(0x04);
-            put_u64(&mut out, *id);
-        }
-        Frame::HealthReq { id } => {
-            out.push(0x05);
-            put_u64(&mut out, *id);
-        }
-        Frame::MetricsGet { id } => {
-            out.push(0x06);
-            put_u64(&mut out, *id);
-        }
-        Frame::MetricsSubscribe {
-            id,
-            interval_ms,
-            max_updates,
-        } => {
-            out.push(0x07);
-            put_u64(&mut out, *id);
-            put_u32(&mut out, *interval_ms);
-            put_u32(&mut out, *max_updates);
-        }
-        Frame::ShardMapReq { id } => {
-            out.push(0x08);
-            put_u64(&mut out, *id);
-        }
-        Frame::StandingQueryReq {
-            id,
-            cap,
-            max_windows,
-            stop_after_seal,
-            query,
-            trace,
-        } => {
-            out.push(0x09);
-            put_u64(&mut out, *id);
-            put_u32(&mut out, *cap);
-            put_u32(&mut out, *max_windows);
-            out.push(u8::from(*stop_after_seal));
-            put_string(&mut out, query);
-            put_trace_ext(&mut out, trace);
-        }
-        Frame::StandingQueryCancel { id, sub } => {
-            out.push(0x0A);
-            put_u64(&mut out, *id);
-            put_u64(&mut out, *sub);
-        }
-        Frame::TraceDumpReq { id, max, slow_only } => {
-            out.push(0x0B);
-            put_u64(&mut out, *id);
-            put_u32(&mut out, *max);
-            out.push(u8::from(*slow_only));
-        }
-        Frame::ProfileDumpReq { id } => {
-            out.push(0x0C);
-            put_u64(&mut out, *id);
-        }
-        Frame::HelloAck { version, max_frame } => {
-            out.push(0x81);
-            put_u16(&mut out, *version);
-            put_u32(&mut out, *max_frame);
-        }
-        Frame::ResultHeader {
-            id,
-            degraded,
-            checkpoints,
-            flows,
-            gaps,
-            trace,
-        } => {
-            out.push(0x82);
-            put_u64(&mut out, *id);
-            out.push(u8::from(*degraded));
-            put_u64(&mut out, *checkpoints);
-            put_u32(&mut out, *flows);
-            put_u32(&mut out, *gaps);
-            put_trace_ext(&mut out, trace);
-        }
-        Frame::ResultFlows { id, flows } => {
-            out.push(0x83);
-            put_u64(&mut out, *id);
-            put_u32(&mut out, flows.len() as u32);
-            for (flow, est) in flows {
-                put_u32(&mut out, flow.0);
-                put_u64(&mut out, est.to_bits());
-            }
-        }
-        Frame::ResultGaps { id, gaps } => {
-            out.push(0x84);
-            put_u64(&mut out, *id);
-            put_u32(&mut out, gaps.len() as u32);
-            for g in gaps {
-                put_u64(&mut out, g.from);
-                put_u64(&mut out, g.to);
-            }
-        }
-        Frame::ResultEnd { id } => {
-            out.push(0x85);
-            put_u64(&mut out, *id);
-        }
-        Frame::MonitorHeader {
-            id,
-            degraded,
-            frozen_at,
-            staleness,
-            counts,
-            gaps,
-            trace,
-        } => {
-            out.push(0x86);
-            put_u64(&mut out, *id);
-            out.push(u8::from(*degraded));
-            put_u64(&mut out, *frozen_at);
-            put_u64(&mut out, *staleness);
-            put_u32(&mut out, *counts);
-            put_u32(&mut out, *gaps);
-            put_trace_ext(&mut out, trace);
-        }
-        Frame::MonitorCounts { id, counts } => {
-            out.push(0x87);
-            put_u64(&mut out, *id);
-            put_u32(&mut out, counts.len() as u32);
-            for (flow, n) in counts {
-                put_u32(&mut out, flow.0);
-                put_u64(&mut out, *n);
-            }
-        }
-        Frame::Error {
-            id,
-            code,
-            gaps,
-            message,
-        } => {
-            out.push(0x88);
-            put_u64(&mut out, *id);
-            put_u16(&mut out, code.to_u16());
-            put_u32(&mut out, gaps.len() as u32);
-            for g in gaps {
-                put_u64(&mut out, g.from);
-                put_u64(&mut out, g.to);
-            }
-            put_u32(&mut out, message.len() as u32);
-            out.extend_from_slice(message.as_bytes());
-        }
-        Frame::Busy { id, retry_after_ms } => {
-            out.push(0x89);
-            put_u64(&mut out, *id);
-            put_u32(&mut out, *retry_after_ms);
-        }
-        Frame::MetricsText { id, text } => {
-            out.push(0x8A);
-            put_u64(&mut out, *id);
-            put_u32(&mut out, text.len() as u32);
-            out.extend_from_slice(text.as_bytes());
-        }
-        Frame::ShutdownAck { id } => {
-            out.push(0x8B);
-            put_u64(&mut out, *id);
-        }
-        Frame::HealthAck { id, health } => {
-            out.push(0x8C);
-            put_u64(&mut out, *id);
-            put_u64(&mut out, health.uptime_ns);
-            put_u32(&mut out, health.workers);
-            put_u32(&mut out, health.busy_workers);
-            put_u32(&mut out, health.queue_depth);
-            put_u32(&mut out, health.queue_cap);
-            put_u32(&mut out, health.active_conns);
-            put_u32(&mut out, health.max_conns);
-            put_u32(&mut out, health.subscribers);
-            out.push(u8::from(health.draining));
-            put_string(&mut out, &health.version);
-            put_string(&mut out, &health.commit);
-            put_string(&mut out, &health.shard);
-        }
-        Frame::MetricsHeader {
-            id,
-            seq,
-            t_ns,
-            total,
-            last,
-        } => {
-            out.push(0x8D);
-            put_u64(&mut out, *id);
-            put_u64(&mut out, *seq);
-            put_u64(&mut out, *t_ns);
-            put_u32(&mut out, *total);
-            out.push(u8::from(*last));
-        }
-        Frame::MetricsChunk { id, samples } => {
-            out.push(0x8E);
-            put_u64(&mut out, *id);
-            put_u32(&mut out, samples.len() as u32);
-            for s in samples {
-                put_sample(&mut out, s);
-            }
-        }
-        Frame::ShardMapAck { id, map } => {
-            out.push(0x8F);
-            put_u64(&mut out, *id);
-            put_u64(&mut out, map.generation);
-            put_u32(&mut out, map.replication);
-            put_u64(&mut out, map.epoch_ns);
-            debug_assert!(map.backends.len() <= MAX_BACKENDS_PER_MAP);
-            put_u32(&mut out, map.backends.len() as u32);
-            for b in &map.backends {
-                put_string(&mut out, &b.shard);
-                put_string(&mut out, &b.addr);
-                out.push(u8::from(b.healthy));
-            }
-        }
-        Frame::StandingQueryAck {
-            id,
-            cap,
-            query,
-            trace,
-        } => {
-            out.push(0x90);
-            put_u64(&mut out, *id);
-            put_u32(&mut out, *cap);
-            put_string(&mut out, query);
-            put_trace_ext(&mut out, trace);
-        }
-        Frame::StandingQueryResult { id, result } => {
-            out.push(0x91);
-            put_u64(&mut out, *id);
-            put_u64(&mut out, result.seq);
-            put_u64(&mut out, result.watermark_ns);
-            put_u16(&mut out, result.port);
-            put_u64(&mut out, result.from);
-            put_u64(&mut out, result.to);
-            let flags = u8::from(result.fired)
-                | u8::from(result.forced) << 1
-                | u8::from(result.degraded) << 2
-                | u8::from(result.last) << 3;
-            out.push(flags);
-            put_u64(&mut out, result.max);
-            put_u64(&mut out, result.min);
-            put_u64(&mut out, result.sum);
-            put_u64(&mut out, result.count);
-            put_u64(&mut out, result.last_t);
-            put_u64(&mut out, result.last_depth);
-            debug_assert!(result.flows.len() <= ENTRIES_PER_FRAME);
-            put_u32(&mut out, result.flows.len() as u32);
-            for (flow, est) in &result.flows {
-                put_u32(&mut out, flow.0);
-                put_u64(&mut out, est.to_bits());
-            }
-            put_u64(&mut out, result.evictions);
-            put_u64(&mut out, result.evicted_weight.to_bits());
-            put_u32(&mut out, result.gaps.len() as u32);
-            for g in &result.gaps {
-                put_u64(&mut out, g.from);
-                put_u64(&mut out, g.to);
-            }
-            put_rtt_suffix(&mut out, &result.rtt);
-        }
-        Frame::SubscribeAck {
-            id,
-            interval_ms,
-            max_updates,
-        } => {
-            out.push(0x92);
-            put_u64(&mut out, *id);
-            put_u32(&mut out, *interval_ms);
-            put_u32(&mut out, *max_updates);
-        }
-        Frame::TraceDumpAck { id, traces } => {
-            out.push(0x93);
-            put_u64(&mut out, *id);
-            debug_assert!(traces.len() <= MAX_TRACES_PER_DUMP);
-            put_u32(&mut out, traces.len() as u32);
-            for t in traces {
-                put_u128(&mut out, t.trace_id);
-                put_u64(&mut out, t.root_span);
-                put_u64(&mut out, t.duration_ns);
-                out.push(u8::from(t.slow));
-                debug_assert!(t.spans.len() <= MAX_SPANS_PER_TRACE);
-                put_u32(&mut out, t.spans.len() as u32);
-                for s in &t.spans {
-                    put_u64(&mut out, s.span_id);
-                    put_u64(&mut out, s.parent_span);
-                    put_u64(&mut out, s.start_ns);
-                    put_u64(&mut out, s.end_ns);
-                    put_string(&mut out, &s.name);
-                    put_string(&mut out, &s.process);
-                    put_string(&mut out, &s.tag);
-                }
-            }
-        }
-        Frame::RttHeader {
-            id,
-            degraded,
-            total,
-            trace,
-        } => {
-            out.push(0x94);
-            put_u64(&mut out, *id);
-            out.push(u8::from(*degraded));
-            debug_assert!(*total <= MAX_RTT_REPORT_LEN);
-            put_u32(&mut out, *total);
-            put_trace_ext(&mut out, trace);
-        }
-        Frame::RttChunk { id, bytes } => {
-            out.push(0x95);
-            put_u64(&mut out, *id);
-            debug_assert!(bytes.len() <= RTT_BYTES_PER_FRAME);
-            put_u32(&mut out, bytes.len() as u32);
-            out.extend_from_slice(bytes);
-        }
-        Frame::ProfHeader { id, total } => {
-            out.push(0x96);
-            put_u64(&mut out, *id);
-            debug_assert!(*total <= MAX_PROF_DUMP_LEN);
-            put_u32(&mut out, *total);
-        }
-        Frame::ProfChunk { id, bytes } => {
-            out.push(0x97);
-            put_u64(&mut out, *id);
-            debug_assert!(bytes.len() <= PROF_BYTES_PER_FRAME);
-            put_u32(&mut out, bytes.len() as u32);
-            out.extend_from_slice(bytes);
-        }
-    }
+    frame.put(&mut out);
     out
+}
+
+/// Decode a frame body (type byte + payload). Trailing bytes are a
+/// protocol violation — a frame is exactly its declared fields.
+pub fn decode_body(mut body: &[u8]) -> Result<Frame, WireError> {
+    let frame = Frame::get(&mut body)?;
+    if !body.is_empty() {
+        return Err(WireError::Malformed("trailing bytes after frame"));
+    }
+    Ok(frame)
 }
 
 /// Write one length-prefixed frame.
@@ -1094,684 +1253,6 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
     debug_assert!(body.len() as u32 <= MAX_FRAME_LEN, "oversized frame built");
     w.write_all(&(body.len() as u32).to_le_bytes())?;
     w.write_all(&body)
-}
-
-// -- decoding ---------------------------------------------------------------
-
-fn get_u8(cur: &mut &[u8]) -> Result<u8, WireError> {
-    let (&v, rest) = cur
-        .split_first()
-        .ok_or(WireError::Malformed("truncated u8"))?;
-    *cur = rest;
-    Ok(v)
-}
-
-fn get_u16(cur: &mut &[u8]) -> Result<u16, WireError> {
-    if cur.len() < 2 {
-        return Err(WireError::Malformed("truncated u16"));
-    }
-    let (head, rest) = cur.split_at(2);
-    *cur = rest;
-    Ok(u16::from_le_bytes(head.try_into().unwrap()))
-}
-
-fn get_u32(cur: &mut &[u8]) -> Result<u32, WireError> {
-    if cur.len() < 4 {
-        return Err(WireError::Malformed("truncated u32"));
-    }
-    let (head, rest) = cur.split_at(4);
-    *cur = rest;
-    Ok(u32::from_le_bytes(head.try_into().unwrap()))
-}
-
-fn get_u64(cur: &mut &[u8]) -> Result<u64, WireError> {
-    if cur.len() < 8 {
-        return Err(WireError::Malformed("truncated u64"));
-    }
-    let (head, rest) = cur.split_at(8);
-    *cur = rest;
-    Ok(u64::from_le_bytes(head.try_into().unwrap()))
-}
-
-fn get_u128(cur: &mut &[u8]) -> Result<u128, WireError> {
-    if cur.len() < 16 {
-        return Err(WireError::Malformed("truncated u128"));
-    }
-    let (head, rest) = cur.split_at(16);
-    *cur = rest;
-    Ok(u128::from_le_bytes(head.try_into().unwrap()))
-}
-
-/// Parse the optional trace-context extension at the end of a frame.
-///
-/// All-or-nothing: either the remaining bytes are empty (`None`), or they
-/// are exactly one well-formed extension block. Anything else is left in
-/// the cursor for the trailing-bytes check to reject, except a magic-led
-/// block with unknown flag bits, which fails here — accepting it would
-/// break re-encode bit-identity.
-fn get_trace_ext(cur: &mut &[u8]) -> Result<Option<TraceContext>, WireError> {
-    if cur.len() != TRACE_EXT_LEN || cur[0] != TRACE_EXT_MAGIC {
-        return Ok(None);
-    }
-    let _magic = get_u8(cur)?;
-    let flags = get_u8(cur)?;
-    if flags & !0x01 != 0 {
-        return Err(WireError::Malformed("unknown trace-context flags"));
-    }
-    let trace_id = get_u128(cur)?;
-    let parent_span = get_u64(cur)?;
-    Ok(Some(TraceContext {
-        trace_id,
-        parent_span,
-        sampled: flags & 1 != 0,
-    }))
-}
-
-/// Validate a collection count against the bytes actually present, the
-/// `DecodeBudget` rule: never size an allocation off a claimed count the
-/// input cannot back.
-fn checked_count(cur: &[u8], claimed: u32, entry_bytes: usize) -> Result<usize, WireError> {
-    let n = claimed as usize;
-    if n > ENTRIES_PER_FRAME {
-        return Err(WireError::Malformed("chunk exceeds entries-per-frame cap"));
-    }
-    if n.saturating_mul(entry_bytes) > cur.len() {
-        return Err(WireError::Malformed("count exceeds bytes present"));
-    }
-    Ok(n)
-}
-
-fn get_gaps(cur: &mut &[u8], n: u32) -> Result<Vec<CoverageGap>, WireError> {
-    let n = checked_count(cur, n, 16)?;
-    let mut gaps = Vec::with_capacity(n);
-    for _ in 0..n {
-        let from = get_u64(cur)?;
-        let to = get_u64(cur)?;
-        gaps.push(CoverageGap { from, to });
-    }
-    Ok(gaps)
-}
-
-/// Parse the optional RTT-aggregate suffix.
-///
-/// All-or-nothing, like [`get_trace_ext`]: an absent suffix decodes as
-/// the empty aggregate with nothing consumed (bytes that don't start
-/// with the magic are left for the trailing-bytes check to reject); a
-/// magic-led suffix must be fully well-formed. Every invariant the
-/// encoder maintains is enforced — nonzero count, `min ≤ max`, bucket
-/// indices strictly ascending with nonzero counts summing to `count` —
-/// so a decoded suffix always re-encodes bit-identically.
-fn get_rtt_suffix(cur: &mut &[u8]) -> Result<RttAgg, WireError> {
-    if cur.first() != Some(&RTT_SUFFIX_MAGIC) {
-        return Ok(RttAgg::default());
-    }
-    let _magic = get_u8(cur)?;
-    let count = get_u64(cur)?;
-    if count == 0 {
-        return Err(WireError::Malformed("empty rtt suffix must be absent"));
-    }
-    let sum = get_u64(cur)?;
-    let min = get_u64(cur)?;
-    let max = get_u64(cur)?;
-    if min > max {
-        return Err(WireError::Malformed("rtt suffix min exceeds max"));
-    }
-    let last_t = get_u64(cur)?;
-    let last_rtt = get_u64(cur)?;
-    let nbuckets = get_u8(cur)? as usize;
-    if nbuckets == 0 || nbuckets > RTT_BUCKETS {
-        return Err(WireError::Malformed("rtt suffix bucket count out of range"));
-    }
-    if nbuckets.saturating_mul(9) > cur.len() {
-        return Err(WireError::Malformed("count exceeds bytes present"));
-    }
-    let mut buckets = [0u64; RTT_BUCKETS];
-    let mut total = 0u64;
-    let mut prev: Option<u8> = None;
-    for _ in 0..nbuckets {
-        let i = get_u8(cur)?;
-        if i as usize >= RTT_BUCKETS {
-            return Err(WireError::Malformed("rtt suffix bucket index out of range"));
-        }
-        if prev.is_some_and(|p| i <= p) {
-            return Err(WireError::Malformed("rtt suffix buckets not ascending"));
-        }
-        prev = Some(i);
-        let n = get_u64(cur)?;
-        if n == 0 {
-            return Err(WireError::Malformed("rtt suffix carries an empty bucket"));
-        }
-        buckets[i as usize] = n;
-        total = total
-            .checked_add(n)
-            .ok_or(WireError::Malformed("rtt suffix bucket counts overflow"))?;
-    }
-    if total != count {
-        return Err(WireError::Malformed(
-            "rtt suffix bucket counts disagree with count",
-        ));
-    }
-    Ok(RttAgg {
-        count,
-        sum,
-        min,
-        max,
-        last_t,
-        last_rtt,
-        buckets,
-    })
-}
-
-fn get_string(cur: &mut &[u8], what: &'static str) -> Result<String, WireError> {
-    let len = get_u32(cur)? as usize;
-    if len > cur.len() {
-        return Err(WireError::Malformed("string length exceeds bytes present"));
-    }
-    let (head, rest) = cur.split_at(len);
-    let s = std::str::from_utf8(head)
-        .map_err(|_| WireError::Malformed(what))?
-        .to_string();
-    *cur = rest;
-    Ok(s)
-}
-
-fn get_sample(cur: &mut &[u8]) -> Result<WireSample, WireError> {
-    let name = get_string(cur, "metric name not utf-8")?;
-    if name.is_empty() {
-        return Err(WireError::Malformed("empty metric name"));
-    }
-    let nlabels = get_u8(cur)? as usize;
-    if nlabels > MAX_LABELS_PER_SAMPLE {
-        return Err(WireError::Malformed("too many labels on a sample"));
-    }
-    let mut labels = Vec::with_capacity(nlabels);
-    for _ in 0..nlabels {
-        let k = get_string(cur, "label name not utf-8")?;
-        let v = get_string(cur, "label value not utf-8")?;
-        labels.push((k, v));
-    }
-    let value = match get_u8(cur)? {
-        0 => WireValue::Counter(get_u64(cur)?),
-        1 => WireValue::Gauge(get_u64(cur)?),
-        2 => {
-            let count = get_u64(cur)?;
-            let sum = get_u64(cur)?;
-            let min = get_u64(cur)?;
-            let max = get_u64(cur)?;
-            let nbuckets = get_u8(cur)? as usize;
-            if nbuckets > NUM_BUCKETS {
-                return Err(WireError::Malformed(
-                    "histogram bucket count exceeds schema",
-                ));
-            }
-            if nbuckets.saturating_mul(9) > cur.len() {
-                return Err(WireError::Malformed("count exceeds bytes present"));
-            }
-            let mut buckets = Vec::with_capacity(nbuckets);
-            for _ in 0..nbuckets {
-                let i = get_u8(cur)?;
-                if i as usize >= NUM_BUCKETS {
-                    return Err(WireError::Malformed("histogram bucket index out of range"));
-                }
-                let n = get_u64(cur)?;
-                buckets.push((i, n));
-            }
-            let nex = get_u8(cur)? as usize;
-            if nex > NUM_BUCKETS {
-                return Err(WireError::Malformed(
-                    "histogram exemplar count exceeds schema",
-                ));
-            }
-            if nex.saturating_mul(25) > cur.len() {
-                return Err(WireError::Malformed("count exceeds bytes present"));
-            }
-            let mut exemplars = Vec::with_capacity(nex);
-            for _ in 0..nex {
-                let bucket = get_u8(cur)?;
-                if bucket as usize >= NUM_BUCKETS {
-                    return Err(WireError::Malformed("exemplar bucket index out of range"));
-                }
-                let trace_id = get_u128(cur)?;
-                let value = get_u64(cur)?;
-                exemplars.push(BucketExemplar {
-                    bucket,
-                    trace_id,
-                    value,
-                });
-            }
-            WireValue::Histogram {
-                count,
-                sum,
-                min,
-                max,
-                buckets,
-                exemplars,
-            }
-        }
-        _ => return Err(WireError::Malformed("unknown metric value kind")),
-    };
-    Ok(WireSample {
-        name,
-        labels,
-        value,
-    })
-}
-
-/// Decode a frame body (type byte + payload). Trailing bytes are a
-/// protocol violation — a frame is exactly its declared fields.
-pub fn decode_body(mut body: &[u8]) -> Result<Frame, WireError> {
-    let cur = &mut body;
-    let ty = get_u8(cur)?;
-    let frame = match ty {
-        0x01 => Frame::Hello {
-            version: get_u16(cur)?,
-            max_frame: get_u32(cur)?,
-        },
-        0x02 => {
-            let id = get_u64(cur)?;
-            let kind = get_u8(cur)?;
-            let req = match kind {
-                0 => Request::TimeWindows {
-                    port: get_u16(cur)?,
-                    from: get_u64(cur)?,
-                    to: get_u64(cur)?,
-                },
-                1 => Request::QueueMonitor {
-                    port: get_u16(cur)?,
-                    at: get_u64(cur)?,
-                },
-                2 => Request::Replay {
-                    port: get_u16(cur)?,
-                    from: get_u64(cur)?,
-                    to: get_u64(cur)?,
-                    d: get_u64(cur)?,
-                },
-                3 => Request::Rtt {
-                    port: get_u16(cur)?,
-                    from: get_u64(cur)?,
-                    to: get_u64(cur)?,
-                    max_flows: get_u32(cur)?,
-                },
-                _ => return Err(WireError::Malformed("unknown request kind")),
-            };
-            let trace = get_trace_ext(cur)?;
-            Frame::Request { id, req, trace }
-        }
-        0x03 => Frame::MetricsReq { id: get_u64(cur)? },
-        0x04 => Frame::ShutdownReq { id: get_u64(cur)? },
-        0x05 => Frame::HealthReq { id: get_u64(cur)? },
-        0x06 => Frame::MetricsGet { id: get_u64(cur)? },
-        0x07 => Frame::MetricsSubscribe {
-            id: get_u64(cur)?,
-            interval_ms: get_u32(cur)?,
-            max_updates: get_u32(cur)?,
-        },
-        0x08 => Frame::ShardMapReq { id: get_u64(cur)? },
-        0x09 => Frame::StandingQueryReq {
-            id: get_u64(cur)?,
-            cap: get_u32(cur)?,
-            max_windows: get_u32(cur)?,
-            stop_after_seal: get_u8(cur)? != 0,
-            query: get_string(cur, "standing query not utf-8")?,
-            trace: get_trace_ext(cur)?,
-        },
-        0x0A => Frame::StandingQueryCancel {
-            id: get_u64(cur)?,
-            sub: get_u64(cur)?,
-        },
-        0x0B => Frame::TraceDumpReq {
-            id: get_u64(cur)?,
-            max: get_u32(cur)?,
-            slow_only: get_u8(cur)? != 0,
-        },
-        0x0C => Frame::ProfileDumpReq { id: get_u64(cur)? },
-        0x81 => Frame::HelloAck {
-            version: get_u16(cur)?,
-            max_frame: get_u32(cur)?,
-        },
-        0x82 => Frame::ResultHeader {
-            id: get_u64(cur)?,
-            degraded: get_u8(cur)? != 0,
-            checkpoints: get_u64(cur)?,
-            flows: get_u32(cur)?,
-            gaps: get_u32(cur)?,
-            trace: get_trace_ext(cur)?,
-        },
-        0x83 => {
-            let id = get_u64(cur)?;
-            let n = get_u32(cur)?;
-            let n = checked_count(cur, n, 12)?;
-            let mut flows = Vec::with_capacity(n);
-            for _ in 0..n {
-                let flow = FlowId(get_u32(cur)?);
-                let est = f64::from_bits(get_u64(cur)?);
-                flows.push((flow, est));
-            }
-            Frame::ResultFlows { id, flows }
-        }
-        0x84 => {
-            let id = get_u64(cur)?;
-            let n = get_u32(cur)?;
-            Frame::ResultGaps {
-                id,
-                gaps: get_gaps(cur, n)?,
-            }
-        }
-        0x85 => Frame::ResultEnd { id: get_u64(cur)? },
-        0x86 => Frame::MonitorHeader {
-            id: get_u64(cur)?,
-            degraded: get_u8(cur)? != 0,
-            frozen_at: get_u64(cur)?,
-            staleness: get_u64(cur)?,
-            counts: get_u32(cur)?,
-            gaps: get_u32(cur)?,
-            trace: get_trace_ext(cur)?,
-        },
-        0x87 => {
-            let id = get_u64(cur)?;
-            let n = get_u32(cur)?;
-            let n = checked_count(cur, n, 12)?;
-            let mut counts = Vec::with_capacity(n);
-            for _ in 0..n {
-                let flow = FlowId(get_u32(cur)?);
-                let count = get_u64(cur)?;
-                counts.push((flow, count));
-            }
-            Frame::MonitorCounts { id, counts }
-        }
-        0x88 => {
-            let id = get_u64(cur)?;
-            let code = ErrorCode::from_u16(get_u16(cur)?)?;
-            let ngaps = get_u32(cur)?;
-            let gaps = get_gaps(cur, ngaps)?;
-            let message = get_string(cur, "error message not utf-8")?;
-            Frame::Error {
-                id,
-                code,
-                gaps,
-                message,
-            }
-        }
-        0x89 => Frame::Busy {
-            id: get_u64(cur)?,
-            retry_after_ms: get_u32(cur)?,
-        },
-        0x8A => {
-            let id = get_u64(cur)?;
-            let text = get_string(cur, "metrics text not utf-8")?;
-            Frame::MetricsText { id, text }
-        }
-        0x8B => Frame::ShutdownAck { id: get_u64(cur)? },
-        0x8C => {
-            let id = get_u64(cur)?;
-            let uptime_ns = get_u64(cur)?;
-            let workers = get_u32(cur)?;
-            let busy_workers = get_u32(cur)?;
-            let queue_depth = get_u32(cur)?;
-            let queue_cap = get_u32(cur)?;
-            let active_conns = get_u32(cur)?;
-            let max_conns = get_u32(cur)?;
-            let subscribers = get_u32(cur)?;
-            let draining = get_u8(cur)? != 0;
-            let version = get_string(cur, "health version not utf-8")?;
-            let commit = get_string(cur, "health commit not utf-8")?;
-            let shard = get_string(cur, "health shard not utf-8")?;
-            Frame::HealthAck {
-                id,
-                health: HealthInfo {
-                    uptime_ns,
-                    workers,
-                    busy_workers,
-                    queue_depth,
-                    queue_cap,
-                    active_conns,
-                    max_conns,
-                    subscribers,
-                    draining,
-                    version,
-                    commit,
-                    shard,
-                },
-            }
-        }
-        0x8D => Frame::MetricsHeader {
-            id: get_u64(cur)?,
-            seq: get_u64(cur)?,
-            t_ns: get_u64(cur)?,
-            total: get_u32(cur)?,
-            last: get_u8(cur)? != 0,
-        },
-        0x8E => {
-            let id = get_u64(cur)?;
-            let n = get_u32(cur)? as usize;
-            if n > METRIC_SAMPLES_PER_FRAME {
-                return Err(WireError::Malformed("chunk exceeds samples-per-frame cap"));
-            }
-            // Minimum encoded sample: empty name (4) + label count (1) +
-            // kind (1) + scalar (8).
-            if n.saturating_mul(14) > cur.len() {
-                return Err(WireError::Malformed("count exceeds bytes present"));
-            }
-            let mut samples = Vec::with_capacity(n);
-            for _ in 0..n {
-                samples.push(get_sample(cur)?);
-            }
-            Frame::MetricsChunk { id, samples }
-        }
-        0x8F => {
-            let id = get_u64(cur)?;
-            let generation = get_u64(cur)?;
-            let replication = get_u32(cur)?;
-            let epoch_ns = get_u64(cur)?;
-            let n = get_u32(cur)? as usize;
-            if n > MAX_BACKENDS_PER_MAP {
-                return Err(WireError::Malformed("shard map exceeds backend cap"));
-            }
-            // Minimum encoded entry: two empty strings (4+4) + healthy (1).
-            if n.saturating_mul(9) > cur.len() {
-                return Err(WireError::Malformed("count exceeds bytes present"));
-            }
-            let mut backends = Vec::with_capacity(n);
-            for _ in 0..n {
-                let shard = get_string(cur, "shard id not utf-8")?;
-                let addr = get_string(cur, "backend addr not utf-8")?;
-                let healthy = get_u8(cur)? != 0;
-                backends.push(ShardMapEntry {
-                    shard,
-                    addr,
-                    healthy,
-                });
-            }
-            Frame::ShardMapAck {
-                id,
-                map: ShardMap {
-                    generation,
-                    replication,
-                    epoch_ns,
-                    backends,
-                },
-            }
-        }
-        0x90 => Frame::StandingQueryAck {
-            id: get_u64(cur)?,
-            cap: get_u32(cur)?,
-            query: get_string(cur, "standing query echo not utf-8")?,
-            trace: get_trace_ext(cur)?,
-        },
-        0x91 => {
-            let id = get_u64(cur)?;
-            let seq = get_u64(cur)?;
-            let watermark_ns = get_u64(cur)?;
-            let port = get_u16(cur)?;
-            let from = get_u64(cur)?;
-            let to = get_u64(cur)?;
-            let flags = get_u8(cur)?;
-            let max = get_u64(cur)?;
-            let min = get_u64(cur)?;
-            let sum = get_u64(cur)?;
-            let count = get_u64(cur)?;
-            let last_t = get_u64(cur)?;
-            let last_depth = get_u64(cur)?;
-            let nflows = get_u32(cur)?;
-            let nflows = checked_count(cur, nflows, 12)?;
-            let mut flows = Vec::with_capacity(nflows);
-            for _ in 0..nflows {
-                let flow = FlowId(get_u32(cur)?);
-                let est = f64::from_bits(get_u64(cur)?);
-                flows.push((flow, est));
-            }
-            let evictions = get_u64(cur)?;
-            let evicted_weight = f64::from_bits(get_u64(cur)?);
-            let ngaps = get_u32(cur)?;
-            let gaps = get_gaps(cur, ngaps)?;
-            let rtt = get_rtt_suffix(cur)?;
-            Frame::StandingQueryResult {
-                id,
-                result: Box::new(StreamResult {
-                    seq,
-                    watermark_ns,
-                    port,
-                    from,
-                    to,
-                    fired: flags & 1 != 0,
-                    forced: flags & 2 != 0,
-                    degraded: flags & 4 != 0,
-                    last: flags & 8 != 0,
-                    max,
-                    min,
-                    sum,
-                    count,
-                    last_t,
-                    last_depth,
-                    flows,
-                    evictions,
-                    evicted_weight,
-                    gaps,
-                    rtt,
-                }),
-            }
-        }
-        0x92 => Frame::SubscribeAck {
-            id: get_u64(cur)?,
-            interval_ms: get_u32(cur)?,
-            max_updates: get_u32(cur)?,
-        },
-        0x93 => {
-            let id = get_u64(cur)?;
-            let n = get_u32(cur)? as usize;
-            if n > MAX_TRACES_PER_DUMP {
-                return Err(WireError::Malformed("trace dump exceeds trace cap"));
-            }
-            // Minimum encoded trace: trace_id (16) + root span (8) +
-            // duration (8) + slow (1) + span count (4).
-            if n.saturating_mul(37) > cur.len() {
-                return Err(WireError::Malformed("count exceeds bytes present"));
-            }
-            let mut traces = Vec::with_capacity(n);
-            for _ in 0..n {
-                let trace_id = get_u128(cur)?;
-                let root_span = get_u64(cur)?;
-                let duration_ns = get_u64(cur)?;
-                let slow = get_u8(cur)? != 0;
-                let nspans = get_u32(cur)? as usize;
-                if nspans > MAX_SPANS_PER_TRACE {
-                    return Err(WireError::Malformed("trace exceeds span cap"));
-                }
-                // Minimum encoded span: four u64 (32) + three empty
-                // strings (12).
-                if nspans.saturating_mul(44) > cur.len() {
-                    return Err(WireError::Malformed("count exceeds bytes present"));
-                }
-                let mut spans = Vec::with_capacity(nspans);
-                for _ in 0..nspans {
-                    let span_id = get_u64(cur)?;
-                    let parent_span = get_u64(cur)?;
-                    let start_ns = get_u64(cur)?;
-                    let end_ns = get_u64(cur)?;
-                    let name = get_string(cur, "span name not utf-8")?;
-                    let process = get_string(cur, "span process not utf-8")?;
-                    let tag = get_string(cur, "span tag not utf-8")?;
-                    spans.push(TraceSpan {
-                        span_id,
-                        parent_span,
-                        name,
-                        process,
-                        tag,
-                        start_ns,
-                        end_ns,
-                    });
-                }
-                traces.push(Trace {
-                    trace_id,
-                    root_span,
-                    duration_ns,
-                    slow,
-                    spans,
-                });
-            }
-            Frame::TraceDumpAck { id, traces }
-        }
-        0x94 => {
-            let id = get_u64(cur)?;
-            let degraded = get_u8(cur)? != 0;
-            let total = get_u32(cur)?;
-            if total > MAX_RTT_REPORT_LEN {
-                return Err(WireError::Malformed("rtt report length exceeds cap"));
-            }
-            let trace = get_trace_ext(cur)?;
-            Frame::RttHeader {
-                id,
-                degraded,
-                total,
-                trace,
-            }
-        }
-        0x95 => {
-            let id = get_u64(cur)?;
-            let n = get_u32(cur)? as usize;
-            if n > RTT_BYTES_PER_FRAME {
-                return Err(WireError::Malformed(
-                    "rtt chunk exceeds bytes-per-frame cap",
-                ));
-            }
-            if n > cur.len() {
-                return Err(WireError::Malformed("count exceeds bytes present"));
-            }
-            let (head, rest) = cur.split_at(n);
-            let bytes = head.to_vec();
-            *cur = rest;
-            Frame::RttChunk { id, bytes }
-        }
-        0x96 => {
-            let id = get_u64(cur)?;
-            let total = get_u32(cur)?;
-            if total > MAX_PROF_DUMP_LEN {
-                return Err(WireError::Malformed("profile dump length exceeds cap"));
-            }
-            Frame::ProfHeader { id, total }
-        }
-        0x97 => {
-            let id = get_u64(cur)?;
-            let n = get_u32(cur)? as usize;
-            if n > PROF_BYTES_PER_FRAME {
-                return Err(WireError::Malformed(
-                    "prof chunk exceeds bytes-per-frame cap",
-                ));
-            }
-            if n > cur.len() {
-                return Err(WireError::Malformed("count exceeds bytes present"));
-            }
-            let (head, rest) = cur.split_at(n);
-            let bytes = head.to_vec();
-            *cur = rest;
-            Frame::ProfChunk { id, bytes }
-        }
-        _ => return Err(WireError::Malformed("unknown frame type")),
-    };
-    if !cur.is_empty() {
-        return Err(WireError::Malformed("trailing bytes after frame"));
-    }
-    Ok(frame)
 }
 
 /// Read one length-prefixed frame, honoring `max_frame`.
@@ -1797,789 +1278,309 @@ pub fn read_frame<R: Read>(r: &mut R, max_frame: u32) -> Result<Frame, WireError
     decode_body(&body)
 }
 
-/// Split per-flow estimates into bounded `ResultFlows` chunks.
-pub fn chunk_flows(id: u64, flows: &[(FlowId, f64)]) -> Vec<Frame> {
-    flows
-        .chunks(ENTRIES_PER_FRAME)
-        .map(|c| Frame::ResultFlows {
-            id,
-            flows: c.to_vec(),
-        })
-        .collect()
-}
-
-/// Split coverage gaps into bounded `ResultGaps` chunks.
-pub fn chunk_gaps(id: u64, gaps: &[CoverageGap]) -> Vec<Frame> {
-    gaps.chunks(ENTRIES_PER_FRAME)
-        .map(|c| Frame::ResultGaps {
-            id,
-            gaps: c.to_vec(),
-        })
-        .collect()
-}
-
-/// Split monitor culprit counts into bounded `MonitorCounts` chunks.
-pub fn chunk_counts(id: u64, counts: &[(FlowId, u64)]) -> Vec<Frame> {
-    counts
-        .chunks(ENTRIES_PER_FRAME)
-        .map(|c| Frame::MonitorCounts {
-            id,
-            counts: c.to_vec(),
-        })
-        .collect()
-}
-
-/// Split an encoded RTT report into bounded `RttChunk` frames.
-pub fn chunk_rtt(id: u64, bytes: &[u8]) -> Vec<Frame> {
-    bytes
-        .chunks(RTT_BYTES_PER_FRAME)
-        .map(|c| Frame::RttChunk {
-            id,
-            bytes: c.to_vec(),
-        })
-        .collect()
-}
-
-/// The full frame sequence answering an RTT query: header, chunks, end.
-/// Both the daemon and the router answer through this one helper, so a
-/// routed answer is frame-for-frame identical to a local one given the
-/// same report bytes.
-pub fn rtt_result_frames(
-    id: u64,
-    degraded: bool,
-    report_bytes: &[u8],
-    trace: Option<TraceContext>,
-) -> Vec<Frame> {
-    let mut frames = vec![Frame::RttHeader {
-        id,
-        degraded,
-        total: report_bytes.len() as u32,
-        trace,
-    }];
-    frames.extend(chunk_rtt(id, report_bytes));
-    frames.push(Frame::ResultEnd { id });
-    frames
-}
-
-/// Split an encoded profile dump into bounded `ProfChunk` frames.
-pub fn chunk_prof(id: u64, bytes: &[u8]) -> Vec<Frame> {
-    bytes
-        .chunks(PROF_BYTES_PER_FRAME)
-        .map(|c| Frame::ProfChunk {
-            id,
-            bytes: c.to_vec(),
-        })
-        .collect()
-}
-
-/// The full frame sequence answering a profile-dump request: header,
-/// chunks, end. The daemon and the router both answer through this one
-/// helper, so a routed (merged) dump is frame-for-frame identical to a
-/// local one given the same report bytes.
-pub fn prof_result_frames(id: u64, dump_bytes: &[u8]) -> Vec<Frame> {
-    let mut frames = vec![Frame::ProfHeader {
-        id,
-        total: dump_bytes.len() as u32,
-    }];
-    frames.extend(chunk_prof(id, dump_bytes));
-    frames.push(Frame::ResultEnd { id });
-    frames
-}
-
-/// Flatten a registry snapshot into wire samples (key order preserved).
-pub fn snapshot_to_samples(snap: &RegistrySnapshot) -> Vec<WireSample> {
-    snap.iter()
-        .map(|(key, value)| WireSample {
-            name: key.name.clone(),
-            labels: key.labels.clone(),
-            value: match value {
-                MetricValue::Counter(v) => WireValue::Counter(*v),
-                MetricValue::Gauge(v) => WireValue::Gauge(*v),
-                MetricValue::Histogram(h) => WireValue::Histogram {
-                    count: h.count,
-                    sum: h.sum,
-                    min: h.min,
-                    max: h.max,
-                    buckets: h
-                        .buckets
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &n)| n != 0)
-                        .map(|(i, &n)| (i as u8, n))
-                        .collect(),
-                    exemplars: h.exemplars.clone(),
-                },
-            },
-        })
-        .collect()
-}
-
-/// Rebuild a registry snapshot from wire samples. Labels are
-/// re-canonicalized and duplicate keys last-write-win, so a hostile peer
-/// cannot construct a snapshot a local registry could not.
-pub fn samples_to_snapshot(samples: &[WireSample]) -> RegistrySnapshot {
-    let mut snap = RegistrySnapshot::default();
-    for s in samples {
-        let borrowed: Vec<(&str, &str)> = s
-            .labels
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.as_str()))
-            .collect();
-        let key = MetricKey::new(&s.name, &borrowed);
-        let value = match &s.value {
-            WireValue::Counter(v) => MetricValue::Counter(*v),
-            WireValue::Gauge(v) => MetricValue::Gauge(*v),
-            WireValue::Histogram {
-                count,
-                sum,
-                min,
-                max,
-                buckets,
-                exemplars,
-            } => {
-                let mut h = HistogramSnapshot {
-                    count: *count,
-                    sum: *sum,
-                    min: *min,
-                    max: *max,
-                    ..HistogramSnapshot::default()
-                };
-                for (i, n) in buckets {
-                    h.buckets[*i as usize] = *n;
-                }
-                // Re-canonicalize: snapshot exemplars are bucket-sorted
-                // and unique per bucket (last write wins), a hostile
-                // peer's ordering notwithstanding.
-                let mut ex = exemplars.clone();
-                ex.sort_by_key(|e| e.bucket);
-                ex.reverse();
-                ex.dedup_by_key(|e| e.bucket);
-                ex.reverse();
-                h.exemplars = ex;
-                MetricValue::Histogram(Box::new(h))
-            }
-        };
-        snap.insert(key, value);
-    }
-    snap
-}
-
-/// Split metric samples into one `MetricsHeader` + bounded
-/// `MetricsChunk`s + `ResultEnd`: a complete streamed update.
-pub fn metrics_update_frames(
-    id: u64,
-    seq: u64,
-    t_ns: u64,
-    last: bool,
-    samples: &[WireSample],
-) -> Vec<Frame> {
-    let mut frames = vec![Frame::MetricsHeader {
-        id,
-        seq,
-        t_ns,
-        total: samples.len() as u32,
-        last,
-    }];
-    frames.extend(
-        samples
-            .chunks(METRIC_SAMPLES_PER_FRAME)
-            .map(|c| Frame::MetricsChunk {
-                id,
-                samples: c.to_vec(),
-            }),
-    );
-    frames.push(Frame::ResultEnd { id });
-    frames
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn round_trip(f: &Frame) {
-        let body = encode_body(f);
-        let back = decode_body(&body).expect("decode");
-        // Compare re-encoded bytes, not `PartialEq`: bit-level identity is
-        // the actual contract, and it also holds for NaN flow values.
-        assert_eq!(encode_body(&back), body, "re-encode differs for {f:?}");
+    /// A deterministic test value per wire type; `i` walks a few
+    /// representative shapes (zero/empty, typical, extreme). The frame
+    /// table builds one frame per row out of these, so a new row is
+    /// round-tripped, truncated and garbage-tailed without a new test.
+    pub(super) trait Sample: Sized {
+        fn sample(i: usize) -> Self;
     }
 
-    #[test]
-    fn all_frame_shapes_round_trip() {
-        round_trip(&Frame::Hello {
-            version: 1,
-            max_frame: MAX_FRAME_LEN,
-        });
-        round_trip(&Frame::Request {
-            id: 7,
-            req: Request::Replay {
-                port: 3,
-                from: 10,
-                to: 999,
-                d: 110,
-            },
-            trace: None,
-        });
-        round_trip(&Frame::Request {
-            id: 7,
-            req: Request::TimeWindows {
-                port: 3,
-                from: 10,
-                to: 999,
-            },
-            trace: Some(TraceContext {
-                trace_id: 0xdead_beef_cafe_f00d_0123_4567_89ab_cdef,
-                parent_span: 0x1122_3344_5566_7788,
-                sampled: true,
-            }),
-        });
-        round_trip(&Frame::ResultFlows {
-            id: 1,
-            flows: vec![
-                (FlowId(4), 1.5),
-                (FlowId(9), f64::from_bits(0x7ff8_dead_beef_0001)),
-            ],
-        });
-        round_trip(&Frame::Error {
-            id: 2,
-            code: ErrorCode::Io,
-            gaps: vec![CoverageGap { from: 5, to: 10 }],
-            message: "read failed".into(),
-        });
-        round_trip(&Frame::HealthReq { id: 11 });
-        round_trip(&Frame::MetricsGet { id: 12 });
-        round_trip(&Frame::MetricsSubscribe {
-            id: 13,
-            interval_ms: 250,
-            max_updates: 4,
-        });
-        round_trip(&Frame::HealthAck {
-            id: 14,
-            health: HealthInfo {
-                uptime_ns: 1_000_000,
-                workers: 4,
-                busy_workers: 2,
-                queue_depth: 3,
-                queue_cap: 128,
-                active_conns: 1,
-                max_conns: 64,
-                subscribers: 1,
-                draining: true,
-                version: "0.1.0".into(),
-                commit: "abc123".into(),
-                shard: "shard-1".into(),
-            },
-        });
-        round_trip(&Frame::ShardMapReq { id: 21 });
-        round_trip(&Frame::ShardMapAck {
-            id: 22,
-            map: ShardMap {
-                generation: 3,
-                replication: 2,
-                epoch_ns: 0,
-                backends: vec![
-                    ShardMapEntry {
-                        shard: "a".into(),
-                        addr: "127.0.0.1:4000".into(),
-                        healthy: true,
-                    },
-                    ShardMapEntry {
-                        shard: "b".into(),
-                        addr: "127.0.0.1:4001".into(),
-                        healthy: false,
-                    },
-                ],
-            },
-        });
-        round_trip(&Frame::MetricsHeader {
-            id: 15,
-            seq: 9,
-            t_ns: 77,
-            total: 2,
-            last: false,
-        });
-        round_trip(&Frame::MetricsChunk {
-            id: 16,
-            samples: vec![
-                WireSample {
-                    name: "pq_serve_shed_total".into(),
-                    labels: vec![],
-                    value: WireValue::Counter(7),
-                },
-                WireSample {
-                    name: "pq_serve_request_ns".into(),
-                    labels: vec![("kind".into(), "replay".into())],
-                    value: WireValue::Histogram {
-                        count: 2,
-                        sum: 300,
-                        min: 100,
-                        max: 200,
-                        buckets: vec![(7, 1), (8, 1)],
-                        exemplars: vec![BucketExemplar {
-                            bucket: 8,
-                            trace_id: 0xabcd,
-                            value: 200,
-                        }],
-                    },
-                },
-            ],
-        });
-        round_trip(&Frame::ResultHeader {
-            id: 17,
-            degraded: false,
-            checkpoints: 40,
-            flows: 2,
-            gaps: 0,
-            trace: Some(TraceContext {
-                trace_id: 1,
-                parent_span: 2,
-                sampled: false,
-            }),
-        });
-        round_trip(&Frame::MonitorHeader {
-            id: 18,
-            degraded: true,
-            frozen_at: 7,
-            staleness: 9,
-            counts: 3,
-            gaps: 1,
-            trace: Some(TraceContext {
-                trace_id: u128::MAX,
-                parent_span: u64::MAX,
-                sampled: true,
-            }),
-        });
-        round_trip(&Frame::TraceDumpReq {
-            id: 19,
-            max: 16,
-            slow_only: true,
-        });
-        round_trip(&Frame::TraceDumpAck {
-            id: 19,
-            traces: vec![Trace {
-                trace_id: 0xfeed,
-                root_span: 5,
-                duration_ns: 1_000_000,
-                slow: true,
-                spans: vec![TraceSpan {
-                    span_id: 5,
-                    parent_span: 0,
-                    name: "worker_exec".into(),
-                    process: "serve:a".into(),
-                    tag: "cache=miss".into(),
-                    start_ns: 100,
-                    end_ns: 900,
-                }],
-            }],
-        });
-        round_trip(&Frame::TraceDumpAck {
-            id: 20,
-            traces: vec![],
-        });
+    macro_rules! sample_int {
+        ($($t:ty)*) => {$(
+            impl Sample for $t {
+                fn sample(i: usize) -> $t {
+                    [0, 1, <$t>::MAX, <$t>::MAX / 3][i % 4]
+                }
+            }
+        )*};
     }
+    sample_int!(u8 u16 u32 u64 u128);
 
-    #[test]
-    fn standing_query_frames_round_trip() {
-        round_trip(&Frame::StandingQueryReq {
-            id: 31,
-            cap: 64,
-            max_windows: 0,
-            stop_after_seal: true,
-            query: "port 3 window tumbling 1ms where max(depth) > 5 topk 8 emit flows".into(),
-            trace: None,
-        });
-        round_trip(&Frame::StandingQueryReq {
-            id: 31,
-            cap: 64,
-            max_windows: 0,
-            stop_after_seal: false,
-            query: "port 3 window tumbling 1ms emit depth".into(),
-            trace: Some(TraceContext {
-                trace_id: 77,
-                parent_span: 88,
-                sampled: true,
-            }),
-        });
-        round_trip(&Frame::StandingQueryCancel { id: 32, sub: 31 });
-        round_trip(&Frame::StandingQueryAck {
-            id: 31,
-            cap: 64,
-            query: "port 3 window tumbling 1ms emit flows".into(),
-            trace: None,
-        });
-        round_trip(&Frame::StandingQueryAck {
-            id: 31,
-            cap: 64,
-            query: "port 3 window tumbling 1ms emit flows".into(),
-            trace: Some(TraceContext {
-                trace_id: 77,
-                parent_span: 99,
-                sampled: false,
-            }),
-        });
-        round_trip(&Frame::StandingQueryResult {
-            id: 31,
-            result: Box::new(StreamResult {
-                seq: 2,
-                watermark_ns: 5_000_000,
-                port: 3,
-                from: 1_000_000,
-                to: 2_000_000,
-                fired: true,
-                forced: false,
-                degraded: true,
-                last: false,
-                max: 12,
-                min: 1,
-                sum: 40,
-                count: 7,
-                last_t: 1_900_000,
-                last_depth: 9,
-                flows: vec![
-                    (FlowId(4), 1.5),
-                    (FlowId(9), f64::from_bits(0x7ff8_dead_beef_0001)),
-                ],
-                evictions: 3,
-                evicted_weight: 2.25,
-                gaps: vec![CoverageGap {
-                    from: 1_100_000,
-                    to: 1_200_000,
-                }],
-                rtt: RttAgg::default(),
-            }),
-        });
-        // A result carrying an RTT aggregate suffix.
-        let mut rtt = RttAgg::default();
-        for v in [250_000u64, 300_000, 1_900_000] {
-            rtt.offer(1_500_000, v);
+    impl Sample for bool {
+        fn sample(i: usize) -> bool {
+            i % 2 == 1
         }
-        round_trip(&Frame::StandingQueryResult {
-            id: 31,
-            result: Box::new(StreamResult {
-                seq: 3,
-                watermark_ns: 5_000_000,
-                port: 3,
-                from: 1_000_000,
-                to: 2_000_000,
-                fired: true,
-                forced: false,
-                degraded: false,
-                last: false,
-                max: 12,
-                min: 1,
-                sum: 40,
-                count: 7,
-                last_t: 1_900_000,
-                last_depth: 9,
-                flows: vec![],
-                evictions: 0,
-                evicted_weight: 0.0,
-                gaps: vec![],
-                rtt,
-            }),
-        });
-        // An empty progress close (no flows, no gaps, watermark only).
-        round_trip(&Frame::StandingQueryResult {
-            id: 31,
-            result: Box::new(StreamResult {
-                seq: 0,
-                watermark_ns: u64::MAX,
-                port: 0,
-                from: 0,
-                to: 0,
-                fired: false,
-                forced: false,
-                degraded: false,
-                last: true,
-                max: 0,
-                min: u64::MAX,
-                sum: 0,
-                count: 0,
-                last_t: 0,
-                last_depth: 0,
-                flows: vec![],
-                evictions: 0,
-                evicted_weight: 0.0,
-                gaps: vec![],
-                rtt: RttAgg::default(),
-            }),
-        });
-        round_trip(&Frame::SubscribeAck {
-            id: 33,
-            interval_ms: 10,
-            max_updates: 4,
-        });
+    }
+
+    impl Sample for f64 {
+        fn sample(i: usize) -> f64 {
+            [0.0, 1.5, f64::from_bits(0x7ff8_dead_beef_0001), -2.25e300][i % 4]
+        }
+    }
+
+    impl Sample for String {
+        fn sample(i: usize) -> String {
+            ["", "pq", "naïve ünïcode ✓", "port 3 window tumbling 1ms"][i % 4].to_string()
+        }
+    }
+
+    impl Sample for FlowId {
+        fn sample(i: usize) -> FlowId {
+            FlowId(Sample::sample(i))
+        }
+    }
+
+    impl Sample for ErrorCode {
+        fn sample(i: usize) -> ErrorCode {
+            ErrorCode::from_u16(1 + (i % 9) as u16).unwrap()
+        }
+    }
+
+    impl Sample for Option<TraceContext> {
+        fn sample(i: usize) -> Option<TraceContext> {
+            (i % 2 == 1).then(|| TraceContext {
+                trace_id: Sample::sample(i),
+                parent_span: Sample::sample(i + 1),
+                sampled: i % 4 == 1,
+            })
+        }
+    }
+
+    impl<A: Sample, B: Sample> Sample for (A, B) {
+        fn sample(i: usize) -> (A, B) {
+            (A::sample(i), B::sample(i + 1))
+        }
+    }
+
+    impl<T: Entry + Sample> Sample for Vec<T> {
+        fn sample(i: usize) -> Vec<T> {
+            (0..[0, 1, 3][i % 3]).map(|k| T::sample(i + k)).collect()
+        }
+    }
+
+    impl Sample for Vec<u8> {
+        fn sample(i: usize) -> Vec<u8> {
+            (0..[0, 1, 300][i % 3]).map(|k| (k * 7 + i) as u8).collect()
+        }
+    }
+
+    impl Sample for Request {
+        fn sample(i: usize) -> Request {
+            let all = Request::samples(i);
+            all[i % all.len()]
+        }
+    }
+
+    impl Sample for WireSample {
+        fn sample(i: usize) -> WireSample {
+            WireSample {
+                name: format!("pq_metric_{i}"),
+                labels: Sample::sample(i),
+                value: Sample::sample(i),
+            }
+        }
+    }
+
+    impl Sample for WireValue {
+        fn sample(i: usize) -> WireValue {
+            let top = (NUM_BUCKETS - 1) as u8;
+            match i % 3 {
+                0 => WireValue::Counter(Sample::sample(i)),
+                1 => WireValue::Gauge(Sample::sample(i)),
+                _ => WireValue::Histogram {
+                    count: 2,
+                    sum: Sample::sample(i),
+                    min: 100,
+                    max: 200,
+                    buckets: vec![(7, 1), (top, Sample::sample(i))],
+                    exemplars: vec![BucketExemplar {
+                        bucket: top,
+                        trace_id: Sample::sample(i),
+                        value: 200,
+                    }],
+                },
+            }
+        }
+    }
+
+    impl Sample for RttAgg {
+        fn sample(i: usize) -> RttAgg {
+            let mut agg = RttAgg::default();
+            for (t, v) in [(10, 250_000), (20, 300_000), (30, 1_900_000)] {
+                if i % 2 == 1 {
+                    agg.offer(t, v);
+                }
+            }
+            agg
+        }
+    }
+
+    impl Sample for Box<StreamResult> {
+        fn sample(i: usize) -> Box<StreamResult> {
+            Box::new(StreamResult {
+                seq: Sample::sample(i),
+                watermark_ns: Sample::sample(i + 1),
+                port: Sample::sample(i),
+                from: Sample::sample(i),
+                to: Sample::sample(i + 1),
+                fired: i % 2 == 0,
+                forced: i % 3 == 0,
+                degraded: i % 2 == 1,
+                last: i % 5 == 0,
+                max: Sample::sample(i),
+                min: Sample::sample(i + 2),
+                sum: Sample::sample(i),
+                count: Sample::sample(i + 1),
+                last_t: Sample::sample(i),
+                last_depth: Sample::sample(i + 3),
+                flows: Sample::sample(i),
+                evictions: Sample::sample(i),
+                evicted_weight: Sample::sample(i),
+                gaps: Sample::sample(i + 1),
+                rtt: Sample::sample(i),
+            })
+        }
+    }
+
+    /// Twelve sample rounds cover every residue the impls above switch on.
+    fn table_samples() -> Vec<Frame> {
+        (0..12).flat_map(Frame::samples).collect()
     }
 
     #[test]
-    fn hostile_standing_query_frames_are_rejected() {
-        // Inflated flow count on a result frame.
-        let frame = Frame::StandingQueryResult {
-            id: 1,
-            result: Box::new(StreamResult {
-                seq: 0,
-                watermark_ns: 0,
-                port: 0,
-                from: 0,
-                to: 0,
-                fired: false,
-                forced: false,
-                degraded: false,
-                last: false,
-                max: 0,
-                min: 0,
-                sum: 0,
-                count: 0,
-                last_t: 0,
-                last_depth: 0,
-                flows: vec![(FlowId(1), 1.0)],
-                evictions: 0,
-                evicted_weight: 0.0,
-                gaps: vec![],
-                rtt: RttAgg::default(),
-            }),
+    fn every_table_row_round_trips_bit_exactly() {
+        for frame in table_samples() {
+            let body = encode_body(&frame);
+            assert_eq!(body[0], frame.tag());
+            let back = decode_body(&body).unwrap_or_else(|e| panic!("{frame:?}: {e}"));
+            // Compare re-encoded bytes, not `PartialEq`: bit-level identity
+            // is the contract, and it also holds for NaN flow values.
+            assert_eq!(encode_body(&back), body, "re-encode differs for {frame:?}");
+        }
+    }
+
+    #[test]
+    fn every_cut_of_every_row_errors() {
+        for frame in table_samples() {
+            let body = encode_body(&frame);
+            for cut in 0..body.len() {
+                // The one prefix that may decode drops exactly an optional
+                // trailer, and then it is the trailer-less frame.
+                if let Ok(bare) = decode_body(&body[..cut]) {
+                    assert!(
+                        matches!(body[cut], TRACE_EXT_MAGIC | RTT_SUFFIX_MAGIC),
+                        "cut {cut} of {frame:?} decoded"
+                    );
+                    assert_eq!(encode_body(&bare), &body[..cut]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn trailing_bytes_after_any_row_are_rejected() {
+        for frame in table_samples() {
+            for tail in [0x00, TRACE_EXT_MAGIC, RTT_SUFFIX_MAGIC] {
+                let mut body = encode_body(&frame);
+                body.push(tail);
+                assert!(decode_body(&body).is_err(), "{frame:?} + {tail:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn id_is_the_leading_field_of_every_row_but_the_handshake() {
+        for frame in table_samples() {
+            let body = encode_body(&frame);
+            match frame {
+                Frame::Hello { .. } | Frame::HelloAck { .. } => assert_eq!(frame.id(), 0),
+                _ => {
+                    let on_wire = u64::from_le_bytes(body[1..9].try_into().unwrap());
+                    assert_eq!(frame.id(), on_wire, "{frame:?}");
+                }
+            }
+        }
+        assert_eq!(Frame::TAGS.len(), 35);
+        assert!(Frame::TAGS.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    /// A count past the cap (with bytes enough to back it) and an in-cap
+    /// count with nothing behind it are both refused, for every counted
+    /// collection the table uses.
+    fn inflated_counts_are_refused<T: Entry + std::fmt::Debug>() {
+        let count = |n: usize| match T::NARROW {
+            true => vec![n as u8],
+            false => (n as u32).to_le_bytes().to_vec(),
         };
-        let mut body = encode_body(&frame);
-        // The flow-count u32 sits right before the single 12-byte flow
-        // entry and the trailing 20 bytes (evictions + weight + gap count).
-        let count_at = body.len() - 12 - 20 - 4;
-        body[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(decode_body(&body), Err(WireError::Malformed(_))));
-        // Non-UTF-8 query text.
-        let mut body = encode_body(&Frame::StandingQueryReq {
-            id: 1,
-            cap: 8,
-            max_windows: 0,
-            stop_after_seal: false,
-            query: "pq".into(),
-            trace: None,
-        });
-        let n = body.len();
-        body[n - 1] = 0xFF;
-        body[n - 2] = 0xFE;
-        assert!(matches!(decode_body(&body), Err(WireError::Malformed(_))));
-        // Truncation at every cut never panics.
-        let body = encode_body(&frame);
-        for cut in 0..body.len() {
-            assert!(decode_body(&body[..cut]).is_err(), "cut at {cut}");
-        }
-    }
-
-    fn sample_rtt_agg() -> RttAgg {
-        let mut rtt = RttAgg::default();
-        for (t, v) in [(10u64, 250_000u64), (20, 300_000), (30, 1_900_000)] {
-            rtt.offer(t, v);
-        }
-        rtt
+        let mut over = count(T::CAP + 1);
+        over.resize(over.len() + (T::CAP + 1) * 64, 0);
+        assert!(Vec::<T>::get(&mut &over[..]).is_err());
+        assert!(Vec::<T>::get(&mut &count(1)[..]).is_err());
+        assert!(Vec::<T>::get(&mut &count(T::CAP)[..]).is_err());
+        assert!(T::MIN_BYTES <= 64);
     }
 
     #[test]
-    fn rtt_frames_round_trip() {
-        round_trip(&Frame::Request {
-            id: 41,
-            req: Request::Rtt {
-                port: 3,
-                from: 10,
-                to: 999,
-                max_flows: 16,
-            },
-            trace: None,
-        });
-        round_trip(&Frame::Request {
-            id: 41,
-            req: Request::Rtt {
-                port: 3,
-                from: 0,
-                to: u64::MAX,
-                max_flows: 0,
-            },
-            trace: Some(TraceContext {
-                trace_id: 7,
-                parent_span: 8,
-                sampled: true,
-            }),
-        });
-        round_trip(&Frame::RttHeader {
-            id: 41,
-            degraded: true,
-            total: 1234,
-            trace: None,
-        });
-        round_trip(&Frame::RttHeader {
-            id: 41,
-            degraded: false,
-            total: 0,
-            trace: Some(TraceContext {
-                trace_id: 9,
-                parent_span: 10,
-                sampled: false,
-            }),
-        });
-        round_trip(&Frame::RttChunk {
-            id: 41,
-            bytes: vec![],
-        });
-        round_trip(&Frame::RttChunk {
-            id: 41,
-            bytes: (0..=255u8).collect(),
-        });
-        // The full answer sequence, and truncation never panics.
-        let payload: Vec<u8> = (0..1000u32).map(|i| i as u8).collect();
-        for f in rtt_result_frames(41, false, &payload, None) {
-            round_trip(&f);
-            let body = encode_body(&f);
-            for cut in 0..body.len() {
-                assert!(decode_body(&body[..cut]).is_err(), "cut at {cut}");
+    fn inflated_collection_counts_are_rejected_without_allocating() {
+        inflated_counts_are_refused::<(FlowId, f64)>();
+        inflated_counts_are_refused::<(FlowId, u64)>();
+        inflated_counts_are_refused::<CoverageGap>();
+        inflated_counts_are_refused::<WireSample>();
+        inflated_counts_are_refused::<(String, String)>();
+        inflated_counts_are_refused::<(u8, u64)>();
+        inflated_counts_are_refused::<BucketExemplar>();
+        inflated_counts_are_refused::<ShardMapEntry>();
+        inflated_counts_are_refused::<Trace>();
+        inflated_counts_are_refused::<TraceSpan>();
+        // Whole frames: u32::MAX entries claimed, none carried.
+        for tag in [0x83, 0x84, 0x87, 0x8E, 0x93] {
+            let mut body = vec![tag];
+            body.extend_from_slice(&1u64.to_le_bytes());
+            body.extend_from_slice(&u32::MAX.to_le_bytes());
+            assert!(matches!(decode_body(&body), Err(WireError::Malformed(_))));
+        }
+    }
+
+    #[test]
+    fn hostile_blob_frames_are_rejected() {
+        for (header, chunk) in [(0x94u8, 0x95u8), (0x96, 0x97)] {
+            // Chunk length pointing past the bytes present.
+            let mut body = vec![chunk];
+            body.extend_from_slice(&1u64.to_le_bytes());
+            body.extend_from_slice(&100u32.to_le_bytes());
+            body.extend_from_slice(&[0u8; 10]);
+            assert!(matches!(decode_body(&body), Err(WireError::Malformed(_))));
+            // Chunk length over the per-frame cap, bytes present or not.
+            let over = RTT_BYTES_PER_FRAME + 1;
+            let mut body = vec![chunk];
+            body.extend_from_slice(&1u64.to_le_bytes());
+            body.extend_from_slice(&(over as u32).to_le_bytes());
+            assert!(matches!(decode_body(&body), Err(WireError::Malformed(_))));
+            body.resize(body.len() + over, 0);
+            assert!(matches!(decode_body(&body), Err(WireError::Malformed(_))));
+            // Header announcing a blob over the reassembly cap.
+            let mut body = vec![header];
+            body.extend_from_slice(&1u64.to_le_bytes());
+            if header == 0x94 {
+                body.push(0);
             }
+            body.extend_from_slice(&(MAX_RTT_REPORT_LEN + 1).to_le_bytes());
+            assert!(matches!(decode_body(&body), Err(WireError::Malformed(_))));
         }
+        assert_eq!(MAX_RTT_REPORT_LEN, MAX_PROF_DUMP_LEN);
     }
 
-    #[test]
-    fn rtt_payload_chunks_reassemble() {
-        let payload: Vec<u8> = (0..200_000u32).map(|i| (i % 251) as u8).collect();
-        let frames = chunk_rtt(7, &payload);
-        assert!(frames.len() > 1, "payload must span several chunks");
-        let mut back = Vec::new();
-        for f in &frames {
-            match decode_body(&encode_body(f)).expect("decode") {
-                Frame::RttChunk { id, bytes } => {
-                    assert_eq!(id, 7);
-                    assert!(bytes.len() <= RTT_BYTES_PER_FRAME);
-                    back.extend_from_slice(&bytes);
-                }
-                other => panic!("unexpected frame {other:?}"),
-            }
-        }
-        assert_eq!(back, payload);
-    }
-
-    #[test]
-    fn hostile_rtt_frames_are_rejected() {
-        // Chunk length pointing past the bytes present.
-        let mut body = vec![0x95];
-        body.extend_from_slice(&1u64.to_le_bytes());
-        body.extend_from_slice(&100u32.to_le_bytes());
-        body.extend_from_slice(&[0u8; 10]);
-        assert!(matches!(decode_body(&body), Err(WireError::Malformed(_))));
-        // Chunk length over the per-frame cap.
-        let mut body = vec![0x95];
-        body.extend_from_slice(&1u64.to_le_bytes());
-        body.extend_from_slice(&(RTT_BYTES_PER_FRAME as u32 + 1).to_le_bytes());
-        assert!(matches!(decode_body(&body), Err(WireError::Malformed(_))));
-        // Header announcing a report over the reassembly cap.
-        let mut body = vec![0x94];
-        body.extend_from_slice(&1u64.to_le_bytes());
-        body.push(0);
-        body.extend_from_slice(&(MAX_RTT_REPORT_LEN + 1).to_le_bytes());
-        assert!(matches!(decode_body(&body), Err(WireError::Malformed(_))));
-    }
-
-    #[test]
-    fn prof_frames_round_trip() {
-        round_trip(&Frame::ProfileDumpReq { id: 51 });
-        round_trip(&Frame::ProfHeader { id: 51, total: 0 });
-        round_trip(&Frame::ProfHeader {
-            id: 51,
-            total: MAX_PROF_DUMP_LEN,
-        });
-        round_trip(&Frame::ProfChunk {
-            id: 51,
-            bytes: vec![],
-        });
-        round_trip(&Frame::ProfChunk {
-            id: 51,
-            bytes: (0..=255u8).collect(),
-        });
-        // The full answer sequence, and truncation never panics.
-        let payload: Vec<u8> = (0..1000u32).map(|i| i as u8).collect();
-        for f in prof_result_frames(51, &payload) {
-            round_trip(&f);
-            let body = encode_body(&f);
-            for cut in 0..body.len() {
-                assert!(decode_body(&body[..cut]).is_err(), "cut at {cut}");
-            }
-        }
-    }
-
-    #[test]
-    fn prof_payload_chunks_reassemble() {
-        let payload: Vec<u8> = (0..200_000u32).map(|i| (i % 251) as u8).collect();
-        let frames = chunk_prof(9, &payload);
-        assert!(frames.len() > 1, "payload must span several chunks");
-        let mut back = Vec::new();
-        for f in &frames {
-            match decode_body(&encode_body(f)).expect("decode") {
-                Frame::ProfChunk { id, bytes } => {
-                    assert_eq!(id, 9);
-                    assert!(bytes.len() <= PROF_BYTES_PER_FRAME);
-                    back.extend_from_slice(&bytes);
-                }
-                other => panic!("unexpected frame {other:?}"),
-            }
-        }
-        assert_eq!(back, payload);
-    }
-
-    #[test]
-    fn hostile_prof_frames_are_rejected() {
-        // Chunk length pointing past the bytes present.
-        let mut body = vec![0x97];
-        body.extend_from_slice(&1u64.to_le_bytes());
-        body.extend_from_slice(&100u32.to_le_bytes());
-        body.extend_from_slice(&[0u8; 10]);
-        assert!(matches!(decode_body(&body), Err(WireError::Malformed(_))));
-        // Chunk length over the per-frame cap.
-        let mut body = vec![0x97];
-        body.extend_from_slice(&1u64.to_le_bytes());
-        body.extend_from_slice(&(PROF_BYTES_PER_FRAME as u32 + 1).to_le_bytes());
-        assert!(matches!(decode_body(&body), Err(WireError::Malformed(_))));
-        // Header announcing a dump over the reassembly cap.
-        let mut body = vec![0x96];
-        body.extend_from_slice(&1u64.to_le_bytes());
-        body.extend_from_slice(&(MAX_PROF_DUMP_LEN + 1).to_le_bytes());
-        assert!(matches!(decode_body(&body), Err(WireError::Malformed(_))));
+    fn window(rtt: RttAgg) -> Frame {
+        let mut result: Box<StreamResult> = Sample::sample(1);
+        result.rtt = rtt;
+        Frame::StandingQueryResult { id: 1, result }
     }
 
     #[test]
     fn empty_rtt_suffix_is_the_pre_rtt_layout() {
-        let base = StreamResult {
-            seq: 1,
-            watermark_ns: 9,
-            port: 3,
-            from: 0,
-            to: 1_000_000,
-            fired: true,
-            forced: false,
-            degraded: false,
-            last: false,
-            max: 5,
-            min: 1,
-            sum: 9,
-            count: 3,
-            last_t: 500,
-            last_depth: 2,
-            flows: vec![(FlowId(4), 1.5)],
-            evictions: 0,
-            evicted_weight: 0.0,
-            gaps: vec![],
-            rtt: RttAgg::default(),
-        };
-        let bare = encode_body(&Frame::StandingQueryResult {
-            id: 1,
-            result: Box::new(base.clone()),
-        });
-        let mut with_rtt = base;
-        with_rtt.rtt = sample_rtt_agg();
-        let suffixed = encode_body(&Frame::StandingQueryResult {
-            id: 1,
-            result: Box::new(with_rtt),
-        });
+        let bare = encode_body(&window(RttAgg::default()));
+        let suffixed = encode_body(&window(Sample::sample(1)));
         // The suffix is a pure suffix: same prefix, magic-led extra bytes.
         assert!(suffixed.len() > bare.len());
         assert_eq!(&suffixed[..bare.len()], &bare[..]);
         assert_eq!(suffixed[bare.len()], RTT_SUFFIX_MAGIC);
-        // Truncation inside the suffix never panics, and never silently
-        // decodes as a suffix-less result.
+        // Truncation inside the suffix never silently decodes as a
+        // suffix-less result.
         for cut in bare.len() + 1..suffixed.len() {
             assert!(decode_body(&suffixed[..cut]).is_err(), "cut at {cut}");
         }
@@ -2587,282 +1588,143 @@ mod tests {
 
     #[test]
     fn hostile_rtt_suffixes_are_rejected() {
-        let result = StreamResult {
-            seq: 0,
-            watermark_ns: 0,
-            port: 0,
-            from: 0,
-            to: 0,
-            fired: false,
-            forced: false,
-            degraded: false,
-            last: false,
-            max: 0,
-            min: 0,
-            sum: 0,
-            count: 0,
-            last_t: 0,
-            last_depth: 0,
-            flows: vec![],
-            evictions: 0,
-            evicted_weight: 0.0,
-            gaps: vec![],
-            rtt: sample_rtt_agg(),
+        let suffix_at = encode_body(&window(RttAgg::default())).len();
+        let body = encode_body(&window(Sample::sample(1)));
+        let hostile = |at: usize, bytes: &[u8]| {
+            let mut body = body.clone();
+            body[suffix_at + at..suffix_at + at + bytes.len()].copy_from_slice(bytes);
+            assert!(matches!(decode_body(&body), Err(WireError::Malformed(_))));
         };
-        let body = encode_body(&Frame::StandingQueryResult {
-            id: 1,
-            result: Box::new(result),
-        });
-        let agg = sample_rtt_agg();
-        let suffix_len = {
-            let mut s = Vec::new();
-            put_rtt_suffix(&mut s, &agg);
-            s.len()
-        };
-        let suffix_at = body.len() - suffix_len;
         // A zero count must be encoded as an absent suffix.
-        let mut hostile = body.clone();
-        hostile[suffix_at + 1..suffix_at + 9].copy_from_slice(&0u64.to_le_bytes());
-        assert!(matches!(
-            decode_body(&hostile),
-            Err(WireError::Malformed(_))
-        ));
+        hostile(1, &0u64.to_le_bytes());
         // Bucket counts must sum to the sample count.
-        let mut hostile = body.clone();
-        hostile[suffix_at + 1..suffix_at + 9].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(matches!(
-            decode_body(&hostile),
-            Err(WireError::Malformed(_))
-        ));
+        hostile(1, &u64::MAX.to_le_bytes());
         // min > max contradicts the aggregate invariant.
-        let mut hostile = body.clone();
-        hostile[suffix_at + 17..suffix_at + 25].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(matches!(
-            decode_body(&hostile),
-            Err(WireError::Malformed(_))
-        ));
+        hostile(17, &u64::MAX.to_le_bytes());
         // A non-magic trailer is trailing garbage, not an empty suffix.
-        let mut hostile = body.clone();
-        hostile[suffix_at] = 0x00;
-        assert!(matches!(
-            decode_body(&hostile),
-            Err(WireError::Malformed(_))
-        ));
-    }
-
-    #[test]
-    fn snapshot_survives_the_wire_bit_exactly() {
-        use pq_telemetry::Registry;
-        let reg = Registry::new();
-        reg.counter("pq_serve_requests_total", &[("kind", "replay")])
-            .add(9);
-        reg.gauge("pq_serve_queue_depth", &[]).set(4);
-        let h = reg.histogram("pq_serve_request_ns", &[]);
-        h.record(0);
-        h.record(1000);
-        h.record_exemplar(u64::MAX, 0x0123_4567_89ab_cdef);
-        let snap = reg.snapshot();
-        let samples = snapshot_to_samples(&snap);
-        let frames = metrics_update_frames(5, 0, 42, true, &samples);
-        // Through encode/decode and back into a snapshot.
-        let mut decoded = Vec::new();
-        for f in &frames {
-            let back = decode_body(&encode_body(f)).expect("decode");
-            if let Frame::MetricsChunk { samples, .. } = back {
-                decoded.extend(samples);
-            }
-        }
-        assert_eq!(samples_to_snapshot(&decoded), snap);
-    }
-
-    #[test]
-    fn hostile_metric_samples_are_rejected() {
-        // Inflated sample count.
-        let mut body = vec![0x8E];
-        body.extend_from_slice(&1u64.to_le_bytes());
-        body.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(decode_body(&body), Err(WireError::Malformed(_))));
-        // Out-of-range histogram bucket index.
-        let frame = Frame::MetricsChunk {
-            id: 1,
-            samples: vec![WireSample {
-                name: "m".into(),
-                labels: vec![],
-                value: WireValue::Histogram {
-                    count: 1,
-                    sum: 1,
-                    min: 1,
-                    max: 1,
-                    buckets: vec![(64, 1)],
-                    exemplars: vec![],
-                },
-            }],
-        };
-        let mut body = encode_body(&frame);
-        // The bucket index byte precedes its u64 count and the trailing
-        // (empty) exemplar-count byte.
-        let idx_at = body.len() - 10;
-        body[idx_at] = 65;
-        assert!(matches!(decode_body(&body), Err(WireError::Malformed(_))));
-        // Out-of-range exemplar bucket index.
-        let frame = Frame::MetricsChunk {
-            id: 1,
-            samples: vec![WireSample {
-                name: "m".into(),
-                labels: vec![],
-                value: WireValue::Histogram {
-                    count: 1,
-                    sum: 1,
-                    min: 1,
-                    max: 1,
-                    buckets: vec![],
-                    exemplars: vec![BucketExemplar {
-                        bucket: 63,
-                        trace_id: 1,
-                        value: 1,
-                    }],
-                },
-            }],
-        };
-        let mut body = encode_body(&frame);
-        // The exemplar bucket byte precedes its u128 id and u64 value.
-        let idx_at = body.len() - 25;
-        body[idx_at] = 65;
-        assert!(matches!(decode_body(&body), Err(WireError::Malformed(_))));
-        // Empty metric name.
-        let frame = Frame::MetricsChunk {
-            id: 1,
-            samples: vec![WireSample {
-                name: String::new(),
-                labels: vec![],
-                value: WireValue::Counter(1),
-            }],
-        };
-        assert!(matches!(
-            decode_body(&encode_body(&frame)),
-            Err(WireError::Malformed(_))
-        ));
-    }
-
-    #[test]
-    fn truncated_frames_error_not_panic() {
-        let body = encode_body(&Frame::MonitorHeader {
-            id: 1,
-            degraded: true,
-            frozen_at: 2,
-            staleness: 3,
-            counts: 4,
-            gaps: 5,
-            trace: None,
-        });
-        for cut in 0..body.len() {
-            assert!(decode_body(&body[..cut]).is_err(), "cut at {cut}");
-        }
+        hostile(0, &[0x00]);
+        // Bucket indices ascend strictly and stay inside the schema; no
+        // bucket is empty. (Layout: six u64, a count byte, then pairs.)
+        hostile(50, &[RTT_BUCKETS as u8]);
+        hostile(59, &[0]);
+        hostile(51, &0u64.to_le_bytes());
+        hostile(49, &[0]);
     }
 
     #[test]
     fn absent_trace_context_is_the_v1_layout() {
-        let bare = encode_body(&Frame::Request {
+        let request = |trace| Frame::Request {
             id: 9,
             req: Request::QueueMonitor { port: 2, at: 500 },
-            trace: None,
-        });
-        let traced = encode_body(&Frame::Request {
-            id: 9,
-            req: Request::QueueMonitor { port: 2, at: 500 },
-            trace: Some(TraceContext {
-                trace_id: 42,
-                parent_span: 7,
-                sampled: true,
-            }),
-        });
+            trace,
+        };
+        let bare = encode_body(&request(None));
+        let traced = encode_body(&request(Sample::sample(1)));
         // The extension is a pure suffix: same prefix, exactly
         // TRACE_EXT_LEN extra bytes, led by the magic.
         assert_eq!(traced.len(), bare.len() + TRACE_EXT_LEN);
         assert_eq!(&traced[..bare.len()], &bare[..]);
         assert_eq!(traced[bare.len()], TRACE_EXT_MAGIC);
-    }
-
-    #[test]
-    fn hostile_trace_extensions_are_rejected() {
-        let bare = encode_body(&Frame::Request {
-            id: 9,
-            req: Request::QueueMonitor { port: 2, at: 500 },
-            trace: None,
-        });
-        let traced = encode_body(&Frame::Request {
-            id: 9,
-            req: Request::QueueMonitor { port: 2, at: 500 },
-            trace: Some(TraceContext {
-                trace_id: 42,
-                parent_span: 7,
-                sampled: true,
-            }),
-        });
         // Unknown flag bits.
         let mut body = traced.clone();
-        let flags_at = bare.len() + 1;
-        body[flags_at] = 0x03;
+        body[bare.len() + 1] = 0x03;
         assert!(matches!(decode_body(&body), Err(WireError::Malformed(_))));
         // Wrong magic: the block is not an extension, so it is trailing
         // garbage.
         let mut body = traced.clone();
         body[bare.len()] = 0x7D;
         assert!(matches!(decode_body(&body), Err(WireError::Malformed(_))));
-        // A truncated extension is never parsed as one.
-        for cut in bare.len() + 1..traced.len() {
-            assert!(decode_body(&traced[..cut]).is_err(), "cut at {cut}");
-        }
         // An over-long tail (extension + extra byte) is rejected too.
-        let mut body = traced.clone();
+        let mut body = traced;
         body.push(0);
         assert!(matches!(decode_body(&body), Err(WireError::Malformed(_))));
     }
 
     #[test]
-    fn hostile_trace_dumps_are_rejected() {
-        // Inflated trace count with no bytes behind it.
-        let mut body = vec![0x93];
-        body.extend_from_slice(&1u64.to_le_bytes());
-        body.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(decode_body(&body), Err(WireError::Malformed(_))));
-        // Inflated span count inside an otherwise valid trace.
-        let frame = Frame::TraceDumpAck {
-            id: 1,
-            traces: vec![Trace {
-                trace_id: 1,
-                root_span: 1,
-                duration_ns: 1,
-                slow: false,
-                spans: vec![],
-            }],
+    fn hostile_metric_samples_are_rejected() {
+        let chunk = |name: &str, value| {
+            encode_body(&Frame::MetricsChunk {
+                id: 1,
+                samples: vec![WireSample {
+                    name: name.into(),
+                    labels: vec![],
+                    value,
+                }],
+            })
         };
-        let mut body = encode_body(&frame);
-        // The span-count u32 is the last field of the only trace.
-        let at = body.len() - 4;
-        body[at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        let histogram = |buckets, exemplars| WireValue::Histogram {
+            count: 1,
+            sum: 1,
+            min: 1,
+            max: 1,
+            buckets,
+            exemplars,
+        };
+        // Out-of-range histogram bucket index: the index byte precedes its
+        // u64 count and the trailing (empty) exemplar-count byte.
+        let mut body = chunk("m", histogram(vec![(64, 1)], vec![]));
+        assert!(decode_body(&body).is_ok());
+        let at = body.len() - 10;
+        body[at] = NUM_BUCKETS as u8;
+        assert!(matches!(decode_body(&body), Err(WireError::Malformed(_))));
+        // Out-of-range exemplar bucket index: the bucket byte precedes its
+        // u128 id and u64 value.
+        let exemplar = BucketExemplar {
+            bucket: 63,
+            trace_id: 1,
+            value: 1,
+        };
+        let mut body = chunk("m", histogram(vec![], vec![exemplar]));
+        assert!(decode_body(&body).is_ok());
+        let at = body.len() - 25;
+        body[at] = NUM_BUCKETS as u8;
+        assert!(matches!(decode_body(&body), Err(WireError::Malformed(_))));
+        // Empty metric name.
+        let body = chunk("", WireValue::Counter(1));
+        assert!(matches!(decode_body(&body), Err(WireError::Malformed(_))));
+        // Unknown value kind: the kind byte precedes the u64 scalar.
+        let mut body = chunk("m", WireValue::Counter(1));
+        let at = body.len() - 9;
+        body[at] = 3;
         assert!(matches!(decode_body(&body), Err(WireError::Malformed(_))));
     }
 
     #[test]
-    fn inflated_count_is_rejected_without_allocating() {
-        // A ResultFlows frame claiming u32::MAX entries but carrying none.
-        let mut body = vec![0x83];
-        body.extend_from_slice(&1u64.to_le_bytes());
-        body.extend_from_slice(&u32::MAX.to_le_bytes());
+    fn unknown_discriminants_and_bad_utf8_are_rejected() {
+        assert!(decode_body(&[]).is_err());
+        for tag in (0..=u8::MAX).filter(|t| !Frame::TAGS.contains(t)) {
+            assert!(decode_body(&[tag, 0, 0, 0, 0, 0, 0, 0, 0]).is_err());
+        }
+        // Request kind 4; error code 0 and 10.
+        let mut body = encode_body(&Frame::Request {
+            id: 1,
+            req: Request::QueueMonitor { port: 2, at: 5 },
+            trace: None,
+        });
+        body[9] = 4;
         assert!(matches!(decode_body(&body), Err(WireError::Malformed(_))));
-        // A ShardMapAck claiming u32::MAX backends but carrying none.
-        let mut body = vec![0x8F];
-        body.extend_from_slice(&1u64.to_le_bytes()); // id
-        body.extend_from_slice(&0u64.to_le_bytes()); // generation
-        body.extend_from_slice(&2u32.to_le_bytes()); // replication
-        body.extend_from_slice(&0u64.to_le_bytes()); // epoch_ns
-        body.extend_from_slice(&u32::MAX.to_le_bytes());
+        for code in [0u16, 10] {
+            let mut body = encode_body(&Frame::Error {
+                id: 1,
+                code: ErrorCode::Io,
+                gaps: vec![],
+                message: String::new(),
+            });
+            body[9..11].copy_from_slice(&code.to_le_bytes());
+            assert!(matches!(decode_body(&body), Err(WireError::Malformed(_))));
+        }
+        // Non-UTF-8 text in the last string of a frame.
+        let mut body = encode_body(&Frame::MetricsText {
+            id: 1,
+            text: "pq".into(),
+        });
+        let n = body.len();
+        body[n - 2..].copy_from_slice(&[0xFE, 0xFF]);
         assert!(matches!(decode_body(&body), Err(WireError::Malformed(_))));
     }
 
     #[test]
-    fn oversized_length_prefix_is_refused_before_read() {
+    fn length_prefix_is_judged_before_the_body_is_read() {
         let mut buf = Vec::new();
         buf.extend_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());
         buf.extend_from_slice(&[0u8; 16]);
@@ -2873,12 +1735,9 @@ mod tests {
         ));
         // Nothing past the prefix was consumed.
         assert_eq!(cur.len(), 16);
-    }
-
-    #[test]
-    fn trailing_bytes_are_a_protocol_error() {
-        let mut body = encode_body(&Frame::ResultEnd { id: 3 });
-        body.push(0);
-        assert!(decode_body(&body).is_err());
+        assert!(matches!(
+            read_frame(&mut &[0u8; 8][..], MAX_FRAME_LEN),
+            Err(WireError::Malformed(_))
+        ));
     }
 }

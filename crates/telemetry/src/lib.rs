@@ -188,6 +188,9 @@ pub mod names {
     /// Routed queries answered degraded because every owner of some shard
     /// was down (counter).
     pub const ROUTER_SHARD_UNAVAILABLE: &str = "pq_router_shard_unavailable_total";
+    /// Client connections the router refused with `Busy` at its
+    /// connection cap (counter).
+    pub const ROUTER_SHED: &str = "pq_router_shed_total";
 
     // -- pq-stream (standing-query evaluator, serve & router side) ---------
     /// Standing-query subscriptions currently registered (gauge).
@@ -330,6 +333,7 @@ pub mod names {
             ROUTER_SHARD_UNAVAILABLE => {
                 "Routed queries degraded because every owner of a shard was down."
             }
+            ROUTER_SHED => "Client connections refused with a Busy frame at the connection cap.",
             STREAM_SUBSCRIPTIONS => "Standing-query subscriptions currently registered.",
             STREAM_WINDOWS_CLOSED => "Windows closed across all standing subscriptions.",
             STREAM_LATE_RECORDS => "Stream records dropped for arriving behind the watermark.",

@@ -1,0 +1,320 @@
+//! The connection front and the client exchange, from outside: a daemon
+//! and a router must be indistinguishable up to a client's first query
+//! (same handshake, same answers to the shared requests, same refusals),
+//! and the client must judge `Busy`, `Error` and response ids the same
+//! way whichever method is waiting.
+
+use printqueue::router::{BackendSpec, Router, RouterConfig, RouterHandle};
+use printqueue::serve::wire::{self, ErrorCode, Frame, Request};
+use printqueue::serve::{Client, ClientError, ServeConfig, Server, ServerHandle, Sources};
+use printqueue::telemetry::{names, Telemetry};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::thread;
+use std::time::Duration;
+
+/// A source-less daemon and a router in front of it, both capped at
+/// `max_conns` client connections.
+fn pair(max_conns: usize) -> ((ServerHandle, Telemetry), (RouterHandle, Telemetry)) {
+    let serve_plane = Telemetry::new();
+    let config = ServeConfig {
+        max_conns,
+        ..ServeConfig::default()
+    };
+    let daemon = Server::bind(("127.0.0.1", 0), Sources::default(), config, &serve_plane)
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let router_plane = Telemetry::new();
+    let backend = BackendSpec {
+        name: "only".into(),
+        addr: daemon.addr().to_string(),
+    };
+    let config = RouterConfig {
+        max_conns,
+        // Shutdown joins the probe loop mid-sleep, so a stopping router
+        // keeps its connections open about this long.
+        probe_interval: Duration::from_millis(400),
+        ..RouterConfig::default()
+    };
+    let router = Router::bind(("127.0.0.1", 0), vec![backend], config, &router_plane)
+        .unwrap()
+        .spawn()
+        .unwrap();
+    ((daemon, serve_plane), (router, router_plane))
+}
+
+fn send(stream: &mut TcpStream, frame: &Frame) {
+    wire::write_frame(stream, frame).unwrap();
+}
+
+fn recv(stream: &mut TcpStream) -> Option<Frame> {
+    wire::read_frame(stream, wire::MAX_FRAME_LEN).ok()
+}
+
+fn hello(addr: SocketAddr, version: u16) -> (TcpStream, Option<Frame>) {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    send(
+        &mut stream,
+        &Frame::Hello {
+            version,
+            max_frame: wire::MAX_FRAME_LEN,
+        },
+    );
+    let reply = recv(&mut stream);
+    (stream, reply)
+}
+
+/// What a front does, as a transcript comparable across fronts: the
+/// handshake replies in full, the frame kinds answering each shared
+/// request, and every refusal in full followed by the close.
+fn transcript(addr: SocketAddr) -> Vec<String> {
+    let mut lines = Vec::new();
+    for version in [0, 1, 2, 9] {
+        let (mut stream, reply) = hello(addr, version);
+        let then = (version == 0).then(|| format!(" then {:?}", recv(&mut stream)));
+        lines.push(format!(
+            "hello v{version}: {reply:?}{}",
+            then.unwrap_or_default()
+        ));
+    }
+    let (mut stream, _) = hello(addr, wire::PROTOCOL_VERSION);
+    let requests = [
+        Frame::HealthReq { id: 5 },
+        Frame::ShardMapReq { id: 6 },
+        Frame::MetricsReq { id: 7 },
+        Frame::MetricsGet { id: 8 },
+        Frame::TraceDumpReq {
+            id: 9,
+            max: 4,
+            slow_only: false,
+        },
+    ];
+    for request in &requests {
+        send(&mut stream, request);
+        let mut kinds = Vec::new();
+        loop {
+            let reply = recv(&mut stream).expect("a shared request is answered");
+            assert_eq!(reply.id(), request.id());
+            if kinds.last() != Some(&reply.tag()) {
+                kinds.push(reply.tag());
+            }
+            let streamed = matches!(
+                reply,
+                Frame::MetricsHeader { .. } | Frame::MetricsChunk { .. }
+            );
+            if !streamed {
+                break;
+            }
+        }
+        lines.push(format!("{:#04x} -> {kinds:02x?}", request.tag()));
+    }
+    let refusals: [(&str, Vec<Frame>); 3] = [
+        ("no hello", vec![Frame::HealthReq { id: 1 }]),
+        (
+            "second hello",
+            vec![
+                Frame::Hello {
+                    version: 2,
+                    max_frame: 4096,
+                },
+                Frame::Hello {
+                    version: 2,
+                    max_frame: 4096,
+                },
+            ],
+        ),
+        (
+            "server frame",
+            vec![
+                Frame::Hello {
+                    version: 2,
+                    max_frame: 4096,
+                },
+                Frame::ResultEnd { id: 3 },
+            ],
+        ),
+    ];
+    for (what, frames) in refusals {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        for frame in &frames {
+            send(&mut stream, frame);
+        }
+        if frames.len() > 1 {
+            let _ack = recv(&mut stream);
+        }
+        let refusal = recv(&mut stream);
+        lines.push(format!("{what}: {refusal:?} then {:?}", recv(&mut stream)));
+    }
+    // A length prefix over the negotiated frame cap.
+    let (mut stream, _) = hello(addr, 2);
+    std::io::Write::write_all(&mut stream, &(wire::MAX_FRAME_LEN + 1).to_le_bytes()).unwrap();
+    let refusal = recv(&mut stream);
+    lines.push(format!(
+        "oversized: {refusal:?} then {:?}",
+        recv(&mut stream)
+    ));
+    lines
+}
+
+#[test]
+fn a_daemon_and_a_router_present_the_same_front() {
+    let ((daemon, _serve_plane), (router, _router_plane)) = pair(64);
+    let daemon_lines = transcript(daemon.addr());
+    let router_lines = transcript(router.addr());
+    assert_eq!(daemon_lines, router_lines);
+
+    // And that shared behaviour is the specified one.
+    let has = |needle: &str| {
+        assert!(
+            daemon_lines.iter().any(|l| l.contains(needle)),
+            "no `{needle}` in {daemon_lines:#?}"
+        )
+    };
+    has("hello v0: Some(Error { id: 0, code: Unsupported");
+    has("hello v1: Some(HelloAck { version: 1,");
+    has("hello v2: Some(HelloAck { version: 2,");
+    has("hello v9: Some(HelloAck { version: 2,");
+    has("0x05 -> [8c]");
+    has("0x08 -> [8f]");
+    has("0x03 -> [8a]");
+    has("0x06 -> [8d, 8e, 85]");
+    has("0x0b -> [93]");
+    has("no hello: Some(Error { id: 0, code: Protocol, gaps: [], message: \"expected Hello");
+    has("second hello: Some(Error { id: 0, code: Protocol, gaps: [], message: \"duplicate Hello");
+    has("server frame: Some(Error { id: 0, code: Protocol, gaps: [], message: \"server-to-client");
+    has("oversized: Some(Error { id: 0, code: Protocol, gaps: [], message: \"frame length");
+    for line in daemon_lines.iter().filter(|l| l.contains(": Some(Error")) {
+        assert!(line.ends_with("then None"), "no close after {line}");
+    }
+
+    router.shutdown().unwrap();
+    daemon.shutdown().unwrap();
+}
+
+#[test]
+fn both_fronts_refuse_and_count_connections_over_the_cap() {
+    let ((daemon, serve_plane), (router, router_plane)) = pair(2);
+    let fronts = [
+        (daemon.addr(), &serve_plane, names::SERVE_SHED),
+        (router.addr(), &router_plane, names::ROUTER_SHED),
+    ];
+    for (addr, plane, series) in fronts {
+        let shed = plane.registry().counter(series, &[]);
+        assert_eq!(shed.get(), 0);
+        // A completed handshake means the connection is counted.
+        let _held = [
+            Client::connect(addr).unwrap(),
+            Client::connect(addr).unwrap(),
+        ];
+        let refused = Client::connect(addr).err().expect("third connection");
+        assert!(
+            matches!(refused, ClientError::Busy { retry_after_ms: 50 }),
+            "{refused}"
+        );
+        assert_eq!(shed.get(), 1, "{series} did not move");
+    }
+    router.shutdown().unwrap();
+    daemon.shutdown().unwrap();
+}
+
+#[test]
+fn a_stopping_router_s_refusal_keeps_its_typed_code() {
+    let ((daemon, _serve_plane), (router, _router_plane)) = pair(8);
+    let mut stopper = Client::connect(router.addr()).unwrap();
+    let mut bystander = Client::connect(router.addr()).unwrap();
+    stopper.shutdown_server().unwrap();
+    // The router answers with `Error{id: 0, ShuttingDown}`: connection
+    // level, so it belongs to whatever exchange is running.
+    let refused = bystander
+        .query(Request::Replay {
+            port: 0,
+            from: 0,
+            to: 10,
+            d: 1,
+        })
+        .expect_err("a stopping router answers no query");
+    assert!(
+        matches!(
+            refused,
+            ClientError::Remote {
+                code: ErrorCode::ShuttingDown,
+                ..
+            }
+        ),
+        "{refused}"
+    );
+    router.shutdown().unwrap();
+    daemon.shutdown().unwrap();
+}
+
+/// A peer that handshakes, then answers every request with `Busy` under
+/// the id `reply_id` makes of the request's.
+fn busy_peer(reply_id: fn(u64) -> u64) -> SocketAddr {
+    let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let addr = listener.local_addr().unwrap();
+    thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let _hello = recv(&mut stream);
+        send(
+            &mut stream,
+            &Frame::HelloAck {
+                version: wire::PROTOCOL_VERSION,
+                max_frame: wire::MAX_FRAME_LEN,
+            },
+        );
+        while let Some(request) = recv(&mut stream) {
+            send(
+                &mut stream,
+                &Frame::Busy {
+                    id: reply_id(request.id()),
+                    retry_after_ms: 7,
+                },
+            );
+        }
+    });
+    addr
+}
+
+/// Every request method's outcome against `addr`, by method name.
+fn every_method(addr: SocketAddr) -> Vec<(&'static str, ClientError)> {
+    let mut c = Client::connect(addr).unwrap();
+    let replay = Request::Replay {
+        port: 0,
+        from: 0,
+        to: 10,
+        d: 1,
+    };
+    vec![
+        ("query", c.query(replay).err().unwrap()),
+        ("queue_monitor", c.queue_monitor(0, 5).err().unwrap()),
+        ("rtt", c.rtt(0, 0, 10, 0).err().unwrap()),
+        ("metrics", c.metrics().err().unwrap()),
+        ("health", c.health().err().unwrap()),
+        ("shard_map", c.shard_map().err().unwrap()),
+        ("metrics_snapshot", c.metrics_snapshot().err().unwrap()),
+        ("subscribe", c.subscribe(10, 1).err().unwrap()),
+        ("trace_dump", c.trace_dump(4, false).err().unwrap()),
+        ("profile_dump_bytes", c.profile_dump_bytes().err().unwrap()),
+        ("standing", c.standing("q", 4, 0, true).err().unwrap()),
+        ("shutdown_server", c.shutdown_server().err().unwrap()),
+    ]
+}
+
+#[test]
+fn every_client_method_judges_busy_and_ids_alike() {
+    // A `Busy` under the request's id, or under the connection-level id 0,
+    // is `ClientError::Busy` with the hint intact.
+    let accepted: [fn(u64) -> u64; 2] = [|id| id, |_| 0];
+    for reply_id in accepted {
+        for (method, err) in every_method(busy_peer(reply_id)) {
+            assert!(
+                matches!(err, ClientError::Busy { retry_after_ms: 7 }),
+                "{method}: {err}"
+            );
+        }
+    }
+    // Under anybody else's id it is a protocol violation.
+    for (method, err) in every_method(busy_peer(|id| id + 1000)) {
+        assert!(matches!(err, ClientError::Protocol(_)), "{method}: {err}");
+    }
+}

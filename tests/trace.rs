@@ -9,9 +9,7 @@ use printqueue::core::control::{AnalysisProgram, ControlConfig};
 use printqueue::core::params::TimeWindowConfig;
 use printqueue::packet::FlowId;
 use printqueue::router::{BackendSpec, Router, RouterConfig, RouterHandle};
-use printqueue::serve::{
-    Client, Request, ServeConfig, Server, ServerHandle, Sources, PROTOCOL_VERSION,
-};
+use printqueue::serve::{Client, Request, ServeConfig, Server, ServerHandle, Sources};
 use printqueue::store::{ship_archive, SegmentPolicy, SharedStoreWriter, StoreWriter};
 use printqueue::telemetry::{
     self, names, new_trace_id, to_prometheus, traces_to_chrome, MetricValue, Telemetry, Trace,
@@ -266,35 +264,6 @@ fn answers_are_bit_identical_with_tracing_on_and_off() {
     }
 
     router.shutdown().unwrap();
-    for b in backends {
-        b.shutdown().unwrap();
-    }
-    cleanup(&paths);
-}
-
-#[test]
-fn v1_client_interoperates_with_a_tracing_server() {
-    let bytes = build_archive(2_000);
-    let (backends, _specs, _planes, paths) =
-        spawn_traced_fleet(&bytes, 1, "v1", &ServeConfig::default());
-    let addr = backends[0].addr();
-
-    let mut v2 = Client::connect(addr).unwrap();
-    assert_eq!(v2.negotiated_version(), PROTOCOL_VERSION);
-    let want = v2.query(replay_req(PORTS[0])).unwrap();
-
-    let mut v1 = Client::connect_with_version(addr, 1).unwrap();
-    assert_eq!(v1.negotiated_version(), 1);
-    // Even with a context configured, a v1 session never attaches it —
-    // the v1 byte stream is exactly the pre-tracing layout.
-    v1.set_trace_context(Some(TraceContext::root(new_trace_id(), true)));
-    let got = v1.query(replay_req(PORTS[0])).unwrap();
-    assert_eq!(got.trace, None, "a v1 answer cannot carry an echo");
-    assert_eq!(got.estimates.counts, want.estimates.counts);
-    assert_eq!(got.gaps, want.gaps);
-    assert_eq!(got.degraded, want.degraded);
-    assert_eq!(got.checkpoints, want.checkpoints);
-
     for b in backends {
         b.shutdown().unwrap();
     }

@@ -504,23 +504,27 @@ impl AnalysisProgram {
     /// `deq_ts`. Feeds the primary time-window copy.
     pub fn record_dequeue(&mut self, port: u16, flow: FlowId, deq_ts: Nanos) {
         if let Some(i) = self.port_index(port) {
-            self.ports[i].1.time_windows.record(flow, deq_ts);
-            if self.telemetry.tracing_enabled() {
-                // One span per completed set period: the rings rotate every
-                // t_set, and a dequeue past the next boundary closes the
-                // previous rotation.
-                let t_set = self.tw_config.set_period();
-                let boundary = deq_ts / t_set;
-                let regs = &mut self.ports[i].1;
-                if boundary > regs.last_rotation {
-                    self.telemetry.spans().record(
-                        names::SPAN_WINDOW_ROTATION,
-                        regs.last_rotation * t_set,
-                        boundary * t_set,
-                        u32::from(port),
-                    );
-                    regs.last_rotation = boundary;
-                }
+            self.record_dequeue_at(i, flow, deq_ts);
+        }
+    }
+
+    fn record_dequeue_at(&mut self, i: usize, flow: FlowId, deq_ts: Nanos) {
+        let (port, regs) = &mut self.ports[i];
+        regs.time_windows.record(flow, deq_ts);
+        if self.telemetry.tracing_enabled() {
+            // One span per completed set period: the rings rotate every
+            // t_set, and a dequeue past the next boundary closes the
+            // previous rotation.
+            let t_set = self.tw_config.set_period();
+            let boundary = deq_ts / t_set;
+            if boundary > regs.last_rotation {
+                self.telemetry.spans().record(
+                    names::SPAN_WINDOW_ROTATION,
+                    regs.last_rotation * t_set,
+                    boundary * t_set,
+                    u32::from(*port),
+                );
+                regs.last_rotation = boundary;
             }
         }
     }
@@ -535,14 +539,28 @@ impl AnalysisProgram {
         }
     }
 
-    /// Data-plane update for queue `queue`'s monitor on dequeue.
-    pub fn qm_dequeue(&mut self, port: u16, queue: u8, flow: FlowId, depth_cells: u32, now: Nanos) {
-        if let Some(i) = self.port_index(port) {
-            self.ports[i]
-                .1
-                .monitor_mut(queue)
-                .on_dequeue(flow, depth_cells, now);
-        }
+    /// The egress pipeline's data-plane updates for a packet of `flow` that
+    /// left `port`'s queue `queue` at `deq_ts`, leaving it `depth_cells`
+    /// deep: the queue's monitor, then the time windows, with the port's
+    /// registers looked up once. Returns whether PrintQueue is active on
+    /// `port`.
+    pub fn on_dequeue(
+        &mut self,
+        port: u16,
+        queue: u8,
+        flow: FlowId,
+        depth_cells: u32,
+        deq_ts: Nanos,
+    ) -> bool {
+        let Some(i) = self.port_index(port) else {
+            return false;
+        };
+        self.ports[i]
+            .1
+            .monitor_mut(queue)
+            .on_dequeue(flow, depth_cells, deq_ts);
+        self.record_dequeue_at(i, flow, deq_ts);
+        true
     }
 
     /// Periodic control-plane tick. Services due retries first, then — when

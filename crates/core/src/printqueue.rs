@@ -188,17 +188,17 @@ impl QueueHooks for PrintQueue {
     }
 
     fn on_dequeue(&mut self, pkt: &SimPacket, port: u16, depth_after: u32, now: Nanos) {
-        self.analysis
-            .qm_dequeue(port, pkt.meta.queue, pkt.flow, depth_after, now);
         // Time windows index on the dequeue timestamp (§4.2).
         let deq_ts = pkt.meta.deq_timestamp();
         debug_assert_eq!(deq_ts, now);
-        self.analysis.record_dequeue(port, pkt.flow, deq_ts);
+        let active = self
+            .analysis
+            .on_dequeue(port, pkt.meta.queue, pkt.flow, depth_after, deq_ts);
         if let Some(trigger) = self.config.trigger {
             let cooled = self
                 .last_trigger
                 .is_none_or(|t| now >= t + trigger.cooldown);
-            if cooled && trigger.fires(pkt) && self.analysis.is_active(port) {
+            if cooled && trigger.fires(pkt) && active {
                 let interval = QueryInterval::new(pkt.meta.enq_timestamp, deq_ts);
                 if self.analysis.dp_query(port, interval, now) {
                     self.triggers_fired

@@ -114,7 +114,16 @@ impl QueueMonitor {
     }
 
     fn level_for(&self, depth_cells: u32) -> u32 {
-        (depth_cells / self.cells_per_entry).min(self.entries.len() as u32 - 1)
+        // The granularity is fixed at construction and a power of two in
+        // practice (1 in every shipped configuration): a shift, not a
+        // hardware divide per update.
+        let cells = self.cells_per_entry;
+        let level = if cells.is_power_of_two() {
+            depth_cells >> cells.trailing_zeros()
+        } else {
+            depth_cells / cells
+        };
+        level.min(self.entries.len() as u32 - 1)
     }
 
     /// One data-plane update: stamp a half of the entry at `depth_cells`

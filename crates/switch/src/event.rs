@@ -1,53 +1,22 @@
 //! The event calendar driving the discrete-event simulation.
 //!
 //! Only one kind of internal event exists: a port finishing the transmission
-//! of a packet ([`Event::TxComplete`]). Packet arrivals come from the sorted
-//! input stream and periodic control-plane ticks are synthesized by the run
-//! loop, so the calendar stays tiny and allocation-light.
+//! of a packet. Packet arrivals come from the sorted input stream and
+//! periodic control-plane ticks are synthesized by the run loop. A port's
+//! serializer sends one packet at a time, so the calendar never holds two
+//! completions for one port: it is a list of at most `ports` entries, kept
+//! in firing order.
 
 use pq_packet::Nanos;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
-/// An internal simulator event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Event {
-    /// Port `port` finishes serializing its current packet at the scheduled
-    /// time and can begin the next transmission.
-    TxComplete { port: u16 },
-}
-
-/// A scheduled event with a deterministic tie-break.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Scheduled {
-    at: Nanos,
-    /// Monotonic insertion counter so simultaneous events fire in the order
-    /// they were scheduled, keeping runs reproducible.
-    seq: u64,
-    event: Event,
-}
-
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event is on top.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// A time-ordered event calendar.
+/// Pending transmission completions, earliest first; completions at the
+/// same nanosecond fire in the order their transmissions started, keeping
+/// runs reproducible.
 #[derive(Debug, Default)]
 pub struct Calendar {
-    heap: BinaryHeap<Scheduled>,
-    next_seq: u64,
+    /// `(time, port)`, ascending by time, insertion order among equals.
+    pending: VecDeque<(Nanos, u16)>,
 }
 
 impl Calendar {
@@ -56,31 +25,43 @@ impl Calendar {
         Calendar::default()
     }
 
-    /// Schedule `event` at absolute time `at`.
-    pub fn schedule(&mut self, at: Nanos, event: Event) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Scheduled { at, seq, event });
+    /// `port`, which has no completion pending, finishes its transmission
+    /// at absolute time `at`.
+    #[inline]
+    pub fn schedule(&mut self, at: Nanos, port: u16) {
+        debug_assert!(
+            self.pending.iter().all(|&(_, p)| p != port),
+            "port {port} already has a completion pending"
+        );
+        // A transmission that starts later mostly ends later.
+        if self.pending.back().is_none_or(|&(t, _)| t <= at) {
+            self.pending.push_back((at, port));
+        } else {
+            let slot = self.pending.partition_point(|&(t, _)| t <= at);
+            self.pending.insert(slot, (at, port));
+        }
     }
 
-    /// Time of the earliest pending event, if any.
+    /// Time of the earliest pending completion, if any.
+    #[inline]
     pub fn peek_time(&self) -> Option<Nanos> {
-        self.heap.peek().map(|s| s.at)
+        self.pending.front().map(|&(t, _)| t)
     }
 
-    /// Pop the earliest pending event.
-    pub fn pop(&mut self) -> Option<(Nanos, Event)> {
-        self.heap.pop().map(|s| (s.at, s.event))
+    /// Pop the earliest pending completion: its time and port.
+    #[inline]
+    pub fn pop(&mut self) -> Option<(Nanos, u16)> {
+        self.pending.pop_front()
     }
 
-    /// Number of pending events.
+    /// Number of pending completions.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.pending.len()
     }
 
     /// True when nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.pending.is_empty()
     }
 }
 
@@ -91,31 +72,43 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         let mut cal = Calendar::new();
-        cal.schedule(30, Event::TxComplete { port: 3 });
-        cal.schedule(10, Event::TxComplete { port: 1 });
-        cal.schedule(20, Event::TxComplete { port: 2 });
+        cal.schedule(30, 3);
+        cal.schedule(10, 1);
+        cal.schedule(20, 2);
         let order: Vec<Nanos> = std::iter::from_fn(|| cal.pop()).map(|(t, _)| t).collect();
         assert_eq!(order, vec![10, 20, 30]);
     }
 
     #[test]
     fn simultaneous_events_fire_in_schedule_order() {
+        // Ports 9, 1 and 4 start transmissions, in that order, that all
+        // complete at t=5, around entries before and after.
         let mut cal = Calendar::new();
-        cal.schedule(5, Event::TxComplete { port: 9 });
-        cal.schedule(5, Event::TxComplete { port: 1 });
-        let (_, first) = cal.pop().unwrap();
-        let (_, second) = cal.pop().unwrap();
-        assert_eq!(first, Event::TxComplete { port: 9 });
-        assert_eq!(second, Event::TxComplete { port: 1 });
+        cal.schedule(7, 0);
+        cal.schedule(5, 9);
+        cal.schedule(5, 1);
+        cal.schedule(2, 6);
+        cal.schedule(5, 4);
+        let order: Vec<(Nanos, u16)> = std::iter::from_fn(|| cal.pop()).collect();
+        assert_eq!(order, vec![(2, 6), (5, 9), (5, 1), (5, 4), (7, 0)]);
     }
 
     #[test]
     fn peek_matches_pop() {
         let mut cal = Calendar::new();
         assert_eq!(cal.peek_time(), None);
-        cal.schedule(42, Event::TxComplete { port: 0 });
+        cal.schedule(42, 0);
         assert_eq!(cal.peek_time(), Some(42));
         assert_eq!(cal.pop().unwrap().0, 42);
         assert!(cal.is_empty());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "already has a completion pending")]
+    fn one_pending_completion_per_port() {
+        let mut cal = Calendar::new();
+        cal.schedule(10, 3);
+        cal.schedule(20, 3);
     }
 }

@@ -31,44 +31,99 @@ pub enum SchedulerKind {
 
 impl SchedulerKind {
     /// Instantiate the scheduler state.
-    pub fn build(self) -> Box<dyn Scheduler> {
-        match self {
-            SchedulerKind::Fifo => Box::new(Fifo::new()),
+    pub fn build(self) -> Scheduler {
+        let discipline = match self {
+            SchedulerKind::Fifo => Discipline::Fifo(Fifo::new()),
             SchedulerKind::StrictPriority { queues } => {
-                Box::new(StrictPriority::new(queues.max(1)))
+                Discipline::StrictPriority(StrictPriority::new(queues.max(1)))
             }
             SchedulerKind::Drr { queues, quantum } => {
-                Box::new(Drr::new(queues.max(1), quantum.max(1)))
+                Discipline::Drr(Drr::new(queues.max(1), quantum.max(1)))
             }
-        }
+        };
+        Scheduler { discipline, len: 0 }
     }
 }
 
-/// The queue discipline behind one egress port.
+/// The queue discipline behind one egress port: one of the three above,
+/// dispatched by `match` so the per-packet calls inline, plus the number of
+/// packets it holds, so finding it empty (every completion on a lightly
+/// loaded port) does not visit a multi-queue discipline's queues.
 ///
 /// Depth accounting (cells, tail drop) lives in the traffic manager; the
 /// scheduler only orders packets. Multi-queue disciplines additionally
 /// expose which of their internal queues a packet maps to, so the traffic
 /// manager can maintain per-queue depths (the paper tracks "multiple
 /// queues ... individually", §5).
-pub trait Scheduler: std::fmt::Debug {
+#[derive(Debug)]
+pub struct Scheduler {
+    discipline: Discipline,
+    len: usize,
+}
+
+#[derive(Debug)]
+enum Discipline {
+    Fifo(Fifo),
+    StrictPriority(StrictPriority),
+    Drr(Drr),
+}
+
+impl Scheduler {
     /// Admit a packet.
-    fn enqueue(&mut self, pkt: SimPacket);
+    #[inline]
+    pub fn enqueue(&mut self, pkt: SimPacket) {
+        self.len += 1;
+        match &mut self.discipline {
+            Discipline::Fifo(s) => s.enqueue(pkt),
+            Discipline::StrictPriority(s) => s.enqueue(pkt),
+            Discipline::Drr(s) => s.enqueue(pkt),
+        }
+    }
+
     /// Select and remove the next packet to transmit.
-    fn dequeue(&mut self) -> Option<SimPacket>;
+    #[inline]
+    pub fn dequeue(&mut self) -> Option<SimPacket> {
+        if self.len == 0 {
+            return None;
+        }
+        self.len -= 1;
+        // One `pop_front` after the match, not one per arm: the arms would
+        // merge their `Option<SimPacket>`s through memory, a second copy.
+        let queue = match &mut self.discipline {
+            Discipline::Fifo(s) => &mut s.queue,
+            Discipline::StrictPriority(s) => s.select()?,
+            Discipline::Drr(s) => s.select()?,
+        };
+        queue.pop_front()
+    }
+
     /// Total queued packets.
-    fn len(&self) -> usize;
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
     /// True when no packets are queued.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
-    /// Number of internal queues.
-    fn num_queues(&self) -> u8 {
-        1
+
+    /// Number of internal queues (1 for FIFO).
+    pub fn num_queues(&self) -> u8 {
+        match &self.discipline {
+            Discipline::Fifo(_) => 1,
+            Discipline::StrictPriority(s) => s.queues.len() as u8,
+            Discipline::Drr(s) => s.queues.len() as u8,
+        }
     }
-    /// Which internal queue `pkt` maps to (0 for single-queue disciplines).
-    fn queue_for(&self, _pkt: &SimPacket) -> u8 {
-        0
+
+    /// Which internal queue `pkt` maps to (0 for FIFO).
+    #[inline]
+    pub fn queue_for(&self, pkt: &SimPacket) -> u8 {
+        match &self.discipline {
+            Discipline::Fifo(_) => 0,
+            Discipline::StrictPriority(s) => s.clamp_queue(pkt.priority) as u8,
+            Discipline::Drr(s) => s.clamp_queue(pkt.priority) as u8,
+        }
     }
 }
 
@@ -83,19 +138,17 @@ impl Fifo {
     pub fn new() -> Fifo {
         Fifo::default()
     }
-}
 
-impl Scheduler for Fifo {
-    fn enqueue(&mut self, pkt: SimPacket) {
+    /// Admit a packet.
+    #[inline]
+    pub fn enqueue(&mut self, pkt: SimPacket) {
         self.queue.push_back(pkt);
     }
 
-    fn dequeue(&mut self) -> Option<SimPacket> {
+    /// Remove the oldest packet.
+    #[inline]
+    pub fn dequeue(&mut self) -> Option<SimPacket> {
         self.queue.pop_front()
-    }
-
-    fn len(&self) -> usize {
-        self.queue.len()
     }
 }
 
@@ -116,28 +169,31 @@ impl StrictPriority {
     fn clamp_queue(&self, priority: u8) -> usize {
         usize::from(priority).min(self.queues.len() - 1)
     }
-}
 
-impl Scheduler for StrictPriority {
-    fn enqueue(&mut self, pkt: SimPacket) {
+    /// Admit a packet to its priority's queue.
+    pub fn enqueue(&mut self, pkt: SimPacket) {
         let q = self.clamp_queue(pkt.priority);
         self.queues[q].push_back(pkt);
     }
 
-    fn dequeue(&mut self) -> Option<SimPacket> {
-        self.queues.iter_mut().find_map(|q| q.pop_front())
+    /// The highest-priority backlogged queue.
+    fn select(&mut self) -> Option<&mut VecDeque<SimPacket>> {
+        self.queues.iter_mut().find(|q| !q.is_empty())
     }
 
-    fn len(&self) -> usize {
+    /// Remove the head of the highest-priority backlogged queue.
+    pub fn dequeue(&mut self) -> Option<SimPacket> {
+        self.select()?.pop_front()
+    }
+
+    /// Queued packets, all priorities.
+    pub fn len(&self) -> usize {
         self.queues.iter().map(VecDeque::len).sum()
     }
 
-    fn num_queues(&self) -> u8 {
-        self.queues.len() as u8
-    }
-
-    fn queue_for(&self, pkt: &SimPacket) -> u8 {
-        self.clamp_queue(pkt.priority) as u8
+    /// True when no packets are queued.
+    pub fn is_empty(&self) -> bool {
+        self.queues.iter().all(VecDeque::is_empty)
     }
 }
 
@@ -165,16 +221,17 @@ impl Drr {
     fn clamp_queue(&self, priority: u8) -> usize {
         usize::from(priority).min(self.queues.len() - 1)
     }
-}
 
-impl Scheduler for Drr {
-    fn enqueue(&mut self, pkt: SimPacket) {
+    /// Admit a packet to its priority's queue.
+    pub fn enqueue(&mut self, pkt: SimPacket) {
         let q = self.clamp_queue(pkt.priority);
         self.queues[q].push_back(pkt);
     }
 
-    fn dequeue(&mut self) -> Option<SimPacket> {
-        if self.len() == 0 {
+    /// The queue whose head the round-robin pointer can afford next,
+    /// charged for it: the caller pops that head.
+    fn select(&mut self) -> Option<&mut VecDeque<SimPacket>> {
+        if self.is_empty() {
             return None;
         }
         // Each full sweep adds a quantum to every backlogged queue, so a
@@ -189,13 +246,13 @@ impl Scheduler for Drr {
             if let Some(head) = self.queues[q].front() {
                 if self.deficits[q] >= u64::from(head.len) {
                     self.deficits[q] -= u64::from(head.len);
-                    let pkt = self.queues[q].pop_front();
-                    if self.queues[q].is_empty() {
-                        // An empty queue forfeits its deficit (standard DRR).
+                    if self.queues[q].len() == 1 {
+                        // A queue this send empties forfeits its deficit
+                        // (standard DRR).
                         self.deficits[q] = 0;
                         self.current = (q + 1) % self.queues.len();
                     }
-                    return pkt;
+                    return Some(&mut self.queues[q]);
                 }
                 // Head too large: top up and move on.
                 self.deficits[q] += u64::from(self.quantum);
@@ -206,16 +263,14 @@ impl Scheduler for Drr {
         unreachable!("DRR failed to make progress");
     }
 
-    fn len(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
+    /// Remove the next packet the round-robin pointer can afford.
+    pub fn dequeue(&mut self) -> Option<SimPacket> {
+        self.select()?.pop_front()
     }
 
-    fn num_queues(&self) -> u8 {
-        self.queues.len() as u8
-    }
-
-    fn queue_for(&self, pkt: &SimPacket) -> u8 {
-        self.clamp_queue(pkt.priority) as u8
+    /// True when no packets are queued.
+    pub fn is_empty(&self) -> bool {
+        self.queues.iter().all(VecDeque::is_empty)
     }
 }
 

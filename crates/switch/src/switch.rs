@@ -1,6 +1,6 @@
 //! The switch: event loop tying arrivals, ports, and hooks together.
 
-use crate::event::{Calendar, Event};
+use crate::event::Calendar;
 use crate::hooks::QueueHooks;
 use crate::stats::PortStats;
 use crate::telemetry::SwitchTelemetry;
@@ -68,7 +68,6 @@ impl SwitchConfig {
 /// are passed per-run (rather than owned) so callers keep full access to
 /// their data-plane programs and sinks afterwards.
 pub struct Switch {
-    config: SwitchConfig,
     ports: Vec<Port>,
     calendar: Calendar,
     now: Nanos,
@@ -79,10 +78,13 @@ pub struct Switch {
 impl Switch {
     /// Build a switch from its configuration.
     pub fn new(config: SwitchConfig) -> Switch {
-        let ports = config.ports.iter().map(|p| Port::new(*p)).collect();
+        let ports = config
+            .ports
+            .iter()
+            .map(|p| Port::new(*p, config.cell_bytes))
+            .collect();
         Switch {
             ports,
-            config,
             calendar: Calendar::new(),
             now: 0,
             next_seqno: 0,
@@ -120,54 +122,58 @@ impl Switch {
 
     /// Inject one packet at the current simulation time (used by
     /// fine-grained tests; `run` is the usual driver).
-    pub fn inject(&mut self, arrival: Arrival, hooks: &mut [&mut dyn QueueHooks]) {
+    pub fn inject(&mut self, mut arrival: Arrival, hooks: &mut [&mut dyn QueueHooks]) {
         debug_assert!(arrival.pkt.arrival >= self.now, "arrival in the past");
         self.now = arrival.pkt.arrival;
-        self.handle_arrival(arrival, hooks);
+        self.admit(&mut arrival, hooks);
     }
 
-    fn handle_arrival(&mut self, arrival: Arrival, hooks: &mut [&mut dyn QueueHooks]) {
-        let Arrival { mut pkt, port } = arrival;
+    /// Offer `arrival` to its egress port at `self.now`. The packet is
+    /// stamped where it lies — the caller's copy, which the hooks borrow —
+    /// and copied once, into its queue slot.
+    #[inline]
+    fn admit(&mut self, arrival: &mut Arrival, hooks: &mut [&mut dyn QueueHooks]) {
+        let (pkt, port) = (&mut arrival.pkt, arrival.port);
         pkt.seqno = self.next_seqno;
         self.next_seqno += 1;
         pkt.meta.egress_port = port;
-        let cell_bytes = self.config.cell_bytes;
         let p = &mut self.ports[usize::from(port)];
-        match p.enqueue(&mut pkt, cell_bytes, self.now) {
+        match p.enqueue(pkt, self.now) {
             EnqueueOutcome::Stored { depth_after } => {
                 if let Some(tel) = &self.telemetry {
                     let inst = &tel.ports[usize::from(port)];
                     inst.enqueued.inc();
-                    inst.max_depth_cells
-                        .set_max(u64::from(self.ports[usize::from(port)].depth_cells()));
+                    inst.max_depth_cells.set_max(u64::from(p.depth_cells()));
                 }
                 for hook in hooks.iter_mut() {
-                    hook.on_enqueue(&pkt, port, depth_after, self.now);
+                    hook.on_enqueue(pkt, port, depth_after, self.now);
                 }
-                self.maybe_start_tx(port, hooks);
+                // A standing queue means the serializer is mid-packet; only
+                // on an idle port does the packet go straight out.
+                if !p.transmitting() {
+                    self.maybe_start_tx(port, hooks);
+                }
             }
             EnqueueOutcome::Dropped => {
                 if let Some(tel) = &self.telemetry {
                     tel.ports[usize::from(port)].dropped.inc();
                 }
                 for hook in hooks.iter_mut() {
-                    hook.on_drop(&pkt, port, self.now);
+                    hook.on_drop(pkt, port, self.now);
                 }
             }
         }
     }
 
+    /// Start `port`'s next transmission if its serializer is idle and a
+    /// packet is queued, and schedule its completion.
+    #[inline]
     fn maybe_start_tx(&mut self, port: u16, hooks: &mut [&mut dyn QueueHooks]) {
-        let cell_bytes = self.config.cell_bytes;
-        let p = &mut self.ports[usize::from(port)];
-        if !p.can_start_tx() {
-            return;
-        }
-        if let Some((pkt, done_at)) = p.start_tx(cell_bytes, self.now) {
-            // Hooks observe the departing packet's own queue (equals the
-            // port depth on FIFO ports).
-            let depth_after = p.queue_depth_cells(pkt.meta.queue);
-            if let Some(tel) = &self.telemetry {
+        let (now, telemetry) = (self.now, &self.telemetry);
+        // Hooks observe the departing packet's own queue (equals the port
+        // depth on FIFO ports).
+        let egress = |pkt: &SimPacket, depth_after: u32| {
+            if let Some(tel) = telemetry {
                 let inst = &tel.ports[usize::from(port)];
                 inst.dequeued.inc();
                 inst.tx_bytes.add(u64::from(pkt.len));
@@ -182,18 +188,50 @@ impl Switch {
                 }
             }
             for hook in hooks.iter_mut() {
-                hook.on_dequeue(&pkt, port, depth_after, self.now);
+                hook.on_dequeue(pkt, port, depth_after, now);
             }
-            self.calendar.schedule(done_at, Event::TxComplete { port });
+        };
+        if let Some(done_at) = self.ports[usize::from(port)].start_tx(now, egress) {
+            self.calendar.schedule(done_at, port);
         }
     }
 
-    fn handle_event(&mut self, event: Event, hooks: &mut [&mut dyn QueueHooks]) {
-        match event {
-            Event::TxComplete { port } => {
-                self.ports[usize::from(port)].tx_complete();
-                self.maybe_start_tx(port, hooks);
+    /// The control-plane tick due at `at`.
+    fn tick(&mut self, at: Nanos, hooks: &mut [&mut dyn QueueHooks]) {
+        self.now = self.now.max(at);
+        for hook in hooks.iter_mut() {
+            hook.on_tick(self.now);
+        }
+    }
+
+    /// Fire, in time order, every tick and transmission completion due no
+    /// later than `until`, an instant at which work is known to be pending
+    /// (an arrival, a completion, or the caller's own deadline). At equal
+    /// times a tick fires before a completion, and both before whatever
+    /// the caller does at `until`. Ticks exist only to service pending
+    /// work, so none fires past `until`; `tick_period` 0 means none at all.
+    #[inline]
+    fn settle(
+        &mut self,
+        until: Nanos,
+        next_tick: &mut Nanos,
+        tick_period: Nanos,
+        hooks: &mut [&mut dyn QueueHooks],
+    ) {
+        loop {
+            let completion = self.calendar.peek_time().filter(|&t| t <= until);
+            if tick_period != 0 && *next_tick <= completion.unwrap_or(until) {
+                self.tick(*next_tick, hooks);
+                *next_tick += tick_period;
+                continue;
             }
+            if completion.is_none() {
+                return;
+            }
+            let (t, port) = self.calendar.pop().expect("peeked completion vanished");
+            self.now = t;
+            self.ports[usize::from(port)].tx_complete();
+            self.maybe_start_tx(port, hooks);
         }
     }
 
@@ -201,14 +239,7 @@ impl Switch {
     /// advancing the clock. Used to drain queues after the arrival stream
     /// ends.
     pub fn drain_until(&mut self, until: Nanos, hooks: &mut [&mut dyn QueueHooks]) {
-        while let Some(t) = self.calendar.peek_time() {
-            if t > until {
-                break;
-            }
-            let (t, event) = self.calendar.pop().expect("peeked event vanished");
-            self.now = t;
-            self.handle_event(event, hooks);
-        }
+        self.settle(until, &mut 0, 0, hooks);
         self.now = self.now.max(until);
     }
 
@@ -223,60 +254,30 @@ impl Switch {
     /// After the last arrival the switch drains every queue to completion.
     /// Ties are resolved as real hardware would: a transmission completing
     /// at time *t* frees the serializer before an arrival at *t* is
-    /// processed.
+    /// processed, so the arrival sees the queue state after departures at
+    /// *t*; a tick due at *t* fires before either.
     pub fn run<I>(&mut self, arrivals: I, hooks: &mut [&mut dyn QueueHooks], tick_period: Nanos)
     where
         I: IntoIterator<Item = Arrival>,
     {
         // One scope per run, not per packet: the guard is a single
         // relaxed load when profiling is off, but a per-packet guard
-        // would still dominate the ~100ns forwarding loop when on.
+        // would still dominate the few tens of nanoseconds a packet
+        // spends in this loop when on.
         pq_prof::scope!("switch/run");
-        let mut arrivals = arrivals.into_iter().peekable();
-        let mut next_tick = if tick_period == 0 {
-            Nanos::MAX
-        } else {
-            self.now + tick_period
-        };
-
-        loop {
-            let next_arrival = arrivals.peek().map(|a| a.pkt.arrival);
-            let next_event = self.calendar.peek_time();
-            // Ticks exist only to service pending work; once arrivals and
-            // internal events are exhausted the run ends (a final tick fires
-            // so control planes see the closing state).
-            let Some(work_t) = [next_arrival, next_event].into_iter().flatten().min() else {
-                if tick_period != 0 {
-                    self.now = self.now.max(next_tick);
-                    for hook in hooks.iter_mut() {
-                        hook.on_tick(self.now);
-                    }
-                }
-                break;
-            };
-            let t = work_t.min(next_tick);
-
-            // Ticks fire first at their deadline, then internal events
-            // (transmissions complete), then arrivals — so an arrival at
-            // time t sees the queue state after departures at t.
-            if next_tick <= t {
-                self.now = self.now.max(next_tick);
-                for hook in hooks.iter_mut() {
-                    hook.on_tick(self.now);
-                }
-                next_tick += tick_period;
-                continue;
-            }
-            if next_event == Some(t) {
-                let (et, event) = self.calendar.pop().expect("peeked event vanished");
-                self.now = et;
-                self.handle_event(event, hooks);
-                continue;
-            }
-            // Must be an arrival.
-            let arrival = arrivals.next().expect("peeked arrival vanished");
+        let mut next_tick = self.now + tick_period;
+        for mut arrival in arrivals {
+            self.settle(arrival.pkt.arrival, &mut next_tick, tick_period, hooks);
             self.now = arrival.pkt.arrival;
-            self.handle_arrival(arrival, hooks);
+            self.admit(&mut arrival, hooks);
+        }
+        while let Some(t) = self.calendar.peek_time() {
+            self.settle(t, &mut next_tick, tick_period, hooks);
+        }
+        // Once arrivals and completions are exhausted the run ends; a
+        // final tick fires so control planes see the closing state.
+        if tick_period != 0 {
+            self.tick(next_tick, hooks);
         }
     }
 }
@@ -364,6 +365,33 @@ mod tests {
         let mut sorted = deqs.clone();
         sorted.sort_unstable();
         assert_eq!(deqs, sorted);
+    }
+
+    #[test]
+    fn one_pending_completion_per_busy_port() {
+        // The calendar is a list bounded by the port count because a port
+        // schedules a completion only when it starts a transmission, and
+        // starts one only with its serializer idle.
+        let config = SwitchConfig {
+            ports: vec![PortConfig::default(); 3],
+            cell_bytes: 80,
+        };
+        let mut sw = Switch::new(config);
+        let pending_matches_busy_ports = |sw: &Switch| {
+            let busy = sw.ports.iter().filter(|p| p.transmitting()).count();
+            assert_eq!(sw.calendar.len(), busy);
+        };
+        for i in 0..200u64 {
+            // Bursts onto every port, then gaps long enough to go idle.
+            let at = (i / 20) * 40_000 + (i % 20) * 100;
+            sw.drain_until(at, &mut []);
+            pending_matches_busy_ports(&sw);
+            let pkt = SimPacket::new(FlowId(0), 1500, at);
+            sw.inject(Arrival::new(pkt, (i % 3) as u16), &mut []);
+            pending_matches_busy_ports(&sw);
+        }
+        sw.drain_until(Nanos::MAX, &mut []);
+        assert!(sw.calendar.is_empty());
     }
 
     #[test]

@@ -24,7 +24,7 @@ use pq_serve::{Client, Request, ServeConfig, Server, ServerHandle, Sources};
 use pq_store::{ship_archive, SegmentPolicy, SharedStoreWriter, StoreWriter};
 use pq_telemetry::{parse_prometheus, Telemetry};
 use serde::{Serialize, Value};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 const PORT_COUNT: u16 = 32;
@@ -112,13 +112,7 @@ struct Fleet {
 
 /// Replicate the source archive to `n` backends, start them, and put a
 /// router in front with the given replication factor.
-fn spawn_fleet(
-    src: &PathBuf,
-    n: usize,
-    replication: u32,
-    config: &ServeConfig,
-    tag: &str,
-) -> Fleet {
+fn spawn_fleet(src: &Path, n: usize, replication: u32, config: &ServeConfig, tag: &str) -> Fleet {
     let mut backends = Vec::new();
     let mut specs = Vec::new();
     let mut replicas = Vec::new();

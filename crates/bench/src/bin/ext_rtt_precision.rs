@@ -71,8 +71,9 @@ fn grade(reports: &[RttReport], truth: &[pq_rtt::FlowTruth]) -> (Vec<f64>, f64) 
                 continue;
             };
             if f.hist.count >= 8 {
-                errs.push((f.hist.mean() as f64 - t.rtt_ns as f64).abs() / t.rtt_ns as f64);
-                est.push((f.hist.mean(), f.flow));
+                let mean = f.hist.sum / f.hist.count;
+                errs.push((mean as f64 - t.rtt_ns as f64).abs() / t.rtt_ns as f64);
+                est.push((mean, f.flow));
             }
         }
     }

@@ -26,7 +26,7 @@ use pq_store::{SegmentPolicy, SharedStoreWriter, StoreWriter};
 use pq_telemetry::{parse_prometheus, Telemetry};
 use serde::{Serialize, Value};
 use std::net::SocketAddr;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 const POLL_PERIOD: u64 = 4_096;
@@ -103,7 +103,7 @@ struct Outcome {
 /// freshly bound server, then read the server's own metrics before
 /// shutting it down.
 fn run_scenario(
-    archive: &PathBuf,
+    archive: &Path,
     config: ServeConfig,
     clients: usize,
     per_client: usize,
@@ -114,7 +114,7 @@ fn run_scenario(
         ("127.0.0.1", 0),
         Sources {
             live: None,
-            archive: Some(archive.clone()),
+            archive: Some(archive.to_path_buf()),
             rtt: Vec::new(),
         },
         config,

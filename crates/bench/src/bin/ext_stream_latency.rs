@@ -160,17 +160,12 @@ fn run_scenario(
                 let mut client = Client::connect(addr).unwrap();
                 let ack = client.standing(&q, 64, 0, false).unwrap();
                 let mut windows = 0usize;
-                loop {
-                    match client.next_stream_result(ack.sub) {
-                        Ok(r) => {
-                            if r.to != 0 {
-                                windows += 1;
-                            }
-                            if r.last {
-                                break;
-                            }
-                        }
-                        Err(_) => break,
+                while let Ok(r) = client.next_stream_result(ack.sub) {
+                    if r.to != 0 {
+                        windows += 1;
+                    }
+                    if r.last {
+                        break;
                     }
                 }
                 windows

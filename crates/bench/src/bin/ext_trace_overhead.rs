@@ -27,7 +27,7 @@ use pq_store::{SegmentPolicy, SharedStoreWriter, StoreWriter};
 use pq_telemetry::{Telemetry, SAMPLE_ALWAYS_PPM};
 use serde::{Serialize, Value};
 use std::net::SocketAddr;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 const POLL_PERIOD: u64 = 4_096;
@@ -101,7 +101,7 @@ struct Outcome {
 /// with the slow threshold parked at infinity, so commits are governed
 /// by sampling alone.
 fn run_scenario(
-    archive: &PathBuf,
+    archive: &Path,
     sample_ppm: Option<u32>,
     clients: usize,
     per_client: usize,
@@ -117,7 +117,7 @@ fn run_scenario(
         ("127.0.0.1", 0),
         Sources {
             live: None,
-            archive: Some(archive.clone()),
+            archive: Some(archive.to_path_buf()),
             rtt: Vec::new(),
         },
         ServeConfig::default(),

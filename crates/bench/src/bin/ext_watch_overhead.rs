@@ -23,7 +23,7 @@ use pq_store::{SegmentPolicy, SharedStoreWriter, StoreWriter};
 use pq_telemetry::Telemetry;
 use serde::{Serialize, Value};
 use std::net::SocketAddr;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 const POLL_PERIOD: u64 = 4_096;
@@ -104,7 +104,7 @@ struct Outcome {
 /// server's shutdown drain delivers the `last` frame, so they observe
 /// every phase of the workload including teardown.
 fn run_scenario(
-    archive: &PathBuf,
+    archive: &Path,
     clients: usize,
     per_client: usize,
     mix: &[(u64, u64)],
@@ -115,7 +115,7 @@ fn run_scenario(
         ("127.0.0.1", 0),
         Sources {
             live: None,
-            archive: Some(archive.clone()),
+            archive: Some(archive.to_path_buf()),
             rtt: Vec::new(),
         },
         ServeConfig::default(),
@@ -132,16 +132,11 @@ fn run_scenario(
                 let first = client.subscribe(SUB_INTERVAL_MS, 0).unwrap();
                 let mut updates = 1usize;
                 let mut series = first.changed.iter().count();
-                loop {
-                    match client.next_update() {
-                        Ok(update) => {
-                            updates += 1;
-                            series += update.changed.iter().count();
-                            if update.last {
-                                break;
-                            }
-                        }
-                        Err(_) => break,
+                while let Ok(update) = client.next_update() {
+                    updates += 1;
+                    series += update.changed.iter().count();
+                    if update.last {
+                        break;
                     }
                 }
                 (updates, series)

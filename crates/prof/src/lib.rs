@@ -2,8 +2,10 @@
 //!
 //! PrintQueue's thesis is that diagnosis must live in the data path with
 //! bounded overhead; this crate applies the same bar to the pipeline
-//! itself. Four pieces, all process-global (a process has one profile,
-//! the way it has one allocator):
+//! itself — and, as the bottom of the crate graph, holds what every
+//! observability crate shares: [`hist`], the one log2 histogram, and
+//! [`escape_into`], the one JSON string escaper. Four pieces, all
+//! process-global (a process has one profile, the way it has one allocator):
 //!
 //! * [`scope!`] — `prof::scope!("serve/worker_exec")` call sites that
 //!   maintain per-thread scope stacks and exact per-scope aggregates
@@ -35,8 +37,8 @@ pub use alloc::{alloc_tracking, set_alloc_tracking, CountingAlloc};
 pub use hist::{bucket_index, bucket_lower_bound, bucket_upper_bound, Hist, HistSnapshot};
 pub use lock::{lock_stats_enabled, set_lock_stats, LockSnapshot, PqGuard, PqMutex};
 pub use report::{
-    ProfileReport, ScopeEntry, StackEntry, MAX_ENCODED_LEN, MAX_NAME_LEN, MAX_WIRE_LOCKS,
-    MAX_WIRE_SCOPES, MAX_WIRE_STACKS,
+    escape_into, ProfileReport, ScopeEntry, StackEntry, MAX_ENCODED_LEN, MAX_NAME_LEN,
+    MAX_WIRE_LOCKS, MAX_WIRE_SCOPES, MAX_WIRE_STACKS,
 };
 pub use sampler::{
     sample_once, sampler_running, samples_dropped, samples_total, start_sampler, stop_sampler,

@@ -53,8 +53,8 @@ impl LockStat {
     fn new(name: &'static str) -> LockStat {
         LockStat {
             name,
-            wait: Hist::new(),
-            hold: Hist::new(),
+            wait: Hist::default(),
+            hold: Hist::default(),
             acquisitions: AtomicU64::new(0),
             contended: AtomicU64::new(0),
             poisoned: AtomicU64::new(0),
@@ -73,6 +73,16 @@ fn lock_stat(name: &'static str) -> &'static LockStat {
     let stat: &'static LockStat = Box::leak(Box::new(LockStat::new(name)));
     reg.push(stat);
     stat
+}
+
+/// Count one acquisition of lock `name`, as a [`PqMutex`] of that name
+/// would: for tests that need exact samples in the global histograms.
+#[doc(hidden)]
+pub fn record_acquisition(name: &'static str, wait_ns: u64, hold_ns: u64) {
+    let stat = lock_stat(name);
+    stat.wait.record(wait_ns);
+    stat.hold.record(hold_ns);
+    stat.acquisitions.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Plain-data view of one named lock's statistics.

@@ -18,7 +18,7 @@
 //!   canonical ordering is enforced — a decoded report re-encodes to
 //!   the same bytes.
 
-use crate::hist::{HistSnapshot, NUM_BUCKETS};
+use crate::hist::HistSnapshot;
 use crate::lock::LockSnapshot;
 use crate::{lock, sampler, scope};
 
@@ -410,9 +410,10 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
+/// Append `s` to `out` as the inside of a JSON string — the workspace's
+/// one escaper: quote, backslash and the short `\n`/`\r`/`\t` escapes,
+/// `\u00XX` for the remaining control characters.
+pub fn escape_into(out: &mut String, s: &str) {
     for ch in s.chars() {
         match ch {
             '"' => out.push_str("\\\""),
@@ -424,6 +425,11 @@ fn json_str(s: &str) -> String {
             c => out.push(c),
         }
     }
+}
+
+fn json_str(s: &str) -> String {
+    let mut out = String::from("\"");
+    escape_into(&mut out, s);
     out.push('"');
     out
 }
@@ -447,20 +453,12 @@ fn put_name(buf: &mut Vec<u8>, s: &str) {
 }
 
 fn put_hist(buf: &mut Vec<u8>, h: &HistSnapshot) {
-    put_u64(buf, h.count);
-    put_u64(buf, h.sum);
-    put_u64(buf, h.min);
-    put_u64(buf, h.max);
-    let nonzero: Vec<(usize, u64)> = h
-        .buckets
-        .iter()
-        .enumerate()
-        .filter(|(_, &n)| n > 0)
-        .map(|(i, &n)| (i, n))
-        .collect();
-    buf.push(nonzero.len() as u8);
-    for (i, n) in nonzero {
-        buf.push(i as u8);
+    for v in [h.count, h.sum, h.min, h.max] {
+        put_u64(buf, v);
+    }
+    buf.push(h.occupied().count() as u8);
+    for (i, n) in h.occupied() {
+        buf.push(i);
         put_u64(buf, n);
     }
 }
@@ -528,31 +526,13 @@ impl<'a> Cursor<'a> {
     }
 
     fn hist(&mut self) -> Result<HistSnapshot, String> {
-        let count = self.u64()?;
-        let sum = self.u64()?;
-        let min = self.u64()?;
-        let max = self.u64()?;
-        let n = self.u8()? as usize;
-        if n > NUM_BUCKETS {
-            return Err("too many histogram buckets".into());
-        }
-        let mut h = HistSnapshot {
-            buckets: [0; NUM_BUCKETS],
-            count,
-            sum,
-            min,
-            max,
-        };
-        let mut last: Option<usize> = None;
+        let (count, sum, min, max) = (self.u64()?, self.u64()?, self.u64()?, self.u64()?);
+        let n = usize::from(self.u8()?);
+        let mut pairs = Vec::with_capacity(n);
         for _ in 0..n {
-            let idx = self.u8()? as usize;
-            let cnt = self.u64()?;
-            if idx >= NUM_BUCKETS || cnt == 0 || last.is_some_and(|l| idx <= l) {
-                return Err("malformed histogram buckets".into());
-            }
-            h.buckets[idx] = cnt;
-            last = Some(idx);
+            pairs.push((self.u8()?, self.u64()?));
         }
+        let h = HistSnapshot::from_occupied(count, sum, min, max, pairs)?;
         if !h.is_consistent() {
             return Err("inconsistent histogram".into());
         }

@@ -166,7 +166,7 @@ mod tests {
             if f.hist.count < 8 {
                 continue; // slow spin flows yield few edges in a short run
             }
-            let est = f.hist.mean() as f64;
+            let est = f.hist.mean();
             let err = (est - t.rtt_ns as f64).abs() / t.rtt_ns as f64;
             assert!(
                 err < 0.10,

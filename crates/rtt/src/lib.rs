@@ -20,19 +20,29 @@
 //! (configurable RTT, jitter, loss, reordering) that the
 //! `ext_rtt_precision` experiment grades the engines against.
 
-pub mod hist;
 pub mod hook;
 pub mod obs;
 pub mod quic;
 pub mod report;
 pub mod table;
 
-pub use hist::{RttHist, NUM_BUCKETS};
 pub use hook::RttHook;
 pub use obs::{Dir, ObsKind, RttObs};
 pub use quic::{FlowTruth, RttTrace, RttWorkload};
 pub use report::{CodecError, FlowRtt, RttReport, MERGE_SAMPLE_CAP, REPORT_VERSION};
 pub use table::{FlowRttTable, RttSample, TableConfig, TableCounters};
+
+/// A log2 histogram of RTT samples in nanoseconds: the workspace's one
+/// histogram (DESIGN.md "Histograms"). Exact moments make the per-flow
+/// mean (`sum / count`, what the precision experiment grades) exact;
+/// buckets answer quantiles within one octave — P4TG's trade on hardware,
+/// where per-flow sample lists are unaffordable.
+pub type RttHist = pq_telemetry::HistSnapshot;
+
+/// Largest RTT sample a table records (longer ones are clamped to it), so
+/// the histogram's last bucket, `[2^63, u64::MAX]`, stays empty: the
+/// version-1 report codec, written for 64 buckets, cannot carry it.
+pub const MAX_RTT_NS: u64 = (1 << 63) - 1;
 
 /// The `.pqa` segment kind RTT report bodies are spilled under.
 pub const RTT_SEGMENT_KIND: u64 = 1;
@@ -47,7 +57,7 @@ mod proptests {
 
     fn arb_hist() -> impl Strategy<Value = RttHist> {
         prop::collection::vec(0u64..3_000_000, 1..40).prop_map(|vs| {
-            let mut h = RttHist::new();
+            let mut h = RttHist::default();
             for v in vs {
                 h.record(v);
             }
@@ -63,7 +73,7 @@ mod proptests {
             0u64..4,
         )
             .prop_map(move |(flows, raw_samples, collisions, evictions)| {
-                let mut agg = RttHist::new();
+                let mut agg = RttHist::default();
                 // Canonicalize: sorted by flow id, duplicates merged.
                 let mut sorted = flows;
                 sorted.sort_by_key(|(flow, _)| *flow);

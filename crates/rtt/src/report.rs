@@ -17,8 +17,8 @@
 //! The byte codec here is used both as the `.pqa` RTT-segment body
 //! (segment kind 1) and inside serve's wire frames.
 
-use crate::hist::{RttHist, NUM_BUCKETS};
 use crate::table::{FlowRttTable, RttSample, TableCounters};
+use crate::RttHist;
 use pq_packet::Nanos;
 
 /// Samples a report retains after merge; beyond this, clipped (flagged).
@@ -30,6 +30,10 @@ pub const REPORT_VERSION: u8 = 1;
 /// Hard decode ceilings so a hostile body cannot force huge allocations.
 const MAX_FLOWS_DECODE: u64 = 1 << 20;
 const MAX_SAMPLES_DECODE: u64 = MERGE_SAMPLE_CAP as u64;
+
+/// Buckets a version-1 report carries: samples stop at `MAX_RTT_NS`, so
+/// a body naming the shared histogram's last bucket is malformed.
+const REPORT_BUCKETS: usize = pq_telemetry::NUM_BUCKETS - 1;
 
 /// One flow's merged RTT histogram.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -68,7 +72,7 @@ impl RttReport {
             port,
             min_t: Nanos::MAX,
             max_t: 0,
-            agg: RttHist::new(),
+            agg: RttHist::default(),
             flows: Vec::new(),
             counters: TableCounters::default(),
             clipped: false,
@@ -78,7 +82,7 @@ impl RttReport {
 
     /// Snapshot a table into a report covering `[min_t, max_t]`.
     pub fn from_table(port: u16, min_t: Nanos, max_t: Nanos, table: &FlowRttTable) -> RttReport {
-        let mut agg = RttHist::new();
+        let mut agg = RttHist::default();
         let flows: Vec<FlowRtt> = table
             .flow_hists()
             .into_iter()
@@ -365,61 +369,34 @@ pub fn put_hist(out: &mut Vec<u8>, h: &RttHist) {
     if h.count == 0 {
         return;
     }
-    put_varint(out, h.sum);
-    put_varint(out, h.min);
-    put_varint(out, h.max);
-    let nonzero = h.buckets.iter().filter(|&&n| n > 0).count() as u64;
-    put_varint(out, nonzero);
-    for (idx, &n) in h.buckets.iter().enumerate() {
-        if n > 0 {
-            out.push(idx as u8);
-            put_varint(out, n);
-        }
+    for v in [h.sum, h.min, h.max] {
+        put_varint(out, v);
+    }
+    put_varint(out, h.occupied().count() as u64);
+    for (idx, n) in h.occupied() {
+        out.push(idx);
+        put_varint(out, n);
     }
 }
 
 /// Decode a histogram, validating internal consistency.
 pub fn get_hist(cur: &mut &[u8]) -> Result<RttHist, CodecError> {
     let count = get_varint(cur)?;
-    let mut h = RttHist::new();
-    h.count = count;
     if count == 0 {
-        return Ok(h);
+        return Ok(RttHist::default());
     }
-    h.sum = get_varint(cur)?;
-    h.min = get_varint(cur)?;
-    h.max = get_varint(cur)?;
-    if h.min > h.max {
-        return Err(CodecError("hist min above max"));
-    }
+    let (sum, min, max) = (get_varint(cur)?, get_varint(cur)?, get_varint(cur)?);
     let nonzero = get_varint(cur)?;
-    if nonzero > NUM_BUCKETS as u64 {
+    if nonzero > REPORT_BUCKETS as u64 {
         return Err(CodecError("hist bucket count out of range"));
     }
-    let mut total = 0u64;
-    let mut prev: Option<u8> = None;
+    let mut pairs = Vec::with_capacity(nonzero as usize);
     for _ in 0..nonzero {
-        let idx = get_u8(cur)?;
-        if idx as usize >= NUM_BUCKETS {
-            return Err(CodecError("hist bucket index out of range"));
-        }
-        if let Some(p) = prev {
-            if idx <= p {
-                return Err(CodecError("hist buckets not sorted unique"));
-            }
-        }
-        prev = Some(idx);
-        let n = get_varint(cur)?;
-        if n == 0 {
-            return Err(CodecError("hist empty bucket encoded"));
-        }
-        total = total
-            .checked_add(n)
-            .ok_or(CodecError("hist bucket overflow"))?;
-        h.buckets[idx as usize] = n;
+        pairs.push((get_u8(cur)?, get_varint(cur)?));
     }
-    if total != count {
-        return Err(CodecError("hist bucket sum mismatches count"));
+    let h = RttHist::from_occupied(count, sum, min, max, pairs).map_err(CodecError)?;
+    if h.buckets[REPORT_BUCKETS] != 0 || !h.is_consistent() {
+        return Err(CodecError("hist inconsistent or past the rtt range"));
     }
     Ok(h)
 }
@@ -429,6 +406,7 @@ mod tests {
     use super::*;
     use crate::obs::{Dir, ObsKind, RttObs};
     use crate::table::{FlowRttTable, TableConfig};
+    use crate::MAX_RTT_NS;
 
     fn sample_report(port: u16, seed: u64) -> RttReport {
         let mut t = FlowRttTable::new(TableConfig::default());
@@ -506,6 +484,52 @@ mod tests {
         assert!(RttReport::decode(&bytes).is_err());
     }
 
+    /// The shared sparse form and consistency rule, through this codec:
+    /// each shape no encoder writes is refused, alone in an otherwise
+    /// well-formed report.
+    #[test]
+    fn decode_rejects_inconsistent_histograms() {
+        let report = |agg: &[u64]| {
+            let mut bytes = vec![REPORT_VERSION, 1, 0, 0, 0, 0, 0, 0, 0, 0];
+            agg.iter().for_each(|&v| put_varint(&mut bytes, v));
+            bytes.extend([0, 0]); // no flows, no samples
+            RttReport::decode(&bytes)
+        };
+        // count, sum, min, max, occupied, then (index, count) pairs.
+        let good = [3, 911, 5, 900, 2, 3, 2, 10, 1];
+        assert_eq!(report(&good).unwrap().agg.buckets[10], 1);
+        for (what, bad) in [
+            ("bucket sum != count", [4, 911, 5, 900, 2, 3, 2, 10, 1]),
+            ("min > max", [3, 911, 900, 5, 2, 3, 2, 10, 1]),
+            ("descending indices", [3, 911, 5, 900, 2, 10, 1, 3, 2]),
+            ("repeated index", [3, 911, 5, 900, 2, 3, 2, 3, 1]),
+            ("zero-count bucket", [3, 911, 5, 900, 2, 3, 3, 10, 0]),
+            (
+                "bucket past the rtt range",
+                [3, 911, 5, 900, 2, 3, 2, 64, 1],
+            ),
+            (
+                "bucket past the histogram",
+                [3, 911, 5, 900, 2, 3, 2, 65, 1],
+            ),
+        ] {
+            assert!(report(&bad).is_err(), "decode accepted {what}");
+        }
+    }
+
+    /// No sample reaches the shared histogram's last bucket, which this
+    /// codec refuses, so every report a table produces decodes.
+    #[test]
+    fn absurd_samples_are_clamped_into_the_codec_s_range() {
+        let mut t = FlowRttTable::new(TableConfig::default());
+        let obs = |dir, kind| RttObs { flow: 1, dir, kind };
+        t.observe(&obs(Dir::ToServer, ObsKind::Data { expect_ack: 1 }), 0);
+        t.observe(&obs(Dir::ToClient, ObsKind::Ack { ack: 1 }), u64::MAX);
+        let r = RttReport::from_table(0, 0, u64::MAX, &t);
+        assert_eq!((r.agg.max, r.samples[0].rtt_ns), (MAX_RTT_NS, MAX_RTT_NS));
+        assert_eq!(RttReport::decode(&r.encode()).unwrap(), r);
+    }
+
     #[test]
     fn merge_combines_flows_and_counters() {
         let mut a = sample_report(2, 1);
@@ -530,7 +554,7 @@ mod tests {
             (3, vec![500]),
             (4, vec![900]),
         ] {
-            let mut hist = RttHist::new();
+            let mut hist = RttHist::default();
             for v in rtts {
                 hist.record(v);
             }

@@ -13,8 +13,8 @@
 //! list and the slot rebound. Both counters surface in reports as
 //! `degraded`, exactly like eviction accounting in the space-saving top-k.
 
-use crate::hist::RttHist;
 use crate::obs::{Dir, ObsKind, RttObs};
+use crate::{RttHist, MAX_RTT_NS};
 use pq_packet::Nanos;
 
 /// Sizing and staleness knobs for one [`FlowRttTable`].
@@ -82,7 +82,7 @@ impl Slot {
             last_seen: 0,
             pending: Vec::new(),
             spin: SpinState::default(),
-            hist: RttHist::new(),
+            hist: RttHist::default(),
         }
     }
 
@@ -91,7 +91,7 @@ impl Slot {
         self.last_seen = now;
         self.pending.clear();
         self.spin = SpinState::default();
-        self.hist = RttHist::new();
+        self.hist = RttHist::default();
     }
 }
 
@@ -193,6 +193,7 @@ impl FlowRttTable {
     }
 
     fn emit(&mut self, idx: usize, flow: u32, now: Nanos, rtt: u64) {
+        let rtt = rtt.min(MAX_RTT_NS);
         self.slots[idx].hist.record(rtt);
         if self.samples.len() < self.config.sample_cap {
             self.samples.push(RttSample {

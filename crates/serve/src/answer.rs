@@ -388,7 +388,8 @@ impl MetricsUpdate {
             other => Err(other),
         })?;
         let mut changed = RegistrySnapshot::default();
-        for (key, value) in samples.into_iter().map(from_sample) {
+        for sample in samples {
+            let (key, value) = from_sample(sample).map_err(|e| ClientError::Protocol(e.into()))?;
             changed.insert(key, value);
         }
         Ok(MetricsUpdate {
@@ -412,20 +413,18 @@ fn to_sample((key, value): (&MetricKey, &MetricValue)) -> WireSample {
                 sum: h.sum,
                 min: h.min,
                 max: h.max,
-                buckets: h
-                    .buckets
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &n)| n != 0)
-                    .map(|(i, &n)| (i as u8, n))
-                    .collect(),
+                buckets: h.occupied().collect(),
                 exemplars: h.exemplars.clone(),
             },
         },
     }
 }
 
-fn from_sample(sample: WireSample) -> (MetricKey, MetricValue) {
+/// A histogram's moments are taken as sent; `is_consistent` is
+/// deliberately not asked: a live snapshot is a relaxed sweep that a
+/// recorder in flight can legitimately tear, and monitors pull these under
+/// load. A folded snapshot is safe to query because `quantile` is total.
+fn from_sample(sample: WireSample) -> Result<(MetricKey, MetricValue), &'static str> {
     let labels: Vec<(&str, &str)> = sample
         .labels
         .iter()
@@ -443,16 +442,7 @@ fn from_sample(sample: WireSample) -> (MetricKey, MetricValue) {
             buckets,
             mut exemplars,
         } => {
-            let mut h = HistogramSnapshot {
-                count,
-                sum,
-                min,
-                max,
-                ..HistogramSnapshot::default()
-            };
-            for (i, n) in buckets {
-                h.buckets[usize::from(i)] = n;
-            }
+            let hist = pq_prof::HistSnapshot::from_occupied(count, sum, min, max, buckets)?;
             // Re-canonicalize: snapshot exemplars are bucket-sorted and
             // unique per bucket (last write wins), a hostile peer's
             // ordering notwithstanding.
@@ -460,11 +450,10 @@ fn from_sample(sample: WireSample) -> (MetricKey, MetricValue) {
             exemplars.reverse();
             exemplars.dedup_by_key(|e| e.bucket);
             exemplars.reverse();
-            h.exemplars = exemplars;
-            MetricValue::Histogram(Box::new(h))
+            MetricValue::Histogram(Box::new(HistogramSnapshot { hist, exemplars }))
         }
     };
-    (key, value)
+    Ok((key, value))
 }
 
 #[cfg(test)]

@@ -1418,10 +1418,12 @@ mod tests {
                 port: Sample::sample(i),
                 from: Sample::sample(i),
                 to: Sample::sample(i + 1),
-                fired: i % 2 == 0,
-                forced: i % 3 == 0,
+                // `matches!`, not `== 0`: clippy's `manual_is_multiple_of`
+                // wants a method newer than the workspace's rust-version.
+                fired: matches!(i % 2, 0),
+                forced: matches!(i % 3, 0),
                 degraded: i % 2 == 1,
-                last: i % 5 == 0,
+                last: matches!(i % 5, 0),
                 max: Sample::sample(i),
                 min: Sample::sample(i + 2),
                 sum: Sample::sample(i),

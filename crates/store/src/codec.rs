@@ -595,9 +595,9 @@ mod tests {
         }
         delta(out, &mut state.prev_frozen, cp.frozen_at);
         out.push(
-            u8::from(cp.on_demand) * FLAG_ON_DEMAND
-                | u8::from(cp.trigger.is_some()) * FLAG_TRIGGER
-                | u8::from(cp.windows.is_filtered()) * FLAG_FILTERED,
+            (u8::from(cp.on_demand) * FLAG_ON_DEMAND)
+                | (u8::from(cp.trigger.is_some()) * FLAG_TRIGGER)
+                | (u8::from(cp.windows.is_filtered()) * FLAG_FILTERED),
         );
         if let Some(trigger) = cp.trigger {
             varint::write_u64(out, trigger.from).unwrap();
@@ -631,8 +631,8 @@ mod tests {
                 }
                 delta(out, &mut prev_idx, idx as u64);
                 out.push(
-                    u8::from(entry.inc != Half::default()) * HALF_INC
-                        | u8::from(entry.dec != Half::default()) * HALF_DEC,
+                    (u8::from(entry.inc != Half::default()) * HALF_INC)
+                        | (u8::from(entry.dec != Half::default()) * HALF_DEC),
                 );
                 for half in [&entry.inc, &entry.dec] {
                     if *half != Half::default() {

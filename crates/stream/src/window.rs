@@ -130,10 +130,10 @@ impl DepthAgg {
     }
 }
 
-/// Number of log-scale RTT buckets; mirrors `pq-rtt`'s histogram so a
-/// standing `p99(rtt)` and a `pqsim rtt` report quantize identically
-/// (pq-stream stays dependency-free, so the scheme is duplicated, not
-/// imported).
+/// Number of log-scale RTT buckets: the workspace histogram's scheme
+/// minus its last bucket, which no RTT sample reaches, so a standing
+/// `p99(rtt)` and a `pqsim rtt` report quantize identically (pq-stream
+/// stays dependency-free, so the scheme is duplicated, not imported).
 pub const RTT_BUCKETS: usize = 64;
 
 /// Order-independent RTT aggregate for one window: exact scalar moments
@@ -211,27 +211,27 @@ impl RttAgg {
         }
     }
 
-    /// Quantile estimate: the upper bound of the bucket holding the
-    /// q-th sample, clamped to the exact observed max (≤ one octave of
-    /// error, matching `pq-rtt`). 0 when empty.
+    /// Quantile estimate by the workspace's one rule, `pq-prof`'s
+    /// `HistSnapshot::quantile` (the open-ended last bucket pins to its
+    /// lower bound), restated because pq-stream is dependency-free and
+    /// fenced by a proptest in pq-serve. 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
         for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                let bound = if i == 0 {
-                    0
-                } else if i < RTT_BUCKETS - 1 {
-                    (1u64 << i) - 1
-                } else {
-                    u64::MAX
-                };
-                return bound.min(self.max);
+            if rank < self.count && n > 0 && seen.saturating_add(n) >= rank {
+                let last = i == RTT_BUCKETS - 1;
+                let lo = if i == 0 { 0 } else { 1u64 << (i - 1) };
+                let width = if last { 0 } else { lo.saturating_sub(1) };
+                let into = (rank - seen - 1) as f64;
+                let frac = if n > 1 { into / (n - 1) as f64 } else { 0.0 };
+                let est = (lo as f64 + frac * width as f64) as u64;
+                return est.max(self.min).min(self.max);
             }
+            seen = seen.saturating_add(n);
         }
         self.max
     }
@@ -624,9 +624,12 @@ mod tests {
             1_200.0,
             "equal-time tie breaks by value"
         );
-        // Quantiles clamp to the observed max.
+        // Quantiles clamp to the observed extremes and land in the true
+        // order statistic's bucket (the median sample, 700, sits alone in
+        // [512, 1023]).
         assert_eq!(whole.quantile(1.0), 90_000);
-        assert!(whole.quantile(0.5) >= 700 && whole.quantile(0.5) <= 2_047);
+        assert_eq!(whole.quantile(0.0), 400);
+        assert_eq!(whole.quantile(0.5), 512);
         assert_eq!(RttAgg::default().quantile(0.99), 0);
     }
 

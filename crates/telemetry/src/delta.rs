@@ -61,11 +61,11 @@ fn histogram_delta(prev: &HistogramSnapshot, next: &HistogramSnapshot) -> Histog
         return next.clone();
     }
     let mut out = next.clone();
-    for (o, p) in out.buckets.iter_mut().zip(prev.buckets.iter()) {
+    for (o, p) in out.hist.buckets.iter_mut().zip(prev.buckets.iter()) {
         *o -= p;
     }
-    out.count -= prev.count;
-    out.sum -= prev.sum;
+    out.hist.count -= prev.count;
+    out.hist.sum -= prev.sum;
     // min/max describe lifetime extremes, not the interval; keep next's.
     out
 }

@@ -1,25 +1,12 @@
-//! Log2-bucketed, HDR-style histograms with alloc-free atomic recording.
-//!
-//! Values are `u64` (nanoseconds, bytes, cells — any non-negative unit).
-//! Bucket `0` holds exactly the value `0`; bucket `i ≥ 1` holds the range
-//! `[2^(i-1), 2^i - 1]`. That gives 65 fixed buckets covering the full
-//! `u64` domain with a worst-case quantile error of one power of two —
-//! the same trade the in-pipeline histogram monitors make, because a fixed
-//! bucket array is what fits in registers (there: SRAM; here: a cache line
-//! or two of atomics).
-//!
-//! Recording is a relaxed `fetch_add` on one bucket plus count/sum updates
-//! and a `fetch_max`/`fetch_min` pair: no locks, no allocation, no
-//! fallible paths. Quantiles are estimated from a [`HistogramSnapshot`] by
-//! walking the cumulative distribution and interpolating linearly inside
-//! the target bucket; estimates are exact for the min and max and within
-//! one bucket everywhere else (property-tested in `tests/telemetry.rs`).
+//! Registry histograms: the workspace's one log2 histogram
+//! ([`pq_prof::hist`]: bucket scheme, lock-free recorder, quantile
+//! estimator, merge) plus per-bucket trace exemplars, which only
+//! [`Histogram::record_exemplar`] locks for.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::Deref;
 use std::sync::Mutex;
 
-/// Number of log2 buckets: one for zero plus one per bit of `u64`.
-pub const NUM_BUCKETS: usize = 65;
+use pq_prof::hist::{bucket_index, Hist, HistSnapshot, NUM_BUCKETS};
 
 /// An OpenMetrics-style exemplar: the last traced sample observed in one
 /// bucket, so an alert on a histogram links straight to a representative
@@ -34,56 +21,12 @@ pub struct BucketExemplar {
     pub value: u64,
 }
 
-/// The bucket a value lands in: 0 for 0, otherwise `floor(log2(v)) + 1`.
-#[inline]
-pub fn bucket_index(v: u64) -> usize {
-    match v {
-        0 => 0,
-        n => 64 - n.leading_zeros() as usize,
-    }
-}
-
-/// The largest value bucket `i` can hold (`u64::MAX` for the last bucket).
-pub fn bucket_upper_bound(i: usize) -> u64 {
-    match i {
-        0 => 0,
-        64.. => u64::MAX,
-        n => (1u64 << n) - 1,
-    }
-}
-
-/// The smallest value bucket `i` can hold.
-pub fn bucket_lower_bound(i: usize) -> u64 {
-    match i {
-        0 => 0,
-        n => 1u64 << (n - 1),
-    }
-}
-
 pub(crate) struct HistogramCore {
-    buckets: [AtomicU64; NUM_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-    /// Last `(trace_id, value)` observed per bucket; trace_id 0 = none.
-    /// Behind a mutex, but only touched by [`Histogram::record_exemplar`]
-    /// — the per-sampled-trace path, orders of magnitude rarer than
-    /// [`Histogram::record`], which stays lock-free.
-    exemplars: Mutex<Box<[(u128, u64); NUM_BUCKETS]>>,
-}
-
-impl Default for HistogramCore {
-    fn default() -> Self {
-        HistogramCore {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-            exemplars: Mutex::new(Box::new([(0, 0); NUM_BUCKETS])),
-        }
-    }
+    hist: Hist,
+    /// The last traced sample per bucket. Behind a mutex, but only touched
+    /// by [`Histogram::record_exemplar`] — the per-sampled-trace path, far
+    /// rarer than [`Histogram::record`], which stays lock-free.
+    exemplars: Mutex<Box<[Option<BucketExemplar>; NUM_BUCKETS]>>,
 }
 
 /// A recording handle to a registry histogram. Cloning shares storage.
@@ -92,176 +35,68 @@ pub struct Histogram(pub(crate) std::sync::Arc<HistogramCore>);
 
 impl Histogram {
     pub(crate) fn new() -> Histogram {
-        Histogram(std::sync::Arc::new(HistogramCore::default()))
+        Histogram(std::sync::Arc::new(HistogramCore {
+            hist: Hist::default(),
+            exemplars: Mutex::new(Box::new([None; NUM_BUCKETS])),
+        }))
     }
 
     /// Record one sample. Lock-free, alloc-free, thread-safe.
     #[inline]
     pub fn record(&self, v: u64) {
-        let core = &*self.0;
-        core.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        core.count.fetch_add(1, Ordering::Relaxed);
-        core.sum.fetch_add(v, Ordering::Relaxed);
-        core.min.fetch_min(v, Ordering::Relaxed);
-        core.max.fetch_max(v, Ordering::Relaxed);
+        self.0.hist.record(v);
     }
 
     /// [`record`](Self::record) a sample and stamp its bucket's exemplar
     /// with the trace id of the request that produced it. A `trace_id` of
     /// 0 (the "no trace" sentinel) records the sample without an exemplar.
-    pub fn record_exemplar(&self, v: u64, trace_id: u128) {
-        self.record(v);
+    pub fn record_exemplar(&self, value: u64, trace_id: u128) {
+        self.record(value);
         if trace_id == 0 {
             return;
         }
-        let mut ex = self.0.exemplars.lock().unwrap();
-        ex[bucket_index(v)] = (trace_id, v);
+        let bucket = bucket_index(value);
+        self.0.exemplars.lock().unwrap()[bucket] = Some(BucketExemplar {
+            bucket: bucket as u8,
+            trace_id,
+            value,
+        });
     }
 
     /// A plain-data copy of the current state.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let core = &*self.0;
-        let exemplars = {
-            let ex = core.exemplars.lock().unwrap();
-            ex.iter()
-                .enumerate()
-                .filter(|(_, (id, _))| *id != 0)
-                .map(|(i, (id, v))| BucketExemplar {
-                    bucket: i as u8,
-                    trace_id: *id,
-                    value: *v,
-                })
-                .collect()
-        };
+        let stamped = self.0.exemplars.lock().unwrap();
         HistogramSnapshot {
-            buckets: std::array::from_fn(|i| core.buckets[i].load(Ordering::Relaxed)),
-            count: core.count.load(Ordering::Relaxed),
-            sum: core.sum.load(Ordering::Relaxed),
-            min: core.min.load(Ordering::Relaxed),
-            max: core.max.load(Ordering::Relaxed),
-            exemplars,
+            hist: self.0.hist.snapshot(),
+            exemplars: stamped.iter().flatten().copied().collect(),
         }
     }
 }
 
-/// Plain-data histogram state: bucket counts plus count/sum/min/max.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Plain-data histogram state: the shared [`HistSnapshot`] — to which
+/// this derefs, so `count`, `buckets`, `quantile`, `p99`, `mean` and the
+/// rest read straight off a registry histogram — plus the exemplar list.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HistogramSnapshot {
-    /// Per-bucket sample counts (see [`bucket_index`] for the mapping).
-    pub buckets: [u64; NUM_BUCKETS],
-    /// Total samples recorded.
-    pub count: u64,
-    /// Sum of all samples.
-    pub sum: u64,
-    /// Smallest sample (`u64::MAX` when empty).
-    pub min: u64,
-    /// Largest sample (0 when empty).
-    pub max: u64,
+    /// Bucket counts and moments.
+    pub hist: HistSnapshot,
     /// Per-bucket exemplars (sparse, ascending bucket order): the last
     /// traced sample seen in each occupied bucket.
     pub exemplars: Vec<BucketExemplar>,
 }
 
-impl Default for HistogramSnapshot {
-    fn default() -> Self {
-        HistogramSnapshot {
-            buckets: [0; NUM_BUCKETS],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-            exemplars: Vec::new(),
-        }
+impl Deref for HistogramSnapshot {
+    type Target = HistSnapshot;
+    fn deref(&self) -> &HistSnapshot {
+        &self.hist
     }
 }
 
 impl HistogramSnapshot {
-    /// True when no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Mean sample value (0 for an empty histogram).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Estimate the `q`-quantile (`0.0 ≤ q ≤ 1.0`) by cumulative bucket
-    /// walk with linear interpolation inside the target bucket.
-    ///
-    /// Returns 0 for an empty histogram. The estimate is clamped to
-    /// `[min, max]`, so `quantile(0.0) == min` and `quantile(1.0) == max`
-    /// exactly; interior quantiles are within one log2 bucket of the true
-    /// order statistic.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        // Rank of the target order statistic, 1-based: ceil(q * count),
-        // at least 1 (the paper-side convention for p0 = min).
-        let target = ((q * self.count as f64).ceil() as u64).max(1);
-        if target >= self.count {
-            return self.max;
-        }
-        let mut cumulative = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            if cumulative + n >= target {
-                // Interpolate within [lo, hi] by the rank's position in
-                // this bucket (uniform-within-bucket assumption).
-                let lo = bucket_lower_bound(i);
-                let hi = bucket_upper_bound(i);
-                let est = if i + 1 == NUM_BUCKETS {
-                    // Overflow bucket [2^63, u64::MAX]: its upper bound is
-                    // astronomically far from any plausible sample, so
-                    // interpolating toward it overestimates by up to 2x.
-                    // Clamp to the bucket's lower bound instead — still
-                    // within the one-bucket error contract.
-                    lo as f64
-                } else {
-                    let into = (target - cumulative - 1) as f64; // 0-based
-                    let frac = if n > 1 { into / (n - 1) as f64 } else { 0.0 };
-                    lo as f64 + frac * (hi - lo) as f64
-                };
-                return (est as u64).clamp(self.min, self.max);
-            }
-            cumulative += n;
-        }
-        self.max
-    }
-
-    /// Median estimate.
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
-    }
-
-    /// 90th-percentile estimate.
-    pub fn p90(&self) -> u64 {
-        self.quantile(0.90)
-    }
-
-    /// 99th-percentile estimate.
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
-    }
-
-    /// Accumulate another snapshot (bucket-wise addition — associative and
-    /// commutative, so fleet rollups can fold in any order).
+    /// Accumulate another snapshot ([`HistSnapshot::merge`] — associative
+    /// and commutative, so fleet rollups can fold in any order).
     pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
+        self.hist.merge(&other.hist);
         // Exemplars are representatives, not measures: per bucket the
         // incoming side wins (any representative is as good as another,
         // and "latest snapshot folded in" matches operator expectation).
@@ -296,88 +131,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bucket_mapping_is_log2() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1);
-        assert_eq!(bucket_index(2), 2);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 3);
-        assert_eq!(bucket_index(1023), 10);
-        assert_eq!(bucket_index(1024), 11);
-        assert_eq!(bucket_index(u64::MAX), 64);
-        for i in 0..NUM_BUCKETS {
-            assert_eq!(bucket_index(bucket_lower_bound(i)), i);
-            assert_eq!(bucket_index(bucket_upper_bound(i)), i);
-        }
-    }
-
-    #[test]
-    fn quantiles_of_uniform_ramp() {
-        let h = Histogram::new();
-        for v in 1..=1000u64 {
-            h.record(v);
-        }
-        let snap = h.snapshot();
-        assert_eq!(snap.count, 1000);
-        assert_eq!(snap.min, 1);
-        assert_eq!(snap.max, 1000);
-        assert_eq!(snap.quantile(0.0), 1);
-        assert_eq!(snap.quantile(1.0), 1000);
-        // p50's true value is 500 (bucket 9: 256..511); the estimate must
-        // land within that bucket.
-        let p50 = snap.p50();
-        assert_eq!(bucket_index(p50), bucket_index(500));
-        // Within one bucket for p99 (true 990, bucket 10).
-        let p99 = snap.p99();
-        assert!((bucket_index(p99) as i64 - bucket_index(990) as i64).abs() <= 1);
-    }
-
-    #[test]
-    fn empty_histogram_is_calm() {
-        let snap = HistogramSnapshot::default();
-        assert!(snap.is_empty());
-        assert_eq!(snap.quantile(0.5), 0);
-        assert_eq!(snap.mean(), 0.0);
-    }
-
-    #[test]
-    fn merge_is_bucketwise() {
-        let a = Histogram::new();
-        a.record(5);
-        a.record(100);
-        let b = Histogram::new();
-        b.record(7);
-        let mut m = a.snapshot();
-        m.merge(&b.snapshot());
-        assert_eq!(m.count, 3);
-        assert_eq!(m.sum, 112);
-        assert_eq!(m.min, 5);
-        assert_eq!(m.max, 100);
-        // 5 and 7 share the [4, 7] bucket; 100 sits alone in [64, 127].
-        assert_eq!(m.buckets[bucket_index(5)], 2);
-        assert_eq!(m.buckets[bucket_index(100)], 1);
-    }
-
-    #[test]
-    fn overflow_bucket_quantiles_clamp_to_lower_bound() {
-        let h = Histogram::new();
-        for _ in 0..99 {
-            h.record(1u64 << 63);
-        }
-        h.record(u64::MAX);
-        let snap = h.snapshot();
-        // All samples sit in the overflow bucket [2^63, u64::MAX]. The
-        // true p99 is 2^63; interpolating toward the bucket's upper bound
-        // used to report ~1.8e19. The estimate must pin to the bucket's
-        // lower bound.
-        assert_eq!(snap.p99(), 1u64 << 63);
-        assert_eq!(snap.p50(), 1u64 << 63);
-        // The exactness contracts survive the clamp.
-        assert_eq!(snap.quantile(1.0), u64::MAX);
-        assert_eq!(snap.quantile(0.0), 1u64 << 63);
-    }
-
-    #[test]
     fn exemplars_stamp_last_trace_per_bucket() {
         let h = Histogram::new();
         h.record(100); // untraced: no exemplar
@@ -400,7 +153,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_prefers_incoming_exemplars() {
+    fn merge_folds_samples_and_prefers_incoming_exemplars() {
         let a = Histogram::new();
         a.record_exemplar(5, 0x1);
         a.record_exemplar(1000, 0x2);
@@ -408,16 +161,9 @@ mod tests {
         b.record_exemplar(5, 0x3);
         let mut m = a.snapshot();
         m.merge(&b.snapshot());
+        assert_eq!((m.count, m.sum, m.min, m.max), (3, 1010, 5, 1000));
+        assert_eq!(m.buckets[bucket_index(5)], 2);
         assert_eq!(m.exemplar(bucket_index(5)).unwrap().trace_id, 0x3);
         assert_eq!(m.exemplar(bucket_index(1000)).unwrap().trace_id, 0x2);
-    }
-
-    #[test]
-    fn single_sample_quantiles_are_exact() {
-        let h = Histogram::new();
-        h.record(42);
-        let snap = h.snapshot();
-        assert_eq!(snap.p50(), 42);
-        assert_eq!(snap.p99(), 42);
     }
 }

@@ -44,9 +44,9 @@ pub use alerts::{
 };
 pub use chrome::{to_chrome_trace, traces_to_chrome};
 pub use delta::{changed, counter_delta, delta, rate_per_sec, GaugeHistory};
-pub use histogram::{
-    bucket_index, bucket_lower_bound, bucket_upper_bound, BucketExemplar, Histogram,
-    HistogramSnapshot, NUM_BUCKETS,
+pub use histogram::{BucketExemplar, Histogram, HistogramSnapshot};
+pub use pq_prof::hist::{
+    bucket_index, bucket_lower_bound, bucket_upper_bound, HistSnapshot, NUM_BUCKETS,
 };
 pub use prometheus::{
     parse_exposition, parse_prometheus, to_prometheus, MetricMeta, ParsedExposition, ParsedMetric,
@@ -512,65 +512,41 @@ impl Telemetry {
 }
 
 /// Fold the process-global pq-prof state into a snapshot as ordinary
-/// registry series. Lock histograms convert losslessly — pq-prof uses
-/// the same 65-bucket log2 scheme — so `pq_lock_wait_ns{lock="freeze"}`
-/// quantiles computed downstream match the profiler's own.
+/// registry series; `pq_lock_wait_ns{lock="freeze"}` quantiles computed
+/// downstream are the profiler's own, off the one histogram type.
 fn inject_prof(snap: &mut RegistrySnapshot) {
     let prof = pq_prof::ProfileReport::capture();
-    snap.insert(
-        MetricKey::new(names::PROF_SAMPLES, &[]),
-        MetricValue::Counter(prof.samples_total),
-    );
-    snap.insert(
-        MetricKey::new(names::PROF_SAMPLES_DROPPED, &[]),
-        MetricValue::Counter(prof.samples_dropped),
+    let mut put = |name: &str, labels: &[(&str, &str)], value: MetricValue| {
+        snap.insert(MetricKey::new(name, labels), value);
+    };
+    let counter = MetricValue::Counter;
+    // The registry's own histogram type, minus exemplars.
+    let hist = |h: &HistSnapshot| {
+        let (hist, exemplars) = (h.clone(), Vec::new());
+        MetricValue::Histogram(Box::new(HistogramSnapshot { hist, exemplars }))
+    };
+    put(names::PROF_SAMPLES, &[], counter(prof.samples_total));
+    put(
+        names::PROF_SAMPLES_DROPPED,
+        &[],
+        counter(prof.samples_dropped),
     );
     for scope in &prof.scopes {
         let labels = [("scope", scope.name.as_str())];
-        snap.insert(
-            MetricKey::new(names::PROF_SCOPE_SELF_NS, &labels),
-            MetricValue::Counter(scope.self_ns()),
-        );
-        snap.insert(
-            MetricKey::new(names::PROF_SCOPE_CALLS, &labels),
-            MetricValue::Counter(scope.calls),
-        );
+        put(names::PROF_SCOPE_SELF_NS, &labels, counter(scope.self_ns()));
+        put(names::PROF_SCOPE_CALLS, &labels, counter(scope.calls));
     }
     for lock in &prof.locks {
         let labels = [("lock", lock.name.as_str())];
-        snap.insert(
-            MetricKey::new(names::LOCK_ACQUISITIONS, &labels),
-            MetricValue::Counter(lock.acquisitions),
+        put(
+            names::LOCK_ACQUISITIONS,
+            &labels,
+            counter(lock.acquisitions),
         );
-        snap.insert(
-            MetricKey::new(names::LOCK_CONTENDED, &labels),
-            MetricValue::Counter(lock.contended),
-        );
-        snap.insert(
-            MetricKey::new(names::LOCK_POISONED, &labels),
-            MetricValue::Counter(lock.poisoned),
-        );
-        snap.insert(
-            MetricKey::new(names::LOCK_WAIT_NS, &labels),
-            MetricValue::Histogram(Box::new(prof_hist(&lock.wait))),
-        );
-        snap.insert(
-            MetricKey::new(names::LOCK_HOLD_NS, &labels),
-            MetricValue::Histogram(Box::new(prof_hist(&lock.hold))),
-        );
-    }
-}
-
-/// Lossless pq-prof → pq-telemetry histogram conversion (identical
-/// bucketing; prof histograms carry no exemplars).
-fn prof_hist(h: &pq_prof::HistSnapshot) -> HistogramSnapshot {
-    HistogramSnapshot {
-        buckets: h.buckets,
-        count: h.count,
-        sum: h.sum,
-        min: h.min,
-        max: h.max,
-        exemplars: Vec::new(),
+        put(names::LOCK_CONTENDED, &labels, counter(lock.contended));
+        put(names::LOCK_POISONED, &labels, counter(lock.poisoned));
+        put(names::LOCK_WAIT_NS, &labels, hist(&lock.wait));
+        put(names::LOCK_HOLD_NS, &labels, hist(&lock.hold));
     }
 }
 

@@ -12,9 +12,10 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::histogram::{bucket_upper_bound, HistogramSnapshot};
+use crate::histogram::HistogramSnapshot;
 use crate::names;
 use crate::registry::{MetricValue, RegistrySnapshot};
+use pq_prof::hist::bucket_upper_bound;
 
 fn render_labels(out: &mut String, labels: &[(String, String)], extra: Option<(&str, &str)>) {
     if labels.is_empty() && extra.is_none() {
@@ -45,10 +46,8 @@ fn render_histogram(
     h: &HistogramSnapshot,
 ) {
     let mut cumulative = 0u64;
-    for (i, &n) in h.buckets.iter().enumerate() {
-        if n == 0 {
-            continue;
-        }
+    for (i, n) in h.occupied() {
+        let i = usize::from(i);
         cumulative += n;
         let le = bucket_upper_bound(i).to_string();
         let _ = write!(out, "{name}_bucket");

@@ -538,22 +538,6 @@ impl std::fmt::Debug for TraceStore {
     }
 }
 
-fn json_escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Serialize one trace as a single JSON object (no trailing newline).
 /// Ids are zero-padded hex strings — JSON numbers can't carry 64/128 bits
 /// losslessly through double-precision tooling.
@@ -577,11 +561,11 @@ pub fn trace_to_json(trace: &Trace) -> String {
         out.push_str("\",\"parent_span\":\"");
         out.push_str(&format!("{:016x}", s.parent_span));
         out.push_str("\",\"name\":\"");
-        json_escape_into(&mut out, &s.name);
+        pq_prof::escape_into(&mut out, &s.name);
         out.push_str("\",\"process\":\"");
-        json_escape_into(&mut out, &s.process);
+        pq_prof::escape_into(&mut out, &s.process);
         out.push_str("\",\"tag\":\"");
-        json_escape_into(&mut out, &s.tag);
+        pq_prof::escape_into(&mut out, &s.tag);
         out.push_str("\",\"start_ns\":");
         out.push_str(&s.start_ns.to_string());
         out.push_str(",\"end_ns\":");

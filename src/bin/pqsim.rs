@@ -1511,6 +1511,10 @@ fn print_rtt_reports(
 ) {
     use std::fmt::Write as _;
     let ms = |ns: u64| format!("{:.3}ms", ns as f64 / 1e6);
+    // The per-flow point estimate: the exact mean in whole nanoseconds.
+    fn mean_ns(h: &printqueue::rtt::RttHist) -> u64 {
+        h.sum.checked_div(h.count).unwrap_or(0)
+    }
     // Grade only flows with enough samples to claim an estimate (slow
     // spin flows yield few edges in a short run).
     let mut errs: Vec<f64> = Vec::new();
@@ -1523,7 +1527,7 @@ fn print_rtt_reports(
                     continue;
                 };
                 if f.hist.count >= 8 {
-                    errs.push((f.hist.mean() as f64 - t.rtt_ns as f64).abs() / t.rtt_ns as f64);
+                    errs.push((mean_ns(&f.hist) as f64 - t.rtt_ns as f64).abs() / t.rtt_ns as f64);
                 }
             }
         }
@@ -1535,7 +1539,7 @@ fn print_rtt_reports(
         // (visible in the sample counts), not a ranking failure.
         let mut est: Vec<(u64, u32)> = reports
             .iter()
-            .flat_map(|r| r.flows.iter().map(|f| (f.hist.mean(), f.flow)))
+            .flat_map(|r| r.flows.iter().map(|f| (mean_ns(&f.hist), f.flow)))
             .filter(|&(_, flow)| {
                 reports
                     .iter()
@@ -1563,7 +1567,7 @@ fn print_rtt_reports(
     // Slowest flows first — the answer to "who is the slow peer".
     fn ranked(r: &printqueue::rtt::RttReport, top: usize) -> Vec<&printqueue::rtt::FlowRtt> {
         let mut flows: Vec<_> = r.flows.iter().collect();
-        flows.sort_by(|a, b| b.hist.mean().cmp(&a.hist.mean()).then(a.flow.cmp(&b.flow)));
+        flows.sort_by_key(|f| (std::cmp::Reverse(mean_ns(&f.hist)), f.flow));
         flows.truncate(top);
         flows
     }
@@ -1603,7 +1607,7 @@ fn print_rtt_reports(
                     "{{\"flow\":{},\"count\":{},\"mean_ns\":{},\"p99_ns\":{},\"truth_ns\":{}}}",
                     f.flow,
                     f.hist.count,
-                    f.hist.mean(),
+                    mean_ns(&f.hist),
                     f.hist.p99(),
                     truth_of(f.flow)
                         .map(|t| t.to_string())
@@ -1649,7 +1653,7 @@ fn print_rtt_reports(
             for f in ranked(r, top) {
                 let truth_col = match truth_of(f.flow) {
                     Some(t) => {
-                        let err = (f.hist.mean() as f64 - t as f64).abs() / t as f64;
+                        let err = (mean_ns(&f.hist) as f64 - t as f64).abs() / t as f64;
                         format!("  truth {}  err {:.1}%", ms(t), 100.0 * err)
                     }
                     None => String::new(),
@@ -1658,7 +1662,7 @@ fn print_rtt_reports(
                     "  flow {:>6}  count {:>5}  mean {}  p99 {}{}",
                     f.flow,
                     f.hist.count,
-                    ms(f.hist.mean()),
+                    ms(mean_ns(&f.hist)),
                     ms(f.hist.p99()),
                     truth_col,
                 );
@@ -2223,17 +2227,7 @@ fn sample_key(key: &telemetry::MetricKey, suffix: &str) -> String {
 
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    printqueue::prof::escape_into(&mut out, s);
     out
 }
 

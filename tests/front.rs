@@ -5,9 +5,9 @@
 //! way whichever method is waiting.
 
 use printqueue::router::{BackendSpec, Router, RouterConfig, RouterHandle};
-use printqueue::serve::wire::{self, ErrorCode, Frame, Request};
+use printqueue::serve::wire::{self, ErrorCode, Frame, HealthInfo, Request, WireSample, WireValue};
 use printqueue::serve::{Client, ClientError, ServeConfig, Server, ServerHandle, Sources};
-use printqueue::telemetry::{names, Telemetry};
+use printqueue::telemetry::{names, AlertEngine, AlertRule, Op, Stat, Telemetry};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread;
 use std::time::Duration;
@@ -317,4 +317,127 @@ fn every_client_method_judges_busy_and_ids_alike() {
     for (method, err) in every_method(busy_peer(|id| id + 1000)) {
         assert!(matches!(err, ClientError::Protocol(_)), "{method}: {err}");
     }
+}
+
+/// A peer that handshakes, answers health probes, and answers every
+/// metrics pull or subscription with one final update carrying `samples`.
+/// Serves `conns` connections, one after the other.
+fn metrics_peer(samples: Vec<WireSample>, conns: usize) -> (SocketAddr, thread::JoinHandle<()>) {
+    let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = thread::spawn(move || {
+        for stream in listener.incoming().take(conns) {
+            let mut stream = stream.unwrap();
+            let _hello = recv(&mut stream);
+            send(
+                &mut stream,
+                &Frame::HelloAck {
+                    version: wire::PROTOCOL_VERSION,
+                    max_frame: wire::MAX_FRAME_LEN,
+                },
+            );
+            while let Some(request) = recv(&mut stream) {
+                let id = request.id();
+                match request {
+                    Frame::HealthReq { .. } => {
+                        let health = HealthInfo::default();
+                        send(&mut stream, &Frame::HealthAck { id, health });
+                        continue;
+                    }
+                    Frame::MetricsSubscribe {
+                        interval_ms,
+                        max_updates,
+                        ..
+                    } => send(
+                        &mut stream,
+                        &Frame::SubscribeAck {
+                            id,
+                            interval_ms,
+                            max_updates,
+                        },
+                    ),
+                    _ => {}
+                }
+                let header = Frame::MetricsHeader {
+                    id,
+                    seq: 0,
+                    t_ns: 1,
+                    total: samples.len() as u32,
+                    last: true,
+                };
+                let samples = samples.clone();
+                for frame in [
+                    header,
+                    Frame::MetricsChunk { id, samples },
+                    Frame::ResultEnd { id },
+                ] {
+                    send(&mut stream, &frame);
+                }
+            }
+        }
+    });
+    (addr, peer)
+}
+
+/// A histogram no recorder produces — `min > max`, two samples claimed
+/// and one bucketed — is still a well-formed `MetricsChunk`, and a live
+/// snapshot torn by a racing recorder can look the same. Everything
+/// downstream of the metrics stream must answer on it: `clamp(min, max)`
+/// in the quantile estimator used to panic the client, the alert engine
+/// and `pqsim watch` alike.
+#[test]
+fn an_inconsistent_peer_histogram_is_queried_not_panicked_on() {
+    let hostile = |name: &str, labels: &[(&str, &str)]| WireSample {
+        name: name.into(),
+        labels: labels
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect(),
+        value: WireValue::Histogram {
+            count: 2,
+            sum: 300,
+            min: 200,
+            max: 100,
+            buckets: vec![(7, 1)],
+            exemplars: vec![],
+        },
+    };
+    let counter = |name: &str, labels: &[(&str, &str)]| WireSample {
+        value: WireValue::Counter(5),
+        ..hostile(name, labels)
+    };
+    // The series `pqsim watch` computes quantiles of: the RTT row and the
+    // profiler hotspot row, each gated on a sibling counter.
+    let samples = vec![
+        counter(names::RTT_SAMPLES, &[("port", "0")]),
+        hostile(names::RTT_SAMPLE_NS, &[("port", "0")]),
+        counter(names::PROF_SCOPE_SELF_NS, &[("scope", "serve/worker_exec")]),
+        hostile(names::LOCK_WAIT_NS, &[("lock", "freeze")]),
+        hostile(names::SERVE_REQUEST_NS, &[]),
+    ];
+    let (addr, peer) = metrics_peer(samples, 2);
+
+    let mut client = Client::connect(addr).unwrap();
+    let folded = client.metrics_snapshot().unwrap().changed;
+    drop(client);
+    let h = folded.histogram(names::SERVE_REQUEST_NS, &[]).unwrap();
+    assert_eq!((h.count, h.min, h.max), (2, 200, 100));
+    assert!(h.p50() <= 200 && h.p99() <= 200);
+    let rule = AlertRule::threshold("slow", names::SERVE_REQUEST_NS, Op::Gt, 1e9);
+    let mut engine = AlertEngine::new(vec![rule.with_stat(Stat::P99)]);
+    engine.evaluate(1, &folded);
+    assert!(engine.firing().is_empty());
+
+    let watch = std::process::Command::new(env!("CARGO_BIN_EXE_pqsim"))
+        .args(["watch", &addr.to_string(), "--once", "--quiet"])
+        .output()
+        .unwrap();
+    let (out, err) = (
+        String::from_utf8_lossy(&watch.stdout),
+        String::from_utf8_lossy(&watch.stderr),
+    );
+    assert!(watch.status.success(), "pqsim watch failed: {err}");
+    assert!(out.contains("rtt 5 samples"), "no rtt row in {out}");
+    assert!(out.contains("freeze wait p99"), "no hotspot row in {out}");
+    peer.join().unwrap();
 }

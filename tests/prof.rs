@@ -254,3 +254,49 @@ fn prof_series_ride_the_prometheus_exposition() {
     prof::set_enabled(false);
     prof::reset();
 }
+
+/// `pqsim prof` (the `ProfileReport`) and `pqsim telemetry` (the
+/// `pq_lock_*_ns` series a plane with `set_export_prof` exports) read the
+/// same lock histograms, so they must print the same quantiles. They
+/// did not while pq-prof interpolated `rank / n` and pq-telemetry
+/// `(rank - 1) / (n - 1)`: these ten samples gave p25 95 vs 101 and p90
+/// 1 706 vs 1 791.
+#[test]
+fn profile_and_telemetry_agree_on_lock_quantiles() {
+    let _guard = prof::test_lock();
+    prof::reset();
+    const LOCK: &str = "quantile_agreement";
+    for v in [64, 70, 80, 100, 127, 1_000, 1_100, 1_500, 1_900, 2_000] {
+        prof::lock::record_acquisition(LOCK, v, v);
+    }
+    let plane = Telemetry::new();
+    plane.set_export_prof(true);
+    let snap = plane.snapshot();
+    let report = prof::ProfileReport::capture();
+    let lock = report.locks.iter().find(|l| l.name == LOCK).unwrap();
+    let series = [
+        ("pq_lock_wait_ns", &lock.wait),
+        ("pq_lock_hold_ns", &lock.hold),
+    ];
+    for (name, hist) in series {
+        let exported = snap.histogram(name, &[("lock", LOCK)]).unwrap();
+        for q in [0.25, 0.5, 0.9, 0.99] {
+            assert_eq!(hist.quantile(q), exported.quantile(q), "{name} q={q}");
+        }
+        // What the two commands print: p99 in the table, p50 and p99 in
+        // the JSON document.
+        let (p50, p99) = (exported.p50(), exported.p99());
+        let kind = &name["pq_lock_".len()..name.len() - "_ns".len()];
+        let table = report.render(0);
+        assert!(
+            table.contains(&format!("{kind} p99 {:.2}us", p99 as f64 / 1e3)),
+            "{kind} p99 {p99} not in {table}"
+        );
+        let json = report.to_json();
+        assert!(
+            json.contains(&format!("\"{kind}_p50_ns\":{p50},\"{kind}_p99_ns\":{p99}")),
+            "{kind} p50 {p50} / p99 {p99} not in {json}"
+        );
+    }
+    prof::reset();
+}

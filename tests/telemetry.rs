@@ -1,48 +1,17 @@
-//! Property tests for the observability plane: histogram quantile error
-//! bounds, merge associativity (the fleet-rollup invariant), and Chrome
-//! trace-event export validity.
+//! Property tests for the observability plane: registry merge
+//! associativity (the fleet-rollup invariant), reset-safe deltas, and
+//! Chrome trace-event export validity. The histogram's own properties —
+//! quantile error bound, merge algebra — are checked once, against the
+//! one type, in `crates/prof/tests/properties.rs` (bridged into tier-1 by
+//! `tests/crate_props.rs`).
 
 use printqueue::telemetry::registry::Registry;
 use printqueue::telemetry::spans::SpanTracer;
-use printqueue::telemetry::{bucket_index, to_chrome_trace, SpanEvent};
+use printqueue::telemetry::{to_chrome_trace, SpanEvent};
 use proptest::prelude::*;
 use serde::Value;
 
-/// The true `q`-quantile under the same rank convention the histogram
-/// uses: the smallest value with cumulative rank >= ceil(q * n).
-fn true_quantile(sorted: &[u64], q: f64) -> u64 {
-    let target = ((q * sorted.len() as f64).ceil() as usize).max(1);
-    sorted[target.min(sorted.len()) - 1]
-}
-
 proptest! {
-    /// Histogram quantile estimates land in the same log2 bucket as the
-    /// true quantile (or an adjacent one): the bucket counts are exact,
-    /// so the only error is intra-bucket interpolation.
-    #[test]
-    fn quantiles_within_one_bucket(
-        samples in prop::collection::vec(any::<u64>(), 1..200),
-        q in 0.0f64..=1.0,
-    ) {
-        let reg = Registry::new();
-        let h = reg.histogram("h", &[]);
-        for &s in &samples {
-            h.record(s);
-        }
-        let snap = h.snapshot();
-        let mut sorted = samples.clone();
-        sorted.sort_unstable();
-        let truth = true_quantile(&sorted, q);
-        let est = snap.quantile(q);
-        let (eb, tb) = (bucket_index(est), bucket_index(truth));
-        prop_assert!(
-            eb.abs_diff(tb) <= 1,
-            "q={q}: estimate {est} (bucket {eb}) vs true {truth} (bucket {tb})"
-        );
-        // The estimate never leaves the observed range.
-        prop_assert!(est >= sorted[0] && est <= *sorted.last().unwrap());
-    }
-
     /// Snapshot merge is associative — so a fleet rollup folded in any
     /// grouping (per-switch, per-rack, all-at-once) yields one answer.
     #[test]

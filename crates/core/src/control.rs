@@ -209,6 +209,37 @@ pub trait CheckpointSink: Send + Sync {
     }
 }
 
+/// One port's stored checkpoints: the newest `max_snapshots`, oldest
+/// first, as one slice. Eviction advances `start` past the oldest entry
+/// (releasing its register images at once) and the dead prefix is cut off
+/// when it outgrows the live part, so a push is amortised O(1) however
+/// long the run.
+#[derive(Default)]
+struct SnapshotRing {
+    buf: Vec<Checkpoint>,
+    start: usize,
+}
+
+impl SnapshotRing {
+    fn as_slice(&self) -> &[Checkpoint] {
+        &self.buf[self.start..]
+    }
+
+    fn push(&mut self, cp: Checkpoint, max_snapshots: usize) {
+        self.buf.push(cp);
+        if self.buf.len() - self.start > max_snapshots {
+            let evicted = &mut self.buf[self.start];
+            evicted.windows.release();
+            evicted.queue_monitors = Vec::new();
+            self.start += 1;
+        }
+        if self.start > self.buf.len() / 2 {
+            self.buf.drain(..self.start);
+            self.start = 0;
+        }
+    }
+}
+
 /// A failed (or deferred) read waiting to run again.
 #[derive(Debug, Clone, Copy)]
 struct PendingRead {
@@ -292,7 +323,7 @@ pub struct AnalysisProgram {
     coeffs: Coefficients,
     ports: Vec<(u16, PortRegisters)>,
     /// Stored checkpoints, oldest first, per port (parallel to `ports`).
-    checkpoints: Vec<Vec<Checkpoint>>,
+    checkpoints: Vec<SnapshotRing>,
     /// Recorded coverage gaps, oldest first, per port (parallel to `ports`).
     gaps: Vec<Vec<CoverageGap>>,
     /// Optional fault injection (`None` = the perfect substrate: reads are
@@ -392,7 +423,7 @@ impl AnalysisProgram {
                     )
                 })
                 .collect(),
-            checkpoints: vec![Vec::new(); ports.len()],
+            checkpoints: ports.iter().map(|_| SnapshotRing::default()).collect(),
             gaps: vec![Vec::new(); ports.len()],
             faults: None,
             retry_policy: RetryPolicy::default(),
@@ -702,20 +733,7 @@ impl AnalysisProgram {
     ) {
         pq_prof::scope!("control/freeze_read");
         let gate = self.freeze_gate.lock();
-        if gate.was_poisoned() {
-            // A reader died mid-freeze. Recover, but surface the event
-            // the way every other degradation surfaces: a coverage gap
-            // at the recovery instant (zero-length — no history was
-            // provably lost, but the record and the counters mark it).
-            let gap = CoverageGap { from: now, to: now };
-            self.counters.coverage_gaps.inc();
-            if let Some(sink) = self.spill.as_mut() {
-                if sink.on_gap(self.ports[i].0, gap).is_err() {
-                    self.counters.spill_errors.inc();
-                }
-            }
-            self.gaps[i].push(gap);
-        }
+        let poisoned = gate.was_poisoned();
         let regs = &mut self.ports[i].1;
         if on_demand {
             // The special set stays locked for the duration of the read;
@@ -725,9 +743,19 @@ impl AnalysisProgram {
         }
         regs.read_busy_until = regs.read_busy_until.max(now.saturating_add(latency));
         let windows = TimeWindowSnapshot::capture(&regs.time_windows);
+        // Chunks of a monitor no packet wrote since its last freeze are
+        // shared with that freeze's snapshot, not copied (and the store's
+        // encoder recognises them by address).
         let queue_monitors: Vec<QueueMonitorSnapshot> =
-            regs.queue_monitors.iter().map(|m| m.snapshot()).collect();
+            regs.queue_monitors.iter_mut().map(|m| m.freeze()).collect();
         drop(gate);
+        if poisoned {
+            // A reader died mid-freeze. Recover, but surface the event
+            // the way every other degradation surfaces: a coverage gap
+            // at the recovery instant (zero-length — no history was
+            // provably lost, but the record and the counters mark it).
+            self.record_gap(i, CoverageGap { from: now, to: now });
+        }
 
         // Bandwidth accounting: every cell of every window (8 B) plus every
         // queue-monitor entry (16 B: two halves of flow+seq) — the whole
@@ -736,8 +764,15 @@ impl AnalysisProgram {
         // subsequently lost.
         let tw_entries = u64::from(self.tw_config.t) * self.tw_config.cells() as u64;
         let qm_entries: u64 = queue_monitors.iter().map(|m| m.len() as u64).sum();
-        let qm_occupied: usize = queue_monitors.iter().map(|m| m.occupied().len()).sum();
+        let qm_occupied: usize = queue_monitors.iter().map(|m| m.occupied_len()).sum();
+        let stored = self.checkpoints[i].as_slice().last();
+        let qm_captured: usize = queue_monitors
+            .iter()
+            .enumerate()
+            .map(|(q, m)| m.rows_not_shared_with(stored.and_then(|cp| cp.queue_monitors.get(q))))
+            .sum();
         self.counters.qm_occupied_entries.record(qm_occupied as u64);
+        self.counters.qm_captured_entries.record(qm_captured as u64);
         self.entries_read += tw_entries + qm_entries;
         self.bytes_read += tw_entries * 8 + qm_entries * 16;
         self.counters.entries_read.add(tw_entries + qm_entries);
@@ -768,22 +803,13 @@ impl AnalysisProgram {
             let t_set = self.tw_config.set_period();
             if let Some(last) = self.ports[i].1.last_checkpoint_at {
                 if now.saturating_sub(last) > t_set {
-                    let gap = CoverageGap {
-                        from: last,
-                        to: now,
-                    };
-                    self.counters.coverage_gaps.inc();
-                    self.counters.gap_ns.add(gap.len());
-                    if let Some(sink) = self.spill.as_mut() {
-                        if sink.on_gap(self.ports[i].0, gap).is_err() {
-                            self.counters.spill_errors.inc();
-                        }
-                    }
-                    self.gaps[i].push(gap);
-                    if self.gaps[i].len() > MAX_STORED_GAPS {
-                        let excess = self.gaps[i].len() - MAX_STORED_GAPS;
-                        self.gaps[i].drain(..excess);
-                    }
+                    self.record_gap(
+                        i,
+                        CoverageGap {
+                            from: last,
+                            to: now,
+                        },
+                    );
                 }
             }
             self.ports[i].1.last_checkpoint_at = Some(now);
@@ -802,18 +828,31 @@ impl AnalysisProgram {
                 self.counters.spill_errors.inc();
             }
         }
-        let store = &mut self.checkpoints[i];
-        store.push(cp);
-        if store.len() > self.control.max_snapshots {
-            let excess = store.len() - self.control.max_snapshots;
-            store.drain(..excess);
+        self.checkpoints[i].push(cp, self.control.max_snapshots);
+    }
+
+    /// Record a coverage gap on port `i`: counted, handed to the spill
+    /// sink, and kept in the port's bounded gap list.
+    fn record_gap(&mut self, i: usize, gap: CoverageGap) {
+        self.counters.coverage_gaps.inc();
+        self.counters.gap_ns.add(gap.len());
+        if let Some(sink) = self.spill.as_mut() {
+            if sink.on_gap(self.ports[i].0, gap).is_err() {
+                self.counters.spill_errors.inc();
+            }
+        }
+        let gaps = &mut self.gaps[i];
+        gaps.push(gap);
+        if gaps.len() > MAX_STORED_GAPS {
+            let excess = gaps.len() - MAX_STORED_GAPS;
+            gaps.drain(..excess);
         }
     }
 
     /// All stored checkpoints for `port`, oldest first.
     pub fn checkpoints(&self, port: u16) -> &[Checkpoint] {
         let i = self.port_index(port).expect("port not activated");
-        &self.checkpoints[i]
+        self.checkpoints[i].as_slice()
     }
 
     /// §6.3 asynchronous time-window query: per-flow packet counts over
@@ -835,7 +874,7 @@ impl AnalysisProgram {
         let i = self.port_index(port).expect("port not activated");
         let mut result = FlowEstimates::default();
         let mut prev_frozen_at: Option<Nanos> = None;
-        for cp in &self.checkpoints[i] {
+        for cp in self.checkpoints[i].as_slice() {
             // A periodic checkpoint covers at most (prev_freeze, freeze];
             // clamp the query to that slice to avoid double counting when
             // polls are more frequent than the set period.
@@ -882,7 +921,8 @@ impl AnalysisProgram {
     /// on-demand checkpoints (`None` = most recent).
     pub fn query_special(&self, port: u16, which: Option<usize>) -> Option<FlowEstimates> {
         let i = self.port_index(port).expect("port not activated");
-        let specials: Vec<usize> = self.checkpoints[i]
+        let stored = self.checkpoints[i].as_slice();
+        let specials: Vec<usize> = stored
             .iter()
             .enumerate()
             .filter(|(_, c)| c.on_demand)
@@ -892,7 +932,7 @@ impl AnalysisProgram {
             Some(w) => *specials.get(w)?,
             None => *specials.last()?,
         };
-        let cp = &self.checkpoints[i][idx];
+        let cp = &stored[idx];
         let interval = cp.trigger?;
         Some(cp.windows.query(interval, &self.coeffs))
     }
@@ -915,6 +955,7 @@ impl AnalysisProgram {
     ) -> Option<QueueMonitorAnswer<'_>> {
         let i = self.port_index(port).expect("port not activated");
         let cp = self.checkpoints[i]
+            .as_slice()
             .iter()
             .min_by_key(|cp| cp.frozen_at.abs_diff(at))?;
         let snapshot = cp.queue_monitors.get(usize::from(queue))?;
@@ -1073,6 +1114,42 @@ mod tests {
             ap.on_tick(poll * 4);
         }
         assert_eq!(ap.checkpoints(0).len(), 8);
+    }
+
+    #[test]
+    fn snapshot_ring_equals_naive_eviction_at_every_step() {
+        let mut ap = program(4);
+        let json = |cp: &Checkpoint| serde_json::to_string(cp).unwrap();
+        let mut naive: Vec<String> = Vec::new();
+        for poll in 1..=24u64 {
+            ap.record_dequeue(0, FlowId(poll as u32), poll * 4 - 1);
+            ap.qm_enqueue(0, 0, FlowId(poll as u32), poll as u32 % 32, poll * 4 - 1);
+            ap.on_tick(poll * 4);
+            naive.push(json(ap.checkpoints(0).last().unwrap()));
+            if naive.len() > 8 {
+                naive.remove(0);
+            }
+            let stored: Vec<String> = ap.checkpoints(0).iter().map(json).collect();
+            assert_eq!(stored, naive, "after poll {poll}");
+        }
+        assert_eq!(ap.checkpoints(0)[0].frozen_at, 17 * 4);
+    }
+
+    #[test]
+    fn recorded_gaps_are_bounded() {
+        let mut ap = program(64);
+        for t in 0..5_000u64 {
+            ap.record_gap(0, CoverageGap { from: t, to: t + 1 });
+        }
+        let gaps = ap.coverage_gaps(0);
+        assert_eq!(gaps.len(), MAX_STORED_GAPS);
+        assert_eq!(
+            gaps[0].from,
+            5_000 - MAX_STORED_GAPS as u64,
+            "the oldest rotate out"
+        );
+        assert_eq!(ap.health().coverage_gaps, 5_000);
+        assert_eq!(ap.health().gap_ns, 5_000);
     }
 
     #[test]

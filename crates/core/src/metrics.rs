@@ -120,6 +120,7 @@ pub(crate) struct ControlCounters {
     pub bytes_read: Counter,
     pub read_ns: Histogram,
     pub qm_occupied_entries: Histogram,
+    pub qm_captured_entries: Histogram,
 }
 
 impl ControlCounters {
@@ -142,6 +143,7 @@ impl ControlCounters {
             bytes_read: reg.counter(names::CONTROL_BYTES_READ, &[]),
             read_ns: reg.histogram(names::CONTROL_READ_NS, &[]),
             qm_occupied_entries: reg.histogram(names::CONTROL_QM_OCCUPIED_ENTRIES, &[]),
+            qm_captured_entries: reg.histogram(names::CONTROL_QM_CAPTURED_ENTRIES, &[]),
         }
     }
 

@@ -93,6 +93,12 @@ impl TimeWindowSnapshot {
         }
     }
 
+    /// Free the cell arrays of a snapshot the checkpoint ring has evicted
+    /// and nothing will read again.
+    pub(crate) fn release(&mut self) {
+        self.windows = Vec::new();
+    }
+
     /// Whether [`TimeWindowSnapshot::filter`] has already run.
     pub fn is_filtered(&self) -> bool {
         self.filtered

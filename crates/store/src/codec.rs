@@ -25,11 +25,12 @@ use crate::format::invalid;
 use crate::varint;
 use pq_core::control::Checkpoint;
 use pq_core::params::TimeWindowConfig;
-use pq_core::queue_monitor::{Entry, Half, QueueMonitorSnapshot};
+use pq_core::queue_monitor::{Entry, Half, QueueMonitorSnapshot, Row};
 use pq_core::snapshot::{QueryInterval, TimeWindowSnapshot};
 use pq_core::time_windows::Cell;
 use pq_packet::FlowId;
 use std::io;
+use std::sync::Arc;
 
 const FLAG_ON_DEMAND: u8 = 1 << 0;
 const FLAG_TRIGGER: u8 = 1 << 1;
@@ -83,6 +84,34 @@ pub struct CodecState {
     prev_frozen: Option<u64>,
 }
 
+/// What the encoder last wrote for each queue-monitor chunk of one port's
+/// checkpoint stream, so a chunk the next checkpoint shares with the
+/// previous one ([`QueueMonitor::freeze`]) is copied, not
+/// re-encoded. It outlives segment rotation: nothing in it depends on the
+/// segment.
+///
+/// A row's bytes depend on the row and on its predecessor's level and last
+/// sequence number (the two delta chains), so everything after a chunk's
+/// first row — the *tail* — is a function of the chunk alone, as are the
+/// chain values the chunk leaves behind. Both are kept beside the `Arc`
+/// they were computed from; a chunk is recognised by `Arc::ptr_eq`, and
+/// because the memo holds that `Arc` the allocation cannot be freed and
+/// its address handed to different rows.
+///
+/// [`QueueMonitor::freeze`]: pq_core::queue_monitor::QueueMonitor::freeze
+#[derive(Default)]
+pub struct EncodeMemo {
+    /// `[monitor][chunk slot]`, grown on demand.
+    monitors: Vec<Vec<Option<ChunkMemo>>>,
+}
+
+struct ChunkMemo {
+    rows: Arc<[Row]>,
+    tail: Vec<u8>,
+    /// The level and sequence chains after the chunk's last row.
+    end: (Option<u64>, Option<u64>),
+}
+
 fn put_delta_u64(out: &mut Vec<u8>, prev: &mut Option<u64>, value: u64) {
     match *prev {
         None => varint::put_u64(out, value),
@@ -100,6 +129,30 @@ fn read_delta_u64(cursor: &mut &[u8], prev: &mut Option<u64>) -> io::Result<u64>
     Ok(value)
 }
 
+/// Append one occupied queue-monitor row, coded against the level chain
+/// (restarting per monitor) and the sequence chain (one per checkpoint).
+/// A row always has a non-default half — a snapshot keeps no row for a
+/// default entry — so it always advances both.
+fn put_row(out: &mut Vec<u8>, prev_idx: &mut Option<u64>, prev_seq: &mut Option<u64>, row: &Row) {
+    put_delta_u64(out, prev_idx, u64::from(row.level()));
+    let entry = row.entry();
+    let mut halves = 0u8;
+    if entry.inc != Half::default() {
+        halves |= HALF_INC;
+    }
+    if entry.dec != Half::default() {
+        halves |= HALF_DEC;
+    }
+    out.push(halves);
+    for half in [&entry.inc, &entry.dec] {
+        if *half == Half::default() {
+            continue;
+        }
+        varint::put_u64(out, u64::from(half.flow.0));
+        put_delta_u64(out, prev_seq, half.seq);
+    }
+}
+
 /// Append one checkpoint to `out`.
 ///
 /// Fails with `InvalidInput` if the checkpoint's window configuration
@@ -109,6 +162,7 @@ pub fn encode_checkpoint(
     out: &mut Vec<u8>,
     tw: &TimeWindowConfig,
     state: &mut CodecState,
+    memo: &mut EncodeMemo,
     cp: &Checkpoint,
 ) -> io::Result<()> {
     if cp.windows.config() != tw {
@@ -154,29 +208,40 @@ pub fn encode_checkpoint(
     }
 
     varint::put_u64(out, cp.queue_monitors.len() as u64);
+    if memo.monitors.len() < cp.queue_monitors.len() {
+        memo.monitors.resize_with(cp.queue_monitors.len(), Vec::new);
+    }
     let mut prev_seq: Option<u64> = None;
-    for monitor in &cp.queue_monitors {
+    for (monitor, slots) in cp.queue_monitors.iter().zip(&mut memo.monitors) {
         varint::put_u64(out, monitor.len() as u64);
         varint::put_u64(out, u64::from(monitor.top));
-        varint::put_u64(out, monitor.occupied().len() as u64);
+        varint::put_u64(out, monitor.occupied_len() as u64);
+        if slots.len() < monitor.chunks().len() {
+            slots.resize_with(monitor.chunks().len(), || None);
+        }
         let mut prev_idx: Option<u64> = None;
-        for row in monitor.occupied() {
-            put_delta_u64(out, &mut prev_idx, u64::from(row.level()));
-            let entry = row.entry();
-            let mut halves = 0u8;
-            if entry.inc != Half::default() {
-                halves |= HALF_INC;
-            }
-            if entry.dec != Half::default() {
-                halves |= HALF_DEC;
-            }
-            out.push(halves);
-            for half in [&entry.inc, &entry.dec] {
-                if *half == Half::default() {
-                    continue;
+        for (chunk, slot) in monitor.chunks().iter().zip(slots) {
+            let Some(chunk) = chunk else { continue };
+            let Some((first, rest)) = chunk.split_first() else {
+                continue;
+            };
+            put_row(out, &mut prev_idx, &mut prev_seq, first);
+            match slot {
+                Some(known) if Arc::ptr_eq(&known.rows, chunk) => {
+                    out.extend_from_slice(&known.tail);
+                    (prev_idx, prev_seq) = known.end;
                 }
-                varint::put_u64(out, u64::from(half.flow.0));
-                put_delta_u64(out, &mut prev_seq, half.seq);
+                _ => {
+                    let tail_at = out.len();
+                    for row in rest {
+                        put_row(out, &mut prev_idx, &mut prev_seq, row);
+                    }
+                    *slot = Some(ChunkMemo {
+                        rows: Arc::clone(chunk),
+                        tail: out[tail_at..].to_vec(),
+                        end: (prev_idx, prev_seq),
+                    });
+                }
             }
         }
     }
@@ -299,6 +364,7 @@ pub fn decode_checkpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pq_core::queue_monitor::QueueMonitor;
     use proptest::prelude::*;
 
     fn sample_checkpoint(tw: &TimeWindowConfig, frozen_at: u64) -> Checkpoint {
@@ -353,9 +419,9 @@ mod tests {
             .map(|&t| sample_checkpoint(&tw, t))
             .collect();
         let mut buf = Vec::new();
-        let mut enc = CodecState::default();
+        let (mut enc, mut memo) = (CodecState::default(), EncodeMemo::default());
         for cp in &cps {
-            encode_checkpoint(&mut buf, &tw, &mut enc, cp).unwrap();
+            encode_checkpoint(&mut buf, &tw, &mut enc, &mut memo, cp).unwrap();
         }
         let mut cursor = buf.as_slice();
         let mut dec = CodecState::default();
@@ -393,9 +459,7 @@ mod tests {
             windows: TimeWindowSnapshot::from_parts(tw, windows, true),
             queue_monitors: vec![],
         };
-        let mut buf = Vec::new();
-        let mut enc = CodecState::default();
-        encode_checkpoint(&mut buf, &tw, &mut enc, &cp).unwrap();
+        let buf = encode_one(&tw, &cp);
         let mut cursor = buf.as_slice();
         let back = decode_checkpoint(
             &mut cursor,
@@ -441,8 +505,7 @@ mod tests {
 
     fn truncate_and_flip(tw: &TimeWindowConfig, cp: &Checkpoint) {
         let tw = *tw;
-        let mut buf = Vec::new();
-        encode_checkpoint(&mut buf, &tw, &mut CodecState::default(), cp).unwrap();
+        let buf = encode_one(&tw, cp);
         for cut in 0..buf.len() {
             let mut cursor = &buf[..cut];
             let _ = decode_checkpoint(
@@ -479,8 +542,7 @@ mod tests {
             ),
             queue_monitors: vec![],
         };
-        let mut buf = Vec::new();
-        encode_checkpoint(&mut buf, &tw, &mut CodecState::default(), &cp).unwrap();
+        let buf = encode_one(&tw, &cp);
         let mut cursor = buf.as_slice();
         let mut tiny = DecodeBudget::new(1024);
         let err =
@@ -494,13 +556,27 @@ mod tests {
         let other = TimeWindowConfig::new(4, 2, 5, 3);
         let cp = sample_checkpoint(&tw, 10);
         let mut buf = Vec::new();
-        let err = encode_checkpoint(&mut buf, &other, &mut CodecState::default(), &cp).unwrap_err();
+        let err = encode_checkpoint(
+            &mut buf,
+            &other,
+            &mut CodecState::default(),
+            &mut EncodeMemo::default(),
+            &cp,
+        )
+        .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     fn encode_one(tw: &TimeWindowConfig, cp: &Checkpoint) -> Vec<u8> {
         let mut buf = Vec::new();
-        encode_checkpoint(&mut buf, tw, &mut CodecState::default(), cp).unwrap();
+        encode_checkpoint(
+            &mut buf,
+            tw,
+            &mut CodecState::default(),
+            &mut EncodeMemo::default(),
+            cp,
+        )
+        .unwrap();
         buf
     }
 
@@ -572,14 +648,15 @@ mod tests {
         varint::put_u64(&mut bytes, u64::from(FlowId::NONE.0)); // …of no flow…
         varint::put_u64(&mut bytes, 0); // …and sequence 0.
         let back = decode_one(&bytes, &tw, &mut DecodeBudget::default()).unwrap();
-        assert!(back.queue_monitors[0].occupied().is_empty());
+        assert_eq!(back.queue_monitors[0].occupied_len(), 0);
         assert_eq!(back.queue_monitors, cp.queue_monitors);
         assert_eq!(encode_one(&tw, &back), encode_one(&tw, &cp));
     }
 
     /// The encoder as it ran over dense snapshots: every monitor array
     /// scanned once to count and once to emit, every varint through
-    /// `Write`. Kept as the byte-for-byte reference for the row walk.
+    /// `Write`, no memo. Kept as the byte-for-byte reference for the row
+    /// walk and for the chunk memo.
     fn encode_checkpoint_dense(
         out: &mut Vec<u8>,
         tw: &TimeWindowConfig,
@@ -717,8 +794,11 @@ mod tests {
             let tw = TimeWindowConfig::new(4, 2, 4, 3);
             let (mut sparse, mut dense) = (Vec::new(), Vec::new());
             let (mut s_state, mut d_state) = (CodecState::default(), CodecState::default());
+            // One memo across unrelated checkpoints: monitor counts and
+            // lengths change under it and no chunk is ever the same.
+            let mut memo = EncodeMemo::default();
             for cp in &cps {
-                encode_checkpoint(&mut sparse, &tw, &mut s_state, cp).unwrap();
+                encode_checkpoint(&mut sparse, &tw, &mut s_state, &mut memo, cp).unwrap();
                 encode_checkpoint_dense(&mut dense, &tw, &mut d_state, cp);
             }
             prop_assert_eq!(&sparse, &dense);
@@ -732,10 +812,192 @@ mod tests {
                     decode_checkpoint(&mut cursor, &tw, &mut state, &mut DecodeBudget::default())
                         .map_err(|e| TestCaseError::fail(e.to_string()))?;
                 prop_assert_eq!(&back.queue_monitors, &cp.queue_monitors);
-                encode_checkpoint(&mut again, &tw, &mut a_state, &back).unwrap();
+                encode_checkpoint(&mut again, &tw, &mut a_state, &mut EncodeMemo::default(), &back).unwrap();
             }
             prop_assert!(cursor.is_empty());
             prop_assert_eq!(&again, &sparse);
+        }
+    }
+
+    /// Levels per snapshot chunk, read off a snapshot (the constant is
+    /// private to `pq-core`).
+    fn chunk_levels() -> usize {
+        let levels = 1 << 15;
+        levels
+            / QueueMonitorSnapshot::from_dense(&vec![Entry::default(); levels], 0)
+                .chunks()
+                .len()
+    }
+
+    /// Two live monitors frozen into checkpoints that go through one
+    /// memoising encoder and through the dense reference, a "segment" at a
+    /// time: both restart their `CodecState` on rotation, the memo does not.
+    struct Chain {
+        tw: TimeWindowConfig,
+        monitors: [QueueMonitor; 2],
+        last: Option<Checkpoint>,
+        memo: EncodeMemo,
+        states: (CodecState, CodecState),
+        bodies: (Vec<u8>, Vec<u8>),
+        now: u64,
+    }
+
+    impl Chain {
+        fn new() -> Chain {
+            let span = chunk_levels();
+            Chain {
+                tw: TimeWindowConfig::new(4, 2, 4, 3),
+                monitors: [
+                    QueueMonitor::new(4 * span, 1),
+                    QueueMonitor::new(2 * span + 17, 1),
+                ],
+                last: None,
+                memo: EncodeMemo::default(),
+                states: Default::default(),
+                bodies: Default::default(),
+                now: 0,
+            }
+        }
+
+        fn write(&mut self, monitor: usize, enqueue: bool, flow: u32, depth: usize) {
+            let m = &mut self.monitors[monitor];
+            if enqueue {
+                m.on_enqueue(FlowId(flow), depth as u32, 0);
+            } else {
+                m.on_dequeue(FlowId(flow), depth as u32, 0);
+            }
+        }
+
+        fn rotate(&mut self) {
+            self.states = Default::default();
+        }
+
+        /// Freeze, encode both ways, compare everything written so far;
+        /// returns how many rows the checkpoint shares with the last one.
+        fn checkpoint(&mut self, on_demand: bool) -> usize {
+            self.now += 100;
+            let mut cp = sample_checkpoint(&self.tw, self.now);
+            cp.on_demand = on_demand;
+            cp.trigger = on_demand.then(|| QueryInterval::new(self.now / 2, self.now));
+            cp.queue_monitors = self.monitors.iter_mut().map(|m| m.freeze()).collect();
+            encode_checkpoint(
+                &mut self.bodies.0,
+                &self.tw,
+                &mut self.states.0,
+                &mut self.memo,
+                &cp,
+            )
+            .unwrap();
+            encode_checkpoint_dense(&mut self.bodies.1, &self.tw, &mut self.states.1, &cp);
+            assert!(
+                self.bodies.0 == self.bodies.1,
+                "memoised bytes differ from the reference at t = {}",
+                self.now
+            );
+            let shared = cp
+                .queue_monitors
+                .iter()
+                .enumerate()
+                .map(|(q, m)| {
+                    let old = self.last.as_ref().map(|last| &last.queue_monitors[q]);
+                    m.occupied_len() - m.rows_not_shared_with(old)
+                })
+                .sum();
+            self.last = Some(cp);
+            shared
+        }
+    }
+
+    #[test]
+    fn memoised_chunks_encode_as_the_reference_does_case_by_case() {
+        let span = chunk_levels();
+        let mut chain = Chain::new();
+        // Rows at both ends of every chunk of monitor 0 except the top of
+        // chunk 1, and a few in monitor 1.
+        for c in 0..4 {
+            for at in [0, 5, span - 9] {
+                chain.write(0, true, 7 + c as u32, c * span + at);
+            }
+        }
+        for level in [3, span - 1, span, 2 * span + 16] {
+            chain.write(1, false, 40, level);
+        }
+        assert_eq!(chain.checkpoint(false), 0, "nothing to share yet");
+        let all = 4 * 3 + 4;
+        assert_eq!(
+            chain.checkpoint(false),
+            all,
+            "an idle period shares every chunk"
+        );
+
+        chain.write(0, false, 9, span); // first row of chunk 1
+        assert_eq!(chain.checkpoint(false), all - 3);
+        chain.write(0, true, 9, 2 * span - 9); // last row of chunk 1
+        assert_eq!(chain.checkpoint(false), all - 3);
+        // A new row directly before unchanged chunk 2: its first row's
+        // level delta and sequence delta both change, its tail does not.
+        chain.write(0, true, 9, 2 * span - 1);
+        assert_eq!(chain.checkpoint(false), all - 3);
+        let all = all + 1;
+
+        assert_eq!(chain.checkpoint(true), all, "an on-demand read in between");
+        chain.rotate();
+        assert_eq!(
+            chain.checkpoint(false),
+            all,
+            "the memo outlives the segment"
+        );
+
+        // Monitor 0 empties: monitor 1's first row now opens the
+        // checkpoint's sequence chain.
+        chain.monitors[0].clear();
+        assert_eq!(chain.checkpoint(false), 4);
+        chain.write(0, true, 11, 3 * span + 1);
+        assert_eq!(
+            chain.checkpoint(false),
+            4,
+            "a chunk that was empty holds a row again"
+        );
+        chain.write(1, true, 12, 2 * span + 16); // the clamped last level of monitor 1
+        assert_eq!(chain.checkpoint(false), 1 + 3);
+    }
+
+    /// `(monitor, enqueue, flow, depth)`, depths biased to chunk borders.
+    fn arb_write() -> impl Strategy<Value = (usize, bool, u32, usize)> {
+        let span = chunk_levels();
+        let depth = (any::<bool>(), 0usize..5, 0usize..7, 0..4 * span + 40).prop_map(
+            move |(border, c, d, anywhere)| match border {
+                true => (c * span + d).saturating_sub(3),
+                false => anywhere,
+            },
+        );
+        (0usize..2, any::<bool>(), 0u32..50, depth)
+    }
+
+    proptest! {
+        /// Random chains in which most chunks survive from one checkpoint
+        /// to the next: a few writes, sometimes a cleared monitor, an
+        /// on-demand read or a new segment, then a freeze.
+        #[test]
+        fn memoised_chains_match_the_reference(
+            steps in prop::collection::vec(
+                (prop::collection::vec(arb_write(), 0..6), 0u8..12, any::<bool>(), 0u8..4),
+                1..24,
+            ),
+        ) {
+            let mut chain = Chain::new();
+            for (writes, clear, on_demand, rotate) in steps {
+                for (monitor, enqueue, flow, depth) in writes {
+                    chain.write(monitor, enqueue, flow, depth);
+                }
+                if let Some(m) = chain.monitors.get_mut(usize::from(clear)) {
+                    m.clear();
+                }
+                if rotate == 0 {
+                    chain.rotate();
+                }
+                chain.checkpoint(on_demand);
+            }
         }
     }
 }

@@ -12,7 +12,7 @@
 //! analysis program while the caller keeps a handle to `finish()` the
 //! file afterwards.
 
-use crate::codec::{encode_checkpoint, CodecState};
+use crate::codec::{encode_checkpoint, CodecState, EncodeMemo};
 use crate::crc::crc32;
 use crate::format::{self, PortMeta, SegmentMeta};
 use crate::varint;
@@ -62,6 +62,9 @@ struct PortState {
     open: Option<OpenSegment>,
     /// Chain value: last periodic freeze time written for this port.
     chain: Option<Nanos>,
+    /// The encoder's memo of this port's queue-monitor chunks, kept across
+    /// segments: a standing queue's rows outlive many of them.
+    memo: EncodeMemo,
     meta: PortMeta,
 }
 
@@ -159,7 +162,7 @@ impl<W: Write> StoreWriter<W> {
             max_t: cp.frozen_at,
             prev_periodic: chain,
         });
-        encode_checkpoint(&mut open.body, &tw, &mut open.state, cp)?;
+        encode_checkpoint(&mut open.body, &tw, &mut open.state, &mut state.memo, cp)?;
         if let Some(t) = &self.telemetry {
             t.checkpoints_written.inc();
         }

@@ -114,6 +114,10 @@ pub mod names {
     /// Occupied queue-monitor entries per freeze — what freeze, spill and
     /// decode cost scale with (histogram, entries).
     pub const CONTROL_QM_OCCUPIED_ENTRIES: &str = "pq_control_qm_occupied_entries";
+    /// Queue-monitor entries a freeze rebuilt rather than shared with the
+    /// previous checkpoint — occupied : captured is how much of a freeze
+    /// was unchanged (histogram, entries).
+    pub const CONTROL_QM_CAPTURED_ENTRIES: &str = "pq_control_qm_captured_entries";
 
     // -- pq-store ----------------------------------------------------------
     /// Checkpoints appended to a store (counter).
@@ -301,6 +305,9 @@ pub mod names {
             CONTROL_BYTES_READ => "Bytes read across PCIe.",
             CONTROL_READ_NS => "Freeze-and-read sim-time duration in ns.",
             CONTROL_QM_OCCUPIED_ENTRIES => "Occupied queue-monitor entries per freeze.",
+            CONTROL_QM_CAPTURED_ENTRIES => {
+                "Queue-monitor entries per freeze not shared with the previous checkpoint."
+            }
             STORE_CHECKPOINTS_WRITTEN => "Checkpoints appended to a store.",
             STORE_SEGMENTS_SEALED => "Segments sealed to disk.",
             STORE_BYTES_WRITTEN => "Encoded segment bytes written, framing included.",

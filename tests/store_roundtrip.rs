@@ -7,6 +7,7 @@ use printqueue::core::control::{AnalysisProgram, ControlConfig};
 use printqueue::core::export::CheckpointArchive;
 use printqueue::core::params::TimeWindowConfig;
 use printqueue::core::printqueue::{PrintQueue, PrintQueueConfig};
+use printqueue::core::queue_monitor::QueueMonitorSnapshot;
 use printqueue::core::snapshot::QueryInterval;
 use printqueue::packet::FlowId;
 use printqueue::store::{
@@ -590,6 +591,73 @@ fn default_policy_archive_of_a_32k_entry_monitor_ships_and_answers() {
     for p in [src, dst] {
         std::fs::remove_file(p).ok();
     }
+}
+
+/// The end-to-end identity behind chunk sharing: a dense-polled standing
+/// queue's archive — frozen chunk by chunk against the previous freeze,
+/// encoded through the writer's per-port memo across fourteen segments —
+/// is byte for byte the archive of the same checkpoints rebuilt from their
+/// dense register images (no chunk shared with anything) and pushed
+/// through a fresh writer.
+#[test]
+fn shared_chunk_archive_equals_its_unshared_rebuild() {
+    let tw = TimeWindowConfig::new(6, 1, 10, 3);
+    let policy = SegmentPolicy {
+        checkpoints_per_segment: 32,
+        ..SegmentPolicy::default()
+    };
+    let mut pq = PrintQueue::new(PrintQueueConfig::single_port(tw, 110));
+    let handle = SharedStoreWriter::new(StoreWriter::new(Vec::new(), tw, policy).unwrap());
+    let ap = pq.analysis_mut();
+    ap.set_spill(Box::new(handle.clone()));
+    // Near-MTU packets (19 cells each) climb for forty polls, then the
+    // depth hovers: a poll period rewrites a few levels near the top.
+    let (mut depth, mut rng) = (0u32, 12u64);
+    for poll in 1..=436u64 {
+        for step in 0..24u64 {
+            rng = rng
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let now = (poll - 1) * tw.set_period() + step * (tw.set_period() / 24);
+            let flow = FlowId((rng >> 40) as u32 % 50);
+            if poll <= 40 || rng >> 63 == 0 {
+                depth += 19;
+                ap.qm_enqueue(0, 0, flow, depth, now);
+            } else {
+                depth -= 19;
+                ap.on_dequeue(0, 0, flow, depth, now);
+            }
+        }
+        ap.on_tick(poll * tw.set_period());
+    }
+    let stored = ap.checkpoints(0);
+    assert_eq!(stored.len(), 436);
+    let (mut occupied, mut rebuilt) = (0, 0);
+    for pair in stored[40..].windows(2) {
+        let (old, new) = (&pair[0].queue_monitors[0], &pair[1].queue_monitors[0]);
+        occupied += new.occupied_len();
+        rebuilt += new.rows_not_shared_with(Some(old));
+    }
+    assert!(
+        rebuilt * 5 < occupied,
+        "sharing did not happen: {rebuilt} of {occupied} rows rebuilt"
+    );
+
+    let mut fresh = StoreWriter::new(Vec::new(), tw, policy).unwrap();
+    for cp in stored {
+        let mut unshared = cp.clone();
+        for m in &mut unshared.queue_monitors {
+            *m = QueueMonitorSnapshot::from_dense(&m.to_dense(), m.top);
+        }
+        fresh.push(0, &unshared).unwrap();
+    }
+    assert_eq!(
+        fresh.sealed_segments(),
+        13,
+        "the memo has to outlive rotation"
+    );
+    let (shared, unshared) = (handle.finish().unwrap(), fresh.finish().unwrap());
+    assert!(shared == unshared, "archives differ");
 }
 
 proptest! {

@@ -190,21 +190,26 @@ pub fn encode_checkpoint(
     }
 
     for w in 0..tw.t {
-        let cells = cp.windows.window(w);
-        let occupied = cells.iter().filter(|c| **c != Cell::EMPTY).count();
-        varint::put_u64(out, occupied as u64);
+        // One walk over the cells: the occupied count goes in front of the
+        // runs once it is known, which moves the few KB just written instead
+        // of reading the whole window a second time.
+        let runs_at = out.len();
+        let mut occupied = 0u64;
         let mut prev_idx: Option<u64> = None;
         let mut prev_cycle: Option<u64> = None;
-        for (idx, cell) in cells.iter().enumerate() {
+        for (idx, cell) in cp.windows.window(w).iter().enumerate() {
             if *cell == Cell::EMPTY {
                 continue;
             }
+            occupied += 1;
             // Indices are emitted ascending, so deltas are strictly
             // positive after the first.
             put_delta_u64(out, &mut prev_idx, idx as u64);
             varint::put_u64(out, u64::from(cell.flow.0));
             put_delta_u64(out, &mut prev_cycle, cell.cycle);
         }
+        varint::put_u64(out, occupied);
+        out[runs_at..].rotate_right(varint::len_u64(occupied));
     }
 
     varint::put_u64(out, cp.queue_monitors.len() as u64);
@@ -718,6 +723,36 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn window_count_lands_in_front_of_its_runs_at_every_varint_width() {
+        // 0, 1-, 2- and 3-byte occupied counts, the last a full window.
+        let tw = TimeWindowConfig::new(4, 2, 14, 2);
+        for occupied in [0usize, 1, 127, 128, 300, 16_383, 16_384] {
+            let mut windows = vec![vec![Cell::EMPTY; tw.cells()]; 2];
+            for (w, window) in windows.iter_mut().enumerate() {
+                let stride = if w == 0 {
+                    1
+                } else {
+                    tw.cells() / occupied.max(1)
+                };
+                for i in 0..occupied {
+                    window[i * stride] = Cell {
+                        flow: FlowId(i as u32 % 11),
+                        cycle: (i / 3) as u64,
+                    };
+                }
+            }
+            let mut cp = sample_checkpoint(&TimeWindowConfig::new(4, 2, 4, 3), 77);
+            cp.windows = TimeWindowSnapshot::from_parts(tw, windows, false);
+            let mut dense = Vec::new();
+            encode_checkpoint_dense(&mut dense, &tw, &mut CodecState::default(), &cp);
+            let bytes = encode_one(&tw, &cp);
+            assert!(bytes == dense, "{occupied} occupied cells");
+            let back = decode_one(&bytes, &tw, &mut DecodeBudget::default()).unwrap();
+            assert_eq!(back.windows.window(1), cp.windows.window(1));
         }
     }
 

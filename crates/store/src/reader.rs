@@ -29,6 +29,7 @@ use pq_core::params::TimeWindowConfig;
 use pq_core::snapshot::{FlowEstimates, QueryInterval};
 use pq_telemetry::{names, Counter, Histogram, Telemetry};
 use std::io::{self, Read, Seek, SeekFrom};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -287,6 +288,20 @@ impl<R: Read + Seek> StoreReader<R> {
     /// Read one segment's body bytes, verifying framing and CRC but not
     /// decoding — the caller owns the kind's codec.
     pub fn read_raw_body(&mut self, meta: &SegmentMeta) -> io::Result<Vec<u8>> {
+        let (mut frame, body) = self.read_frame(meta)?;
+        if let Some(t) = &self.telemetry {
+            t.segments_decoded.inc();
+        }
+        // The frame buffer becomes the body: no second allocation.
+        frame.truncate(body.end);
+        frame.drain(..body.start);
+        Ok(frame)
+    }
+
+    /// Read the frame `meta` points at and check it — magic, header
+    /// length, body length against the frame's, body CRC. Returns the frame
+    /// and where in it the verified body lies.
+    fn read_frame(&mut self, meta: &SegmentMeta) -> io::Result<(Vec<u8>, Range<usize>)> {
         self.src.seek(SeekFrom::Start(meta.offset))?;
         let mut frame = vec![0u8; meta.len as usize];
         self.src.read_exact(&mut frame)?;
@@ -301,15 +316,12 @@ impl<R: Read + Seek> StoreReader<R> {
         if cursor.len() != body_len + 4 {
             return Err(invalid("segment framing length mismatch"));
         }
-        let body = &cursor[..body_len];
-        let stored_crc = u32::from_le_bytes(cursor[body_len..].try_into().unwrap());
-        if crc32(body) != stored_crc {
+        let (body, stored_crc) = cursor.split_at(body_len);
+        if crc32(body) != u32::from_le_bytes(stored_crc.try_into().unwrap()) {
             return Err(invalid("segment body CRC mismatch"));
         }
-        if let Some(t) = &self.telemetry {
-            t.segments_decoded.inc();
-        }
-        Ok(body.to_vec())
+        let body_at = frame.len() - 4 - body_len;
+        Ok((frame, body_at..body_at + body_len))
     }
 
     fn port_meta(&self, port: u16) -> PortMeta {
@@ -459,28 +471,11 @@ impl<R: Read + Seek> StoreReader<R> {
     fn decode_segment(&mut self, meta: &SegmentMeta) -> io::Result<Vec<Checkpoint>> {
         pq_prof::scope!("store/segment_decode");
         let mut budget = DecodeBudget::new(self.budget_bytes);
-        self.src.seek(SeekFrom::Start(meta.offset))?;
-        let mut frame = vec![0u8; meta.len as usize];
-        self.src.read_exact(&mut frame)?;
-        let mut cursor = frame.as_slice();
-        if varint::read_bytes(&mut cursor, 4)? != format::SEGMENT_MAGIC.as_slice() {
-            return Err(invalid("segment magic mismatch"));
-        }
-        let hdr_len = varint::read_len(&mut cursor, format::MAX_SEGHDR_LEN)?;
-        let _hdr = varint::read_bytes(&mut cursor, hdr_len)?;
-        let remaining = cursor.len();
-        let body_len = varint::read_len(&mut cursor, remaining)?;
-        if cursor.len() != body_len + 4 {
-            return Err(invalid("segment framing length mismatch"));
-        }
-        let body = &cursor[..body_len];
-        let stored_crc = u32::from_le_bytes(cursor[body_len..].try_into().unwrap());
-        if crc32(body) != stored_crc {
-            return Err(invalid("segment body CRC mismatch"));
-        }
+        let (frame, body) = self.read_frame(meta)?;
+        let body = &frame[body];
         // Each checkpoint is ≥ 2 bytes on the wire; a count claiming more
         // is framing corruption.
-        if meta.count > (body_len as u64) / 2 + 1 {
+        if meta.count > (body.len() as u64) / 2 + 1 {
             return Err(invalid("segment count inconsistent with body size"));
         }
         let mut cps = Vec::with_capacity(meta.count as usize);
@@ -502,6 +497,17 @@ impl<R: Read + Seek> StoreReader<R> {
             t.checkpoints_decoded.add(cps.len() as u64);
         }
         Ok(cps)
+    }
+
+    /// How many of `port`'s checkpoints decode cleanly: the length of
+    /// [`read_port`](Self::read_port)'s checkpoint list, found one segment
+    /// at a time so that at most one decoded segment is ever held.
+    pub fn decodable_checkpoints(&mut self, port: u16) -> u64 {
+        self.raw_segments(port, format::KIND_CHECKPOINTS)
+            .iter()
+            .filter_map(|m| self.decode_segment(m).ok())
+            .map(|cps| cps.len() as u64)
+            .sum()
     }
 
     /// Decode everything stored for `port` into a [`CheckpointArchive`]

@@ -37,10 +37,11 @@ pub struct ShipReport {
 
 /// Ship `src` to `dst`, verifying every segment before publishing.
 ///
-/// The source is fully decoded first — every segment's body CRC is
-/// checked by the decode path — and only then written to `dst` via a
-/// temporary file and an atomic rename. A crash mid-ship leaves either
-/// the old replica or a `.tmp` leftover, never a half-written `.pqa`.
+/// The source is fully decoded first, one segment at a time — every
+/// segment's body CRC is checked by the decode path — and only then
+/// written to `dst` via a temporary file and an atomic rename. A crash
+/// mid-ship leaves either the old replica or a `.tmp` leftover, never a
+/// half-written `.pqa`.
 pub fn ship_archive(src: &Path, dst: &Path) -> io::Result<ShipReport> {
     let bytes = fs::read(src)?;
     let mut reader = StoreReader::open(Cursor::new(bytes.as_slice()))?;
@@ -53,12 +54,14 @@ pub fn ship_archive(src: &Path, dst: &Path) -> io::Result<ShipReport> {
     let mut checkpoints = 0u64;
     let ports = reader.ports();
     for &port in &ports {
-        // CRC-verified decode of every segment. `read_port` degrades a
-        // corrupt segment into a gap instead of failing, so compare the
-        // decoded count against what the index claims: any shortfall
-        // means corruption, and a corrupt source must not ship.
+        // CRC-verified decode of every segment, one at a time: holding the
+        // whole port decoded (as `read_port` would) is the largest
+        // allocation of a replica's life for a count. A corrupt segment
+        // decodes to nothing instead of failing, so compare the decoded
+        // count against what the index claims: any shortfall means
+        // corruption, and a corrupt source must not ship.
         let expect = reader.checkpoint_count(port);
-        let decoded = reader.read_port(port)?.checkpoints.len() as u64;
+        let decoded = reader.decodable_checkpoints(port);
         if decoded < expect {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -67,7 +70,7 @@ pub fn ship_archive(src: &Path, dst: &Path) -> io::Result<ShipReport> {
         }
         checkpoints += decoded;
     }
-    // Raw (non-checkpoint) segments aren't touched by `read_port`; verify
+    // Raw (non-checkpoint) segments aren't touched by that; verify
     // their body CRCs explicitly so an RTT spill can't ship corrupted.
     let raw: Vec<SegmentMeta> = reader
         .segments()
@@ -219,6 +222,36 @@ mod tests {
         assert!(shipped.is_err(), "corrupt archive must not ship");
         assert!(!dst.exists(), "no replica may be published on failure");
         fs::remove_file(&src).ok();
+    }
+
+    #[test]
+    fn decodable_count_is_the_length_read_port_would_return() {
+        let tw = TimeWindowConfig::new(0, 1, 6, 2);
+        let policy = SegmentPolicy {
+            checkpoints_per_segment: 3,
+            ..SegmentPolicy::default()
+        };
+        let mut w = StoreWriter::new(Vec::new(), tw, policy).unwrap();
+        for t in 1..=8u64 {
+            w.push((t % 2) as u16, &cp(&tw, t * 100)).unwrap();
+        }
+        let mut bytes = w.finish().unwrap();
+        for corrupt in [false, true] {
+            if corrupt {
+                // Inside the first segment's body: that segment is lost.
+                bytes[30] ^= 0xFF;
+            }
+            let mut reader = StoreReader::open(Cursor::new(bytes.as_slice())).unwrap();
+            for port in [0, 1, 9] {
+                let held = reader.read_port(port).unwrap().checkpoints.len() as u64;
+                assert_eq!(reader.decodable_checkpoints(port), held, "port {port}");
+            }
+            let lost = if corrupt { 3 } else { 0 };
+            assert_eq!(
+                reader.decodable_checkpoints(0) + reader.decodable_checkpoints(1),
+                8 - lost
+            );
+        }
     }
 
     #[test]

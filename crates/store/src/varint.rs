@@ -8,6 +8,15 @@
 
 use std::io::{self, Write};
 
+/// Longest encoding of a `u64`.
+pub const MAX_LEN: usize = 10;
+
+/// Encoded length of `value`.
+pub const fn len_u64(value: u64) -> usize {
+    let bits = 64 - (value | 1).leading_zeros() as usize;
+    bits.div_ceil(7)
+}
+
 /// Append `value` as an unsigned LEB128 varint.
 pub fn write_u64<W: Write>(w: &mut W, mut value: u64) -> io::Result<()> {
     loop {
@@ -145,6 +154,8 @@ mod tests {
                 put_u64(&mut pushed, v);
                 write_u64(&mut written, v).unwrap();
                 assert_eq!(pushed, written, "u64 {v}");
+                assert_eq!(len_u64(v), pushed.len(), "length of {v}");
+                assert!(pushed.len() <= MAX_LEN);
                 let (mut pushed, mut written) = (Vec::new(), Vec::new());
                 put_i64(&mut pushed, v as i64);
                 write_i64(&mut written, v as i64).unwrap();

@@ -1,11 +1,25 @@
 //! Streaming `.pqa` writer: buffers checkpoints per port, seals bounded
 //! segments, and emits the trailer index at finish.
 //!
-//! The writer is the bounded-RAM half of the store: at most one *open*
-//! segment per port lives in memory (capped by
-//! [`SegmentPolicy::max_segment_bytes`]); everything sealed is already on
-//! disk. This is what lets a long-running control plane spill checkpoints
+//! The writer is the bounded-RAM half of the store: one buffer per port
+//! lives in memory, holding the port's *open* segment or, between
+//! segments, nothing but its capacity; everything sealed is already on
+//! disk. A body is capped by [`SegmentPolicy::max_segment_bytes`] plus the
+//! checkpoint that crossed it, so a port holds at most twice that (a `Vec`
+//! that has to grow doubles) plus a 272-byte headroom, however long it
+//! runs. This is what lets a long-running control plane spill checkpoints
 //! continuously instead of accumulating a whole run in its snapshot ring.
+//!
+//! **A segment is framed where it was encoded.** The buffer starts with the
+//! headroom — room for the longest frame prefix — and checkpoints are
+//! encoded behind it; sealing checksums the body once, writes `magic |
+//! hdr_len | hdr | body_len` right-aligned into the headroom, appends the
+//! CRC and hands the sink the frame in a single `write_all`. A crash still
+//! tears at most the tail of one write burst, and a seal costs one pass
+//! over the body, not a pass and a copy. The buffer then goes back to its
+//! port cut down to the headroom, so the next segment is encoded into
+//! memory that is already mapped: a `Vec` regrown from empty for every
+//! segment paid a page fault per 4 KiB of every segment.
 //!
 //! [`SharedStoreWriter`] adapts the writer to the
 //! [`CheckpointSink`] spill hook of the
@@ -48,8 +62,18 @@ impl Default for SegmentPolicy {
     }
 }
 
+/// Bytes kept free in front of every segment body for the frame prefix:
+/// segment magic, header length, the header at its largest, body length.
+const HEADROOM: usize = format::SEGMENT_MAGIC.len()
+    + varint::len_u64(format::MAX_SEGHDR_LEN as u64)
+    + format::MAX_SEGHDR_LEN
+    + varint::MAX_LEN;
+// The figure the module docs and DESIGN §8 quote.
+const _: () = assert!(HEADROOM == 272);
+
 struct OpenSegment {
-    body: Vec<u8>,
+    /// [`HEADROOM`] spare bytes, then the encoded body.
+    buf: Vec<u8>,
     state: CodecState,
     count: u64,
     min_t: Nanos,
@@ -65,6 +89,9 @@ struct PortState {
     /// The encoder's memo of this port's queue-monitor chunks, kept across
     /// segments: a standing queue's rows outlive many of them.
     memo: EncodeMemo,
+    /// The last sealed segment's buffer, cut down to its headroom, for the
+    /// next segment to be encoded into (empty until the first seal).
+    spare: Vec<u8>,
     meta: PortMeta,
 }
 
@@ -89,6 +116,12 @@ impl WriterInstruments {
             plane: plane.clone(),
         }
     }
+}
+
+/// `spare` as an empty body behind its headroom.
+fn with_headroom(mut spare: Vec<u8>) -> Vec<u8> {
+    spare.resize(HEADROOM, 0);
+    spare
 }
 
 /// Streaming writer for a `.pqa` archive.
@@ -154,17 +187,30 @@ impl<W: Write> StoreWriter<W> {
         let policy = self.policy;
         let state = self.ports.entry(port).or_default();
         let chain = state.chain;
+        let spare = &mut state.spare;
         let open = state.open.get_or_insert_with(|| OpenSegment {
-            body: Vec::new(),
+            buf: with_headroom(std::mem::take(spare)),
             state: CodecState::default(),
             count: 0,
             min_t: cp.frozen_at,
             max_t: cp.frozen_at,
             prev_periodic: chain,
         });
-        encode_checkpoint(&mut open.body, &tw, &mut open.state, &mut state.memo, cp)?;
+        encode_checkpoint(&mut open.buf, &tw, &mut open.state, &mut state.memo, cp)?;
         if let Some(t) = &self.telemetry {
             t.checkpoints_written.inc();
+        }
+        if open.count == 0 {
+            // Size the body once, for as many checkpoints like this one as
+            // the policy lets a segment hold, instead of by doubling (a
+            // port's later segments find the capacity already there). Only
+            // a hint: a policy that never seals asks for more than there
+            // is, and then the `Vec` grows as it goes.
+            let first = open.buf.len() - HEADROOM;
+            let rest = first
+                .saturating_mul(policy.checkpoints_per_segment.saturating_sub(1))
+                .min(policy.max_segment_bytes);
+            let _ = open.buf.try_reserve_exact(rest);
         }
         open.count += 1;
         open.min_t = open.min_t.min(cp.frozen_at);
@@ -173,7 +219,7 @@ impl<W: Write> StoreWriter<W> {
             state.chain = Some(cp.frozen_at);
         }
         if open.count as usize >= policy.checkpoints_per_segment
-            || open.body.len() >= policy.max_segment_bytes
+            || open.buf.len() - HEADROOM >= policy.max_segment_bytes
         {
             self.seal(port)?;
         }
@@ -196,7 +242,10 @@ impl<W: Write> StoreWriter<W> {
         body: &[u8],
     ) -> io::Result<()> {
         self.seal(port)?;
-        self.ports.entry(port).or_default();
+        let mut buf = with_headroom(std::mem::take(
+            &mut self.ports.entry(port).or_default().spare,
+        ));
+        buf.extend_from_slice(body);
         let meta = SegmentMeta {
             offset: 0,
             len: 0,
@@ -209,27 +258,40 @@ impl<W: Write> StoreWriter<W> {
             body_crc: 0,
             kind,
         };
-        self.write_frame(meta, body)
+        self.write_frame(port, meta, buf)
     }
 
-    /// Frame `body` as one segment at the current position (filling
-    /// `meta`'s offset, length and body CRC), write it, and index it. The
-    /// whole segment goes out in one buffer so a crash tears at most the
-    /// tail of a single write burst.
-    fn write_frame(&mut self, mut meta: SegmentMeta, body: &[u8]) -> io::Result<()> {
+    /// Frame the body in `buf` (everything after its [`HEADROOM`]) as one
+    /// segment at the current position (filling `meta`'s offset, length and
+    /// body CRC), write it, and index it. The frame is completed in `buf`
+    /// itself and goes out in one write, so a crash tears at most the tail
+    /// of a single write burst. Written or not, `buf` ends up as `port`'s
+    /// spare.
+    fn write_frame(
+        &mut self,
+        port: u16,
+        mut meta: SegmentMeta,
+        mut buf: Vec<u8>,
+    ) -> io::Result<()> {
+        let body = &buf[HEADROOM..];
         meta.offset = self.pos;
         meta.body_crc = crc32(body);
         let mut hdr = Vec::new();
         meta.write_seg_header(&mut hdr)?;
-        let mut frame = Vec::with_capacity(body.len() + hdr.len() + 32);
-        frame.extend_from_slice(&format::SEGMENT_MAGIC);
-        varint::put_u64(&mut frame, hdr.len() as u64);
-        frame.extend_from_slice(&hdr);
-        varint::put_u64(&mut frame, body.len() as u64);
-        frame.extend_from_slice(body);
-        frame.extend_from_slice(&meta.body_crc.to_le_bytes());
-        meta.len = frame.len() as u64;
-        self.out.write_all(&frame)?;
+        let mut prefix = Vec::with_capacity(HEADROOM);
+        prefix.extend_from_slice(&format::SEGMENT_MAGIC);
+        varint::put_u64(&mut prefix, hdr.len() as u64);
+        prefix.extend_from_slice(&hdr);
+        varint::put_u64(&mut prefix, body.len() as u64);
+        assert!(hdr.len() <= format::MAX_SEGHDR_LEN && prefix.len() <= HEADROOM);
+        let start = HEADROOM - prefix.len();
+        buf[start..HEADROOM].copy_from_slice(&prefix);
+        buf.extend_from_slice(&meta.body_crc.to_le_bytes());
+        meta.len = (buf.len() - start) as u64;
+        let written = self.out.write_all(&buf[start..]);
+        buf.truncate(HEADROOM);
+        self.ports.entry(port).or_default().spare = buf;
+        written?;
         self.pos += meta.len;
         if let Some(t) = &self.telemetry {
             t.segments_sealed.inc();
@@ -280,7 +342,7 @@ impl<W: Write> StoreWriter<W> {
             body_crc: 0,
             kind: format::KIND_CHECKPOINTS,
         };
-        self.write_frame(meta, &open.body)
+        self.write_frame(port, meta, open.buf)
     }
 
     fn apply_retention(&mut self) {
@@ -404,5 +466,218 @@ impl<W: Write + Send + 'static> CheckpointSink for SharedStoreWriter<W> {
 
     fn on_gap(&mut self, port: u16, gap: CoverageGap) -> io::Result<()> {
         self.with(|w| w.push_gap(port, gap))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::StoreReader;
+    use pq_core::queue_monitor::{Entry, Half, QueueMonitorSnapshot};
+    use pq_core::snapshot::TimeWindowSnapshot;
+    use pq_core::time_windows::Cell;
+    use pq_packet::FlowId;
+    use std::io::Cursor;
+
+    const TW: TimeWindowConfig = TimeWindowConfig {
+        m0: 4,
+        alpha: 2,
+        k: 4,
+        t: 2,
+    };
+
+    /// A periodic checkpoint with `rows` monitor rows: a few hundred bytes
+    /// encoded, the same for equal `rows` and equally spaced times.
+    fn checkpoint(frozen_at: u64, rows: usize) -> Checkpoint {
+        let mut windows = vec![vec![Cell::EMPTY; TW.cells()]; usize::from(TW.t)];
+        windows[0][3] = Cell {
+            flow: FlowId(5),
+            cycle: 9,
+        };
+        let mut entries = vec![Entry::default(); 256];
+        for (i, e) in entries.iter_mut().take(rows).enumerate() {
+            e.inc = Half {
+                flow: FlowId(i as u32 % 7),
+                seq: 10 + i as u64,
+            };
+        }
+        Checkpoint {
+            frozen_at,
+            on_demand: false,
+            trigger: None,
+            windows: TimeWindowSnapshot::from_parts(TW, windows, false),
+            queue_monitors: vec![QueueMonitorSnapshot::from_dense(&entries, 0)],
+        }
+    }
+
+    fn writer(policy: SegmentPolicy) -> StoreWriter<Vec<u8>> {
+        StoreWriter::new(Vec::new(), TW, policy).unwrap()
+    }
+
+    /// Body length after each of `cps`, encoded into one segment.
+    fn body_lengths(cps: &[Checkpoint]) -> Vec<usize> {
+        let mut body = Vec::new();
+        let (mut state, mut memo) = (CodecState::default(), EncodeMemo::default());
+        cps.iter()
+            .map(|cp| {
+                encode_checkpoint(&mut body, &TW, &mut state, &mut memo, cp).unwrap();
+                body.len()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn size_cap_counts_body_bytes_not_the_headroom() {
+        let cps: Vec<_> = (0..8).map(|i| checkpoint(1_000 + 50 * i, 100)).collect();
+        let lengths = body_lengths(&cps);
+        // A cap the body passes with its fifth checkpoint, by less than the
+        // headroom: counting the spare bytes would seal after the fourth.
+        let cap = lengths[3] + 100;
+        assert!(lengths[3] + HEADROOM >= cap && lengths[4] >= cap);
+        let mut w = writer(SegmentPolicy {
+            checkpoints_per_segment: usize::MAX,
+            max_segment_bytes: cap,
+            retain_segments_per_port: None,
+        });
+        for (i, cp) in cps.iter().enumerate() {
+            w.push(0, cp).unwrap();
+            assert_eq!(w.sealed_segments(), usize::from(i >= 4), "after push {i}");
+        }
+        assert_eq!(w.segments[0].count, 5);
+    }
+
+    #[test]
+    fn longest_frame_prefix_fits_the_headroom() {
+        let mut w = writer(SegmentPolicy {
+            checkpoints_per_segment: 1,
+            ..SegmentPolicy::default()
+        });
+        // Every header field at its widest in a raw segment…
+        w.push_raw(u16::MAX, u64::MAX, u64::MAX, u64::MAX, u64::MAX, b"x")
+            .unwrap();
+        // …and both chain ends present and ten bytes long in a checkpoint
+        // segment.
+        w.push(u16::MAX, &checkpoint(u64::MAX - 2, 1)).unwrap();
+        w.push(u16::MAX, &checkpoint(u64::MAX - 1, 1)).unwrap();
+        let widest = SegmentMeta {
+            prev_periodic: Some(u64::MAX),
+            last_periodic: Some(u64::MAX),
+            ..w.segments[0]
+        };
+        let mut hdr = Vec::new();
+        widest.write_seg_header(&mut hdr).unwrap();
+        assert_eq!(hdr.len(), 3 + 6 * varint::MAX_LEN);
+        assert!(hdr.len() <= format::MAX_SEGHDR_LEN);
+
+        let written = w.segments.clone();
+        let bytes = w.finish().unwrap();
+        let mut reader = StoreReader::open(Cursor::new(&bytes)).unwrap();
+        assert_eq!(reader.segments(), written);
+        assert_eq!(written[2].prev_periodic, Some(u64::MAX - 2));
+        assert_eq!(written[2].last_periodic, Some(u64::MAX - 1));
+        assert_eq!(reader.read_raw_body(&written[0]).unwrap(), b"x");
+        assert_eq!(reader.read_port(u16::MAX).unwrap().checkpoints.len(), 2);
+        // The same frames found without the index.
+        let cut = written[2].offset + written[2].len;
+        let scanned = StoreReader::open(Cursor::new(&bytes[..cut as usize])).unwrap();
+        assert_eq!(scanned.segments(), written);
+    }
+
+    #[test]
+    fn fifty_segments_leave_one_segment_of_capacity() {
+        let mut w = writer(SegmentPolicy {
+            checkpoints_per_segment: 6,
+            ..SegmentPolicy::default()
+        });
+        let mut capacities = Vec::new();
+        for i in 0..300 {
+            w.push(4, &checkpoint(1_000_000 + 50 * i, 80)).unwrap();
+            let state = &w.ports[&4];
+            if state.open.is_none() {
+                assert_eq!(state.spare.len(), HEADROOM);
+                capacities.push(state.spare.capacity());
+            }
+        }
+        assert_eq!(capacities.len(), 50);
+        let largest_frame = w.segments.iter().map(|s| s.len).max().unwrap() as usize;
+        assert!(
+            capacities[49] <= HEADROOM + largest_frame,
+            "{} bytes kept for {largest_frame}-byte segments",
+            capacities[49]
+        );
+        assert!(capacities.iter().all(|c| *c == capacities[0]));
+    }
+
+    /// A sink that takes half of the first write that would carry it past
+    /// `fail_at` bytes, then fails that `write_all` — once.
+    struct TearsOnce {
+        bytes: Vec<u8>,
+        fail_at: Option<usize>,
+        torn: bool,
+    }
+
+    impl Write for TearsOnce {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.torn {
+                self.torn = false;
+                self.fail_at = None;
+                return Err(io::Error::other("disk full"));
+            }
+            if self
+                .fail_at
+                .is_some_and(|at| self.bytes.len() + buf.len() > at)
+            {
+                self.torn = true;
+                self.bytes.extend_from_slice(&buf[..buf.len() / 2]);
+                return Ok(buf.len() / 2);
+            }
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn failed_seal_returns_the_error_and_the_next_push_starts_clean() {
+        let sink = TearsOnce {
+            bytes: Vec::new(),
+            fail_at: Some(2_000),
+            torn: false,
+        };
+        let policy = SegmentPolicy {
+            checkpoints_per_segment: 3,
+            ..SegmentPolicy::default()
+        };
+        let mut w = StoreWriter::new(sink, TW, policy).unwrap();
+        let cps: Vec<_> = (0..9).map(|i| checkpoint(1_000 + 50 * i, 100)).collect();
+        let mut failed = Vec::new();
+        for (i, cp) in cps.iter().enumerate() {
+            if let Err(e) = w.push(0, cp) {
+                assert_eq!(e.to_string(), "disk full");
+                failed.push(i);
+                let state = &w.ports[&0];
+                assert!(state.open.is_none());
+                assert_eq!(state.spare.len(), HEADROOM);
+            }
+        }
+        assert_eq!(failed.len(), 1, "one seal crosses byte 2000: {failed:?}");
+        // The lost segment is not indexed, the position did not move, and
+        // the segments after it hold exactly their own checkpoints.
+        let lost = failed[0] / 3;
+        assert_eq!(w.sealed_segments(), 2);
+        assert_eq!(
+            w.pos,
+            format::HEADER_LEN + w.segments[0].len + w.segments[1].len
+        );
+        let next = &cps[3 * (lost + 1)..][..3];
+        let after = &w.segments[lost];
+        assert_eq!((after.count, after.min_t), (3, next[0].frozen_at));
+        assert_eq!(after.prev_periodic, Some(cps[3 * lost + 2].frozen_at));
+        let body = body_lengths(next)[2];
+        let prefix = after.len as usize - body - 4;
+        assert!(prefix <= HEADROOM, "frame is prefix + body + CRC");
     }
 }

@@ -184,6 +184,36 @@ impl Checkpoint {
     }
 }
 
+/// The §6.3 slice walk every time-window query takes — live, JSON archive
+/// and `.pqa` reader alike: each periodic checkpoint in `checkpoints`
+/// (oldest first) answers only its own slice of `interval`, from just
+/// after the previous periodic freeze to its own, so polls more frequent
+/// than the set period never count a span twice. On-demand checkpoints
+/// are skipped. Answers merge into `into` in checkpoint order.
+///
+/// `prev_periodic` is the periodic freeze before `checkpoints[0]`, if
+/// any; the return is the last periodic freeze of the walk (or
+/// `prev_periodic`), which seeds the next stretch of the same chain.
+pub fn query_slices(
+    checkpoints: &[Checkpoint],
+    interval: QueryInterval,
+    coeffs: &Coefficients,
+    mut prev_periodic: Option<Nanos>,
+    into: &mut FlowEstimates,
+) -> Option<Nanos> {
+    for cp in checkpoints.iter().filter(|cp| !cp.on_demand) {
+        let from = interval
+            .from
+            .max(prev_periodic.map_or(0, |t| t.saturating_add(1)));
+        let to = interval.to.min(cp.frozen_at);
+        prev_periodic = Some(cp.frozen_at);
+        if from <= to {
+            into.merge(&cp.windows.query(QueryInterval::new(from, to), coeffs));
+        }
+    }
+    prev_periodic
+}
+
 /// A destination for completed checkpoints, fed incrementally as the
 /// control plane stores them (the spill hook behind `pq-store`'s streaming
 /// [`StoreWriter`](https://docs.rs/pq-store)).
@@ -873,24 +903,13 @@ impl AnalysisProgram {
     ) -> QueryResult {
         let i = self.port_index(port).expect("port not activated");
         let mut result = FlowEstimates::default();
-        let mut prev_frozen_at: Option<Nanos> = None;
-        for cp in self.checkpoints[i].as_slice() {
-            // A periodic checkpoint covers at most (prev_freeze, freeze];
-            // clamp the query to that slice to avoid double counting when
-            // polls are more frequent than the set period.
-            let slice_from = interval.from.max(prev_frozen_at.map_or(0, |t| t + 1));
-            let slice_to = interval.to.min(cp.frozen_at);
-            if !cp.on_demand {
-                prev_frozen_at = Some(cp.frozen_at);
-            }
-            if slice_from > slice_to || cp.on_demand {
-                continue;
-            }
-            let est = cp
-                .windows
-                .query(QueryInterval::new(slice_from, slice_to), coeffs);
-            result.merge(&est);
-        }
+        query_slices(
+            self.checkpoints[i].as_slice(),
+            interval,
+            coeffs,
+            None,
+            &mut result,
+        );
         let mut gaps: Vec<CoverageGap> = self.gaps[i]
             .iter()
             .filter(|g| g.overlaps(interval))

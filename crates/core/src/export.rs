@@ -7,7 +7,7 @@
 //! (human-inspectable, diffable) so a long run's registers can be archived
 //! and re-queried later without re-simulating.
 
-use crate::control::{AnalysisProgram, Checkpoint, CoverageGap};
+use crate::control::{query_slices, AnalysisProgram, Checkpoint, CoverageGap};
 use crate::metrics::ControlHealth;
 use crate::params::TimeWindowConfig;
 use serde::{Deserialize, Serialize};
@@ -85,22 +85,7 @@ impl CheckpointArchive {
         coeffs: &crate::coefficient::Coefficients,
     ) -> crate::control::QueryResult {
         let mut result = crate::snapshot::FlowEstimates::default();
-        let mut prev_frozen_at: Option<u64> = None;
-        for cp in &self.checkpoints {
-            let slice_from = interval.from.max(prev_frozen_at.map_or(0, |t| t + 1));
-            let slice_to = interval.to.min(cp.frozen_at);
-            if !cp.on_demand {
-                prev_frozen_at = Some(cp.frozen_at);
-            }
-            if slice_from > slice_to || cp.on_demand {
-                continue;
-            }
-            let est = cp.windows.query(
-                crate::snapshot::QueryInterval::new(slice_from, slice_to),
-                coeffs,
-            );
-            result.merge(&est);
-        }
+        let last_periodic = query_slices(&self.checkpoints, interval, coeffs, None, &mut result);
         let mut gaps: Vec<CoverageGap> = self
             .gaps
             .iter()
@@ -108,7 +93,7 @@ impl CheckpointArchive {
             .copied()
             .collect();
         let t_set = self.tw_config.set_period();
-        let last = prev_frozen_at.unwrap_or(0);
+        let last = last_periodic.unwrap_or(0);
         if interval.to > last.saturating_add(t_set) {
             gaps.push(CoverageGap {
                 from: last,

@@ -189,8 +189,9 @@ impl ControlCounters {
 /// Conventions for the degenerate cases: an empty estimate has precision 1
 /// (nothing claimed, nothing wrong) and an empty truth has recall 1.
 pub fn precision_recall(estimate: &FlowCounts, truth: &FlowCounts) -> PrecisionRecall {
-    let est_total: f64 = estimate.values().sum();
-    let truth_total: f64 = truth.values().sum();
+    let estimate = by_flow(estimate);
+    let est_total: f64 = estimate.iter().map(|(_, est)| est).sum();
+    let truth_total = sum_by_flow(truth);
     let tp: f64 = estimate
         .iter()
         .map(|(flow, est)| truth.get(flow).copied().unwrap_or(0.0).min(*est))
@@ -207,6 +208,19 @@ pub fn precision_recall(estimate: &FlowCounts, truth: &FlowCounts) -> PrecisionR
             tp / truth_total
         },
     }
+}
+
+/// `counts` in `FlowId` order: the order every sum over a map takes, so
+/// the sum's bits do not depend on the map's iteration order.
+fn by_flow(counts: &FlowCounts) -> Vec<(FlowId, f64)> {
+    let mut pairs: Vec<(FlowId, f64)> = counts.iter().map(|(f, n)| (*f, *n)).collect();
+    pairs.sort_unstable_by_key(|&(flow, _)| flow);
+    pairs
+}
+
+/// The sum of `counts`, added in `FlowId` order.
+pub(crate) fn sum_by_flow(counts: &FlowCounts) -> f64 {
+    by_flow(counts).iter().map(|(_, n)| n).sum()
 }
 
 /// Restrict `counts` to its `k` largest flows (ties broken by flow id for
@@ -316,6 +330,29 @@ mod tests {
         assert_eq!(pr.precision, 0.0);
         assert_eq!(pr.recall, 1.0);
         assert_eq!(precision_recall(&empty, &empty).f1(), 1.0);
+    }
+
+    #[test]
+    fn sums_do_not_depend_on_insertion_order() {
+        use crate::snapshot::FlowEstimates;
+        let pairs: Vec<(u32, f64)> = (0..200u32)
+            .map(|f| (f * 7919 % 1000, 0.1 * f64::from(f + 1).powf(1.7)))
+            .collect();
+        let forward: f64 = pairs.iter().map(|p| p.1).sum();
+        let backward: f64 = pairs.iter().rev().map(|p| p.1).sum();
+        assert_ne!(forward.to_bits(), backward.to_bits(), "values too tame");
+        let truth: Vec<(u32, f64)> = pairs.iter().map(|&(f, n)| (f, n * 0.75)).collect();
+        let reversed = |v: &[(u32, f64)]| v.iter().rev().copied().collect::<Vec<_>>();
+        let (est_a, est_b) = (counts(&pairs), counts(&reversed(&pairs)));
+        let (truth_a, truth_b) = (counts(&truth), counts(&reversed(&truth)));
+        let (a, b) = (
+            precision_recall(&est_a, &truth_a),
+            precision_recall(&est_b, &truth_b),
+        );
+        assert_eq!(a.precision.to_bits(), b.precision.to_bits());
+        assert_eq!(a.recall.to_bits(), b.recall.to_bits());
+        let total = |counts: FlowCounts| FlowEstimates { counts }.total().to_bits();
+        assert_eq!(total(est_a), total(est_b));
     }
 
     #[test]

@@ -16,7 +16,9 @@ use crate::time_windows::{Cell, TimeWindowSet};
 use crate::tts::Tts;
 use pq_packet::{FlowId, Nanos};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 
 /// A closed time interval `[from, to]` in nanoseconds — usually a victim
 /// packet's `[enq_timestamp, deq_timestamp]`.
@@ -197,39 +199,86 @@ impl TimeWindowSnapshot {
     /// fraction q of a span's cells still sits in window w, the deeper
     /// window's contribution is clipped by exactly q, and
     /// `q·N + (1−q)·N = N`.
+    ///
+    /// *Read set.* Per window, only cells whose raw TTS `cycle·2^k + index`
+    /// lies in `[lo, hi]` — the first and last TTS the interval touches —
+    /// can count. When that range is narrower than the ring, each index in
+    /// it has exactly one valid cycle and the query reads just those cells
+    /// (at most two runs, the second when the range wraps); otherwise it
+    /// reads every cell and keeps those whose cycle is in range. Cells are
+    /// visited in ascending index order either way, so each flow's `f64`
+    /// sum is added in the same order as a full scan's. A cell whose span
+    /// would end past `u64` nanoseconds (only a corrupt or crafted cycle
+    /// gets there) never counts.
     pub fn query(&self, interval: QueryInterval, coeffs: &Coefficients) -> FlowEstimates {
-        let mut counts: HashMap<FlowId, f64> = HashMap::new();
+        let q_start = interval.from;
+        let q_end = interval.to.saturating_add(1); // half-open
+        let mut acc: HashMap<FlowId, f64, FlowHash> = HashMap::with_hasher(FlowHash::new());
         // Merged spans (within the query) already covered by shallower
         // windows.
         let mut covered = Coverage::new();
-        let q_start = interval.from;
-        let q_end = interval.to.saturating_add(1); // half-open
+        let k = self.config.k;
+        let n = self.config.cells();
         for w in 0..self.config.t {
-            let weight = 1.0 / coeffs.coefficient[usize::from(w)];
             let shift = self.config.shift(w);
-            let k = self.config.k;
+            let lo = q_start >> shift;
+            // The last cell whose span ends inside u64 ns caps `hi`; an
+            // interval past it (or `[u64::MAX, u64::MAX]`) reads nothing.
+            let hi = ((q_end - 1) >> shift).min((u64::MAX >> shift) - 1);
+            if hi < lo {
+                continue;
+            }
+            let (lo_c, lo_i) = (lo >> k, (lo as usize) & (n - 1));
+            let (hi_c, hi_i) = (hi >> k, (hi as usize) & (n - 1));
+            let weight = 1.0 / coeffs.coefficient[usize::from(w)];
             let cell_period = self.config.cell_period(w) as f64;
-            let mut new_spans = Vec::new();
-            for (index, cell) in self.windows[usize::from(w)].iter().enumerate() {
-                if cell.is_empty() {
-                    continue;
-                }
+            let cells = &self.windows[usize::from(w)];
+            let mut new_spans: Vec<(Nanos, Nanos)> = Vec::new();
+            // `cycle·2^k + index` is in `[lo, hi]`, so nothing here overflows.
+            let mut count = |index: usize, cell: &Cell| {
                 let raw = (cell.cycle << k) | index as u64;
                 let start = (raw << shift).max(q_start);
                 let end = ((raw + 1) << shift).min(q_end);
-                if end <= start {
-                    continue;
-                }
                 let uncovered = covered.uncovered_len(start, end);
                 if uncovered > 0 {
-                    *counts.entry(cell.flow).or_insert(0.0) +=
-                        weight * uncovered as f64 / cell_period;
+                    *acc.entry(cell.flow).or_insert(0.0) += weight * uncovered as f64 / cell_period;
                 }
-                new_spans.push((start, end));
+                // Abutting spans arrive in order; `add_all` would merge
+                // them anyway, so join them here instead of sorting them.
+                match new_spans.last_mut() {
+                    Some(last) if last.1 == start => last.1 = end,
+                    _ => new_spans.push((start, end)),
+                }
+            };
+            if hi - lo + 1 < n as u64 {
+                let mut run = |from: usize, to: usize, cycle: u64| {
+                    for (index, cell) in cells[from..=to].iter().enumerate() {
+                        if cell.cycle == cycle && !cell.is_empty() {
+                            count(from + index, cell);
+                        }
+                    }
+                };
+                if lo_c == hi_c {
+                    run(lo_i, hi_i, lo_c);
+                } else {
+                    run(0, hi_i, hi_c);
+                    run(lo_i, n - 1, lo_c);
+                }
+            } else {
+                for (index, cell) in cells.iter().enumerate() {
+                    if !cell.is_empty()
+                        && cell.cycle >= lo_c + u64::from(index < lo_i)
+                        && cell.cycle.saturating_add(u64::from(index > hi_i)) <= hi_c
+                    {
+                        count(index, cell);
+                    }
+                }
             }
             covered.add_all(new_spans);
         }
-        FlowEstimates { counts }
+        FlowEstimates {
+            counts: acc.into_iter().collect(),
+        }
     }
 
     /// Query a *single* window `w` over `interval` (Figure 12's per-window
@@ -251,9 +300,16 @@ impl TimeWindowSnapshot {
             if cell.is_empty() {
                 continue;
             }
-            let raw = (cell.cycle << k) | index as u64;
-            let start = raw << shift;
-            let end = (raw + 1) << shift;
+            // A span past u64 ns never counts, as in `query`.
+            let Some(end) = cell
+                .cycle
+                .checked_mul(1 << k)
+                .and_then(|c| (c | index as u64).checked_add(1))
+                .and_then(|r| r.checked_mul(1 << shift))
+            else {
+                continue;
+            };
+            let start = end - (1 << shift);
             if interval.overlaps_span(start, end) {
                 *counts.entry(cell.flow).or_insert(0.0) += weight;
             }
@@ -357,6 +413,48 @@ impl Coverage {
     }
 }
 
+/// The hasher of [`TimeWindowSnapshot::query`]'s per-cell accumulator: one
+/// folded multiply per flow id where SipHash spends rounds. Keyed per map
+/// from `RandomState`, because flow ids read from an archive are outside
+/// input and must not be able to pick their own collisions.
+#[derive(Clone, Copy)]
+struct FlowHash(u64);
+
+impl FlowHash {
+    fn new() -> FlowHash {
+        FlowHash(RandomState::new().build_hasher().finish())
+    }
+}
+
+impl BuildHasher for FlowHash {
+    type Hasher = FlowHash;
+
+    fn build_hasher(&self) -> FlowHash {
+        *self
+    }
+}
+
+impl Hasher for FlowHash {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let p = u128::from(self.0 ^ n) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (p as u64) ^ ((p >> 64) as u64);
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Per-flow estimated packet counts returned by a query.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FlowEstimates {
@@ -373,9 +471,10 @@ impl FlowEstimates {
         }
     }
 
-    /// Total estimated packets.
+    /// Total estimated packets, summed in `FlowId` order so the bits do
+    /// not depend on the map's iteration order.
     pub fn total(&self) -> f64 {
-        self.counts.values().sum()
+        crate::metrics::sum_by_flow(&self.counts)
     }
 
     /// Flows ranked by estimated count, descending.

@@ -23,7 +23,7 @@ use crate::crc::crc32;
 use crate::format::{self, invalid, PortMeta, SegmentMeta};
 use crate::varint;
 use pq_core::coefficient::Coefficients;
-use pq_core::control::{Checkpoint, CoverageGap, QueryResult};
+use pq_core::control::{query_slices, Checkpoint, CoverageGap, QueryResult};
 use pq_core::export::CheckpointArchive;
 use pq_core::params::TimeWindowConfig;
 use pq_core::snapshot::{FlowEstimates, QueryInterval};
@@ -645,21 +645,13 @@ impl<R: Read + Seek> StoreReader<R> {
             };
             // Re-seed the slice chain from the segment header so skipped
             // (pruned or corrupt) predecessors don't shift the clamping.
-            prev_frozen_at = m.prev_periodic.or(prev_frozen_at);
-            for cp in cps.iter() {
-                let slice_from = interval.from.max(prev_frozen_at.map_or(0, |t| t + 1));
-                let slice_to = interval.to.min(cp.frozen_at);
-                if !cp.on_demand {
-                    prev_frozen_at = Some(cp.frozen_at);
-                }
-                if slice_from > slice_to || cp.on_demand {
-                    continue;
-                }
-                let est = cp
-                    .windows
-                    .query(QueryInterval::new(slice_from, slice_to), coeffs);
-                estimates.merge(&est);
-            }
+            prev_frozen_at = query_slices(
+                &cps,
+                interval,
+                coeffs,
+                m.prev_periodic.or(prev_frozen_at),
+                &mut estimates,
+            );
         }
         let mut gaps: Vec<CoverageGap> = meta_info
             .gaps

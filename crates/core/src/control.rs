@@ -50,6 +50,7 @@ use pq_packet::{FlowId, Nanos};
 use pq_telemetry::{names, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::ops::Deref;
+use std::time::Instant;
 
 /// Bound on stored coverage gaps per port (a safety valve for pathological
 /// runs; at one gap per missed set period this covers hours of simulated
@@ -895,12 +896,14 @@ impl AnalysisProgram {
 
     /// Like [`AnalysisProgram::query_time_windows`] but with caller-supplied
     /// coefficients (the coefficient-recovery ablation passes all-ones).
+    /// Its wall time is recorded in `pq_control_query_ns`.
     pub fn query_time_windows_with(
         &self,
         port: u16,
         interval: QueryInterval,
         coeffs: &Coefficients,
     ) -> QueryResult {
+        let started = Instant::now();
         let i = self.port_index(port).expect("port not activated");
         let mut result = FlowEstimates::default();
         query_slices(
@@ -928,6 +931,9 @@ impl AnalysisProgram {
                 to: interval.to,
             });
         }
+        self.counters
+            .query_ns
+            .record(started.elapsed().as_nanos() as u64);
         QueryResult {
             degraded: !gaps.is_empty(),
             estimates: result,

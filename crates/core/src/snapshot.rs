@@ -19,6 +19,12 @@ use serde::{Deserialize, Serialize};
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
+use std::sync::OnceLock;
+
+/// Windows whose cycle bound a snapshot keeps for [`TimeWindowSnapshot::query`]
+/// to skip by; deeper windows, in configurations that have them, are never
+/// skipped.
+const BOUNDED_WINDOWS: usize = 8;
 
 /// A closed time interval `[from, to]` in nanoseconds — usually a victim
 /// packet's `[enq_timestamp, deq_timestamp]`.
@@ -62,6 +68,10 @@ pub struct TimeWindowSnapshot {
     windows: Vec<Vec<Cell>>,
     /// Whether [`TimeWindowSnapshot::filter`] has run.
     filtered: bool,
+    /// Per window, [`TimeWindowSnapshot::cycle_bound`] once a query has
+    /// asked for it. Derived from `windows`, so never serialized.
+    #[serde(skip)]
+    cycle_bounds: [OnceLock<u64>; BOUNDED_WINDOWS],
 }
 
 impl TimeWindowSnapshot {
@@ -73,6 +83,7 @@ impl TimeWindowSnapshot {
                 .map(|i| set.window(i).to_vec())
                 .collect(),
             filtered: false,
+            cycle_bounds: Default::default(),
         }
     }
 
@@ -84,15 +95,24 @@ impl TimeWindowSnapshot {
         windows: Vec<Vec<Cell>>,
         filtered: bool,
     ) -> TimeWindowSnapshot {
-        assert_eq!(windows.len(), usize::from(config.t), "window count");
-        for w in &windows {
-            assert_eq!(w.len(), config.cells(), "cell count");
-        }
-        TimeWindowSnapshot {
+        let snap = TimeWindowSnapshot {
             config,
             windows,
             filtered,
-        }
+            cycle_bounds: Default::default(),
+        };
+        assert!(snap.is_well_formed(), "window shape");
+        snap
+    }
+
+    /// Whether this snapshot holds exactly `config.t` windows of
+    /// `config.cells()` cells each — the shape every method here indexes
+    /// by. Never panics, whatever the config; for checking snapshots read
+    /// from untrusted input.
+    pub fn is_well_formed(&self) -> bool {
+        let cells = 1usize.checked_shl(u32::from(self.config.k));
+        self.windows.len() == usize::from(self.config.t)
+            && self.windows.iter().all(|w| Some(w.len()) == cells)
     }
 
     /// Free the cell arrays of a snapshot the checkpoint ring has evicted
@@ -179,6 +199,26 @@ impl TimeWindowSnapshot {
         Some((end.saturating_sub(self.config.window_period(w)), end))
     }
 
+    /// An upper bound on the cycle of window `w`'s occupied cells: their
+    /// largest cycle (0 when there are none) at the first call, kept for
+    /// the snapshot's life. [`TimeWindowSnapshot::filter`] only blanks
+    /// cells, so a bound taken before it still bounds. `u64::MAX` for
+    /// windows past the eighth, which keep no bound.
+    pub fn cycle_bound(&self, w: u8) -> u64 {
+        let wi = usize::from(w);
+        let Some(bound) = self.cycle_bounds.get(wi) else {
+            return u64::MAX;
+        };
+        *bound.get_or_init(|| {
+            self.windows[wi]
+                .iter()
+                .filter(|c| !c.is_empty())
+                .map(|c| c.cycle)
+                .max()
+                .unwrap_or(0)
+        })
+    }
+
     /// §6.3 time-window query: estimate per-flow packet counts over
     /// `interval`, recovering true counts with the coefficients.
     ///
@@ -210,30 +250,54 @@ impl TimeWindowSnapshot {
     /// sum is added in the same order as a full scan's. A cell whose span
     /// would end past `u64` nanoseconds (only a corrupt or crafted cycle
     /// gets there) never counts.
+    ///
+    /// *Work that cannot count.* A window whose range is at least as wide
+    /// as the ring is skipped outright when its
+    /// [`cycle_bound`](TimeWindowSnapshot::cycle_bound) is below `lo`'s
+    /// cycle, since no cell of it can reach `lo`. The deepest window left
+    /// records no coverage, and the coverage shallower windows record is
+    /// sorted and merged only when a deeper window has a cell to test
+    /// against it. Neither changes a term: a skipped window has no cell in
+    /// range, and the merged union is the same however late it is built.
     pub fn query(&self, interval: QueryInterval, coeffs: &Coefficients) -> FlowEstimates {
         let q_start = interval.from;
         let q_end = interval.to.saturating_add(1); // half-open
         let mut acc: HashMap<FlowId, f64, FlowHash> = HashMap::with_hasher(FlowHash::new());
-        // Merged spans (within the query) already covered by shallower
-        // windows.
-        let mut covered = Coverage::new();
+        // Spans (within the query) already covered by shallower windows,
+        // and the current window's, which join them when it is done.
+        let mut covered = Coverage::default();
+        let mut new_spans: Vec<(Nanos, Nanos)> = Vec::new();
         let k = self.config.k;
         let n = self.config.cells();
-        for w in 0..self.config.t {
+        // Window `w`'s raw TTS range `[lo, hi]`, or `None` when no cell of
+        // it can count.
+        let read_range = |w: u8| {
             let shift = self.config.shift(w);
             let lo = q_start >> shift;
             // The last cell whose span ends inside u64 ns caps `hi`; an
             // interval past it (or `[u64::MAX, u64::MAX]`) reads nothing.
             let hi = ((q_end - 1) >> shift).min((u64::MAX >> shift) - 1);
-            if hi < lo {
-                continue;
+            if hi < lo || (hi - lo + 1 >= n as u64 && self.cycle_bound(w) < lo >> k) {
+                None
+            } else {
+                Some((lo, hi))
             }
+        };
+        // Spans of the deepest window that can count would cover nothing
+        // anyone tests.
+        let Some(deepest) = (0..self.config.t).rev().find(|&w| read_range(w).is_some()) else {
+            return FlowEstimates::default();
+        };
+        for w in 0..=deepest {
+            let Some((lo, hi)) = read_range(w) else {
+                continue;
+            };
+            let shift = self.config.shift(w);
             let (lo_c, lo_i) = (lo >> k, (lo as usize) & (n - 1));
             let (hi_c, hi_i) = (hi >> k, (hi as usize) & (n - 1));
             let weight = 1.0 / coeffs.coefficient[usize::from(w)];
             let cell_period = self.config.cell_period(w) as f64;
             let cells = &self.windows[usize::from(w)];
-            let mut new_spans: Vec<(Nanos, Nanos)> = Vec::new();
             // `cycle·2^k + index` is in `[lo, hi]`, so nothing here overflows.
             let mut count = |index: usize, cell: &Cell| {
                 let raw = (cell.cycle << k) | index as u64;
@@ -243,8 +307,11 @@ impl TimeWindowSnapshot {
                 if uncovered > 0 {
                     *acc.entry(cell.flow).or_insert(0.0) += weight * uncovered as f64 / cell_period;
                 }
-                // Abutting spans arrive in order; `add_all` would merge
-                // them anyway, so join them here instead of sorting them.
+                if w == deepest {
+                    return;
+                }
+                // Abutting spans arrive in order; merging would join them
+                // anyway, so join them here instead of sorting them.
                 match new_spans.last_mut() {
                     Some(last) if last.1 == start => last.1 = end,
                     _ => new_spans.push((start, end)),
@@ -274,7 +341,7 @@ impl TimeWindowSnapshot {
                     }
                 }
             }
-            covered.add_all(new_spans);
+            covered.add_all(&mut new_spans);
         }
         FlowEstimates {
             counts: acc.into_iter().collect(),
@@ -359,23 +426,26 @@ pub struct WindowOccupancy {
     pub span: Option<(Nanos, Nanos)>,
 }
 
-/// A merged set of half-open `[start, end)` spans, used by the query path
-/// to deduplicate coverage across windows.
+/// A set of half-open `[start, end)` spans, used by the query path to
+/// deduplicate coverage across windows. Spans are merged on the first
+/// lookup after they are added, so a query whose deeper windows have
+/// nothing to test never sorts them.
 #[derive(Debug, Default)]
 struct Coverage {
     /// Sorted, pairwise-disjoint spans.
     spans: Vec<(Nanos, Nanos)>,
+    /// Spans added since the last merge, in no particular order.
+    pending: Vec<(Nanos, Nanos)>,
 }
 
 impl Coverage {
-    fn new() -> Coverage {
-        Coverage::default()
-    }
-
     /// Total length of `[start, end)` not covered by any stored span.
-    fn uncovered_len(&self, start: Nanos, end: Nanos) -> Nanos {
+    fn uncovered_len(&mut self, start: Nanos, end: Nanos) -> Nanos {
         if end <= start {
             return 0;
+        }
+        if !self.pending.is_empty() {
+            self.merge();
         }
         // First span that could overlap: the one before the first span
         // starting at or after `start`.
@@ -395,21 +465,24 @@ impl Coverage {
         (end - start) - covered
     }
 
-    /// Insert a batch of spans, re-merging.
-    fn add_all(&mut self, mut new_spans: Vec<(Nanos, Nanos)>) {
-        if new_spans.is_empty() {
-            return;
-        }
-        new_spans.append(&mut self.spans);
-        new_spans.sort_unstable();
-        let mut merged: Vec<(Nanos, Nanos)> = Vec::with_capacity(new_spans.len());
-        for (s, e) in new_spans {
-            match merged.last_mut() {
-                Some(last) if s <= last.1 => last.1 = last.1.max(e),
-                _ => merged.push((s, e)),
+    /// Take a batch of spans (leaving `new_spans` empty); they are merged
+    /// when next looked up.
+    fn add_all(&mut self, new_spans: &mut Vec<(Nanos, Nanos)>) {
+        self.pending.append(new_spans);
+    }
+
+    /// Fold the pending spans into the sorted, disjoint set.
+    fn merge(&mut self) {
+        self.pending.append(&mut self.spans);
+        self.pending.sort_unstable();
+        self.pending.dedup_by(|next, last| {
+            let joins = next.0 <= last.1;
+            if joins {
+                last.1 = last.1.max(next.1);
             }
-        }
-        self.spans = merged;
+            joins
+        });
+        std::mem::swap(&mut self.spans, &mut self.pending);
     }
 }
 

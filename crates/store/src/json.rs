@@ -6,7 +6,7 @@
 //! binary, `{`/`[` for JSON — so tools never need a format flag to
 //! *read*, only to *write*.
 
-use crate::format::FILE_MAGIC;
+use crate::format::{check_tw_config, invalid, FILE_MAGIC};
 use crate::reader::StoreReader;
 use crate::writer::{SegmentPolicy, StoreWriter};
 use pq_core::export::CheckpointArchive;
@@ -48,7 +48,10 @@ impl ArchiveFormat {
 }
 
 /// Parse JSON archive text: a single object (historical single-port
-/// format) or an array of archives.
+/// format) or an array of archives. Refuses, with `InvalidData`, any
+/// archive whose window configuration the store would refuse, or holding a
+/// checkpoint whose windows are not that configuration's `t` windows of
+/// `cells()` cells — shapes a query or an encoder would index out of.
 pub fn archives_from_json(text: &str) -> io::Result<Vec<CheckpointArchive>> {
     let archives: Vec<CheckpointArchive> = if text.trim_start().starts_with('[') {
         serde_json::from_str(text).map_err(io::Error::other)?
@@ -57,10 +60,17 @@ pub fn archives_from_json(text: &str) -> io::Result<Vec<CheckpointArchive>> {
     };
     for a in &archives {
         if a.version != 1 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "unsupported archive version",
-            ));
+            return Err(invalid("unsupported archive version"));
+        }
+        check_tw_config(&a.tw_config)?;
+        for (i, cp) in a.checkpoints.iter().enumerate() {
+            if *cp.windows.config() != a.tw_config || !cp.windows.is_well_formed() {
+                return Err(invalid(format!(
+                    "port {} checkpoint {i}: time windows do not match the archive's \
+                     configuration {:?}",
+                    a.port, a.tw_config
+                )));
+            }
         }
     }
     Ok(archives)

@@ -118,6 +118,8 @@ pub mod names {
     /// previous checkpoint — occupied : captured is how much of a freeze
     /// was unchanged (histogram, entries).
     pub const CONTROL_QM_CAPTURED_ENTRIES: &str = "pq_control_qm_captured_entries";
+    /// Live time-window query wall-clock latency (histogram, ns).
+    pub const CONTROL_QUERY_NS: &str = "pq_control_query_ns";
 
     // -- pq-store ----------------------------------------------------------
     /// Checkpoints appended to a store (counter).
@@ -308,6 +310,7 @@ pub mod names {
             CONTROL_QM_CAPTURED_ENTRIES => {
                 "Queue-monitor entries per freeze not shared with the previous checkpoint."
             }
+            CONTROL_QUERY_NS => "Live time-window query wall-clock latency in ns.",
             STORE_CHECKPOINTS_WRITTEN => "Checkpoints appended to a store.",
             STORE_SEGMENTS_SEALED => "Segments sealed to disk.",
             STORE_BYTES_WRITTEN => "Encoded segment bytes written, framing included.",

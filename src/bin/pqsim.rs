@@ -1059,6 +1059,7 @@ fn cmd_serve(args: &Args) -> CliResult {
     let archive = args.get_str("archive").map(PathBuf::from);
     let tw = tw_from_args(args);
     let d: u64 = args.get("d", 110);
+    let plane = Telemetry::new();
 
     let mut live = None;
     if let Some(path) = args.positional.first() {
@@ -1068,7 +1069,11 @@ fn cmd_serve(args: &Args) -> CliResult {
             "building live register state from {path} ({} packets)",
             trace.packets()
         );
-        live = Some(Arc::new(run_trace_live(&trace, tw, d)));
+        // The live program's control-plane series, query latency among
+        // them, go out with the daemon's own.
+        let mut program = run_trace_live(&trace, tw, d);
+        program.set_telemetry(&plane);
+        live = Some(Arc::new(program));
     }
     if live.is_none() && archive.is_none() {
         return Err(
@@ -1090,7 +1095,6 @@ fn cmd_serve(args: &Args) -> CliResult {
         prof: args.has("prof") || args.get::<u64>("prof-sample-ms", 0) > 0,
         prof_sample_ms: args.get("prof-sample-ms", 0),
     };
-    let plane = Telemetry::new();
     printqueue::telemetry::provenance::set_build_info(
         plane.registry(),
         env!("CARGO_PKG_VERSION"),

@@ -15,7 +15,15 @@
 //! stale laps, outside the data and next to `u64::MAX`. Every flow's
 //! estimate must match by `f64::to_bits`. Whole answers from
 //! `query_time_windows`, a JSON archive and `StoreReader` are compared
-//! the same way.
+//! the same way, for programs polled at random and polled so densely that
+//! every slice is wider than every ring.
+//!
+//! The query's two shortcuts get cases of their own: deep windows holding
+//! only stale cells (skipped by their cycle bound), deep windows testing
+//! cells against hundreds of disjoint shallow spans (the coverage merged on
+//! demand), snapshots queried before and after `filter()` and after
+//! `clone()`, and occupied cells with cycle `u64::MAX` (the bound must then
+//! never skip). A tally counts how often each shortcut applied.
 
 use printqueue::core::coefficient::Coefficients;
 use printqueue::core::control::{AnalysisProgram, Checkpoint, ControlConfig};
@@ -217,6 +225,16 @@ fn driven_snapshot(
     (snap, t)
 }
 
+/// What a written snapshot's occupied cells hold.
+#[derive(Clone, Copy, PartialEq)]
+enum Laps {
+    /// Mostly the latest lap, some stale, future and garbage cycles.
+    Mixed,
+    /// Window 0 as in `Mixed`; deeper windows only laps at least two
+    /// cycles old, so a query reaching back one ring can skip them.
+    DeepStale,
+}
+
 /// A snapshot written cell by cell: each occupied cell holds its index's
 /// latest lap at or before `base`, an older (stale) lap, a future lap, or
 /// — rarely — a cycle no timestamp produces, including the ones whose
@@ -225,6 +243,7 @@ fn written_snapshot(
     rng: &mut SmallRng,
     config: TimeWindowConfig,
     base: Nanos,
+    laps: Laps,
 ) -> TimeWindowSnapshot {
     let k = config.k;
     let n = config.cells();
@@ -241,6 +260,13 @@ fn written_snapshot(
                     } else {
                         (anchor >> k).checked_sub(1)
                     };
+                    if laps == Laps::DeepStale && w > 0 {
+                        let stale = latest.and_then(|c| c.checked_sub(rng.gen_range(2..=4)));
+                        return stale.map_or(Cell::EMPTY, |cycle| Cell {
+                            flow: random_flow(rng),
+                            cycle,
+                        });
+                    }
                     let cycle = match rng.gen_range(0..40) {
                         0 => Some(rng.gen_range(0..=u64::MAX)),
                         1 => Some(u64::MAX >> k),
@@ -349,33 +375,97 @@ fn assert_bits_eq(expected: &HashMap<FlowId, f64>, got: &HashMap<FlowId, f64>, w
 
 /// How one window of one query meets the ring, by the read set's own
 /// arithmetic: nothing in reach, narrower than the ring (in one run or
-/// wrapping), or at least as wide.
+/// wrapping), or at least as wide. And how often the query's shortcuts
+/// apply: a wide window holding cells whose cycle bound is below the
+/// range's first cycle (`skipped`), and a window with a cell in range
+/// behind shallower windows that had some (`merged`: coverage is built
+/// and looked up).
 #[derive(Default, Debug)]
 struct Reach {
     none: u64,
     one_run: u64,
     wrapped: u64,
     wide: u64,
+    skipped: u64,
+    merged: u64,
 }
 
 impl Reach {
-    fn tally(&mut self, config: &TimeWindowConfig, interval: QueryInterval) {
+    fn tally(&mut self, snap: &TimeWindowSnapshot, interval: QueryInterval) {
+        let config = snap.config();
+        let k = config.k;
         let q_end = interval.to.saturating_add(1);
+        let mut shallower_in_range = false;
         for w in 0..config.t {
             let shift = config.shift(w);
             let lo = interval.from >> shift;
             let hi = ((q_end - 1) >> shift).min((u64::MAX >> shift) - 1);
             if q_end <= interval.from || hi < lo {
                 self.none += 1;
-            } else if hi - lo + 1 >= config.cells() as u64 {
+                continue;
+            }
+            let wide = hi - lo + 1 >= config.cells() as u64;
+            if wide {
                 self.wide += 1;
-            } else if lo >> config.k == hi >> config.k {
+            } else if lo >> k == hi >> k {
                 self.one_run += 1;
             } else {
                 self.wrapped += 1;
             }
+            if wide && snap.occupancy(w) > 0 && snap.cycle_bound(w) < lo >> k {
+                self.skipped += 1;
+                continue;
+            }
+            let in_range = snap.window(w).iter().enumerate().any(|(index, cell)| {
+                !cell.is_empty()
+                    && cell
+                        .cycle
+                        .checked_mul(1 << k)
+                        .is_some_and(|c| (lo..=hi).contains(&(c | index as u64)))
+            });
+            self.merged += u64::from(in_range && shallower_in_range);
+            shallower_in_range |= in_range;
         }
     }
+}
+
+/// The largest cycle of window `w`'s occupied cells, 0 when it has none.
+fn newest_cycle(snap: &TimeWindowSnapshot, w: u8) -> u64 {
+    snap.window(w)
+        .iter()
+        .filter(|c| !c.is_empty())
+        .map(|c| c.cycle)
+        .max()
+        .unwrap_or(0)
+}
+
+/// A fresh snapshot's cycle bounds are exact.
+fn assert_exact_bounds(snap: &TimeWindowSnapshot, what: &str) {
+    for w in 0..snap.config().t {
+        assert_eq!(
+            snap.cycle_bound(w),
+            newest_cycle(snap, w),
+            "window {w}, {what}"
+        );
+    }
+}
+
+/// The slices the live walk hands each periodic checkpoint.
+fn slices(
+    checkpoints: &[Checkpoint],
+    interval: QueryInterval,
+) -> Vec<(&TimeWindowSnapshot, QueryInterval)> {
+    let mut prev: Option<Nanos> = None;
+    let mut out = Vec::new();
+    for cp in checkpoints.iter().filter(|cp| !cp.on_demand) {
+        let from = interval.from.max(prev.map_or(0, |t| t.saturating_add(1)));
+        let to = interval.to.min(cp.frozen_at);
+        prev = Some(cp.frozen_at);
+        if from <= to {
+            out.push((&cp.windows, QueryInterval::new(from, to)));
+        }
+    }
+    out
 }
 
 #[test]
@@ -387,10 +477,11 @@ fn snapshot_query_matches_the_reference_model() {
         let coeffs = random_coeffs(&mut rng, &config);
         let base = random_base(&mut rng, &config);
         let (snap, latest) = if seed % 3 == 0 {
-            (written_snapshot(&mut rng, config, base), base)
+            (written_snapshot(&mut rng, config, base, Laps::Mixed), base)
         } else {
             driven_snapshot(&mut rng, config, base)
         };
+        assert_exact_bounds(&snap, &format!("seed {seed}"));
         for _ in 0..12 {
             let t0 = latest.saturating_sub(rng.gen_range(0..=config.set_period()));
             let interval = random_interval(&mut rng, &config, t0);
@@ -401,28 +492,154 @@ fn snapshot_query_matches_the_reference_model() {
                 &got.counts,
                 &format!("seed {seed} {config:?} {interval:?}"),
             );
-            reach.tally(&config, interval);
+            reach.tally(&snap, interval);
             answered += u64::from(!expected.is_empty());
             near_max += u64::from(!expected.is_empty() && interval.to > u64::MAX / 2);
         }
     }
-    // The cases must reach every shape of read set, and answer.
+    // The cases must reach every shape of read set and both shortcuts,
+    // and answer.
     assert!(reach.one_run > 12_000, "{reach:?}");
     assert!(reach.wrapped > 3_000, "{reach:?}");
     assert!(reach.wide > 15_000, "{reach:?}");
     assert!(reach.none > 500, "{reach:?}");
+    assert!(reach.skipped > 2_500, "{reach:?}");
+    assert!(reach.merged > 4_000, "{reach:?}");
     assert!(answered > 7_000, "only {answered} answers had flows");
     assert!(near_max > 3_000, "only {near_max} answers near u64::MAX");
 }
 
+/// A snapshot whose shallow window holds every other cell of the latest
+/// lap — `n / 2` disjoint spans — over deeper windows full of the latest
+/// lap, so every deep cell is tested against hundreds of pending spans.
+fn striped_snapshot(
+    rng: &mut SmallRng,
+    config: TimeWindowConfig,
+    base: Nanos,
+) -> TimeWindowSnapshot {
+    let (k, n) = (config.k, config.cells());
+    let windows = (0..config.t)
+        .map(|w| {
+            let anchor = base >> config.shift(w);
+            (0..n)
+                .map(|index| {
+                    let cycle = if index as u64 <= anchor & (n as u64 - 1) {
+                        Some(anchor >> k)
+                    } else {
+                        (anchor >> k).checked_sub(1)
+                    };
+                    match cycle {
+                        Some(cycle) if w > 0 || index % 2 == 0 => Cell {
+                            flow: random_flow(rng),
+                            cycle,
+                        },
+                        _ => Cell::EMPTY,
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    TimeWindowSnapshot::from_parts(config, windows, false)
+}
+
+/// The shortcuts on purpose: deep windows of stale cells, deep windows
+/// behind hundreds of disjoint shallow spans, `u64::MAX` cycles, and each
+/// snapshot queried again after `clone()` and after `filter()`.
 #[test]
-fn whole_answers_match_the_reference_walk() {
+fn shortcuts_match_the_reference_model() {
+    let mut reach = Reach::default();
+    for seed in 0..900u64 {
+        let mut rng = SmallRng::seed_from_u64((2 << 32) | seed);
+        let config = match seed % 3 {
+            1 => TimeWindowConfig::new(rng.gen_range(0..=3), 1, rng.gen_range(8..=10), 2),
+            _ => random_config(&mut rng),
+        };
+        let coeffs = random_coeffs(&mut rng, &config);
+        let base = random_base(&mut rng, &config);
+        let mut snap = match seed % 3 {
+            0 => written_snapshot(&mut rng, config, base, Laps::DeepStale),
+            1 => striped_snapshot(&mut rng, config, base),
+            _ => {
+                let mixed = written_snapshot(&mut rng, config, base, Laps::Mixed);
+                let mut windows: Vec<Vec<Cell>> =
+                    (0..config.t).map(|w| mixed.window(w).to_vec()).collect();
+                for cells in &mut windows {
+                    let index = rng.gen_range(0..cells.len());
+                    cells[index] = Cell {
+                        flow: random_flow(&mut rng),
+                        cycle: u64::MAX,
+                    };
+                }
+                TimeWindowSnapshot::from_parts(config, windows, false)
+            }
+        };
+        let what = format!("seed {seed} {config:?}");
+        assert_exact_bounds(&snap, &what);
+        if seed % 3 == 2 {
+            for w in 0..config.t {
+                assert_eq!(snap.cycle_bound(w), u64::MAX, "{what}");
+            }
+        }
+        let mut check = |snap: &TimeWindowSnapshot, rng: &mut SmallRng, stage: &str| {
+            for _ in 0..6 {
+                // Back from near `base` by up to two deepest window periods,
+                // so most windows are wide.
+                let to = base.saturating_sub(rng.gen_range(0..=config.cell_period(0) * 4));
+                let back = rng.gen_range(0..=2 * config.window_period(config.t - 1));
+                let interval = if rng.gen_bool(0.75) {
+                    QueryInterval::new(to.saturating_sub(back), to)
+                } else {
+                    random_interval(rng, &config, to)
+                };
+                let expected = reference::query(snap, interval, &coeffs);
+                let got = snap.query(interval, &coeffs);
+                assert_bits_eq(
+                    &expected,
+                    &got.counts,
+                    &format!("{stage}, {what} {interval:?}"),
+                );
+                reach.tally(snap, interval);
+            }
+        };
+        check(&snap, &mut rng, "fresh");
+        let copy = snap.clone();
+        check(&copy, &mut rng, "clone");
+        snap.filter();
+        for w in 0..config.t {
+            assert!(snap.cycle_bound(w) >= newest_cycle(&snap, w), "{what}");
+        }
+        check(&snap, &mut rng, "filtered");
+        check(&copy, &mut rng, "clone of unfiltered");
+    }
+    assert!(reach.skipped > 1_500, "{reach:?}");
+    assert!(reach.merged > 8_000, "{reach:?}");
+    assert!(reach.wide > 15_000, "{reach:?}");
+}
+
+/// How a seeded program is polled and driven.
+#[derive(Clone, Copy, PartialEq)]
+enum Polling {
+    /// Any period up to the set period; up to 200 dequeues, with lulls.
+    Random,
+    /// At least the deepest window period, so every whole poll's slice is
+    /// wider than every ring; a hundred or so dequeues a poll over eight
+    /// polls, and intervals spanning several polls.
+    Dense,
+}
+
+/// Drive one seeded program per seed, spilling to a `.pqa`, and compare
+/// 16 answers each — live, JSON and `.pqa` — with the reference walk,
+/// tallying every slice. Returns how many answers had flows.
+fn check_programs(polling: Polling, seeds: std::ops::Range<u64>, reach: &mut Reach) -> u64 {
     let mut answered = 0u64;
-    for seed in 0..400u64 {
-        let mut rng = SmallRng::seed_from_u64((1 << 32) | seed);
+    for seed in seeds {
+        let mut rng = SmallRng::seed_from_u64(seed);
         let config = random_config(&mut rng);
         let set = config.set_period();
-        let poll_period = rng.gen_range(1..=set);
+        let poll_period = match polling {
+            Polling::Random => rng.gen_range(1..=set),
+            Polling::Dense => rng.gen_range(config.window_period(config.t - 1).min(set)..=set),
+        };
         let mut ap = AnalysisProgram::new(
             config,
             ControlConfig {
@@ -443,10 +660,17 @@ fn whole_answers_match_the_reference_walk() {
         ap.set_spill(Box::new(writer.clone()));
         let start = rng.gen_range(0..=1u64 << 40);
         let mut t = start;
-        for _ in 0..rng.gen_range(1..=200) {
-            t += match rng.gen_range(0..20) {
+        let (dequeues, lull_odds, dense_gap) = match polling {
+            Polling::Random => (rng.gen_range(1..=200), 20, 2 * config.cell_period(0)),
+            Polling::Dense => (u64::MAX, 500, (poll_period / 100).max(1)),
+        };
+        for _ in 0..dequeues {
+            if polling == Polling::Dense && t >= start + 8 * poll_period {
+                break;
+            }
+            t += match rng.gen_range(0..lull_odds) {
                 0 => rng.gen_range(0..=3 * set), // a lull: a coverage gap
-                _ => rng.gen_range(0..=2 * config.cell_period(0)),
+                _ => rng.gen_range(0..=dense_gap),
             };
             ap.on_tick(t);
             ap.record_dequeue(0, random_flow(&mut rng), t);
@@ -462,7 +686,12 @@ fn whole_answers_match_the_reference_walk() {
         let coeffs = ap.coefficients().clone();
         for _ in 0..16 {
             let t0 = rng.gen_range(start..=t);
-            let interval = random_interval(&mut rng, &config, t0);
+            let interval = if polling == Polling::Dense && rng.gen_bool(0.5) {
+                let polls = rng.gen_range(1..=6) * poll_period + rng.gen_range(0..poll_period);
+                QueryInterval::new(t0.saturating_sub(polls), t0)
+            } else {
+                random_interval(&mut rng, &config, t0)
+            };
             let expected = reference::query_slices(ap.checkpoints(0), interval, &coeffs);
             let what = format!("seed {seed} {config:?} poll {poll_period} {interval:?}");
             let live = ap.query_time_windows(0, interval);
@@ -474,10 +703,33 @@ fn whole_answers_match_the_reference_walk() {
             assert_eq!(live.gaps, json.gaps, "{what}");
             assert_eq!(live.gaps, stored.gaps, "{what}");
             assert_eq!(live.degraded, stored.degraded, "{what}");
+            for (snap, slice) in slices(ap.checkpoints(0), interval) {
+                reach.tally(snap, slice);
+            }
             answered += u64::from(!expected.is_empty());
         }
     }
+    answered
+}
+
+#[test]
+fn whole_answers_match_the_reference_walk() {
+    let mut reach = Reach::default();
+    let answered = check_programs(Polling::Random, (1 << 32)..(1 << 32) + 400, &mut reach);
     assert!(answered > 1_500, "only {answered} answers had flows");
+}
+
+#[test]
+fn densely_polled_answers_match_the_reference_walk() {
+    let mut reach = Reach::default();
+    let answered = check_programs(Polling::Dense, (3 << 32)..(3 << 32) + 200, &mut reach);
+    assert!(answered > 1_500, "only {answered} answers had flows");
+    assert!(
+        reach.wide > 3 * (reach.one_run + reach.wrapped),
+        "{reach:?}"
+    );
+    assert!(reach.skipped > 500, "{reach:?}");
+    assert!(reach.merged > 3_000, "{reach:?}");
 }
 
 /// A `.pqa` cell whose cycle puts its span past `u64` nanoseconds — raw

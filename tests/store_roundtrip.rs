@@ -16,6 +16,7 @@ use printqueue::store::{
 };
 use printqueue::telemetry::{names, Telemetry};
 use proptest::prelude::*;
+use serde::Value;
 use std::io::Cursor;
 
 const PORTS: [u16; 2] = [0, 3];
@@ -312,6 +313,85 @@ fn json_archives_convert_losslessly_and_auto_detect() {
             archive.port
         );
     }
+}
+
+fn field<'a>(fields: &'a mut [(String, Value)], key: &str) -> &'a mut Value {
+    &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1
+}
+
+/// Port 0's JSON archive with `edit` applied to the document's fields.
+fn edited_json(edit: impl FnOnce(&mut Vec<(String, Value)>)) -> String {
+    let ap = drive_program(None, 2_000);
+    let mut text = Vec::new();
+    CheckpointArchive::capture(&ap, PORTS[0])
+        .write_json(&mut text)
+        .unwrap();
+    let mut doc: Value = serde_json::from_str(std::str::from_utf8(&text).unwrap()).unwrap();
+    let Value::Object(fields) = &mut doc else {
+        panic!("an archive is an object")
+    };
+    edit(fields);
+    serde_json::to_string(&doc).unwrap()
+}
+
+/// [`edited_json`] with `edit` applied to the first checkpoint's windows.
+fn edited_windows(edit: impl FnOnce(&mut Vec<(String, Value)>)) -> String {
+    edited_json(|archive| {
+        let Value::Array(checkpoints) = field(archive, "checkpoints") else {
+            panic!("checkpoints are an array")
+        };
+        let Value::Object(cp) = &mut checkpoints[0] else {
+            panic!("a checkpoint is an object")
+        };
+        let Value::Object(windows) = field(cp, "windows") else {
+            panic!("windows are an object")
+        };
+        edit(windows);
+    })
+}
+
+fn cells_of(windows: &mut [(String, Value)]) -> &mut Vec<Value> {
+    match field(windows, "windows") {
+        Value::Array(cells) => cells,
+        _ => panic!("window cells are an array"),
+    }
+}
+
+fn set_k(config: &mut Value, k: u64) {
+    let Value::Object(config) = config else {
+        panic!("a config is an object")
+    };
+    *field(config, "k") = Value::U64(k);
+}
+
+/// Hand-edited JSON whose windows a query or an encoder would index out
+/// of — or whose configuration nothing could have captured — is refused
+/// with `InvalidData` at load, not panicked on (or answered) later.
+fn assert_refused(text: &str) {
+    let err = printqueue::store::archives_from_json(text).expect_err("refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+}
+
+#[test]
+fn json_checkpoint_missing_a_window_is_refused() {
+    assert!(printqueue::store::archives_from_json(&edited_windows(|_| {})).is_ok());
+    assert_refused(&edited_windows(|w| {
+        cells_of(w).pop();
+    }));
+}
+
+#[test]
+fn json_window_of_the_wrong_length_is_refused() {
+    assert_refused(&edited_windows(|w| match &mut cells_of(w)[1] {
+        Value::Array(cells) => cells.truncate(10),
+        _ => panic!("a window is an array"),
+    }));
+}
+
+#[test]
+fn json_config_out_of_range_is_refused() {
+    assert_refused(&edited_windows(|w| set_k(field(w, "config"), 70)));
+    assert_refused(&edited_json(|a| set_k(field(a, "tw_config"), 70)));
 }
 
 #[test]

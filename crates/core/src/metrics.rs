@@ -220,9 +220,11 @@ fn by_flow(counts: &FlowCounts) -> Vec<(FlowId, f64)> {
     pairs
 }
 
-/// The sum of `counts`, added in `FlowId` order.
+/// The sum of `counts`, added in `FlowId` order from `+0.0`
+/// (`Iterator::sum` starts from `-0.0`, which an empty map would keep and
+/// print as `-0`).
 pub(crate) fn sum_by_flow(counts: &FlowCounts) -> f64 {
-    by_flow(counts).iter().map(|(_, n)| n).sum()
+    by_flow(counts).iter().fold(0.0, |sum, (_, n)| sum + n)
 }
 
 /// Restrict `counts` to its `k` largest flows (ties broken by flow id for
@@ -319,6 +321,17 @@ mod tests {
         let pr = precision_recall(&est, &truth);
         assert_eq!(pr.precision, 0.5);
         assert_eq!(pr.recall, 1.0);
+    }
+
+    #[test]
+    fn empty_sum_is_positive_zero() {
+        assert_eq!(sum_by_flow(&FlowCounts::new()).to_bits(), 0.0f64.to_bits());
+        let total = crate::snapshot::FlowEstimates::default().total();
+        assert_eq!(format!("{total:.0} {total}"), "0 0");
+        // A non-empty sum keeps its bits.
+        let some = counts(&[(2, 0.1), (1, 0.2), (3, -0.0)]);
+        let summed: f64 = by_flow(&some).iter().map(|(_, n)| n).sum();
+        assert_eq!(sum_by_flow(&some).to_bits(), summed.to_bits());
     }
 
     #[test]

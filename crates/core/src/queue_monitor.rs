@@ -272,7 +272,8 @@ impl Row {
 /// chunks, so a freeze-and-encode costs about 60 ns a slot plus 25 ns a row
 /// of those chunks; measured over DM and WS traffic that is flat from 256 to
 /// 1024 levels (≈ 3.5 µs a freeze) and doubles with every doubling past it.
-const CHUNK_LEVELS: usize = 1024;
+/// Public because the `.pqa` format's monitor slot is pinned to it.
+pub const CHUNK_LEVELS: usize = 1024;
 
 const _: () = assert!(CHUNK_LEVELS.is_multiple_of(64));
 

@@ -1,7 +1,7 @@
 //! Checkpoint ⇄ bytes: the sparse, delta-compressed body encoding of a
 //! `.pqa` segment.
 //!
-//! The encoding leans on two structural facts of PrintQueue register
+//! The encoding leans on three structural facts of PrintQueue register
 //! state:
 //!
 //! * time-window cells are *mostly empty* outside congestion epochs, and
@@ -9,19 +9,32 @@
 //!   ([`Cell::EMPTY`]: flow = `FlowId::NONE`, cycle = `u64::MAX`), so
 //!   windows are stored as sorted occupied-index runs;
 //! * a queue-monitor half is empty iff `seq == 0` (with the canonical
-//!   `FlowId::NONE` flow), so the sparse stack is stored the same way.
+//!   `FlowId::NONE` flow), so the sparse stack is stored the same way;
+//! * between two polls a standing queue rewrites a few levels near its
+//!   top, so most of a monitor is what the previous checkpoint held.
 //!
 //! Monotone quantities (freeze times, cell indices, cycle IDs, stack
 //! sequence numbers) are delta-coded with zigzag varints. Deltas use
 //! *wrapping* arithmetic so every `u64` value — including the
 //! `u64::MAX` sentinels — round-trips losslessly.
 //!
+//! **Queue monitors (format version 2).** A monitor is `len | top` and then
+//! one varint tag per [`SLOT_LEVELS`]-level slot of its array: 0 for a slot
+//! with no occupied level, 1 for a slot whose rows equal that slot of the
+//! same monitor in the previous checkpoint of the segment, and `n + 1` for a
+//! slot whose `n` rows follow. Rows restart their level and sequence chains
+//! in every slot, so a slot's bytes are a function of its rows alone. A
+//! segment's first checkpoint never refers back, so a segment still decodes
+//! on its own. Version 1, which the reader still decodes, wrote `len | top |
+//! occupied` and every occupied row, with one sequence chain across the
+//! monitors of a checkpoint.
+//!
 //! Decoding never trusts a length from the wire: counts are bounded by
 //! the structure they index into, and bulk allocations are charged
 //! against a [`DecodeBudget`] so an adversarial header cannot balloon
 //! memory.
 
-use crate::format::invalid;
+use crate::format::{invalid, SLOT_LEVELS, VERSION_V1};
 use crate::varint;
 use pq_core::control::Checkpoint;
 use pq_core::params::TimeWindowConfig;
@@ -37,6 +50,11 @@ const FLAG_TRIGGER: u8 = 1 << 1;
 const FLAG_FILTERED: u8 = 1 << 2;
 const HALF_INC: u8 = 1 << 0;
 const HALF_DEC: u8 = 1 << 1;
+/// A version-2 slot with no occupied level.
+const TAG_EMPTY: u64 = 0;
+/// A version-2 slot whose rows are the previous checkpoint's; `TAG_SAME +
+/// n` announces `n ≥ 1` rows written out.
+const TAG_SAME: u64 = 1;
 
 /// Queue monitors per checkpoint are small (one per egress queue); cap
 /// the count so a corrupt body cannot spin the decoder.
@@ -78,38 +96,39 @@ impl Default for DecodeBudget {
 }
 
 /// Shared encoder/decoder state: the freeze-time delta chain within one
-/// segment body.
+/// segment body. It starts empty with every body, and a checkpoint the
+/// encoder writes while it is empty — a body's first — refers to nothing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CodecState {
     prev_frozen: Option<u64>,
 }
 
-/// What the encoder last wrote for each queue-monitor chunk of one port's
-/// checkpoint stream, so a chunk the next checkpoint shares with the
-/// previous one ([`QueueMonitor::freeze`]) is copied, not
-/// re-encoded. It outlives segment rotation: nothing in it depends on the
-/// segment.
+/// The queue-monitor chunks of one port's previous checkpoint and the bytes
+/// each slot encoded to. The next checkpoint writes a chunk it finds here
+/// unchanged as a one-byte reference, or — as the first checkpoint of a new
+/// segment, which may not refer back — copies its bytes instead of encoding
+/// the rows again. It outlives segment rotation.
 ///
-/// A row's bytes depend on the row and on its predecessor's level and last
-/// sequence number (the two delta chains), so everything after a chunk's
-/// first row — the *tail* — is a function of the chunk alone, as are the
-/// chain values the chunk leaves behind. Both are kept beside the `Arc`
-/// they were computed from; a chunk is recognised by `Arc::ptr_eq`, and
-/// because the memo holds that `Arc` the allocation cannot be freed and
-/// its address handed to different rows.
+/// "Unchanged" is a property of the rows, not of the allocation: a chunk is
+/// the same allocation when [`QueueMonitor::freeze`] shared it, which
+/// `Arc::ptr_eq` finds first, and otherwise the rows are compared. So the
+/// bytes depend on the checkpoint sequence alone: a decoded, cloned or
+/// rebuilt run encodes as the live one did. Because the memo holds each
+/// `Arc` it compares by pointer, the allocation cannot be freed and its
+/// address handed to different rows.
 ///
 /// [`QueueMonitor::freeze`]: pq_core::queue_monitor::QueueMonitor::freeze
 #[derive(Default)]
 pub struct EncodeMemo {
-    /// `[monitor][chunk slot]`, grown on demand.
+    /// `[monitor][slot]` of the previous checkpoint; `None` where the slot
+    /// was empty.
     monitors: Vec<Vec<Option<ChunkMemo>>>,
 }
 
 struct ChunkMemo {
     rows: Arc<[Row]>,
-    tail: Vec<u8>,
-    /// The level and sequence chains after the chunk's last row.
-    end: (Option<u64>, Option<u64>),
+    /// The slot's tag and rows.
+    bytes: Vec<u8>,
 }
 
 fn put_delta_u64(out: &mut Vec<u8>, prev: &mut Option<u64>, value: u64) {
@@ -129,10 +148,9 @@ fn read_delta_u64(cursor: &mut &[u8], prev: &mut Option<u64>) -> io::Result<u64>
     Ok(value)
 }
 
-/// Append one occupied queue-monitor row, coded against the level chain
-/// (restarting per monitor) and the sequence chain (one per checkpoint).
-/// A row always has a non-default half — a snapshot keeps no row for a
-/// default entry — so it always advances both.
+/// Append one occupied queue-monitor row, coded against its slot's level
+/// and sequence chains. A row always has a non-default half — a snapshot
+/// keeps no row for a default entry — so it always advances both.
 fn put_row(out: &mut Vec<u8>, prev_idx: &mut Option<u64>, prev_seq: &mut Option<u64>, row: &Row) {
     put_delta_u64(out, prev_idx, u64::from(row.level()));
     let entry = row.entry();
@@ -153,7 +171,45 @@ fn put_row(out: &mut Vec<u8>, prev_idx: &mut Option<u64>, prev_seq: &mut Option<
     }
 }
 
-/// Append one checkpoint to `out`.
+/// Append one slot given what the previous checkpoint held there (`slot`),
+/// and leave `slot` describing `chunk`. `follows` is whether this
+/// checkpoint has a predecessor in the body to refer to.
+fn put_slot(
+    out: &mut Vec<u8>,
+    chunk: Option<&Arc<[Row]>>,
+    slot: &mut Option<ChunkMemo>,
+    follows: bool,
+) {
+    let Some(rows) = chunk else {
+        varint::put_u64(out, TAG_EMPTY);
+        *slot = None;
+        return;
+    };
+    match slot {
+        Some(known) if Arc::ptr_eq(&known.rows, rows) || known.rows[..] == rows[..] => {
+            if follows {
+                varint::put_u64(out, TAG_SAME);
+            } else {
+                out.extend_from_slice(&known.bytes);
+            }
+            known.rows = Arc::clone(rows);
+        }
+        _ => {
+            let at = out.len();
+            varint::put_u64(out, TAG_SAME + rows.len() as u64);
+            let (mut prev_idx, mut prev_seq) = (None, None);
+            for row in rows.iter() {
+                put_row(out, &mut prev_idx, &mut prev_seq, row);
+            }
+            *slot = Some(ChunkMemo {
+                rows: Arc::clone(rows),
+                bytes: out[at..].to_vec(),
+            });
+        }
+    }
+}
+
+/// Append one checkpoint to `out`, in format version 2.
 ///
 /// Fails with `InvalidInput` if the checkpoint's window configuration
 /// disagrees with the store's file header — a `.pqa` file holds exactly
@@ -171,6 +227,7 @@ pub fn encode_checkpoint(
             "checkpoint window config differs from store header",
         ));
     }
+    let follows = state.prev_frozen.is_some();
     put_delta_u64(out, &mut state.prev_frozen, cp.frozen_at);
 
     let mut flags = 0u8;
@@ -213,41 +270,13 @@ pub fn encode_checkpoint(
     }
 
     varint::put_u64(out, cp.queue_monitors.len() as u64);
-    if memo.monitors.len() < cp.queue_monitors.len() {
-        memo.monitors.resize_with(cp.queue_monitors.len(), Vec::new);
-    }
-    let mut prev_seq: Option<u64> = None;
+    memo.monitors.resize_with(cp.queue_monitors.len(), Vec::new);
     for (monitor, slots) in cp.queue_monitors.iter().zip(&mut memo.monitors) {
         varint::put_u64(out, monitor.len() as u64);
         varint::put_u64(out, u64::from(monitor.top));
-        varint::put_u64(out, monitor.occupied_len() as u64);
-        if slots.len() < monitor.chunks().len() {
-            slots.resize_with(monitor.chunks().len(), || None);
-        }
-        let mut prev_idx: Option<u64> = None;
+        slots.resize_with(monitor.chunks().len(), || None);
         for (chunk, slot) in monitor.chunks().iter().zip(slots) {
-            let Some(chunk) = chunk else { continue };
-            let Some((first, rest)) = chunk.split_first() else {
-                continue;
-            };
-            put_row(out, &mut prev_idx, &mut prev_seq, first);
-            match slot {
-                Some(known) if Arc::ptr_eq(&known.rows, chunk) => {
-                    out.extend_from_slice(&known.tail);
-                    (prev_idx, prev_seq) = known.end;
-                }
-                _ => {
-                    let tail_at = out.len();
-                    for row in rest {
-                        put_row(out, &mut prev_idx, &mut prev_seq, row);
-                    }
-                    *slot = Some(ChunkMemo {
-                        rows: Arc::clone(chunk),
-                        tail: out[tail_at..].to_vec(),
-                        end: (prev_idx, prev_seq),
-                    });
-                }
-            }
+            put_slot(out, chunk.as_ref(), slot, follows);
         }
     }
     Ok(())
@@ -269,12 +298,103 @@ fn read_flags_byte(cursor: &mut &[u8]) -> io::Result<u8> {
     Ok(byte)
 }
 
-/// Decode one checkpoint from the cursor.
+/// Decode a row's halves (everything after its level).
+fn read_entry(cursor: &mut &[u8], prev_seq: &mut Option<u64>) -> io::Result<Entry> {
+    let halves = read_flags_byte(cursor)?;
+    if halves & !(HALF_INC | HALF_DEC) != 0 || halves == 0 {
+        return Err(invalid("invalid monitor half flags"));
+    }
+    let mut entry = Entry::default();
+    if halves & HALF_INC != 0 {
+        entry.inc = Half {
+            flow: read_flow(cursor)?,
+            seq: read_delta_u64(cursor, prev_seq)?,
+        };
+    }
+    if halves & HALF_DEC != 0 {
+        entry.dec = Half {
+            flow: read_flow(cursor)?,
+            seq: read_delta_u64(cursor, prev_seq)?,
+        };
+    }
+    Ok(entry)
+}
+
+/// A version-1 monitor's rows: an occupied count, then every row, the
+/// sequence chain continuing from the checkpoint's previous monitor.
+fn read_rows_v1(
+    cursor: &mut &[u8],
+    entries: &mut [Entry],
+    prev_seq: &mut Option<u64>,
+) -> io::Result<()> {
+    let occupied = varint::read_len(cursor, entries.len())?;
+    let mut prev_idx: Option<u64> = None;
+    let mut last_idx: Option<usize> = None;
+    for _ in 0..occupied {
+        let idx = read_delta_u64(cursor, &mut prev_idx)?;
+        if idx >= entries.len() as u64 || last_idx.is_some_and(|l| idx as usize <= l) {
+            return Err(invalid("monitor entry index out of order or out of range"));
+        }
+        last_idx = Some(idx as usize);
+        entries[idx as usize] = read_entry(cursor, prev_seq)?;
+    }
+    Ok(())
+}
+
+/// A version-2 monitor's slots, references resolved against `before`: the
+/// same monitor in the previous checkpoint of the body, if there is one.
+fn read_slots(
+    cursor: &mut &[u8],
+    entries: &mut [Entry],
+    before: Option<&QueueMonitorSnapshot>,
+) -> io::Result<()> {
+    for (c, span) in entries.chunks_mut(SLOT_LEVELS).enumerate() {
+        let base = c * SLOT_LEVELS;
+        match varint::read_u64(cursor)? {
+            TAG_EMPTY => {}
+            TAG_SAME => {
+                let rows = before
+                    .and_then(|b| b.chunks().get(c)?.as_deref())
+                    .ok_or_else(|| invalid("monitor slot refers to one its predecessor lacks"))?;
+                for row in rows {
+                    let Some(entry) = span.get_mut((row.level() as usize).wrapping_sub(base))
+                    else {
+                        return Err(invalid("referenced monitor rows lie past the array"));
+                    };
+                    *entry = row.entry();
+                }
+            }
+            tag => {
+                let n = tag - TAG_SAME;
+                if n > span.len() as u64 {
+                    return Err(invalid("monitor slot holds more rows than levels"));
+                }
+                let (mut prev_idx, mut prev_seq) = (None, None);
+                let mut next = 0u64;
+                for _ in 0..n {
+                    let at = read_delta_u64(cursor, &mut prev_idx)?.wrapping_sub(base as u64);
+                    if at < next || at >= span.len() as u64 {
+                        return Err(invalid("monitor row outside its slot or out of order"));
+                    }
+                    next = at + 1;
+                    span[at as usize] = read_entry(cursor, &mut prev_seq)?;
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Decode one checkpoint of a format-`version` body from the cursor.
+/// `prev` is the checkpoint decoded just before it from the same body
+/// (`None` for the body's first), whose rows a version-2 reference copies.
 pub fn decode_checkpoint(
     cursor: &mut &[u8],
     tw: &TimeWindowConfig,
+    version: u8,
     state: &mut CodecState,
     budget: &mut DecodeBudget,
+    prev: Option<&Checkpoint>,
 ) -> io::Result<Checkpoint> {
     let frozen_at = read_delta_u64(cursor, &mut state.prev_frozen)?;
     let flags = read_flags_byte(cursor)?;
@@ -316,7 +436,7 @@ pub fn decode_checkpoint(
     let n_monitors = varint::read_len(cursor, MAX_MONITORS)?;
     let mut queue_monitors = Vec::with_capacity(n_monitors);
     let mut prev_seq: Option<u64> = None;
-    for _ in 0..n_monitors {
+    for m in 0..n_monitors {
         // A monitor entry costs at least one wire byte when occupied, but
         // the array length itself is untrusted — charge it up front.
         let n_entries = varint::read_len(cursor, u32::MAX as usize)?;
@@ -326,33 +446,11 @@ pub fn decode_checkpoint(
             return Err(invalid("queue-monitor top beyond entry array"));
         }
         let mut entries = vec![Entry::default(); n_entries];
-        let occupied = varint::read_len(cursor, n_entries)?;
-        let mut prev_idx: Option<u64> = None;
-        let mut last_idx: Option<usize> = None;
-        for _ in 0..occupied {
-            let idx = read_delta_u64(cursor, &mut prev_idx)?;
-            if idx >= n_entries as u64 || last_idx.is_some_and(|l| idx as usize <= l) {
-                return Err(invalid("monitor entry index out of order or out of range"));
-            }
-            last_idx = Some(idx as usize);
-            let halves = read_flags_byte(cursor)?;
-            if halves & !(HALF_INC | HALF_DEC) != 0 || halves == 0 {
-                return Err(invalid("invalid monitor half flags"));
-            }
-            let mut entry = Entry::default();
-            if halves & HALF_INC != 0 {
-                entry.inc = Half {
-                    flow: read_flow(cursor)?,
-                    seq: read_delta_u64(cursor, &mut prev_seq)?,
-                };
-            }
-            if halves & HALF_DEC != 0 {
-                entry.dec = Half {
-                    flow: read_flow(cursor)?,
-                    seq: read_delta_u64(cursor, &mut prev_seq)?,
-                };
-            }
-            entries[idx as usize] = entry;
+        if version == VERSION_V1 {
+            read_rows_v1(cursor, &mut entries, &mut prev_seq)?;
+        } else {
+            let before = prev.and_then(|p| p.queue_monitors.get(m));
+            read_slots(cursor, &mut entries, before)?;
         }
         queue_monitors.push(QueueMonitorSnapshot::from_dense(&entries, top));
     }
@@ -369,6 +467,7 @@ pub fn decode_checkpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::VERSION;
     use pq_core::queue_monitor::QueueMonitor;
     use proptest::prelude::*;
 
@@ -416,6 +515,96 @@ mod tests {
         }
     }
 
+    /// Field-by-field equality (`Checkpoint` has no `PartialEq`).
+    fn same(a: &Checkpoint, b: &Checkpoint) -> bool {
+        let tw = a.windows.config();
+        a.frozen_at == b.frozen_at
+            && a.on_demand == b.on_demand
+            && a.trigger == b.trigger
+            && a.windows.config() == b.windows.config()
+            && a.windows.is_filtered() == b.windows.is_filtered()
+            && (0..tw.t).all(|w| a.windows.window(w) == b.windows.window(w))
+            && a.queue_monitors == b.queue_monitors
+    }
+
+    fn encode_one(tw: &TimeWindowConfig, cp: &Checkpoint) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_checkpoint(
+            &mut buf,
+            tw,
+            &mut CodecState::default(),
+            &mut EncodeMemo::default(),
+            cp,
+        )
+        .unwrap();
+        buf
+    }
+
+    /// One checkpoint that follows `prev` in its body (`None`: the first).
+    fn decode_after(
+        bytes: &[u8],
+        tw: &TimeWindowConfig,
+        prev: Option<&Checkpoint>,
+    ) -> io::Result<Checkpoint> {
+        let mut cursor = bytes;
+        decode_checkpoint(
+            &mut cursor,
+            tw,
+            VERSION,
+            &mut CodecState::default(),
+            &mut DecodeBudget::default(),
+            prev,
+        )
+    }
+
+    fn decode_one(
+        bytes: &[u8],
+        tw: &TimeWindowConfig,
+        budget: &mut DecodeBudget,
+    ) -> io::Result<Checkpoint> {
+        let mut cursor = bytes;
+        decode_checkpoint(
+            &mut cursor,
+            tw,
+            VERSION,
+            &mut CodecState::default(),
+            budget,
+            None,
+        )
+    }
+
+    /// Every checkpoint of one body, each decoded against the one before.
+    fn decode_body(
+        bytes: &[u8],
+        tw: &TimeWindowConfig,
+        version: u8,
+    ) -> io::Result<Vec<Checkpoint>> {
+        let mut cursor = bytes;
+        let (mut state, mut budget) = (CodecState::default(), DecodeBudget::default());
+        let mut cps: Vec<Checkpoint> = Vec::new();
+        while !cursor.is_empty() {
+            let cp = decode_checkpoint(
+                &mut cursor,
+                tw,
+                version,
+                &mut state,
+                &mut budget,
+                cps.last(),
+            )?;
+            cps.push(cp);
+        }
+        Ok(cps)
+    }
+
+    /// One body of `cps` through one state and one memo.
+    fn encode_body(tw: &TimeWindowConfig, memo: &mut EncodeMemo, cps: &[Checkpoint]) -> Vec<u8> {
+        let (mut body, mut state) = (Vec::new(), CodecState::default());
+        for cp in cps {
+            encode_checkpoint(&mut body, tw, &mut state, memo, cp).unwrap();
+        }
+        body
+    }
+
     #[test]
     fn roundtrip_sequence() {
         let tw = TimeWindowConfig::new(4, 2, 4, 3);
@@ -423,25 +612,23 @@ mod tests {
             .iter()
             .map(|&t| sample_checkpoint(&tw, t))
             .collect();
-        let mut buf = Vec::new();
-        let (mut enc, mut memo) = (CodecState::default(), EncodeMemo::default());
-        for cp in &cps {
-            encode_checkpoint(&mut buf, &tw, &mut enc, &mut memo, cp).unwrap();
+        let buf = encode_body(&tw, &mut EncodeMemo::default(), &cps);
+        let back = decode_body(&buf, &tw, VERSION).unwrap();
+        assert_eq!(back.len(), cps.len());
+        for (back, cp) in back.iter().zip(&cps) {
+            assert!(same(back, cp));
         }
-        let mut cursor = buf.as_slice();
-        let mut dec = CodecState::default();
-        let mut budget = DecodeBudget::default();
-        for cp in &cps {
-            let back = decode_checkpoint(&mut cursor, &tw, &mut dec, &mut budget).unwrap();
-            assert_eq!(back.frozen_at, cp.frozen_at);
-            assert_eq!(back.on_demand, cp.on_demand);
-            assert_eq!(back.trigger, cp.trigger);
-            assert_eq!(back.queue_monitors, cp.queue_monitors);
-            for w in 0..tw.t {
-                assert_eq!(back.windows.window(w), cp.windows.window(w));
-            }
-        }
-        assert!(cursor.is_empty());
+        // Equal rows in distinct allocations: after the first, each monitor
+        // is its length, its top and one reference.
+        let bare = |cp: &Checkpoint| {
+            let mut cp = cp.clone();
+            cp.queue_monitors.clear();
+            cp
+        };
+        let without: Vec<_> = cps.iter().map(bare).collect();
+        let without = encode_body(&tw, &mut EncodeMemo::default(), &without);
+        let first = encode_one(&tw, &cps[0]).len() - encode_one(&tw, &bare(&cps[0])).len();
+        assert_eq!(buf.len() - without.len(), first + 3 * 3);
     }
 
     #[test]
@@ -465,14 +652,7 @@ mod tests {
             queue_monitors: vec![],
         };
         let buf = encode_one(&tw, &cp);
-        let mut cursor = buf.as_slice();
-        let back = decode_checkpoint(
-            &mut cursor,
-            &tw,
-            &mut CodecState::default(),
-            &mut DecodeBudget::default(),
-        )
-        .unwrap();
+        let back = decode_one(&buf, &tw, &mut DecodeBudget::default()).unwrap();
         assert_eq!(back.windows.window(0), cp.windows.window(0));
         assert!(back.windows.is_filtered());
     }
@@ -504,32 +684,38 @@ mod tests {
             sample_checkpoint(&tw, 500),
             many_row_checkpoint(&tw, 32 * 1024, 3_000),
         ] {
-            truncate_and_flip(&tw, &cp);
+            truncate_and_flip(&tw, std::slice::from_ref(&cp));
         }
+        // A referencing run of 32 Ki-level monitors: the same snapshot, the
+        // same rows rebuilt, one level rewritten, then an array cut short.
+        let first = many_row_checkpoint(&tw, 32 * 1024, 200);
+        let mut again = first.clone();
+        again.frozen_at += 640;
+        let mut rebuilt = again.clone();
+        rebuilt.frozen_at += 640;
+        let mut dense = first.queue_monitors[0].to_dense();
+        dense[7 * SLOT_LEVELS + 3].inc = Half {
+            flow: FlowId(5),
+            seq: 9_999,
+        };
+        rebuilt.queue_monitors = vec![QueueMonitorSnapshot::from_dense(&dense, 4)];
+        let mut shrunk = rebuilt.clone();
+        shrunk.frozen_at += 640;
+        shrunk.queue_monitors = vec![QueueMonitorSnapshot::from_dense(&dense[..20_000], 4)];
+        truncate_and_flip(&tw, &[first, again, rebuilt, shrunk]);
     }
 
-    fn truncate_and_flip(tw: &TimeWindowConfig, cp: &Checkpoint) {
-        let tw = *tw;
-        let buf = encode_one(&tw, cp);
+    /// Decode `cps`' body cut at every length and with every byte flipped.
+    fn truncate_and_flip(tw: &TimeWindowConfig, cps: &[Checkpoint]) {
+        let buf = encode_body(tw, &mut EncodeMemo::default(), cps);
+        assert!(decode_body(&buf, tw, VERSION).is_ok());
         for cut in 0..buf.len() {
-            let mut cursor = &buf[..cut];
-            let _ = decode_checkpoint(
-                &mut cursor,
-                &tw,
-                &mut CodecState::default(),
-                &mut DecodeBudget::default(),
-            );
+            let _ = decode_body(&buf[..cut], tw, VERSION);
         }
         for i in 0..buf.len() {
             let mut flipped = buf.clone();
             flipped[i] ^= 0x40;
-            let mut cursor = flipped.as_slice();
-            let _ = decode_checkpoint(
-                &mut cursor,
-                &tw,
-                &mut CodecState::default(),
-                &mut DecodeBudget::default(),
-            );
+            let _ = decode_body(&flipped, tw, VERSION);
         }
     }
 
@@ -548,10 +734,7 @@ mod tests {
             queue_monitors: vec![],
         };
         let buf = encode_one(&tw, &cp);
-        let mut cursor = buf.as_slice();
-        let mut tiny = DecodeBudget::new(1024);
-        let err =
-            decode_checkpoint(&mut cursor, &tw, &mut CodecState::default(), &mut tiny).unwrap_err();
+        let err = decode_one(&buf, &tw, &mut DecodeBudget::new(1024)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -572,53 +755,37 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
-    fn encode_one(tw: &TimeWindowConfig, cp: &Checkpoint) -> Vec<u8> {
-        let mut buf = Vec::new();
-        encode_checkpoint(
-            &mut buf,
-            tw,
-            &mut CodecState::default(),
-            &mut EncodeMemo::default(),
-            cp,
-        )
-        .unwrap();
-        buf
-    }
-
-    fn decode_one(
-        bytes: &[u8],
-        tw: &TimeWindowConfig,
-        budget: &mut DecodeBudget,
-    ) -> io::Result<Checkpoint> {
-        let mut cursor = bytes;
-        decode_checkpoint(&mut cursor, tw, &mut CodecState::default(), budget)
-    }
-
-    /// Byte offset of the first monitor's occupied-count varint in an
-    /// encoding of `cp` (it follows the monitor count, length and top).
-    fn occupied_count_offset(tw: &TimeWindowConfig, cp: &Checkpoint) -> usize {
-        let mut no_monitors = cp.clone();
-        no_monitors.queue_monitors.clear();
-        let mut prefix = encode_one(tw, &no_monitors);
-        prefix.pop(); // the zero monitor count
-        varint::put_u64(&mut prefix, cp.queue_monitors.len() as u64);
-        varint::put_u64(&mut prefix, cp.queue_monitors[0].len() as u64);
-        varint::put_u64(&mut prefix, u64::from(cp.queue_monitors[0].top));
-        prefix.len()
+    /// `cp`'s bytes up to its monitor section, then `section` (monitor
+    /// count included), every field a varint.
+    fn with_monitor_section(tw: &TimeWindowConfig, cp: &Checkpoint, section: &[u64]) -> Vec<u8> {
+        let mut head = cp.clone();
+        head.queue_monitors.clear();
+        let mut bytes = encode_one(tw, &head);
+        bytes.pop(); // the zero monitor count
+        for &field in section {
+            varint::put_u64(&mut bytes, field);
+        }
+        bytes
     }
 
     #[test]
-    fn occupied_count_beyond_the_array_is_rejected() {
+    fn v1_occupied_count_beyond_the_array_is_rejected() {
         let tw = TimeWindowConfig::new(4, 2, 4, 3);
-        let mut cp = sample_checkpoint(&tw, 501);
-        cp.queue_monitors = vec![QueueMonitorSnapshot::from_dense(&[Entry::default(); 8], 0)];
-        let at = occupied_count_offset(&tw, &cp);
-        let mut bytes = encode_one(&tw, &cp);
-        assert_eq!(bytes.len(), at + 1, "empty monitor ends at its zero count");
-        bytes.truncate(at);
-        varint::put_u64(&mut bytes, 9); // nine occupied rows of an 8-entry array
+        let cp = sample_checkpoint(&tw, 501);
+        // Nine occupied rows of an 8-entry array.
+        let mut bytes = with_monitor_section(&tw, &cp, &[1, 8, 0, 9]);
         bytes.extend(std::iter::repeat_n(1u8, 64));
-        assert!(decode_one(&bytes, &tw, &mut DecodeBudget::default()).is_err());
+        let mut cursor = bytes.as_slice();
+        let err = decode_checkpoint(
+            &mut cursor,
+            &tw,
+            VERSION_V1,
+            &mut CodecState::default(),
+            &mut DecodeBudget::default(),
+            None,
+        )
+        .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
@@ -644,37 +811,179 @@ mod tests {
         let tw = TimeWindowConfig::new(4, 2, 4, 3);
         let mut cp = sample_checkpoint(&tw, 501);
         cp.queue_monitors = vec![QueueMonitorSnapshot::from_dense(&[Entry::default(); 8], 5)];
-        let at = occupied_count_offset(&tw, &cp);
-        let mut bytes = encode_one(&tw, &cp);
-        bytes.truncate(at);
-        varint::put_u64(&mut bytes, 1); // one occupied row…
-        varint::put_u64(&mut bytes, 3); // …at level 3…
-        bytes.push(HALF_INC); // …with an increase half…
-        varint::put_u64(&mut bytes, u64::from(FlowId::NONE.0)); // …of no flow…
-        varint::put_u64(&mut bytes, 0); // …and sequence 0.
+        // One monitor of 8 levels, top 5, its one slot holding one row at
+        // level 3 with an increase half of no flow and sequence 0.
+        let section = [
+            1,
+            8,
+            5,
+            TAG_SAME + 1,
+            3,
+            u64::from(HALF_INC),
+            u64::from(FlowId::NONE.0),
+            0,
+        ];
+        let bytes = with_monitor_section(&tw, &cp, &section);
         let back = decode_one(&bytes, &tw, &mut DecodeBudget::default()).unwrap();
         assert_eq!(back.queue_monitors[0].occupied_len(), 0);
         assert_eq!(back.queue_monitors, cp.queue_monitors);
         assert_eq!(encode_one(&tw, &back), encode_one(&tw, &cp));
     }
 
-    /// The encoder as it ran over dense snapshots: every monitor array
-    /// scanned once to count and once to emit, every varint through
-    /// `Write`, no memo. Kept as the byte-for-byte reference for the row
-    /// walk and for the chunk memo.
+    /// A checkpoint whose one monitor of `len` levels holds an increase
+    /// half at each of `levels`.
+    fn monitor_checkpoint(tw: &TimeWindowConfig, len: usize, levels: &[usize]) -> Checkpoint {
+        let mut entries = vec![Entry::default(); len];
+        for (i, &level) in levels.iter().enumerate() {
+            entries[level].inc = Half {
+                flow: FlowId(3),
+                seq: 1 + i as u64,
+            };
+        }
+        let mut cp = sample_checkpoint(tw, 501);
+        cp.queue_monitors = vec![QueueMonitorSnapshot::from_dense(&entries, 0)];
+        cp
+    }
+
+    /// Decoding `section` after `prev` fails with `InvalidData` saying
+    /// `why`.
+    fn refused(tw: &TimeWindowConfig, prev: Option<&Checkpoint>, section: &[u64], why: &str) {
+        let bytes = with_monitor_section(tw, &sample_checkpoint(tw, 501), section);
+        let err = decode_after(&bytes, tw, prev).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{section:?}");
+        assert!(err.to_string().contains(why), "{section:?}: {err}");
+    }
+
+    fn accepted(tw: &TimeWindowConfig, prev: Option<&Checkpoint>, section: &[u64]) -> Checkpoint {
+        let bytes = with_monitor_section(tw, &sample_checkpoint(tw, 501), section);
+        decode_after(&bytes, tw, prev).unwrap()
+    }
+
+    const LACKS: &str = "refers to one its predecessor lacks";
+
+    #[test]
+    fn reference_in_a_bodys_first_checkpoint_is_refused() {
+        let tw = TimeWindowConfig::new(4, 2, 4, 3);
+        refused(&tw, None, &[1, 8, 0, TAG_SAME], LACKS);
+        let prev = monitor_checkpoint(&tw, 8, &[3]);
+        let back = accepted(&tw, Some(&prev), &[1, 8, 0, TAG_SAME]);
+        assert_eq!(back.queue_monitors, prev.queue_monitors);
+    }
+
+    #[test]
+    fn references_to_what_the_predecessor_lacks_are_refused() {
+        let tw = TimeWindowConfig::new(4, 2, 4, 3);
+        let prev = monitor_checkpoint(&tw, 2 * SLOT_LEVELS, &[5]);
+        let len = 2 * SLOT_LEVELS as u64;
+        accepted(&tw, Some(&prev), &[1, len, 0, TAG_SAME, TAG_EMPTY]);
+        // A slot the predecessor has empty.
+        refused(&tw, Some(&prev), &[1, len, 0, TAG_EMPTY, TAG_SAME], LACKS);
+        // A slot past the predecessor's array.
+        let longer = [1, 2 * len, 0, TAG_SAME, TAG_EMPTY, TAG_SAME, TAG_EMPTY];
+        refused(&tw, Some(&prev), &longer, LACKS);
+        // A monitor the predecessor does not have.
+        let second = [2, len, 0, TAG_SAME, TAG_EMPTY, 8, 0, TAG_SAME];
+        refused(&tw, Some(&prev), &second, LACKS);
+    }
+
+    #[test]
+    fn reference_past_a_shrunken_monitor_is_refused() {
+        let tw = TimeWindowConfig::new(4, 2, 4, 3);
+        let prev = monitor_checkpoint(&tw, 2 * SLOT_LEVELS, &[1030, 2000]);
+        let shrunk = [1, 1500, 0, TAG_EMPTY, TAG_SAME];
+        refused(&tw, Some(&prev), &shrunk, "lie past the array");
+        // Shrunk, but not past the rows: they carry over.
+        let back = accepted(&tw, Some(&prev), &[1, 2001, 0, TAG_EMPTY, TAG_SAME]);
+        assert_eq!(back.queue_monitors[0].len(), 2001);
+        assert_eq!(
+            back.queue_monitors[0].occupied().collect::<Vec<_>>(),
+            prev.queue_monitors[0].occupied().collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn slot_row_count_above_its_span_is_refused() {
+        let tw = TimeWindowConfig::new(4, 2, 4, 3);
+        let too_many = "more rows than levels";
+        refused(&tw, None, &[1, 8, 0, TAG_SAME + 9], too_many);
+        let full = SLOT_LEVELS as u64;
+        refused(&tw, None, &[1, 2 * full, 0, TAG_SAME + full + 1], too_many);
+        // The last slot of 1030 levels has six.
+        refused(&tw, None, &[1, 1030, 0, TAG_EMPTY, TAG_SAME + 7], too_many);
+    }
+
+    #[test]
+    fn rows_outside_their_slot_or_out_of_order_are_refused() {
+        let tw = TimeWindowConfig::new(4, 2, 4, 3);
+        let outside = "outside its slot or out of order";
+        let inc = u64::from(HALF_INC);
+        let len = 2 * SLOT_LEVELS as u64;
+        // One row: level, halves, flow, sequence.
+        refused(
+            &tw,
+            None,
+            &[1, len, 0, TAG_SAME + 1, 1500, inc, 3, 1, TAG_EMPTY],
+            outside,
+        );
+        refused(
+            &tw,
+            None,
+            &[1, len, 0, TAG_EMPTY, TAG_SAME + 1, 5, inc, 3, 1],
+            outside,
+        );
+        // Two rows, the second's level a zigzag delta: 5 then 3, 5 twice.
+        let pair = |delta: i64| {
+            let d = varint::zigzag(delta);
+            [
+                1,
+                len,
+                0,
+                TAG_SAME + 2,
+                5,
+                inc,
+                3,
+                1,
+                d,
+                inc,
+                3,
+                2,
+                TAG_EMPTY,
+            ]
+        };
+        refused(&tw, None, &pair(-2), outside);
+        refused(&tw, None, &pair(0), outside);
+        let back = accepted(&tw, None, &pair(2));
+        let levels: Vec<u32> = back.queue_monitors[0]
+            .occupied()
+            .map(|r| r.level())
+            .collect();
+        assert_eq!(levels, [5, 7]);
+    }
+
+    #[test]
+    fn v2_tag_stream_in_a_v1_file_is_refused() {
+        let tw = TimeWindowConfig::new(4, 2, 4, 3);
+        let cps = [sample_checkpoint(&tw, 500), sample_checkpoint(&tw, 900)];
+        let body = encode_body(&tw, &mut EncodeMemo::default(), &cps);
+        assert_eq!(decode_body(&body, &tw, VERSION).unwrap().len(), 2);
+        let err = decode_body(&body, &tw, VERSION_V1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let first = encode_one(&tw, &cps[0]);
+        let err = decode_body(&first, &tw, VERSION_V1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// The version-1 encoder as it ran over dense snapshots: every monitor
+    /// array scanned once to count and once to emit, every varint through
+    /// `Write`, no memo. The writer no longer produces version 1; this is
+    /// what the v1 decoder is checked against, and its time-window half is
+    /// the reference for the one-walk window encoder.
     fn encode_checkpoint_dense(
         out: &mut Vec<u8>,
         tw: &TimeWindowConfig,
         state: &mut CodecState,
         cp: &Checkpoint,
     ) {
-        fn delta(out: &mut Vec<u8>, prev: &mut Option<u64>, value: u64) {
-            match *prev {
-                None => varint::write_u64(out, value).unwrap(),
-                Some(p) => varint::write_i64(out, value.wrapping_sub(p) as i64).unwrap(),
-            }
-            *prev = Some(value);
-        }
         delta(out, &mut state.prev_frozen, cp.frozen_at);
         out.push(
             (u8::from(cp.on_demand) * FLAG_ON_DEMAND)
@@ -708,18 +1017,87 @@ mod tests {
             varint::write_u64(out, occupied as u64).unwrap();
             let mut prev_idx = None;
             for (idx, entry) in entries.iter().enumerate() {
-                if *entry == Entry::default() {
-                    continue;
+                if *entry != Entry::default() {
+                    dense_row(out, &mut prev_idx, &mut prev_seq, idx as u64, entry);
                 }
-                delta(out, &mut prev_idx, idx as u64);
-                out.push(
-                    (u8::from(entry.inc != Half::default()) * HALF_INC)
-                        | (u8::from(entry.dec != Half::default()) * HALF_DEC),
-                );
-                for half in [&entry.inc, &entry.dec] {
-                    if *half != Half::default() {
-                        varint::write_u64(out, u64::from(half.flow.0)).unwrap();
-                        delta(out, &mut prev_seq, half.seq);
+            }
+        }
+    }
+
+    /// The reference encoders' delta, through `Write`.
+    fn delta(out: &mut Vec<u8>, prev: &mut Option<u64>, value: u64) {
+        match *prev {
+            None => varint::write_u64(out, value).unwrap(),
+            Some(p) => varint::write_i64(out, value.wrapping_sub(p) as i64).unwrap(),
+        }
+        *prev = Some(value);
+    }
+
+    /// The reference encoders' row.
+    fn dense_row(
+        out: &mut Vec<u8>,
+        prev_idx: &mut Option<u64>,
+        prev_seq: &mut Option<u64>,
+        level: u64,
+        entry: &Entry,
+    ) {
+        delta(out, prev_idx, level);
+        out.push(
+            (u8::from(entry.inc != Half::default()) * HALF_INC)
+                | (u8::from(entry.dec != Half::default()) * HALF_DEC),
+        );
+        for half in [&entry.inc, &entry.dec] {
+            if *half != Half::default() {
+                varint::write_u64(out, u64::from(half.flow.0)).unwrap();
+                delta(out, prev_seq, half.seq);
+            }
+        }
+    }
+
+    /// Version 2 from first principles, for the memoising encoder to be
+    /// checked against: dense arrays, a slot "same" when its occupied
+    /// entries equal those of the slot in `prev` (the previous checkpoint of
+    /// the body), every other slot's rows encoded afresh.
+    fn encode_checkpoint_reference(
+        out: &mut Vec<u8>,
+        tw: &TimeWindowConfig,
+        state: &mut CodecState,
+        prev: Option<&Checkpoint>,
+        cp: &Checkpoint,
+    ) {
+        let mut head = cp.clone();
+        head.queue_monitors.clear();
+        encode_checkpoint_dense(out, tw, state, &head);
+        out.pop(); // the zero monitor count
+        let occupied = |entries: &[Entry], c: usize| -> Vec<(u64, Entry)> {
+            let span = entries
+                .iter()
+                .enumerate()
+                .skip(c * SLOT_LEVELS)
+                .take(SLOT_LEVELS);
+            span.filter(|(_, e)| **e != Entry::default())
+                .map(|(level, e)| (level as u64, *e))
+                .collect()
+        };
+        varint::write_u64(out, cp.queue_monitors.len() as u64).unwrap();
+        for (m, monitor) in cp.queue_monitors.iter().enumerate() {
+            let entries = monitor.to_dense();
+            varint::write_u64(out, entries.len() as u64).unwrap();
+            varint::write_u64(out, u64::from(monitor.top)).unwrap();
+            let before = prev
+                .and_then(|p| p.queue_monitors.get(m))
+                .map(|b| b.to_dense());
+            for c in 0..entries.len().div_ceil(SLOT_LEVELS) {
+                let rows = occupied(&entries, c);
+                if rows.is_empty() {
+                    varint::write_u64(out, TAG_EMPTY).unwrap();
+                } else if before.as_ref().is_some_and(|b| occupied(b, c) == rows) {
+                    varint::write_u64(out, TAG_SAME).unwrap();
+                } else {
+                    varint::write_u64(out, TAG_SAME + rows.len() as u64).unwrap();
+                    let (mut prev_idx, mut prev_seq) = (None, None);
+                    for (level, entry) in &rows {
+                        dense_row(out, &mut prev_idx, &mut prev_seq, *level, entry);
                     }
                 }
             }
@@ -747,6 +1125,8 @@ mod tests {
             }
             let mut cp = sample_checkpoint(&TimeWindowConfig::new(4, 2, 4, 3), 77);
             cp.windows = TimeWindowSnapshot::from_parts(tw, windows, false);
+            // Without monitors both versions write the same bytes.
+            cp.queue_monitors.clear();
             let mut dense = Vec::new();
             encode_checkpoint_dense(&mut dense, &tw, &mut CodecState::default(), &cp);
             let bytes = encode_one(&tw, &cp);
@@ -772,11 +1152,12 @@ mod tests {
         })
     }
 
+    /// Up to three slots, so slot borders and short last slots occur.
     fn arb_monitor() -> impl Strategy<Value = QueueMonitorSnapshot> {
         (
-            1usize..200,
-            prop::collection::vec((0usize..200, arb_half(), arb_half()), 0..60),
-            0u32..200,
+            prop_oneof![1usize..200, 1usize..3 * SLOT_LEVELS],
+            prop::collection::vec((any::<usize>(), arb_half(), arb_half()), 0..60),
+            any::<u32>(),
         )
             .prop_map(|(len, writes, top)| {
                 let mut entries = vec![Entry::default(); len];
@@ -819,58 +1200,117 @@ mod tests {
             )
     }
 
+    /// Runs of checkpoints, each `true` starting a new body, whose monitors
+    /// often repeat the previous checkpoint's: the same snapshots (shared
+    /// chunks), the same rows in new allocations, or the same with one
+    /// level rewritten.
+    fn arb_run(tw: TimeWindowConfig) -> impl Strategy<Value = Vec<(Checkpoint, bool)>> {
+        let step = (
+            arb_checkpoint(tw),
+            0u8..4,
+            0u8..4,
+            any::<usize>(),
+            arb_half(),
+        );
+        prop::collection::vec(step, 1..7).prop_map(|steps| {
+            let mut run: Vec<(Checkpoint, bool)> = Vec::new();
+            for (mut cp, reuse, rotate, at, half) in steps {
+                if let Some((last, _)) = run.last() {
+                    let last = &last.queue_monitors;
+                    match reuse {
+                        0 => {}
+                        1 => cp.queue_monitors = last.clone(),
+                        2 => {
+                            cp.queue_monitors = last
+                                .iter()
+                                .map(|m| QueueMonitorSnapshot::from_dense(&m.to_dense(), m.top))
+                                .collect()
+                        }
+                        _ => {
+                            cp.queue_monitors = last.clone();
+                            if let Some(m) = cp.queue_monitors.get_mut(at % last.len().max(1)) {
+                                let mut dense = m.to_dense();
+                                let level = at % dense.len();
+                                dense[level].inc = half;
+                                *m = QueueMonitorSnapshot::from_dense(&dense, m.top);
+                            }
+                        }
+                    }
+                }
+                run.push((cp, run.is_empty() || rotate == 0));
+            }
+            run
+        })
+    }
+
     proptest! {
-        /// Same bytes as the dense encoder over a run of checkpoints sharing
-        /// one delta chain, and a decode → re-encode that changes nothing.
+        /// One memo across a run's bodies writes what the reference writes;
+        /// every body decodes to its checkpoints, and re-encoding the
+        /// decoded run through a fresh memo gives the same bytes.
         #[test]
-        fn row_walk_matches_dense_reference_encoder(
+        fn v2_runs_match_the_reference_and_reencode_identically(
+            run in arb_run(TimeWindowConfig::new(4, 2, 4, 3)),
+        ) {
+            let tw = TimeWindowConfig::new(4, 2, 4, 3);
+            let mut memo = EncodeMemo::default();
+            let (mut bodies, mut reference): (Vec<Vec<u8>>, Vec<Vec<u8>>) = (Vec::new(), Vec::new());
+            let (mut state, mut r_state) = (CodecState::default(), CodecState::default());
+            let mut segments: Vec<Vec<Checkpoint>> = Vec::new();
+            for (cp, starts) in &run {
+                if *starts {
+                    bodies.push(Vec::new());
+                    reference.push(Vec::new());
+                    segments.push(Vec::new());
+                    (state, r_state) = Default::default();
+                }
+                let prev = segments.last().and_then(|s| s.last());
+                encode_checkpoint_reference(reference.last_mut().unwrap(), &tw, &mut r_state, prev, cp);
+                encode_checkpoint(bodies.last_mut().unwrap(), &tw, &mut state, &mut memo, cp).unwrap();
+                segments.last_mut().unwrap().push(cp.clone());
+            }
+            prop_assert_eq!(&bodies, &reference);
+
+            let mut memo = EncodeMemo::default();
+            for (body, cps) in bodies.iter().zip(&segments) {
+                let back = decode_body(body, &tw, VERSION)
+                    .map_err(|e| TestCaseError::fail(e.to_string()))?;
+                prop_assert_eq!(back.len(), cps.len());
+                for (back, cp) in back.iter().zip(cps) {
+                    prop_assert!(same(back, cp));
+                }
+                prop_assert_eq!(&encode_body(&tw, &mut memo, &back), body);
+            }
+        }
+
+        /// Bodies the version-1 writer produced read back through the
+        /// version-1 path.
+        #[test]
+        fn dense_v1_bodies_round_trip_through_the_v1_path(
             cps in prop::collection::vec(arb_checkpoint(TimeWindowConfig::new(4, 2, 4, 3)), 1..5),
         ) {
             let tw = TimeWindowConfig::new(4, 2, 4, 3);
-            let (mut sparse, mut dense) = (Vec::new(), Vec::new());
-            let (mut s_state, mut d_state) = (CodecState::default(), CodecState::default());
-            // One memo across unrelated checkpoints: monitor counts and
-            // lengths change under it and no chunk is ever the same.
-            let mut memo = EncodeMemo::default();
+            let (mut body, mut state) = (Vec::new(), CodecState::default());
             for cp in &cps {
-                encode_checkpoint(&mut sparse, &tw, &mut s_state, &mut memo, cp).unwrap();
-                encode_checkpoint_dense(&mut dense, &tw, &mut d_state, cp);
+                encode_checkpoint_dense(&mut body, &tw, &mut state, cp);
             }
-            prop_assert_eq!(&sparse, &dense);
-
-            let mut cursor = sparse.as_slice();
-            let mut state = CodecState::default();
-            let mut again = Vec::new();
-            let mut a_state = CodecState::default();
-            for cp in &cps {
-                let back =
-                    decode_checkpoint(&mut cursor, &tw, &mut state, &mut DecodeBudget::default())
-                        .map_err(|e| TestCaseError::fail(e.to_string()))?;
-                prop_assert_eq!(&back.queue_monitors, &cp.queue_monitors);
-                encode_checkpoint(&mut again, &tw, &mut a_state, &mut EncodeMemo::default(), &back).unwrap();
+            let back = decode_body(&body, &tw, VERSION_V1)
+                .map_err(|e| TestCaseError::fail(e.to_string()))?;
+            prop_assert_eq!(back.len(), cps.len());
+            for (back, cp) in back.iter().zip(&cps) {
+                prop_assert!(same(back, cp));
             }
-            prop_assert!(cursor.is_empty());
-            prop_assert_eq!(&again, &sparse);
         }
     }
 
-    /// Levels per snapshot chunk, read off a snapshot (the constant is
-    /// private to `pq-core`).
-    fn chunk_levels() -> usize {
-        let levels = 1 << 15;
-        levels
-            / QueueMonitorSnapshot::from_dense(&vec![Entry::default(); levels], 0)
-                .chunks()
-                .len()
-    }
-
     /// Two live monitors frozen into checkpoints that go through one
-    /// memoising encoder and through the dense reference, a "segment" at a
-    /// time: both restart their `CodecState` on rotation, the memo does not.
+    /// memoising encoder and through the reference, a "segment" at a time:
+    /// both restart their `CodecState` on rotation, the memo does not.
     struct Chain {
         tw: TimeWindowConfig,
         monitors: [QueueMonitor; 2],
         last: Option<Checkpoint>,
+        /// Whether `last` is in the open segment.
+        follows: bool,
         memo: EncodeMemo,
         states: (CodecState, CodecState),
         bodies: (Vec<u8>, Vec<u8>),
@@ -879,14 +1319,14 @@ mod tests {
 
     impl Chain {
         fn new() -> Chain {
-            let span = chunk_levels();
             Chain {
                 tw: TimeWindowConfig::new(4, 2, 4, 3),
                 monitors: [
-                    QueueMonitor::new(4 * span, 1),
-                    QueueMonitor::new(2 * span + 17, 1),
+                    QueueMonitor::new(4 * SLOT_LEVELS, 1),
+                    QueueMonitor::new(2 * SLOT_LEVELS + 17, 1),
                 ],
                 last: None,
+                follows: false,
                 memo: EncodeMemo::default(),
                 states: Default::default(),
                 bodies: Default::default(),
@@ -905,16 +1345,24 @@ mod tests {
 
         fn rotate(&mut self) {
             self.states = Default::default();
+            self.follows = false;
         }
 
-        /// Freeze, encode both ways, compare everything written so far;
-        /// returns how many rows the checkpoint shares with the last one.
-        fn checkpoint(&mut self, on_demand: bool) -> usize {
+        /// Freeze (`rebuild`: then copy every snapshot into new
+        /// allocations), encode both ways, compare everything written so
+        /// far; returns how many rows the checkpoint shares by pointer with
+        /// the last one.
+        fn checkpoint(&mut self, on_demand: bool, rebuild: bool) -> usize {
             self.now += 100;
             let mut cp = sample_checkpoint(&self.tw, self.now);
             cp.on_demand = on_demand;
             cp.trigger = on_demand.then(|| QueryInterval::new(self.now / 2, self.now));
             cp.queue_monitors = self.monitors.iter_mut().map(|m| m.freeze()).collect();
+            if rebuild {
+                for m in &mut cp.queue_monitors {
+                    *m = QueueMonitorSnapshot::from_dense(&m.to_dense(), m.top);
+                }
+            }
             encode_checkpoint(
                 &mut self.bodies.0,
                 &self.tw,
@@ -923,7 +1371,14 @@ mod tests {
                 &cp,
             )
             .unwrap();
-            encode_checkpoint_dense(&mut self.bodies.1, &self.tw, &mut self.states.1, &cp);
+            let prev = self.last.as_ref().filter(|_| self.follows);
+            encode_checkpoint_reference(
+                &mut self.bodies.1,
+                &self.tw,
+                &mut self.states.1,
+                prev,
+                &cp,
+            );
             assert!(
                 self.bodies.0 == self.bodies.1,
                 "memoised bytes differ from the reference at t = {}",
@@ -939,13 +1394,14 @@ mod tests {
                 })
                 .sum();
             self.last = Some(cp);
+            self.follows = true;
             shared
         }
     }
 
     #[test]
     fn memoised_chunks_encode_as_the_reference_does_case_by_case() {
-        let span = chunk_levels();
+        let span = SLOT_LEVELS;
         let mut chain = Chain::new();
         // Rows at both ends of every chunk of monitor 0 except the top of
         // chunk 1, and a few in monitor 1.
@@ -957,49 +1413,56 @@ mod tests {
         for level in [3, span - 1, span, 2 * span + 16] {
             chain.write(1, false, 40, level);
         }
-        assert_eq!(chain.checkpoint(false), 0, "nothing to share yet");
+        assert_eq!(chain.checkpoint(false, false), 0, "nothing to share yet");
         let all = 4 * 3 + 4;
         assert_eq!(
-            chain.checkpoint(false),
+            chain.checkpoint(false, false),
             all,
             "an idle period shares every chunk"
         );
 
         chain.write(0, false, 9, span); // first row of chunk 1
-        assert_eq!(chain.checkpoint(false), all - 3);
+        assert_eq!(chain.checkpoint(false, false), all - 3);
         chain.write(0, true, 9, 2 * span - 9); // last row of chunk 1
-        assert_eq!(chain.checkpoint(false), all - 3);
-        // A new row directly before unchanged chunk 2: its first row's
-        // level delta and sequence delta both change, its tail does not.
+        assert_eq!(chain.checkpoint(false, false), all - 3);
+        // A new row directly before unchanged chunk 2: chunk 2 is still one
+        // reference, its chains restart in its own slot.
         chain.write(0, true, 9, 2 * span - 1);
-        assert_eq!(chain.checkpoint(false), all - 3);
+        assert_eq!(chain.checkpoint(false, false), all - 3);
         let all = all + 1;
 
-        assert_eq!(chain.checkpoint(true), all, "an on-demand read in between");
+        assert_eq!(
+            chain.checkpoint(true, false),
+            all,
+            "an on-demand read in between"
+        );
         chain.rotate();
         assert_eq!(
-            chain.checkpoint(false),
+            chain.checkpoint(false, false),
             all,
-            "the memo outlives the segment"
+            "the memo outlives the segment, which starts whole"
         );
+        // The same rows in new allocations still refer back…
+        assert_eq!(chain.checkpoint(false, true), 0);
+        // …and the next freeze shares nothing with those copies.
+        assert_eq!(chain.checkpoint(false, false), 0);
 
-        // Monitor 0 empties: monitor 1's first row now opens the
-        // checkpoint's sequence chain.
+        // Monitor 0 empties: its slots turn to empty tags.
         chain.monitors[0].clear();
-        assert_eq!(chain.checkpoint(false), 4);
+        assert_eq!(chain.checkpoint(false, false), 4);
         chain.write(0, true, 11, 3 * span + 1);
         assert_eq!(
-            chain.checkpoint(false),
+            chain.checkpoint(false, false),
             4,
             "a chunk that was empty holds a row again"
         );
         chain.write(1, true, 12, 2 * span + 16); // the clamped last level of monitor 1
-        assert_eq!(chain.checkpoint(false), 1 + 3);
+        assert_eq!(chain.checkpoint(false, false), 1 + 3);
     }
 
     /// `(monitor, enqueue, flow, depth)`, depths biased to chunk borders.
     fn arb_write() -> impl Strategy<Value = (usize, bool, u32, usize)> {
-        let span = chunk_levels();
+        let span = SLOT_LEVELS;
         let depth = (any::<bool>(), 0usize..5, 0usize..7, 0..4 * span + 40).prop_map(
             move |(border, c, d, anywhere)| match border {
                 true => (c * span + d).saturating_sub(3),
@@ -1012,16 +1475,16 @@ mod tests {
     proptest! {
         /// Random chains in which most chunks survive from one checkpoint
         /// to the next: a few writes, sometimes a cleared monitor, an
-        /// on-demand read or a new segment, then a freeze.
+        /// on-demand read, a new segment or a rebuilt copy, then a freeze.
         #[test]
         fn memoised_chains_match_the_reference(
             steps in prop::collection::vec(
-                (prop::collection::vec(arb_write(), 0..6), 0u8..12, any::<bool>(), 0u8..4),
+                (prop::collection::vec(arb_write(), 0..6), 0u8..12, any::<bool>(), 0u8..4, 0u8..6),
                 1..24,
             ),
         ) {
             let mut chain = Chain::new();
-            for (writes, clear, on_demand, rotate) in steps {
+            for (writes, clear, on_demand, rotate, rebuild) in steps {
                 for (monitor, enqueue, flow, depth) in writes {
                     chain.write(monitor, enqueue, flow, depth);
                 }
@@ -1031,7 +1494,7 @@ mod tests {
                 if rotate == 0 {
                     chain.rotate();
                 }
-                chain.checkpoint(on_demand);
+                chain.checkpoint(on_demand, rebuild == 0);
             }
         }
     }

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! FILE    := HEADER SEGMENT* [TRAILER]
-//! HEADER  := "PQAR" | version u8 (= 1) | m0 u8 | alpha u8 | k u8 | t u8
+//! HEADER  := "PQAR" | version u8 (1 or 2) | m0 u8 | alpha u8 | k u8 | t u8
 //! SEGMENT := "PQSG" | hdr_len varint | SEGHDR | body_len varint | body
 //!            | crc32(body) u32-LE
 //! SEGHDR  := port varint | count varint | min_t varint | max_t varint
@@ -13,6 +13,13 @@
 //! TRAILER := "PQIX" | index bytes | crc32(index) u32-LE
 //!            | index_len u64-LE | "PQEN"
 //! ```
+//!
+//! **Versions.** The writer writes version 2; the reader reads 1 and 2.
+//! They differ only in a checkpoint's queue-monitor section (see
+//! [`codec`](crate::codec)): version 1 writes every occupied row, version 2
+//! writes one tag per [`SLOT_LEVELS`]-level slot, and a slot unchanged since
+//! the previous checkpoint of the same segment costs one byte. Framing,
+//! index and segment kinds are the same in both.
 //!
 //! **Segment kinds.** `kind` selects the body codec: 0 is the original
 //! checkpoint stream, 1 is an RTT report (`pq-rtt`), and anything else
@@ -55,8 +62,16 @@ pub const SEGMENT_MAGIC: [u8; 4] = *b"PQSG";
 pub const TRAILER_MAGIC: [u8; 4] = *b"PQIX";
 /// End-of-file magic (after the trailer length).
 pub const END_MAGIC: [u8; 4] = *b"PQEN";
-/// Format version.
-pub const VERSION: u8 = 1;
+/// Format version the writer writes.
+pub const VERSION: u8 = 2;
+/// The first format version: every checkpoint whole. Read, never written.
+pub const VERSION_V1: u8 = 1;
+/// Depth levels per queue-monitor slot of a version-2 checkpoint.
+pub const SLOT_LEVELS: usize = 1024;
+// The codec maps pq-core's snapshot chunk `c` to slot `c`. Retuning the
+// chunk must not silently move slot boundaries on disk: that would be a new
+// format version.
+const _: () = assert!(SLOT_LEVELS == pq_core::queue_monitor::CHUNK_LEVELS);
 /// Fixed file-header size in bytes.
 pub const HEADER_LEN: u64 = 9;
 /// Fixed tail size: crc32 (4) + index_len (8) + END_MAGIC (4).
@@ -95,13 +110,15 @@ pub fn write_header<W: Write>(w: &mut W, tw: &TimeWindowConfig) -> io::Result<()
     w.write_all(&[VERSION, tw.m0, tw.alpha, tw.k, tw.t])
 }
 
-/// Parse and validate the 9-byte file header.
-pub fn read_header(bytes: &[u8]) -> io::Result<TimeWindowConfig> {
+/// Parse and validate the 9-byte file header: the window geometry and the
+/// format version.
+pub fn read_header(bytes: &[u8]) -> io::Result<(TimeWindowConfig, u8)> {
     if bytes.len() < HEADER_LEN as usize || bytes[..4] != FILE_MAGIC {
         return Err(invalid("not a .pqa archive (bad magic)"));
     }
-    if bytes[4] != VERSION {
-        return Err(invalid(format!("unsupported .pqa version {}", bytes[4])));
+    let version = bytes[4];
+    if version != VERSION_V1 && version != VERSION {
+        return Err(invalid(format!("unsupported .pqa version {version}")));
     }
     let tw = TimeWindowConfig {
         m0: bytes[5],
@@ -110,7 +127,7 @@ pub fn read_header(bytes: &[u8]) -> io::Result<TimeWindowConfig> {
         t: bytes[8],
     };
     check_tw_config(&tw)?;
-    Ok(tw)
+    Ok((tw, version))
 }
 
 /// Index entry describing one sealed segment.
@@ -382,7 +399,9 @@ mod tests {
         let mut buf = Vec::new();
         write_header(&mut buf, &tw).unwrap();
         assert_eq!(buf.len() as u64, HEADER_LEN);
-        assert_eq!(read_header(&buf).unwrap(), tw);
+        assert_eq!(read_header(&buf).unwrap(), (tw, VERSION));
+        buf[4] = VERSION_V1;
+        assert_eq!(read_header(&buf).unwrap(), (tw, VERSION_V1));
     }
 
     #[test]
@@ -391,6 +410,10 @@ mod tests {
         assert!(read_header(b"JSON{\"version\":1}").is_err());
         // Valid magic, absurd k.
         assert!(read_header(&[b'P', b'Q', b'A', b'R', 1, 6, 2, 60, 4]).is_err());
+        // A version neither reader knows.
+        for version in [0, 3] {
+            assert!(read_header(&[b'P', b'Q', b'A', b'R', version, 6, 2, 12, 4]).is_err());
+        }
     }
 
     #[test]

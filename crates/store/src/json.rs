@@ -10,9 +10,9 @@ use crate::format::{check_tw_config, invalid, FILE_MAGIC};
 use crate::reader::StoreReader;
 use crate::writer::{SegmentPolicy, StoreWriter};
 use pq_core::export::CheckpointArchive;
-use std::fs::File;
+use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// The two archive encodings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,22 +132,40 @@ pub fn read_archives(path: &Path) -> io::Result<Vec<CheckpointArchive>> {
     }
 }
 
-/// Write archives to `path` in `format`.
+/// Write archives to `path` in `format`. The file appears only once it is
+/// complete: a refused or failed write leaves no file behind, and leaves an
+/// existing `path` untouched.
 pub fn write_archives(
     path: &Path,
     archives: &[CheckpointArchive],
     format: ArchiveFormat,
     policy: SegmentPolicy,
 ) -> io::Result<()> {
-    let file = File::create(path)?;
-    match format {
+    publish(path, |file| match format {
         ArchiveFormat::Json => {
             let mut w = BufWriter::new(file);
             archives_to_json(&mut w, archives)?;
             w.flush()
         }
         ArchiveFormat::Pqa => archives_to_pqa(BufWriter::new(file), archives, policy)?.flush(),
+    })
+}
+
+/// Create `path` only once it is complete: `write` fills a sibling
+/// `<path>.tmp`, which is renamed over `path` on success and removed on
+/// failure. A refused or failed write leaves nothing a reader could mistake
+/// for an archive, and leaves an existing `path` untouched.
+pub(crate) fn publish(path: &Path, write: impl FnOnce(File) -> io::Result<()>) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let published = File::create(&tmp)
+        .and_then(write)
+        .and_then(|()| fs::rename(&tmp, path));
+    if published.is_err() {
+        let _ = fs::remove_file(&tmp);
     }
+    published
 }
 
 /// Pick a write format from a path extension (`.pqa` → binary, else

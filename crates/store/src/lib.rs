@@ -10,8 +10,10 @@
 //!   segments, each CRC-32-protected and self-describing, closed by a
 //!   trailer index (see the format module docs for the byte layout);
 //! * **codec** ([`codec`]) — sparse, delta-compressed checkpoint bodies
-//!   exploiting the mostly-empty register geometry, with allocation
-//!   budgeting against adversarial input;
+//!   exploiting the mostly-empty register geometry, each queue-monitor
+//!   chunk unchanged since the segment's previous checkpoint written as a
+//!   one-byte reference, with allocation budgeting against adversarial
+//!   input;
 //! * **writer** ([`StoreWriter`]) — streaming, bounded-RAM appends with
 //!   segment rotation and optional retention; [`SharedStoreWriter`]
 //!   plugs into the analysis program's

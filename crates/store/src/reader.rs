@@ -139,6 +139,8 @@ impl QueryStats {
 pub struct StoreReader<R: Read + Seek> {
     src: R,
     tw: TimeWindowConfig,
+    /// Format version from the file header (see [`format`](mod@format)).
+    version: u8,
     segments: Vec<SegmentMeta>,
     ports: Vec<(u16, PortMeta)>,
     /// Spans lost to CRC-failing or torn segments, discovered at open
@@ -163,12 +165,13 @@ impl<R: Read + Seek> StoreReader<R> {
         let mut header = [0u8; format::HEADER_LEN as usize];
         src.seek(SeekFrom::Start(0))?;
         src.read_exact(&mut header)?;
-        let tw = format::read_header(&header)?;
+        let (tw, version) = format::read_header(&header)?;
         let file_len = src.seek(SeekFrom::End(0))?;
 
         let mut reader = StoreReader {
             src,
             tw,
+            version,
             segments: Vec::new(),
             ports: Vec::new(),
             corrupt: Vec::new(),
@@ -482,12 +485,15 @@ impl<R: Read + Seek> StoreReader<R> {
         let mut state = CodecState::default();
         let mut body_cursor = body;
         for _ in 0..meta.count {
-            cps.push(decode_checkpoint(
+            let cp = decode_checkpoint(
                 &mut body_cursor,
                 &self.tw,
+                self.version,
                 &mut state,
                 &mut budget,
-            )?);
+                cps.last(),
+            )?;
+            cps.push(cp);
         }
         if !body_cursor.is_empty() {
             return Err(invalid("trailing bytes after last checkpoint"));

@@ -17,9 +17,10 @@
 //! replica equivalence without decoding checkpoint bodies.
 
 use crate::format::SegmentMeta;
+use crate::json::publish;
 use crate::reader::StoreReader;
 use std::fs;
-use std::io::{self, Cursor};
+use std::io::{self, Cursor, Write};
 use std::path::Path;
 
 /// What [`ship_archive`] moved, for logs and telemetry.
@@ -39,9 +40,9 @@ pub struct ShipReport {
 ///
 /// The source is fully decoded first, one segment at a time — every
 /// segment's body CRC is checked by the decode path — and only then
-/// written to `dst` via a temporary file and an atomic rename. A crash
-/// mid-ship leaves either the old replica or a `.tmp` leftover, never a
-/// half-written `.pqa`.
+/// written to `dst` via a temporary file and an atomic rename. A failed
+/// ship removes the temporary file; a crash mid-ship leaves either the old
+/// replica or a `.tmp` leftover, never a half-written `.pqa`.
 pub fn ship_archive(src: &Path, dst: &Path) -> io::Result<ShipReport> {
     let bytes = fs::read(src)?;
     let mut reader = StoreReader::open(Cursor::new(bytes.as_slice()))?;
@@ -95,9 +96,7 @@ pub fn ship_archive(src: &Path, dst: &Path) -> io::Result<ShipReport> {
         bytes: bytes.len() as u64,
         checkpoints,
     };
-    let tmp = dst.with_extension("pqa.tmp");
-    fs::write(&tmp, &bytes)?;
-    fs::rename(&tmp, dst)?;
+    publish(dst, |mut file| file.write_all(&bytes))?;
     Ok(report)
 }
 

@@ -196,20 +196,24 @@ impl<W: Write> StoreWriter<W> {
             max_t: cp.frozen_at,
             prev_periodic: chain,
         });
+        let before = open.buf.len();
         encode_checkpoint(&mut open.buf, &tw, &mut open.state, &mut state.memo, cp)?;
         if let Some(t) = &self.telemetry {
             t.checkpoints_written.inc();
         }
-        if open.count == 0 {
+        if open.count == 1 {
             // Size the body once, for as many checkpoints like this one as
             // the policy lets a segment hold, instead of by doubling (a
-            // port's later segments find the capacity already there). Only
-            // a hint: a policy that never seals asks for more than there
-            // is, and then the `Vec` grows as it goes.
-            let first = open.buf.len() - HEADROOM;
-            let rest = first
-                .saturating_mul(policy.checkpoints_per_segment.saturating_sub(1))
-                .min(policy.max_segment_bytes);
+            // port's later segments find the capacity already there). Sized
+            // by the second checkpoint: the first is written whole, the rest
+            // against their predecessor; the seal appends the body CRC. Only
+            // a hint: a policy that never seals asks for more than there is,
+            // and then the `Vec` grows as it goes.
+            let second = open.buf.len() - before;
+            let rest = second
+                .saturating_mul(policy.checkpoints_per_segment.saturating_sub(2))
+                .min(policy.max_segment_bytes)
+                + std::mem::size_of::<u32>();
             let _ = open.buf.try_reserve_exact(rest);
         }
         open.count += 1;
@@ -486,8 +490,9 @@ mod tests {
         t: 2,
     };
 
-    /// A periodic checkpoint with `rows` monitor rows: a few hundred bytes
-    /// encoded, the same for equal `rows` and equally spaced times.
+    /// A periodic checkpoint with `rows` monitor rows, rewritten at every
+    /// freeze time so that none refers to its predecessor: a few hundred
+    /// bytes encoded, the same for equal `rows` and equally spaced times.
     fn checkpoint(frozen_at: u64, rows: usize) -> Checkpoint {
         let mut windows = vec![vec![Cell::EMPTY; TW.cells()]; usize::from(TW.t)];
         windows[0][3] = Cell {
@@ -498,7 +503,7 @@ mod tests {
         for (i, e) in entries.iter_mut().take(rows).enumerate() {
             e.inc = Half {
                 flow: FlowId(i as u32 % 7),
-                seq: 10 + i as u64,
+                seq: frozen_at.wrapping_add(i as u64),
             };
         }
         Checkpoint {

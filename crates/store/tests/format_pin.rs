@@ -1,14 +1,20 @@
-//! Format guard: fixed-seed archives must keep the exact bytes earlier
-//! writers produced.
+//! Format guard: fixed-seed archives must keep the exact bytes the writer
+//! produces, and archives of the first format version, committed as a hex
+//! fixture, must still read back to what was written.
 
 use pq_core::control::{Checkpoint, CoverageGap};
 use pq_core::metrics::ControlHealth;
 use pq_core::params::TimeWindowConfig;
-use pq_core::queue_monitor::{Entry, Half, QueueMonitorSnapshot};
+use pq_core::queue_monitor::{Entry, Half, QueueMonitor, QueueMonitorSnapshot, CHUNK_LEVELS};
 use pq_core::snapshot::{QueryInterval, TimeWindowSnapshot};
 use pq_core::time_windows::Cell;
 use pq_packet::FlowId;
-use pq_store::{SegmentPolicy, StoreReader, StoreWriter, KIND_CHECKPOINTS, KIND_RTT};
+use pq_store::codec::{decode_checkpoint, CodecState};
+use pq_store::format::{VERSION, VERSION_V1};
+use pq_store::{
+    DecodeBudget, Recovery, SegmentPolicy, StoreReader, StoreWriter, KIND_CHECKPOINTS, KIND_RTT,
+};
+use std::io::Cursor;
 
 const TW: TimeWindowConfig = TimeWindowConfig {
     m0: 4,
@@ -17,7 +23,11 @@ const TW: TimeWindowConfig = TimeWindowConfig {
     t: 3,
 };
 
-/// The fixed multiplicative generator both archives draw from.
+/// `name hex` lines: [`pinned_archive`], [`framing_archive`] and
+/// [`reference_archive`] as the version-1 writer wrote them.
+const V1_FIXTURE: &str = include_str!("data/format_pin_v1.hex");
+
+/// The fixed multiplicative generator every archive draws from.
 struct Gen {
     x: u64,
     seq: u64,
@@ -56,11 +66,7 @@ impl Gen {
                 let mut entries = vec![Entry::default(); 300];
                 for _ in 0..self.next(fill) {
                     let e = &mut entries[self.next(300) as usize];
-                    let half = Half {
-                        flow: FlowId(self.next(50) as u32),
-                        seq: self.seq,
-                    };
-                    self.seq += 1 + self.next(4);
+                    let half = self.half();
                     if self.next(2) == 0 {
                         e.inc = half;
                     } else {
@@ -79,32 +85,37 @@ impl Gen {
             queue_monitors: monitors,
         }
     }
+
+    /// A half of a random flow with the next sequence number.
+    fn half(&mut self) -> Half {
+        let half = Half {
+            flow: FlowId(self.next(50) as u32),
+            seq: self.seq,
+        };
+        self.seq += 1 + self.next(4);
+        half
+    }
 }
+
+/// Every checkpoint a generator pushed, with its port, in push order.
+type Pushed = Vec<(u16, Checkpoint)>;
 
 /// 40 checkpoints of two 300-entry monitors each over two ports, five
 /// checkpoints a segment.
-fn pinned_archive() -> Vec<u8> {
+fn pinned_archive() -> (Vec<u8>, Pushed) {
     let policy = SegmentPolicy {
         checkpoints_per_segment: 5,
         ..SegmentPolicy::default()
     };
     let mut gen = Gen::new();
     let mut w = StoreWriter::new(Vec::new(), TW, policy).unwrap();
+    let mut pushed = Vec::new();
     for i in 0..40u64 {
         let cp = gen.checkpoint(i, 90);
         w.push((i % 2) as u16, &cp).unwrap();
+        pushed.push(((i % 2) as u16, cp));
     }
-    w.finish().unwrap()
-}
-
-/// Length and CRC-32 of [`pinned_archive`] as written by the commit
-/// before queue-monitor snapshots went sparse (dense two-scan encoder,
-/// byte-at-a-time CRC). Any drift here is a `.pqa` format change.
-#[test]
-fn archive_bytes_are_pinned() {
-    let bytes = pinned_archive();
-    assert_eq!(bytes.len(), 16_165);
-    assert_eq!(pq_store::crc::crc32(&bytes), 0x4FA1_8EB0);
+    (w.finish().unwrap(), pushed)
 }
 
 /// Everything the writer's framing can do, in one file: ports 1 and 700,
@@ -113,7 +124,7 @@ fn archive_bytes_are_pinned() {
 /// raw into the middle of port 1's stream (sealing its open segment
 /// early), a recorded gap, health counters, and a short last segment a
 /// port sealed only by `finish`.
-fn framing_archive() -> Vec<u8> {
+fn framing_archive() -> (Vec<u8>, Pushed) {
     let policy = SegmentPolicy {
         checkpoints_per_segment: 4,
         max_segment_bytes: 2 << 10,
@@ -121,10 +132,12 @@ fn framing_archive() -> Vec<u8> {
     };
     let mut gen = Gen::new();
     let mut w = StoreWriter::new(Vec::new(), TW, policy).unwrap();
+    let mut pushed = Vec::new();
     for i in 0..38u64 {
         let port = if i % 2 == 0 { 1 } else { 700 };
         let cp = gen.checkpoint(i, if i % 7 == 3 { 600 } else { 60 });
         w.push(port, &cp).unwrap();
+        pushed.push((port, cp));
         if i == 16 {
             let body: Vec<u8> = (0..333).map(|_| gen.next(256) as u8).collect();
             w.push_raw(1, KIND_RTT, 17, 9_000, 12_500, &body).unwrap();
@@ -147,16 +160,92 @@ fn framing_archive() -> Vec<u8> {
             ..ControlHealth::default()
         },
     );
-    w.finish().unwrap()
+    (w.finish().unwrap(), pushed)
 }
 
+/// Levels `rows` of a `len`-level array written with fresh halves.
+fn dense(gen: &mut Gen, len: usize, rows: &[usize]) -> Vec<Entry> {
+    let mut entries = vec![Entry::default(); len];
+    for &level in rows {
+        entries[level].inc = gen.half();
+    }
+    entries
+}
+
+/// Every way a monitor slot carries over from one checkpoint to the next,
+/// four checkpoints a segment over two ports:
+///
+/// * port 0 freezes a live four-slot monitor, so an untouched chunk is the
+///   previous snapshot's allocation; one slot is rewritten every fourth
+///   poll, and every third snapshot is rebuilt from its dense image (equal
+///   rows in new allocations);
+/// * port 1's two monitors are built from dense arrays, so nothing is
+///   shared by pointer: the first never changes; the second's slot 1
+///   empties and fills again with the same rows, its length shrinks past
+///   slot 2 and grows back, and it vanishes for one checkpoint;
+/// * idle polls open every segment, so unchanged slots straddle each
+///   segment boundary, where no reference may be written.
+fn reference_archive() -> (Vec<u8>, Pushed) {
+    let policy = SegmentPolicy {
+        checkpoints_per_segment: 4,
+        ..SegmentPolicy::default()
+    };
+    let mut gen = Gen::new();
+    let mut w = StoreWriter::new(Vec::new(), TW, policy).unwrap();
+    let mut pushed = Vec::new();
+    let mut live = QueueMonitor::new(3 * CHUNK_LEVELS + 100, 1);
+    for c in 0..4 {
+        for at in [7, 300, 901] {
+            let level = (c * CHUNK_LEVELS + at).min(live.len() - 1);
+            live.on_enqueue(FlowId(c as u32), level as u32, 0);
+        }
+    }
+    let still = dense(&mut gen, 700, &[3, 699]);
+    let slot_rows = [10, 500, 1030, 1500, 2050];
+    let mut moving = dense(&mut gen, 2100, &slot_rows);
+    for i in 0..18u64 {
+        if i % 4 == 1 {
+            let c = (i as usize / 4) % 4;
+            live.on_dequeue(FlowId(9), (c * CHUNK_LEVELS + 40) as u32, 0);
+        }
+        let mut cp = gen.checkpoint(i, 1);
+        let mut frozen = live.freeze();
+        if i % 3 == 2 {
+            frozen = QueueMonitorSnapshot::from_dense(&frozen.to_dense(), frozen.top);
+        }
+        cp.queue_monitors = vec![frozen];
+        w.push(0, &cp).unwrap();
+        pushed.push((0, cp));
+
+        if i == 13 {
+            moving[10].dec = gen.half();
+        }
+        let mut second = moving.clone();
+        if i == 5 {
+            second[1030] = Entry::default();
+            second[1500] = Entry::default();
+        }
+        second.truncate(if i == 9 { 1600 } else { 2100 });
+        let mut cp = gen.checkpoint(i, 1);
+        cp.queue_monitors = vec![QueueMonitorSnapshot::from_dense(&still, 0)];
+        if i != 15 {
+            let top = (second.len() - 1) as u32;
+            cp.queue_monitors
+                .push(QueueMonitorSnapshot::from_dense(&second, top));
+        }
+        w.push(1, &cp).unwrap();
+        pushed.push((1, cp));
+    }
+    (w.finish().unwrap(), pushed)
+}
+
+/// `(port, kind, count, offset, len, body_crc)` of one segment.
 type SegmentRow = (u16, u64, u64, u64, u64, u32);
 
-/// `(port, kind, count, offset, len, body_crc)` of every segment of
-/// [`framing_archive`], in file order, as written by the commit before
-/// segments were framed in place (a separate frame buffer per seal,
-/// slice-by-8 CRC, two-pass window encoder).
-const FRAMING_SEGMENTS: &[SegmentRow] = &[
+/// The framing archive's segments as the version-1 writer laid them out
+/// (a separate frame buffer per seal, slice-by-8 CRC, two-pass window
+/// encoder, then framed in place: the same bytes).
+const FRAMING_SEGMENTS_V1: &[SegmentRow] = &[
     (1, 0, 4, 9, 1581, 0x0ADF_36EF),
     (700, 0, 4, 1590, 1680, 0x04D2_12E9),
     (1, 0, 2, 3270, 2830, 0x5EC8_7504),
@@ -172,28 +261,167 @@ const FRAMING_SEGMENTS: &[SegmentRow] = &[
     (700, 0, 2, 17896, 777, 0xEB24_E805),
 ];
 
-#[test]
-fn framing_archive_is_pinned_segment_by_segment() {
-    let bytes = framing_archive();
-    let reader = StoreReader::open(std::io::Cursor::new(&bytes)).unwrap();
-    let got: Vec<SegmentRow> = reader
+/// The three archives' segments as the version-2 writer lays them out. Any
+/// drift here, or in the whole-file length and CRC-32 beside it, is a
+/// `.pqa` format change.
+const PINNED_SEGMENTS: &[SegmentRow] = &[
+    (0, 0, 5, 9, 2307, 0x5EE6_98AC),
+    (1, 0, 5, 2316, 2055, 0xE8D5_D2E4),
+    (0, 0, 5, 4371, 1116, 0x29DE_4EB0),
+    (1, 0, 5, 5487, 2746, 0x005E_B19D),
+    (0, 0, 5, 8233, 1649, 0x1312_B43E),
+    (1, 0, 5, 9882, 2066, 0xE928_CE15),
+    (0, 0, 5, 11948, 1995, 0xDE11_5CF9),
+    (1, 0, 5, 13943, 2022, 0x0C84_DFCC),
+];
+const FRAMING_SEGMENTS: &[SegmentRow] = &[
+    (1, 0, 4, 9, 1582, 0x5F8E_5F7F),
+    (700, 0, 4, 1591, 1682, 0x5699_72F8),
+    (1, 0, 2, 3273, 2830, 0xAE3F_7139),
+    (700, 0, 4, 6103, 1379, 0x0244_ABCD),
+    (1, 0, 3, 7482, 868, 0xCC92_4CDA),
+    (1, 1, 17, 8350, 353, 0x18B3_F850),
+    (700, 0, 2, 8703, 2200, 0x413A_01C7),
+    (1, 0, 4, 10903, 1966, 0x67B3_0380),
+    (700, 0, 4, 12869, 965, 0x83D3_856A),
+    (1, 0, 4, 13834, 1283, 0x01AD_1CDD),
+    (700, 0, 3, 15117, 2167, 0xAAEC_ACA5),
+    (1, 0, 2, 17284, 627, 0x46A1_4651),
+    (700, 0, 2, 17911, 778, 0x9DCE_B22E),
+];
+const REFERENCE_SEGMENTS: &[SegmentRow] = &[
+    (0, 0, 4, 9, 353, 0x676E_1B6D),
+    (1, 0, 4, 362, 233, 0xADD7_AE29),
+    (0, 0, 4, 595, 393, 0xFB98_2376),
+    (1, 0, 4, 988, 366, 0x3A6D_2E09),
+    (0, 0, 4, 1354, 321, 0x6A5A_6F7C),
+    (1, 0, 4, 1675, 299, 0x90B2_1503),
+    (0, 0, 4, 1974, 325, 0x89A7_FE25),
+    (1, 0, 4, 2299, 362, 0xC454_8105),
+    (0, 0, 2, 2661, 240, 0xC35F_D8F2),
+    (1, 0, 2, 2901, 191, 0xA90B_EF12),
+];
+
+fn segment_rows(reader: &StoreReader<Cursor<&Vec<u8>>>) -> Vec<SegmentRow> {
+    reader
         .segments()
         .iter()
         .map(|s| (s.port, s.kind, s.count, s.offset, s.len, s.body_crc))
-        .collect();
-    if got != FRAMING_SEGMENTS {
+        .collect()
+}
+
+/// `bytes` open through the trailer, hold exactly the segments `expect`
+/// lists and are `len` bytes with CRC-32 `crc`.
+fn assert_pinned(bytes: &Vec<u8>, expect: &[SegmentRow], (len, crc): (usize, u32), name: &str) {
+    let reader = StoreReader::open(Cursor::new(bytes)).unwrap();
+    assert_eq!(reader.recovery(), Recovery::Index, "{name}");
+    let got = segment_rows(&reader);
+    if got != expect {
         for (port, kind, count, offset, len, crc) in &got {
             eprintln!("    ({port}, {kind}, {count}, {offset}, {len}, 0x{crc:08X}),");
         }
-        panic!("segment table drifted (actual rows above)");
+        panic!("{name}: segment table drifted (actual rows above)");
     }
     assert_eq!(
-        (bytes.len(), pq_store::crc::crc32(&bytes)),
-        (19_014, 0x3557_A69A),
-        "whole-file length and CRC-32"
+        (bytes.len(), pq_store::crc::crc32(bytes)),
+        (len, crc),
+        "{name}: whole-file length and CRC-32 (actual {} / 0x{:08X})",
+        bytes.len(),
+        pq_store::crc::crc32(bytes)
     );
+}
+
+/// Field-by-field equality (`Checkpoint` has no `PartialEq`).
+fn same(a: &Checkpoint, b: &Checkpoint) -> bool {
+    a.frozen_at == b.frozen_at
+        && a.on_demand == b.on_demand
+        && a.trigger == b.trigger
+        && a.windows.is_filtered() == b.windows.is_filtered()
+        && (0..TW.t).all(|w| a.windows.window(w) == b.windows.window(w))
+        && a.queue_monitors == b.queue_monitors
+}
+
+/// Every port of `bytes` decodes to exactly the checkpoints pushed to it.
+fn assert_reads_back(bytes: &Vec<u8>, pushed: &Pushed, name: &str) {
+    let mut reader = StoreReader::open(Cursor::new(bytes)).unwrap();
+    let mut ports: Vec<u16> = pushed.iter().map(|(p, _)| *p).collect();
+    ports.sort_unstable();
+    ports.dedup();
+    for port in ports {
+        let back = reader.read_port(port).unwrap().checkpoints;
+        let sent: Vec<&Checkpoint> = pushed
+            .iter()
+            .filter(|(p, _)| *p == port)
+            .map(|(_, cp)| cp)
+            .collect();
+        assert_eq!(back.len(), sent.len(), "{name} port {port}");
+        for (i, (back, sent)) in back.iter().zip(sent).enumerate() {
+            assert!(same(back, sent), "{name} port {port} checkpoint {i}");
+        }
+    }
+}
+
+fn v1_fixture(name: &str) -> Vec<u8> {
+    let line = V1_FIXTURE
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+        .expect("fixture line");
+    (0..line.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&line[i..i + 2], 16).expect("fixture lines are hex"))
+        .collect()
+}
+
+/// The committed version-1 bytes are the ones the version-1 pins
+/// described (the reference archive's were captured with them), and they
+/// still decode to the generators' checkpoints.
+#[test]
+fn version_1_archives_still_read() {
+    let pinned = v1_fixture("pinned");
+    assert_eq!(pinned[4], VERSION_V1);
+    assert_eq!(
+        (pinned.len(), pq_store::crc::crc32(&pinned)),
+        (16_165, 0x4FA1_8EB0)
+    );
+    assert_reads_back(&pinned, &pinned_archive().1, "v1 pinned");
+
+    let framing = v1_fixture("framing");
+    assert_pinned(
+        &framing,
+        FRAMING_SEGMENTS_V1,
+        (19_014, 0x3557_A69A),
+        "v1 framing",
+    );
+    assert_reads_back(&framing, &framing_archive().1, "v1 framing");
+    let mut reader = StoreReader::open(Cursor::new(&framing)).unwrap();
+    let rtt = reader.raw_segments(1, KIND_RTT);
+    assert_eq!(reader.read_raw_body(&rtt[0]).unwrap().len(), 333);
+
+    let reference = v1_fixture("reference");
+    assert_eq!(
+        (reference.len(), pq_store::crc::crc32(&reference)),
+        (4_361, 0xEDEB_5C50)
+    );
+    assert_reads_back(&reference, &reference_archive().1, "v1 reference");
+}
+
+#[test]
+fn archive_bytes_are_pinned() {
+    let (bytes, pushed) = pinned_archive();
+    assert_eq!(bytes[4], VERSION);
+    assert_pinned(&bytes, PINNED_SEGMENTS, (16_178, 0xFD51_35A1), "pinned");
+    assert_reads_back(&bytes, &pushed, "pinned");
+}
+
+#[test]
+fn framing_archive_is_pinned_segment_by_segment() {
+    let (bytes, pushed) = framing_archive();
+    assert_pinned(&bytes, FRAMING_SEGMENTS, (19_030, 0x94A4_C9E2), "framing");
+    assert_reads_back(&bytes, &pushed, "framing");
 
     // The corpus covers what it claims to.
+    let reader = StoreReader::open(Cursor::new(&bytes)).unwrap();
+    let got = segment_rows(&reader);
     for port in [1, 700] {
         let sealed: Vec<_> = got
             .iter()
@@ -210,4 +438,75 @@ fn framing_archive_is_pinned_segment_by_segment() {
         reader.checkpoint_count(1) + reader.checkpoint_count(700),
         38
     );
+}
+
+/// For each checkpoint segment of `bytes`, in file order: whether each
+/// checkpoint refers to its predecessor, found by decoding it once more
+/// as if it had none.
+fn references(bytes: &Vec<u8>) -> Vec<(u16, Vec<bool>)> {
+    let mut reader = StoreReader::open(Cursor::new(bytes)).unwrap();
+    let metas = reader.segments().to_vec();
+    let mut out = Vec::new();
+    for meta in metas.iter().filter(|m| m.kind == KIND_CHECKPOINTS) {
+        let body = reader.read_raw_body(meta).unwrap();
+        let (mut cursor, mut state) = (body.as_slice(), CodecState::default());
+        let mut budget = DecodeBudget::default();
+        let mut prev: Option<Checkpoint> = None;
+        let mut refers = Vec::new();
+        for _ in 0..meta.count {
+            let (mut alone, mut alone_state) = (cursor, state);
+            let standalone = decode_checkpoint(
+                &mut alone,
+                &TW,
+                VERSION,
+                &mut alone_state,
+                &mut DecodeBudget::default(),
+                None,
+            );
+            let cp = decode_checkpoint(
+                &mut cursor,
+                &TW,
+                VERSION,
+                &mut state,
+                &mut budget,
+                prev.as_ref(),
+            )
+            .unwrap();
+            refers.push(standalone.is_err());
+            prev = Some(cp);
+        }
+        assert!(cursor.is_empty());
+        out.push((meta.port, refers));
+    }
+    out
+}
+
+#[test]
+fn reference_archive_is_pinned_and_refers_within_segments_only() {
+    let (bytes, pushed) = reference_archive();
+    assert_pinned(
+        &bytes,
+        REFERENCE_SEGMENTS,
+        (3_331, 0xC85A_2175),
+        "reference",
+    );
+    assert_reads_back(&bytes, &pushed, "reference");
+
+    let segments = references(&bytes);
+    assert_eq!(segments.len(), 2 * 5);
+    for (port, refers) in &segments {
+        assert!(!refers[0], "port {port}: a segment opens with a reference");
+        assert!(
+            refers[1..].iter().all(|r| *r),
+            "port {port}: a later checkpoint wrote every slot whole: {refers:?}"
+        );
+    }
+    // Under a version-1 header the same bytes are refused, segment by
+    // segment, never misread.
+    let mut relabelled = bytes.clone();
+    relabelled[4] = VERSION_V1;
+    let mut reader = StoreReader::open(Cursor::new(&relabelled)).unwrap();
+    for port in [0, 1] {
+        assert_eq!(reader.decodable_checkpoints(port), 0, "port {port}");
+    }
 }

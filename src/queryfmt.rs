@@ -114,7 +114,9 @@ pub fn result_json(
     degraded: bool,
 ) -> String {
     let ranked = est.ranked();
-    let total: f64 = ranked.iter().map(|(_, n)| n).sum();
+    // From +0.0: `Iterator::sum` starts from -0.0, which an empty answer
+    // would print as `-0`.
+    let total = ranked.iter().fold(0.0, |sum, (_, n)| sum + n);
     let mut out = String::new();
     let _ = write!(
         out,
@@ -268,6 +270,27 @@ mod tests {
         assert!(a.starts_with(
             "{\"query\":{\"kind\":\"replay\",\"port\":0,\"from\":5,\"to\":10,\"checkpoints\":3}"
         ));
+    }
+
+    #[test]
+    fn empty_answer_totals_positive_zero() {
+        let spec = QuerySpec {
+            port: 0,
+            from: 5,
+            to: 10,
+            d: 110,
+            kind: QueryKind::Replay,
+        };
+        let text = result_text(&interval_header(5, 10, 0), &est(&[]), &[], false);
+        assert_eq!(
+            text,
+            "query [5, 10] over 0 checkpoints: 0 flows, ~0 packets\n"
+        );
+        let json = result_json(&spec, 0, &est(&[]), &[], false);
+        assert!(
+            json.ends_with(",\"total_packets\":0,\"flows\":[]}"),
+            "{json}"
+        );
     }
 
     #[test]

@@ -11,8 +11,8 @@ use printqueue::core::queue_monitor::QueueMonitorSnapshot;
 use printqueue::core::snapshot::QueryInterval;
 use printqueue::packet::FlowId;
 use printqueue::store::{
-    archives_to_pqa, ship_archive, verify_replica, ArchiveFormat, Recovery, SegmentPolicy,
-    SharedStoreWriter, StoreReader, StoreWriter, KIND_CHECKPOINTS, KIND_RTT,
+    archives_to_pqa, ship_archive, verify_replica, write_archives, ArchiveFormat, Recovery,
+    SegmentPolicy, SharedStoreWriter, StoreReader, StoreWriter, KIND_CHECKPOINTS, KIND_RTT,
 };
 use printqueue::telemetry::{names, Telemetry};
 use proptest::prelude::*;
@@ -312,6 +312,44 @@ fn json_archives_convert_losslessly_and_auto_detect() {
             "port {} archive must round-trip bit-exactly",
             archive.port
         );
+    }
+}
+
+/// A refused write publishes nothing. `pqsim convert` of archives that
+/// disagree on their window configuration used to exit 1 and leave a
+/// header-only `.pqa` behind, which read back as an archive of zero
+/// checkpoints; an existing destination was truncated the same way.
+#[test]
+fn refused_archive_write_leaves_no_file_behind() {
+    let ap = drive_program(None, 500);
+    let mut archives: Vec<CheckpointArchive> = PORTS
+        .iter()
+        .map(|&p| CheckpointArchive::capture(&ap, p))
+        .collect();
+    archives[1].tw_config.k += 1;
+    let tmp =
+        |name: &str| std::env::temp_dir().join(format!("pq-refused-{}-{name}", std::process::id()));
+    let (fresh, existing) = (tmp("fresh.pqa"), tmp("existing.pqa"));
+    std::fs::write(&existing, b"an older archive").unwrap();
+    for dst in [&fresh, &existing] {
+        let err = write_archives(dst, &archives, ArchiveFormat::Pqa, tiny_segments()).unwrap_err();
+        assert!(err.to_string().contains("disagree"), "{err}");
+        let mut partial = dst.clone().into_os_string();
+        partial.push(".tmp");
+        assert!(!std::path::Path::new(&partial).exists());
+    }
+    assert!(!fresh.exists(), "a refused write left a file");
+    assert_eq!(std::fs::read(&existing).unwrap(), b"an older archive");
+
+    archives[1].tw_config = archives[0].tw_config;
+    write_archives(&fresh, &archives, ArchiveFormat::Pqa, tiny_segments()).unwrap();
+    let reader = StoreReader::open(std::fs::File::open(&fresh).unwrap()).unwrap();
+    assert_eq!(
+        reader.checkpoint_count(PORTS[1]),
+        archives[1].checkpoints.len() as u64
+    );
+    for p in [fresh, existing] {
+        std::fs::remove_file(p).ok();
     }
 }
 

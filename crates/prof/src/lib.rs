@@ -3,8 +3,9 @@
 //! PrintQueue's thesis is that diagnosis must live in the data path with
 //! bounded overhead; this crate applies the same bar to the pipeline
 //! itself — and, as the bottom of the crate graph, holds what every
-//! observability crate shares: [`hist`], the one log2 histogram, and
-//! [`escape_into`], the one JSON string escaper. Four pieces, all
+//! crate that keeps a histogram or decodes bytes shares: [`hist`], the one
+//! log2 histogram, [`codec`], the one byte codec, and [`escape_into`], the
+//! one JSON string escaper. Four pieces, all
 //! process-global (a process has one profile, the way it has one allocator):
 //!
 //! * [`scope!`] — `prof::scope!("serve/worker_exec")` call sites that
@@ -27,6 +28,7 @@
 //! byte-identical however they are folded.
 
 pub mod alloc;
+pub mod codec;
 pub mod hist;
 pub mod lock;
 pub mod report;

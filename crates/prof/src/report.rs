@@ -18,7 +18,8 @@
 //!   canonical ordering is enforced — a decoded report re-encodes to
 //!   the same bytes.
 
-use crate::hist::HistSnapshot;
+use crate::codec::{self, put_u16, put_u32, put_u64};
+use crate::hist::{HistSnapshot, NUM_BUCKETS};
 use crate::lock::LockSnapshot;
 use crate::{lock, sampler, scope};
 
@@ -322,61 +323,61 @@ impl ProfileReport {
         if bytes.len() > MAX_ENCODED_LEN {
             return Err(format!("profile dump exceeds {MAX_ENCODED_LEN} bytes"));
         }
-        let mut c = Cursor { bytes, pos: 0 };
-        if c.take(4)? != MAGIC {
+        let c = &mut &bytes[..];
+        if codec::take(c, 4)? != MAGIC {
             return Err("bad profile magic".into());
         }
-        let version = c.u16()?;
+        let version = codec::u16(c)?;
         if version != VERSION {
             return Err(format!("unsupported profile version {version}"));
         }
-        let samples_total = c.u64()?;
-        let samples_dropped = c.u64()?;
+        let samples_total = codec::u64(c)?;
+        let samples_dropped = codec::u64(c)?;
 
-        let n_scopes = c.count(MAX_WIRE_SCOPES, 2 + 1 + 5 * 8, "scopes")?;
+        let n_scopes = count(c, MAX_WIRE_SCOPES, 2 + 1 + 5 * 8)?;
         let mut scopes = Vec::with_capacity(n_scopes);
         for _ in 0..n_scopes {
             scopes.push(ScopeEntry {
-                name: c.name()?,
-                calls: c.u64()?,
-                total_ns: c.u64()?,
-                child_ns: c.u64()?,
-                allocs: c.u64()?,
-                alloc_bytes: c.u64()?,
+                name: name(c)?,
+                calls: codec::u64(c)?,
+                total_ns: codec::u64(c)?,
+                child_ns: codec::u64(c)?,
+                allocs: codec::u64(c)?,
+                alloc_bytes: codec::u64(c)?,
             });
         }
         if !scopes.windows(2).all(|w| w[0].name < w[1].name) {
             return Err("scopes not in canonical order".into());
         }
 
-        let n_locks = c.count(MAX_WIRE_LOCKS, 2 + 1 + 3 * 8 + 2 * 33, "locks")?;
+        let n_locks = count(c, MAX_WIRE_LOCKS, 2 + 1 + 3 * 8 + 2 * 33)?;
         let mut locks = Vec::with_capacity(n_locks);
         for _ in 0..n_locks {
             locks.push(LockSnapshot {
-                name: c.name()?,
-                acquisitions: c.u64()?,
-                contended: c.u64()?,
-                poisoned: c.u64()?,
-                wait: c.hist()?,
-                hold: c.hist()?,
+                name: name(c)?,
+                acquisitions: codec::u64(c)?,
+                contended: codec::u64(c)?,
+                poisoned: codec::u64(c)?,
+                wait: hist(c)?,
+                hold: hist(c)?,
             });
         }
         if !locks.windows(2).all(|w| w[0].name < w[1].name) {
             return Err("locks not in canonical order".into());
         }
 
-        let n_stacks = c.count(MAX_WIRE_STACKS, 1 + (2 + 1) + 8, "stacks")?;
+        let n_stacks = count(c, MAX_WIRE_STACKS, 1 + (2 + 1) + 8)?;
         let mut stacks = Vec::with_capacity(n_stacks);
         for _ in 0..n_stacks {
-            let depth = c.u8()? as usize;
+            let depth = codec::u8(c)? as usize;
             if depth == 0 || depth > scope::MAX_DEPTH {
                 return Err(format!("stack depth {depth} out of range"));
             }
             let mut frames = Vec::with_capacity(depth);
             for _ in 0..depth {
-                frames.push(c.name()?);
+                frames.push(name(c)?);
             }
-            let count = c.u64()?;
+            let count = codec::u64(c)?;
             if count == 0 {
                 return Err("zero-count stack entry".into());
             }
@@ -385,7 +386,7 @@ impl ProfileReport {
         if !stacks.windows(2).all(|w| w[0].frames < w[1].frames) {
             return Err("stacks not in canonical order".into());
         }
-        if c.pos != bytes.len() {
+        if !c.is_empty() {
             return Err("trailing bytes after profile report".into());
         }
         Ok(ProfileReport {
@@ -434,18 +435,6 @@ fn json_str(s: &str) -> String {
     out
 }
 
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
 fn put_name(buf: &mut Vec<u8>, s: &str) {
     debug_assert!(!s.is_empty() && s.len() <= MAX_NAME_LEN);
     put_u16(buf, s.len() as u16);
@@ -463,81 +452,36 @@ fn put_hist(buf: &mut Vec<u8>, h: &HistSnapshot) {
     }
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// A section's `u32` element count, admitted by the shared guard.
+fn count(c: &mut &[u8], cap: usize, min_elem: usize) -> Result<usize, String> {
+    let n = codec::u32(c)? as usize;
+    Ok(codec::count(c, n, cap, min_elem)?)
 }
 
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.bytes.len() - self.pos < n {
-            return Err("truncated profile report".into());
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+fn name(c: &mut &[u8]) -> Result<String, String> {
+    let len = codec::u16(c)? as usize;
+    if len == 0 || len > MAX_NAME_LEN {
+        return Err(format!("name length {len} out of range"));
     }
+    std::str::from_utf8(codec::take(c, len)?)
+        .map(str::to_string)
+        .map_err(|_| "name is not UTF-8".into())
+}
 
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
+fn hist(c: &mut &[u8]) -> Result<HistSnapshot, String> {
+    let (count, sum) = (codec::u64(c)?, codec::u64(c)?);
+    let (min, max) = (codec::u64(c)?, codec::u64(c)?);
+    let n = usize::from(codec::u8(c)?);
+    let n = codec::count(c, n, NUM_BUCKETS, 9)?;
+    let mut pairs = Vec::with_capacity(n);
+    for _ in 0..n {
+        pairs.push((codec::u8(c)?, codec::u64(c)?));
     }
-
-    fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+    let h = HistSnapshot::from_occupied(count, sum, min, max, pairs)?;
+    if !h.is_consistent() {
+        return Err("inconsistent histogram".into());
     }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Read an element count and reject it before allocating if the
-    /// remaining bytes cannot possibly hold that many minimum-size
-    /// elements (the hostile-length guard every wire decoder here uses).
-    fn count(&mut self, max: usize, min_elem: usize, what: &str) -> Result<usize, String> {
-        let n = self.u32()? as usize;
-        if n > max {
-            return Err(format!("{what} count {n} exceeds cap {max}"));
-        }
-        if self
-            .bytes
-            .len()
-            .saturating_sub(self.pos)
-            .checked_div(min_elem)
-            .is_some_and(|cap| n > cap)
-        {
-            return Err(format!("{what} count {n} exceeds bytes present"));
-        }
-        Ok(n)
-    }
-
-    fn name(&mut self) -> Result<String, String> {
-        let len = self.u16()? as usize;
-        if len == 0 || len > MAX_NAME_LEN {
-            return Err(format!("name length {len} out of range"));
-        }
-        let raw = self.take(len)?;
-        std::str::from_utf8(raw)
-            .map(str::to_string)
-            .map_err(|_| "name is not UTF-8".into())
-    }
-
-    fn hist(&mut self) -> Result<HistSnapshot, String> {
-        let (count, sum, min, max) = (self.u64()?, self.u64()?, self.u64()?, self.u64()?);
-        let n = usize::from(self.u8()?);
-        let mut pairs = Vec::with_capacity(n);
-        for _ in 0..n {
-            pairs.push((self.u8()?, self.u64()?));
-        }
-        let h = HistSnapshot::from_occupied(count, sum, min, max, pairs)?;
-        if !h.is_consistent() {
-            return Err("inconsistent histogram".into());
-        }
-        Ok(h)
-    }
+    Ok(h)
 }
 
 #[cfg(test)]

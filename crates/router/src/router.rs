@@ -43,6 +43,7 @@ use pq_telemetry::{
     Telemetry, TraceClock, TraceContext,
 };
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -205,6 +206,33 @@ struct StandingPartial {
     dead: bool,
 }
 
+/// One routed request's trace: the `route` span it reserved and when it
+/// began, the context backends continue as that span's children, and
+/// whether a backend's Busy shed force-sampled the retried context.
+struct RouteTrace<'a> {
+    clock: &'a TraceClock,
+    tracer: Option<ActiveTrace>,
+    span: u64,
+    start: u64,
+    child: Option<TraceContext>,
+    upgraded: bool,
+}
+
+impl RouteTrace<'_> {
+    /// Record a child of the `route` span from `start` until now.
+    fn record(&mut self, name: &str, start: u64, tag: impl fmt::Display) {
+        if let Some(t) = self.tracer.as_mut() {
+            t.record(
+                name,
+                self.span,
+                start,
+                self.clock.now_ns(),
+                &tag.to_string(),
+            );
+        }
+    }
+}
+
 /// Transient failures fail over to a replica; authoritative ones do not
 /// (every replica holds the same data and would answer identically).
 fn transient(err: &ClientError) -> bool {
@@ -364,13 +392,17 @@ impl Shared {
     }
 
     /// Scatter one epoch slice: owners in rendezvous order, failing
-    /// over on transient errors, quarantined owners as last resort.
+    /// over on transient errors, quarantined owners as last resort. Each
+    /// attempt continues `rt` on the pooled client and folds a downstream
+    /// sample upgrade back into it; every attempt after the first is a
+    /// `failover` span.
     fn shard_call<T>(
         &self,
         port: u16,
         epoch: u64,
         contacted: &mut BTreeSet<usize>,
-        mut call: impl FnMut(&Self, usize) -> Result<T, ClientError>,
+        rt: &mut RouteTrace<'_>,
+        mut call: impl FnMut(&mut Client, &RetryPolicy) -> Result<T, ClientError>,
     ) -> Result<T, ClientError> {
         let owners = self.owners(port, epoch);
         let mut last_err = None;
@@ -379,7 +411,21 @@ impl Shared {
                 self.instruments.failovers.inc();
             }
             contacted.insert(bi);
-            match call(self, bi) {
+            let attempt_start = self.trace_clock.now_ns();
+            let out = self.sub_call(bi, |client| {
+                client.set_trace_context(rt.child);
+                let r = call(client, &self.config.retry);
+                if let Some(c) = client.trace_context() {
+                    rt.upgraded |= c.sampled;
+                }
+                client.set_trace_context(None);
+                r
+            });
+            if attempt > 0 {
+                let backend = &self.backends[bi].spec.name;
+                rt.record(names::SPAN_FAILOVER, attempt_start, backend);
+            }
+            match out {
                 Ok(v) => return Ok(v),
                 Err(e) if transient(&e) => last_err = Some(e),
                 Err(e) => return Err(e),
@@ -389,48 +435,51 @@ impl Shared {
         Err(last_err.unwrap_or_else(|| ClientError::Protocol("no backends configured".into())))
     }
 
-    /// Start an [`ActiveTrace`] for one routed request when tracing is
-    /// enabled: continue the propagated context, or originate a root here
-    /// so router-edge queries are traceable too.
-    fn start_trace(&self, trace: Option<TraceContext>) -> Option<ActiveTrace> {
+    /// Start one routed request's trace. With tracing enabled it continues
+    /// the propagated context, or originates a root here so router-edge
+    /// queries are traceable too, and reserves the `route` span.
+    fn start_trace(&self, trace: Option<TraceContext>) -> RouteTrace<'_> {
+        let start = self.trace_clock.now_ns();
         let traces = self.instruments.plane.traces();
-        if !traces.is_enabled() {
-            return None;
-        }
-        let ctx = trace.unwrap_or_else(|| {
-            let tid = new_trace_id();
-            TraceContext::root(tid, traces.should_sample(tid))
+        let mut tracer = traces.is_enabled().then(|| {
+            let ctx = trace.unwrap_or_else(|| {
+                let tid = new_trace_id();
+                TraceContext::root(tid, traces.should_sample(tid))
+            });
+            ActiveTrace::new(ctx, "router")
         });
-        Some(ActiveTrace::new(ctx, "router"))
+        let span = tracer.as_mut().map(ActiveTrace::reserve).unwrap_or(0);
+        let child = tracer.as_ref().map(|t| t.ctx().child(span));
+        RouteTrace {
+            clock: &self.trace_clock,
+            tracer,
+            span,
+            start,
+            child,
+            upgraded: false,
+        }
     }
 
     /// Close a routed request's `route` span and commit the trace when it
-    /// is sampled (originally, or `upgraded` by a Busy shed downstream)
-    /// or slow.
-    fn finish_trace(
-        &self,
-        tracer: Option<ActiveTrace>,
-        route_span: u64,
-        route_start: u64,
-        upgraded: bool,
-        errored: bool,
-    ) {
-        let Some(mut t) = tracer else { return };
-        let end = self.trace_clock.now_ns();
+    /// is sampled (originally, or upgraded by a Busy shed downstream) or
+    /// slow.
+    fn finish_trace(&self, rt: RouteTrace<'_>, errored: bool) {
+        let Some(mut t) = rt.tracer else { return };
+        let end = rt.clock.now_ns();
         let ctx = t.ctx();
         t.record_with_id(
-            route_span,
+            rt.span,
             names::SPAN_ROUTE,
             ctx.parent_span,
-            route_start,
+            rt.start,
             end,
             if errored { "error" } else { "ok" },
         );
         let traces = self.instruments.plane.traces();
-        let duration = end.saturating_sub(route_start);
+        let duration = end.saturating_sub(rt.start);
         let slow = traces.is_slow(duration);
-        if ctx.sampled || upgraded || slow {
-            traces.commit(t.finish(route_span, duration, slow));
+        if ctx.sampled || rt.upgraded || slow {
+            traces.commit(t.finish(rt.span, duration, slow));
         }
     }
 
@@ -442,14 +491,10 @@ impl Shared {
             Request::QueueMonitor { .. } => unreachable!("monitor has its own path"),
             Request::Rtt { .. } => unreachable!("rtt has its own path"),
         };
-        let route_start = self.trace_clock.now_ns();
-        let mut tracer = self.start_trace(trace);
-        let route_span = tracer.as_mut().map(ActiveTrace::reserve).unwrap_or(0);
         // Backends continue the trace as children of the route span; a
         // backend that sheds with Busy force-samples the retried context,
         // and the flag surfaces back here through the pooled client.
-        let child = tracer.as_ref().map(|t| t.ctx().child(route_span));
-        let mut upgraded = false;
+        let mut rt = self.start_trace(trace);
         let slices = epochs(from, to, self.config.epoch_ns);
         let mut contacted = BTreeSet::new();
         let mut partials = Vec::with_capacity(slices.len());
@@ -468,32 +513,8 @@ impl Shared {
                     d,
                 },
             };
-            let mut attempt = 0u32;
-            let got = self.shard_call(port, slice.epoch, &mut contacted, |shared, bi| {
-                let attempt_start = shared.trace_clock.now_ns();
-                let failed_over = attempt > 0;
-                attempt += 1;
-                let out = shared.sub_call(bi, |client| {
-                    client.set_trace_context(child);
-                    let r = client.query_retry(sub_req, &shared.config.retry);
-                    if let Some(c) = client.trace_context() {
-                        upgraded |= c.sampled;
-                    }
-                    client.set_trace_context(None);
-                    r
-                });
-                if failed_over {
-                    if let Some(t) = tracer.as_mut() {
-                        t.record(
-                            names::SPAN_FAILOVER,
-                            route_span,
-                            attempt_start,
-                            shared.trace_clock.now_ns(),
-                            &shared.backends[bi].spec.name,
-                        );
-                    }
-                }
-                out
+            let got = self.shard_call(port, slice.epoch, &mut contacted, &mut rt, |c, retry| {
+                c.query_retry(sub_req, retry)
             });
             match got {
                 Ok(partial) => partials.push(partial),
@@ -512,15 +533,7 @@ impl Shared {
             None => {
                 let merge_start = self.trace_clock.now_ns();
                 let merged = merge_results(partials).expect("epochs() never returns zero slices");
-                if let Some(t) = tracer.as_mut() {
-                    t.record(
-                        names::SPAN_MERGE,
-                        route_span,
-                        merge_start,
-                        self.trace_clock.now_ns(),
-                        &slices.len().to_string(),
-                    );
-                }
+                rt.record(names::SPAN_MERGE, merge_start, slices.len());
                 self.instruments.completed(if replay_d.is_some() {
                     "replay"
                 } else {
@@ -530,7 +543,7 @@ impl Shared {
             }
         };
         let errored = matches!(frames.first(), Some(Frame::Error { .. }));
-        self.finish_trace(tracer, route_span, route_start, upgraded, errored);
+        self.finish_trace(rt, errored);
         frames
     }
 
@@ -543,39 +556,11 @@ impl Shared {
         at: u64,
         trace: Option<TraceContext>,
     ) -> Vec<Frame> {
-        let route_start = self.trace_clock.now_ns();
-        let mut tracer = self.start_trace(trace);
-        let route_span = tracer.as_mut().map(ActiveTrace::reserve).unwrap_or(0);
-        let child = tracer.as_ref().map(|t| t.ctx().child(route_span));
-        let mut upgraded = false;
+        let mut rt = self.start_trace(trace);
         let epoch = epoch_of(at, self.config.epoch_ns);
         let mut contacted = BTreeSet::new();
-        let mut attempt = 0u32;
-        let got = self.shard_call(port, epoch, &mut contacted, |shared, bi| {
-            let attempt_start = shared.trace_clock.now_ns();
-            let failed_over = attempt > 0;
-            attempt += 1;
-            let out = shared.sub_call(bi, |client| {
-                client.set_trace_context(child);
-                let r = client.queue_monitor_retry(port, at, &shared.config.retry);
-                if let Some(c) = client.trace_context() {
-                    upgraded |= c.sampled;
-                }
-                client.set_trace_context(None);
-                r
-            });
-            if failed_over {
-                if let Some(t) = tracer.as_mut() {
-                    t.record(
-                        names::SPAN_FAILOVER,
-                        route_span,
-                        attempt_start,
-                        shared.trace_clock.now_ns(),
-                        &shared.backends[bi].spec.name,
-                    );
-                }
-            }
-            out
+        let got = self.shard_call(port, epoch, &mut contacted, &mut rt, |c, retry| {
+            c.queue_monitor_retry(port, at, retry)
         });
         self.instruments.fanout.record(contacted.len() as u64);
         let frames = match got {
@@ -594,7 +579,7 @@ impl Shared {
             }
         };
         let errored = matches!(frames.first(), Some(Frame::Error { .. }));
-        self.finish_trace(tracer, route_span, route_start, upgraded, errored);
+        self.finish_trace(rt, errored);
         frames
     }
 
@@ -614,43 +599,14 @@ impl Shared {
         max_flows: u32,
         trace: Option<TraceContext>,
     ) -> Vec<Frame> {
-        let route_start = self.trace_clock.now_ns();
-        let mut tracer = self.start_trace(trace);
-        let route_span = tracer.as_mut().map(ActiveTrace::reserve).unwrap_or(0);
-        let child = tracer.as_ref().map(|t| t.ctx().child(route_span));
-        let mut upgraded = false;
+        let mut rt = self.start_trace(trace);
         let slices = epochs(from, to, self.config.epoch_ns);
         let mut contacted = BTreeSet::new();
         let mut partials = Vec::with_capacity(slices.len());
         let mut failed: Option<(usize, ClientError)> = None;
         for (si, slice) in slices.iter().enumerate() {
-            let (sub_from, sub_to) = (slice.from, slice.to);
-            let mut attempt = 0u32;
-            let got = self.shard_call(port, slice.epoch, &mut contacted, |shared, bi| {
-                let attempt_start = shared.trace_clock.now_ns();
-                let failed_over = attempt > 0;
-                attempt += 1;
-                let out = shared.sub_call(bi, |client| {
-                    client.set_trace_context(child);
-                    let r = client.rtt_retry(port, sub_from, sub_to, 0, &shared.config.retry);
-                    if let Some(c) = client.trace_context() {
-                        upgraded |= c.sampled;
-                    }
-                    client.set_trace_context(None);
-                    r
-                });
-                if failed_over {
-                    if let Some(t) = tracer.as_mut() {
-                        t.record(
-                            names::SPAN_FAILOVER,
-                            route_span,
-                            attempt_start,
-                            shared.trace_clock.now_ns(),
-                            &shared.backends[bi].spec.name,
-                        );
-                    }
-                }
-                out
+            let got = self.shard_call(port, slice.epoch, &mut contacted, &mut rt, |c, retry| {
+                c.rtt_retry(port, slice.from, slice.to, 0, retry)
             });
             match got {
                 Ok(partial) => partials.push(partial),
@@ -675,15 +631,7 @@ impl Shared {
                 self.instruments.rtt_merges.inc();
                 let dropped = merged.truncate_flows(max_flows as usize);
                 let degraded = merged.degraded() || dropped > 0;
-                if let Some(t) = tracer.as_mut() {
-                    t.record(
-                        names::SPAN_RTT_MERGE,
-                        route_span,
-                        merge_start,
-                        self.trace_clock.now_ns(),
-                        &partials.len().to_string(),
-                    );
-                }
+                rt.record(names::SPAN_RTT_MERGE, merge_start, partials.len());
                 self.instruments.completed("rtt");
                 let answer = RemoteRtt {
                     report: merged,
@@ -694,7 +642,7 @@ impl Shared {
             }
         };
         let errored = matches!(frames.first(), Some(Frame::Error { .. }));
-        self.finish_trace(tracer, route_span, route_start, upgraded, errored);
+        self.finish_trace(rt, errored);
         frames
     }
 
@@ -784,10 +732,8 @@ impl Shared {
             return;
         }
         self.instruments.req_standing.inc();
-        let route_start = self.trace_clock.now_ns();
-        let mut tracer = self.start_trace(trace);
-        let route_span = tracer.as_mut().map(ActiveTrace::reserve).unwrap_or(0);
-        let child = tracer.as_ref().map(|t| t.ctx().child(route_span));
+        let mut rt = self.start_trace(trace);
+        let child = rt.child;
         let mut stripped = parsed.clone();
         stripped.predicate = None;
         stripped.top_k = None;
@@ -947,16 +893,8 @@ impl Shared {
             });
             ended = true;
         }
-        if let Some(t) = tracer.as_mut() {
-            t.record(
-                names::SPAN_MERGE,
-                route_span,
-                merge_start,
-                self.trace_clock.now_ns(),
-                &frames.len().to_string(),
-            );
-        }
-        self.finish_trace(tracer, route_span, route_start, false, any_dead);
+        rt.record(names::SPAN_MERGE, merge_start, frames.len());
+        self.finish_trace(rt, any_dead);
         if conn.send(&frames).is_err() || ended {
             return;
         }

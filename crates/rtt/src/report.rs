@@ -14,12 +14,17 @@
 //! oracle regardless of merge order. Clipping sets a `clipped` flag that
 //! ORs across merges, so degradation is never silent.
 //!
-//! The byte codec here is used both as the `.pqa` RTT-segment body
-//! (segment kind 1) and inside serve's wire frames.
+//! The byte layout here is used both as the `.pqa` RTT-segment body
+//! (segment kind 1) and inside serve's wire frames; its varints, cursor
+//! and count guard are the workspace's one codec (`pq_prof::codec`).
 
 use crate::table::{FlowRttTable, RttSample, TableCounters};
 use crate::RttHist;
 use pq_packet::Nanos;
+use pq_telemetry::codec::{self, put_varint};
+
+/// Decode failure with a static reason: the shared codec's error.
+pub use pq_telemetry::codec::Malformed as CodecError;
 
 /// Samples a report retains after merge; beyond this, clipped (flagged).
 pub const MERGE_SAMPLE_CAP: usize = 65_536;
@@ -228,79 +233,65 @@ impl RttReport {
 
     /// Decode a canonical byte form, rejecting malformed or hostile input.
     pub fn decode(bytes: &[u8]) -> Result<RttReport, CodecError> {
-        let mut cur = bytes;
-        let version = get_u8(&mut cur)?;
-        if version != REPORT_VERSION {
+        let cur = &mut &bytes[..];
+        if codec::u8(cur)? != REPORT_VERSION {
             return Err(CodecError("unsupported rtt report version"));
         }
-        let port = get_varint(&mut cur)?;
-        if port > u16::MAX as u64 {
-            return Err(CodecError("port out of range"));
-        }
-        let min_t = get_varint(&mut cur)?;
-        let max_t = get_varint(&mut cur)?;
+        let port =
+            u16::try_from(codec::varint(cur)?).map_err(|_| CodecError("port out of range"))?;
+        let min_t = codec::varint(cur)?;
+        let max_t = codec::varint(cur)?;
         let counters = TableCounters {
-            seq_samples: get_varint(&mut cur)?,
-            spin_edges: get_varint(&mut cur)?,
-            collisions: get_varint(&mut cur)?,
-            evictions: get_varint(&mut cur)?,
-            sample_drops: get_varint(&mut cur)?,
+            seq_samples: codec::varint(cur)?,
+            spin_edges: codec::varint(cur)?,
+            collisions: codec::varint(cur)?,
+            evictions: codec::varint(cur)?,
+            sample_drops: codec::varint(cur)?,
         };
-        let flags = get_u8(&mut cur)?;
+        let flags = codec::u8(cur)?;
         if flags > 1 {
             return Err(CodecError("unknown rtt report flags"));
         }
-        let agg = get_hist(&mut cur)?;
-        let n_flows = get_varint(&mut cur)?;
-        if n_flows > MAX_FLOWS_DECODE {
-            return Err(CodecError("rtt flow count exceeds decode budget"));
-        }
-        let mut flows = Vec::with_capacity(n_flows as usize);
-        let mut prev_flow: Option<u64> = None;
+        let agg = get_hist(cur)?;
+        // A flow is at least its id and an empty histogram's zero count.
+        let n_flows = count(cur, MAX_FLOWS_DECODE, 2)?;
+        let mut flows: Vec<FlowRtt> = Vec::with_capacity(n_flows);
         for _ in 0..n_flows {
-            let flow = get_varint(&mut cur)?;
-            if flow > u32::MAX as u64 {
-                return Err(CodecError("flow id out of range"));
+            let flow = flow_id(cur, "flow id out of range")?;
+            if flows.last().is_some_and(|p| flow <= p.flow) {
+                return Err(CodecError("rtt flows not sorted unique"));
             }
-            if let Some(p) = prev_flow {
-                if flow <= p {
-                    return Err(CodecError("rtt flows not sorted unique"));
-                }
-            }
-            prev_flow = Some(flow);
             flows.push(FlowRtt {
-                flow: flow as u32,
-                hist: get_hist(&mut cur)?,
+                flow,
+                hist: get_hist(cur)?,
             });
         }
-        let n_samples = get_varint(&mut cur)?;
-        if n_samples > MAX_SAMPLES_DECODE {
-            return Err(CodecError("rtt sample count exceeds decode budget"));
-        }
-        let mut samples = Vec::with_capacity(n_samples as usize);
+        // A sample is at least three one-byte varints.
+        let n_samples = count(cur, MAX_SAMPLES_DECODE, 3)?;
+        let mut samples: Vec<RttSample> = Vec::with_capacity(n_samples);
         let mut prev_t = 0u64;
         for _ in 0..n_samples {
-            let dt = get_varint(&mut cur)?;
             let t_ns = prev_t
-                .checked_add(dt)
+                .checked_add(codec::varint(cur)?)
                 .ok_or(CodecError("sample time overflow"))?;
-            let flow = get_varint(&mut cur)?;
-            if flow > u32::MAX as u64 {
-                return Err(CodecError("sample flow id out of range"));
-            }
-            let rtt_ns = get_varint(&mut cur)?;
-            samples.push(RttSample {
+            let sample = RttSample {
                 t_ns,
-                flow: flow as u32,
-                rtt_ns,
-            });
+                flow: flow_id(cur, "sample flow id out of range")?,
+                rtt_ns: codec::varint(cur)?,
+            };
+            // Delta-coded times only rise; at equal times the order of
+            // `(flow, rtt_ns)` is the canonical form's to keep.
+            if samples.last().is_some_and(|p| *p > sample) {
+                return Err(CodecError("rtt samples not in canonical order"));
+            }
+            samples.push(sample);
             prev_t = t_ns;
         }
         if !cur.is_empty() {
             return Err(CodecError("trailing bytes after rtt report"));
         }
         Ok(RttReport {
-            port: port as u16,
+            port,
             min_t,
             max_t,
             agg,
@@ -312,59 +303,19 @@ impl RttReport {
     }
 }
 
-/// Decode failure with a static reason.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CodecError(pub &'static str);
-
-impl std::fmt::Display for CodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "rtt codec: {}", self.0)
-    }
+/// A varint element count, admitted by the shared guard (clamped first,
+/// so a count past the cap stays past it on any word size).
+fn count(cur: &mut &[u8], cap: u64, min_elem: usize) -> Result<usize, CodecError> {
+    let n = codec::varint(cur)?.min(cap + 1) as usize;
+    codec::count(cur, n, cap as usize, min_elem)
 }
 
-impl std::error::Error for CodecError {}
-
-// ---- primitive codec -----------------------------------------------------
-
-/// LEB128-encode `v`.
-pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-/// LEB128-decode from the front of `cur`, advancing it.
-pub fn get_varint(cur: &mut &[u8]) -> Result<u64, CodecError> {
-    let mut v = 0u64;
-    for shift in (0..64).step_by(7) {
-        let byte = get_u8(cur)?;
-        v |= ((byte & 0x7F) as u64) << shift;
-        if byte & 0x80 == 0 {
-            if shift == 63 && byte > 1 {
-                return Err(CodecError("varint overflows u64"));
-            }
-            return Ok(v);
-        }
-    }
-    Err(CodecError("varint too long"))
-}
-
-fn get_u8(cur: &mut &[u8]) -> Result<u8, CodecError> {
-    let (&b, rest) = cur
-        .split_first()
-        .ok_or(CodecError("truncated rtt report"))?;
-    *cur = rest;
-    Ok(b)
+fn flow_id(cur: &mut &[u8], out_of_range: &'static str) -> Result<u32, CodecError> {
+    u32::try_from(codec::varint(cur)?).map_err(|_| CodecError(out_of_range))
 }
 
 /// Encode a histogram: moments, then only the non-empty buckets.
-pub fn put_hist(out: &mut Vec<u8>, h: &RttHist) {
+fn put_hist(out: &mut Vec<u8>, h: &RttHist) {
     put_varint(out, h.count);
     if h.count == 0 {
         return;
@@ -380,19 +331,20 @@ pub fn put_hist(out: &mut Vec<u8>, h: &RttHist) {
 }
 
 /// Decode a histogram, validating internal consistency.
-pub fn get_hist(cur: &mut &[u8]) -> Result<RttHist, CodecError> {
-    let count = get_varint(cur)?;
+fn get_hist(cur: &mut &[u8]) -> Result<RttHist, CodecError> {
+    let count = codec::varint(cur)?;
     if count == 0 {
         return Ok(RttHist::default());
     }
-    let (sum, min, max) = (get_varint(cur)?, get_varint(cur)?, get_varint(cur)?);
-    let nonzero = get_varint(cur)?;
-    if nonzero > REPORT_BUCKETS as u64 {
-        return Err(CodecError("hist bucket count out of range"));
-    }
-    let mut pairs = Vec::with_capacity(nonzero as usize);
+    let (sum, min, max) = (
+        codec::varint(cur)?,
+        codec::varint(cur)?,
+        codec::varint(cur)?,
+    );
+    let nonzero = codec::len(cur, REPORT_BUCKETS)?;
+    let mut pairs = Vec::with_capacity(nonzero);
     for _ in 0..nonzero {
-        pairs.push((get_u8(cur)?, get_varint(cur)?));
+        pairs.push((codec::u8(cur)?, codec::varint(cur)?));
     }
     let h = RttHist::from_occupied(count, sum, min, max, pairs).map_err(CodecError)?;
     if h.buckets[REPORT_BUCKETS] != 0 || !h.is_consistent() {
@@ -482,6 +434,28 @@ mod tests {
         put_hist(&mut bytes, &r.agg);
         put_varint(&mut bytes, MAX_FLOWS_DECODE + 1); // hostile flow count
         assert!(RttReport::decode(&bytes).is_err());
+    }
+
+    /// At equal `t_ns` the delta coding cannot order samples, so the
+    /// decoder does: a body listing `(flow, rtt_ns)` out of order would
+    /// be served as decoded by one daemon and re-sorted by a routed merge.
+    #[test]
+    fn decode_rejects_samples_out_of_canonical_order() {
+        let sample = |t_ns, flow, rtt_ns| RttSample { t_ns, flow, rtt_ns };
+        let mut r = RttReport::empty(2);
+        r.samples = vec![sample(5, 1, 10), sample(9, 4, 30), sample(9, 4, 30)];
+        assert_eq!(RttReport::decode(&r.encode()).unwrap(), r);
+        for (what, samples) in [
+            ("flows descending", [sample(9, 4, 30), sample(9, 3, 30)]),
+            ("rtts descending", [sample(9, 4, 30), sample(9, 4, 20)]),
+        ] {
+            r.samples = samples.to_vec();
+            assert_eq!(
+                RttReport::decode(&r.encode()),
+                Err(CodecError("rtt samples not in canonical order")),
+                "{what}"
+            );
+        }
     }
 
     /// The shared sparse form and consistency rule, through this codec:

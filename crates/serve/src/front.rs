@@ -41,9 +41,7 @@ impl Conn {
     pub fn send(&self, frames: &[Frame]) -> io::Result<()> {
         let mut buf = Vec::with_capacity(64);
         for f in frames {
-            let body = wire::encode_body(f);
-            buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&body);
+            wire::put_frame(&mut buf, f);
         }
         let _guard = self.write.lock().expect("a connection's writer panicked");
         (&self.stream).write_all(&buf)

@@ -33,10 +33,13 @@
 //! `put` beside its `get`, hostile-input caps included), and the
 //! [`Frame`] table lists each frame's tag and ordered fields. The enum,
 //! `encode_body`, `decode_body` and the per-frame unit tests all derive
-//! from that table; `tests/data/wire_golden.hex` pins the bytes.
+//! from that table; `tests/data/wire_golden.hex` pins the bytes. The
+//! integers, the bounded cursor and the count guard underneath are the
+//! workspace's one byte codec, `pq_prof::codec`.
 
 use pq_core::control::CoverageGap;
 use pq_packet::FlowId;
+use pq_prof::codec::{self, put_u128, put_u16, put_u32, put_u64, Malformed};
 use pq_stream::{RttAgg, RTT_BUCKETS};
 use pq_telemetry::{BucketExemplar, Trace, TraceContext, TraceSpan, NUM_BUCKETS};
 use std::fmt;
@@ -397,6 +400,12 @@ impl From<io::Error> for WireError {
     }
 }
 
+impl From<Malformed> for WireError {
+    fn from(m: Malformed) -> WireError {
+        WireError::Malformed(m.0)
+    }
+}
+
 // -- the codec ----------------------------------------------------------------
 
 /// A value with one wire layout: `put` appends it, `get` consumes it from
@@ -408,24 +417,20 @@ pub(crate) trait Wire: Sized {
 }
 
 macro_rules! wire_int {
-    ($($t:ty)*) => {$(
+    ($($t:ident $put:path;)*) => {$(
         impl Wire for $t {
+            #[inline]
             fn put(&self, out: &mut Vec<u8>) {
-                out.extend_from_slice(&self.to_le_bytes());
+                $put(out, *self);
             }
+            #[inline]
             fn get(cur: &mut &[u8]) -> Result<$t, WireError> {
-                const N: usize = std::mem::size_of::<$t>();
-                if cur.len() < N {
-                    return Err(WireError::Malformed("truncated integer"));
-                }
-                let (head, rest) = cur.split_at(N);
-                *cur = rest;
-                Ok(<$t>::from_le_bytes(head.try_into().expect("split_at(N) yields N bytes")))
+                Ok(codec::$t(cur)?)
             }
         }
     )*};
 }
-wire_int!(u8 u16 u32 u64 u128);
+wire_int!(u8 Vec::push; u16 put_u16; u32 put_u32; u64 put_u64; u128 put_u128;);
 
 impl Wire for bool {
     fn put(&self, out: &mut Vec<u8>) {
@@ -474,25 +479,14 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
     }
 }
 
-/// A `u32` length, then that many bytes. A length the remaining input
-/// cannot back is refused before anything is copied.
-fn get_slice<'a>(cur: &mut &'a [u8]) -> Result<&'a [u8], WireError> {
-    let len = u32::get(cur)? as usize;
-    if len > cur.len() {
-        return Err(WireError::Malformed("length exceeds bytes present"));
-    }
-    let (head, rest) = cur.split_at(len);
-    *cur = rest;
-    Ok(head)
-}
-
 impl Wire for String {
     fn put(&self, out: &mut Vec<u8>) {
         (self.len() as u32).put(out);
         out.extend_from_slice(self.as_bytes());
     }
     fn get(cur: &mut &[u8]) -> Result<String, WireError> {
-        let s = std::str::from_utf8(get_slice(cur)?)
+        let len = u32::get(cur)? as usize;
+        let s = std::str::from_utf8(codec::take(cur, len)?)
             .map_err(|_| WireError::Malformed("string not utf-8"))?;
         Ok(s.to_string())
     }
@@ -507,11 +501,11 @@ impl Wire for Vec<u8> {
         out.extend_from_slice(self);
     }
     fn get(cur: &mut &[u8]) -> Result<Vec<u8>, WireError> {
-        let bytes = get_slice(cur)?;
-        if bytes.len() > RTT_BYTES_PER_FRAME {
+        let len = u32::get(cur)? as usize;
+        if len > RTT_BYTES_PER_FRAME {
             return Err(WireError::Malformed("chunk exceeds bytes-per-frame cap"));
         }
-        Ok(bytes.to_vec())
+        Ok(codec::take(cur, len)?.to_vec())
     }
 }
 
@@ -572,12 +566,7 @@ impl<T: Entry> Wire for Vec<T> {
         } else {
             u32::get(cur)? as usize
         };
-        if n > T::CAP {
-            return Err(WireError::Malformed("collection count exceeds its cap"));
-        }
-        if n.saturating_mul(T::MIN_BYTES) > cur.len() {
-            return Err(WireError::Malformed("count exceeds bytes present"));
-        }
+        let n = codec::count(cur, n, T::CAP, T::MIN_BYTES)?;
         let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
             entries.push(T::get(cur)?);
@@ -812,12 +801,10 @@ impl Wire for RttAgg {
             return Err(WireError::Malformed("rtt suffix min exceeds max"));
         }
         let nbuckets = usize::from(u8::get(cur)?);
-        if nbuckets == 0 || nbuckets > RTT_BUCKETS {
+        if nbuckets == 0 {
             return Err(WireError::Malformed("rtt suffix bucket count out of range"));
         }
-        if nbuckets.saturating_mul(9) > cur.len() {
-            return Err(WireError::Malformed("count exceeds bytes present"));
-        }
+        codec::count(cur, nbuckets, RTT_BUCKETS, 9)?;
         let mut total = 0u64;
         let mut prev: Option<u8> = None;
         for _ in 0..nbuckets {
@@ -1247,12 +1234,22 @@ pub fn decode_body(mut body: &[u8]) -> Result<Frame, WireError> {
     Ok(frame)
 }
 
+/// Append one length-prefixed frame to `out`, the body encoded in place
+/// behind its prefix.
+pub(crate) fn put_frame(out: &mut Vec<u8>, frame: &Frame) {
+    let at = out.len();
+    put_u32(out, 0);
+    frame.put(out);
+    let len = (out.len() - at - 4) as u32;
+    debug_assert!(len <= MAX_FRAME_LEN, "oversized frame built");
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+}
+
 /// Write one length-prefixed frame.
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
-    let body = encode_body(frame);
-    debug_assert!(body.len() as u32 <= MAX_FRAME_LEN, "oversized frame built");
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(&body)
+    let mut buf = Vec::with_capacity(32);
+    put_frame(&mut buf, frame);
+    w.write_all(&buf)
 }
 
 /// Read one length-prefixed frame, honoring `max_frame`.

@@ -14,9 +14,10 @@
 //!   top, so most of a monitor is what the previous checkpoint held.
 //!
 //! Monotone quantities (freeze times, cell indices, cycle IDs, stack
-//! sequence numbers) are delta-coded with zigzag varints. Deltas use
-//! *wrapping* arithmetic so every `u64` value — including the
-//! `u64::MAX` sentinels — round-trips losslessly.
+//! sequence numbers) are delta-coded with zigzag varints, from the
+//! workspace's one byte codec (`pq_prof::codec`). Deltas use *wrapping*
+//! arithmetic so every `u64` value — including the `u64::MAX` sentinels —
+//! round-trips losslessly.
 //!
 //! **Queue monitors (format version 2).** A monitor is `len | top` and then
 //! one varint tag per [`SLOT_LEVELS`]-level slot of its array: 0 for a slot
@@ -35,13 +36,13 @@
 //! memory.
 
 use crate::format::{invalid, SLOT_LEVELS, VERSION_V1};
-use crate::varint;
 use pq_core::control::Checkpoint;
 use pq_core::params::TimeWindowConfig;
 use pq_core::queue_monitor::{Entry, Half, QueueMonitorSnapshot, Row};
 use pq_core::snapshot::{QueryInterval, TimeWindowSnapshot};
 use pq_core::time_windows::Cell;
 use pq_packet::FlowId;
+use pq_prof::codec::{self, put_varint, put_zigzag, varint_len};
 use std::io;
 use std::sync::Arc;
 
@@ -131,18 +132,23 @@ struct ChunkMemo {
     bytes: Vec<u8>,
 }
 
+// The per-field helpers of both directions are forced inline: with the
+// varint now inlined from pq-prof, LLVM otherwise keeps them out of line, and
+// a call per cell field halved the encoder's rate.
+#[inline(always)]
 fn put_delta_u64(out: &mut Vec<u8>, prev: &mut Option<u64>, value: u64) {
     match *prev {
-        None => varint::put_u64(out, value),
-        Some(p) => varint::put_i64(out, value.wrapping_sub(p) as i64),
+        None => put_varint(out, value),
+        Some(p) => put_zigzag(out, value.wrapping_sub(p) as i64),
     }
     *prev = Some(value);
 }
 
+#[inline(always)]
 fn read_delta_u64(cursor: &mut &[u8], prev: &mut Option<u64>) -> io::Result<u64> {
     let value = match *prev {
-        None => varint::read_u64(cursor)?,
-        Some(p) => p.wrapping_add(varint::read_i64(cursor)? as u64),
+        None => codec::varint(cursor)?,
+        Some(p) => p.wrapping_add(codec::zigzag(cursor)? as u64),
     };
     *prev = Some(value);
     Ok(value)
@@ -166,7 +172,7 @@ fn put_row(out: &mut Vec<u8>, prev_idx: &mut Option<u64>, prev_seq: &mut Option<
         if *half == Half::default() {
             continue;
         }
-        varint::put_u64(out, u64::from(half.flow.0));
+        put_varint(out, u64::from(half.flow.0));
         put_delta_u64(out, prev_seq, half.seq);
     }
 }
@@ -181,14 +187,14 @@ fn put_slot(
     follows: bool,
 ) {
     let Some(rows) = chunk else {
-        varint::put_u64(out, TAG_EMPTY);
+        put_varint(out, TAG_EMPTY);
         *slot = None;
         return;
     };
     match slot {
         Some(known) if Arc::ptr_eq(&known.rows, rows) || known.rows[..] == rows[..] => {
             if follows {
-                varint::put_u64(out, TAG_SAME);
+                put_varint(out, TAG_SAME);
             } else {
                 out.extend_from_slice(&known.bytes);
             }
@@ -196,7 +202,7 @@ fn put_slot(
         }
         _ => {
             let at = out.len();
-            varint::put_u64(out, TAG_SAME + rows.len() as u64);
+            put_varint(out, TAG_SAME + rows.len() as u64);
             let (mut prev_idx, mut prev_seq) = (None, None);
             for row in rows.iter() {
                 put_row(out, &mut prev_idx, &mut prev_seq, row);
@@ -242,8 +248,8 @@ pub fn encode_checkpoint(
     }
     out.push(flags);
     if let Some(trigger) = cp.trigger {
-        varint::put_u64(out, trigger.from);
-        varint::put_u64(out, trigger.to.saturating_sub(trigger.from));
+        put_varint(out, trigger.from);
+        put_varint(out, trigger.to.saturating_sub(trigger.from));
     }
 
     for w in 0..tw.t {
@@ -262,18 +268,18 @@ pub fn encode_checkpoint(
             // Indices are emitted ascending, so deltas are strictly
             // positive after the first.
             put_delta_u64(out, &mut prev_idx, idx as u64);
-            varint::put_u64(out, u64::from(cell.flow.0));
+            put_varint(out, u64::from(cell.flow.0));
             put_delta_u64(out, &mut prev_cycle, cell.cycle);
         }
-        varint::put_u64(out, occupied);
-        out[runs_at..].rotate_right(varint::len_u64(occupied));
+        put_varint(out, occupied);
+        out[runs_at..].rotate_right(varint_len(occupied));
     }
 
-    varint::put_u64(out, cp.queue_monitors.len() as u64);
+    put_varint(out, cp.queue_monitors.len() as u64);
     memo.monitors.resize_with(cp.queue_monitors.len(), Vec::new);
     for (monitor, slots) in cp.queue_monitors.iter().zip(&mut memo.monitors) {
-        varint::put_u64(out, monitor.len() as u64);
-        varint::put_u64(out, u64::from(monitor.top));
+        put_varint(out, monitor.len() as u64);
+        put_varint(out, u64::from(monitor.top));
         slots.resize_with(monitor.chunks().len(), || None);
         for (chunk, slot) in monitor.chunks().iter().zip(slots) {
             put_slot(out, chunk.as_ref(), slot, follows);
@@ -282,25 +288,17 @@ pub fn encode_checkpoint(
     Ok(())
 }
 
+#[inline(always)]
 fn read_flow(cursor: &mut &[u8]) -> io::Result<FlowId> {
-    let raw = varint::read_u64(cursor)?;
-    if raw > u64::from(u32::MAX) {
-        return Err(invalid("flow id out of u32 range"));
-    }
-    Ok(FlowId(raw as u32))
-}
-
-fn read_flags_byte(cursor: &mut &[u8]) -> io::Result<u8> {
-    let Some((&byte, rest)) = cursor.split_first() else {
-        return Err(invalid("truncated flags byte"));
-    };
-    *cursor = rest;
-    Ok(byte)
+    let raw = codec::varint(cursor)?;
+    u32::try_from(raw)
+        .map(FlowId)
+        .map_err(|_| invalid("flow id out of u32 range"))
 }
 
 /// Decode a row's halves (everything after its level).
 fn read_entry(cursor: &mut &[u8], prev_seq: &mut Option<u64>) -> io::Result<Entry> {
-    let halves = read_flags_byte(cursor)?;
+    let halves = codec::u8(cursor)?;
     if halves & !(HALF_INC | HALF_DEC) != 0 || halves == 0 {
         return Err(invalid("invalid monitor half flags"));
     }
@@ -327,7 +325,7 @@ fn read_rows_v1(
     entries: &mut [Entry],
     prev_seq: &mut Option<u64>,
 ) -> io::Result<()> {
-    let occupied = varint::read_len(cursor, entries.len())?;
+    let occupied = codec::len(cursor, entries.len())?;
     let mut prev_idx: Option<u64> = None;
     let mut last_idx: Option<usize> = None;
     for _ in 0..occupied {
@@ -350,7 +348,7 @@ fn read_slots(
 ) -> io::Result<()> {
     for (c, span) in entries.chunks_mut(SLOT_LEVELS).enumerate() {
         let base = c * SLOT_LEVELS;
-        match varint::read_u64(cursor)? {
+        match codec::varint(cursor)? {
             TAG_EMPTY => {}
             TAG_SAME => {
                 let rows = before
@@ -397,13 +395,13 @@ pub fn decode_checkpoint(
     prev: Option<&Checkpoint>,
 ) -> io::Result<Checkpoint> {
     let frozen_at = read_delta_u64(cursor, &mut state.prev_frozen)?;
-    let flags = read_flags_byte(cursor)?;
+    let flags = codec::u8(cursor)?;
     if flags & !(FLAG_ON_DEMAND | FLAG_TRIGGER | FLAG_FILTERED) != 0 {
         return Err(invalid("unknown checkpoint flags"));
     }
     let trigger = if flags & FLAG_TRIGGER != 0 {
-        let from = varint::read_u64(cursor)?;
-        let len = varint::read_u64(cursor)?;
+        let from = codec::varint(cursor)?;
+        let len = codec::varint(cursor)?;
         Some(QueryInterval::new(from, from.saturating_add(len)))
     } else {
         None
@@ -415,7 +413,7 @@ pub fn decode_checkpoint(
     let mut windows = Vec::with_capacity(t);
     for _ in 0..t {
         let mut window = vec![Cell::EMPTY; cells];
-        let occupied = varint::read_len(cursor, cells)?;
+        let occupied = codec::len(cursor, cells)?;
         let mut prev_idx: Option<u64> = None;
         let mut prev_cycle: Option<u64> = None;
         let mut last_idx: Option<usize> = None;
@@ -433,15 +431,15 @@ pub fn decode_checkpoint(
     }
     let windows = TimeWindowSnapshot::from_parts(*tw, windows, flags & FLAG_FILTERED != 0);
 
-    let n_monitors = varint::read_len(cursor, MAX_MONITORS)?;
+    let n_monitors = codec::len(cursor, MAX_MONITORS)?;
     let mut queue_monitors = Vec::with_capacity(n_monitors);
     let mut prev_seq: Option<u64> = None;
     for m in 0..n_monitors {
         // A monitor entry costs at least one wire byte when occupied, but
         // the array length itself is untrusted — charge it up front.
-        let n_entries = varint::read_len(cursor, u32::MAX as usize)?;
+        let n_entries = codec::len(cursor, u32::MAX as usize)?;
         budget.charge(n_entries as u64 * std::mem::size_of::<Entry>() as u64)?;
-        let top = varint::read_len(cursor, u32::MAX as usize)? as u32;
+        let top = codec::len(cursor, u32::MAX as usize)? as u32;
         if n_entries > 0 && u64::from(top) >= n_entries as u64 {
             return Err(invalid("queue-monitor top beyond entry array"));
         }
@@ -763,7 +761,7 @@ mod tests {
         let mut bytes = encode_one(tw, &head);
         bytes.pop(); // the zero monitor count
         for &field in section {
-            varint::put_u64(&mut bytes, field);
+            put_varint(&mut bytes, field);
         }
         bytes
     }
@@ -933,7 +931,7 @@ mod tests {
         );
         // Two rows, the second's level a zigzag delta: 5 then 3, 5 twice.
         let pair = |delta: i64| {
-            let d = varint::zigzag(delta);
+            let d = ((delta << 1) ^ (delta >> 63)) as u64; // zigzag
             [
                 1,
                 len,
@@ -974,8 +972,7 @@ mod tests {
     }
 
     /// The version-1 encoder as it ran over dense snapshots: every monitor
-    /// array scanned once to count and once to emit, every varint through
-    /// `Write`, no memo. The writer no longer produces version 1; this is
+    /// array scanned once to count and once to emit, no memo. The writer no longer produces version 1; this is
     /// what the v1 decoder is checked against, and its time-window half is
     /// the reference for the one-walk window encoder.
     fn encode_checkpoint_dense(
@@ -991,30 +988,30 @@ mod tests {
                 | (u8::from(cp.windows.is_filtered()) * FLAG_FILTERED),
         );
         if let Some(trigger) = cp.trigger {
-            varint::write_u64(out, trigger.from).unwrap();
-            varint::write_u64(out, trigger.to.saturating_sub(trigger.from)).unwrap();
+            put_varint(out, trigger.from);
+            put_varint(out, trigger.to.saturating_sub(trigger.from));
         }
         for w in 0..tw.t {
             let cells = cp.windows.window(w);
             let occupied = cells.iter().filter(|c| **c != Cell::EMPTY).count();
-            varint::write_u64(out, occupied as u64).unwrap();
+            put_varint(out, occupied as u64);
             let (mut prev_idx, mut prev_cycle) = (None, None);
             for (idx, cell) in cells.iter().enumerate() {
                 if *cell != Cell::EMPTY {
                     delta(out, &mut prev_idx, idx as u64);
-                    varint::write_u64(out, u64::from(cell.flow.0)).unwrap();
+                    put_varint(out, u64::from(cell.flow.0));
                     delta(out, &mut prev_cycle, cell.cycle);
                 }
             }
         }
-        varint::write_u64(out, cp.queue_monitors.len() as u64).unwrap();
+        put_varint(out, cp.queue_monitors.len() as u64);
         let mut prev_seq = None;
         for monitor in &cp.queue_monitors {
             let entries = monitor.to_dense();
-            varint::write_u64(out, entries.len() as u64).unwrap();
-            varint::write_u64(out, u64::from(monitor.top)).unwrap();
+            put_varint(out, entries.len() as u64);
+            put_varint(out, u64::from(monitor.top));
             let occupied = entries.iter().filter(|e| **e != Entry::default()).count();
-            varint::write_u64(out, occupied as u64).unwrap();
+            put_varint(out, occupied as u64);
             let mut prev_idx = None;
             for (idx, entry) in entries.iter().enumerate() {
                 if *entry != Entry::default() {
@@ -1024,11 +1021,11 @@ mod tests {
         }
     }
 
-    /// The reference encoders' delta, through `Write`.
+    /// The reference encoders' delta.
     fn delta(out: &mut Vec<u8>, prev: &mut Option<u64>, value: u64) {
         match *prev {
-            None => varint::write_u64(out, value).unwrap(),
-            Some(p) => varint::write_i64(out, value.wrapping_sub(p) as i64).unwrap(),
+            None => put_varint(out, value),
+            Some(p) => put_zigzag(out, value.wrapping_sub(p) as i64),
         }
         *prev = Some(value);
     }
@@ -1048,7 +1045,7 @@ mod tests {
         );
         for half in [&entry.inc, &entry.dec] {
             if *half != Half::default() {
-                varint::write_u64(out, u64::from(half.flow.0)).unwrap();
+                put_varint(out, u64::from(half.flow.0));
                 delta(out, prev_seq, half.seq);
             }
         }
@@ -1079,22 +1076,22 @@ mod tests {
                 .map(|(level, e)| (level as u64, *e))
                 .collect()
         };
-        varint::write_u64(out, cp.queue_monitors.len() as u64).unwrap();
+        put_varint(out, cp.queue_monitors.len() as u64);
         for (m, monitor) in cp.queue_monitors.iter().enumerate() {
             let entries = monitor.to_dense();
-            varint::write_u64(out, entries.len() as u64).unwrap();
-            varint::write_u64(out, u64::from(monitor.top)).unwrap();
+            put_varint(out, entries.len() as u64);
+            put_varint(out, u64::from(monitor.top));
             let before = prev
                 .and_then(|p| p.queue_monitors.get(m))
                 .map(|b| b.to_dense());
             for c in 0..entries.len().div_ceil(SLOT_LEVELS) {
                 let rows = occupied(&entries, c);
                 if rows.is_empty() {
-                    varint::write_u64(out, TAG_EMPTY).unwrap();
+                    put_varint(out, TAG_EMPTY);
                 } else if before.as_ref().is_some_and(|b| occupied(b, c) == rows) {
-                    varint::write_u64(out, TAG_SAME).unwrap();
+                    put_varint(out, TAG_SAME);
                 } else {
-                    varint::write_u64(out, TAG_SAME + rows.len() as u64).unwrap();
+                    put_varint(out, TAG_SAME + rows.len() as u64);
                     let (mut prev_idx, mut prev_seq) = (None, None);
                     for (level, entry) in &rows {
                         dense_row(out, &mut prev_idx, &mut prev_seq, *level, entry);

@@ -47,11 +47,12 @@
 //! `(previous periodic freeze, freeze]`, so a reader that skips whole
 //! segments must know the chain value at the first decoded checkpoint.
 
-use crate::varint;
+use crate::crc::crc32;
 use pq_core::control::CoverageGap;
 use pq_core::metrics::ControlHealth;
 use pq_core::params::TimeWindowConfig;
 use pq_packet::Nanos;
+use pq_prof::codec::{self, put_u32, put_u64, put_varint};
 use std::io::{self, Write};
 
 /// File magic: "PQAR" (PrintQueue ARchive).
@@ -156,34 +157,32 @@ pub struct SegmentMeta {
     pub kind: u64,
 }
 
-fn write_opt_nanos<W: Write>(w: &mut W, v: Option<Nanos>) -> io::Result<()> {
+fn put_opt_nanos(out: &mut Vec<u8>, v: Option<Nanos>) {
     // 0 = none; the +1 shift keeps t = 0 representable.
-    varint::write_u64(w, v.map_or(0, |t| t.saturating_add(1)))
+    put_varint(out, v.map_or(0, |t| t.saturating_add(1)));
 }
 
 fn read_opt_nanos(cursor: &mut &[u8]) -> io::Result<Option<Nanos>> {
-    Ok(match varint::read_u64(cursor)? {
+    Ok(match codec::varint(cursor)? {
         0 => None,
         v => Some(v - 1),
     })
 }
 
 impl SegmentMeta {
-    /// Encode the in-segment header (everything but offset/len/crc, which
+    /// Append the in-segment header (everything but offset/len/crc, which
     /// frame the segment physically).
-    pub fn write_seg_header<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        varint::write_u64(w, u64::from(self.port))?;
-        varint::write_u64(w, self.count)?;
-        varint::write_u64(w, self.min_t)?;
-        varint::write_u64(w, self.max_t)?;
-        write_opt_nanos(w, self.prev_periodic)?;
-        write_opt_nanos(w, self.last_periodic)?;
+    pub(crate) fn put_seg_header(&self, out: &mut Vec<u8>) {
+        for field in [u64::from(self.port), self.count, self.min_t, self.max_t] {
+            put_varint(out, field);
+        }
+        put_opt_nanos(out, self.prev_periodic);
+        put_opt_nanos(out, self.last_periodic);
         if self.kind != KIND_CHECKPOINTS {
             // Only non-default kinds are written, so kind-0 archives stay
             // byte-identical to the pre-kind format.
-            varint::write_u64(w, self.kind)?;
+            put_varint(out, self.kind);
         }
-        Ok(())
     }
 
     /// Decode an in-segment header; `offset`/`len`/`body_crc` are filled by
@@ -192,10 +191,10 @@ impl SegmentMeta {
     /// header); use [`read_seg_header_delimited`](Self::read_seg_header_delimited)
     /// when the header slice is known.
     pub fn read_seg_header(cursor: &mut &[u8]) -> io::Result<SegmentMeta> {
-        let port = varint::read_len(cursor, u16::MAX as usize)? as u16;
-        let count = varint::read_u64(cursor)?;
-        let min_t = varint::read_u64(cursor)?;
-        let max_t = varint::read_u64(cursor)?;
+        let port = codec::len(cursor, u16::MAX as usize)? as u16;
+        let count = codec::varint(cursor)?;
+        let min_t = codec::varint(cursor)?;
+        let max_t = codec::varint(cursor)?;
         let prev_periodic = read_opt_nanos(cursor)?;
         let last_periodic = read_opt_nanos(cursor)?;
         Ok(SegmentMeta {
@@ -218,7 +217,7 @@ impl SegmentMeta {
         let cursor = &mut hdr;
         let mut meta = Self::read_seg_header(cursor)?;
         if !cursor.is_empty() {
-            meta.kind = varint::read_u64(cursor)?;
+            meta.kind = codec::varint(cursor)?;
         }
         Ok(meta)
     }
@@ -277,17 +276,25 @@ fn health_from_fields(f: [u64; HEALTH_FIELDS]) -> ControlHealth {
     }
 }
 
-/// Encode the trailer index body (segment table + per-port metadata).
-pub fn write_index<W: Write>(
-    w: &mut W,
-    segments: &[SegmentMeta],
-    ports: &[(u16, &PortMeta)],
-) -> io::Result<()> {
-    varint::write_u64(w, segments.len() as u64)?;
+/// Append a segment's frame up to its body: `"PQSG" | hdr_len | SEGHDR |
+/// body_len`. The body and its CRC follow.
+pub(crate) fn put_frame_prefix(out: &mut Vec<u8>, meta: &SegmentMeta, body_len: usize) {
+    let mut hdr = Vec::with_capacity(MAX_SEGHDR_LEN);
+    meta.put_seg_header(&mut hdr);
+    assert!(hdr.len() <= MAX_SEGHDR_LEN);
+    out.extend_from_slice(&SEGMENT_MAGIC);
+    put_varint(out, hdr.len() as u64);
+    out.extend_from_slice(&hdr);
+    put_varint(out, body_len as u64);
+}
+
+/// Append the trailer index body (segment table + per-port metadata).
+fn put_index(out: &mut Vec<u8>, segments: &[SegmentMeta], ports: &[(u16, &PortMeta)]) {
+    put_varint(out, segments.len() as u64);
     for s in segments {
-        varint::write_u64(w, s.offset)?;
-        varint::write_u64(w, s.len)?;
-        varint::write_u64(w, u64::from(s.body_crc))?;
+        put_varint(out, s.offset);
+        put_varint(out, s.len);
+        put_varint(out, u64::from(s.body_crc));
         // Base header only — index entries are parsed inline (no length
         // delimiter), so the kind must not trail here; it rides in the
         // kinds array after the ports section instead.
@@ -295,31 +302,42 @@ pub fn write_index<W: Write>(
             kind: KIND_CHECKPOINTS,
             ..*s
         }
-        .write_seg_header(w)?;
+        .put_seg_header(out);
     }
-    varint::write_u64(w, ports.len() as u64)?;
+    put_varint(out, ports.len() as u64);
     for (port, meta) in ports {
-        varint::write_u64(w, u64::from(*port))?;
-        write_opt_nanos(w, meta.last_periodic)?;
-        varint::write_u64(w, meta.gaps.len() as u64)?;
+        put_varint(out, u64::from(*port));
+        put_opt_nanos(out, meta.last_periodic);
+        put_varint(out, meta.gaps.len() as u64);
         for g in &meta.gaps {
-            varint::write_u64(w, g.from)?;
-            varint::write_u64(w, g.to.saturating_sub(g.from))?;
+            put_varint(out, g.from);
+            put_varint(out, g.to.saturating_sub(g.from));
         }
         for field in health_fields(&meta.health) {
-            varint::write_u64(w, field)?;
+            put_varint(out, field);
         }
     }
     // Segment kinds ride after the ports section, where pre-kind readers
     // never look. Only written when some kind is non-default, so
     // kind-0-only archives stay byte-identical to the old format.
     if segments.iter().any(|s| s.kind != KIND_CHECKPOINTS) {
-        varint::write_u64(w, segments.len() as u64)?;
+        put_varint(out, segments.len() as u64);
         for s in segments {
-            varint::write_u64(w, s.kind)?;
+            put_varint(out, s.kind);
         }
     }
-    Ok(())
+}
+
+/// Append the whole trailer: `"PQIX" | index | crc32(index) | index_len |
+/// "PQEN"`.
+pub(crate) fn put_trailer(out: &mut Vec<u8>, segments: &[SegmentMeta], ports: &[(u16, &PortMeta)]) {
+    out.extend_from_slice(&TRAILER_MAGIC);
+    let at = out.len();
+    put_index(out, segments, ports);
+    let index_len = out.len() - at;
+    put_u32(out, crc32(&out[at..]));
+    put_u64(out, index_len as u64);
+    out.extend_from_slice(&END_MAGIC);
 }
 
 /// A decoded trailer index: every segment's metadata plus per-port
@@ -333,31 +351,29 @@ pub fn read_index(mut cursor: &[u8]) -> io::Result<StoreIndex> {
     let cursor = &mut cursor;
     // Each segment entry takes ≥ 9 bytes, each gap ≥ 2; cap counts by what
     // the index could physically hold.
-    let n_segments = varint::read_len(cursor, cursor.len() / 8 + 1)?;
+    let n_segments = codec::len(cursor, cursor.len() / 8 + 1)?;
     let mut segments = Vec::with_capacity(n_segments.min(4096));
     for _ in 0..n_segments {
-        let offset = varint::read_u64(cursor)?;
-        let len = varint::read_u64(cursor)?;
-        let body_crc = varint::read_u64(cursor)?;
-        if body_crc > u64::from(u32::MAX) {
-            return Err(invalid("index crc out of range"));
-        }
+        let offset = codec::varint(cursor)?;
+        let len = codec::varint(cursor)?;
+        let body_crc =
+            u32::try_from(codec::varint(cursor)?).map_err(|_| invalid("index crc out of range"))?;
         let mut meta = SegmentMeta::read_seg_header(cursor)?;
         meta.offset = offset;
         meta.len = len;
-        meta.body_crc = body_crc as u32;
+        meta.body_crc = body_crc;
         segments.push(meta);
     }
-    let n_ports = varint::read_len(cursor, cursor.len() + 1)?;
+    let n_ports = codec::len(cursor, cursor.len() + 1)?;
     let mut ports = Vec::with_capacity(n_ports.min(4096));
     for _ in 0..n_ports {
-        let port = varint::read_len(cursor, u16::MAX as usize)? as u16;
+        let port = codec::len(cursor, u16::MAX as usize)? as u16;
         let last_periodic = read_opt_nanos(cursor)?;
-        let n_gaps = varint::read_len(cursor, cursor.len() / 2 + 1)?;
+        let n_gaps = codec::len(cursor, cursor.len() / 2 + 1)?;
         let mut gaps = Vec::with_capacity(n_gaps.min(4096));
         for _ in 0..n_gaps {
-            let from = varint::read_u64(cursor)?;
-            let len = varint::read_u64(cursor)?;
+            let from = codec::varint(cursor)?;
+            let len = codec::varint(cursor)?;
             gaps.push(CoverageGap {
                 from,
                 to: from.saturating_add(len),
@@ -365,7 +381,7 @@ pub fn read_index(mut cursor: &[u8]) -> io::Result<StoreIndex> {
         }
         let mut fields = [0u64; HEALTH_FIELDS];
         for f in &mut fields {
-            *f = varint::read_u64(cursor)?;
+            *f = codec::varint(cursor)?;
         }
         ports.push((
             port,
@@ -378,12 +394,12 @@ pub fn read_index(mut cursor: &[u8]) -> io::Result<StoreIndex> {
     }
     // Optional trailing kinds array (absent in pre-kind archives = all 0).
     if !cursor.is_empty() {
-        let n_kinds = varint::read_len(cursor, cursor.len() + 1)?;
+        let n_kinds = codec::len(cursor, cursor.len() + 1)?;
         if n_kinds != segments.len() {
             return Err(invalid("index kinds array mismatches segment count"));
         }
         for s in &mut segments {
-            s.kind = varint::read_u64(cursor)?;
+            s.kind = codec::varint(cursor)?;
         }
     }
     Ok((segments, ports))
@@ -454,7 +470,7 @@ mod tests {
             last_periodic: Some(400),
         };
         let mut buf = Vec::new();
-        write_index(&mut buf, &segments, &[(0, &meta)]).unwrap();
+        put_index(&mut buf, &segments, &[(0, &meta)]);
         let (segs, ports) = read_index(&buf).unwrap();
         assert_eq!(segs, segments);
         assert_eq!(ports.len(), 1);
@@ -490,7 +506,7 @@ mod tests {
             }, // future kind
         ];
         let mut buf = Vec::new();
-        write_index(&mut buf, &segments, &[]).unwrap();
+        put_index(&mut buf, &segments, &[]);
         let (segs, _) = read_index(&buf).unwrap();
         assert_eq!(segs, segments);
     }
@@ -510,16 +526,15 @@ mod tests {
             kind: KIND_CHECKPOINTS,
         };
         let mut buf = Vec::new();
-        write_index(&mut buf, &[seg], &[]).unwrap();
+        put_index(&mut buf, &[seg], &[]);
         // No kinds array: the bytes end right after the (empty) ports
         // section, exactly as the pre-kind writer laid them out.
         let mut expect = Vec::new();
-        varint::write_u64(&mut expect, 1).unwrap();
-        varint::write_u64(&mut expect, seg.offset).unwrap();
-        varint::write_u64(&mut expect, seg.len).unwrap();
-        varint::write_u64(&mut expect, u64::from(seg.body_crc)).unwrap();
-        seg.write_seg_header(&mut expect).unwrap();
-        varint::write_u64(&mut expect, 0).unwrap();
+        for field in [1, seg.offset, seg.len, u64::from(seg.body_crc)] {
+            put_varint(&mut expect, field);
+        }
+        seg.put_seg_header(&mut expect);
+        put_varint(&mut expect, 0);
         assert_eq!(buf, expect);
     }
 
@@ -538,7 +553,7 @@ mod tests {
             kind: KIND_RTT,
         };
         let mut hdr = Vec::new();
-        seg.write_seg_header(&mut hdr).unwrap();
+        seg.put_seg_header(&mut hdr);
         let meta = SegmentMeta::read_seg_header_delimited(&hdr).unwrap();
         assert_eq!(meta.kind, KIND_RTT);
         // A pre-kind reader parsing the same slice stops after the base

@@ -38,7 +38,6 @@ pub mod format;
 pub mod json;
 pub mod reader;
 pub mod replication;
-pub mod varint;
 pub mod writer;
 
 pub use codec::DecodeBudget;

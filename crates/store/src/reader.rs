@@ -21,12 +21,12 @@
 use crate::codec::{decode_checkpoint, CodecState, DecodeBudget};
 use crate::crc::crc32;
 use crate::format::{self, invalid, PortMeta, SegmentMeta};
-use crate::varint;
 use pq_core::coefficient::Coefficients;
 use pq_core::control::{query_slices, Checkpoint, CoverageGap, QueryResult};
 use pq_core::export::CheckpointArchive;
 use pq_core::params::TimeWindowConfig;
 use pq_core::snapshot::{FlowEstimates, QueryInterval};
+use pq_prof::codec;
 use pq_telemetry::{names, Counter, Histogram, Telemetry};
 use std::io::{self, Read, Seek, SeekFrom};
 use std::ops::Range;
@@ -308,19 +308,17 @@ impl<R: Read + Seek> StoreReader<R> {
         self.src.seek(SeekFrom::Start(meta.offset))?;
         let mut frame = vec![0u8; meta.len as usize];
         self.src.read_exact(&mut frame)?;
-        let mut cursor = frame.as_slice();
-        if varint::read_bytes(&mut cursor, 4)? != format::SEGMENT_MAGIC.as_slice() {
+        let cursor = &mut frame.as_slice();
+        if codec::take(cursor, 4)? != format::SEGMENT_MAGIC {
             return Err(invalid("segment magic mismatch"));
         }
-        let hdr_len = varint::read_len(&mut cursor, format::MAX_SEGHDR_LEN)?;
-        let _hdr = varint::read_bytes(&mut cursor, hdr_len)?;
-        let remaining = cursor.len();
-        let body_len = varint::read_len(&mut cursor, remaining)?;
+        let hdr_len = codec::len(cursor, format::MAX_SEGHDR_LEN)?;
+        codec::take(cursor, hdr_len)?;
+        let body_len = codec::len(cursor, cursor.len())?;
         if cursor.len() != body_len + 4 {
             return Err(invalid("segment framing length mismatch"));
         }
-        let (body, stored_crc) = cursor.split_at(body_len);
-        if crc32(body) != u32::from_le_bytes(stored_crc.try_into().unwrap()) {
+        if crc32(codec::take(cursor, body_len)?) != codec::u32(cursor)? {
             return Err(invalid("segment body CRC mismatch"));
         }
         let body_at = frame.len() - 4 - body_len;
@@ -344,23 +342,21 @@ impl<R: Read + Seek> StoreReader<R> {
         let mut tail = [0u8; 12];
         self.src.seek(SeekFrom::Start(file_len - 12))?;
         self.src.read_exact(&mut tail)?;
-        if tail[8..12] != format::END_MAGIC {
-            return Ok(None);
-        }
-        let index_len = u64::from_le_bytes(tail[..8].try_into().unwrap());
-        if index_len > file_len - min_len {
+        let tail = &mut &tail[..];
+        let index_len = codec::u64(tail)?;
+        if *tail != format::END_MAGIC || index_len > file_len - min_len {
             return Ok(None);
         }
         let trailer_start = file_len - 12 - 4 - index_len - 4;
         self.src.seek(SeekFrom::Start(trailer_start))?;
         let mut buf = vec![0u8; (4 + index_len + 4) as usize];
         self.src.read_exact(&mut buf)?;
-        if buf[..4] != format::TRAILER_MAGIC {
+        let trailer = &mut buf.as_slice();
+        if codec::take(trailer, 4)? != format::TRAILER_MAGIC {
             return Ok(None);
         }
-        let index = &buf[4..4 + index_len as usize];
-        let stored_crc = u32::from_le_bytes(buf[4 + index_len as usize..].try_into().unwrap());
-        if crc32(index) != stored_crc {
+        let index = codec::take(trailer, index_len as usize)?;
+        if crc32(index) != codec::u32(trailer)? {
             return Ok(None);
         }
         let Ok((segments, ports)) = format::read_index(index) else {
@@ -401,10 +397,10 @@ impl<R: Read + Seek> StoreReader<R> {
             self.src.read_exact(&mut peek)?;
             let mut cursor = peek.as_slice();
             let parsed = (|| -> io::Result<(SegmentMeta, u64, u64)> {
-                let hdr_len = varint::read_len(&mut cursor, format::MAX_SEGHDR_LEN)?;
-                let hdr = varint::read_bytes(&mut cursor, hdr_len)?;
+                let hdr_len = codec::len(&mut cursor, format::MAX_SEGHDR_LEN)?;
+                let hdr = codec::take(&mut cursor, hdr_len)?;
                 let meta = SegmentMeta::read_seg_header_delimited(hdr)?;
-                let body_len = varint::read_u64(&mut cursor)?;
+                let body_len = codec::varint(&mut cursor)?;
                 let consumed = 4 + (peek_len - cursor.len()) as u64;
                 Ok((meta, body_len, consumed))
             })();

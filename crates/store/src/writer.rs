@@ -29,11 +29,11 @@
 use crate::codec::{encode_checkpoint, CodecState, EncodeMemo};
 use crate::crc::crc32;
 use crate::format::{self, PortMeta, SegmentMeta};
-use crate::varint;
 use pq_core::control::{Checkpoint, CheckpointSink, CoverageGap};
 use pq_core::metrics::ControlHealth;
 use pq_core::params::TimeWindowConfig;
 use pq_packet::Nanos;
+use pq_prof::codec::{put_u32, varint_len, MAX_VARINT_LEN};
 use pq_telemetry::{names, Counter, Histogram, Telemetry};
 use std::collections::BTreeMap;
 use std::io::{self, Write};
@@ -65,9 +65,9 @@ impl Default for SegmentPolicy {
 /// Bytes kept free in front of every segment body for the frame prefix:
 /// segment magic, header length, the header at its largest, body length.
 const HEADROOM: usize = format::SEGMENT_MAGIC.len()
-    + varint::len_u64(format::MAX_SEGHDR_LEN as u64)
+    + varint_len(format::MAX_SEGHDR_LEN as u64)
     + format::MAX_SEGHDR_LEN
-    + varint::MAX_LEN;
+    + MAX_VARINT_LEN;
 // The figure the module docs and DESIGN §8 quote.
 const _: () = assert!(HEADROOM == 272);
 
@@ -280,17 +280,12 @@ impl<W: Write> StoreWriter<W> {
         let body = &buf[HEADROOM..];
         meta.offset = self.pos;
         meta.body_crc = crc32(body);
-        let mut hdr = Vec::new();
-        meta.write_seg_header(&mut hdr)?;
         let mut prefix = Vec::with_capacity(HEADROOM);
-        prefix.extend_from_slice(&format::SEGMENT_MAGIC);
-        varint::put_u64(&mut prefix, hdr.len() as u64);
-        prefix.extend_from_slice(&hdr);
-        varint::put_u64(&mut prefix, body.len() as u64);
-        assert!(hdr.len() <= format::MAX_SEGHDR_LEN && prefix.len() <= HEADROOM);
+        format::put_frame_prefix(&mut prefix, &meta, body.len());
+        assert!(prefix.len() <= HEADROOM);
         let start = HEADROOM - prefix.len();
         buf[start..HEADROOM].copy_from_slice(&prefix);
-        buf.extend_from_slice(&meta.body_crc.to_le_bytes());
+        put_u32(&mut buf, meta.body_crc);
         meta.len = (buf.len() - start) as u64;
         let written = self.out.write_all(&buf[start..]);
         buf.truncate(HEADROOM);
@@ -398,14 +393,9 @@ impl<W: Write> StoreWriter<W> {
         }
         let port_refs: Vec<(u16, &PortMeta)> =
             self.ports.iter().map(|(p, s)| (*p, &s.meta)).collect();
-        let mut index = Vec::new();
-        format::write_index(&mut index, &self.segments, &port_refs)?;
-        let crc = crc32(&index);
-        self.out.write_all(&format::TRAILER_MAGIC)?;
-        self.out.write_all(&index)?;
-        self.out.write_all(&crc.to_le_bytes())?;
-        self.out.write_all(&(index.len() as u64).to_le_bytes())?;
-        self.out.write_all(&format::END_MAGIC)?;
+        let mut trailer = Vec::new();
+        format::put_trailer(&mut trailer, &self.segments, &port_refs);
+        self.out.write_all(&trailer)?;
         self.out.flush()?;
         Ok(self.out)
     }
@@ -570,8 +560,8 @@ mod tests {
             ..w.segments[0]
         };
         let mut hdr = Vec::new();
-        widest.write_seg_header(&mut hdr).unwrap();
-        assert_eq!(hdr.len(), 3 + 6 * varint::MAX_LEN);
+        widest.put_seg_header(&mut hdr);
+        assert_eq!(hdr.len(), 3 + 6 * MAX_VARINT_LEN);
         assert!(hdr.len() <= format::MAX_SEGHDR_LEN);
 
         let written = w.segments.clone();

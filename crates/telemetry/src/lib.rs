@@ -45,6 +45,9 @@ pub use alerts::{
 pub use chrome::{to_chrome_trace, traces_to_chrome};
 pub use delta::{changed, counter_delta, delta, rate_per_sec, GaugeHistory};
 pub use histogram::{BucketExemplar, Histogram, HistogramSnapshot};
+/// The workspace's one byte codec, for crates that reach pq-prof through
+/// this one (pq-rtt's report codec).
+pub use pq_prof::codec;
 pub use pq_prof::hist::{
     bucket_index, bucket_lower_bound, bucket_upper_bound, HistSnapshot, NUM_BUCKETS,
 };

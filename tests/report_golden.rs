@@ -10,13 +10,15 @@
 //! printing the line to append to the file.
 //!
 //! Also here, because it is about what those decoders hand out: folding
-//! decoded reports must not overflow.
+//! decoded reports must not overflow, and no flipped byte of a vector
+//! makes either decoder panic.
 
 use printqueue::prof::{Hist, LockSnapshot, ProfileReport, ScopeEntry, StackEntry};
 use printqueue::rtt::{
     Dir, FlowRtt, FlowRttTable, ObsKind, RttHist, RttObs, RttReport, TableConfig,
 };
 use std::collections::BTreeMap;
+use std::panic::catch_unwind;
 
 const CORPUS: &str = include_str!("data/report_golden.hex");
 
@@ -152,16 +154,20 @@ fn unhex(s: &str) -> Vec<u8> {
         .collect()
 }
 
-#[test]
-fn report_codecs_reproduce_the_golden_corpus() {
-    let corpus: BTreeMap<&str, Vec<u8>> = CORPUS
+fn corpus() -> BTreeMap<&'static str, Vec<u8>> {
+    CORPUS
         .lines()
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
         .map(|l| {
             let (name, bytes) = l.split_once(' ').expect("corpus lines are `name hex`");
             (name, unhex(bytes))
         })
-        .collect();
+        .collect()
+}
+
+#[test]
+fn report_codecs_reproduce_the_golden_corpus() {
+    let corpus = corpus();
     let vectors = vectors();
     for (name, report) in &vectors {
         let encoded = report.encode();
@@ -179,6 +185,33 @@ fn report_codecs_reproduce_the_golden_corpus() {
         );
     }
     assert_eq!(corpus.len(), vectors.len(), "corpus lines without a vector");
+}
+
+/// Every vector with each byte flipped in turn, by each single bit and by
+/// all eight: `Ok` or `Err` from the decoder that wrote it, never a panic.
+/// Cuts are covered by each codec's unit tests; this pins the shared
+/// cursor's hostile-input behaviour on both report formats.
+#[test]
+fn every_single_byte_flip_decodes_or_errs() {
+    let corpus = corpus();
+    for (name, report) in vectors() {
+        let mut bytes = corpus[name].clone();
+        let mut refused = 0;
+        for i in 0..bytes.len() {
+            for mask in (0..8).map(|bit| 1u8 << bit).chain([0xff]) {
+                bytes[i] ^= mask;
+                let decoded = catch_unwind(|| match report {
+                    Report::Prof(_) => ProfileReport::decode(&bytes).is_ok(),
+                    Report::Rtt(_) => RttReport::decode(&bytes).is_ok(),
+                })
+                .unwrap_or_else(|_| panic!("`{name}` byte {i} ^ {mask:#04x} panicked"));
+                refused += usize::from(!decoded);
+                bytes[i] ^= mask;
+            }
+        }
+        // A flipped magic or version byte alone is refused.
+        assert!(refused > 0, "`{name}`: no flip refused");
+    }
 }
 
 /// A peer's bytes can carry any consistent histogram, so folding two

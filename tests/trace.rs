@@ -2,13 +2,14 @@
 //! stitched trace must account for (nearly) all of the client-observed
 //! wall time, answers must be bit-identical with tracing on and off, a
 //! v1 client must interoperate with a tracing server, slow queries must
-//! enter the slow log even when untraced, and latency histograms must
-//! carry exemplars linking buckets back to trace ids.
+//! enter the slow log even when untraced, latency histograms must carry
+//! exemplars linking buckets back to trace ids, and a routed failover must
+//! show up as a span naming the backend that took over.
 
 use printqueue::core::control::{AnalysisProgram, ControlConfig};
 use printqueue::core::params::TimeWindowConfig;
 use printqueue::packet::FlowId;
-use printqueue::router::{BackendSpec, Router, RouterConfig, RouterHandle};
+use printqueue::router::{rendezvous_rank, BackendSpec, Router, RouterConfig, RouterHandle};
 use printqueue::serve::{Client, Request, ServeConfig, Server, ServerHandle, Sources};
 use printqueue::store::{ship_archive, SegmentPolicy, SharedStoreWriter, StoreWriter};
 use printqueue::telemetry::{
@@ -233,6 +234,47 @@ fn routed_trace_accounts_for_client_wall_time() {
     assert!(chrome.contains("route") && chrome.contains("worker_exec"));
     assert!(chrome.contains(&format!("{tid:032x}")));
     assert!(chrome.contains("\"name\": \"router\""));
+
+    router.shutdown().unwrap();
+    for b in backends {
+        b.shutdown().unwrap();
+    }
+    cleanup(&paths);
+}
+
+#[test]
+fn failover_is_a_route_child_span_naming_the_backend_that_answered() {
+    let bytes = build_archive(2_000);
+    let (mut backends, specs, _planes, paths) =
+        spawn_traced_fleet(&bytes, 2, "failover", &ServeConfig::default());
+    // Time is not sharded by default: every query is epoch 0.
+    let ranked = rendezvous_rank(&specs, PORTS[0], 0);
+    let survivor = specs[ranked[1]].name.clone();
+    let (router, _rplane) = spawn_traced_router(specs);
+    let direct = Client::connect(backends[ranked[1]].addr())
+        .unwrap()
+        .query(replay_req(PORTS[0]))
+        .unwrap();
+    backends.remove(ranked[0]).shutdown().unwrap();
+
+    let tid = new_trace_id();
+    let mut client = Client::connect(router.addr()).unwrap();
+    client.set_trace_context(Some(TraceContext::root(tid, true)));
+    let routed = client.query(replay_req(PORTS[0])).unwrap();
+    assert_eq!(routed.estimates.counts, direct.estimates.counts);
+
+    let records = dump_for(router.addr(), tid);
+    let spans: Vec<_> = records.iter().flat_map(|t| &t.spans).collect();
+    let route = spans.iter().find(|s| s.name == names::SPAN_ROUTE).unwrap();
+    let failovers: Vec<_> = spans
+        .iter()
+        .filter(|s| s.name == names::SPAN_FAILOVER)
+        .collect();
+    assert_eq!(failovers.len(), 1, "{spans:?}");
+    let failover = failovers[0];
+    assert_eq!(failover.tag, survivor);
+    assert_eq!(failover.parent_span, route.span_id);
+    assert!(route.start_ns <= failover.start_ns && failover.end_ns <= route.end_ns);
 
     router.shutdown().unwrap();
     for b in backends {

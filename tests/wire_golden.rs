@@ -17,6 +17,7 @@ use printqueue::serve::wire::{
 use printqueue::stream::RttAgg;
 use printqueue::telemetry::{BucketExemplar, Trace, TraceContext, TraceSpan, NUM_BUCKETS};
 use std::collections::{BTreeMap, BTreeSet};
+use std::panic::catch_unwind;
 
 const CORPUS: &str = include_str!("data/wire_golden.hex");
 
@@ -525,16 +526,20 @@ fn unhex(s: &str) -> Vec<u8> {
         .collect()
 }
 
-#[test]
-fn codec_reproduces_the_golden_corpus() {
-    let corpus: BTreeMap<&str, Vec<u8>> = CORPUS
+fn corpus() -> BTreeMap<&'static str, Vec<u8>> {
+    CORPUS
         .lines()
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
         .map(|l| {
             let (name, bytes) = l.split_once(' ').expect("corpus lines are `name hex`");
             (name, unhex(bytes))
         })
-        .collect();
+        .collect()
+}
+
+#[test]
+fn codec_reproduces_the_golden_corpus() {
+    let corpus = corpus();
     let vectors = vectors();
     assert_eq!(
         corpus.len(),
@@ -569,4 +574,24 @@ fn every_frame_tag_has_a_vector() {
     let declared: BTreeSet<u8> = Frame::TAGS.iter().copied().collect();
     assert_eq!(covered, declared, "frame tags without a golden vector");
     assert_eq!(declared.len(), 35, "the tag set is the parent commit's");
+}
+
+/// Every vector with each byte flipped in turn (all eight bits): the
+/// decoder answers `Ok` or `Err` and never panics. Cuts are covered by the
+/// codec's unit tests; this pins the shared cursor's hostile-input
+/// behaviour on every frame shape of the corpus.
+#[test]
+fn every_single_byte_flip_decodes_or_errs() {
+    for (name, mut bytes) in corpus() {
+        let mut refused = 0;
+        for i in 0..bytes.len() {
+            bytes[i] ^= 0xff;
+            let decoded = catch_unwind(|| decode_body(&bytes))
+                .unwrap_or_else(|_| panic!("`{name}` with byte {i} flipped panicked"));
+            refused += usize::from(decoded.is_err());
+            bytes[i] ^= 0xff;
+        }
+        // The tag byte alone flips to an unknown frame type.
+        assert!(refused > 0, "`{name}`: no flip refused");
+    }
 }

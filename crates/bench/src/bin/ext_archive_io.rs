@@ -1,24 +1,21 @@
-//! Extension experiment: checkpoint archive I/O — JSON vs. the `.pqa`
+//! Extension experiment: checkpoint archive I/O through the `.pqa`
 //! segmented binary store.
 //!
-//! Sweeps the archive size (number of spilled checkpoints) and measures,
-//! for each format: bytes on disk, encode and full-decode wall time, and
-//! the latency of a narrow time-range replay-query. The `.pqa` path
-//! answers that query from the trailer index by decoding only the
-//! overlapping segments; the JSON path has no index and must parse the
-//! whole archive first. The two headline ratios (size shrink, pruned
-//! query speedup) are the acceptance numbers for the store subsystem.
+//! Sweeps the archive size (number of spilled checkpoints) and measures
+//! bytes on disk, streaming encode and full-decode wall time, and the
+//! latency of a narrow time-range replay-query. The store answers that
+//! query from the trailer index by decoding only the overlapping segments;
+//! the baseline is what a store without the index would do — decode every
+//! checkpoint (`read_all`) and walk them all (`query_slices`). The pruned
+//! query speedup over it is the acceptance number for the index.
 
 use pq_bench::report::{write_json, CommonArgs, Table};
 use pq_core::coefficient::Coefficients;
-use pq_core::control::{AnalysisProgram, ControlConfig};
-use pq_core::export::CheckpointArchive;
+use pq_core::control::{query_slices, AnalysisProgram, ControlConfig};
 use pq_core::params::TimeWindowConfig;
-use pq_core::snapshot::QueryInterval;
+use pq_core::snapshot::{FlowEstimates, QueryInterval};
 use pq_packet::FlowId;
-use pq_store::{
-    archives_from_json, ArchiveFormat, SegmentPolicy, SharedStoreWriter, StoreReader, StoreWriter,
-};
+use pq_store::{SegmentPolicy, SharedStoreWriter, StoreReader, StoreWriter};
 use serde::Serialize;
 use std::io::Cursor;
 use std::time::Instant;
@@ -29,14 +26,10 @@ const MIN_PKT_TX_DELAY: u64 = 110;
 #[derive(Serialize)]
 struct Row {
     checkpoints: u64,
-    json_bytes: u64,
     pqa_bytes: u64,
-    size_ratio: f64,
-    json_encode_ms: f64,
     pqa_encode_ms: f64,
-    json_decode_ms: f64,
     pqa_decode_ms: f64,
-    json_full_query_ms: f64,
+    full_scan_query_ms: f64,
     pqa_pruned_query_ms: f64,
     query_speedup: f64,
     segments: usize,
@@ -95,7 +88,7 @@ fn time_ms<F: FnMut()>(reps: usize, mut f: F) -> f64 {
 
 fn run_one(n_checkpoints: u64, reps: usize) -> Row {
     // Encode: spill streaming into an in-memory .pqa while the program
-    // runs, exactly as `pqsim archive --format pqa` does.
+    // runs, exactly as `pqsim archive` does.
     let pqa_start = Instant::now();
     let writer = StoreWriter::new(Vec::new(), tw(), SegmentPolicy::default()).unwrap();
     let handle = SharedStoreWriter::new(writer);
@@ -103,67 +96,47 @@ fn run_one(n_checkpoints: u64, reps: usize) -> Row {
     handle.with(|w| w.set_health(0, ap.health())).unwrap();
     let pqa_bytes_buf = handle.finish().unwrap();
     let pqa_encode_ms = pqa_start.elapsed().as_secs_f64() * 1e3;
-
-    let json_start = Instant::now();
-    let archive = CheckpointArchive::capture(&ap, 0);
-    let mut json_bytes_buf = Vec::new();
-    archive.write_json(&mut json_bytes_buf).unwrap();
-    let json_encode_ms = json_start.elapsed().as_secs_f64() * 1e3;
+    let open = || StoreReader::open(Cursor::new(pqa_bytes_buf.as_slice())).unwrap();
 
     // Full decode: bytes back to in-RAM archives.
-    let json_text = std::str::from_utf8(&json_bytes_buf).unwrap();
-    let json_decode_ms = time_ms(reps, || {
-        let archives = archives_from_json(json_text).unwrap();
-        assert_eq!(archives[0].checkpoints.len() as u64, n_checkpoints);
-    });
     let pqa_decode_ms = time_ms(reps, || {
-        let mut reader = StoreReader::open(Cursor::new(pqa_bytes_buf.as_slice())).unwrap();
-        let archives = reader.read_all().unwrap();
+        let archives = open().read_all().unwrap();
         assert_eq!(archives[0].checkpoints.len() as u64, n_checkpoints);
     });
 
     // Replay-query: a narrow interval near the end of the run (the usual
-    // "diagnose this recent victim" shape). JSON must parse everything;
-    // .pqa opens the trailer and decodes only overlapping segments.
+    // "diagnose this recent victim" shape). The full scan decodes and
+    // walks everything; the index decodes only overlapping segments.
     let t_end = n_checkpoints * POLL_PERIOD;
     let interval = QueryInterval::new(t_end.saturating_sub(4 * POLL_PERIOD), t_end);
     let coeffs = Coefficients::compute(&tw(), MIN_PKT_TX_DELAY);
-    let reference = {
-        let mut reader = StoreReader::open(Cursor::new(pqa_bytes_buf.as_slice())).unwrap();
-        reader.query(0, interval, &coeffs).unwrap()
-    };
-    let json_full_query_ms = time_ms(reps, || {
-        let archives = archives_from_json(json_text).unwrap();
-        let result = archives[0].query_result(interval, &coeffs);
-        assert_eq!(result.estimates.counts, reference.estimates.counts);
+    let reference = open().query(0, interval, &coeffs).unwrap();
+    let full_scan_query_ms = time_ms(reps, || {
+        let archives = open().read_all().unwrap();
+        let mut estimates = FlowEstimates::default();
+        query_slices(
+            &archives[0].checkpoints,
+            interval,
+            &coeffs,
+            None,
+            &mut estimates,
+        );
+        assert_eq!(estimates.counts, reference.estimates.counts);
     });
     let pqa_pruned_query_ms = time_ms(reps, || {
-        let mut reader = StoreReader::open(Cursor::new(pqa_bytes_buf.as_slice())).unwrap();
-        let result = reader.query(0, interval, &coeffs).unwrap();
+        let result = open().query(0, interval, &coeffs).unwrap();
         assert_eq!(result.estimates.counts, reference.estimates.counts);
     });
 
-    let segments = StoreReader::open(Cursor::new(pqa_bytes_buf.as_slice()))
-        .unwrap()
-        .segments()
-        .len();
-    assert_eq!(
-        ArchiveFormat::sniff(&pqa_bytes_buf).unwrap(),
-        ArchiveFormat::Pqa
-    );
     Row {
         checkpoints: n_checkpoints,
-        json_bytes: json_bytes_buf.len() as u64,
         pqa_bytes: pqa_bytes_buf.len() as u64,
-        size_ratio: json_bytes_buf.len() as f64 / pqa_bytes_buf.len() as f64,
-        json_encode_ms,
         pqa_encode_ms,
-        json_decode_ms,
         pqa_decode_ms,
-        json_full_query_ms,
+        full_scan_query_ms,
         pqa_pruned_query_ms,
-        query_speedup: json_full_query_ms / pqa_pruned_query_ms,
-        segments,
+        query_speedup: full_scan_query_ms / pqa_pruned_query_ms,
+        segments: open().segments().len(),
     }
 }
 
@@ -175,18 +148,16 @@ fn main() {
         (&[128, 512, 2048, 8192], 9)
     };
     eprintln!(
-        "[ext_archive_io] JSON vs .pqa over {:?} checkpoints, median of {reps} reps",
+        "[ext_archive_io] .pqa over {:?} checkpoints, median of {reps} reps",
         counts
     );
 
     let mut rows = Vec::new();
     let mut table = Table::new(vec![
         "checkpoints",
-        "json MB",
         "pqa MB",
-        "shrink",
-        "json query ms",
-        "pqa query ms",
+        "full scan ms",
+        "pruned ms",
         "speedup",
         "segments",
     ]);
@@ -194,16 +165,14 @@ fn main() {
         let row = run_one(n, reps);
         table.row(vec![
             format!("{n}"),
-            format!("{:.2}", row.json_bytes as f64 / 1e6),
             format!("{:.3}", row.pqa_bytes as f64 / 1e6),
-            format!("{:.1}x", row.size_ratio),
-            format!("{:.2}", row.json_full_query_ms),
+            format!("{:.2}", row.full_scan_query_ms),
             format!("{:.3}", row.pqa_pruned_query_ms),
             format!("{:.0}x", row.query_speedup),
             format!("{}", row.segments),
         ]);
         rows.push(row);
     }
-    table.print("Extension — archive I/O: JSON vs segmented .pqa store");
+    table.print("Extension — archive I/O: pruned .pqa query vs a full scan");
     write_json("ext_archive_io", &rows);
 }

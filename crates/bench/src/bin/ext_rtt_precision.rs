@@ -19,10 +19,8 @@
 //! block of `results/ext_rtt_precision.json`.
 
 use pq_bench::report::{f3, write_json_with_meta, CommonArgs, Table};
-use pq_rtt::{RttHook, RttReport, RttWorkload, TableConfig};
-use pq_switch::{PortConfig, QueueHooks, Switch, SwitchConfig};
+use pq_rtt::{RttGrade, RttReport, RttWorkload};
 use serde::{Serialize, Value};
-use std::collections::BTreeSet;
 
 #[derive(Serialize)]
 struct Row {
@@ -38,57 +36,6 @@ struct Row {
     evictions: u64,
     sample_drops: u64,
     degraded: bool,
-}
-
-/// Run one workload through the switch pipeline and measure it.
-fn measure(cfg: &RttWorkload) -> (Vec<RttReport>, Vec<pq_rtt::FlowTruth>) {
-    let trace = cfg.generate();
-    let mut sw = Switch::new(SwitchConfig {
-        ports: vec![
-            PortConfig {
-                rate_gbps: 100.0,
-                ..PortConfig::default()
-            };
-            cfg.ports as usize
-        ],
-        ..SwitchConfig::default()
-    });
-    let mut hook = RttHook::new(&trace.obs, TableConfig::default());
-    {
-        let mut hooks: Vec<&mut dyn QueueHooks> = vec![&mut hook];
-        sw.run(trace.arrivals.iter().cloned(), &mut hooks, 1_000_000);
-    }
-    (hook.reports(), trace.truth)
-}
-
-/// Grade estimates against ground truth over flows with ≥ 8 samples.
-fn grade(reports: &[RttReport], truth: &[pq_rtt::FlowTruth]) -> (Vec<f64>, f64) {
-    let mut errs = Vec::new();
-    let mut est: Vec<(u64, u32)> = Vec::new();
-    for r in reports {
-        for f in &r.flows {
-            let Some(t) = truth.get(f.flow as usize) else {
-                continue;
-            };
-            if f.hist.count >= 8 {
-                let mean = f.hist.sum / f.hist.count;
-                errs.push((mean as f64 - t.rtt_ns as f64).abs() / t.rtt_ns as f64);
-                est.push((mean, f.flow));
-            }
-        }
-    }
-    errs.sort_by(f64::total_cmp);
-    est.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    let graded: BTreeSet<u32> = est.iter().map(|&(_, f)| f).collect();
-    let mut by_truth: Vec<_> = truth.iter().filter(|t| graded.contains(&t.flow)).collect();
-    by_truth.sort_by(|a, b| b.rtt_ns.cmp(&a.rtt_ns).then(a.flow.cmp(&b.flow)));
-    if by_truth.is_empty() {
-        return (errs, 0.0);
-    }
-    let k = by_truth.len().div_ceil(10).max(1);
-    let want: BTreeSet<u32> = by_truth.iter().take(k).map(|t| t.flow).collect();
-    let got: BTreeSet<u32> = est.iter().take(k).map(|&(_, f)| f).collect();
-    (errs, want.intersection(&got).count() as f64 / k as f64)
 }
 
 fn main() {
@@ -128,8 +75,9 @@ fn main() {
                     seed: args.seed,
                     ..RttWorkload::default()
                 };
-                let (reports, truth) = measure(&cfg);
-                let (errs, recall) = grade(&reports, &truth);
+                let (reports, truth) = cfg.measure();
+                let grade = RttGrade::new(&reports, &truth);
+                let (errs, recall) = (&grade.errs, grade.top_decile_recall.unwrap_or(0.0));
                 let samples: u64 = reports.iter().map(RttReport::sample_count).sum();
                 let c = reports.iter().fold((0u64, 0u64, 0u64), |acc, r| {
                     (
@@ -138,7 +86,7 @@ fn main() {
                         acc.2 + r.counters.sample_drops,
                     )
                 });
-                let p50 = errs.get(errs.len() / 2).copied().unwrap_or(f64::NAN);
+                let p50 = grade.p50_err().unwrap_or(f64::NAN);
                 let p90 = errs
                     .get(errs.len() * 9 / 10)
                     .or(errs.last())

@@ -127,6 +127,35 @@ pub struct QueryResult {
     pub degraded: bool,
 }
 
+impl QueryResult {
+    /// Close a §6.3 answer over `interval`: `gaps` (the recorded gaps that
+    /// overlap it) plus the open-ended gap when the interval reaches more
+    /// than `t_set` past `last_periodic`, the newest stored periodic
+    /// checkpoint — territory no future poll can recover, such as an
+    /// outage still in progress. With no checkpoint nothing is covered
+    /// since t = 0. Live and `.pqa` answers both close here.
+    pub fn covering(
+        estimates: FlowEstimates,
+        mut gaps: Vec<CoverageGap>,
+        interval: QueryInterval,
+        last_periodic: Option<Nanos>,
+        t_set: Nanos,
+    ) -> QueryResult {
+        let last = last_periodic.unwrap_or(0);
+        if interval.to > last.saturating_add(t_set) {
+            gaps.push(CoverageGap {
+                from: last,
+                to: interval.to,
+            });
+        }
+        QueryResult {
+            degraded: !gaps.is_empty(),
+            estimates,
+            gaps,
+        }
+    }
+}
+
 impl Deref for QueryResult {
     type Target = FlowEstimates;
 
@@ -162,7 +191,7 @@ impl Deref for QueueMonitorAnswer<'_> {
 }
 
 /// A stored checkpoint of one port's data-plane state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct Checkpoint {
     /// When the freeze happened.
     pub frozen_at: Nanos,
@@ -185,8 +214,8 @@ impl Checkpoint {
     }
 }
 
-/// The §6.3 slice walk every time-window query takes — live, JSON archive
-/// and `.pqa` reader alike: each periodic checkpoint in `checkpoints`
+/// The §6.3 slice walk every time-window query takes — live and `.pqa`
+/// reader alike: each periodic checkpoint in `checkpoints`
 /// (oldest first) answers only its own slice of `interval`, from just
 /// after the previous periodic freeze to its own, so polls more frequent
 /// than the set period never count a span twice. On-demand checkpoints
@@ -913,32 +942,22 @@ impl AnalysisProgram {
             None,
             &mut result,
         );
-        let mut gaps: Vec<CoverageGap> = self.gaps[i]
+        let gaps: Vec<CoverageGap> = self.gaps[i]
             .iter()
             .filter(|g| g.overlaps(interval))
             .copied()
             .collect();
-        // An interval reaching more than `t_set` past the last stored
-        // periodic checkpoint extends into territory no future poll can
-        // recover — an open-ended gap (e.g. an outage still in progress).
-        let t_set = self.tw_config.set_period();
-        // A program that never stored a checkpoint has covered nothing
-        // since t = 0, so the open gap starts there.
-        let last = self.ports[i].1.last_checkpoint_at.unwrap_or(0);
-        if interval.to > last.saturating_add(t_set) {
-            gaps.push(CoverageGap {
-                from: last,
-                to: interval.to,
-            });
-        }
+        let answer = QueryResult::covering(
+            result,
+            gaps,
+            interval,
+            self.ports[i].1.last_checkpoint_at,
+            self.tw_config.set_period(),
+        );
         self.counters
             .query_ns
             .record(started.elapsed().as_nanos() as u64);
-        QueryResult {
-            degraded: !gaps.is_empty(),
-            estimates: result,
-            gaps,
-        }
+        answer
     }
 
     /// Query an on-demand (special) checkpoint directly: the data-plane
@@ -1144,18 +1163,16 @@ mod tests {
     #[test]
     fn snapshot_ring_equals_naive_eviction_at_every_step() {
         let mut ap = program(4);
-        let json = |cp: &Checkpoint| serde_json::to_string(cp).unwrap();
-        let mut naive: Vec<String> = Vec::new();
+        let mut naive: Vec<Checkpoint> = Vec::new();
         for poll in 1..=24u64 {
             ap.record_dequeue(0, FlowId(poll as u32), poll * 4 - 1);
             ap.qm_enqueue(0, 0, FlowId(poll as u32), poll as u32 % 32, poll * 4 - 1);
             ap.on_tick(poll * 4);
-            naive.push(json(ap.checkpoints(0).last().unwrap()));
+            naive.push(ap.checkpoints(0).last().unwrap().clone());
             if naive.len() > 8 {
                 naive.remove(0);
             }
-            let stored: Vec<String> = ap.checkpoints(0).iter().map(json).collect();
-            assert_eq!(stored, naive, "after poll {poll}");
+            assert_eq!(ap.checkpoints(0), naive, "after poll {poll}");
         }
         assert_eq!(ap.checkpoints(0)[0].frozen_at, 17 * 4);
     }

@@ -24,7 +24,7 @@ use serde::{DeError, Deserialize, Serialize, Value};
 use std::sync::Arc;
 
 /// One half of a depth entry: who moved the depth here, and when (sequence).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Deserialize)]
 pub struct Half {
     /// Flow of the packet that caused the transition.
     pub flow: FlowId,
@@ -51,7 +51,7 @@ impl Default for Half {
 }
 
 /// A depth entry: increase (upper) and decrease (lower) halves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Deserialize)]
 pub struct Entry {
     /// Written when an enqueue raises the depth to this level.
     pub inc: Half,
@@ -447,19 +447,11 @@ impl QueueMonitorSnapshot {
     }
 }
 
-/// The JSON shape stays the dense `{entries, top}` object older archives
-/// carry, so they load and re-serialise byte for byte.
-#[derive(Serialize, Deserialize)]
+/// The dense `{entries, top}` object JSON archives carry.
+#[derive(Deserialize)]
 struct DenseSnapshot {
     entries: Vec<Entry>,
     top: u32,
-}
-
-impl Serialize for QueueMonitorSnapshot {
-    fn to_value(&self) -> Value {
-        let (entries, top) = (self.to_dense(), self.top);
-        DenseSnapshot { entries, top }.to_value()
-    }
 }
 
 impl Deserialize for QueueMonitorSnapshot {
@@ -768,19 +760,14 @@ mod sparse_equivalence {
     }
 
     #[test]
-    fn json_keeps_the_dense_shape() {
+    fn json_imports_the_dense_shape() {
         let mut qm = QueueMonitor::new(4, 1);
         qm.on_enqueue(FlowId(9), 2, 0);
-        let snap = qm.snapshot();
-        let json = serde_json::to_string(&snap).unwrap();
         let empty = r#"{"inc":{"flow":4294967295,"seq":0},"dec":{"flow":4294967295,"seq":0}}"#;
         let written = r#"{"inc":{"flow":9,"seq":1},"dec":{"flow":4294967295,"seq":0}}"#;
-        assert_eq!(
-            json,
-            format!(r#"{{"entries":[{empty},{empty},{written},{empty}],"top":2}}"#)
-        );
+        let json = format!(r#"{{"entries":[{empty},{empty},{written},{empty}],"top":2}}"#);
         let back: QueueMonitorSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, snap);
+        assert_eq!(back, qm.snapshot());
         assert!(serde_json::from_str::<QueueMonitorSnapshot>(r#"{"top":2}"#).is_err());
     }
 }

@@ -61,7 +61,7 @@ impl QueryInterval {
 }
 
 /// A frozen, filterable copy of one port's time windows.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Deserialize)]
 pub struct TimeWindowSnapshot {
     config: TimeWindowConfig,
     /// Raw (or filtered) cells, one `Vec` per window.
@@ -72,6 +72,15 @@ pub struct TimeWindowSnapshot {
     /// asked for it. Derived from `windows`, so never serialized.
     #[serde(skip)]
     cycle_bounds: [OnceLock<u64>; BOUNDED_WINDOWS],
+}
+
+/// Equal configuration, cells and filtered flag: the cycle bounds are a
+/// cache derived from the cells.
+impl PartialEq for TimeWindowSnapshot {
+    fn eq(&self, other: &Self) -> bool {
+        (self.config, &self.windows, self.filtered)
+            == (other.config, &other.windows, other.filtered)
+    }
 }
 
 impl TimeWindowSnapshot {

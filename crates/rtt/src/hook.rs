@@ -110,25 +110,6 @@ mod tests {
     use crate::quic::RttWorkload;
     use pq_switch::{Switch, SwitchConfig};
 
-    fn run_workload(cfg: &RttWorkload) -> Vec<RttReport> {
-        let trace = cfg.generate();
-        let mut sw = Switch::new(SwitchConfig {
-            ports: (0..cfg.ports)
-                .map(|_| pq_switch::PortConfig {
-                    rate_gbps: 100.0,
-                    ..Default::default()
-                })
-                .collect(),
-            ..Default::default()
-        });
-        let mut hook = RttHook::new(&trace.obs, TableConfig::default());
-        {
-            let mut hooks: Vec<&mut dyn QueueHooks> = vec![&mut hook];
-            sw.run(trace.arrivals.iter().cloned(), &mut hooks, 1_000_000);
-        }
-        hook.reports()
-    }
-
     #[test]
     fn workload_through_switch_measures_every_port() {
         let cfg = RttWorkload {
@@ -137,7 +118,7 @@ mod tests {
             ports: 2,
             ..Default::default()
         };
-        let reports = run_workload(&cfg);
+        let (reports, _) = cfg.measure();
         assert_eq!(reports.len(), 2);
         for r in &reports {
             assert!(r.sample_count() > 0, "port {} has no samples", r.port);
@@ -155,11 +136,10 @@ mod tests {
             reorder: 0.0,
             ..Default::default()
         };
-        let trace = cfg.generate();
-        let reports = run_workload(&cfg);
+        let (reports, truth) = cfg.measure();
         let r = &reports[0];
         let mut graded = 0;
-        for t in &trace.truth {
+        for t in &truth {
             let Some(f) = r.flows.iter().find(|f| f.flow == t.flow) else {
                 continue;
             };

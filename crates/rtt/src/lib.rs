@@ -28,7 +28,7 @@ pub mod table;
 
 pub use hook::RttHook;
 pub use obs::{Dir, ObsKind, RttObs};
-pub use quic::{FlowTruth, RttTrace, RttWorkload};
+pub use quic::{FlowTruth, RttGrade, RttTrace, RttWorkload};
 pub use report::{CodecError, FlowRtt, RttReport, MERGE_SAMPLE_CAP, REPORT_VERSION};
 pub use table::{FlowRttTable, RttSample, TableConfig, TableCounters};
 

@@ -16,12 +16,16 @@
 //! a positive delivery delay to a random subset, which both perturbs
 //! seq-match samples and presents stale spin values out of order.
 
+use crate::hook::RttHook;
 use crate::obs::{Dir, ObsKind, RttObs};
+use crate::report::RttReport;
+use crate::table::TableConfig;
 use pq_packet::ipv4::Address;
 use pq_packet::{FlowId, FlowKey, FlowTable, Nanos, SimPacket};
-use pq_switch::Arrival;
+use pq_switch::{Arrival, PortConfig, Switch, SwitchConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 
 /// Configuration for one generated RTT workload.
 #[derive(Clone, Debug, serde::Serialize)]
@@ -226,6 +230,77 @@ impl RttWorkload {
             truth,
             flows: flow_table,
         }
+    }
+
+    /// Generate the workload and measure it through a switch of `ports`
+    /// 100 Gbps egress ports with an [`RttHook`] at the default table
+    /// budget: one report per observed port, and the ground truth.
+    pub fn measure(&self) -> (Vec<RttReport>, Vec<FlowTruth>) {
+        let trace = self.generate();
+        let port = PortConfig {
+            rate_gbps: 100.0,
+            ..PortConfig::default()
+        };
+        let mut sw = Switch::new(SwitchConfig {
+            ports: vec![port; usize::from(self.ports)],
+            ..SwitchConfig::default()
+        });
+        let mut hook = RttHook::new(&trace.obs, TableConfig::default());
+        sw.run(trace.arrivals.iter().cloned(), &mut [&mut hook], 1_000_000);
+        (hook.reports(), trace.truth)
+    }
+}
+
+/// Measured reports graded against ground truth, over the flows with at
+/// least eight samples: a spin flow that sent for less than one RTT yields
+/// no edges, which is a coverage property (visible in the sample counts),
+/// not an estimation error.
+#[derive(Debug)]
+pub struct RttGrade {
+    /// Per graded flow, `|mean − truth| / truth`, ascending.
+    pub errs: Vec<f64>,
+    /// The share of the truly slowest tenth of the graded flows that the
+    /// slowest tenth by estimated mean finds ("who is the slow peer");
+    /// `None` when no flow is graded.
+    pub top_decile_recall: Option<f64>,
+}
+
+impl RttGrade {
+    /// Grade `reports` against `truth`, which is indexed by flow id.
+    pub fn new(reports: &[RttReport], truth: &[FlowTruth]) -> RttGrade {
+        let mut errs = Vec::new();
+        let mut est: Vec<(u64, u32)> = Vec::new();
+        for f in reports.iter().flat_map(|r| &r.flows) {
+            let Some(t) = truth.get(f.flow as usize) else {
+                continue;
+            };
+            if f.hist.count >= 8 {
+                let mean = f.hist.sum / f.hist.count;
+                errs.push((mean as f64 - t.rtt_ns as f64).abs() / t.rtt_ns as f64);
+                est.push((mean, f.flow));
+            }
+        }
+        errs.sort_by(f64::total_cmp);
+        est.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        let graded: BTreeSet<u32> = est.iter().map(|&(_, f)| f).collect();
+        let mut by_truth: Vec<&FlowTruth> =
+            truth.iter().filter(|t| graded.contains(&t.flow)).collect();
+        by_truth.sort_by(|a, b| b.rtt_ns.cmp(&a.rtt_ns).then(a.flow.cmp(&b.flow)));
+        let k = by_truth.len().div_ceil(10);
+        let top_decile_recall = (k > 0).then(|| {
+            let want: BTreeSet<u32> = by_truth.iter().take(k).map(|t| t.flow).collect();
+            let got: BTreeSet<u32> = est.iter().take(k).map(|&(_, f)| f).collect();
+            want.intersection(&got).count() as f64 / k as f64
+        });
+        RttGrade {
+            errs,
+            top_decile_recall,
+        }
+    }
+
+    /// The median relative error, `None` when no flow is graded.
+    pub fn p50_err(&self) -> Option<f64> {
+        self.errs.get(self.errs.len() / 2).copied()
     }
 }
 

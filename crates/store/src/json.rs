@@ -1,10 +1,10 @@
-//! Format detection and JSON ⇄ `.pqa` migration.
+//! Format detection and the one-way JSON import.
 //!
-//! Pre-existing archives are JSON (`CheckpointArchive` from `pq-core`),
-//! either a single object (one port, the historical format) or an array
-//! (multi-port). Everything here sniffs the leading bytes — `"PQAR"` for
-//! binary, `{`/`[` for JSON — so tools never need a format flag to
-//! *read*, only to *write*.
+//! `.pqa` is the only format anything writes. Archives written by earlier
+//! versions are JSON (`CheckpointArchive` from `pq-core`), either a single
+//! object (one port) or an array (multi-port); readers sniff the leading
+//! bytes — `"PQAR"` for binary, `{`/`[` for JSON — and import JSON into
+//! `.pqa` ([`archives_to_pqa`]) before answering anything from it.
 
 use crate::format::{check_tw_config, invalid, FILE_MAGIC};
 use crate::reader::StoreReader;
@@ -76,15 +76,6 @@ pub fn archives_from_json(text: &str) -> io::Result<Vec<CheckpointArchive>> {
     Ok(archives)
 }
 
-/// Serialize archives as JSON: a bare object for one port (byte-compatible
-/// with pre-store archives), an array for several.
-pub fn archives_to_json<W: Write>(mut w: W, archives: &[CheckpointArchive]) -> io::Result<()> {
-    match archives {
-        [single] => single.write_json(w),
-        many => serde_json::to_writer(&mut w, many).map_err(io::Error::other),
-    }
-}
-
 /// Write archives as a `.pqa` store. All archives must share one window
 /// configuration (a store holds a single register geometry).
 pub fn archives_to_pqa<W: Write>(
@@ -132,22 +123,16 @@ pub fn read_archives(path: &Path) -> io::Result<Vec<CheckpointArchive>> {
     }
 }
 
-/// Write archives to `path` in `format`. The file appears only once it is
-/// complete: a refused or failed write leaves no file behind, and leaves an
-/// existing `path` untouched.
+/// Write archives to `path` as a `.pqa` store. The file appears only once
+/// it is complete: a refused or failed write leaves no file behind, and
+/// leaves an existing `path` untouched.
 pub fn write_archives(
     path: &Path,
     archives: &[CheckpointArchive],
-    format: ArchiveFormat,
     policy: SegmentPolicy,
 ) -> io::Result<()> {
-    publish(path, |file| match format {
-        ArchiveFormat::Json => {
-            let mut w = BufWriter::new(file);
-            archives_to_json(&mut w, archives)?;
-            w.flush()
-        }
-        ArchiveFormat::Pqa => archives_to_pqa(BufWriter::new(file), archives, policy)?.flush(),
+    publish(path, |file| {
+        archives_to_pqa(BufWriter::new(file), archives, policy)?.flush()
     })
 }
 
@@ -166,13 +151,4 @@ pub(crate) fn publish(path: &Path, write: impl FnOnce(File) -> io::Result<()>) -
         let _ = fs::remove_file(&tmp);
     }
     published
-}
-
-/// Pick a write format from a path extension (`.pqa` → binary, else
-/// JSON), for tools where the user named an output file but no format.
-pub fn format_for_path(path: &Path) -> ArchiveFormat {
-    match path.extension().and_then(|e| e.to_str()) {
-        Some(ext) if ext.eq_ignore_ascii_case("pqa") => ArchiveFormat::Pqa,
-        _ => ArchiveFormat::Json,
-    }
 }

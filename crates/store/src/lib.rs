@@ -3,7 +3,7 @@
 //!
 //! PrintQueue's control plane freezes and polls the data-plane registers
 //! continuously (§6.1–6.2); over a long run the checkpoint stream is far
-//! too large to keep in RAM or to re-parse from JSON at query time. This
+//! too large to keep in RAM or to re-parse at query time. This
 //! crate gives the analysis pipeline a durable home for that stream:
 //!
 //! * **`.pqa` format** ([`format`](mod@format)) — an append-only file of sealed
@@ -24,9 +24,9 @@
 //!   segments whose checkpoint chains overlap the interval, and corrupt
 //!   segments degrade to [`CoverageGap`](pq_core::control::CoverageGap)s
 //!   instead of failing the file;
-//! * **migration** ([`json`]) — magic-byte auto-detection and lossless
-//!   conversion between the historical JSON `CheckpointArchive` format
-//!   and `.pqa`, in both directions;
+//! * **import** ([`json`]) — magic-byte auto-detection and a one-way,
+//!   lossless import of the JSON `CheckpointArchive` files earlier
+//!   versions wrote into `.pqa`, the only format anything writes;
 //! * **replication** ([`replication`]) — CRC-verified seal-and-ship of a
 //!   sealed archive to a replica peer with atomic publish, plus a
 //!   segment-level audit that proves two replicas equivalent, backing
@@ -42,10 +42,7 @@ pub mod writer;
 
 pub use codec::DecodeBudget;
 pub use format::{PortMeta, SegmentMeta, KIND_CHECKPOINTS, KIND_RTT, KNOWN_KINDS};
-pub use json::{
-    archives_from_json, archives_to_json, archives_to_pqa, format_for_path, read_archives,
-    write_archives, ArchiveFormat,
-};
+pub use json::{archives_from_json, archives_to_pqa, read_archives, write_archives, ArchiveFormat};
 pub use reader::{QueryStats, Recovery, SegmentCache, SegmentKey, StoreReader};
 pub use replication::{ship_archive, verify_replica, ReplicaDivergence, ShipReport};
 pub use writer::{SegmentPolicy, SharedStoreWriter, StoreWriter};

@@ -674,14 +674,13 @@ impl<R: Read + Seek> StoreReader<R> {
                 .filter(|(p, g)| *p == port && g.overlaps(interval))
                 .map(|(_, g)| *g),
         );
-        let t_set = self.tw.set_period();
-        let last = meta_info.last_periodic.unwrap_or(0);
-        if interval.to > last.saturating_add(t_set) {
-            gaps.push(CoverageGap {
-                from: last,
-                to: interval.to,
-            });
-        }
+        let answer = QueryResult::covering(
+            estimates,
+            gaps,
+            interval,
+            meta_info.last_periodic,
+            self.tw.set_period(),
+        );
         if let Some(t) = &self.telemetry {
             t.replay_query_ns
                 .record(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
@@ -697,11 +696,7 @@ impl<R: Read + Seek> StoreReader<R> {
             }
         }
         self.last_stats = stats;
-        Ok(QueryResult {
-            degraded: !gaps.is_empty(),
-            estimates,
-            gaps,
-        })
+        Ok(answer)
     }
 
     /// Accounting for the most recent [`query_cached`](Self::query_cached)

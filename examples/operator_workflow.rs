@@ -13,7 +13,9 @@ use printqueue::core::diagnosis::diagnose;
 use printqueue::core::export::CheckpointArchive;
 use printqueue::core::validation::{is_deployable, validate, DeploymentProfile};
 use printqueue::prelude::*;
+use printqueue::store::{archives_to_pqa, SegmentPolicy, StoreReader};
 use printqueue::switch::{DepthSampler, RateMeter};
+use std::io::Cursor;
 
 fn main() {
     // ── 1. validate ────────────────────────────────────────────────────
@@ -111,13 +113,15 @@ fn main() {
 
     // ── 6. archive ─────────────────────────────────────────────────────
     let archive = CheckpointArchive::capture(pq.analysis(), 0);
-    let mut buf = Vec::new();
-    archive.write_json(&mut buf).expect("archive serializes");
-    let reread = CheckpointArchive::read_json(buf.as_slice()).expect("archive parses");
+    let pqa =
+        archives_to_pqa(Vec::new(), &[archive], SegmentPolicy::default()).expect("archive encodes");
+    let reread = StoreReader::open(Cursor::new(&pqa))
+        .and_then(|mut reader| reader.read_port(0))
+        .expect("archive decodes");
     println!(
-        "6. archived {} checkpoints ({:.1} KB JSON) and re-read them offline ✓",
+        "6. archived {} checkpoints ({:.1} KB .pqa) and re-read them offline ✓",
         reread.checkpoints.len(),
-        buf.len() as f64 / 1e3
+        pqa.len() as f64 / 1e3
     );
     println!("\noperator workflow complete");
 }

@@ -34,18 +34,18 @@
 //! * `validate [--alpha A --k K --t T --m0 M --rate-gbps G --min-pkt B]`
 //!   Pre-flight a configuration against a deployment profile (§7.1's
 //!   feasibility guidance) without running anything.
-//! * `archive FILE.pqtr OUT [--format json|pqa] [tw flags]`
-//!   Run a trace and archive every active port's checkpoints. The binary
-//!   `.pqa` format streams checkpoints to disk as the control plane polls
-//!   them (bounded RAM); JSON captures the in-RAM snapshot ring. With no
-//!   `--format`, a `.pqa` extension selects binary, anything else JSON.
+//! * `archive FILE.pqtr OUT.pqa [tw flags]`
+//!   Run a trace and archive every active port's checkpoints as a `.pqa`
+//!   store, streamed to disk as the control plane polls them (bounded
+//!   RAM).
 //! * `replay-query ARCHIVE --from NS --to NS [--port P] [--d NS] [--json]`
-//!   Re-run a time-window query against an archived checkpoint store.
-//!   The format is auto-detected from the file's leading bytes; `.pqa`
-//!   queries decode only the segments overlapping the interval.
-//! * `convert SRC DST [--format json|pqa]`
-//!   Convert an archive between JSON and `.pqa` (either direction),
-//!   auto-detecting the source format.
+//!   Re-run a time-window query against an archived checkpoint store,
+//!   decoding only the segments overlapping the interval. A JSON archive
+//!   written by an earlier version is imported into `.pqa` in memory
+//!   first, so both answer through the same reader.
+//! * `convert SRC DST`
+//!   Import a JSON archive, or upgrade a version-1 `.pqa`, into a current
+//!   `.pqa`; the source format is detected from its leading bytes.
 //! * `serve [FILE.pqtr] --listen ADDR [--archive FILE.pqa] [tw flags]
 //!   [--workers N --queue-cap N --inflight N --max-conns N --cache-mb MB
 //!   --addr-file PATH --metrics-file PATH] [trace flags]`
@@ -160,9 +160,9 @@ fn usage() -> ! {
          pqsim import-pcap FILE.pcap FILE.pqtr [--port P]\n  \
          pqsim depth FILE.pqtr [--step-us N]\n  \
          pqsim validate [tw flags] [--rate-gbps G] [--min-pkt B]\n  \
-         pqsim archive FILE.pqtr OUT [--format json|pqa] [tw flags]\n  \
+         pqsim archive FILE.pqtr OUT.pqa [tw flags]\n  \
          pqsim replay-query ARCHIVE --from NS --to NS [--port P] [--d NS] [--json]\n  \
-         pqsim convert SRC DST [--format json|pqa]\n  \
+         pqsim convert SRC DST\n  \
          pqsim serve [FILE.pqtr] --listen ADDR [--archive FILE.pqa] [tw flags]\n  \
          \x20         [--workers N] [--queue-cap N] [--inflight N] [--max-conns N]\n  \
          \x20         [--cache-mb MB] [--work-delay-ms N] [--shard NAME]\n  \
@@ -235,6 +235,11 @@ impl Args {
             }),
             None => default,
         }
+    }
+
+    /// A millisecond flag as a `Duration`, `default` when absent.
+    fn get_ms(&self, name: &str, default: std::time::Duration) -> std::time::Duration {
+        std::time::Duration::from_millis(self.get(name, default.as_millis() as u64))
     }
 
     fn get_str(&self, name: &str) -> Option<&str> {
@@ -336,32 +341,74 @@ fn cmd_info(args: &Args) -> CliResult {
     Ok(())
 }
 
-/// Attach the full observability plane to a PrintQueue + discarding spill
-/// store, so all span sources (switch residence, freeze-and-read, window
-/// rotation, segment flush) are live during a run.
-fn attach_telemetry(
-    pq: &mut PrintQueue,
-    sw: &mut Switch,
-    tw: TimeWindowConfig,
-) -> Result<(Telemetry, SharedStoreWriter<std::io::Sink>), String> {
-    let plane = Telemetry::new();
-    plane.set_tracing(true);
-    // `run`/`telemetry` own their process, so the plane exports the
-    // profiler's series; scopes record so `--require` can gate on
-    // `pq_prof_scope_self_ns_total{scope="switch/run"}` and the lock
-    // facade's wait/hold histograms.
-    printqueue::prof::set_enabled(true);
-    plane.set_export_prof(true);
-    pq.set_telemetry(&plane);
-    sw.set_telemetry(&plane);
-    // Stream checkpoints into a discarding store: `run` archives nothing,
-    // but this makes segment-flush metrics and spans observable.
-    let mut writer = StoreWriter::new(std::io::sink(), tw, SegmentPolicy::default())
-        .map_err(|err| format!("telemetry store: {err}"))?;
-    writer.set_telemetry(&plane);
-    let handle = SharedStoreWriter::new(writer);
-    pq.analysis_mut().set_spill(Box::new(handle.clone()));
-    Ok((plane, handle))
+/// PrintQueue and the switch it watches, built the one way every trace
+/// replay (`run`, `telemetry`, `prof`, `archive`, `serve`, `query`) is:
+/// PrintQueue on every egress port the trace touches (port 0 always), each
+/// a 10 Gbps port of 32 768 cells.
+struct Replay {
+    pq: PrintQueue,
+    sw: Switch,
+}
+
+impl Replay {
+    fn new(trace: &GeneratedTrace, mut config: PrintQueueConfig) -> Replay {
+        let mut ports: Vec<u16> = trace.arrivals.iter().map(|a| a.port).collect();
+        ports.push(0);
+        ports.sort_unstable();
+        ports.dedup();
+        let port = printqueue::switch::PortConfig {
+            rate_gbps: 10.0,
+            max_depth_cells: 32_768,
+            ..Default::default()
+        };
+        let sw = Switch::new(SwitchConfig {
+            ports: vec![port; usize::from(*ports.last().unwrap()) + 1],
+            ..SwitchConfig::single_port(10.0, 32_768)
+        });
+        config.ports = ports;
+        Replay {
+            pq: PrintQueue::new(config),
+            sw,
+        }
+    }
+
+    /// Attach the full observability plane to PrintQueue, the switch and a
+    /// discarding spill store, so all span sources (switch residence,
+    /// freeze-and-read, window rotation, segment flush) are live.
+    fn attach_telemetry(
+        &mut self,
+    ) -> Result<(Telemetry, SharedStoreWriter<std::io::Sink>), String> {
+        let plane = Telemetry::new();
+        plane.set_tracing(true);
+        // `run`/`telemetry` own their process, so the plane exports the
+        // profiler's series; scopes record so `--require` can gate on
+        // `pq_prof_scope_self_ns_total{scope="switch/run"}` and the lock
+        // facade's wait/hold histograms.
+        printqueue::prof::set_enabled(true);
+        plane.set_export_prof(true);
+        self.pq.set_telemetry(&plane);
+        self.sw.set_telemetry(&plane);
+        // Stream checkpoints into a discarding store: `run` archives
+        // nothing, but this makes segment-flush metrics and spans
+        // observable.
+        let tw = *self.pq.analysis().tw_config();
+        let mut writer = StoreWriter::new(std::io::sink(), tw, SegmentPolicy::default())
+            .map_err(|err| format!("telemetry store: {err}"))?;
+        writer.set_telemetry(&plane);
+        let handle = SharedStoreWriter::new(writer);
+        self.pq.analysis_mut().set_spill(Box::new(handle.clone()));
+        Ok((plane, handle))
+    }
+
+    /// Replay `trace`, polling every set period; `sink`, when given, sees
+    /// every packet after PrintQueue does.
+    fn run(&mut self, trace: &GeneratedTrace, sink: Option<&mut TelemetrySink>) {
+        let set_period = self.pq.analysis().tw_config().set_period();
+        let mut hooks: Vec<&mut dyn QueueHooks> = vec![&mut self.pq];
+        hooks.extend(sink.map(|s| s as &mut dyn QueueHooks));
+        self.sw
+            .run(trace.arrivals.iter().copied(), &mut hooks, set_period);
+    }
 }
 
 /// Write the Chrome trace-event JSON to `path` and the Prometheus text
@@ -385,10 +432,7 @@ fn export_telemetry(plane: &Telemetry, path: &std::path::Path) -> CliResult {
 
 fn cmd_run(args: &Args) -> CliResult {
     let trace = load_trace(args)?;
-    let m0: u8 = args.get("m0", 6);
-    let alpha: u8 = args.get("alpha", 2);
-    let k: u8 = args.get("k", 12);
-    let t: u8 = args.get("t", 4);
+    let tw = tw_from_args(args);
     let d: u64 = args.get("d", 110);
     let victims_n: usize = args.get("victims", 5);
     let fault_rate: f64 = args.get("fault-rate", 0.0);
@@ -401,9 +445,12 @@ fn cmd_run(args: &Args) -> CliResult {
         ));
     }
 
-    let tw = TimeWindowConfig::new(m0, alpha, k, t);
     progress!(
-        "PrintQueue: m0={m0} α={alpha} k={k} T={t}; set period {:.3} ms",
+        "PrintQueue: m0={} α={} k={} T={}; set period {:.3} ms",
+        tw.m0,
+        tw.alpha,
+        tw.k,
+        tw.t,
         tw.set_period() as f64 / 1e6
     );
     let mut pq_config = PrintQueueConfig::single_port(tw, d);
@@ -436,25 +483,30 @@ fn cmd_run(args: &Args) -> CliResult {
             println!("[{:?}] {}: {}", f.severity, f.code, f.message);
         }
     }
-    let mut pq = PrintQueue::new(pq_config);
+    let mut replay = Replay::new(&trace, pq_config);
     let mut sink = TelemetrySink::new();
-    let mut sw = Switch::new(SwitchConfig::single_port(10.0, 32_768));
     let mut observability = None;
     if telemetry_path.is_some() {
-        observability = Some(attach_telemetry(&mut pq, &mut sw, tw)?);
+        observability = Some(replay.attach_telemetry()?);
     }
-    {
-        let mut hooks: Vec<&mut dyn QueueHooks> = vec![&mut pq, &mut sink];
-        sw.run(trace.arrivals.iter().copied(), &mut hooks, tw.set_period());
+    replay.run(&trace, Some(&mut sink));
+    let pq = replay.pq;
+    let ports = pq.analysis().ports();
+    for &port in &ports {
+        let stats = replay.sw.port_stats(port);
+        let label = if ports.len() > 1 {
+            format!(" port {port}")
+        } else {
+            String::new()
+        };
+        println!(
+            "switch{label}: {} transmitted, {} dropped, max depth {} cells, mean delay {:.1} µs",
+            stats.dequeued,
+            stats.dropped,
+            stats.max_depth_cells,
+            stats.mean_queue_delay() / 1e3
+        );
     }
-    let stats = sw.port_stats(0);
-    println!(
-        "switch: {} transmitted, {} dropped, max depth {} cells, mean delay {:.1} µs",
-        stats.dequeued,
-        stats.dropped,
-        stats.max_depth_cells,
-        stats.mean_queue_delay() / 1e3
-    );
     let health = pq.analysis().health();
     println!(
         "control plane: {} polls ({} failed, {} retried, {} stalled), {} checkpoints \
@@ -476,14 +528,24 @@ fn cmd_run(args: &Args) -> CliResult {
         export_telemetry(plane, path)?;
     }
 
-    let oracle = GroundTruth::new(&sink.records, 80);
+    // Each victim is diagnosed on its own egress port, against that port's
+    // ground truth.
+    let mut by_port = std::collections::BTreeMap::<u16, Vec<_>>::new();
+    for r in &sink.records {
+        by_port.entry(r.port).or_default().push(*r);
+    }
+    let oracles: std::collections::BTreeMap<u16, GroundTruth> = by_port
+        .iter()
+        .map(|(&port, records)| (port, GroundTruth::new(records, 80)))
+        .collect();
     let mut by_delay: Vec<_> = sink.records.iter().collect();
     by_delay.sort_by_key(|r| std::cmp::Reverse(r.meta.deq_timedelta));
     println!("\ndiagnosing the {victims_n} most-delayed packets:");
     for victim in by_delay.into_iter().take(victims_n) {
+        let port = victim.port;
         let interval = QueryInterval::new(victim.meta.enq_timestamp, victim.deq_timestamp());
-        let est = pq.analysis().query_time_windows(0, interval);
-        let truth = metrics::to_float_counts(&oracle.direct_culprits(
+        let est = pq.analysis().query_time_windows(port, interval);
+        let truth = metrics::to_float_counts(&oracles[&port].direct_culprits(
             interval.from,
             interval.to,
             victim.seqno,
@@ -514,25 +576,14 @@ fn cmd_run(args: &Args) -> CliResult {
 
 fn cmd_telemetry(args: &Args) -> CliResult {
     let trace = load_trace(args)?;
-    let m0: u8 = args.get("m0", 6);
-    let alpha: u8 = args.get("alpha", 2);
-    let k: u8 = args.get("k", 12);
-    let t: u8 = args.get("t", 4);
-    let d: u64 = args.get("d", 110);
-    let tw = TimeWindowConfig::new(m0, alpha, k, t);
-
-    let mut pq = PrintQueue::new(PrintQueueConfig::single_port(tw, d));
-    let mut sink = TelemetrySink::new();
-    let mut sw = Switch::new(SwitchConfig::single_port(10.0, 32_768));
-    let (plane, handle) = attach_telemetry(&mut pq, &mut sw, tw)?;
+    let config = PrintQueueConfig::single_port(tw_from_args(args), args.get("d", 110));
+    let mut replay = Replay::new(&trace, config);
+    let (plane, handle) = replay.attach_telemetry()?;
     progress!(
         "replaying {} packets with the observability plane attached",
         trace.packets()
     );
-    {
-        let mut hooks: Vec<&mut dyn QueueHooks> = vec![&mut pq, &mut sink];
-        sw.run(trace.arrivals.iter().copied(), &mut hooks, tw.set_period());
-    }
+    replay.run(&trace, Some(&mut TelemetrySink::new()));
     handle
         .finish()
         .map_err(|err| format!("telemetry store finish: {err}"))?;
@@ -735,13 +786,9 @@ fn cmd_depth(args: &Args) -> CliResult {
 
 fn cmd_validate(args: &Args) -> CliResult {
     use printqueue::core::validation::{is_deployable, validate, DeploymentProfile};
-    let m0: u8 = args.get("m0", 6);
-    let alpha: u8 = args.get("alpha", 2);
-    let k: u8 = args.get("k", 12);
-    let t: u8 = args.get("t", 4);
     let rate: f64 = args.get("rate-gbps", 10.0);
     let min_pkt: u32 = args.get("min-pkt", 64);
-    let tw = TimeWindowConfig::new(m0, alpha, k, t);
+    let tw = tw_from_args(args);
     let config = PrintQueueConfig::single_port(tw, 64);
     let profile = DeploymentProfile {
         port_rate_gbps: rate,
@@ -750,7 +797,11 @@ fn cmd_validate(args: &Args) -> CliResult {
         max_query_interval: 2_000_000,
     };
     progress!(
-        "config m0={m0} α={alpha} k={k} T={t}: set period {:.3} ms, poll {:.3} ms",
+        "config m0={} α={} k={} T={}: set period {:.3} ms, poll {:.3} ms",
+        tw.m0,
+        tw.alpha,
+        tw.k,
+        tw.t,
         tw.set_period() as f64 / 1e6,
         config.control.poll_period as f64 / 1e6
     );
@@ -768,108 +819,42 @@ fn cmd_validate(args: &Args) -> CliResult {
     Ok(())
 }
 
-fn parse_format_flag(args: &Args, path: &std::path::Path) -> printqueue::store::ArchiveFormat {
-    use printqueue::store::ArchiveFormat;
-    match args.get_str("format") {
-        Some("json") => ArchiveFormat::Json,
-        Some("pqa") => ArchiveFormat::Pqa,
-        Some(other) => {
-            eprintln!("unknown --format {other} (expected json|pqa)");
-            exit(2)
-        }
-        None => printqueue::store::format_for_path(path),
-    }
-}
-
 fn cmd_archive(args: &Args) -> CliResult {
-    use printqueue::store::ArchiveFormat;
-    use printqueue::switch::PortConfig;
     let trace = load_trace(args)?;
     let Some(out_path) = args.positional.get(1) else {
         usage()
     };
     let out_path = PathBuf::from(out_path);
-    let m0: u8 = args.get("m0", 6);
-    let alpha: u8 = args.get("alpha", 2);
-    let k: u8 = args.get("k", 12);
-    let t: u8 = args.get("t", 4);
-    let d: u64 = args.get("d", 110);
-    let tw = TimeWindowConfig::new(m0, alpha, k, t);
-    let format = parse_format_flag(args, &out_path);
-
-    // Archive every port the trace touches, not just port 0.
-    let mut ports: Vec<u16> = trace.arrivals.iter().map(|a| a.port).collect();
-    ports.push(0);
-    ports.sort_unstable();
-    ports.dedup();
-    let port_count = usize::from(*ports.last().unwrap()) + 1;
-
-    let mut pq_config = PrintQueueConfig::single_port(tw, d);
-    pq_config.ports = ports.clone();
-    let mut pq = PrintQueue::new(pq_config);
-
-    // Binary output streams checkpoints to disk as the control plane
-    // polls them (bounded RAM); JSON captures the snapshot ring at end.
-    let mut spill: Option<SharedStoreWriter<std::io::BufWriter<std::fs::File>>> = None;
-    if format == ArchiveFormat::Pqa {
-        let file = std::fs::File::create(&out_path)
-            .map_err(|err| format!("create {}: {err}", out_path.display()))?;
-        let writer = StoreWriter::new(std::io::BufWriter::new(file), tw, SegmentPolicy::default())
-            .map_err(|err| format!("start store: {err}"))?;
-        let handle = SharedStoreWriter::new(writer);
-        pq.analysis_mut().set_spill(Box::new(handle.clone()));
-        spill = Some(handle);
-    }
-
+    let tw = tw_from_args(args);
+    // Archive every port the trace touches, not just port 0, streaming
+    // checkpoints to disk as the control plane polls them.
+    let mut replay = Replay::new(
+        &trace,
+        PrintQueueConfig::single_port(tw, args.get("d", 110)),
+    );
+    let file = std::fs::File::create(&out_path)
+        .map_err(|err| format!("create {}: {err}", out_path.display()))?;
+    let writer = StoreWriter::new(std::io::BufWriter::new(file), tw, SegmentPolicy::default())
+        .map_err(|err| format!("start store: {err}"))?;
+    let handle = SharedStoreWriter::new(writer);
+    replay.pq.analysis_mut().set_spill(Box::new(handle.clone()));
     let mut sink = TelemetrySink::new();
-    let mut sw_config = SwitchConfig::single_port(10.0, 32_768);
-    sw_config.ports = vec![
-        PortConfig {
-            rate_gbps: 10.0,
-            max_depth_cells: 32_768,
-            ..PortConfig::default()
-        };
-        port_count
-    ];
-    let mut sw = Switch::new(sw_config);
-    {
-        let mut hooks: Vec<&mut dyn QueueHooks> = vec![&mut pq, &mut sink];
-        sw.run(trace.arrivals.iter().copied(), &mut hooks, tw.set_period());
-    }
+    replay.run(&trace, Some(&mut sink));
 
-    let total_checkpoints: usize = ports
-        .iter()
-        .map(|&p| pq.analysis().checkpoints(p).len())
-        .sum();
-    match spill {
-        Some(handle) => {
-            let health = pq.analysis().health();
-            for &port in &ports {
-                if handle.with(|w| w.set_health(port, health)).is_err() {
-                    break;
-                }
-            }
-            handle
-                .finish()
-                .map_err(|err| format!("store finish: {err}"))?;
-        }
-        None => {
-            let archives: Vec<_> = ports
-                .iter()
-                .map(|&p| printqueue::core::export::CheckpointArchive::capture(pq.analysis(), p))
-                .collect();
-            printqueue::store::write_archives(
-                &out_path,
-                &archives,
-                ArchiveFormat::Json,
-                SegmentPolicy::default(),
-            )
-            .map_err(|err| format!("archive write: {err}"))?;
+    let analysis = replay.pq.analysis();
+    let ports = analysis.ports();
+    let health = analysis.health();
+    for &port in &ports {
+        if handle.with(|w| w.set_health(port, health)).is_err() {
+            break;
         }
     }
+    handle
+        .finish()
+        .map_err(|err| format!("store finish: {err}"))?;
     progress!(
         "archived {} checkpoints across {} port(s) ({} transmitted packets) to {}",
-        total_checkpoints,
+        health.checkpoints_stored,
         ports.len(),
         sink.records.len(),
         out_path.display()
@@ -898,110 +883,107 @@ fn emit_result(
     }
 }
 
+/// Print a queue-monitor answer, local or remote, through the shared
+/// formatter.
+fn emit_monitor(
+    spec: &queryfmt::QuerySpec,
+    frozen_at: u64,
+    staleness: u64,
+    counts: &[(FlowId, u64)],
+    gaps: &[CoverageGap],
+    degraded: bool,
+    json: bool,
+) {
+    if json {
+        let doc = queryfmt::monitor_json(spec, frozen_at, staleness, counts, gaps, degraded);
+        println!("{doc}");
+    } else {
+        let text = queryfmt::monitor_text(spec.from, frozen_at, staleness, counts, gaps, degraded);
+        print!("{text}");
+    }
+}
+
 fn cmd_replay_query(args: &Args) -> CliResult {
-    use printqueue::store::{ArchiveFormat, StoreReader};
+    use printqueue::store::{archives_to_pqa, read_archives, ArchiveFormat, StoreReader};
     let Some(path) = args.positional.first() else {
         usage()
     };
     let path = PathBuf::from(path);
-    let from: u64 = args.get("from", 0);
-    let to: u64 = args.get("to", u64::MAX);
-    let d: u64 = args.get("d", 110);
-    let json = args.has("json");
-    let interval = QueryInterval::new(from, to);
     let format = ArchiveFormat::detect(&path)
         .map_err(|err| format!("detect format of {}: {err}", path.display()))?;
     match format {
         ArchiveFormat::Pqa => {
             let file = std::fs::File::open(&path)
                 .map_err(|err| format!("open {}: {err}", path.display()))?;
-            let mut reader = StoreReader::open(std::io::BufReader::new(file))
+            let reader = StoreReader::open(std::io::BufReader::new(file))
                 .map_err(|err| format!("store open: {err}"))?;
-            let ports = reader.ports();
-            let port: u16 = args.get("port", ports.first().copied().unwrap_or(0));
-            let coeffs =
-                printqueue::core::coefficient::Coefficients::compute(reader.tw_config(), d);
-            let result = reader
-                .query(port, interval, &coeffs)
-                .map_err(|err| format!("query: {err}"))?;
-            let spec = queryfmt::QuerySpec {
-                port,
-                from,
-                to,
-                d,
-                kind: queryfmt::QueryKind::Replay,
-            };
-            emit_result(
-                &spec,
-                reader.checkpoint_count(port),
-                &result.estimates,
-                &result.gaps,
-                result.degraded,
-                json,
-            );
+            let first = reader.ports().first().copied();
+            replay_answer(args, reader, first)
         }
         ArchiveFormat::Json => {
-            let archives = printqueue::store::read_archives(&path)
-                .map_err(|err| format!("archive read: {err}"))?;
-            let port: u16 = args.get("port", archives.first().map_or(0, |a| a.port));
-            let Some(archive) = archives.iter().find(|a| a.port == port) else {
-                return Err(format!("port {port} not present in archive"));
-            };
-            let coeffs =
-                printqueue::core::coefficient::Coefficients::compute(&archive.tw_config, d);
-            let result = archive.query_result(interval, &coeffs);
-            let spec = queryfmt::QuerySpec {
-                port,
-                from,
-                to,
-                d,
-                kind: queryfmt::QueryKind::Replay,
-            };
-            emit_result(
-                &spec,
-                archive.checkpoints.len() as u64,
-                &result.estimates,
-                &result.gaps,
-                result.degraded,
-                json,
-            );
+            // An earlier version's JSON archive is imported into an
+            // in-memory `.pqa` and answered by the same reader. Those bytes
+            // come from our own writer, already held in RAM as parsed
+            // archives, so the budget that guards untrusted files is off.
+            let archives = read_archives(&path).map_err(|err| format!("archive read: {err}"))?;
+            let pqa = archives_to_pqa(Vec::new(), &archives, SegmentPolicy::default())
+                .map_err(|err| format!("archive import: {err}"))?;
+            let mut reader = StoreReader::open(std::io::Cursor::new(pqa))
+                .map_err(|err| format!("store open: {err}"))?;
+            reader.set_decode_budget(u64::MAX);
+            replay_answer(args, reader, archives.first().map(|a| a.port))
         }
     }
+}
+
+/// Answer `replay-query` from an open store — `--port` defaulting to
+/// `first`, the first port in the file — refusing a port it does not hold
+/// the way a daemon serving the same file does.
+fn replay_answer<R: std::io::Read + std::io::Seek>(
+    args: &Args,
+    mut reader: printqueue::store::StoreReader<R>,
+    first: Option<u16>,
+) -> CliResult {
+    let from: u64 = args.get("from", 0);
+    let to: u64 = args.get("to", u64::MAX);
+    let d: u64 = args.get("d", 110);
+    let ports = reader.ports();
+    let port: u16 = args.get("port", first.unwrap_or(0));
+    if !ports.contains(&port) {
+        return Err(format!("port {port} not present in archive"));
+    }
+    let coeffs = printqueue::core::coefficient::Coefficients::compute(reader.tw_config(), d);
+    let result = reader
+        .query(port, QueryInterval::new(from, to), &coeffs)
+        .map_err(|err| format!("query: {err}"))?;
+    let spec = queryfmt::QuerySpec {
+        port,
+        from,
+        to,
+        d,
+        kind: queryfmt::QueryKind::Replay,
+    };
+    emit_result(
+        &spec,
+        reader.checkpoint_count(port),
+        &result.estimates,
+        &result.gaps,
+        result.degraded,
+        args.has("json"),
+    );
     Ok(())
 }
 
-/// Run `trace` through the simulated switch with PrintQueue attached and
-/// hand back the resulting live analysis-program state, every touched
-/// port activated (shared by `serve` and local `query`).
+/// Replay `trace` and hand back the live analysis-program state, every
+/// touched port activated (shared by `serve` and local `query`).
 fn run_trace_live(
     trace: &GeneratedTrace,
     tw: TimeWindowConfig,
     d: u64,
 ) -> printqueue::prelude::AnalysisProgram {
-    use printqueue::switch::PortConfig;
-    let mut ports: Vec<u16> = trace.arrivals.iter().map(|a| a.port).collect();
-    ports.push(0);
-    ports.sort_unstable();
-    ports.dedup();
-    let port_count = usize::from(*ports.last().unwrap()) + 1;
-    let mut pq_config = PrintQueueConfig::single_port(tw, d);
-    pq_config.ports = ports;
-    let mut pq = PrintQueue::new(pq_config);
-    let mut sw_config = SwitchConfig::single_port(10.0, 32_768);
-    sw_config.ports = vec![
-        PortConfig {
-            rate_gbps: 10.0,
-            max_depth_cells: 32_768,
-            ..PortConfig::default()
-        };
-        port_count
-    ];
-    let mut sw = Switch::new(sw_config);
-    {
-        let mut hooks: Vec<&mut dyn QueueHooks> = vec![&mut pq];
-        sw.run(trace.arrivals.iter().copied(), &mut hooks, tw.set_period());
-    }
-    pq.into_analysis()
+    let mut replay = Replay::new(trace, PrintQueueConfig::single_port(tw, d));
+    replay.run(trace, None);
+    replay.pq.into_analysis()
 }
 
 fn tw_from_args(args: &Args) -> TimeWindowConfig {
@@ -1052,10 +1034,44 @@ fn configure_tracing(args: &Args, plane: &Telemetry) -> CliResult {
     Ok(())
 }
 
+/// Start-up and shutdown shared by `serve` and `router`: stamp the build
+/// info, apply the `--trace*` flags, `bind` to `--listen` (which hands back
+/// the bound address and the daemon's run loop), print the address as
+/// `"{verb} on ADDR"` (and write it to `--addr-file`), run until stopped,
+/// then write the Prometheus exposition to `--metrics-file`.
+fn run_daemon<R: FnOnce() -> std::io::Result<()>>(
+    args: &Args,
+    plane: &Telemetry,
+    (name, verb): (&str, &str),
+    bind: impl FnOnce(&str) -> std::io::Result<(std::net::SocketAddr, R)>,
+) -> CliResult {
+    printqueue::telemetry::provenance::set_build_info(
+        plane.registry(),
+        env!("CARGO_PKG_VERSION"),
+        &printqueue::telemetry::provenance::git_commit(),
+    );
+    configure_tracing(args, plane)?;
+    let listen = args.get_str("listen").unwrap_or("127.0.0.1:0");
+    let (addr, run) = bind(listen).map_err(|err| format!("bind {listen}: {err}"))?;
+    println!("{verb} on {addr}");
+    use std::io::Write as _;
+    let _ = std::io::stdout().flush();
+    if let Some(path) = args.get_str("addr-file") {
+        std::fs::write(path, addr.to_string()).map_err(|err| format!("write {path}: {err}"))?;
+    }
+    run().map_err(|err| format!("{name}: {err}"))?;
+    progress!("{name} stopped");
+    if let Some(path) = args.get_str("metrics-file") {
+        std::fs::write(path, telemetry::to_prometheus(&plane.snapshot()))
+            .map_err(|err| format!("write {path}: {err}"))?;
+        progress!("{name} metrics written to {path}");
+    }
+    Ok(())
+}
+
 fn cmd_serve(args: &Args) -> CliResult {
     use printqueue::serve::{ServeConfig, Server, Sources};
     use std::sync::Arc;
-    let listen = args.get_str("listen").unwrap_or("127.0.0.1:0");
     let archive = args.get_str("archive").map(PathBuf::from);
     let tw = tw_from_args(args);
     let d: u64 = args.get("d", 110);
@@ -1081,59 +1097,35 @@ fn cmd_serve(args: &Args) -> CliResult {
         );
     }
 
+    let defaults = ServeConfig::default();
+    let prof_sample_ms = args.get("prof-sample-ms", defaults.prof_sample_ms);
     let config = ServeConfig {
-        workers: args.get("workers", 4),
-        queue_cap: args.get("queue-cap", 128),
-        inflight_per_conn: args.get("inflight", 8),
-        max_conns: args.get("max-conns", 64),
-        cache_bytes: args.get::<u64>("cache-mb", 64) << 20,
-        retry_after_ms: args.get("retry-after-ms", 50),
-        drain_deadline: std::time::Duration::from_millis(args.get("drain-ms", 5_000)),
-        work_delay: std::time::Duration::from_millis(args.get("work-delay-ms", 0)),
-        max_subs: args.get("max-subs", 16),
-        shard: args.get_str("shard").unwrap_or_default().to_string(),
-        prof: args.has("prof") || args.get::<u64>("prof-sample-ms", 0) > 0,
-        prof_sample_ms: args.get("prof-sample-ms", 0),
+        workers: args.get("workers", defaults.workers),
+        queue_cap: args.get("queue-cap", defaults.queue_cap),
+        inflight_per_conn: args.get("inflight", defaults.inflight_per_conn),
+        max_conns: args.get("max-conns", defaults.max_conns),
+        cache_bytes: args.get("cache-mb", defaults.cache_bytes >> 20) << 20,
+        retry_after_ms: args.get("retry-after-ms", defaults.retry_after_ms),
+        drain_deadline: args.get_ms("drain-ms", defaults.drain_deadline),
+        work_delay: args.get_ms("work-delay-ms", defaults.work_delay),
+        max_subs: args.get("max-subs", defaults.max_subs),
+        shard: args.get("shard", defaults.shard),
+        prof: defaults.prof || args.has("prof") || prof_sample_ms > 0,
+        prof_sample_ms,
     };
-    printqueue::telemetry::provenance::set_build_info(
-        plane.registry(),
-        env!("CARGO_PKG_VERSION"),
-        &printqueue::telemetry::provenance::git_commit(),
-    );
-    configure_tracing(args, &plane)?;
-    let server = Server::bind(
-        listen,
-        Sources {
-            live,
-            archive,
-            rtt: Vec::new(),
-        },
-        config,
-        &plane,
-    )
-    .map_err(|err| format!("bind {listen}: {err}"))?;
-    let addr = server
-        .local_addr()
-        .map_err(|err| format!("local addr: {err}"))?;
-    println!("serving on {addr}");
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
-    if let Some(path) = args.get_str("addr-file") {
-        std::fs::write(path, addr.to_string()).map_err(|err| format!("write {path}: {err}"))?;
-    }
-    server.run().map_err(|err| format!("serve: {err}"))?;
-    progress!("server drained and stopped");
-    if let Some(path) = args.get_str("metrics-file") {
-        std::fs::write(path, telemetry::to_prometheus(&plane.snapshot()))
-            .map_err(|err| format!("write {path}: {err}"))?;
-        progress!("server metrics written to {path}");
-    }
-    Ok(())
+    let sources = Sources {
+        live,
+        archive,
+        rtt: Vec::new(),
+    };
+    run_daemon(args, &plane, ("server", "serving"), |listen| {
+        let server = Server::bind(listen, sources, config, &plane)?;
+        Ok((server.local_addr()?, move || server.run()))
+    })
 }
 
 fn cmd_router(args: &Args) -> CliResult {
     use printqueue::router::{BackendSpec, Router, RouterConfig};
-    let listen = args.get_str("listen").unwrap_or("127.0.0.1:0");
     let Some(backends_raw) = args.get_str("backends") else {
         return Err("--backends name=addr[,name=addr...] is required".into());
     };
@@ -1149,60 +1141,40 @@ fn cmd_router(args: &Args) -> CliResult {
         };
         backends.push(BackendSpec { name, addr });
     }
+    let defaults = RouterConfig::default();
     let config = RouterConfig {
-        replication: args.get("replication", 2),
-        epoch_ns: args.get("epoch-ns", 0),
-        connect_timeout: std::time::Duration::from_millis(args.get("connect-ms", 250)),
-        io_timeout: std::time::Duration::from_millis(args.get("io-ms", 2_000)),
-        retry: printqueue::serve::RetryPolicy::default(),
-        quarantine_after: args.get("quarantine-after", 2),
-        probe_interval: std::time::Duration::from_millis(args.get("probe-ms", 100)),
-        max_conns: args.get("max-conns", 64),
-        retry_after_ms: args.get("retry-after-ms", 50),
-        pool_per_backend: args.get("pool", 8),
+        replication: args.get("replication", defaults.replication),
+        epoch_ns: args.get("epoch-ns", defaults.epoch_ns),
+        connect_timeout: args.get_ms("connect-ms", defaults.connect_timeout),
+        io_timeout: args.get_ms("io-ms", defaults.io_timeout),
+        quarantine_after: args.get("quarantine-after", defaults.quarantine_after),
+        probe_interval: args.get_ms("probe-ms", defaults.probe_interval),
+        max_conns: args.get("max-conns", defaults.max_conns),
+        retry_after_ms: args.get("retry-after-ms", defaults.retry_after_ms),
+        pool_per_backend: args.get("pool", defaults.pool_per_backend),
+        ..defaults
     };
     let plane = Telemetry::new();
-    printqueue::telemetry::provenance::set_build_info(
-        plane.registry(),
-        env!("CARGO_PKG_VERSION"),
-        &printqueue::telemetry::provenance::git_commit(),
-    );
-    configure_tracing(args, &plane)?;
-    // The router profiles like a daemon does: process-global scopes on,
-    // `pq_prof_*` series on its own plane. Its dump answer stays the
-    // merged backends-only report either way.
-    if args.has("prof") || args.get::<u64>("prof-sample-ms", 0) > 0 {
-        printqueue::prof::set_enabled(true);
-        plane.set_export_prof(true);
+    run_daemon(args, &plane, ("router", "routing"), |listen| {
+        // The router profiles like a daemon does: process-global scopes
+        // on, `pq_prof_*` series on its own plane. Its dump answer stays
+        // the merged backends-only report either way.
         let sample_ms: u64 = args.get("prof-sample-ms", 0);
-        if sample_ms > 0 {
-            printqueue::prof::start_sampler(std::time::Duration::from_millis(sample_ms));
+        if args.has("prof") || sample_ms > 0 {
+            printqueue::prof::set_enabled(true);
+            plane.set_export_prof(true);
+            if sample_ms > 0 {
+                printqueue::prof::start_sampler(std::time::Duration::from_millis(sample_ms));
+            }
         }
-    }
-    progress!(
-        "routing across {} backend(s), replication {}",
-        backends.len(),
-        config.replication
-    );
-    let router = Router::bind(listen, backends, config, &plane)
-        .map_err(|err| format!("bind {listen}: {err}"))?;
-    let addr = router
-        .local_addr()
-        .map_err(|err| format!("local addr: {err}"))?;
-    println!("routing on {addr}");
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
-    if let Some(path) = args.get_str("addr-file") {
-        std::fs::write(path, addr.to_string()).map_err(|err| format!("write {path}: {err}"))?;
-    }
-    router.run().map_err(|err| format!("router: {err}"))?;
-    progress!("router stopped");
-    if let Some(path) = args.get_str("metrics-file") {
-        std::fs::write(path, telemetry::to_prometheus(&plane.snapshot()))
-            .map_err(|err| format!("write {path}: {err}"))?;
-        progress!("router metrics written to {path}");
-    }
-    Ok(())
+        progress!(
+            "routing across {} backend(s), replication {}",
+            backends.len(),
+            config.replication
+        );
+        let router = Router::bind(listen, backends, config, &plane)?;
+        Ok((router.local_addr()?, move || router.run()))
+    })
 }
 
 fn cmd_replicate(args: &Args) -> CliResult {
@@ -1275,31 +1247,15 @@ fn cmd_query(args: &Args) -> CliResult {
                 let m = client
                     .queue_monitor(port, spec.from)
                     .map_err(remote_error)?;
-                if json {
-                    println!(
-                        "{}",
-                        queryfmt::monitor_json(
-                            &spec,
-                            m.frozen_at,
-                            m.staleness,
-                            &m.counts,
-                            &m.gaps,
-                            m.degraded
-                        )
-                    );
-                } else {
-                    print!(
-                        "{}",
-                        queryfmt::monitor_text(
-                            spec.from,
-                            m.frozen_at,
-                            m.staleness,
-                            &m.counts,
-                            &m.gaps,
-                            m.degraded
-                        )
-                    );
-                }
+                emit_monitor(
+                    &spec,
+                    m.frozen_at,
+                    m.staleness,
+                    &m.counts,
+                    &m.gaps,
+                    m.degraded,
+                    json,
+                );
                 Ok(())
             }
             _ => {
@@ -1337,31 +1293,15 @@ fn cmd_query(args: &Args) -> CliResult {
             };
             let mut counts: Vec<(FlowId, u64)> = ans.culprit_counts().into_iter().collect();
             counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            if json {
-                println!(
-                    "{}",
-                    queryfmt::monitor_json(
-                        &spec,
-                        ans.frozen_at,
-                        ans.staleness,
-                        &counts,
-                        &ans.gaps,
-                        ans.degraded
-                    )
-                );
-            } else {
-                print!(
-                    "{}",
-                    queryfmt::monitor_text(
-                        spec.from,
-                        ans.frozen_at,
-                        ans.staleness,
-                        &counts,
-                        &ans.gaps,
-                        ans.degraded
-                    )
-                );
-            }
+            emit_monitor(
+                &spec,
+                ans.frozen_at,
+                ans.staleness,
+                &counts,
+                &ans.gaps,
+                ans.degraded,
+                json,
+            );
         }
         _ => {
             let result = ap.query_time_windows(port, QueryInterval::new(from, to));
@@ -1419,8 +1359,7 @@ fn remote_error(err: printqueue::serve::ClientError) -> String {
 /// queries, and watch alerts. `--remote` instead fetches the merged
 /// report a daemon (or router, transparently) answers for the interval.
 fn cmd_rtt(args: &Args) -> CliResult {
-    use printqueue::rtt::{RttHook, RttReport, RttWorkload, TableConfig, RTT_SEGMENT_KIND};
-    use printqueue::switch::PortConfig;
+    use printqueue::rtt::{RttGrade, RttReport, RttWorkload, RTT_SEGMENT_KIND};
     let json = args.has("json");
     let top: usize = args.get("top", 8);
 
@@ -1453,33 +1392,10 @@ fn cmd_rtt(args: &Args) -> CliResult {
     if args.has("slow-flow-ns") {
         cfg.slow_rtt_ns = Some(args.get("slow-flow-ns", 8_000_000));
     }
-    let trace = cfg.generate();
-    progress!(
-        "measuring {} flows / {} arrivals across {} port(s)",
-        cfg.flows,
-        trace.arrivals.len(),
-        cfg.ports
-    );
-    let plane = Telemetry::new();
-    let mut sw = Switch::new(SwitchConfig {
-        ports: vec![
-            PortConfig {
-                rate_gbps: 100.0,
-                ..PortConfig::default()
-            };
-            cfg.ports as usize
-        ],
-        ..SwitchConfig::default()
-    });
-    let mut hook = RttHook::new(&trace.obs, TableConfig::default());
-    hook.set_telemetry(&plane);
-    {
-        let mut hooks: Vec<&mut dyn QueueHooks> = vec![&mut hook];
-        sw.run(trace.arrivals.iter().cloned(), &mut hooks, 1_000_000);
-    }
-    let reports = hook.reports();
+    progress!("measuring {} flows across {} port(s)", cfg.flows, cfg.ports);
+    let (reports, truth) = cfg.measure();
     if let Some(out) = args.get_str("archive") {
-        let tw = TimeWindowConfig::new(6, 2, 12, 4);
+        let tw = TimeWindowConfig::UW;
         let file = std::fs::File::create(out).map_err(|err| format!("create {out}: {err}"))?;
         let mut w = StoreWriter::new(std::io::BufWriter::new(file), tw, SegmentPolicy::default())
             .map_err(|err| format!("start store: {err}"))?;
@@ -1498,18 +1414,19 @@ fn cmd_rtt(args: &Args) -> CliResult {
         progress!("spilled {} rtt report(s) to {out}", reports.len());
     }
     let degraded = reports.iter().any(RttReport::degraded);
-    print_rtt_reports(&reports, degraded, Some(&trace.truth), top, json);
+    let grade = RttGrade::new(&reports, &truth);
+    print_rtt_reports(&reports, degraded, Some((&grade, &truth)), top, json);
     Ok(())
 }
 
-/// Shared presentation for local and remote RTT reports. `truth` (local
-/// mode only) adds per-flow ground-truth error and the recall of
-/// top-decile slow-flow detection — the headline numbers
+/// Shared presentation for local and remote RTT reports. Local mode adds
+/// the grade against ground truth — per-flow error and the recall of
+/// top-decile slow-flow detection, the headline numbers
 /// `ext_rtt_precision` sweeps.
 fn print_rtt_reports(
     reports: &[printqueue::rtt::RttReport],
     degraded: bool,
-    truth: Option<&[printqueue::rtt::FlowTruth]>,
+    grading: Option<(&printqueue::rtt::RttGrade, &[printqueue::rtt::FlowTruth])>,
     top: usize,
     json: bool,
 ) {
@@ -1519,54 +1436,10 @@ fn print_rtt_reports(
     fn mean_ns(h: &printqueue::rtt::RttHist) -> u64 {
         h.sum.checked_div(h.count).unwrap_or(0)
     }
-    // Grade only flows with enough samples to claim an estimate (slow
-    // spin flows yield few edges in a short run).
-    let mut errs: Vec<f64> = Vec::new();
-    let mut graded = 0usize;
-    let mut recall = None;
-    if let Some(truth) = truth {
-        for r in reports {
-            for f in &r.flows {
-                let Some(t) = truth.get(f.flow as usize) else {
-                    continue;
-                };
-                if f.hist.count >= 8 {
-                    errs.push((mean_ns(&f.hist) as f64 - t.rtt_ns as f64).abs() / t.rtt_ns as f64);
-                }
-            }
-        }
-        errs.sort_by(f64::total_cmp);
-        graded = errs.len();
-        // Top-decile slow-flow detection over the *graded* flows: a spin
-        // flow that sent for less than one RTT yields no edges and is
-        // unmeasurable by construction — that is a coverage property
-        // (visible in the sample counts), not a ranking failure.
-        let mut est: Vec<(u64, u32)> = reports
-            .iter()
-            .flat_map(|r| r.flows.iter().map(|f| (mean_ns(&f.hist), f.flow)))
-            .filter(|&(_, flow)| {
-                reports
-                    .iter()
-                    .flat_map(|r| r.flows.iter())
-                    .any(|f| f.flow == flow && f.hist.count >= 8)
-            })
-            .collect();
-        est.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        let mut by_truth: Vec<_> = truth
-            .iter()
-            .filter(|t| est.iter().any(|&(_, f)| f == t.flow))
-            .collect();
-        by_truth.sort_by(|a, b| b.rtt_ns.cmp(&a.rtt_ns).then(a.flow.cmp(&b.flow)));
-        if !by_truth.is_empty() {
-            let k = by_truth.len().div_ceil(10).max(1);
-            let want: std::collections::BTreeSet<u32> =
-                by_truth.iter().take(k).map(|t| t.flow).collect();
-            let got: std::collections::BTreeSet<u32> =
-                est.iter().take(k).map(|&(_, f)| f).collect();
-            recall = Some(want.intersection(&got).count() as f64 / k as f64);
-        }
-    }
-    let p50_err = (!errs.is_empty()).then(|| errs[errs.len() / 2]);
+    let (grade, truth) = grading.unzip();
+    let graded = grade.map_or(0, |g| g.errs.len());
+    let p50_err = grade.and_then(|g| g.p50_err());
+    let recall = grade.and_then(|g| g.top_decile_recall);
     let truth_of = |flow: u32| truth.and_then(|t| t.get(flow as usize)).map(|t| t.rtt_ns);
     // Slowest flows first — the answer to "who is the slow peer".
     fn ranked(r: &printqueue::rtt::RttReport, top: usize) -> Vec<&printqueue::rtt::FlowRtt> {
@@ -1856,28 +1729,19 @@ fn cmd_prof(args: &Args) -> CliResult {
         // running fleet.
         let trace = load_trace(args)?;
         let sample_ms: u64 = args.get("sample-ms", 1);
-        let m0: u8 = args.get("m0", 6);
-        let alpha: u8 = args.get("alpha", 2);
-        let k: u8 = args.get("k", 12);
-        let t: u8 = args.get("t", 4);
-        let d: u64 = args.get("d", 110);
-        let tw = TimeWindowConfig::new(m0, alpha, k, t);
+        let config = PrintQueueConfig::single_port(tw_from_args(args), args.get("d", 110));
         printqueue::prof::reset();
         printqueue::prof::set_enabled(true);
         if sample_ms > 0 {
             printqueue::prof::start_sampler(std::time::Duration::from_millis(sample_ms));
         }
-        let mut pq = PrintQueue::new(PrintQueueConfig::single_port(tw, d));
-        let mut sw = Switch::new(SwitchConfig::single_port(10.0, 32_768));
-        let (_plane, handle) = attach_telemetry(&mut pq, &mut sw, tw)?;
+        let mut replay = Replay::new(&trace, config);
+        let (_plane, handle) = replay.attach_telemetry()?;
         progress!(
             "replaying {} packets with the profiler attached",
             trace.packets()
         );
-        {
-            let mut hooks: Vec<&mut dyn QueueHooks> = vec![&mut pq];
-            sw.run(trace.arrivals.iter().copied(), &mut hooks, tw.set_period());
-        }
+        replay.run(&trace, None);
         handle
             .finish()
             .map_err(|err| format!("profiling store finish: {err}"))?;
@@ -1983,7 +1847,7 @@ fn cmd_watch(args: &Args) -> CliResult {
         qps_hist.push(update.t_ns, qps);
         depth_hist.push(
             update.t_ns,
-            sum_gauge(&folded, names::SERVE_QUEUE_DEPTH) as f64,
+            sum_counter(&folded, names::SERVE_QUEUE_DEPTH) as f64,
         );
         if once {
             break;
@@ -2195,7 +2059,7 @@ fn stream_result_json(r: &printqueue::serve::StreamResult) -> String {
     )
 }
 
-/// Sum a counter's value across all of its label sets.
+/// Sum a counter's or gauge's value across all of its label sets.
 fn sum_counter(snap: &telemetry::RegistrySnapshot, name: &str) -> u64 {
     snap.iter()
         .filter(|(k, _)| k.name == name)
@@ -2204,11 +2068,6 @@ fn sum_counter(snap: &telemetry::RegistrySnapshot, name: &str) -> u64 {
             MetricValue::Histogram(h) => h.count,
         })
         .sum()
-}
-
-/// Sum a gauge's value across all of its label sets.
-fn sum_gauge(snap: &telemetry::RegistrySnapshot, name: &str) -> u64 {
-    sum_counter(snap, name)
 }
 
 /// `name` or `name{k="v",...}` — the Prometheus sample-key spelling, so
@@ -2569,10 +2428,9 @@ fn cmd_convert(args: &Args) -> CliResult {
     };
     let src = PathBuf::from(src);
     let dst = PathBuf::from(dst);
-    let format = parse_format_flag(args, &dst);
     let archives = printqueue::store::read_archives(&src)
         .map_err(|err| format!("read {}: {err}", src.display()))?;
-    printqueue::store::write_archives(&dst, &archives, format, SegmentPolicy::default())
+    printqueue::store::write_archives(&dst, &archives, SegmentPolicy::default())
         .map_err(|err| format!("write {}: {err}", dst.display()))?;
     let checkpoints: usize = archives.iter().map(|a| a.checkpoints.len()).sum();
     let bytes = |p: &std::path::Path| std::fs::metadata(p).map(|m| m.len()).unwrap_or(0);

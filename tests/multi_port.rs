@@ -124,3 +124,36 @@ fn printqueue_activates_per_port() {
     assert_eq!(gate.prefix_of(2), Some(1));
     assert_eq!(gate.prefix_of(1), None);
 }
+
+/// `pqsim run` diagnoses each victim on its own egress port, against that
+/// port's ground truth: the same packets sent out of port 3 instead of
+/// port 0 get the same diagnosis, line for line.
+#[test]
+fn run_diagnoses_victims_on_their_own_port() {
+    let on_port_0 = Workload::paper_testbed(WorkloadKind::Uw, 2.millis(), 1).generate();
+    let mut on_port_3 = on_port_0.clone();
+    for arrival in &mut on_port_3.arrivals {
+        arrival.port = 3;
+    }
+    let run = |trace: &printqueue::trace::workload::GeneratedTrace, name: &str| {
+        let path =
+            std::env::temp_dir().join(format!("pq-run-port-{}-{name}.pqtr", std::process::id()));
+        printqueue::trace::io::save(trace, &path).unwrap();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_pqsim"))
+            .arg("run")
+            .arg(&path)
+            .args([
+                "--m0", "6", "--alpha", "1", "--k", "10", "--t", "3", "--quiet",
+            ])
+            .output()
+            .unwrap();
+        std::fs::remove_file(&path).ok();
+        assert!(out.status.success(), "{out:?}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let (zero, three) = (run(&on_port_0, "0"), run(&on_port_3, "3"));
+    let diagnosis = |out: &str| out[out.find("diagnosing").expect(out)..].to_string();
+    assert_eq!(diagnosis(&zero), diagnosis(&three));
+    assert!(three.contains("switch port 3: "), "{three}");
+    assert!(!diagnosis(&zero).contains("| 0 culprit flows"), "{zero}");
+}

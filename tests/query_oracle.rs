@@ -14,8 +14,8 @@
 //! one cell, n − 1 / n / n + 1 cells wide, wrapping the ring, across
 //! stale laps, outside the data and next to `u64::MAX`. Every flow's
 //! estimate must match by `f64::to_bits`. Whole answers from
-//! `query_time_windows`, a JSON archive and `StoreReader` are compared
-//! the same way, for programs polled at random and polled so densely that
+//! `query_time_windows` and `StoreReader` are compared the same way, for
+//! programs polled at random and polled so densely that
 //! every slice is wider than every ring.
 //!
 //! The query's two shortcuts get cases of their own: deep windows holding
@@ -27,7 +27,6 @@
 
 use printqueue::core::coefficient::Coefficients;
 use printqueue::core::control::{AnalysisProgram, Checkpoint, ControlConfig};
-use printqueue::core::export::CheckpointArchive;
 use printqueue::core::params::TimeWindowConfig;
 use printqueue::core::snapshot::{QueryInterval, TimeWindowSnapshot};
 use printqueue::core::time_windows::{Cell, TimeWindowSet};
@@ -628,7 +627,7 @@ enum Polling {
 }
 
 /// Drive one seeded program per seed, spilling to a `.pqa`, and compare
-/// 16 answers each — live, JSON and `.pqa` — with the reference walk,
+/// 16 answers each — live and `.pqa` — with the reference walk,
 /// tallying every slice. Returns how many answers had flows.
 fn check_programs(polling: Polling, seeds: std::ops::Range<u64>, reach: &mut Reach) -> u64 {
     let mut answered = 0u64;
@@ -682,7 +681,6 @@ fn check_programs(polling: Polling, seeds: std::ops::Range<u64>, reach: &mut Rea
         ap.on_tick(t + poll_period);
         writer.with(|w| w.set_health(0, ap.health())).unwrap();
         let mut reader = StoreReader::open(Cursor::new(writer.finish().unwrap())).unwrap();
-        let archive = CheckpointArchive::capture(&ap, 0);
         let coeffs = ap.coefficients().clone();
         for _ in 0..16 {
             let t0 = rng.gen_range(start..=t);
@@ -696,11 +694,8 @@ fn check_programs(polling: Polling, seeds: std::ops::Range<u64>, reach: &mut Rea
             let what = format!("seed {seed} {config:?} poll {poll_period} {interval:?}");
             let live = ap.query_time_windows(0, interval);
             assert_bits_eq(&expected, &live.estimates.counts, &format!("live, {what}"));
-            let json = archive.query_result(interval, &coeffs);
-            assert_bits_eq(&expected, &json.estimates.counts, &format!("json, {what}"));
             let stored = reader.query(0, interval, &coeffs).unwrap();
             assert_bits_eq(&expected, &stored.estimates.counts, &format!("pqa, {what}"));
-            assert_eq!(live.gaps, json.gaps, "{what}");
             assert_eq!(live.gaps, stored.gaps, "{what}");
             assert_eq!(live.degraded, stored.degraded, "{what}");
             for (snap, slice) in slices(ap.checkpoints(0), interval) {

@@ -6,33 +6,11 @@
 
 use printqueue::core::params::TimeWindowConfig;
 use printqueue::router::{BackendSpec, Router, RouterConfig, RouterHandle};
-use printqueue::rtt::{RttHook, RttReport, RttWorkload, TableConfig, RTT_SEGMENT_KIND};
+use printqueue::rtt::{RttReport, RttWorkload, RTT_SEGMENT_KIND};
 use printqueue::serve::{Client, ServeConfig, Server, ServerHandle, Sources};
 use printqueue::store::{SegmentPolicy, StoreWriter};
-use printqueue::switch::{PortConfig, QueueHooks, Switch, SwitchConfig};
 use printqueue::telemetry::Telemetry;
 use std::path::PathBuf;
-
-/// Run one QUIC-like workload through the switch pipeline and measure it.
-fn measure(cfg: &RttWorkload) -> Vec<RttReport> {
-    let trace = cfg.generate();
-    let mut sw = Switch::new(SwitchConfig {
-        ports: vec![
-            PortConfig {
-                rate_gbps: 100.0,
-                ..PortConfig::default()
-            };
-            cfg.ports as usize
-        ],
-        ..SwitchConfig::default()
-    });
-    let mut hook = RttHook::new(&trace.obs, TableConfig::default());
-    {
-        let mut hooks: Vec<&mut dyn QueueHooks> = vec![&mut hook];
-        sw.run(trace.arrivals.iter().cloned(), &mut hooks, 1_000_000);
-    }
-    hook.reports()
-}
 
 /// Spill reports into a `.pqa` archive as raw RTT segments (kind 1).
 fn spill(reports: &[RttReport]) -> Vec<u8> {
@@ -105,14 +83,15 @@ fn cleanup(paths: &[PathBuf]) {
 
 #[test]
 fn routed_rtt_is_bit_identical_to_single_daemon() {
-    let reports = measure(&RttWorkload {
+    let (reports, _) = RttWorkload {
         flows: 48,
         ports: 2,
         pkts_per_flow: 96,
         slow_rtt_ns: Some(8_000_000),
         seed: 11,
         ..RttWorkload::default()
-    });
+    }
+    .measure();
     assert_eq!(reports.len(), 2, "one report per observed port");
     let bytes = spill(&reports);
 
@@ -179,21 +158,25 @@ fn routed_rtt_is_bit_identical_to_single_daemon() {
 #[test]
 fn epoch_sliced_routed_rtt_merges_each_report_exactly_once() {
     const EPOCH_NS: u64 = 1_000_000;
-    let mut early = measure(&RttWorkload {
+    let mut early = RttWorkload {
         flows: 32,
         ports: 1,
         pkts_per_flow: 96,
         seed: 1,
         ..RttWorkload::default()
-    })
+    }
+    .measure()
+    .0
     .remove(0);
-    let mut late = measure(&RttWorkload {
+    let mut late = RttWorkload {
         flows: 32,
         ports: 1,
         pkts_per_flow: 96,
         seed: 2,
         ..RttWorkload::default()
-    })
+    }
+    .measure()
+    .0
     .remove(0);
     // Re-key the two reports into distinct epochs: one in epoch 0, one
     // in epoch 2, with the late report spanning an epoch boundary —

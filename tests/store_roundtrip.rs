@@ -1,9 +1,9 @@
 //! `.pqa` store integration tests: lossless round-trips against the
 //! in-RAM analysis program, time-range pruning, crash/corruption
-//! tolerance, and JSON back-compatibility.
+//! tolerance, and the one-way import of JSON archives.
 
 use printqueue::core::coefficient::Coefficients;
-use printqueue::core::control::{AnalysisProgram, ControlConfig};
+use printqueue::core::control::{AnalysisProgram, ControlConfig, CoverageGap};
 use printqueue::core::export::CheckpointArchive;
 use printqueue::core::params::TimeWindowConfig;
 use printqueue::core::printqueue::{PrintQueue, PrintQueueConfig};
@@ -11,8 +11,9 @@ use printqueue::core::queue_monitor::QueueMonitorSnapshot;
 use printqueue::core::snapshot::QueryInterval;
 use printqueue::packet::FlowId;
 use printqueue::store::{
-    archives_to_pqa, ship_archive, verify_replica, write_archives, ArchiveFormat, Recovery,
-    SegmentPolicy, SharedStoreWriter, StoreReader, StoreWriter, KIND_CHECKPOINTS, KIND_RTT,
+    archives_from_json, archives_to_pqa, ship_archive, verify_replica, write_archives,
+    ArchiveFormat, Recovery, SegmentPolicy, SharedStoreWriter, StoreReader, StoreWriter,
+    KIND_CHECKPOINTS, KIND_RTT,
 };
 use printqueue::telemetry::{names, Telemetry};
 use proptest::prelude::*;
@@ -71,7 +72,7 @@ fn drive_program(spill: Option<SharedStoreWriter<Vec<u8>>>, until: u64) -> Analy
 }
 
 /// Spill a program's checkpoints into an in-memory `.pqa`, mirroring what
-/// `pqsim archive --format pqa` does.
+/// `pqsim archive` does.
 fn spill_to_store(until: u64, policy: SegmentPolicy) -> (AnalysisProgram, Vec<u8>) {
     let writer = StoreWriter::new(Vec::new(), tw_small(), policy).unwrap();
     let handle = SharedStoreWriter::new(writer);
@@ -274,44 +275,147 @@ fn retention_drops_old_segments_and_records_gaps() {
     assert!(q.degraded);
 }
 
+/// `drive_program(None, JSON_UNTIL)`'s two ports as the JSON archive array
+/// the last version with a JSON writer wrote; element 0 is the historical
+/// single-object form. Kept byte for byte: it pins the importer.
+const JSON_ARCHIVES: &str = include_str!("data/checkpoint_archive.json");
+const JSON_UNTIL: u64 = 640;
+
+/// Element 0 of [`JSON_ARCHIVES`]: port 0's archive as a single object.
+fn json_port0() -> Value {
+    let Value::Array(mut archives) = serde_json::from_str(JSON_ARCHIVES).unwrap() else {
+        panic!("the fixture is an array")
+    };
+    archives.swap_remove(0)
+}
+
 #[test]
 fn json_archives_convert_losslessly_and_auto_detect() {
-    let ap = drive_program(None, 2_000);
-    let archives: Vec<CheckpointArchive> = PORTS
-        .iter()
-        .map(|&p| CheckpointArchive::capture(&ap, p))
-        .collect();
-
-    // The historical single-object JSON format still loads.
-    let mut legacy = Vec::new();
-    archives[0].write_json(&mut legacy).unwrap();
-    assert_eq!(ArchiveFormat::sniff(&legacy).unwrap(), ArchiveFormat::Json);
-    let parsed =
-        printqueue::store::archives_from_json(std::str::from_utf8(&legacy).unwrap()).unwrap();
+    // The single-object form imports as one port, the array form as both,
+    // and element 0 identically.
+    let single = serde_json::to_string(&json_port0()).unwrap();
+    assert_eq!(
+        ArchiveFormat::sniff(single.as_bytes()).unwrap(),
+        ArchiveFormat::Json
+    );
+    let parsed = archives_from_json(&single).unwrap();
     assert_eq!(parsed.len(), 1);
     assert_eq!(parsed[0].port, PORTS[0]);
-    assert_eq!(parsed[0].checkpoints.len(), archives[0].checkpoints.len());
-    // Queue monitors are held sparse in RAM but keep the dense
-    // `{entries, top}` JSON shape, so a legacy document re-serialises
-    // byte for byte.
-    let legacy_text = std::str::from_utf8(&legacy).unwrap();
-    assert!(legacy_text.contains(r#""queue_monitors":[{"entries":[{"inc":{"flow":"#));
-    let mut again = Vec::new();
-    parsed[0].write_json(&mut again).unwrap();
-    assert_eq!(again, legacy);
+    let archives = archives_from_json(JSON_ARCHIVES).unwrap();
+    assert_eq!(archives.len(), PORTS.len());
+    assert_eq!(parsed[0], archives[0]);
 
-    // JSON → .pqa → archives is lossless down to the serialized bytes.
+    // JSON → .pqa → archives is lossless.
     let pqa = archives_to_pqa(Vec::new(), &archives, tiny_segments()).unwrap();
     assert_eq!(ArchiveFormat::sniff(&pqa).unwrap(), ArchiveFormat::Pqa);
     let mut reader = StoreReader::open(Cursor::new(pqa)).unwrap();
     for archive in &archives {
-        let back = reader.read_port(archive.port).unwrap();
-        assert_eq!(
-            serde_json::to_string(archive).unwrap(),
-            serde_json::to_string(&back).unwrap(),
-            "port {} archive must round-trip bit-exactly",
-            archive.port
-        );
+        assert_eq!(reader.read_port(archive.port).unwrap(), *archive);
+    }
+}
+
+/// A coverage gap recorded in a JSON archive (written the way the last
+/// JSON writer wrote one, `{"from":…,"to":…}`) survives the import:
+/// `read_port` gives it back, and a `.pqa` query overlapping it is degraded
+/// with it while one clear of it is not.
+#[test]
+fn json_coverage_gap_survives_import() {
+    let gap = CoverageGap { from: 256, to: 448 };
+    let text = edited_json(|archive| {
+        let gap = vec![
+            ("from".to_string(), Value::U64(gap.from)),
+            ("to".to_string(), Value::U64(gap.to)),
+        ];
+        *field(archive, "gaps") = Value::Array(vec![Value::Object(gap)]);
+    });
+    let archives = archives_from_json(&text).unwrap();
+    assert_eq!(archives[0].gaps, [gap]);
+    let pqa = archives_to_pqa(Vec::new(), &archives, tiny_segments()).unwrap();
+    let mut reader = StoreReader::open(Cursor::new(pqa)).unwrap();
+    assert_eq!(reader.read_port(0).unwrap().gaps, [gap]);
+    let coeffs = Coefficients::compute(&tw_small(), 1);
+    let over = reader
+        .query(0, QueryInterval::new(300, 400), &coeffs)
+        .unwrap();
+    assert!(over.degraded);
+    assert_eq!(over.gaps, [gap]);
+    let clear = reader
+        .query(0, QueryInterval::new(0, 200), &coeffs)
+        .unwrap();
+    assert!(!clear.degraded);
+    assert!(clear.gaps.is_empty());
+}
+
+/// The imported fixture answers exactly as the program rebuilt from the
+/// same drive: every checkpoint comes back from `read_all`, and every
+/// `StoreReader::query` equals the live `query_time_windows` bit for bit.
+#[test]
+fn json_fixture_imports_and_answers_like_its_program() {
+    let ap = drive_program(None, JSON_UNTIL);
+    let archives = archives_from_json(JSON_ARCHIVES).unwrap();
+    let pqa = archives_to_pqa(Vec::new(), &archives, tiny_segments()).unwrap();
+    let mut reader = StoreReader::open(Cursor::new(pqa)).unwrap();
+    let back = reader.read_all().unwrap();
+    assert_eq!(back.len(), PORTS.len());
+    let coeffs = Coefficients::compute(&tw_small(), 1);
+    for (&port, archive) in PORTS.iter().zip(&back) {
+        assert_eq!(archive.checkpoints, ap.checkpoints(port), "port {port}");
+        assert_eq!(archive.gaps, ap.coverage_gaps(port), "port {port}");
+        for interval in sweep_intervals() {
+            let live = ap.query_time_windows(port, interval);
+            let stored = reader.query(port, interval, &coeffs).unwrap();
+            assert_eq!(
+                live.estimates.counts, stored.estimates.counts,
+                "port {port} interval {interval:?}"
+            );
+            assert_eq!(live.gaps, stored.gaps, "port {port} interval {interval:?}");
+            assert_eq!(live.degraded, stored.degraded);
+        }
+    }
+}
+
+/// `pqsim replay-query` answers a JSON archive and its `convert`ed `.pqa`
+/// alike, and refuses a port the archive does not hold — with exit 1 and
+/// the message a daemon serving the same file gives.
+#[test]
+fn replay_query_cli_imports_json_and_refuses_missing_ports() {
+    let json = std::env::temp_dir().join(format!("pq-replay-cli-{}.json", std::process::id()));
+    let pqa = json.with_extension("pqa");
+    std::fs::write(&json, JSON_ARCHIVES).unwrap();
+    let (json, pqa) = (json.to_str().unwrap(), pqa.to_str().unwrap());
+    let pqsim = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_pqsim"))
+            .args(args)
+            .arg("--quiet")
+            .output()
+            .unwrap()
+    };
+    let convert = pqsim(&["convert", json, pqa]);
+    assert!(convert.status.success(), "{convert:?}");
+    let query = |path: &str, port: &str| {
+        pqsim(&[
+            "replay-query",
+            path,
+            "--from",
+            "0",
+            "--to",
+            "2000",
+            "--port",
+            port,
+        ])
+    };
+    let (from_json, from_pqa) = (query(json, "3"), query(pqa, "3"));
+    assert!(from_json.status.success(), "{from_json:?}");
+    assert!(!from_json.stdout.is_empty());
+    assert_eq!(from_json.stdout, from_pqa.stdout);
+    for path in [json, pqa] {
+        let missing = query(path, "9");
+        assert_eq!(missing.status.code(), Some(1), "{missing:?}");
+        let stderr = String::from_utf8_lossy(&missing.stderr);
+        assert!(stderr.contains("port 9 not present in archive"), "{stderr}");
+    }
+    for p in [json, pqa] {
+        std::fs::remove_file(p).ok();
     }
 }
 
@@ -321,18 +425,14 @@ fn json_archives_convert_losslessly_and_auto_detect() {
 /// checkpoints; an existing destination was truncated the same way.
 #[test]
 fn refused_archive_write_leaves_no_file_behind() {
-    let ap = drive_program(None, 500);
-    let mut archives: Vec<CheckpointArchive> = PORTS
-        .iter()
-        .map(|&p| CheckpointArchive::capture(&ap, p))
-        .collect();
+    let mut archives = archives_from_json(JSON_ARCHIVES).unwrap();
     archives[1].tw_config.k += 1;
     let tmp =
         |name: &str| std::env::temp_dir().join(format!("pq-refused-{}-{name}", std::process::id()));
     let (fresh, existing) = (tmp("fresh.pqa"), tmp("existing.pqa"));
     std::fs::write(&existing, b"an older archive").unwrap();
     for dst in [&fresh, &existing] {
-        let err = write_archives(dst, &archives, ArchiveFormat::Pqa, tiny_segments()).unwrap_err();
+        let err = write_archives(dst, &archives, tiny_segments()).unwrap_err();
         assert!(err.to_string().contains("disagree"), "{err}");
         let mut partial = dst.clone().into_os_string();
         partial.push(".tmp");
@@ -342,7 +442,7 @@ fn refused_archive_write_leaves_no_file_behind() {
     assert_eq!(std::fs::read(&existing).unwrap(), b"an older archive");
 
     archives[1].tw_config = archives[0].tw_config;
-    write_archives(&fresh, &archives, ArchiveFormat::Pqa, tiny_segments()).unwrap();
+    write_archives(&fresh, &archives, tiny_segments()).unwrap();
     let reader = StoreReader::open(std::fs::File::open(&fresh).unwrap()).unwrap();
     assert_eq!(
         reader.checkpoint_count(PORTS[1]),
@@ -359,12 +459,7 @@ fn field<'a>(fields: &'a mut [(String, Value)], key: &str) -> &'a mut Value {
 
 /// Port 0's JSON archive with `edit` applied to the document's fields.
 fn edited_json(edit: impl FnOnce(&mut Vec<(String, Value)>)) -> String {
-    let ap = drive_program(None, 2_000);
-    let mut text = Vec::new();
-    CheckpointArchive::capture(&ap, PORTS[0])
-        .write_json(&mut text)
-        .unwrap();
-    let mut doc: Value = serde_json::from_str(std::str::from_utf8(&text).unwrap()).unwrap();
+    let mut doc = json_port0();
     let Value::Object(fields) = &mut doc else {
         panic!("an archive is an object")
     };
@@ -406,13 +501,13 @@ fn set_k(config: &mut Value, k: u64) {
 /// of — or whose configuration nothing could have captured — is refused
 /// with `InvalidData` at load, not panicked on (or answered) later.
 fn assert_refused(text: &str) {
-    let err = printqueue::store::archives_from_json(text).expect_err("refused");
+    let err = archives_from_json(text).expect_err("refused");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
 }
 
 #[test]
 fn json_checkpoint_missing_a_window_is_refused() {
-    assert!(printqueue::store::archives_from_json(&edited_windows(|_| {})).is_ok());
+    assert!(archives_from_json(&edited_windows(|_| {})).is_ok());
     assert_refused(&edited_windows(|w| {
         cells_of(w).pop();
     }));
@@ -424,6 +519,11 @@ fn json_window_of_the_wrong_length_is_refused() {
         Value::Array(cells) => cells.truncate(10),
         _ => panic!("a window is an array"),
     }));
+}
+
+#[test]
+fn json_of_another_version_is_refused() {
+    assert_refused(&edited_json(|a| *field(a, "version") = Value::U64(2)));
 }
 
 #[test]
@@ -440,11 +540,7 @@ fn spilled_store_matches_capture_exactly() {
     let mut reader = StoreReader::open(Cursor::new(bytes)).unwrap();
     for &port in &PORTS {
         let captured = CheckpointArchive::capture(&ap, port);
-        let stored = reader.read_port(port).unwrap();
-        assert_eq!(
-            serde_json::to_string(&captured).unwrap(),
-            serde_json::to_string(&stored).unwrap()
-        );
+        assert_eq!(reader.read_port(port).unwrap(), captured);
     }
 }
 
@@ -539,7 +635,7 @@ fn unknown_kind_segments_skip_and_surface_as_distinct_gaps() {
             reader.unknown_kind_gaps(),
             &[(
                 0,
-                printqueue::core::control::CoverageGap {
+                CoverageGap {
                     from: 2_500,
                     to: 2_900
                 }
@@ -820,11 +916,7 @@ proptest! {
         let mut reader = StoreReader::open(Cursor::new(bytes)).unwrap();
         for &port in &PORTS {
             let captured = CheckpointArchive::capture(&ap, port);
-            let stored = reader.read_port(port).unwrap();
-            prop_assert_eq!(
-                serde_json::to_string(&captured).unwrap(),
-                serde_json::to_string(&stored).unwrap()
-            );
+            prop_assert_eq!(reader.read_port(port).unwrap(), captured);
         }
     }
 }

@@ -10,18 +10,14 @@
 //! query speedup over it is the acceptance number for the index.
 
 use pq_bench::report::{write_json, CommonArgs, Table};
+use pq_bench::serving::{spill_polls, tw, MIN_PKT_TX_DELAY, POLL_PERIOD};
 use pq_core::coefficient::Coefficients;
-use pq_core::control::{query_slices, AnalysisProgram, ControlConfig};
-use pq_core::params::TimeWindowConfig;
+use pq_core::control::query_slices;
 use pq_core::snapshot::{FlowEstimates, QueryInterval};
-use pq_packet::FlowId;
-use pq_store::{SegmentPolicy, SharedStoreWriter, StoreReader, StoreWriter};
+use pq_store::{SegmentPolicy, StoreReader};
 use serde::Serialize;
 use std::io::Cursor;
 use std::time::Instant;
-
-const POLL_PERIOD: u64 = 4_096;
-const MIN_PKT_TX_DELAY: u64 = 110;
 
 #[derive(Serialize)]
 struct Row {
@@ -33,44 +29,6 @@ struct Row {
     pqa_pruned_query_ms: f64,
     query_speedup: f64,
     segments: usize,
-}
-
-fn tw() -> TimeWindowConfig {
-    // The paper's WS/DM data-plane configuration (§7.1).
-    TimeWindowConfig::new(6, 1, 10, 3)
-}
-
-/// Drive the analysis program for `n_checkpoints` polls with a steady
-/// synthetic dequeue mix, spilling into `spill` if given.
-fn drive(n_checkpoints: u64, spill: Option<SharedStoreWriter<Vec<u8>>>) -> AnalysisProgram {
-    let mut ap = AnalysisProgram::new(
-        tw(),
-        ControlConfig {
-            poll_period: POLL_PERIOD,
-            max_snapshots: n_checkpoints as usize + 8,
-        },
-        &[0],
-        64,
-        1,
-        MIN_PKT_TX_DELAY,
-    );
-    if let Some(handle) = spill {
-        ap.set_spill(Box::new(handle));
-    }
-    let mut t = 0u64;
-    for i in 0..n_checkpoints {
-        // ~50 packets per poll period across a rotating flow population.
-        for p in 0..50u64 {
-            let flow = FlowId(((i * 7 + p) % 96) as u32);
-            ap.record_dequeue(0, flow, t + p * (POLL_PERIOD / 64));
-            if p % 5 == 0 {
-                ap.qm_enqueue(0, 0, flow, (p % 24) as u32, t + p);
-            }
-        }
-        t += POLL_PERIOD;
-        ap.on_tick(t);
-    }
-    ap
 }
 
 /// Median-of-`reps` wall time in milliseconds.
@@ -90,11 +48,7 @@ fn run_one(n_checkpoints: u64, reps: usize) -> Row {
     // Encode: spill streaming into an in-memory .pqa while the program
     // runs, exactly as `pqsim archive` does.
     let pqa_start = Instant::now();
-    let writer = StoreWriter::new(Vec::new(), tw(), SegmentPolicy::default()).unwrap();
-    let handle = SharedStoreWriter::new(writer);
-    let ap = drive(n_checkpoints, Some(handle.clone()));
-    handle.with(|w| w.set_health(0, ap.health())).unwrap();
-    let pqa_bytes_buf = handle.finish().unwrap();
+    let (_, pqa_bytes_buf) = spill_polls(&[0], n_checkpoints, SegmentPolicy::default());
     let pqa_encode_ms = pqa_start.elapsed().as_secs_f64() * 1e3;
     let open = || StoreReader::open(Cursor::new(pqa_bytes_buf.as_slice())).unwrap();
 

@@ -19,18 +19,12 @@
 //! tracing design was sized against is <= 2% qps loss at 1% sampling.
 
 use pq_bench::report::{write_json_with_meta, CommonArgs, Table};
-use pq_core::control::{AnalysisProgram, ControlConfig};
-use pq_core::params::TimeWindowConfig;
-use pq_packet::FlowId;
-use pq_serve::{Client, ClientError, Request, ServeConfig, Server, Sources};
-use pq_store::{SegmentPolicy, SharedStoreWriter, StoreWriter};
-use pq_telemetry::{Telemetry, SAMPLE_ALWAYS_PPM};
+use pq_bench::serving::{best_of_rounds, intervals, spill_polls, Fleet, Storm, MIN_PKT_TX_DELAY};
+use pq_serve::{Request, ServeConfig};
+use pq_store::SegmentPolicy;
+use pq_telemetry::SAMPLE_ALWAYS_PPM;
 use serde::{Serialize, Value};
-use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
 
-const POLL_PERIOD: u64 = 4_096;
 const PORT: u16 = 0;
 
 #[derive(Serialize)]
@@ -40,6 +34,7 @@ struct Row {
     clients: usize,
     requests: usize,
     ok: usize,
+    busy: usize,
     committed: u64,
     wall_ms: f64,
     qps: f64,
@@ -47,158 +42,42 @@ struct Row {
     p99_ms: f64,
 }
 
-fn tw() -> TimeWindowConfig {
-    TimeWindowConfig::new(6, 1, 10, 3)
-}
-
-fn build_archive(n_checkpoints: u64, path: &PathBuf) {
-    let writer = StoreWriter::new(Vec::new(), tw(), SegmentPolicy::default()).unwrap();
-    let handle = SharedStoreWriter::new(writer);
-    let mut ap = AnalysisProgram::new(
-        tw(),
-        ControlConfig {
-            poll_period: POLL_PERIOD,
-            max_snapshots: n_checkpoints as usize + 8,
-        },
-        &[PORT],
-        64,
-        1,
-        110,
-    );
-    ap.set_spill(Box::new(handle.clone()));
-    let mut t = 0u64;
-    for i in 0..n_checkpoints {
-        for p in 0..50u64 {
-            let flow = FlowId(((i * 7 + p) % 96) as u32);
-            ap.record_dequeue(PORT, flow, t + p * (POLL_PERIOD / 64));
-        }
-        t += POLL_PERIOD;
-        ap.on_tick(t);
-    }
-    handle.with(|w| w.set_health(PORT, ap.health())).unwrap();
-    std::fs::write(path, handle.finish().unwrap()).unwrap();
-}
-
-fn intervals(n_checkpoints: u64, k: u64) -> Vec<(u64, u64)> {
-    let span = n_checkpoints * POLL_PERIOD;
-    (0..k)
-        .map(|i| {
-            let from = (span * i) / k;
-            (from, from + 4 * POLL_PERIOD)
-        })
-        .collect()
-}
-
-struct Outcome {
-    ok: usize,
-    wall_ms: f64,
-    latencies_ms: Vec<f64>,
-    committed: u64,
-}
-
-/// Drive one tracing setting: `sample_ppm` of `None` leaves the trace
-/// store disabled; `Some(ppm)` enables it at that head-sampling rate
-/// with the slow threshold parked at infinity, so commits are governed
-/// by sampling alone.
+/// Drive one tracing setting on a fresh daemon: `sample_ppm` of `None`
+/// leaves the trace store disabled; `Some(ppm)` enables it at that
+/// head-sampling rate with the slow threshold parked at infinity, so
+/// commits are governed by sampling alone. Returns the storm and the
+/// traces committed.
 fn run_scenario(
-    archive: &Path,
+    archive: &[u8],
     sample_ppm: Option<u32>,
     clients: usize,
     per_client: usize,
     mix: &[(u64, u64)],
-) -> Outcome {
-    let plane = Telemetry::new();
+) -> (Storm, u64) {
+    let fleet = Fleet::archive(archive, &ServeConfig::default());
+    let traces = fleet.plane(0).traces();
     if let Some(ppm) = sample_ppm {
-        plane.traces().set_enabled(true);
-        plane.traces().set_sample_ppm(ppm);
-        plane.traces().set_slow_ns(u64::MAX);
+        traces.set_enabled(true);
+        traces.set_sample_ppm(ppm);
+        traces.set_slow_ns(u64::MAX);
     }
-    let server = Server::bind(
-        ("127.0.0.1", 0),
-        Sources {
-            live: None,
-            archive: Some(archive.to_path_buf()),
-            rtt: Vec::new(),
-        },
-        ServeConfig::default(),
-        &plane,
-    )
-    .unwrap();
-    let handle = server.spawn().unwrap();
-    let addr: SocketAddr = handle.addr();
-
+    let replay = |i: usize| {
+        let (from, to) = mix[i % mix.len()];
+        Request::Replay {
+            port: PORT,
+            from,
+            to,
+            d: MIN_PKT_TX_DELAY,
+        }
+    };
     // Warm the shared decode cache before the clock starts: one pass over
     // the mix decodes every segment the measured load will touch, so the
     // comparison isolates tracing cost instead of first-touch decode cost.
-    {
-        let mut warm = Client::connect(addr).unwrap();
-        for &(from, to) in mix {
-            let _ = warm.query(Request::Replay {
-                port: PORT,
-                from,
-                to,
-                d: 110,
-            });
-        }
-    }
-
-    let start = Instant::now();
-    let threads: Vec<_> = (0..clients)
-        .map(|c| {
-            let mix = mix.to_vec();
-            std::thread::spawn(move || {
-                let mut client = Client::connect(addr).unwrap();
-                let mut ok = 0usize;
-                let mut latencies = Vec::with_capacity(per_client);
-                for r in 0..per_client {
-                    let (from, to) = mix[(c + r) % mix.len()];
-                    let t0 = Instant::now();
-                    match client.query(Request::Replay {
-                        port: PORT,
-                        from,
-                        to,
-                        d: 110,
-                    }) {
-                        Ok(res) => {
-                            assert!(!res.estimates.counts.is_empty());
-                            latencies.push(t0.elapsed().as_secs_f64() * 1e3);
-                            ok += 1;
-                        }
-                        Err(ClientError::Busy { retry_after_ms }) => {
-                            std::thread::sleep(Duration::from_millis(u64::from(retry_after_ms)));
-                        }
-                        Err(e) => panic!("query failed: {e}"),
-                    }
-                }
-                (ok, latencies)
-            })
-        })
-        .collect();
-    let mut ok = 0;
-    let mut latencies_ms = Vec::new();
-    for t in threads {
-        let (o, l) = t.join().unwrap();
-        ok += o;
-        latencies_ms.extend(l);
-    }
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let committed = plane.traces().committed();
-    handle.shutdown().unwrap();
-    latencies_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    Outcome {
-        ok,
-        wall_ms,
-        latencies_ms,
-        committed,
-    }
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
+    Storm::run(fleet.addr(0), 1, mix.len(), |_, i| replay(i));
+    let storm = Storm::run(fleet.addr(0), clients, per_client, |c, r| replay(c + r));
+    let committed = traces.committed();
+    fleet.shutdown();
+    (storm, committed)
 }
 
 fn main() {
@@ -209,13 +88,11 @@ fn main() {
         (2_048, 8, 400)
     };
     let mix = intervals(n_checkpoints, 8);
-    let archive =
-        std::env::temp_dir().join(format!("pq_ext_trace_overhead_{}.pqa", std::process::id()));
     eprintln!(
         "[ext_trace_overhead] spilling {n_checkpoints} checkpoints, \
          {clients} clients x {per_client} queries per setting"
     );
-    build_archive(n_checkpoints, &archive);
+    let (_, archive) = spill_polls(&[PORT], n_checkpoints, SegmentPolicy::default());
 
     // (scenario name, trace-store setting)
     let settings: [(&str, Option<u32>); 4] = [
@@ -230,45 +107,33 @@ fn main() {
         "scenario",
         "sample",
         "ok",
+        "busy",
         "committed",
         "qps",
         "p50 ms",
         "p99 ms",
         "overhead",
     ]);
-    let mut baseline_qps = 0.0f64;
+    // Short serving runs are scheduler-noisy: take each setting's best
+    // of `rounds` fresh-daemon runs, the settings interleaved in every
+    // round so no setting is charged the drift of the ones before it.
+    let rounds = if args.quick { 2 } else { 5 };
+    let best = best_of_rounds(settings.len(), rounds, |slot| {
+        run_scenario(&archive, settings[slot].1, clients, per_client, &mix)
+    });
+    let baseline_qps = best[0].0.qps();
     let mut overheads: Vec<(String, f64)> = Vec::new();
-    let reps = if args.quick { 2 } else { 5 };
-    for (name, ppm) in settings {
-        // Short serving runs are scheduler-noisy; take each setting's
-        // best of `reps` fresh-server repetitions, which converges on
-        // the setting's attainable throughput rather than on whichever
-        // run the machine happened to interfere with.
-        let out = (0..reps)
-            .map(|_| run_scenario(&archive, ppm, clients, per_client, &mix))
-            .max_by(|a, b| {
-                (a.ok as f64 / a.wall_ms)
-                    .partial_cmp(&(b.ok as f64 / b.wall_ms))
-                    .unwrap()
-            })
-            .unwrap();
-        let qps = out.ok as f64 / (out.wall_ms / 1e3);
-        if name == "disabled" {
-            baseline_qps = qps;
-        }
-        let overhead = if baseline_qps > 0.0 {
-            1.0 - qps / baseline_qps
-        } else {
-            0.0
-        };
+    for ((name, ppm), (out, committed)) in settings.into_iter().zip(best) {
+        let qps = out.qps();
+        let overhead = 1.0 - qps / baseline_qps;
         overheads.push((name.to_string(), overhead));
-        let p50 = percentile(&out.latencies_ms, 0.50);
-        let p99 = percentile(&out.latencies_ms, 0.99);
+        let (p50, p99) = (out.percentile(0.50), out.percentile(0.99));
         table.row(vec![
             name.to_string(),
             ppm.map(|p| format!("{p} ppm")).unwrap_or("off".into()),
             format!("{}", out.ok),
-            format!("{}", out.committed),
+            format!("{}", out.busy),
+            format!("{committed}"),
             format!("{qps:.0}"),
             format!("{p50:.3}"),
             format!("{p99:.3}"),
@@ -280,7 +145,8 @@ fn main() {
             clients,
             requests: clients * per_client,
             ok: out.ok,
-            committed: out.committed,
+            busy: out.busy,
+            committed,
             wall_ms: out.wall_ms,
             qps,
             p50_ms: p50,
@@ -307,5 +173,4 @@ fn main() {
             )
             .collect();
     write_json_with_meta("ext_trace_overhead", &rows, false, meta);
-    let _ = std::fs::remove_file(&archive);
 }

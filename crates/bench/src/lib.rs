@@ -8,7 +8,10 @@
 //! * [`victims`] — the §7.1 victim-sampling methodology: bucket victims by
 //!   the queue depth they encountered and sample per bucket;
 //! * [`report`] — aligned text tables and JSON result files under
-//!   `results/`.
+//!   `results/`;
+//! * [`serving`] — the serving fixture: synthetic archives, a local
+//!   pq-serve/pq-router fleet and a client storm, shared by the serving
+//!   experiments and the root serving tests.
 //!
 //! All experiments are deterministic given their seeds. Run with
 //! `--release`; the UW workloads push millions of packets per run.
@@ -16,6 +19,7 @@
 pub mod eval;
 pub mod harness;
 pub mod report;
+pub mod serving;
 pub mod sweep;
 pub mod victims;
 

@@ -237,6 +237,16 @@ impl Args {
         }
     }
 
+    /// A MiB flag in bytes, `default_bytes` when absent. A count whose
+    /// bytes overflow `u64` is refused like any other bad value.
+    fn get_mib(&self, name: &str, default_bytes: u64) -> u64 {
+        let mib: u64 = self.get(name, default_bytes >> 20);
+        mib.checked_mul(1 << 20).unwrap_or_else(|| {
+            eprintln!("bad value for --{name}: {mib} MiB overflows a byte count");
+            exit(2)
+        })
+    }
+
     /// A millisecond flag as a `Duration`, `default` when absent.
     fn get_ms(&self, name: &str, default: std::time::Duration) -> std::time::Duration {
         std::time::Duration::from_millis(self.get(name, default.as_millis() as u64))
@@ -1104,7 +1114,7 @@ fn cmd_serve(args: &Args) -> CliResult {
         queue_cap: args.get("queue-cap", defaults.queue_cap),
         inflight_per_conn: args.get("inflight", defaults.inflight_per_conn),
         max_conns: args.get("max-conns", defaults.max_conns),
-        cache_bytes: args.get("cache-mb", defaults.cache_bytes >> 20) << 20,
+        cache_bytes: args.get_mib("cache-mb", defaults.cache_bytes),
         retry_after_ms: args.get("retry-after-ms", defaults.retry_after_ms),
         drain_deadline: args.get_ms("drain-ms", defaults.drain_deadline),
         work_delay: args.get_ms("work-delay-ms", defaults.work_delay),

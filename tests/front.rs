@@ -4,30 +4,21 @@
 //! and the client must judge `Busy`, `Error` and response ids the same
 //! way whichever method is waiting.
 
-use printqueue::router::{BackendSpec, Router, RouterConfig, RouterHandle};
+use pq_bench::serving::Fleet;
+use printqueue::router::RouterConfig;
 use printqueue::serve::wire::{self, ErrorCode, Frame, HealthInfo, Request, WireSample, WireValue};
-use printqueue::serve::{Client, ClientError, ServeConfig, Server, ServerHandle, Sources};
-use printqueue::telemetry::{names, AlertEngine, AlertRule, Op, Stat, Telemetry};
+use printqueue::serve::{Client, ClientError, ServeConfig, Sources};
+use printqueue::telemetry::{names, AlertEngine, AlertRule, Op, Stat};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread;
 use std::time::Duration;
 
 /// A source-less daemon and a router in front of it, both capped at
 /// `max_conns` client connections.
-fn pair(max_conns: usize) -> ((ServerHandle, Telemetry), (RouterHandle, Telemetry)) {
-    let serve_plane = Telemetry::new();
-    let config = ServeConfig {
+fn pair(max_conns: usize) -> Fleet {
+    let serve = ServeConfig {
         max_conns,
         ..ServeConfig::default()
-    };
-    let daemon = Server::bind(("127.0.0.1", 0), Sources::default(), config, &serve_plane)
-        .unwrap()
-        .spawn()
-        .unwrap();
-    let router_plane = Telemetry::new();
-    let backend = BackendSpec {
-        name: "only".into(),
-        addr: daemon.addr().to_string(),
     };
     let config = RouterConfig {
         max_conns,
@@ -36,11 +27,7 @@ fn pair(max_conns: usize) -> ((ServerHandle, Telemetry), (RouterHandle, Telemetr
         probe_interval: Duration::from_millis(400),
         ..RouterConfig::default()
     };
-    let router = Router::bind(("127.0.0.1", 0), vec![backend], config, &router_plane)
-        .unwrap()
-        .spawn()
-        .unwrap();
-    ((daemon, serve_plane), (router, router_plane))
+    Fleet::new(vec![Sources::default()], &serve).route(config)
 }
 
 fn send(stream: &mut TcpStream, frame: &Frame) {
@@ -158,9 +145,9 @@ fn transcript(addr: SocketAddr) -> Vec<String> {
 
 #[test]
 fn a_daemon_and_a_router_present_the_same_front() {
-    let ((daemon, _serve_plane), (router, _router_plane)) = pair(64);
-    let daemon_lines = transcript(daemon.addr());
-    let router_lines = transcript(router.addr());
+    let fleet = pair(64);
+    let daemon_lines = transcript(fleet.addr(0));
+    let router_lines = transcript(fleet.router());
     assert_eq!(daemon_lines, router_lines);
 
     // And that shared behaviour is the specified one.
@@ -187,16 +174,15 @@ fn a_daemon_and_a_router_present_the_same_front() {
         assert!(line.ends_with("then None"), "no close after {line}");
     }
 
-    router.shutdown().unwrap();
-    daemon.shutdown().unwrap();
+    fleet.shutdown();
 }
 
 #[test]
 fn both_fronts_refuse_and_count_connections_over_the_cap() {
-    let ((daemon, serve_plane), (router, router_plane)) = pair(2);
+    let fleet = pair(2);
     let fronts = [
-        (daemon.addr(), &serve_plane, names::SERVE_SHED),
-        (router.addr(), &router_plane, names::ROUTER_SHED),
+        (fleet.addr(0), fleet.plane(0), names::SERVE_SHED),
+        (fleet.router(), fleet.router_plane(), names::ROUTER_SHED),
     ];
     for (addr, plane, series) in fronts {
         let shed = plane.registry().counter(series, &[]);
@@ -213,15 +199,14 @@ fn both_fronts_refuse_and_count_connections_over_the_cap() {
         );
         assert_eq!(shed.get(), 1, "{series} did not move");
     }
-    router.shutdown().unwrap();
-    daemon.shutdown().unwrap();
+    fleet.shutdown();
 }
 
 #[test]
 fn a_stopping_router_s_refusal_keeps_its_typed_code() {
-    let ((daemon, _serve_plane), (router, _router_plane)) = pair(8);
-    let mut stopper = Client::connect(router.addr()).unwrap();
-    let mut bystander = Client::connect(router.addr()).unwrap();
+    let fleet = pair(8);
+    let mut stopper = Client::connect(fleet.router()).unwrap();
+    let mut bystander = Client::connect(fleet.router()).unwrap();
     stopper.shutdown_server().unwrap();
     // The router answers with `Error{id: 0, ShuttingDown}`: connection
     // level, so it belongs to whatever exchange is running.
@@ -243,8 +228,7 @@ fn a_stopping_router_s_refusal_keeps_its_typed_code() {
         ),
         "{refused}"
     );
-    router.shutdown().unwrap();
-    daemon.shutdown().unwrap();
+    fleet.shutdown();
 }
 
 /// A peer that handshakes, then answers every request with `Busy` under

@@ -9,126 +9,35 @@
 //! worker threads and no sampler, nothing mutates the profile between
 //! the three dump fetches a byte-identity comparison needs.
 
-use printqueue::core::control::{AnalysisProgram, ControlConfig};
-use printqueue::core::params::TimeWindowConfig;
-use printqueue::packet::FlowId;
+use pq_bench::serving::{spill_program, tiny_segments, Fleet, PORTS};
 use printqueue::prof;
-use printqueue::router::{BackendSpec, Router, RouterConfig, RouterHandle};
-use printqueue::serve::{Client, Request, ServeConfig, Server, ServerHandle, Sources};
-use printqueue::store::{ship_archive, SegmentPolicy, SharedStoreWriter, StoreWriter};
+use printqueue::router::RouterConfig;
+use printqueue::serve::{Client, Request, ServeConfig};
 use printqueue::telemetry::{parse_prometheus, Telemetry};
-use std::path::PathBuf;
 
-const PORTS: [u16; 2] = [0, 3];
-
-fn tw_small() -> TimeWindowConfig {
-    TimeWindowConfig::new(0, 1, 6, 2)
-}
-
-fn tiny_segments() -> SegmentPolicy {
-    SegmentPolicy {
-        checkpoints_per_segment: 4,
-        max_segment_bytes: 1 << 20,
-        retain_segments_per_port: None,
-    }
-}
-
-/// Build a small archive; running the control loop here also exercises
-/// the instrumented freeze gate and store-writer locks, so the dumps
-/// and expositions below have real lock data to show.
-fn build_archive(until: u64) -> Vec<u8> {
-    let tw = tw_small();
-    let writer = StoreWriter::new(Vec::new(), tw, tiny_segments()).unwrap();
-    let handle = SharedStoreWriter::new(writer);
-    let mut ap = AnalysisProgram::new(
-        tw,
-        ControlConfig {
-            poll_period: 64,
-            max_snapshots: 10_000,
-        },
-        &PORTS,
-        32,
-        1,
-        1,
-    );
-    ap.set_spill(Box::new(handle.clone()));
-    for t in 0..until {
-        for (i, &port) in PORTS.iter().enumerate() {
-            if t % (i as u64 + 2) == 0 {
-                ap.record_dequeue(port, FlowId((t % 7) as u32 + i as u32 * 100), t);
-            }
-        }
-        if t % 64 == 0 {
-            ap.on_tick(t);
-        }
-    }
-    handle.finish().unwrap()
-}
-
-fn temp_path(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("pq_prof_e2e_{}_{name}.pqa", std::process::id()))
-}
-
-fn spawn_fleet(
-    bytes: &[u8],
-    n: usize,
-    tag: &str,
-) -> (Vec<ServerHandle>, Vec<BackendSpec>, Vec<PathBuf>) {
-    let src = temp_path(&format!("{tag}_src"));
-    std::fs::write(&src, bytes).unwrap();
-    let mut handles = Vec::new();
-    let mut specs = Vec::new();
-    let mut paths = vec![src.clone()];
-    for i in 0..n {
-        let replica = temp_path(&format!("{tag}_replica{i}"));
-        ship_archive(&src, &replica).unwrap();
-        let config = ServeConfig {
-            shard: format!("shard-{i}"),
-            prof: true,
-            prof_sample_ms: 0, // sampler off: dump stability is the point
-            cache_bytes: 0,    // every replay decodes, so segment_decode records
-            ..ServeConfig::default()
-        };
-        let server = Server::bind(
-            ("127.0.0.1", 0),
-            Sources {
-                live: None,
-                archive: Some(replica.clone()),
-                rtt: Vec::new(),
-            },
-            config,
-            &Telemetry::new(),
-        )
-        .unwrap();
-        let handle = server.spawn().unwrap();
-        specs.push(BackendSpec {
-            name: format!("shard-{i}"),
-            addr: handle.addr().to_string(),
-        });
-        handles.push(handle);
-        paths.push(replica);
-    }
-    (handles, specs, paths)
-}
-
-fn cleanup(paths: &[PathBuf]) {
-    for p in paths {
-        let _ = std::fs::remove_file(p);
-    }
+/// `n` always-profiled backends over replicas of the two-port archive
+/// driven for `until` ns. Spilling it here also exercises the
+/// instrumented freeze gate and store-writer locks, so the dumps and
+/// expositions below have real lock data to show.
+fn profiled_fleet(until: u64, n: usize) -> Fleet {
+    let (_, bytes) = spill_program(until, tiny_segments());
+    let config = ServeConfig {
+        prof: true,
+        prof_sample_ms: 0, // sampler off: dump stability is the point
+        cache_bytes: 0,    // every replay decodes, so segment_decode records
+        ..ServeConfig::default()
+    };
+    Fleet::replicas(&bytes, n, &config)
 }
 
 #[test]
 fn routed_dump_is_byte_identical_to_merged_backend_dumps() {
     let _guard = prof::test_lock();
     prof::reset();
-    let bytes = build_archive(2_000);
-    let (backends, specs, paths) = spawn_fleet(&bytes, 2, "ident");
-    let plane = Telemetry::new();
-    let router = Router::bind(("127.0.0.1", 0), specs, RouterConfig::default(), &plane).unwrap();
-    let router: RouterHandle = router.spawn().unwrap();
+    let fleet = profiled_fleet(2_000, 2).route(RouterConfig::default());
 
     // Drive load through the router so the serving scopes record.
-    let mut client = Client::connect(router.addr()).unwrap();
+    let mut client = Client::connect(fleet.router()).unwrap();
     for round in 0..5u64 {
         for &port in &PORTS {
             client
@@ -145,8 +54,8 @@ fn routed_dump_is_byte_identical_to_merged_backend_dumps() {
     // Workers are idle now and the sampler never ran, so the process
     // profile is frozen across these three fetches.
     let mut dumps = Vec::new();
-    for b in &backends {
-        let mut c = Client::connect(b.addr()).unwrap();
+    for i in 0..2 {
+        let mut c = Client::connect(fleet.addr(i)).unwrap();
         dumps.push(c.profile_dump_bytes().unwrap());
     }
     let routed = client.profile_dump_bytes().unwrap();
@@ -185,11 +94,7 @@ fn routed_dump_is_byte_identical_to_merged_backend_dumps() {
     }
 
     drop(client);
-    router.shutdown().unwrap();
-    for b in backends {
-        b.shutdown().unwrap();
-    }
-    cleanup(&paths);
+    fleet.shutdown();
     prof::set_enabled(false);
     prof::reset();
 }
@@ -198,10 +103,9 @@ fn routed_dump_is_byte_identical_to_merged_backend_dumps() {
 fn prof_series_ride_the_prometheus_exposition() {
     let _guard = prof::test_lock();
     prof::reset();
-    let bytes = build_archive(1_000);
-    let (backends, _specs, paths) = spawn_fleet(&bytes, 1, "prom");
+    let fleet = profiled_fleet(1_000, 1);
 
-    let mut client = Client::connect(backends[0].addr()).unwrap();
+    let mut client = Client::connect(fleet.addr(0)).unwrap();
     client
         .query(Request::Replay {
             port: 0,
@@ -247,10 +151,7 @@ fn prof_series_ride_the_prometheus_exposition() {
     );
 
     drop(client);
-    for b in backends {
-        b.shutdown().unwrap();
-    }
-    cleanup(&paths);
+    fleet.shutdown();
     prof::set_enabled(false);
     prof::reset();
 }

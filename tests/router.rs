@@ -4,143 +4,19 @@
 //! backends must be readmitted by the health probe, and the shard
 //! identity must travel the wire.
 
+use pq_bench::serving::{metric, spill_program, sweep_intervals, tiny_segments, tw_small};
+use pq_bench::serving::{Fleet, PORTS};
 use printqueue::core::coefficient::Coefficients;
-use printqueue::core::control::{AnalysisProgram, ControlConfig, CoverageGap};
-use printqueue::core::params::TimeWindowConfig;
-use printqueue::core::snapshot::QueryInterval;
+use printqueue::core::control::CoverageGap;
 use printqueue::packet::FlowId;
-use printqueue::router::{rendezvous_rank, BackendSpec, Router, RouterConfig, RouterHandle};
-use printqueue::serve::{
-    Client, ClientError, Request, RetryPolicy, ServeConfig, Server, ServerHandle, Sources,
-};
-use printqueue::store::{ship_archive, SegmentPolicy, SharedStoreWriter, StoreReader, StoreWriter};
-use printqueue::telemetry::{parse_prometheus, Telemetry};
+use printqueue::router::{rendezvous_rank, BackendSpec, Router, RouterConfig};
+use printqueue::serve::{Client, ClientError, Request, RetryPolicy, ServeConfig, Server, Sources};
+use printqueue::store::StoreReader;
+use printqueue::telemetry::Telemetry;
 use std::collections::HashMap;
 use std::io::Cursor;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-const PORTS: [u16; 2] = [0, 3];
-
-fn tw_small() -> TimeWindowConfig {
-    TimeWindowConfig::new(0, 1, 6, 2)
-}
-
-fn tiny_segments() -> SegmentPolicy {
-    SegmentPolicy {
-        checkpoints_per_segment: 4,
-        max_segment_bytes: 1 << 20,
-        retain_segments_per_port: None,
-    }
-}
-
-/// Same two-port drive as the serve e2e tests: a poll every 64 ns and a
-/// silence window opening a coverage gap, so routed answers exercise
-/// gaps and the degraded flag too.
-fn build_archive(until: u64) -> Vec<u8> {
-    let tw = tw_small();
-    let writer = StoreWriter::new(Vec::new(), tw, tiny_segments()).unwrap();
-    let handle = SharedStoreWriter::new(writer);
-    let mut ap = AnalysisProgram::new(
-        tw,
-        ControlConfig {
-            poll_period: 64,
-            max_snapshots: 10_000,
-        },
-        &PORTS,
-        32,
-        1,
-        1,
-    );
-    ap.set_spill(Box::new(handle.clone()));
-    let silence = 1_000..1_600;
-    for t in 0..until {
-        for (i, &port) in PORTS.iter().enumerate() {
-            if t % (i as u64 + 2) == 0 {
-                ap.record_dequeue(port, FlowId((t % 7) as u32 + i as u32 * 100), t);
-            }
-        }
-        if t % 64 == 0 && !silence.contains(&t) {
-            ap.on_tick(t);
-        }
-    }
-    for &port in &PORTS {
-        handle.with(|w| w.set_health(port, ap.health())).unwrap();
-    }
-    handle.finish().unwrap()
-}
-
-fn sweep_intervals() -> Vec<QueryInterval> {
-    vec![
-        QueryInterval::new(0, 50),
-        QueryInterval::new(100, 300),
-        QueryInterval::new(900, 1_700),
-        QueryInterval::new(500, 1_999),
-        QueryInterval::new(0, 1_999),
-        QueryInterval::new(1_900, 5_000),
-    ]
-}
-
-fn temp_path(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("pq_router_e2e_{}_{name}.pqa", std::process::id()))
-}
-
-/// Ship the source archive to one replica file per backend (the
-/// any-owner-can-answer contract the router assumes), then start a
-/// backend on each replica.
-fn spawn_fleet(
-    bytes: &[u8],
-    n: usize,
-    tag: &str,
-    config: &ServeConfig,
-) -> (Vec<ServerHandle>, Vec<BackendSpec>, Vec<PathBuf>) {
-    let src = temp_path(&format!("{tag}_src"));
-    std::fs::write(&src, bytes).unwrap();
-    let mut handles = Vec::new();
-    let mut specs = Vec::new();
-    let mut paths = vec![src.clone()];
-    for i in 0..n {
-        let replica = temp_path(&format!("{tag}_replica{i}"));
-        ship_archive(&src, &replica).unwrap();
-        let mut cfg = config.clone();
-        cfg.shard = format!("shard-{i}");
-        let server = Server::bind(
-            ("127.0.0.1", 0),
-            Sources {
-                live: None,
-                archive: Some(replica.clone()),
-                rtt: Vec::new(),
-            },
-            cfg,
-            &Telemetry::new(),
-        )
-        .unwrap();
-        let handle = server.spawn().unwrap();
-        specs.push(BackendSpec {
-            name: format!("shard-{i}"),
-            addr: handle.addr().to_string(),
-        });
-        handles.push(handle);
-        paths.push(replica);
-    }
-    (handles, specs, paths)
-}
-
-fn spawn_router(specs: Vec<BackendSpec>, config: RouterConfig) -> (RouterHandle, Telemetry) {
-    let plane = Telemetry::new();
-    let router = Router::bind(("127.0.0.1", 0), specs, config, &plane).unwrap();
-    (router.spawn().unwrap(), plane)
-}
-
-fn metric(text: &str, name: &str) -> f64 {
-    parse_prometheus(text)
-        .unwrap()
-        .iter()
-        .filter(|m| m.name == name)
-        .map(|m| m.value)
-        .sum()
-}
 
 type Oracle = HashMap<(u16, u64, u64), (HashMap<FlowId, f64>, Vec<CoverageGap>, bool, u64)>;
 
@@ -166,20 +42,13 @@ fn oracle_answers(bytes: &[u8]) -> Oracle {
     out
 }
 
-fn cleanup(paths: &[PathBuf]) {
-    for p in paths {
-        let _ = std::fs::remove_file(p);
-    }
-}
-
 #[test]
 fn routed_replay_is_bit_identical_to_single_node_oracle() {
-    let bytes = build_archive(2_000);
-    let (backends, specs, paths) = spawn_fleet(&bytes, 2, "ident", &ServeConfig::default());
-    let (router, _plane) = spawn_router(specs, RouterConfig::default());
+    let (_, bytes) = spill_program(2_000, tiny_segments());
+    let fleet = Fleet::replicas(&bytes, 2, &ServeConfig::default()).route(RouterConfig::default());
     let oracle = oracle_answers(&bytes);
 
-    let mut client = Client::connect(router.addr()).unwrap();
+    let mut client = Client::connect(fleet.router()).unwrap();
     for &port in &PORTS {
         for interval in sweep_intervals() {
             let got = client
@@ -204,7 +73,7 @@ fn routed_replay_is_bit_identical_to_single_node_oracle() {
     // Authoritative errors are forwarded untouched — a port no backend
     // holds must come back exactly as a lone daemon would answer it.
     let direct_err = {
-        let mut direct = Client::connect(backends[0].addr()).unwrap();
+        let mut direct = Client::connect(fleet.addr(0)).unwrap();
         direct
             .query(Request::Replay {
                 port: 9,
@@ -242,16 +111,12 @@ fn routed_replay_is_bit_identical_to_single_node_oracle() {
         other => panic!("expected matching Remote errors, got {other:?}"),
     }
 
-    router.shutdown().unwrap();
-    for b in backends {
-        b.shutdown().unwrap();
-    }
-    cleanup(&paths);
+    fleet.shutdown();
 }
 
 #[test]
 fn kill_a_node_mid_storm_loses_zero_answers() {
-    let bytes = build_archive(2_000);
+    let (_, bytes) = spill_program(2_000, tiny_segments());
     let mut config = ServeConfig {
         work_delay: Duration::from_millis(2),
         queue_cap: 256,
@@ -259,17 +124,16 @@ fn kill_a_node_mid_storm_loses_zero_answers() {
         ..ServeConfig::default()
     };
     config.drain_deadline = Duration::from_millis(200);
-    let (mut backends, specs, paths) = spawn_fleet(&bytes, 3, "chaos", &config);
-    let (router, _plane) = spawn_router(specs.clone(), RouterConfig::default());
+    let mut fleet = Fleet::replicas(&bytes, 3, &config).route(RouterConfig::default());
     let oracle = Arc::new(oracle_answers(&bytes));
 
     // Kill the primary owner of port 0's shard, so queries after the
     // kill are guaranteed to contact it first and fail over.
-    let victim = rendezvous_rank(&specs, PORTS[0], 0)[0];
+    let victim = rendezvous_rank(fleet.specs(), PORTS[0], 0)[0];
 
     const THREADS: usize = 8;
     const QUERIES: usize = 60;
-    let addr = router.addr();
+    let addr = fleet.router();
     let workers: Vec<_> = (0..THREADS)
         .map(|w| {
             let oracle = Arc::clone(&oracle);
@@ -301,18 +165,17 @@ fn kill_a_node_mid_storm_loses_zero_answers() {
     // SIGKILL analog mid-storm: no drain, sockets torn down, queued
     // work abandoned.
     std::thread::sleep(Duration::from_millis(50));
-    backends.remove(victim).kill().unwrap();
+    fleet.kill(victim);
 
     for worker in workers {
         worker.join().unwrap();
     }
 
-    let mut client = Client::connect(router.addr()).unwrap();
-    let text = client.metrics().unwrap();
     assert!(
-        metric(&text, "pq_router_failovers_total") >= 1.0,
-        "the storm must have failed over at least once:\n{text}"
+        metric(fleet.router(), "pq_router_failovers_total") >= 1.0,
+        "the storm must have failed over at least once"
     );
+    let mut client = Client::connect(fleet.router()).unwrap();
     let map = client.shard_map().unwrap();
     assert_eq!(map.backends.len(), 3);
     assert!(
@@ -320,17 +183,13 @@ fn kill_a_node_mid_storm_loses_zero_answers() {
         "the killed backend should be quarantined by now"
     );
 
-    router.shutdown().unwrap();
-    for b in backends {
-        b.shutdown().unwrap();
-    }
-    cleanup(&paths);
+    fleet.shutdown();
 }
 
 #[test]
 fn quarantined_backend_is_readmitted_by_the_probe() {
-    let bytes = build_archive(2_000);
-    let (backends, mut specs, paths) = spawn_fleet(&bytes, 1, "probe", &ServeConfig::default());
+    let (_, bytes) = spill_program(2_000, tiny_segments());
+    let fleet = Fleet::replicas(&bytes, 1, &ServeConfig::default());
 
     // A second "backend" that does not exist yet: reserve an ephemeral
     // port (never connected to, so no TIME_WAIT) and hand its address
@@ -338,19 +197,20 @@ fn quarantined_backend_is_readmitted_by_the_probe() {
     let reserved = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
     let phantom_addr = reserved.local_addr().unwrap();
     drop(reserved);
-    let replica = paths[1].clone(); // shard-0's replica doubles as the late joiner's archive
+    let mut specs = fleet.specs().to_vec();
     specs.push(BackendSpec {
         name: "shard-late".to_string(),
         addr: phantom_addr.to_string(),
     });
 
-    let (router, _plane) = spawn_router(
-        specs,
-        RouterConfig {
-            probe_interval: Duration::from_millis(20),
-            ..RouterConfig::default()
-        },
-    );
+    let config = RouterConfig {
+        probe_interval: Duration::from_millis(20),
+        ..RouterConfig::default()
+    };
+    let router = Router::bind(("127.0.0.1", 0), specs, config, &Telemetry::new())
+        .unwrap()
+        .spawn()
+        .unwrap();
     let mut client = Client::connect(router.addr()).unwrap();
 
     // Enough queries that the phantom backend accumulates failures and
@@ -375,17 +235,15 @@ fn quarantined_backend_is_readmitted_by_the_probe() {
         .unwrap();
     assert!(!late.healthy, "phantom backend should be quarantined");
     let gen_quarantined = map.generation;
-    let text = client.metrics().unwrap();
-    assert!(metric(&text, "pq_router_quarantines_total") >= 1.0);
+    assert!(metric(router.addr(), "pq_router_quarantines_total") >= 1.0);
 
     // Now the backend actually comes up on the promised address; the
-    // probe loop must readmit it.
+    // probe loop must readmit it, serving shard-0's replica.
     let late_server = Server::bind(
         phantom_addr,
         Sources {
-            live: None,
-            archive: Some(replica),
-            rtt: Vec::new(),
+            archive: Some(fleet.replica(0)),
+            ..Sources::default()
         },
         ServeConfig {
             shard: "shard-late".to_string(),
@@ -418,8 +276,7 @@ fn quarantined_backend_is_readmitted_by_the_probe() {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
-    let text = client.metrics().unwrap();
-    assert!(metric(&text, "pq_router_readmissions_total") >= 1.0);
+    assert!(metric(router.addr(), "pq_router_readmissions_total") >= 1.0);
 
     // And it serves again: answers still match the oracle.
     let oracle = oracle_answers(&bytes);
@@ -438,37 +295,21 @@ fn quarantined_backend_is_readmitted_by_the_probe() {
 
     router.shutdown().unwrap();
     late_server.shutdown().unwrap();
-    for b in backends {
-        b.shutdown().unwrap();
-    }
-    cleanup(&paths);
+    fleet.shutdown();
 }
 
 #[test]
 fn client_retry_honors_busy_and_recovers() {
     // A server that refuses connections beyond the first: connect_retry
     // must keep retrying the accept-time Busy until the slot frees.
-    let bytes = build_archive(500);
-    let path = temp_path("busy");
-    std::fs::write(&path, &bytes).unwrap();
-    let server = Server::bind(
-        ("127.0.0.1", 0),
-        Sources {
-            live: None,
-            archive: Some(path.clone()),
-            rtt: Vec::new(),
-        },
-        ServeConfig {
-            max_conns: 1,
-            retry_after_ms: 10,
-            ..ServeConfig::default()
-        },
-        &Telemetry::new(),
-    )
-    .unwrap()
-    .spawn()
-    .unwrap();
-    let addr = server.addr();
+    let (_, bytes) = spill_program(500, tiny_segments());
+    let config = ServeConfig {
+        max_conns: 1,
+        retry_after_ms: 10,
+        ..ServeConfig::default()
+    };
+    let fleet = Fleet::replicas(&bytes, 1, &config);
+    let addr = fleet.addr(0);
 
     let hog = Client::connect(addr).unwrap();
     // Plain connect is shed with Busy while the slot is held.
@@ -498,26 +339,17 @@ fn client_retry_honors_busy_and_recovers() {
             d: 1,
         })
         .unwrap();
-    server.shutdown().unwrap();
-    let _ = std::fs::remove_file(path);
+    fleet.shutdown();
 }
 
 #[test]
 fn shard_identity_travels_health_and_shard_map() {
-    let bytes = build_archive(500);
-    let (backends, specs, paths) = spawn_fleet(
-        &bytes,
-        2,
-        "identity",
-        &ServeConfig {
-            shard: String::new(), // spawn_fleet overwrites per backend
-            ..ServeConfig::default()
-        },
-    );
+    let (_, bytes) = spill_program(500, tiny_segments());
+    let fleet = Fleet::replicas(&bytes, 2, &ServeConfig::default());
 
     // Each lone daemon advertises its shard in HealthAck and answers a
     // one-entry self-describing ShardMap.
-    for (i, spec) in specs.iter().enumerate() {
+    for (i, spec) in fleet.specs().iter().enumerate() {
         let mut direct = Client::connect(spec.addr.as_str()).unwrap();
         let health = direct.health().unwrap();
         assert_eq!(health.shard, format!("shard-{i}"));
@@ -529,8 +361,8 @@ fn shard_identity_travels_health_and_shard_map() {
     }
 
     // The router's map covers the fleet and its health names itself.
-    let (router, _plane) = spawn_router(specs, RouterConfig::default());
-    let mut client = Client::connect(router.addr()).unwrap();
+    let fleet = fleet.route(RouterConfig::default());
+    let mut client = Client::connect(fleet.router()).unwrap();
     let health = client.health().unwrap();
     assert_eq!(health.shard, "router");
     assert_eq!(health.workers, 2, "workers field carries the backend count");
@@ -539,9 +371,5 @@ fn shard_identity_travels_health_and_shard_map() {
     assert_eq!(map.backends.len(), 2);
     assert!(map.backends.iter().all(|b| b.healthy));
 
-    router.shutdown().unwrap();
-    for b in backends {
-        b.shutdown().unwrap();
-    }
-    cleanup(&paths);
+    fleet.shutdown();
 }

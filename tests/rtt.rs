@@ -4,13 +4,12 @@
 //! cap must be applied exactly once (at the answering hop), and the
 //! planted slow flow must rank first in every answer.
 
+use pq_bench::serving::Fleet;
 use printqueue::core::params::TimeWindowConfig;
-use printqueue::router::{BackendSpec, Router, RouterConfig, RouterHandle};
+use printqueue::router::RouterConfig;
 use printqueue::rtt::{RttReport, RttWorkload, RTT_SEGMENT_KIND};
-use printqueue::serve::{Client, ServeConfig, Server, ServerHandle, Sources};
+use printqueue::serve::{Client, ServeConfig};
 use printqueue::store::{SegmentPolicy, StoreWriter};
-use printqueue::telemetry::Telemetry;
-use std::path::PathBuf;
 
 /// Spill reports into a `.pqa` archive as raw RTT segments (kind 1).
 fn spill(reports: &[RttReport]) -> Vec<u8> {
@@ -34,51 +33,12 @@ fn spill(reports: &[RttReport]) -> Vec<u8> {
     w.finish().unwrap()
 }
 
-fn temp_path(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("pq_rtt_e2e_{}_{tag}.pqa", std::process::id()))
-}
-
-/// A daemon serving a private replica of the archive bytes.
-fn spawn_daemon(bytes: &[u8], tag: &str, shard: &str) -> (ServerHandle, PathBuf) {
-    let path = temp_path(tag);
-    std::fs::write(&path, bytes).unwrap();
-    let cfg = ServeConfig {
-        shard: shard.to_string(),
-        ..ServeConfig::default()
-    };
-    let server = Server::bind(
-        ("127.0.0.1", 0),
-        Sources {
-            live: None,
-            archive: Some(path.clone()),
-            rtt: Vec::new(),
-        },
-        cfg,
-        &Telemetry::new(),
-    )
-    .unwrap();
-    (server.spawn().unwrap(), path)
-}
-
-fn spawn_router(backends: &[ServerHandle], config: RouterConfig) -> RouterHandle {
-    let specs = backends
-        .iter()
-        .enumerate()
-        .map(|(i, b)| BackendSpec {
-            name: format!("shard-{i}"),
-            addr: b.addr().to_string(),
-        })
-        .collect();
-    Router::bind(("127.0.0.1", 0), specs, config, &Telemetry::new())
-        .unwrap()
-        .spawn()
-        .unwrap()
-}
-
-fn cleanup(paths: &[PathBuf]) {
-    for p in paths {
-        let _ = std::fs::remove_file(p);
-    }
+/// A lone daemon over `bytes`, and two replicas of them behind a router
+/// configured by `config`.
+fn single_and_routed(bytes: &[u8], config: RouterConfig) -> (Fleet, Fleet) {
+    let single = Fleet::replicas(bytes, 1, &ServeConfig::default());
+    let routed = Fleet::replicas(bytes, 2, &ServeConfig::default()).route(config);
+    (single, routed)
 }
 
 #[test]
@@ -95,20 +55,16 @@ fn routed_rtt_is_bit_identical_to_single_daemon() {
     assert_eq!(reports.len(), 2, "one report per observed port");
     let bytes = spill(&reports);
 
-    let (single, p0) = spawn_daemon(&bytes, "ident_single", "solo");
-    let (b0, p1) = spawn_daemon(&bytes, "ident_b0", "shard-0");
-    let (b1, p2) = spawn_daemon(&bytes, "ident_b1", "shard-1");
-    let backends = [b0, b1];
-    let router = spawn_router(
-        &backends,
+    let (single, fleet) = single_and_routed(
+        &bytes,
         RouterConfig {
             replication: 2,
             ..RouterConfig::default()
         },
     );
 
-    let mut direct = Client::connect(single.addr()).unwrap();
-    let mut routed = Client::connect(router.addr()).unwrap();
+    let mut direct = Client::connect(single.addr(0)).unwrap();
+    let mut routed = Client::connect(fleet.router()).unwrap();
     let mid = (reports[0].min_t + reports[0].max_t) / 2;
     for port in [0u16, 1] {
         // max_flows 0 = untruncated; 4 forces the cap to drop flows.
@@ -148,11 +104,8 @@ fn routed_rtt_is_bit_identical_to_single_daemon() {
 
     drop(direct);
     drop(routed);
-    router.shutdown().unwrap();
-    for b in backends {
-        b.shutdown().unwrap();
-    }
-    cleanup(&[p0, p1, p2]);
+    fleet.shutdown();
+    single.shutdown();
 }
 
 #[test]
@@ -190,12 +143,8 @@ fn epoch_sliced_routed_rtt_merges_each_report_exactly_once() {
     late.max_t = late.min_t + late_span.max(EPOCH_NS);
     let bytes = spill(&[early.clone(), late.clone()]);
 
-    let (single, p0) = spawn_daemon(&bytes, "epoch_single", "solo");
-    let (b0, p1) = spawn_daemon(&bytes, "epoch_b0", "shard-0");
-    let (b1, p2) = spawn_daemon(&bytes, "epoch_b1", "shard-1");
-    let backends = [b0, b1];
-    let router = spawn_router(
-        &backends,
+    let (single, fleet) = single_and_routed(
+        &bytes,
         RouterConfig {
             replication: 2,
             epoch_ns: EPOCH_NS,
@@ -203,8 +152,8 @@ fn epoch_sliced_routed_rtt_merges_each_report_exactly_once() {
         },
     );
 
-    let mut direct = Client::connect(single.addr()).unwrap();
-    let mut routed = Client::connect(router.addr()).unwrap();
+    let mut direct = Client::connect(single.addr(0)).unwrap();
+    let mut routed = Client::connect(fleet.router()).unwrap();
     // [0, 4 ms) covers four epoch slices and both reports; the narrower
     // ranges select exactly one report each by its start time.
     for (from, to) in [
@@ -234,9 +183,6 @@ fn epoch_sliced_routed_rtt_merges_each_report_exactly_once() {
 
     drop(direct);
     drop(routed);
-    router.shutdown().unwrap();
-    for b in backends {
-        b.shutdown().unwrap();
-    }
-    cleanup(&[p0, p1, p2]);
+    fleet.shutdown();
+    single.shutdown();
 }

@@ -3,119 +3,26 @@
 //! survive the network hop, overload must shed with explicit Busy frames,
 //! and shutdown must drain admitted work.
 
+use pq_bench::serving::{drive_program, spill_program, sweep_intervals, tiny_segments, tw_small};
+use pq_bench::serving::{metric, Fleet, PORTS};
 use printqueue::core::coefficient::Coefficients;
-use printqueue::core::control::{AnalysisProgram, ControlConfig};
-use printqueue::core::params::TimeWindowConfig;
 use printqueue::core::snapshot::QueryInterval;
 use printqueue::packet::FlowId;
 use printqueue::serve::wire::{self, Frame};
-use printqueue::serve::{Client, ClientError, Request, ServeConfig, Server, Sources};
-use printqueue::store::{SegmentPolicy, SharedStoreWriter, StoreReader, StoreWriter};
-use printqueue::telemetry::{parse_prometheus, Telemetry};
-use std::io::Cursor;
+use printqueue::serve::{Client, ClientError, Request, ServeConfig};
+use printqueue::store::StoreReader;
+use printqueue::telemetry::parse_prometheus;
+use std::io::{Cursor, Read};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::process::{Command, Stdio};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
-
-const PORTS: [u16; 2] = [0, 3];
-
-fn tw_small() -> TimeWindowConfig {
-    TimeWindowConfig::new(0, 1, 6, 2)
-}
-
-fn tiny_segments() -> SegmentPolicy {
-    SegmentPolicy {
-        checkpoints_per_segment: 4,
-        max_segment_bytes: 1 << 20,
-        retain_segments_per_port: None,
-    }
-}
-
-/// Drive a two-port program for `until` ns with a poll every 64 ns and a
-/// silence window that opens a coverage gap (same shape as the store
-/// round-trip tests, so remote answers exercise gaps too).
-fn drive_program(spill: Option<SharedStoreWriter<Vec<u8>>>, until: u64) -> AnalysisProgram {
-    let tw = tw_small();
-    let mut ap = AnalysisProgram::new(
-        tw,
-        ControlConfig {
-            poll_period: 64,
-            max_snapshots: 10_000,
-        },
-        &PORTS,
-        32,
-        1,
-        1,
-    );
-    if let Some(handle) = spill {
-        ap.set_spill(Box::new(handle));
-    }
-    let silence = 1_000..1_600;
-    for t in 0..until {
-        for (i, &port) in PORTS.iter().enumerate() {
-            if t % (i as u64 + 2) == 0 {
-                ap.record_dequeue(port, FlowId((t % 7) as u32 + i as u32 * 100), t);
-            }
-            if t % 5 == 0 {
-                ap.qm_enqueue(port, 0, FlowId((t % 3) as u32), (t % 20) as u32, t);
-            }
-        }
-        if t % 64 == 0 && !silence.contains(&t) {
-            ap.on_tick(t);
-        }
-    }
-    ap
-}
-
-fn spill_to_store(until: u64) -> (AnalysisProgram, Vec<u8>) {
-    let writer = StoreWriter::new(Vec::new(), tw_small(), tiny_segments()).unwrap();
-    let handle = SharedStoreWriter::new(writer);
-    let ap = drive_program(Some(handle.clone()), until);
-    for &port in &PORTS {
-        handle.with(|w| w.set_health(port, ap.health())).unwrap();
-    }
-    let bytes = handle.finish().unwrap();
-    (ap, bytes)
-}
-
-fn sweep_intervals() -> Vec<QueryInterval> {
-    vec![
-        QueryInterval::new(0, 50),
-        QueryInterval::new(100, 300),
-        QueryInterval::new(900, 1_700),
-        QueryInterval::new(500, 1_999),
-        QueryInterval::new(0, 1_999),
-        QueryInterval::new(1_900, 5_000),
-    ]
-}
-
-/// Write archive bytes to a unique temp file the server can open.
-fn temp_archive(name: &str, bytes: &[u8]) -> PathBuf {
-    let path = std::env::temp_dir().join(format!("pq_serve_e2e_{}_{name}.pqa", std::process::id()));
-    std::fs::write(&path, bytes).unwrap();
-    path
-}
-
-fn serve(sources: Sources, config: ServeConfig) -> (printqueue::serve::ServerHandle, Telemetry) {
-    let plane = Telemetry::new();
-    let server = Server::bind(("127.0.0.1", 0), sources, config, &plane).unwrap();
-    (server.spawn().unwrap(), plane)
-}
+use std::time::{Duration, Instant};
 
 #[test]
 fn remote_replay_matches_local_bit_for_bit() {
-    let (_ap, bytes) = spill_to_store(2_000);
-    let path = temp_archive("replay", &bytes);
-    let (handle, _plane) = serve(
-        Sources {
-            live: None,
-            archive: Some(path.clone()),
-            rtt: Vec::new(),
-        },
-        ServeConfig::default(),
-    );
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let (_ap, bytes) = spill_program(2_000, tiny_segments());
+    let fleet = Fleet::replicas(&bytes, 1, &ServeConfig::default());
+    let mut client = Client::connect(fleet.addr(0)).unwrap();
     let mut local = StoreReader::open(Cursor::new(bytes)).unwrap();
     let coeffs = Coefficients::compute(&tw_small(), 1);
     for &port in &PORTS {
@@ -142,36 +49,19 @@ fn remote_replay_matches_local_bit_for_bit() {
     }
     // The sweep re-queried the same segments: the shared decode cache
     // must have observed both misses (first pass) and hits (later ones).
-    let metrics = client.metrics().unwrap();
-    let parsed = parse_prometheus(&metrics).unwrap();
-    let sample = |name: &str| {
-        parsed
-            .iter()
-            .find(|m| m.name == name)
-            .map(|m| m.value)
-            .unwrap_or(0.0)
-    };
-    assert!(sample("pq_serve_cache_miss_total") >= 1.0);
+    assert!(metric(fleet.addr(0), "pq_serve_cache_miss_total") >= 1.0);
     assert!(
-        sample("pq_serve_cache_hit_total") >= 1.0,
+        metric(fleet.addr(0), "pq_serve_cache_hit_total") >= 1.0,
         "repeated intervals should hit the decode cache"
     );
-    handle.shutdown().unwrap();
-    std::fs::remove_file(path).unwrap();
+    fleet.shutdown();
 }
 
 #[test]
 fn remote_live_queries_match_in_process() {
-    let ap = Arc::new(drive_program(None, 2_000));
-    let (handle, _plane) = serve(
-        Sources {
-            live: Some(Arc::clone(&ap)),
-            archive: None,
-            rtt: Vec::new(),
-        },
-        ServeConfig::default(),
-    );
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let ap = Arc::new(drive_program(None, 2_000, 0));
+    let fleet = Fleet::live(&[Arc::clone(&ap)], &ServeConfig::default());
+    let mut client = Client::connect(fleet.addr(0)).unwrap();
     for &port in &PORTS {
         for interval in sweep_intervals() {
             let want = ap.query_time_windows(port, interval);
@@ -199,12 +89,12 @@ fn remote_live_queries_match_in_process() {
         assert_eq!(got.gaps, want.gaps);
         assert_eq!(got.counts, want_counts);
     }
-    handle.shutdown().unwrap();
+    fleet.shutdown();
 }
 
 #[test]
 fn corrupt_segment_stays_degraded_over_the_wire() {
-    let (_ap, bytes) = spill_to_store(2_000);
+    let (_ap, bytes) = spill_program(2_000, tiny_segments());
     let clean = StoreReader::open(Cursor::new(bytes.clone())).unwrap();
     let victims: Vec<_> = clean
         .segments()
@@ -216,16 +106,8 @@ fn corrupt_segment_stays_degraded_over_the_wire() {
     let mut corrupted = bytes.clone();
     corrupted[(victim.offset + victim.len - 8) as usize] ^= 0x01;
 
-    let path = temp_archive("corrupt", &corrupted);
-    let (handle, _plane) = serve(
-        Sources {
-            live: None,
-            archive: Some(path.clone()),
-            rtt: Vec::new(),
-        },
-        ServeConfig::default(),
-    );
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let fleet = Fleet::archive(&corrupted, &ServeConfig::default());
+    let mut client = Client::connect(fleet.addr(0)).unwrap();
     let mut local = StoreReader::open(Cursor::new(corrupted)).unwrap();
     let coeffs = Coefficients::compute(&tw_small(), 1);
     let over = QueryInterval::new(victim.min_t, victim.max_t);
@@ -242,22 +124,14 @@ fn corrupt_segment_stays_degraded_over_the_wire() {
     assert!(got.degraded, "corruption must stay visible remotely");
     assert_eq!(want.gaps, got.gaps);
     assert_eq!(want.estimates.counts, got.estimates.counts);
-    handle.shutdown().unwrap();
-    std::fs::remove_file(path).unwrap();
+    fleet.shutdown();
 }
 
 #[test]
 fn remote_errors_carry_typed_codes_and_gaps() {
-    let ap = Arc::new(drive_program(None, 500));
-    let (handle, _plane) = serve(
-        Sources {
-            live: Some(ap),
-            archive: None,
-            rtt: Vec::new(),
-        },
-        ServeConfig::default(),
-    );
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let ap = Arc::new(drive_program(None, 500, 0));
+    let fleet = Fleet::live(&[ap], &ServeConfig::default());
+    let mut client = Client::connect(fleet.addr(0)).unwrap();
     // Unknown port.
     match client.query(Request::TimeWindows {
         port: 99,
@@ -281,12 +155,12 @@ fn remote_errors_carry_typed_codes_and_gaps() {
         }
         other => panic!("expected NoArchive, got {other:?}"),
     }
-    handle.shutdown().unwrap();
+    fleet.shutdown();
 }
 
 #[test]
 fn overload_sheds_with_busy_never_silently() {
-    let ap = Arc::new(drive_program(None, 500));
+    let ap = Arc::new(drive_program(None, 500, 0));
     let config = ServeConfig {
         workers: 1,
         queue_cap: 1,
@@ -294,15 +168,8 @@ fn overload_sheds_with_busy_never_silently() {
         work_delay: Duration::from_millis(100),
         ..ServeConfig::default()
     };
-    let (handle, _plane) = serve(
-        Sources {
-            live: Some(ap),
-            archive: None,
-            rtt: Vec::new(),
-        },
-        config,
-    );
-    let addr = handle.addr();
+    let fleet = Fleet::live(&[ap], &config);
+    let addr = fleet.addr(0);
     let n = 6;
     let barrier = Arc::new(Barrier::new(n));
     let threads: Vec<_> = (0..n)
@@ -338,20 +205,13 @@ fn overload_sheds_with_busy_never_silently() {
     );
     assert!(busy >= 1, "with queue_cap=1 and slow work, some must shed");
     // The shed counter must account for every Busy sent.
-    let mut client = Client::connect(addr).unwrap();
-    let parsed = parse_prometheus(&client.metrics().unwrap()).unwrap();
-    let shed = parsed
-        .iter()
-        .find(|m| m.name == "pq_serve_shed_total")
-        .map(|m| m.value)
-        .unwrap_or(0.0);
-    assert!(shed >= f64::from(busy));
-    handle.shutdown().unwrap();
+    assert!(metric(addr, "pq_serve_shed_total") >= f64::from(busy));
+    fleet.shutdown();
 }
 
 #[test]
 fn per_connection_inflight_cap_sheds_pipelined_requests() {
-    let ap = Arc::new(drive_program(None, 500));
+    let ap = Arc::new(drive_program(None, 500, 0));
     let config = ServeConfig {
         workers: 1,
         inflight_per_conn: 2,
@@ -359,16 +219,9 @@ fn per_connection_inflight_cap_sheds_pipelined_requests() {
         work_delay: Duration::from_millis(50),
         ..ServeConfig::default()
     };
-    let (handle, _plane) = serve(
-        Sources {
-            live: Some(ap),
-            archive: None,
-            rtt: Vec::new(),
-        },
-        config,
-    );
+    let fleet = Fleet::live(&[ap], &config);
     // Raw pipelining (the Client API is strictly request-response).
-    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    let mut stream = TcpStream::connect(fleet.addr(0)).unwrap();
     stream.set_nodelay(true).unwrap();
     wire::write_frame(
         &mut stream,
@@ -410,30 +263,23 @@ fn per_connection_inflight_cap_sheds_pipelined_requests() {
     }
     assert!(shed >= 1, "pipelining past inflight_per_conn=2 must shed");
     assert!(answered >= 2, "admitted requests must still complete");
-    handle.shutdown().unwrap();
+    fleet.shutdown();
 }
 
 #[test]
 fn shutdown_drains_admitted_requests() {
-    let ap = Arc::new(drive_program(None, 500));
+    let ap = Arc::new(drive_program(None, 500, 0));
     let config = ServeConfig {
         workers: 1,
         work_delay: Duration::from_millis(60),
         drain_deadline: Duration::from_secs(10),
         ..ServeConfig::default()
     };
-    let (handle, _plane) = serve(
-        Sources {
-            live: Some(ap),
-            archive: None,
-            rtt: Vec::new(),
-        },
-        config,
-    );
+    let fleet = Fleet::live(&[ap], &config);
     // Pipeline three queries, then ask a second connection for shutdown
     // while they are still queued. Nagle would hold the small pipelined
     // writes in the kernel past the shutdown, so disable it.
-    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    let mut stream = TcpStream::connect(fleet.addr(0)).unwrap();
     stream.set_nodelay(true).unwrap();
     wire::write_frame(
         &mut stream,
@@ -463,7 +309,7 @@ fn shutdown_drains_admitted_requests() {
     // single worker is still sleeping through job 1's work_delay), then
     // initiate shutdown while jobs 2 and 3 sit in the queue.
     std::thread::sleep(Duration::from_millis(40));
-    let mut stopper = Client::connect(handle.addr()).unwrap();
+    let mut stopper = Client::connect(fleet.addr(0)).unwrap();
     stopper.shutdown_server().unwrap();
     // All three admitted queries must still be answered in full.
     let mut seen: Vec<String> = Vec::new();
@@ -481,28 +327,25 @@ fn shutdown_drains_admitted_requests() {
             Err(e) => panic!("read failed: {e:?} after {seen:?}"),
         }
     }
-    handle.shutdown().unwrap();
+    fleet.shutdown();
 }
 
 #[test]
 fn health_answers_inline_and_reflects_config() {
-    let ap = Arc::new(drive_program(None, 500));
+    let ap = Arc::new(drive_program(None, 500, 0));
     let config = ServeConfig {
         workers: 3,
         queue_cap: 17,
         max_conns: 9,
         ..ServeConfig::default()
     };
-    let (handle, plane) = serve(
-        Sources {
-            live: Some(ap),
-            archive: None,
-            rtt: Vec::new(),
-        },
-        config,
+    let fleet = Fleet::live(&[ap], &config);
+    printqueue::telemetry::provenance::set_build_info(
+        fleet.plane(0).registry(),
+        "9.9.9",
+        "cafe1234",
     );
-    printqueue::telemetry::provenance::set_build_info(plane.registry(), "9.9.9", "cafe1234");
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut client = Client::connect(fleet.addr(0)).unwrap();
     let health = client.health().unwrap();
     assert_eq!(health.workers, 3);
     assert_eq!(health.queue_cap, 17);
@@ -513,7 +356,7 @@ fn health_answers_inline_and_reflects_config() {
     assert_eq!(health.version, "9.9.9");
     assert_eq!(health.commit, "cafe1234");
     // Health requests are themselves observable, and uptime is stamped.
-    let snap = plane.snapshot();
+    let snap = fleet.plane(0).snapshot();
     assert_eq!(
         snap.counter(
             printqueue::telemetry::names::SERVE_REQUESTS,
@@ -524,21 +367,14 @@ fn health_answers_inline_and_reflects_config() {
     assert!(snap
         .gauge(printqueue::telemetry::names::SERVE_UPTIME, &[])
         .is_some());
-    handle.shutdown().unwrap();
+    fleet.shutdown();
 }
 
 #[test]
 fn metrics_get_matches_prometheus_exposition() {
-    let ap = Arc::new(drive_program(None, 2_000));
-    let (handle, _plane) = serve(
-        Sources {
-            live: Some(ap),
-            archive: None,
-            rtt: Vec::new(),
-        },
-        ServeConfig::default(),
-    );
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let ap = Arc::new(drive_program(None, 2_000, 0));
+    let fleet = Fleet::live(&[ap], &ServeConfig::default());
+    let mut client = Client::connect(fleet.addr(0)).unwrap();
     for _ in 0..5 {
         client
             .query(Request::TimeWindows {
@@ -575,21 +411,14 @@ fn metrics_get_matches_prometheus_exposition() {
         .map(|m| m.value)
         .unwrap();
     assert_eq!(prom_tw, tw as f64);
-    handle.shutdown().unwrap();
+    fleet.shutdown();
 }
 
 #[test]
 fn subscription_deltas_fold_to_server_state() {
-    let ap = Arc::new(drive_program(None, 2_000));
-    let (handle, _plane) = serve(
-        Sources {
-            live: Some(ap),
-            archive: None,
-            rtt: Vec::new(),
-        },
-        ServeConfig::default(),
-    );
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let ap = Arc::new(drive_program(None, 2_000, 0));
+    let fleet = Fleet::live(&[ap], &ServeConfig::default());
+    let mut client = Client::connect(fleet.addr(0)).unwrap();
     let first = client.subscribe(100, 4).unwrap();
     assert_eq!(first.seq, 0);
     assert!(!first.last);
@@ -602,7 +431,7 @@ fn subscription_deltas_fold_to_server_state() {
 
     // Work a second connection while updates stream so deltas are
     // non-trivial.
-    let mut worker = Client::connect(handle.addr()).unwrap();
+    let mut worker = Client::connect(fleet.addr(0)).unwrap();
     for _ in 0..3 {
         worker
             .query(Request::TimeWindows {
@@ -631,58 +460,44 @@ fn subscription_deltas_fold_to_server_state() {
         ),
         Some(3)
     );
-    handle.shutdown().unwrap();
+    fleet.shutdown();
 }
 
 #[test]
 fn subscriptions_beyond_cap_shed_busy() {
-    let ap = Arc::new(drive_program(None, 500));
+    let ap = Arc::new(drive_program(None, 500, 0));
     let config = ServeConfig {
         max_subs: 1,
         retry_after_ms: 23,
         ..ServeConfig::default()
     };
-    let (handle, _plane) = serve(
-        Sources {
-            live: Some(ap),
-            archive: None,
-            rtt: Vec::new(),
-        },
-        config,
-    );
-    let mut first = Client::connect(handle.addr()).unwrap();
+    let fleet = Fleet::live(&[ap], &config);
+    let mut first = Client::connect(fleet.addr(0)).unwrap();
     first.subscribe(1_000, 0).unwrap();
     // The worker registers the subscription just after sending the
     // initial update the subscribe() call returns on; give it a beat.
     std::thread::sleep(Duration::from_millis(100));
-    let mut second = Client::connect(handle.addr()).unwrap();
+    let mut second = Client::connect(fleet.addr(0)).unwrap();
     match second.subscribe(1_000, 0) {
         Err(ClientError::Busy { retry_after_ms }) => assert_eq!(retry_after_ms, 23),
         other => panic!("expected Busy beyond the subscription cap, got {other:?}"),
     }
-    handle.shutdown().unwrap();
+    fleet.shutdown();
 }
 
 #[test]
 fn shutdown_sends_subscribers_a_final_update() {
-    let ap = Arc::new(drive_program(None, 500));
-    let (handle, _plane) = serve(
-        Sources {
-            live: Some(ap),
-            archive: None,
-            rtt: Vec::new(),
-        },
-        ServeConfig::default(),
-    );
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let ap = Arc::new(drive_program(None, 500, 0));
+    let fleet = Fleet::live(&[ap], &ServeConfig::default());
+    let mut client = Client::connect(fleet.addr(0)).unwrap();
     let first = client.subscribe(60_000, 0).unwrap();
     assert!(!first.last);
     // Initiate shutdown from another connection; the blocking shutdown()
     // returns only after the drain, which must have closed the stream
     // with one final `last` update (not a dropped socket).
-    let mut stopper = Client::connect(handle.addr()).unwrap();
+    let mut stopper = Client::connect(fleet.addr(0)).unwrap();
     stopper.shutdown_server().unwrap();
-    handle.shutdown().unwrap();
+    fleet.shutdown();
     let mut saw_last = false;
     for _ in 0..8 {
         let update = client.next_update().unwrap();
@@ -699,24 +514,59 @@ fn shutdown_sends_subscribers_a_final_update() {
 
 #[test]
 fn connection_cap_refuses_with_busy_at_accept() {
-    let ap = Arc::new(drive_program(None, 500));
+    let ap = Arc::new(drive_program(None, 500, 0));
     let config = ServeConfig {
         max_conns: 0,
         retry_after_ms: 11,
         ..ServeConfig::default()
     };
-    let (handle, _plane) = serve(
-        Sources {
-            live: Some(ap),
-            archive: None,
-            rtt: Vec::new(),
-        },
-        config,
-    );
-    match Client::connect(handle.addr()) {
+    let fleet = Fleet::live(&[ap], &config);
+    match Client::connect(fleet.addr(0)) {
         Err(ClientError::Busy { retry_after_ms }) => assert_eq!(retry_after_ms, 11),
         Err(other) => panic!("expected Busy at accept, got {other}"),
         Ok(_) => panic!("expected Busy at accept, got a connection"),
     }
-    handle.shutdown().unwrap();
+    fleet.shutdown();
+}
+
+/// `--cache-mb` counts MiB. A count whose bytes overflow `u64` is refused
+/// with exit 2 before anything is served. 2^44 MiB is 2^64 bytes: shifted
+/// into a `u64`, it wraps to a 0-byte cache (off, without a word), and
+/// 2^44 + 64 MiB to 64 MiB.
+#[test]
+fn serve_refuses_a_cache_size_whose_bytes_overflow() {
+    let (_, bytes) = spill_program(500, tiny_segments());
+    let archive = std::env::temp_dir().join(format!("pq_cache_mb_{}.pqa", std::process::id()));
+    std::fs::write(&archive, bytes).unwrap();
+    for mib in ["17592186044416", "17592186044480"] {
+        let mut daemon = Command::new(env!("CARGO_BIN_EXE_pqsim"))
+            .args(["serve", "--archive", archive.to_str().unwrap()])
+            .args(["--cache-mb", mib, "--quiet"])
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let status = loop {
+            if let Some(status) = daemon.try_wait().unwrap() {
+                break status;
+            }
+            if Instant::now() > deadline {
+                daemon.kill().unwrap();
+                daemon.wait().unwrap();
+                panic!("--cache-mb {mib} started a daemon");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let mut err = String::new();
+        daemon
+            .stderr
+            .take()
+            .unwrap()
+            .read_to_string(&mut err)
+            .unwrap();
+        assert_eq!(status.code(), Some(2), "--cache-mb {mib}: {err}");
+        assert!(err.contains("--cache-mb"), "{err}");
+    }
+    std::fs::remove_file(archive).unwrap();
 }

@@ -2,8 +2,11 @@
 //! in-RAM analysis program, time-range pruning, crash/corruption
 //! tolerance, and the one-way import of JSON archives.
 
+use pq_bench::serving::{
+    drive_program, spill_program, sweep_intervals, tiny_segments, tw_small, PORTS,
+};
 use printqueue::core::coefficient::Coefficients;
-use printqueue::core::control::{AnalysisProgram, ControlConfig, CoverageGap};
+use printqueue::core::control::CoverageGap;
 use printqueue::core::export::CheckpointArchive;
 use printqueue::core::params::TimeWindowConfig;
 use printqueue::core::printqueue::{PrintQueue, PrintQueueConfig};
@@ -20,85 +23,9 @@ use proptest::prelude::*;
 use serde::Value;
 use std::io::Cursor;
 
-const PORTS: [u16; 2] = [0, 3];
-
-fn tw_small() -> TimeWindowConfig {
-    // t_set = 64 + 128 = 192 ns: short enough that a modest drive loop
-    // yields dozens of checkpoints.
-    TimeWindowConfig::new(0, 1, 6, 2)
-}
-
-fn tiny_segments() -> SegmentPolicy {
-    SegmentPolicy {
-        checkpoints_per_segment: 4,
-        max_segment_bytes: 1 << 20,
-        retain_segments_per_port: None,
-    }
-}
-
-/// Drive a two-port program for `until` ns with a poll every 64 ns and a
-/// silence window (no polls) in the middle that opens a coverage gap.
-fn drive_program(spill: Option<SharedStoreWriter<Vec<u8>>>, until: u64) -> AnalysisProgram {
-    let tw = tw_small();
-    let mut ap = AnalysisProgram::new(
-        tw,
-        ControlConfig {
-            poll_period: 64,
-            max_snapshots: 10_000,
-        },
-        &PORTS,
-        32,
-        1,
-        1,
-    );
-    if let Some(handle) = spill {
-        ap.set_spill(Box::new(handle));
-    }
-    let silence = 1_000..1_600; // > t_set: forces a recorded gap
-    for t in 0..until {
-        for (i, &port) in PORTS.iter().enumerate() {
-            if t % (i as u64 + 2) == 0 {
-                ap.record_dequeue(port, FlowId((t % 7) as u32 + i as u32 * 100), t);
-            }
-            if t % 5 == 0 {
-                ap.qm_enqueue(port, 0, FlowId((t % 3) as u32), (t % 20) as u32, t);
-            }
-        }
-        if t % 64 == 0 && !silence.contains(&t) {
-            ap.on_tick(t);
-        }
-    }
-    ap
-}
-
-/// Spill a program's checkpoints into an in-memory `.pqa`, mirroring what
-/// `pqsim archive` does.
-fn spill_to_store(until: u64, policy: SegmentPolicy) -> (AnalysisProgram, Vec<u8>) {
-    let writer = StoreWriter::new(Vec::new(), tw_small(), policy).unwrap();
-    let handle = SharedStoreWriter::new(writer);
-    let ap = drive_program(Some(handle.clone()), until);
-    for &port in &PORTS {
-        handle.with(|w| w.set_health(port, ap.health())).unwrap();
-    }
-    let bytes = handle.finish().unwrap();
-    (ap, bytes)
-}
-
-fn sweep_intervals() -> Vec<QueryInterval> {
-    vec![
-        QueryInterval::new(0, 50),
-        QueryInterval::new(100, 300),
-        QueryInterval::new(900, 1_700), // straddles the silence gap
-        QueryInterval::new(500, 1_999),
-        QueryInterval::new(0, 1_999),
-        QueryInterval::new(1_900, 5_000), // reaches past the data
-        QueryInterval::new(3_000, 4_000), // entirely past the data
-    ]
-}
-
 #[test]
 fn spilled_store_queries_match_live_bit_for_bit() {
-    let (ap, bytes) = spill_to_store(2_000, tiny_segments());
+    let (ap, bytes) = spill_program(2_000, tiny_segments());
     let mut reader = StoreReader::open(Cursor::new(bytes)).unwrap();
     assert_eq!(reader.recovery(), Recovery::Index);
     assert!(
@@ -129,7 +56,7 @@ fn spilled_store_queries_match_live_bit_for_bit() {
 
 #[test]
 fn narrow_queries_prune_segments() {
-    let (_ap, bytes) = spill_to_store(4_000, tiny_segments());
+    let (_ap, bytes) = spill_program(4_000, tiny_segments());
     let reader = StoreReader::open(Cursor::new(bytes)).unwrap();
     let interval = QueryInterval::new(100, 300);
     let port0: Vec<_> = reader.segments().iter().filter(|s| s.port == 0).collect();
@@ -147,7 +74,7 @@ fn narrow_queries_prune_segments() {
 
 #[test]
 fn bit_flip_loses_only_that_segment() {
-    let (ap, bytes) = spill_to_store(2_000, tiny_segments());
+    let (ap, bytes) = spill_program(2_000, tiny_segments());
     let clean = StoreReader::open(Cursor::new(bytes.clone())).unwrap();
     // Pick a middle segment of port 0 and flip one byte inside its body.
     let victims: Vec<_> = clean
@@ -205,7 +132,7 @@ fn bit_flip_loses_only_that_segment() {
 
 #[test]
 fn torn_trailer_recovers_by_scan() {
-    let (_ap, bytes) = spill_to_store(2_000, tiny_segments());
+    let (_ap, bytes) = spill_program(2_000, tiny_segments());
     let coeffs = Coefficients::compute(&tw_small(), 1);
     let mut clean_reader = StoreReader::open(Cursor::new(bytes.clone())).unwrap();
 
@@ -231,7 +158,7 @@ fn torn_trailer_recovers_by_scan() {
 
 #[test]
 fn truncated_file_recovers_prefix_and_reports_tail() {
-    let (_ap, bytes) = spill_to_store(2_000, tiny_segments());
+    let (_ap, bytes) = spill_program(2_000, tiny_segments());
     let clean = StoreReader::open(Cursor::new(bytes.clone())).unwrap();
     let last = *clean.segments().last().unwrap();
     // Cut mid-body of the last segment: trailer gone, body torn.
@@ -262,7 +189,7 @@ fn retention_drops_old_segments_and_records_gaps() {
         max_segment_bytes: 1 << 20,
         retain_segments_per_port: Some(2),
     };
-    let (_ap, bytes) = spill_to_store(4_000, policy);
+    let (_ap, bytes) = spill_program(4_000, policy);
     let mut reader = StoreReader::open(Cursor::new(bytes)).unwrap();
     let port0 = reader.segments().iter().filter(|s| s.port == 0).count();
     assert_eq!(port0, 2, "retention should keep exactly 2 segments");
@@ -275,7 +202,7 @@ fn retention_drops_old_segments_and_records_gaps() {
     assert!(q.degraded);
 }
 
-/// `drive_program(None, JSON_UNTIL)`'s two ports as the JSON archive array
+/// `drive_program(None, JSON_UNTIL, 0)`'s two ports as the JSON archive array
 /// the last version with a JSON writer wrote; element 0 is the historical
 /// single-object form. Kept byte for byte: it pins the importer.
 const JSON_ARCHIVES: &str = include_str!("data/checkpoint_archive.json");
@@ -351,7 +278,7 @@ fn json_coverage_gap_survives_import() {
 /// `StoreReader::query` equals the live `query_time_windows` bit for bit.
 #[test]
 fn json_fixture_imports_and_answers_like_its_program() {
-    let ap = drive_program(None, JSON_UNTIL);
+    let ap = drive_program(None, JSON_UNTIL, 0);
     let archives = archives_from_json(JSON_ARCHIVES).unwrap();
     let pqa = archives_to_pqa(Vec::new(), &archives, tiny_segments()).unwrap();
     let mut reader = StoreReader::open(Cursor::new(pqa)).unwrap();
@@ -536,7 +463,7 @@ fn json_config_out_of_range_is_refused() {
 fn spilled_store_matches_capture_exactly() {
     // The streaming spill path and the capture-at-end path must agree
     // when the snapshot ring never overflows.
-    let (ap, bytes) = spill_to_store(2_000, tiny_segments());
+    let (ap, bytes) = spill_program(2_000, tiny_segments());
     let mut reader = StoreReader::open(Cursor::new(bytes)).unwrap();
     for &port in &PORTS {
         let captured = CheckpointArchive::capture(&ap, port);
@@ -553,7 +480,7 @@ fn telemetry_counts_writes_reads_and_spans() {
     let mut writer = StoreWriter::new(Vec::new(), tw_small(), tiny_segments()).unwrap();
     writer.set_telemetry(&plane);
     let handle = SharedStoreWriter::new(writer);
-    let ap = drive_program(Some(handle.clone()), 2_000);
+    let ap = drive_program(Some(handle.clone()), 2_000, 0);
     let bytes = handle.finish().unwrap();
 
     let snap = plane.snapshot();
@@ -605,7 +532,7 @@ fn telemetry_counts_writes_reads_and_spans() {
 /// Rebuild port 0's checkpoints into a fresh store, optionally appending
 /// one raw segment of `kind` spanning sim-time 2 500–2 900.
 fn store_with_raw(kind: Option<u64>) -> Vec<u8> {
-    let ap = drive_program(None, 1_000);
+    let ap = drive_program(None, 1_000, 0);
     let mut w = StoreWriter::new(Vec::new(), tw_small(), tiny_segments()).unwrap();
     for cp in ap.checkpoints(0) {
         w.push(0, cp).unwrap();
@@ -880,7 +807,7 @@ proptest! {
     /// is a clean result or a clean error.
     #[test]
     fn corrupted_store_never_panics(byte in 0usize..6_000, flip in 1u8..=255) {
-        let (_ap, bytes) = spill_to_store(1_000, tiny_segments());
+        let (_ap, bytes) = spill_program(1_000, tiny_segments());
         let mut mutated = bytes.clone();
         let idx = byte % mutated.len();
         mutated[idx] ^= flip;
@@ -912,7 +839,7 @@ proptest! {
             max_segment_bytes: 1 << 20,
             retain_segments_per_port: None,
         };
-        let (ap, bytes) = spill_to_store(until, policy);
+        let (ap, bytes) = spill_program(until, policy);
         let mut reader = StoreReader::open(Cursor::new(bytes)).unwrap();
         for &port in &PORTS {
             let captured = CheckpointArchive::capture(&ap, port);

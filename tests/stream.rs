@@ -5,77 +5,24 @@
 //! its cap with evictions accounted under shuffled/late arrival, and
 //! the subscribe ack must echo the clamped publisher interval.
 
-use printqueue::core::control::{AnalysisProgram, Checkpoint, ControlConfig};
-use printqueue::core::params::TimeWindowConfig;
+use pq_bench::serving::{drive_program, Fleet, PORTS};
+use printqueue::core::control::{AnalysisProgram, Checkpoint};
 use printqueue::core::snapshot::QueryInterval;
 use printqueue::packet::FlowId;
-use printqueue::router::{BackendSpec, Router, RouterConfig, RouterHandle};
-use printqueue::serve::{Client, ServeConfig, Server, ServerHandle, Sources};
+use printqueue::router::RouterConfig;
+use printqueue::serve::{Client, ServeConfig};
 use printqueue::stream::{parse, DepthAgg, Record, Standing, TopKSummary};
 use printqueue::telemetry::{names, Telemetry};
 
 use std::sync::Arc;
 
-const PORTS: [u16; 2] = [0, 3];
-
-fn tw_small() -> TimeWindowConfig {
-    TimeWindowConfig::new(0, 1, 6, 2)
-}
-
-/// Same two-port drive as the serve e2e tests: a poll every 64 ns, a
-/// silence window opening a coverage gap, and queue-monitor activity so
-/// checkpoints carry nonzero stack depths. `flow_base` lets each shard
-/// of a routed fleet own a disjoint flow population.
-fn drive_program(until: u64, flow_base: u32) -> AnalysisProgram {
-    let tw = tw_small();
-    let mut ap = AnalysisProgram::new(
-        tw,
-        ControlConfig {
-            poll_period: 64,
-            max_snapshots: 10_000,
-        },
-        &PORTS,
-        32,
-        1,
-        1,
-    );
-    let silence = 1_000..1_600;
-    for t in 0..until {
-        for (i, &port) in PORTS.iter().enumerate() {
-            if t % (i as u64 + 2) == 0 {
-                ap.record_dequeue(port, FlowId(flow_base + (t % 7) as u32), t);
-            }
-            if t % 5 == 0 {
-                ap.qm_enqueue(
-                    port,
-                    0,
-                    FlowId(flow_base + (t % 3) as u32),
-                    ((t + u64::from(flow_base)) % 20) as u32,
-                    t,
-                );
-            }
-        }
-        if t % 64 == 0 && !silence.contains(&t) {
-            ap.on_tick(t);
-        }
-    }
-    ap
-}
-
-fn serve_live(ap: Arc<AnalysisProgram>, config: ServeConfig) -> (ServerHandle, Telemetry) {
-    let plane = Telemetry::new();
-    let server = Server::bind(
-        ("127.0.0.1", 0),
-        Sources {
-            live: Some(ap),
-            archive: None,
-            rtt: Vec::new(),
-        },
-        config,
-        &plane,
-    )
-    .unwrap();
-    (server.spawn().unwrap(), plane)
+/// A live daemon over the two-port drive for `until` ns: queue-monitor
+/// activity gives its checkpoints nonzero stack depths, and the
+/// silence window a coverage gap.
+fn serve_live(until: u64) -> (Arc<AnalysisProgram>, Fleet) {
+    let ap = Arc::new(drive_program(None, until, 0));
+    let fleet = Fleet::live(&[Arc::clone(&ap)], &ServeConfig::default());
+    (ap, fleet)
 }
 
 /// The depth a checkpoint contributes to the stream — the same
@@ -111,9 +58,8 @@ fn metric_total(plane: &Telemetry, name: &str) -> u64 {
 
 #[test]
 fn standing_results_match_offline_one_shot_bit_for_bit() {
-    let ap = Arc::new(drive_program(2_000, 0));
-    let (handle, plane) = serve_live(Arc::clone(&ap), ServeConfig::default());
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let (ap, fleet) = serve_live(2_000);
+    let mut client = Client::connect(fleet.addr(0)).unwrap();
 
     let ack = client
         .standing("window tumbling 500ns", 512, 0, true)
@@ -191,16 +137,15 @@ fn standing_results_match_offline_one_shot_bit_for_bit() {
         assert_eq!(r.degraded, answer.degraded);
     }
 
-    assert!(metric_total(&plane, names::STREAM_WINDOWS_CLOSED) >= windows.len() as u64);
-    assert!(metric_total(&plane, names::STREAM_RESULTS) >= windows.len() as u64);
-    handle.shutdown().unwrap();
+    assert!(metric_total(fleet.plane(0), names::STREAM_WINDOWS_CLOSED) >= windows.len() as u64);
+    assert!(metric_total(fleet.plane(0), names::STREAM_RESULTS) >= windows.len() as u64);
+    fleet.shutdown();
 }
 
 #[test]
 fn never_true_predicate_closes_windows_but_fires_nothing() {
-    let ap = Arc::new(drive_program(2_000, 0));
-    let (handle, _plane) = serve_live(ap, ServeConfig::default());
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let (_ap, fleet) = serve_live(2_000);
+    let mut client = Client::connect(fleet.addr(0)).unwrap();
 
     let ack = client
         .standing(
@@ -223,14 +168,13 @@ fn never_true_predicate_closes_windows_but_fires_nothing() {
         }
     }
     assert!(closed > 0, "windows still close under a false predicate");
-    handle.shutdown().unwrap();
+    fleet.shutdown();
 }
 
 #[test]
 fn tight_cap_surfaces_evictions_as_degraded() {
-    let ap = Arc::new(drive_program(2_000, 0));
-    let (handle, _plane) = serve_live(Arc::clone(&ap), ServeConfig::default());
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let (_ap, fleet) = serve_live(2_000);
+    let mut client = Client::connect(fleet.addr(0)).unwrap();
 
     // Port 0 sees seven distinct flows per window; a cap of 2 cannot
     // hold them, so the answer must carry the eviction caveat.
@@ -254,14 +198,13 @@ fn tight_cap_surfaces_evictions_as_degraded() {
         }
     }
     assert!(saw_evictions, "seven flows through a cap of 2 must evict");
-    handle.shutdown().unwrap();
+    fleet.shutdown();
 }
 
 #[test]
 fn cancel_ends_the_stream_with_a_final_frame() {
-    let ap = Arc::new(drive_program(2_000, 0));
-    let (handle, _plane) = serve_live(ap, ServeConfig::default());
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let (_ap, fleet) = serve_live(2_000);
+    let mut client = Client::connect(fleet.addr(0)).unwrap();
 
     let ack = client
         .standing("window tumbling 500ns", 512, 0, false)
@@ -271,14 +214,13 @@ fn cancel_ends_the_stream_with_a_final_frame() {
     let first = client.next_stream_result(ack.sub).unwrap();
     assert!(!first.last);
     client.cancel_standing(ack.sub).unwrap();
-    handle.shutdown().unwrap();
+    fleet.shutdown();
 }
 
 #[test]
 fn subscribe_ack_echoes_clamped_interval() {
-    let ap = Arc::new(drive_program(500, 0));
-    let (handle, _plane) = serve_live(ap, ServeConfig::default());
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let (_ap, fleet) = serve_live(500);
+    let mut client = Client::connect(fleet.addr(0)).unwrap();
     let _update = client.subscribe(1, 2).unwrap();
     assert_eq!(
         client.subscribed_interval_ms(),
@@ -292,7 +234,7 @@ fn subscribe_ack_echoes_clamped_interval() {
             break;
         }
     }
-    handle.shutdown().unwrap();
+    fleet.shutdown();
 }
 
 #[test]
@@ -344,40 +286,14 @@ fn bounded_state_under_shuffled_and_late_arrival() {
     assert!(topk.evicted_weight > 0.0);
 }
 
-/// Spawn three live backends, each owning a disjoint flow population,
-/// fronted by one router.
-fn spawn_live_fleet() -> (Vec<Arc<AnalysisProgram>>, Vec<ServerHandle>, RouterHandle) {
-    let mut aps = Vec::new();
-    let mut handles = Vec::new();
-    let mut specs = Vec::new();
-    for i in 0..3u32 {
-        let ap = Arc::new(drive_program(2_000, i * 1_000));
-        let cfg = ServeConfig {
-            shard: format!("shard-{i}"),
-            ..ServeConfig::default()
-        };
-        let (handle, _plane) = serve_live(Arc::clone(&ap), cfg);
-        specs.push(BackendSpec {
-            name: format!("shard-{i}"),
-            addr: handle.addr().to_string(),
-        });
-        aps.push(ap);
-        handles.push(handle);
-    }
-    let router = Router::bind(
-        ("127.0.0.1", 0),
-        specs,
-        RouterConfig::default(),
-        &Telemetry::new(),
-    )
-    .unwrap();
-    (aps, handles, router.spawn().unwrap())
-}
-
 #[test]
 fn routed_standing_matches_per_shard_merge_bit_for_bit() {
-    let (aps, backends, router) = spawn_live_fleet();
-    let mut client = Client::connect(router.addr()).unwrap();
+    // Three live shards, each owning a disjoint flow population.
+    let aps: Vec<_> = (0..3)
+        .map(|i| Arc::new(drive_program(None, 2_000, i * 1_000)))
+        .collect();
+    let fleet = Fleet::live(&aps, &ServeConfig::default()).route(RouterConfig::default());
+    let mut client = Client::connect(fleet.router()).unwrap();
 
     let ack = client
         .standing(
@@ -437,8 +353,5 @@ fn routed_standing_matches_per_shard_merge_bit_for_bit() {
         }
     }
 
-    router.shutdown().unwrap();
-    for b in backends {
-        b.shutdown().unwrap();
-    }
+    fleet.shutdown();
 }

@@ -6,130 +6,30 @@
 //! exemplars linking buckets back to trace ids, and a routed failover must
 //! show up as a span naming the backend that took over.
 
-use printqueue::core::control::{AnalysisProgram, ControlConfig};
-use printqueue::core::params::TimeWindowConfig;
-use printqueue::packet::FlowId;
-use printqueue::router::{rendezvous_rank, BackendSpec, Router, RouterConfig, RouterHandle};
-use printqueue::serve::{Client, Request, ServeConfig, Server, ServerHandle, Sources};
-use printqueue::store::{ship_archive, SegmentPolicy, SharedStoreWriter, StoreWriter};
+use pq_bench::serving::{spill_program, tiny_segments, Fleet, PORTS};
+use printqueue::router::{rendezvous_rank, RouterConfig};
+use printqueue::serve::{Client, Request, ServeConfig};
 use printqueue::telemetry::{
-    self, names, new_trace_id, to_prometheus, traces_to_chrome, MetricValue, Telemetry, Trace,
-    TraceContext,
+    self, names, new_trace_id, to_prometheus, traces_to_chrome, MetricValue, Trace, TraceContext,
 };
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-const PORTS: [u16; 2] = [0, 3];
-
-fn tw_small() -> TimeWindowConfig {
-    TimeWindowConfig::new(0, 1, 6, 2)
-}
-
-fn build_archive(until: u64) -> Vec<u8> {
-    let tw = tw_small();
-    let writer = StoreWriter::new(
-        Vec::new(),
-        tw,
-        SegmentPolicy {
-            checkpoints_per_segment: 4,
-            max_segment_bytes: 1 << 20,
-            retain_segments_per_port: None,
-        },
-    )
-    .unwrap();
-    let handle = SharedStoreWriter::new(writer);
-    let mut ap = AnalysisProgram::new(
-        tw,
-        ControlConfig {
-            poll_period: 64,
-            max_snapshots: 10_000,
-        },
-        &PORTS,
-        32,
-        1,
-        1,
-    );
-    ap.set_spill(Box::new(handle.clone()));
-    for t in 0..until {
-        for (i, &port) in PORTS.iter().enumerate() {
-            if t % (i as u64 + 2) == 0 {
-                ap.record_dequeue(port, FlowId((t % 7) as u32 + i as u32 * 100), t);
-            }
-        }
-        if t % 64 == 0 {
-            ap.on_tick(t);
-        }
-    }
-    for &port in &PORTS {
-        handle.with(|w| w.set_health(port, ap.health())).unwrap();
-    }
-    handle.finish().unwrap()
-}
-
-fn temp_path(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("pq_trace_e2e_{}_{name}.pqa", std::process::id()))
-}
-
-/// Spawn `n` backends over replicas of `bytes` with tracing enabled on
-/// each plane, returning the planes so tests can inspect them directly.
-fn spawn_traced_fleet(
-    bytes: &[u8],
-    n: usize,
-    tag: &str,
-    config: &ServeConfig,
-) -> (
-    Vec<ServerHandle>,
-    Vec<BackendSpec>,
-    Vec<Telemetry>,
-    Vec<PathBuf>,
-) {
-    let src = temp_path(&format!("{tag}_src"));
-    std::fs::write(&src, bytes).unwrap();
-    let mut handles = Vec::new();
-    let mut specs = Vec::new();
-    let mut planes = Vec::new();
-    let mut paths = vec![src.clone()];
+/// `n` backends over replicas of the two-port archive, tracing enabled
+/// on each plane.
+fn traced_fleet(n: usize, config: &ServeConfig) -> Fleet {
+    let (_, bytes) = spill_program(2_000, tiny_segments());
+    let fleet = Fleet::replicas(&bytes, n, config);
     for i in 0..n {
-        let replica = temp_path(&format!("{tag}_replica{i}"));
-        ship_archive(&src, &replica).unwrap();
-        let mut cfg = config.clone();
-        cfg.shard = format!("shard-{i}");
-        let plane = Telemetry::new();
-        plane.traces().set_enabled(true);
-        let server = Server::bind(
-            ("127.0.0.1", 0),
-            Sources {
-                live: None,
-                archive: Some(replica.clone()),
-                rtt: Vec::new(),
-            },
-            cfg,
-            &plane,
-        )
-        .unwrap();
-        let handle = server.spawn().unwrap();
-        specs.push(BackendSpec {
-            name: format!("shard-{i}"),
-            addr: handle.addr().to_string(),
-        });
-        handles.push(handle);
-        planes.push(plane);
-        paths.push(replica);
+        fleet.plane(i).traces().set_enabled(true);
     }
-    (handles, specs, planes, paths)
+    fleet
 }
 
-fn spawn_traced_router(specs: Vec<BackendSpec>) -> (RouterHandle, Telemetry) {
-    let plane = Telemetry::new();
-    plane.traces().set_enabled(true);
-    let router = Router::bind(("127.0.0.1", 0), specs, RouterConfig::default(), &plane).unwrap();
-    (router.spawn().unwrap(), plane)
-}
-
-fn cleanup(paths: &[PathBuf]) {
-    for p in paths {
-        let _ = std::fs::remove_file(p);
-    }
+/// `fleet` behind a router with tracing enabled.
+fn traced_router(fleet: Fleet) -> Fleet {
+    let fleet = fleet.route(RouterConfig::default());
+    fleet.router_plane().traces().set_enabled(true);
+    fleet
 }
 
 /// Total nanoseconds covered by the union of `[start, end]` intervals.
@@ -168,18 +68,16 @@ fn replay_req(port: u16) -> Request {
 
 #[test]
 fn routed_trace_accounts_for_client_wall_time() {
-    let bytes = build_archive(2_000);
     let config = ServeConfig {
         // The dominant cost is deliberate and attributable: a stitched
         // trace that misses it cannot hit the coverage bar.
         work_delay: Duration::from_millis(25),
         ..ServeConfig::default()
     };
-    let (backends, specs, _planes, paths) = spawn_traced_fleet(&bytes, 2, "wall", &config);
-    let (router, _rplane) = spawn_traced_router(specs);
+    let fleet = traced_router(traced_fleet(2, &config));
 
     let tid = new_trace_id();
-    let mut client = Client::connect(router.addr()).unwrap();
+    let mut client = Client::connect(fleet.router()).unwrap();
     client.set_trace_context(Some(TraceContext::root(tid, true)));
     let started = Instant::now();
     let result = client.query(replay_req(PORTS[0])).unwrap();
@@ -188,9 +86,9 @@ fn routed_trace_accounts_for_client_wall_time() {
     assert_eq!(result.trace, Some(TraceContext::root(tid, true)));
 
     // Stitch the router's record with every backend's.
-    let mut records = dump_for(router.addr(), tid);
-    for b in &backends {
-        records.extend(dump_for(b.addr(), tid));
+    let mut records = dump_for(fleet.router(), tid);
+    for i in 0..2 {
+        records.extend(dump_for(fleet.addr(i), tid));
     }
     assert!(
         records.len() >= 2,
@@ -235,35 +133,28 @@ fn routed_trace_accounts_for_client_wall_time() {
     assert!(chrome.contains(&format!("{tid:032x}")));
     assert!(chrome.contains("\"name\": \"router\""));
 
-    router.shutdown().unwrap();
-    for b in backends {
-        b.shutdown().unwrap();
-    }
-    cleanup(&paths);
+    fleet.shutdown();
 }
 
 #[test]
 fn failover_is_a_route_child_span_naming_the_backend_that_answered() {
-    let bytes = build_archive(2_000);
-    let (mut backends, specs, _planes, paths) =
-        spawn_traced_fleet(&bytes, 2, "failover", &ServeConfig::default());
+    let mut fleet = traced_router(traced_fleet(2, &ServeConfig::default()));
     // Time is not sharded by default: every query is epoch 0.
-    let ranked = rendezvous_rank(&specs, PORTS[0], 0);
-    let survivor = specs[ranked[1]].name.clone();
-    let (router, _rplane) = spawn_traced_router(specs);
-    let direct = Client::connect(backends[ranked[1]].addr())
+    let ranked = rendezvous_rank(fleet.specs(), PORTS[0], 0);
+    let survivor = fleet.specs()[ranked[1]].name.clone();
+    let direct = Client::connect(fleet.addr(ranked[1]))
         .unwrap()
         .query(replay_req(PORTS[0]))
         .unwrap();
-    backends.remove(ranked[0]).shutdown().unwrap();
+    fleet.stop(ranked[0]);
 
     let tid = new_trace_id();
-    let mut client = Client::connect(router.addr()).unwrap();
+    let mut client = Client::connect(fleet.router()).unwrap();
     client.set_trace_context(Some(TraceContext::root(tid, true)));
     let routed = client.query(replay_req(PORTS[0])).unwrap();
     assert_eq!(routed.estimates.counts, direct.estimates.counts);
 
-    let records = dump_for(router.addr(), tid);
+    let records = dump_for(fleet.router(), tid);
     let spans: Vec<_> = records.iter().flat_map(|t| &t.spans).collect();
     let route = spans.iter().find(|s| s.name == names::SPAN_ROUTE).unwrap();
     let failovers: Vec<_> = spans
@@ -276,21 +167,14 @@ fn failover_is_a_route_child_span_naming_the_backend_that_answered() {
     assert_eq!(failover.parent_span, route.span_id);
     assert!(route.start_ns <= failover.start_ns && failover.end_ns <= route.end_ns);
 
-    router.shutdown().unwrap();
-    for b in backends {
-        b.shutdown().unwrap();
-    }
-    cleanup(&paths);
+    fleet.shutdown();
 }
 
 #[test]
 fn answers_are_bit_identical_with_tracing_on_and_off() {
-    let bytes = build_archive(2_000);
-    let (backends, specs, _planes, paths) =
-        spawn_traced_fleet(&bytes, 2, "ident", &ServeConfig::default());
-    let (router, _rplane) = spawn_traced_router(specs);
+    let fleet = traced_router(traced_fleet(2, &ServeConfig::default()));
 
-    let mut client = Client::connect(router.addr()).unwrap();
+    let mut client = Client::connect(fleet.router()).unwrap();
     for &port in &PORTS {
         let bare = client.query(replay_req(port)).unwrap();
         assert_eq!(bare.trace, None, "untraced answers must not grow an echo");
@@ -305,25 +189,20 @@ fn answers_are_bit_identical_with_tracing_on_and_off() {
         assert!(traced.trace.is_some());
     }
 
-    router.shutdown().unwrap();
-    for b in backends {
-        b.shutdown().unwrap();
-    }
-    cleanup(&paths);
+    fleet.shutdown();
 }
 
 #[test]
 fn slow_queries_enter_the_slow_log_untraced() {
-    let bytes = build_archive(2_000);
     let config = ServeConfig {
         work_delay: Duration::from_millis(5),
         ..ServeConfig::default()
     };
-    let (backends, _specs, planes, paths) = spawn_traced_fleet(&bytes, 1, "slow", &config);
+    let fleet = traced_fleet(1, &config);
     // Head sampling off; only the slow threshold can commit a trace.
-    planes[0].traces().set_slow_ns(1_000_000);
+    fleet.plane(0).traces().set_slow_ns(1_000_000);
 
-    let mut client = Client::connect(backends[0].addr()).unwrap();
+    let mut client = Client::connect(fleet.addr(0)).unwrap();
     client.query(replay_req(PORTS[0])).unwrap();
 
     let slow = client.trace_dump(32, true).unwrap();
@@ -334,24 +213,19 @@ fn slow_queries_enter_the_slow_log_untraced() {
         assert!(t.spans.iter().any(|s| s.name == "worker_exec"));
     }
 
-    for b in backends {
-        b.shutdown().unwrap();
-    }
-    cleanup(&paths);
+    fleet.shutdown();
 }
 
 #[test]
 fn latency_histograms_carry_trace_exemplars() {
-    let bytes = build_archive(2_000);
-    let (backends, _specs, planes, paths) =
-        spawn_traced_fleet(&bytes, 1, "exemplar", &ServeConfig::default());
+    let fleet = traced_fleet(1, &ServeConfig::default());
 
     let tid = new_trace_id();
-    let mut client = Client::connect(backends[0].addr()).unwrap();
+    let mut client = Client::connect(fleet.addr(0)).unwrap();
     client.set_trace_context(Some(TraceContext::root(tid, true)));
     client.query(replay_req(PORTS[0])).unwrap();
 
-    let snap = planes[0].snapshot();
+    let snap = fleet.plane(0).snapshot();
     let worst = snap
         .iter()
         .find_map(|(k, v)| match v {
@@ -372,8 +246,5 @@ fn latency_histograms_carry_trace_exemplars() {
     // And the spans-dropped counters ride every exposition.
     assert!(prom.contains(telemetry::names::TRACE_SPANS_DROPPED));
 
-    for b in backends {
-        b.shutdown().unwrap();
-    }
-    cleanup(&paths);
+    fleet.shutdown();
 }

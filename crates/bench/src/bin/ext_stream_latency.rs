@@ -4,8 +4,10 @@
 //!
 //! 1. **Detection latency** — wall time from registering a standing
 //!    depth-threshold query to receiving its first fired window, with
-//!    1, 4, and 16 subscriptions registering concurrently. The path
-//!    includes the evaluator's 10 ms service tick, so this bounds the
+//!    1, 4, and 16 subscriptions registering concurrently. The daemon
+//!    answers a standing query in one pass at registration, so the path
+//!    is that pass (feed the checkpoint log, seal, close windows, run
+//!    each fired window's flow query) plus wire time: the
 //!    event-to-emission delay an operator sees.
 //! 2. **Serving overhead** — achieved qps and request latency of
 //!    concurrent live time-window queries with 0/1/4/16 standing
@@ -113,8 +115,8 @@ fn run_scenario(
             })
         })
         .collect();
-    // Give the evaluator one tick to absorb every subscription's
-    // backlog before the measured region — unconditionally, so the
+    // Let every subscriber register (and receive its registration-time
+    // answer) before the measured region — unconditionally, so the
     // baseline gets the same grace period.
     std::thread::sleep(Duration::from_millis(50));
 
@@ -150,7 +152,7 @@ fn main() {
     let ap = Arc::new(drive_polls(&[PORT], n_checkpoints, None));
 
     // Detection latency at each fleet size, on a dedicated server so
-    // the measurement sees only the evaluator tick plus wire time.
+    // the measurement sees only the registration pass plus wire time.
     let scenarios = [0usize, 1, 4, 16];
     let detect: Vec<Vec<f64>> = scenarios
         .iter()

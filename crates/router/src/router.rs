@@ -27,17 +27,17 @@ use crate::merge::{merge_results, normalize_gaps};
 use crate::shard::{epoch_of, epochs, rendezvous_rank, BackendSpec, EpochSlice};
 use pq_core::control::CoverageGap;
 use pq_core::snapshot::QueryInterval;
-use pq_packet::FlowId;
 use pq_rtt::RttReport;
 use pq_serve::answer::profile_frames;
 use pq_serve::front::{self, Conn, Front, Handler};
+use pq_serve::standing::{window_result, Emitter, Subscriptions};
 use pq_serve::wire::{
     ErrorCode, Frame, HealthInfo, Request, ShardMap, ShardMapEntry, StreamResult, ENTRIES_PER_FRAME,
 };
 use pq_serve::{
     Client, ClientError, MetricsUpdate, RemoteMonitor, RemoteResult, RemoteRtt, RetryPolicy,
 };
-use pq_stream::{DepthAgg, Emit, RttAgg, Target, TopKSummary};
+use pq_stream::{Closed, DepthAgg, WindowKey};
 use pq_telemetry::{
     names, new_trace_id, provenance, to_prometheus, ActiveTrace, Counter, Gauge, Histogram,
     Telemetry, TraceClock, TraceContext,
@@ -47,7 +47,7 @@ use std::fmt;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -166,16 +166,6 @@ struct Backend {
     latency: Histogram,
 }
 
-/// Cancel bookkeeping for a standing subscription whose fan-in already
-/// completed (the merged results were emitted at registration; only the
-/// final `last` frame remains owed).
-struct StandingEntry {
-    conn: Weak<Conn>,
-    id: u64,
-    seq: u64,
-    watermark: u64,
-}
-
 struct Shared {
     config: RouterConfig,
     backends: Vec<Backend>,
@@ -186,8 +176,8 @@ struct Shared {
     /// The connection front shared with the serve daemon (same cap,
     /// handshake, framing and write-atomicity contract).
     front: Front,
-    /// Open routed standing subscriptions awaiting cancel.
-    standing: Mutex<Vec<StandingEntry>>,
+    /// Routed standing subscriptions still owed their final frame.
+    standing: Subscriptions,
     instruments: Instruments,
     started: Instant,
     /// Unix-epoch-anchored span clock, comparable across processes so a
@@ -201,9 +191,6 @@ struct Shared {
 struct StandingPartial {
     windows: BTreeMap<(u16, u64, u64), StreamResult>,
     watermark: u64,
-    /// The backend failed mid-stream; its windows may be missing, so
-    /// every merged window it should have contributed to is degraded.
-    dead: bool,
 }
 
 /// One routed request's trace: the `route` span it reserved and when it
@@ -307,12 +294,9 @@ impl Shared {
         self.backends.iter().map(|b| b.spec.clone()).collect()
     }
 
-    /// Pop a pooled connection or dial a fresh one. The bool says which
-    /// (a stale pooled socket earns one same-backend retry).
-    fn checkout(&self, backend: &Backend) -> Result<(Client, bool), ClientError> {
-        if let Some(client) = backend.pool.lock().unwrap().pop() {
-            return Ok((client, true));
-        }
+    /// A fresh connection to `backend`, bounded by the connect and io
+    /// timeouts.
+    fn dial(&self, backend: &Backend) -> Result<Client, ClientError> {
         let addr: SocketAddr = backend.spec.addr.to_socket_addrs()?.next().ok_or_else(|| {
             ClientError::Io(io::Error::new(
                 io::ErrorKind::AddrNotAvailable,
@@ -324,7 +308,16 @@ impl Shared {
         })?;
         let client =
             Client::connect_timeout(&addr, self.config.connect_timeout, self.config.io_timeout)?;
-        Ok((client, false))
+        Ok(client)
+    }
+
+    /// Pop a pooled connection or dial a fresh one. The bool says which
+    /// (a stale pooled socket earns one same-backend retry).
+    fn checkout(&self, backend: &Backend) -> Result<(Client, bool), ClientError> {
+        match backend.pool.lock().unwrap().pop() {
+            Some(client) => Ok((client, true)),
+            None => Ok((self.dial(backend)?, false)),
+        }
     }
 
     fn checkin(&self, backend: &Backend, client: Client) {
@@ -719,18 +712,9 @@ impl Shared {
                 return;
             }
         };
-        let cap = cap.clamp(1, ENTRIES_PER_FRAME as u32);
-        if conn
-            .send(&[Frame::StandingQueryAck {
-                id,
-                cap,
-                query: parsed.to_string(),
-                trace,
-            }])
-            .is_err()
-        {
+        let Some(mut emitter) = Emitter::ack(conn, id, &parsed, cap, max_windows, trace) else {
             return;
-        }
+        };
         self.instruments.req_standing.inc();
         let mut rt = self.start_trace(trace);
         let child = rt.child;
@@ -739,67 +723,49 @@ impl Shared {
         stripped.top_k = None;
         let stripped_text = stripped.to_string();
         let stripped_text = stripped_text.as_str();
-        let partials: Vec<StandingPartial> = thread::scope(|s| {
+        // `None` marks a backend that failed mid-stream: its windows may
+        // be missing, so every merged window is degraded.
+        let partials: Vec<Option<StandingPartial>> = thread::scope(|s| {
             let handles: Vec<_> = (0..self.backends.len())
                 .map(|bi| s.spawn(move || self.fan_standing(bi, stripped_text, child)))
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().unwrap_or_default())
+                .map(|h| h.join().ok().flatten())
                 .collect()
         });
         self.instruments.fanout.record(self.backends.len() as u64);
         let merge_start = self.trace_clock.now_ns();
-        let any_dead = partials.iter().any(|p| p.dead);
+        let any_dead = partials.iter().any(Option::is_none);
         if any_dead {
             self.instruments.errors.inc();
         }
+        let live: Vec<&StandingPartial> = partials.iter().flatten().collect();
         // Watermark gate: a merged window may be emitted only once every
         // live backend's watermark has passed its end — the routed
         // mirror of the single-node close rule. Backends seal their
         // bounded source, so the gate is terminal in practice; dead
         // backends are excluded (their windows emit degraded instead of
         // never).
-        let gate = partials
+        let gate = live.iter().map(|p| p.watermark).min().unwrap_or(0);
+        let mut keys: Vec<(u16, u64, u64)> = live
             .iter()
-            .filter(|p| !p.dead)
-            .map(|p| p.watermark)
-            .min()
-            .unwrap_or(0);
-        let summary_cap = match (parsed.emit, parsed.top_k) {
-            (Emit::Depth, _) => 1,
-            (Emit::Flows, Some(k)) => (k as usize).min(cap as usize).max(1),
-            (Emit::Flows, None) => cap as usize,
-        };
-        let mut keys: Vec<(u16, u64, u64)> = partials
-            .iter()
-            .filter(|p| !p.dead)
             .flat_map(|p| p.windows.keys().copied())
             .collect();
         keys.sort_by_key(|&(port, from, to)| (to, from, port));
         keys.dedup();
-        let mut frames = Vec::new();
-        let mut seq = 0u64;
-        let mut fired_left = (max_windows > 0).then(|| u64::from(max_windows));
-        let mut ended = false;
-        for key in keys {
-            let (port, from, to) = key;
-            if to > gate {
-                continue;
-            }
-            let mut agg = DepthAgg::default();
-            let mut rtt = RttAgg::default();
-            let mut summary = TopKSummary::new(summary_cap);
-            let mut evictions = 0u64;
-            let mut evicted_weight = 0.0f64;
-            let mut gaps = Vec::new();
-            let mut degraded = any_dead;
-            let mut forced = false;
-            for p in partials.iter().filter(|p| !p.dead) {
-                let Some(w) = p.windows.get(&key) else {
-                    continue;
-                };
-                agg.merge(&DepthAgg {
+        for (port, from, to) in keys.into_iter().filter(|&(_, _, to)| to <= gate) {
+            // Merge the window's partials in backend order, then run the
+            // predicate on the merged aggregate.
+            let mut close = Closed {
+                key: WindowKey { port, from, to },
+                ..Closed::default()
+            };
+            let mut flows = emitter.summary();
+            let (mut evictions, mut evicted_weight) = (0u64, 0.0f64);
+            let (mut degraded, mut gaps) = (any_dead, Vec::new());
+            for w in live.iter().filter_map(|p| p.windows.get(&(port, from, to))) {
+                close.agg.merge(&DepthAgg {
                     max: w.max,
                     min: w.min,
                     sum: w.sum,
@@ -807,136 +773,53 @@ impl Shared {
                     last_t: w.last_t,
                     last_depth: w.last_depth,
                 });
-                rtt.merge(&w.rtt);
-                let mut part = TopKSummary::new(summary_cap);
+                close.rtt.merge(&w.rtt);
+                let mut part = emitter.summary();
                 for (f, c) in &w.flows {
                     part.offer(f.0, *c);
                 }
-                summary.merge(&part);
+                flows.merge(&part);
                 evictions += w.evictions + part.evictions;
                 evicted_weight += w.evicted_weight + part.evicted_weight;
                 degraded |= w.degraded;
-                forced |= w.forced;
+                close.forced |= w.forced;
                 gaps.extend(w.gaps.iter().cloned());
             }
-            evictions += summary.evictions;
-            evicted_weight += summary.evicted_weight;
-            if evictions > 0 {
-                degraded = true;
-            }
-            let fired = match &parsed.predicate {
-                None => true,
-                // Same dispatch the single-node evaluator runs: the
-                // predicate reads the merged aggregate for its target.
-                Some(p) => {
-                    let lhs = match p.target {
-                        Target::Depth => agg.stat(p.stat),
-                        Target::Rtt => rtt.stat(p.stat),
-                    };
-                    p.cmp.eval(lhs, p.value)
-                }
-            };
-            let flows: Vec<(FlowId, f64)> = if fired && parsed.emit == Emit::Flows {
-                summary
-                    .ranked(parsed.top_k)
-                    .into_iter()
-                    .map(|(f, c)| (FlowId(f), c))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            seq += 1;
-            let mut result = StreamResult {
-                seq,
-                watermark_ns: gate,
-                port,
-                from,
-                to,
-                fired,
-                forced,
+            close.fired = parsed.fires(&close.agg, &close.rtt);
+            let result = StreamResult {
                 degraded,
-                last: false,
-                max: agg.max,
-                min: agg.min,
-                sum: agg.sum,
-                count: agg.count,
-                last_t: agg.last_t,
-                last_depth: agg.last_depth,
-                flows,
                 evictions,
                 evicted_weight,
                 gaps: normalize_gaps(gaps),
-                rtt,
+                ..window_result(&close, gate)
             };
-            if fired {
-                if let Some(r) = &mut fired_left {
-                    *r -= 1;
-                    if *r == 0 {
-                        result.last = true;
-                        ended = true;
-                    }
-                }
-            }
-            frames.push(Frame::StandingQueryResult {
-                id,
-                result: Box::new(result),
-            });
-            if ended {
+            if !emitter.window(result, &flows) {
                 break;
             }
         }
-        if !ended && stop_after_seal {
-            seq += 1;
-            frames.push(Frame::StandingQueryResult {
-                id,
-                result: Box::new(StreamResult::progress(seq, gate, true)),
-            });
-            ended = true;
-        }
-        rt.record(names::SPAN_MERGE, merge_start, frames.len());
+        emitter.seal(stop_after_seal, gate);
+        rt.record(names::SPAN_MERGE, merge_start, emitter.frame_count());
         self.finish_trace(rt, any_dead);
-        if conn.send(&frames).is_err() || ended {
-            return;
-        }
-        // Keep the subscription addressable for a later cancel; dead
-        // entries (dropped connections) are purged opportunistically.
-        let mut standing = self.standing.lock().unwrap();
-        standing.retain(|e| e.conn.strong_count() > 0);
-        standing.push(StandingEntry {
-            conn: Arc::downgrade(conn),
-            id,
-            seq,
-            watermark: gate,
-        });
+        self.standing.register(conn, emitter, gate);
     }
 
     /// One backend's leg of a routed standing query: a dedicated
     /// connection (subscriptions are stateful, so the pool is not
     /// used), registered with `stop_after_seal` so the stream ends once
     /// the backend's bounded source is exhausted. The io timeout bounds
-    /// every read, so a wedged backend surfaces as a dead partial
-    /// instead of hanging the fan-in.
-    fn fan_standing(&self, bi: usize, query: &str, trace: Option<TraceContext>) -> StandingPartial {
-        let mut partial = StandingPartial::default();
-        let backend = &self.backends[bi];
-        let run = |partial: &mut StandingPartial| -> Result<(), ClientError> {
-            let addr: SocketAddr =
-                backend.spec.addr.to_socket_addrs()?.next().ok_or_else(|| {
-                    ClientError::Io(io::Error::new(
-                        io::ErrorKind::AddrNotAvailable,
-                        format!(
-                            "backend address {:?} resolves to nothing",
-                            backend.spec.addr
-                        ),
-                    ))
-                })?;
-            let mut client = Client::connect_timeout(
-                &addr,
-                self.config.connect_timeout,
-                self.config.io_timeout,
-            )?;
+    /// every read, so a wedged backend surfaces as a dead (`None`)
+    /// partial instead of hanging the fan-in.
+    fn fan_standing(
+        &self,
+        bi: usize,
+        query: &str,
+        trace: Option<TraceContext>,
+    ) -> Option<StandingPartial> {
+        let run = || -> Result<StandingPartial, ClientError> {
+            let mut client = self.dial(&self.backends[bi])?;
             client.set_trace_context(trace);
             let ack = client.standing(query, ENTRIES_PER_FRAME as u32, 0, true)?;
+            let mut partial = StandingPartial::default();
             loop {
                 let r = client.next_stream_result(ack.sub)?;
                 partial.watermark = partial.watermark.max(r.watermark_ns);
@@ -945,45 +828,22 @@ impl Shared {
                     partial.windows.insert((r.port, r.from, r.to), r);
                 }
                 if last {
-                    return Ok(());
+                    return Ok(partial);
                 }
             }
         };
-        match run(&mut partial) {
-            Ok(()) => self.note_success(bi),
+        match run() {
+            Ok(partial) => {
+                self.note_success(bi);
+                Some(partial)
+            }
             Err(e) => {
-                partial.dead = true;
                 if transient(&e) {
                     self.note_failure(bi);
                 }
+                None
             }
         }
-        partial
-    }
-
-    /// Answer a standing-subscription cancel: emit the final `last`
-    /// frame if the subscription is known on this connection.
-    fn cancel_standing(&self, conn: &Arc<Conn>, id: u64, sub: u64) {
-        let mut standing = self.standing.lock().unwrap();
-        let Some(pos) = standing
-            .iter()
-            .position(|e| e.id == sub && e.conn.upgrade().is_some_and(|c| Arc::ptr_eq(&c, conn)))
-        else {
-            drop(standing);
-            let _ = conn.send(&[Frame::error(
-                id,
-                ErrorCode::Protocol,
-                "unknown standing subscription",
-            )]);
-            return;
-        };
-        let entry = standing.remove(pos);
-        drop(standing);
-        let progress = StreamResult::progress(entry.seq + 1, entry.watermark, true);
-        let _ = conn.send(&[Frame::StandingQueryResult {
-            id: entry.id,
-            result: Box::new(progress),
-        }]);
     }
 }
 
@@ -1009,6 +869,7 @@ impl RouterHandle {
     /// Stop the router, blocking until it has exited.
     pub fn shutdown(self) -> io::Result<()> {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.standing.drain();
         self.shared.front.close_all();
         self.join.join().expect("router thread panicked")
     }
@@ -1068,7 +929,7 @@ impl Router {
                 generation: AtomicU64::new(0),
                 shutdown: AtomicBool::new(false),
                 front,
-                standing: Mutex::new(Vec::new()),
+                standing: Subscriptions::new(Gauge::default()),
                 instruments,
                 started: Instant::now(),
                 trace_clock: TraceClock::new(),
@@ -1092,6 +953,9 @@ impl Router {
         };
         front::serve(&self.listener, &shared)?;
         let _ = prober.join();
+        // Close every routed subscription with its final `last` frame
+        // before the connections go.
+        shared.standing.drain();
         shared.front.close_all();
         Ok(())
     }
@@ -1131,15 +995,7 @@ fn probe_loop(shared: &Arc<Shared>) {
 }
 
 fn probe(shared: &Arc<Shared>, backend: &Backend) -> bool {
-    let Ok(addr) = backend.spec.addr.to_socket_addrs().map(|mut a| a.next()) else {
-        return false;
-    };
-    let Some(addr) = addr else { return false };
-    let Ok(mut client) = Client::connect_timeout(
-        &addr,
-        shared.config.connect_timeout,
-        shared.config.io_timeout,
-    ) else {
+    let Ok(mut client) = shared.dial(backend) else {
         return false;
     };
     match client.health() {
@@ -1268,7 +1124,7 @@ impl Handler for Shared {
                 query,
                 trace,
             } => self.route_standing(conn, id, cap, max_windows, stop_after_seal, &query, trace),
-            Frame::StandingQueryCancel { id, sub } => self.cancel_standing(conn, id, sub),
+            Frame::StandingQueryCancel { id, sub } => self.standing.cancel(conn, id, sub),
             other => unreachable!("the front answers {other:?} itself"),
         }
     }

@@ -160,7 +160,8 @@ pub struct StandingAck {
     /// Canonical rendering of the query as the server parsed it.
     pub query: String,
     /// The trace context echoed by the server (iff the request carried
-    /// one); a sampled context makes the evaluator emit per-tick spans.
+    /// one); a sampled context makes the daemon record its
+    /// `window_close` and `emit` spans.
     pub trace: Option<TraceContext>,
 }
 

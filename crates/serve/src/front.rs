@@ -59,7 +59,8 @@ pub trait Handler: Send + Sync + 'static {
     fn front(&self) -> &Front;
     /// True once the process is stopping: the accept loop exits.
     fn stopping(&self) -> bool;
-    /// A client asked the process to stop (`ShutdownReq`, already acked).
+    /// A client asked the process to stop (`ShutdownReq`, acked once this
+    /// returns).
     fn stop(&self);
     /// The health self-report (answered on the reader thread, so it works
     /// whatever the state of the machinery behind `dispatch`).
@@ -247,8 +248,10 @@ fn connection<H: Handler>(handler: &H, conn: &Arc<Conn>) -> io::Result<()> {
                 let _ = conn.send(&[Frame::TraceDumpAck { id, traces }]);
             }
             Frame::ShutdownReq { id } => {
-                let _ = conn.send(&[Frame::ShutdownAck { id }]);
+                // Stop before acking: once the ack is out, no request on
+                // another connection may still be dispatched.
                 handler.stop();
+                let _ = conn.send(&[Frame::ShutdownAck { id }]);
             }
             frame => handler.dispatch(conn, frame),
         }

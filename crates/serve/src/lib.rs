@@ -34,11 +34,12 @@
 //! changed-series updates that `pqsim watch` folds into a live
 //! dashboard and alert evaluation.
 //!
-//! The daemon also evaluates **standing continuous queries**
-//! (`StandingQueryReq`): a dedicated evaluator thread runs `pq-stream`
-//! window operators over the checkpoint stream and pushes each closed
-//! window's answer — culprit flows included — as it materializes,
-//! under the `pq_stream_*` telemetry namespace.
+//! The daemon also answers **standing continuous queries**
+//! (`StandingQueryReq`): at registration it runs `pq-stream` window
+//! operators over the checkpoint stream and pushes each closed window's
+//! answer — culprit flows included — under the `pq_stream_*` telemetry
+//! namespace. [`standing`] builds those frames and keeps the open
+//! subscriptions, for the daemon and the router alike.
 //!
 //! [`AnalysisProgram`]: pq_core::control::AnalysisProgram
 //! [`QueryInterval`]: pq_core::snapshot::QueryInterval
@@ -49,6 +50,7 @@ pub mod cache;
 pub mod client;
 pub mod front;
 pub mod server;
+pub mod standing;
 pub mod wire;
 
 pub use answer::{MetricsUpdate, RemoteMonitor, RemoteResult, RemoteRtt};

@@ -23,21 +23,20 @@
 use crate::answer::{self, MetricsUpdate, RemoteMonitor, RemoteResult, RemoteRtt};
 use crate::cache::DecodeCache;
 use crate::front::{self, Conn, Front, Handler};
-use crate::wire::{
-    ErrorCode, Frame, HealthInfo, Request, ShardMap, ShardMapEntry, StreamResult, ENTRIES_PER_FRAME,
-};
+use crate::standing::{window_result, Emitter, Subscriptions};
+use crate::wire::{ErrorCode, Frame, HealthInfo, Request, ShardMap, ShardMapEntry};
 use pq_core::coefficient::Coefficients;
 use pq_core::control::{AnalysisProgram, CoverageGap};
 use pq_core::snapshot::QueryInterval;
 use pq_packet::FlowId;
 use pq_rtt::{RttReport, RTT_SEGMENT_KIND};
 use pq_store::StoreReader;
-use pq_stream::{Closed, Emit, Record as StreamRecord, Standing, TopKSummary};
+use pq_stream::{Record as StreamRecord, Standing};
 use pq_telemetry::{
     delta, names, new_trace_id, provenance, to_prometheus, ActiveTrace, Counter, Gauge, Histogram,
     RegistrySnapshot, Telemetry, TraceClock, TraceContext,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -261,30 +260,6 @@ struct Sub {
 /// pathological sliding query cannot grow server state without bound.
 const MAX_OPEN_WINDOWS: usize = 4096;
 
-/// One live standing-query subscription, owned by the evaluator thread.
-struct StreamSub {
-    conn: Arc<Conn>,
-    /// The registering request's id; every result frame echoes it.
-    id: u64,
-    /// Window operator state (watermark, open aggregates, accounting).
-    state: Standing,
-    /// Per-port read position into the live checkpoint log.
-    cursors: HashMap<u16, usize>,
-    /// Read position into the shared time-sorted RTT sample list.
-    rtt_cursor: usize,
-    /// Flow cap per result frame (clamped to [`ENTRIES_PER_FRAME`]).
-    cap: usize,
-    /// Fired windows left before the subscription ends (`None` =
-    /// unbounded).
-    remaining_windows: Option<u64>,
-    /// End once the source is sealed and every window has closed.
-    stop_after_seal: bool,
-    seq: u64,
-    /// Trace context the registration carried; sampled contexts get
-    /// `window_close` / `emit` spans per serviced tick.
-    trace: Option<TraceContext>,
-}
-
 struct Shared {
     config: ServeConfig,
     /// The bound listen address, rendered for `ShardMapAck`.
@@ -302,15 +277,12 @@ struct Shared {
     busy_workers: AtomicUsize,
     /// Live metrics subscriptions, serviced by the publisher thread.
     subs: Mutex<Vec<Sub>>,
-    /// Standing-query subscriptions, serviced by the evaluator thread.
-    streams: Mutex<Vec<StreamSub>>,
+    /// Standing subscriptions still owed their final frame.
+    streams: Subscriptions,
     /// Canonical RTT reports (live hook output plus archive spill),
-    /// the source for `rtt` queries. Immutable while serving.
+    /// the source for `rtt` queries and standing queries' RTT samples.
+    /// Immutable while serving.
     rtt: Vec<RttReport>,
-    /// The reports' timestamped samples flattened into one
-    /// `(t_ns, port, rtt_ns)` list, time-sorted: the RTT feed for the
-    /// standing-query evaluator.
-    rtt_samples: Vec<(u64, u16, u64)>,
     instruments: Instruments,
     started: Instant,
     /// Unix-epoch-anchored monotonic clock for trace-span timestamps —
@@ -385,7 +357,7 @@ impl ServerHandle {
         // pops is answered with ShuttingDown into a dead socket.
         self.shared.drain_deadline_ns.store(1, Ordering::SeqCst);
         self.shared.subs.lock().unwrap().clear();
-        self.shared.streams.lock().unwrap().clear();
+        self.shared.streams.clear();
         self.shared.front.close_all();
         self.shared.queue_cv.notify_all();
         self.join.join().expect("server thread panicked")
@@ -425,11 +397,6 @@ impl Server {
                 rtt.push(report);
             }
         }
-        let mut rtt_samples: Vec<(u64, u16, u64)> = rtt
-            .iter()
-            .flat_map(|r| r.samples.iter().map(|s| (s.t_ns, r.port, s.rtt_ns)))
-            .collect();
-        rtt_samples.sort_unstable();
         // Surface the RTT data this daemon serves, in the same shape the
         // measuring hook publishes: the CI gate requires a
         // `pq_rtt_samples_total` floor, and watch alert rules evaluate
@@ -492,9 +459,8 @@ impl Server {
             front,
             busy_workers: AtomicUsize::new(0),
             subs: Mutex::new(Vec::new()),
-            streams: Mutex::new(Vec::new()),
+            streams: Subscriptions::new(instruments.stream_subs.clone()),
             rtt,
-            rtt_samples,
             instruments,
             started: Instant::now(),
             trace_clock: TraceClock::new(),
@@ -532,23 +498,16 @@ impl Server {
                 .name("pq-serve-publisher".into())
                 .spawn(move || publisher_loop(&shared))?
         };
-        let evaluator = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("pq-serve-stream".into())
-                .spawn(move || stream_loop(&shared))?
-        };
         front::serve(&self.listener, &shared)?;
         for w in workers {
             let _ = w.join();
         }
         let _ = publisher.join();
-        let _ = evaluator.join();
         // Queries are drained; close every subscription with one final
         // `last` update so watchers see the post-drain counter values
         // instead of a dropped stream.
         drain_subscribers(&shared);
-        drain_stream_subs(&shared);
+        shared.streams.drain();
         // Workers are done; release any reader threads still blocked on
         // their sockets.
         shared.front.close_all();
@@ -682,7 +641,7 @@ impl Handler for Shared {
                 let bytes = pq_prof::ProfileReport::capture().encode();
                 let _ = conn.send(&answer::profile_frames(id, &bytes));
             }
-            Frame::StandingQueryCancel { id, sub } => cancel_standing(self, conn, id, sub),
+            Frame::StandingQueryCancel { id, sub } => self.streams.cancel(conn, id, sub),
             other => unreachable!("the front answers {other:?} itself"),
         }
     }
@@ -1005,10 +964,11 @@ fn drain_subscribers(shared: &Arc<Shared>) {
     shared.instruments.subscribers.set(0);
 }
 
-/// Register a standing continuous query on this connection. Runs inline
-/// on the reader thread — parsing and validation are cheap, and the ack
-/// must be on the wire before the evaluator can emit the first result
-/// (it only sees the subscription after this function pushes it).
+/// Register a standing continuous query on this connection and answer
+/// it in one pass, on the reader thread. The live program is immutable
+/// while serving (the trace ran before bind), so its checkpoint log and
+/// RTT samples are complete now: every record goes through the window
+/// operator once, the source seals, and every window closes.
 #[allow(clippy::too_many_arguments)]
 fn register_standing(
     shared: &Shared,
@@ -1049,10 +1009,9 @@ fn register_standing(
             return;
         }
     }
-    let mut streams = shared.streams.lock().unwrap();
-    // Standing subscriptions hold evaluator state, so they share the
-    // metrics-subscription cap and shed with Busy beyond it.
-    if streams.len() >= shared.config.max_subs {
+    // Open subscriptions share the metrics-subscription cap and shed
+    // with Busy beyond it.
+    if shared.streams.count() >= shared.config.max_subs {
         shared.instruments.shed.inc();
         let _ = conn.send(&[Frame::Busy {
             id,
@@ -1060,188 +1019,93 @@ fn register_standing(
         }]);
         return;
     }
-    let cap = (cap as usize).clamp(1, ENTRIES_PER_FRAME);
-    // The ack echoes the canonical rendering of the parsed query and the
-    // effective cap, so the client knows exactly what was registered.
-    if conn
-        .send(&[Frame::StandingQueryAck {
-            id,
-            cap: cap as u32,
-            query: parsed.to_string(),
-            trace,
-        }])
-        .is_err()
-    {
-        return;
-    }
-    shared.instruments.completed("standing");
-    streams.push(StreamSub {
-        conn: Arc::clone(conn),
-        id,
-        state: Standing::new(parsed, MAX_OPEN_WINDOWS),
-        cursors: HashMap::new(),
-        rtt_cursor: 0,
-        cap,
-        remaining_windows: (max_windows > 0).then(|| u64::from(max_windows)),
-        stop_after_seal,
-        seq: 0,
-        trace,
-    });
-    shared.instruments.stream_subs.set(streams.len() as u64);
-}
-
-/// Cancel a standing subscription: unregister it and answer with a final
-/// `last=true` progress frame so the client's stream ends cleanly.
-fn cancel_standing(shared: &Shared, conn: &Arc<Conn>, id: u64, sub_id: u64) {
-    let mut streams = shared.streams.lock().unwrap();
-    let Some(pos) = streams
-        .iter()
-        .position(|s| s.id == sub_id && Arc::ptr_eq(&s.conn, conn))
-    else {
-        let _ = conn.send(&[Frame::error(
-            id,
-            ErrorCode::Protocol,
-            "unknown standing subscription",
-        )]);
+    let Some(mut emitter) = Emitter::ack(conn, id, &parsed, cap, max_windows, trace) else {
         return;
     };
-    let mut sub = streams.remove(pos);
-    shared.instruments.stream_subs.set(streams.len() as u64);
-    drop(streams);
-    let frame = progress_frame(&mut sub, true);
-    let _ = sub.conn.send(&[frame]);
-}
-
-/// A window-less progress frame: the subscription's watermark, and the
-/// `last` flag when the stream is ending.
-fn progress_frame(sub: &mut StreamSub, last: bool) -> Frame {
-    sub.seq += 1;
-    let progress = StreamResult::progress(sub.seq, sub.state.watermark(), last);
-    Frame::StandingQueryResult {
-        id: sub.id,
-        result: Box::new(progress),
-    }
-}
-
-/// The standing-query evaluator: one thread servicing every stream
-/// subscription, mirroring the publisher's cadence. Each tick feeds new
-/// checkpoint records through the window operators, advances watermarks,
-/// and pushes closed windows to their clients.
-fn stream_loop(shared: &Arc<Shared>) {
-    const TICK: Duration = Duration::from_millis(10);
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        thread::sleep(TICK);
-        let Some(live) = &shared.live else { continue };
-        let mut streams = shared.streams.lock().unwrap();
-        if streams.is_empty() {
-            continue;
-        }
-        streams.retain_mut(|sub| service_stream_sub(shared, live, sub));
-        shared.instruments.stream_subs.set(streams.len() as u64);
-    }
-}
-
-/// Service one subscription for one tick. Returns whether to keep it.
-fn service_stream_sub(shared: &Arc<Shared>, live: &AnalysisProgram, sub: &mut StreamSub) -> bool {
-    // Gather every checkpoint past this subscription's cursors, then
-    // feed them through the window operator in global timestamp order:
-    // each port's log is time-sorted, but draining whole ports one
-    // after another would present a multi-port subscription with a
-    // wildly out-of-order stream and spuriously drop the later ports'
-    // history as late.
-    let ports = match sub.state.pinned_port() {
+    shared.instruments.completed("standing");
+    let mut state = Standing::new(parsed, MAX_OPEN_WINDOWS);
+    // Depth records and RTT samples share one stream, fed in global
+    // `(t_ns, port, rtt, depth)` order (a port's depth records before its
+    // RTT samples at the same instant) so one watermark governs both:
+    // feeding whole ports one after another would present a multi-port
+    // subscription with a wildly out-of-order stream and drop the later
+    // ports' history as late.
+    let ports = match state.query.pinned_port() {
         Some(p) => vec![p],
         None => live.ports(),
     };
-    // Each entry: `(t_ns, port, rtt_sample, depth)` — depth records and
-    // RTT samples share one time-ordered stream so a single watermark
-    // governs both.
     let mut batch: Vec<(u64, u16, Option<u64>, u64)> = Vec::new();
     for port in ports {
-        let cps = live.checkpoints(port);
-        let cur = sub.cursors.entry(port).or_insert(0);
-        while *cur < cps.len() {
-            let cp = &cps[*cur];
-            *cur += 1;
+        for cp in live.checkpoints(port) {
             let depth = cp.queue_monitor().map(|q| u64::from(q.top)).unwrap_or(0);
             batch.push((cp.frozen_at, port, None, depth));
         }
     }
-    while sub.rtt_cursor < shared.rtt_samples.len() {
-        let (t_ns, port, rtt_ns) = shared.rtt_samples[sub.rtt_cursor];
-        sub.rtt_cursor += 1;
-        batch.push((t_ns, port, Some(rtt_ns), 0));
+    for r in &shared.rtt {
+        batch.extend(
+            r.samples
+                .iter()
+                .map(|s| (s.t_ns, r.port, Some(s.rtt_ns), 0)),
+        );
     }
-    batch.sort_by_key(|&(t_ns, port, rtt, depth)| (t_ns, port, rtt.is_some(), depth, rtt));
+    batch.sort_unstable();
     for (t_ns, port, rtt, depth) in batch {
         let on_time = match rtt {
-            Some(v) => sub.state.push_rtt(t_ns, port, v),
-            None => sub.state.push(StreamRecord { t_ns, port, depth }),
+            Some(v) => state.push_rtt(t_ns, port, v),
+            None => state.push(StreamRecord { t_ns, port, depth }),
         };
         if !on_time {
             shared.instruments.stream_late.inc();
         }
     }
-    // The live program is immutable while serving (the trace ran before
-    // bind), so with every cursor at the end of its checkpoint log the
-    // source is proven exhausted: emit the bounded-source final
-    // watermark, closing all remaining windows.
-    if !sub.state.sealed() {
-        sub.state.seal();
-    }
-    // A sampled standing query gets per-tick spans: `window_close` around
-    // materialization, `emit` around the send. Only ticks that produced
-    // frames commit a trace, so an idle subscription stays silent.
-    let traces = shared.instruments.plane.traces();
-    let mut tracer = match sub.trace {
-        Some(ctx) if ctx.sampled && traces.is_enabled() => {
-            Some(ActiveTrace::new(ctx, &shared.process))
-        }
-        _ => None,
-    };
+    state.seal();
     let close_start_ns = shared.trace_clock.now_ns();
-    let mut frames = Vec::new();
-    let mut ended = false;
     let mut closed = 0u64;
-    for close in sub.state.drain() {
-        // One scope entry per closed window, so an idle tick records
-        // nothing: calls == windows materialized.
+    for close in state.drain() {
+        // One scope entry per closed window: calls == windows
+        // materialized.
         pq_prof::scope!("stream/window_close");
         shared.instruments.stream_windows_closed.inc();
         closed += 1;
         if close.forced {
             shared.instruments.stream_evictions_window.inc();
         }
-        let mut result = close_to_result(shared, live, sub, &close);
+        let mut result = window_result(&close, state.watermark());
+        let mut flows = emitter.summary();
+        if emitter.wants_flows(close.fired) {
+            // The *same* time-window query the one-shot path runs —
+            // `[from, to)` maps to the inclusive `[from, to-1]` — so a
+            // standing answer is bit-identical to an offline query over
+            // the same closed window.
+            let interval = QueryInterval::new(close.key.from, close.key.to - 1);
+            let answer = live.query_time_windows(close.key.port, interval);
+            result.degraded |= answer.degraded;
+            result.gaps = answer.gaps;
+            for (flow, est) in answer.estimates.ranked() {
+                flows.offer(flow.0, est);
+            }
+            shared
+                .instruments
+                .stream_evictions_topk
+                .add(flows.evictions);
+        }
         if close.fired {
             shared.instruments.stream_results.inc();
-            if let Some(r) = &mut sub.remaining_windows {
-                *r -= 1;
-                if *r == 0 {
-                    result.last = true;
-                    ended = true;
-                }
-            }
         }
-        frames.push(Frame::StandingQueryResult {
-            id: sub.id,
-            result: Box::new(result),
-        });
-        if ended {
+        if !emitter.window(result, &flows) {
             break;
         }
     }
-    if !ended && sub.state.sealed() && sub.stop_after_seal {
-        frames.push(progress_frame(sub, true));
-        ended = true;
-    }
-    if frames.is_empty() {
-        return true;
-    }
+    emitter.seal(stop_after_seal, state.watermark());
     let emit_start_ns = shared.trace_clock.now_ns();
-    let sent = sub.conn.send(&frames);
-    if let Some(mut t) = tracer.take() {
-        let ctx = t.ctx();
+    let sent = shared.streams.register(conn, emitter, state.watermark());
+    // A sampled standing query gets a `window_close` span around
+    // materialization and an `emit` span around the send, committed
+    // only when the pass produced frames.
+    let traces = shared.instruments.plane.traces();
+    let sampled = trace.filter(|ctx| ctx.sampled && traces.is_enabled() && sent > 0);
+    if let Some(ctx) = sampled {
+        let mut t = ActiveTrace::new(ctx, &shared.process);
         let end_ns = shared.trace_clock.now_ns();
         let root = t.record(
             names::SPAN_WINDOW_CLOSE,
@@ -1255,90 +1119,11 @@ fn service_stream_sub(shared: &Arc<Shared>, live: &AnalysisProgram, sub: &mut St
             ctx.parent_span,
             emit_start_ns,
             end_ns,
-            &frames.len().to_string(),
+            &sent.to_string(),
         );
         let duration = end_ns.saturating_sub(close_start_ns);
         traces.commit(t.finish(root, duration, false));
     }
-    if sent.is_err() {
-        return false;
-    }
-    !ended
-}
-
-/// Materialize one closed window into its wire result. Fired windows
-/// with `emit flows` run the *same* time-window query the one-shot path
-/// runs — `[from, to)` maps to the inclusive interval `[from, to-1]` —
-/// so a standing answer is bit-identical to an offline query over the
-/// same closed window.
-fn close_to_result(
-    shared: &Arc<Shared>,
-    live: &AnalysisProgram,
-    sub: &mut StreamSub,
-    close: &Closed,
-) -> StreamResult {
-    sub.seq += 1;
-    let mut flows = Vec::new();
-    let mut gaps = Vec::new();
-    let mut degraded = close.forced;
-    let mut evictions = 0u64;
-    let mut evicted_weight = 0.0f64;
-    if close.fired && sub.state.query.emit == Emit::Flows {
-        let interval = QueryInterval::new(close.key.from, close.key.to - 1);
-        let answer = live.query_time_windows(close.key.port, interval);
-        degraded |= answer.degraded;
-        gaps = answer.gaps;
-        let mut topk = TopKSummary::new(sub.state.summary_cap(sub.cap));
-        for (flow, est) in answer.estimates.ranked() {
-            topk.offer(flow.0, est);
-        }
-        evictions = topk.evictions;
-        evicted_weight = topk.evicted_weight;
-        if evictions > 0 {
-            // The summary no longer holds every flow: an honest answer
-            // must say so, like any other coverage caveat.
-            degraded = true;
-            shared.instruments.stream_evictions_topk.add(evictions);
-        }
-        flows = topk
-            .ranked(sub.state.query.top_k)
-            .into_iter()
-            .map(|(f, c)| (FlowId(f), c))
-            .collect();
-    }
-    StreamResult {
-        seq: sub.seq,
-        watermark_ns: sub.state.watermark(),
-        port: close.key.port,
-        from: close.key.from,
-        to: close.key.to,
-        fired: close.fired,
-        forced: close.forced,
-        degraded,
-        last: false,
-        max: close.agg.max,
-        min: close.agg.min,
-        sum: close.agg.sum,
-        count: close.agg.count,
-        last_t: close.agg.last_t,
-        last_depth: close.agg.last_depth,
-        flows,
-        evictions,
-        evicted_weight,
-        gaps,
-        rtt: close.rtt,
-    }
-}
-
-/// Close every standing subscription with a final `last` progress frame,
-/// mirroring [`drain_subscribers`].
-fn drain_stream_subs(shared: &Arc<Shared>) {
-    let mut streams = shared.streams.lock().unwrap();
-    for mut sub in streams.drain(..) {
-        let frame = progress_frame(&mut sub, true);
-        let _ = sub.conn.send(&[frame]);
-    }
-    shared.instruments.stream_subs.set(0);
 }
 
 /// Execute one query into its response frame sequence.

@@ -26,6 +26,7 @@
 //! is the identity, which lets servers echo the query they admitted
 //! without keeping the client's original string around.
 
+use crate::window::{DepthAgg, RttAgg};
 use std::fmt;
 
 /// Which ports a standing query watches.
@@ -177,6 +178,40 @@ impl Query {
         match self.port {
             PortSel::Any => true,
             PortSel::One(p) => p == port,
+        }
+    }
+
+    /// Which single port the query pins, if any (used by servers to
+    /// skip scanning unrelated ports).
+    pub fn pinned_port(&self) -> Option<u16> {
+        match self.port {
+            PortSel::Any => None,
+            PortSel::One(p) => Some(p),
+        }
+    }
+
+    /// Does a window with these aggregates fire? The predicate reads the
+    /// aggregate for its target; a query without one fires every window.
+    pub fn fires(&self, agg: &DepthAgg, rtt: &RttAgg) -> bool {
+        match &self.predicate {
+            None => true,
+            Some(p) => {
+                let lhs = match p.target {
+                    Target::Depth => agg.stat(p.stat),
+                    Target::Rtt => rtt.stat(p.stat),
+                };
+                p.cmp.eval(lhs, p.value)
+            }
+        }
+    }
+
+    /// Flow weight cap for the bounded per-window top-k summary: the
+    /// emitted `topk k` when present, else the subscription cap.
+    pub fn summary_cap(&self, sub_cap: usize) -> usize {
+        match (self.emit, self.top_k) {
+            (Emit::Depth, _) => 1,
+            (Emit::Flows, Some(k)) => (k as usize).min(sub_cap).max(1),
+            (Emit::Flows, None) => sub_cap.max(1),
         }
     }
 }

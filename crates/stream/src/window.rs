@@ -23,7 +23,7 @@
 //! closed** early and flagged, keeping worst-case memory fixed while
 //! surfacing the truncation instead of hiding it.
 
-use crate::query::{Emit, PortSel, Query, Stat, Target, WindowKind};
+use crate::query::{Query, Stat, WindowKind};
 use std::collections::BTreeMap;
 
 /// One checkpoint event on the stream.
@@ -37,7 +37,7 @@ pub struct Record {
 }
 
 /// A window's identity: `[from, to)` on one port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct WindowKey {
     pub port: u16,
     pub from: u64,
@@ -264,7 +264,7 @@ impl RttAgg {
 }
 
 /// A closed window, ready for emission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Closed {
     pub key: WindowKey,
     pub agg: DepthAgg,
@@ -347,10 +347,6 @@ impl Standing {
         self.open.len()
     }
 
-    pub fn sealed(&self) -> bool {
-        self.sealed
-    }
-
     /// Feed one record. Returns `false` if the record was late (dropped
     /// and counted); the watermark ratchets up either way.
     pub fn push(&mut self, r: Record) -> bool {
@@ -394,7 +390,7 @@ impl Standing {
                 key: WindowKey { port, from, to },
                 agg,
                 rtt,
-                fired: self.fires(&agg, &rtt),
+                fired: self.query.fires(&agg, &rtt),
                 forced: true,
             });
         }
@@ -407,19 +403,6 @@ impl Standing {
     pub fn seal(&mut self) {
         self.sealed = true;
         self.watermark = u64::MAX;
-    }
-
-    fn fires(&self, agg: &DepthAgg, rtt: &RttAgg) -> bool {
-        match &self.query.predicate {
-            None => true,
-            Some(p) => {
-                let lhs = match p.target {
-                    Target::Depth => agg.stat(p.stat),
-                    Target::Rtt => rtt.stat(p.stat),
-                };
-                p.cmp.eval(lhs, p.value)
-            }
-        }
     }
 
     /// Close and return every window proven complete by the current
@@ -437,31 +420,12 @@ impl Standing {
                 key: WindowKey { port, from, to },
                 agg,
                 rtt,
-                fired: self.fires(&agg, &rtt),
+                fired: self.query.fires(&agg, &rtt),
                 forced: false,
             });
         }
         out.sort_by_key(|c| (c.key.to, c.key.from, c.key.port));
         out
-    }
-
-    /// Flow weight cap for the bounded per-window top-k summary: the
-    /// emitted `topk k` when present, else the subscription cap.
-    pub fn summary_cap(&self, sub_cap: usize) -> usize {
-        match (self.query.emit, self.query.top_k) {
-            (Emit::Depth, _) => 1,
-            (Emit::Flows, Some(k)) => (k as usize).min(sub_cap).max(1),
-            (Emit::Flows, None) => sub_cap.max(1),
-        }
-    }
-
-    /// Which single port the query pins, if any (used by servers to
-    /// skip scanning unrelated ports).
-    pub fn pinned_port(&self) -> Option<u16> {
-        match self.query.port {
-            PortSel::Any => None,
-            PortSel::One(p) => Some(p),
-        }
     }
 }
 

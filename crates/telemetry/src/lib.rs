@@ -201,8 +201,9 @@ pub mod names {
     /// connection cap (counter).
     pub const ROUTER_SHED: &str = "pq_router_shed_total";
 
-    // -- pq-stream (standing-query evaluator, serve & router side) ---------
-    /// Standing-query subscriptions currently registered (gauge).
+    // -- pq-stream (standing queries, serve & router side) -----------------
+    /// Standing-query subscriptions currently open: registered, stream
+    /// not yet ended (gauge).
     pub const STREAM_SUBSCRIPTIONS: &str = "pq_stream_subscriptions";
     /// Windows closed across all standing subscriptions (counter).
     pub const STREAM_WINDOWS_CLOSED: &str = "pq_stream_windows_closed_total";
@@ -415,9 +416,9 @@ pub mod names {
     /// Serve/store: decoding (or cache-fetching) the segments a replay
     /// query needs; tagged `cache=hit|miss|mixed`.
     pub const SPAN_SEGMENT_DECODE: &str = "segment_decode";
-    /// Stream evaluator: closing fired windows for one subscription tick.
+    /// Standing query: closing one subscription's windows at registration.
     pub const SPAN_WINDOW_CLOSE: &str = "window_close";
-    /// Stream evaluator: pushing fired-window results to the subscriber.
+    /// Standing query: pushing the window results to the subscriber.
     pub const SPAN_EMIT: &str = "emit";
     /// Serve: gathering and decoding the RTT reports one query needs.
     pub const SPAN_RTT_MEASURE: &str = "rtt_measure";

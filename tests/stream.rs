@@ -3,17 +3,23 @@
 //! `query_time_windows` over the same closed interval (single-node and
 //! routed across three shards), per-subscription state must stay under
 //! its cap with evictions accounted under shuffled/late arrival, and
-//! the subscribe ack must echo the clamped publisher interval.
+//! the subscribe ack must echo the clamped publisher interval. A cancel
+//! pipelined behind its registration loses no window, a stopping router
+//! ends a routed subscription with a final frame, and a sampled
+//! registration is traced.
 
 use pq_bench::serving::{drive_program, Fleet, PORTS};
 use printqueue::core::control::{AnalysisProgram, Checkpoint};
 use printqueue::core::snapshot::QueryInterval;
 use printqueue::packet::FlowId;
 use printqueue::router::RouterConfig;
+use printqueue::serve::wire::{self, Frame};
 use printqueue::serve::{Client, ServeConfig};
 use printqueue::stream::{parse, DepthAgg, Record, Standing, TopKSummary};
-use printqueue::telemetry::{names, Telemetry};
+use printqueue::telemetry::{names, new_trace_id, Telemetry, TraceContext};
 
+use std::collections::BTreeSet;
+use std::net::TcpStream;
 use std::sync::Arc;
 
 /// A live daemon over the two-port drive for `until` ns: queue-monitor
@@ -353,5 +359,129 @@ fn routed_standing_matches_per_shard_merge_bit_for_bit() {
         }
     }
 
+    fleet.shutdown();
+}
+
+/// Every `(port, window)` of a `size`-ns tumbling query over `ports` that
+/// holds at least one checkpoint of some program: the windows a sealed
+/// subscription closes.
+fn closing_windows(aps: &[Arc<AnalysisProgram>], ports: &[u16], size: u64) -> BTreeSet<(u16, u64)> {
+    let mut keys = BTreeSet::new();
+    for ap in aps {
+        for &port in ports {
+            for cp in ap.checkpoints(port) {
+                keys.insert((port, cp.frozen_at - cp.frozen_at % size));
+            }
+        }
+    }
+    keys
+}
+
+#[test]
+fn a_cancel_pipelined_behind_its_registration_loses_no_window() {
+    let (ap, fleet) = serve_live(2_000);
+    // Raw frames: the cancel goes out right behind the registration,
+    // before any result is read.
+    let mut stream = TcpStream::connect(fleet.addr(0)).unwrap();
+    let hello = Frame::Hello {
+        version: wire::PROTOCOL_VERSION,
+        max_frame: wire::MAX_FRAME_LEN,
+    };
+    wire::write_frame(&mut stream, &hello).unwrap();
+    let ack = wire::read_frame(&mut stream, wire::MAX_FRAME_LEN).unwrap();
+    assert!(matches!(ack, Frame::HelloAck { .. }), "{ack:?}");
+    let register = Frame::StandingQueryReq {
+        id: 1,
+        cap: 512,
+        max_windows: 0,
+        stop_after_seal: false,
+        query: "window tumbling 500ns".to_string(),
+        trace: None,
+    };
+    wire::write_frame(&mut stream, &register).unwrap();
+    wire::write_frame(&mut stream, &Frame::StandingQueryCancel { id: 2, sub: 1 }).unwrap();
+
+    let mut windows = 0;
+    loop {
+        match wire::read_frame(&mut stream, wire::MAX_FRAME_LEN).unwrap() {
+            Frame::StandingQueryAck { id: 1, .. } => {}
+            Frame::StandingQueryResult { id: 1, result } => {
+                if result.to != 0 {
+                    windows += 1;
+                }
+                if result.last {
+                    break;
+                }
+            }
+            other => panic!("unexpected frame {other:?}"),
+        }
+    }
+    assert_eq!(windows, closing_windows(&[ap], &PORTS, 500).len());
+    fleet.shutdown();
+}
+
+#[test]
+fn a_stopping_router_ends_routed_subscriptions_with_a_final_frame() {
+    let aps: Vec<_> = (0..2)
+        .map(|i| Arc::new(drive_program(None, 2_000, i * 1_000)))
+        .collect();
+    let fleet = Fleet::live(&aps, &ServeConfig::default()).route(RouterConfig::default());
+    let mut client = Client::connect(fleet.router()).unwrap();
+    let ack = client
+        .standing("port 0 window tumbling 500ns", 512, 0, false)
+        .unwrap();
+    for _ in 0..closing_windows(&aps, &[0], 500).len() {
+        let r = client.next_stream_result(ack.sub).unwrap();
+        assert!(r.to != 0 && !r.last, "{r:?}");
+    }
+
+    Client::connect(fleet.router())
+        .unwrap()
+        .shutdown_server()
+        .unwrap();
+    let end = client
+        .next_stream_result(ack.sub)
+        .expect("a stopping router sends the final frame");
+    assert!(end.last && end.to == 0, "{end:?}");
+    fleet.shutdown();
+}
+
+#[test]
+fn a_sampled_registration_is_traced_and_only_open_subscriptions_count() {
+    let (ap, fleet) = serve_live(2_000);
+    fleet.plane(0).traces().set_enabled(true);
+    let mut client = Client::connect(fleet.addr(0)).unwrap();
+    let tid = new_trace_id();
+    client.set_trace_context(Some(TraceContext::root(tid, true)));
+    let ack = client
+        .standing("window tumbling 500ns", 512, 0, false)
+        .unwrap();
+    client.set_trace_context(None);
+    let windows = closing_windows(&[ap], &PORTS, 500).len();
+    for _ in 0..windows {
+        assert!(client.next_stream_result(ack.sub).unwrap().to != 0);
+    }
+
+    // One `window_close` span over every closed window and one `emit`
+    // span over the frames that carried them.
+    let trace = client
+        .trace_dump(32, false)
+        .unwrap()
+        .into_iter()
+        .find(|t| t.trace_id == tid)
+        .expect("a sampled registration commits its trace");
+    let tag = |name| {
+        let span = trace.spans.iter().find(|s| s.name == name);
+        span.map(|s| s.tag.clone())
+    };
+    assert_eq!(tag(names::SPAN_WINDOW_CLOSE), Some(windows.to_string()));
+    assert_eq!(tag(names::SPAN_EMIT), Some(windows.to_string()));
+
+    // The stream has not ended, so the subscription stays open until
+    // its cancel.
+    let open = || metric_total(fleet.plane(0), names::STREAM_SUBSCRIPTIONS);
+    assert_eq!(open(), 1);
+    client.cancel_standing(ack.sub).unwrap();
+    assert_eq!(open(), 0);
     fleet.shutdown();
 }

@@ -802,12 +802,22 @@ impl AnalysisProgram {
             regs.special_locked_until = now.saturating_add(latency);
         }
         regs.read_busy_until = regs.read_busy_until.max(now.saturating_add(latency));
-        let windows = TimeWindowSnapshot::capture(&regs.time_windows);
-        // Chunks of a monitor no packet wrote since its last freeze are
-        // shared with that freeze's snapshot, not copied (and the store's
-        // encoder recognises them by address).
-        let queue_monitors: Vec<QueueMonitorSnapshot> =
-            regs.queue_monitors.iter_mut().map(|m| m.freeze()).collect();
+        // Windows and monitor chunks no packet wrote since their last
+        // freeze are shared with that freeze's snapshot, not copied (and
+        // the store's encoder recognises them by address). What each
+        // freeze copied is counted against its own previous freeze, which
+        // a dropped checkpoint does not undo.
+        let (windows, tw_captured) = regs.time_windows.freeze_counted();
+        let mut qm_captured = 0;
+        let queue_monitors: Vec<QueueMonitorSnapshot> = regs
+            .queue_monitors
+            .iter_mut()
+            .map(|m| {
+                let (snapshot, rebuilt) = m.freeze_counted();
+                qm_captured += rebuilt;
+                snapshot
+            })
+            .collect();
         drop(gate);
         if poisoned {
             // A reader died mid-freeze. Recover, but surface the event
@@ -825,14 +835,9 @@ impl AnalysisProgram {
         let tw_entries = u64::from(self.tw_config.t) * self.tw_config.cells() as u64;
         let qm_entries: u64 = queue_monitors.iter().map(|m| m.len() as u64).sum();
         let qm_occupied: usize = queue_monitors.iter().map(|m| m.occupied_len()).sum();
-        let stored = self.checkpoints[i].as_slice().last();
-        let qm_captured: usize = queue_monitors
-            .iter()
-            .enumerate()
-            .map(|(q, m)| m.rows_not_shared_with(stored.and_then(|cp| cp.queue_monitors.get(q))))
-            .sum();
         self.counters.qm_occupied_entries.record(qm_occupied as u64);
         self.counters.qm_captured_entries.record(qm_captured as u64);
+        self.counters.tw_captured_cells.record(tw_captured as u64);
         self.entries_read += tw_entries + qm_entries;
         self.bytes_read += tw_entries * 8 + qm_entries * 16;
         self.counters.entries_read.add(tw_entries + qm_entries);
@@ -1368,6 +1373,44 @@ mod tests {
         assert!(ap.checkpoints(0).is_empty());
         // Every read crossed PCIe even though the checkpoints were lost.
         assert!(ap.bytes_read > 0);
+    }
+
+    /// Two polls, nothing written between them, both checkpoints dropped:
+    /// the sum of `name` over both freezes.
+    fn captured_over_two_dropped_polls(name: &str) -> u64 {
+        let mut ap = program(64);
+        ap.set_faults(FaultConfig::new(9).with_base(FaultProfile {
+            drop_checkpoint_prob: 1.0,
+            ..FaultProfile::none()
+        }));
+        for depth in 1..=3u32 {
+            ap.qm_enqueue(0, 0, FlowId(depth), depth, 1);
+        }
+        ap.record_dequeue(0, FlowId(1), 5);
+        ap.on_tick(64);
+        ap.on_tick(128);
+        assert_eq!(ap.health().checkpoints_dropped, 2);
+        let snap = ap.telemetry().snapshot();
+        snap.histogram(name, &[]).expect("recorded").hist.sum
+    }
+
+    /// A dropped checkpoint was still frozen: the next freeze shares the
+    /// monitor's unchanged rows with it, so they are captured once.
+    #[test]
+    fn captured_entries_count_against_the_previous_freeze_not_the_stored_checkpoint() {
+        assert_eq!(
+            captured_over_two_dropped_polls(names::CONTROL_QM_CAPTURED_ENTRIES),
+            3
+        );
+    }
+
+    /// The first freeze copies both windows, the second shares them.
+    #[test]
+    fn captured_cells_count_against_the_previous_freeze() {
+        assert_eq!(
+            captured_over_two_dropped_polls(names::CONTROL_TW_CAPTURED_CELLS),
+            2 * 64
+        );
     }
 
     #[test]

@@ -121,6 +121,7 @@ pub(crate) struct ControlCounters {
     pub read_ns: Histogram,
     pub qm_occupied_entries: Histogram,
     pub qm_captured_entries: Histogram,
+    pub tw_captured_cells: Histogram,
     pub query_ns: Histogram,
 }
 
@@ -145,6 +146,7 @@ impl ControlCounters {
             read_ns: reg.histogram(names::CONTROL_READ_NS, &[]),
             qm_occupied_entries: reg.histogram(names::CONTROL_QM_OCCUPIED_ENTRIES, &[]),
             qm_captured_entries: reg.histogram(names::CONTROL_QM_CAPTURED_ENTRIES, &[]),
+            tw_captured_cells: reg.histogram(names::CONTROL_TW_CAPTURED_CELLS, &[]),
             query_ns: reg.histogram(names::CONTROL_QUERY_NS, &[]),
         }
     }

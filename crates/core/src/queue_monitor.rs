@@ -208,10 +208,17 @@ impl QueueMonitor {
     /// shares every chunk no packet writes in between, so polling a
     /// standing queue costs the chunks that changed, not the occupied rows.
     pub fn freeze(&mut self) -> QueueMonitorSnapshot {
+        self.freeze_counted().0
+    }
+
+    /// [`QueueMonitor::freeze`], and how many occupied rows it rebuilt
+    /// rather than shared with the previous freeze.
+    pub(crate) fn freeze_counted(&mut self) -> (QueueMonitorSnapshot, usize) {
         let frozen = self.snapshot();
+        let rebuilt = frozen.rows_not_in(&self.frozen);
         self.frozen.clone_from(&frozen.chunks);
         self.written.fill(0);
-        frozen
+        (frozen, rebuilt)
     }
 
     /// Control-plane reset.
@@ -372,8 +379,14 @@ impl QueueMonitorSnapshot {
     /// share with `base` (all of them without one): what the freeze that
     /// followed `base` rebuilt, and what the store will encode afresh.
     pub fn rows_not_shared_with(&self, base: Option<&QueueMonitorSnapshot>) -> usize {
+        self.rows_not_in(base.map_or(&[], |b| &b.chunks))
+    }
+
+    /// How many occupied entries sit in chunks that are not the ones at
+    /// the same positions of `base`.
+    fn rows_not_in(&self, base: &[Option<Arc<[Row]>>]) -> usize {
         let shared = |c: usize, chunk: &Arc<[Row]>| {
-            let old = base.and_then(|b| b.chunks.get(c)?.as_ref());
+            let old = base.get(c).and_then(Option::as_ref);
             old.is_some_and(|old| Arc::ptr_eq(old, chunk))
         };
         self.chunks

@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Windows whose cycle bound a snapshot keeps for [`TimeWindowSnapshot::query`]
 /// to skip by; deeper windows, in configurations that have them, are never
@@ -61,17 +61,38 @@ impl QueryInterval {
 }
 
 /// A frozen, filterable copy of one port's time windows.
-#[derive(Debug, Clone, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TimeWindowSnapshot {
     config: TimeWindowConfig,
-    /// Raw (or filtered) cells, one `Vec` per window.
-    windows: Vec<Vec<Cell>>,
+    /// Raw (or filtered) cells, one allocation per window, shared with
+    /// every other snapshot frozen while the window stood still.
+    windows: Vec<Arc<[Cell]>>,
     /// Whether [`TimeWindowSnapshot::filter`] has run.
     filtered: bool,
     /// Per window, [`TimeWindowSnapshot::cycle_bound`] once a query has
     /// asked for it. Derived from `windows`, so never serialized.
-    #[serde(skip)]
     cycle_bounds: [OnceLock<u64>; BOUNDED_WINDOWS],
+}
+
+/// The serialized form of a [`TimeWindowSnapshot`]: the fields it has
+/// besides its cycle bounds, each window a plain array of cells.
+#[derive(Deserialize)]
+struct TimeWindowSnapshotParts {
+    config: TimeWindowConfig,
+    windows: Vec<Vec<Cell>>,
+    filtered: bool,
+}
+
+impl Deserialize for TimeWindowSnapshot {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let parts = TimeWindowSnapshotParts::from_value(v)?;
+        Ok(TimeWindowSnapshot {
+            config: parts.config,
+            windows: parts.windows.into_iter().map(Arc::from).collect(),
+            filtered: parts.filtered,
+            cycle_bounds: Default::default(),
+        })
+    }
 }
 
 /// Equal configuration, cells and filtered flag: the cycle bounds are a
@@ -84,24 +105,30 @@ impl PartialEq for TimeWindowSnapshot {
 }
 
 impl TimeWindowSnapshot {
-    /// Capture the registers of a live set (the control plane's bulk read).
+    /// Capture the registers of a live set (the control plane's bulk
+    /// read), copying every window; [`TimeWindowSet::freeze`] shares the
+    /// windows that did not change since its last freeze.
     pub fn capture(set: &TimeWindowSet) -> TimeWindowSnapshot {
-        TimeWindowSnapshot {
-            config: *set.config(),
-            windows: (0..set.config().t)
-                .map(|i| set.window(i).to_vec())
-                .collect(),
-            filtered: false,
-            cycle_bounds: Default::default(),
-        }
+        let windows = (0..set.config().t).map(|i| Arc::from(set.window(i)));
+        TimeWindowSnapshot::from_shared(*set.config(), windows.collect(), false)
     }
 
-    /// Reassemble a snapshot from decoded parts (the deserialization path
-    /// of binary checkpoint stores). `windows` must hold exactly `config.t`
-    /// vectors of `config.cells()` cells each.
+    /// Reassemble a snapshot from decoded parts. `windows` must hold
+    /// exactly `config.t` vectors of `config.cells()` cells each.
     pub fn from_parts(
         config: TimeWindowConfig,
         windows: Vec<Vec<Cell>>,
+        filtered: bool,
+    ) -> TimeWindowSnapshot {
+        let windows = windows.into_iter().map(Arc::from).collect();
+        TimeWindowSnapshot::from_shared(config, windows, filtered)
+    }
+
+    /// [`TimeWindowSnapshot::from_parts`] over windows already in their
+    /// shared allocations (a freeze's, or the binary store decoder's).
+    pub fn from_shared(
+        config: TimeWindowConfig,
+        windows: Vec<Arc<[Cell]>>,
         filtered: bool,
     ) -> TimeWindowSnapshot {
         let snap = TimeWindowSnapshot {
@@ -145,6 +172,12 @@ impl TimeWindowSnapshot {
         &self.windows[usize::from(i)]
     }
 
+    /// Window `i`'s allocation: the same one (`Arc::ptr_eq`) as every
+    /// other snapshot's that shares the window.
+    pub fn shared_window(&self, i: u8) -> &Arc<[Cell]> {
+        &self.windows[usize::from(i)]
+    }
+
     /// Algorithm 3: blank every cell not belonging to its window's most
     /// recent window period. Idempotent.
     ///
@@ -160,6 +193,10 @@ impl TimeWindowSnapshot {
     /// cells "within one window period of the most recent cell" — robustly
     /// at any freeze phase. (The control plane reads all cells anyway, so
     /// per-window maxima cost nothing extra.)
+    ///
+    /// A window shared with other snapshots is copied before it is
+    /// written, so filtering one checkpoint leaves its sharers' cells as
+    /// they were.
     pub fn filter(&mut self) {
         for w in 0..usize::from(self.config.t) {
             let latest = self.windows[w]
@@ -172,7 +209,7 @@ impl TimeWindowSnapshot {
                 })
                 .max();
             let Some(latest) = latest else { continue };
-            for (j, cell) in self.windows[w].iter_mut().enumerate() {
+            for (j, cell) in Arc::make_mut(&mut self.windows[w]).iter_mut().enumerate() {
                 if cell.is_empty() {
                     continue;
                 }
@@ -619,6 +656,22 @@ mod tests {
         snap.filter();
         // idx 3 > latest idx 1 and cycle 0 + 1 == 1: kept.
         assert_eq!(snap.occupancy(0), 2);
+    }
+
+    #[test]
+    fn filtering_a_shared_window_leaves_its_sharers_untouched() {
+        let mut set = TimeWindowSet::new(tiny());
+        set.record(FlowId(1), 0b0001); // stale once the next two land
+        set.record(FlowId(2), 0b0100);
+        set.record(FlowId(3), 0b0110);
+        let first = set.freeze();
+        let mut second = set.freeze();
+        assert!(Arc::ptr_eq(first.shared_window(0), second.shared_window(0)));
+        second.filter();
+        assert_eq!(second.occupancy(0), 2);
+        assert_eq!(first.occupancy(0), 3);
+        assert_eq!(first, TimeWindowSnapshot::capture(&set));
+        assert_eq!(set.freeze(), first, "the set's remembered windows too");
     }
 
     #[test]

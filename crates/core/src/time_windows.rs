@@ -9,10 +9,12 @@
 //! more compressed history in linear space (Figure 2).
 
 use crate::params::TimeWindowConfig;
+use crate::snapshot::TimeWindowSnapshot;
 use crate::tts::Tts;
 use pq_packet::{FlowId, Nanos};
 use pq_switch::RegisterArray;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One register cell: a single packet's flow ID and cycle ID (Figure 4).
 ///
@@ -65,6 +67,15 @@ pub struct TimeWindowSet {
     /// the ablation of the Algorithm-1 passing rule.
     passing_enabled: bool,
     stats: TimeWindowStats,
+    /// Each window's cells as of the last freeze (none before the first
+    /// freeze or after a `clear()`).
+    #[serde(skip)]
+    frozen: Vec<Arc<[Cell]>>,
+    /// `stats` at the last freeze. Window 0 is written only when
+    /// `recorded` moves and deeper windows only when `passed` does, so the
+    /// counters `record` keeps anyway tell a freeze what it may share.
+    #[serde(skip)]
+    frozen_stats: TimeWindowStats,
 }
 
 impl TimeWindowSet {
@@ -78,6 +89,8 @@ impl TimeWindowSet {
             config,
             passing_enabled: true,
             stats: TimeWindowStats::default(),
+            frozen: Vec::new(),
+            frozen_stats: TimeWindowStats::default(),
         }
     }
 
@@ -152,11 +165,48 @@ impl TimeWindowSet {
         self.windows[usize::from(i)].as_slice()
     }
 
+    /// Control-plane freeze: what [`TimeWindowSnapshot::capture`] reads,
+    /// remembered, so the next freeze shares every window no packet writes
+    /// in between instead of copying it. Polling a quiet port costs the
+    /// windows that changed, not `T` copies.
+    pub fn freeze(&mut self) -> TimeWindowSnapshot {
+        self.freeze_counted().0
+    }
+
+    /// [`TimeWindowSet::freeze`], and how many cells it copied rather
+    /// than shared.
+    pub(crate) fn freeze_counted(&mut self) -> (TimeWindowSnapshot, usize) {
+        let mut copied = 0;
+        let (now, then) = (self.stats, self.frozen_stats);
+        let windows: Vec<Arc<[Cell]>> = (0..self.windows.len())
+            .map(|i| {
+                let written = match i {
+                    0 => now.recorded != then.recorded,
+                    _ => now.passed != then.passed,
+                };
+                match self.frozen.get(i) {
+                    Some(old) if !written => Arc::clone(old),
+                    _ => {
+                        copied += self.config.cells();
+                        Arc::from(self.windows[i].as_slice())
+                    }
+                }
+            })
+            .collect();
+        self.frozen.clone_from(&windows);
+        self.frozen_stats = now;
+        (
+            TimeWindowSnapshot::from_shared(self.config, windows, false),
+            copied,
+        )
+    }
+
     /// Control-plane reset of all windows.
     pub fn clear(&mut self) {
         for w in &mut self.windows {
             w.clear();
         }
+        self.frozen.clear();
     }
 
     /// The latest (maximum-TTS) occupied cell of window 0, if any —
@@ -178,6 +228,7 @@ impl TimeWindowSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// A tiny configuration mirroring the Figure 6 walk-through:
     /// k = 2 (4 cells), T = 3, α = 1, and m0 = 0 so timestamps are TTS
@@ -311,6 +362,77 @@ mod tests {
         set.record(FlowId(1), 0b0001);
         set.clear();
         assert_eq!(set.latest_cell(), None);
+    }
+
+    /// One step of a freeze run: record a packet at a timestamp, clear,
+    /// or freeze.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Record(u32, Nanos),
+        Clear,
+        Freeze,
+    }
+
+    /// Records twelve in seventeen, freezes four, clears one.
+    fn arb_op() -> impl Strategy<Value = Op> {
+        (0u8..17, 0u32..4, 0u64..48).prop_map(|(pick, flow, ts)| match pick {
+            0 => Op::Clear,
+            1..=4 => Op::Freeze,
+            _ => Op::Record(flow, ts),
+        })
+    }
+
+    proptest! {
+        /// A freeze reads what the unshared capture reads, cell for cell,
+        /// and hands back the previous freeze's allocation only for a
+        /// window that has not moved since — every window when nothing
+        /// happened in between.
+        #[test]
+        fn freezes_equal_the_unshared_capture(
+            passing in any::<bool>(),
+            ops in prop::collection::vec(arb_op(), 0..80),
+        ) {
+            let config = TimeWindowConfig::new(0, 1, 2, 3);
+            let mut set = TimeWindowSet::new(config);
+            if !passing {
+                set = set.without_passing();
+            }
+            let (mut last, mut idle, mut cleared): (Option<TimeWindowSnapshot>, bool, bool) =
+                (None, true, false);
+            for op in ops.iter().chain([&Op::Freeze]) {
+                match op {
+                    Op::Record(flow, ts) => {
+                        set.record(FlowId(*flow), *ts);
+                        idle = false;
+                    }
+                    Op::Clear => {
+                        set.clear();
+                        cleared = true;
+                    }
+                    Op::Freeze => {
+                        let unshared = TimeWindowSnapshot::capture(&set);
+                        let (next, copied) = set.freeze_counted();
+                        prop_assert_eq!(&next, &unshared);
+                        let mut not_shared = 0;
+                        for w in 0..config.t {
+                            let new = next.shared_window(w);
+                            match last.as_ref().map(|l| l.shared_window(w)) {
+                                Some(old) if Arc::ptr_eq(old, new) => {
+                                    prop_assert!(!cleared, "a clear forgets every window");
+                                    prop_assert_eq!(&old[..], unshared.window(w));
+                                }
+                                _ => not_shared += config.cells(),
+                            }
+                        }
+                        prop_assert_eq!(copied, not_shared);
+                        if last.is_some() && idle && !cleared {
+                            prop_assert_eq!(copied, 0);
+                        }
+                        (last, idle, cleared) = (Some(next), true, false);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,12 +5,12 @@
 //! itself — and, as the bottom of the crate graph, holds what every
 //! crate that keeps a histogram or decodes bytes shares: [`hist`], the one
 //! log2 histogram, [`codec`], the one byte codec, and [`escape_into`], the
-//! one JSON string escaper. Four pieces, all
+//! one JSON string escaper. Three pieces, all
 //! process-global (a process has one profile, the way it has one allocator):
 //!
 //! * [`scope!`] — `prof::scope!("serve/worker_exec")` call sites that
 //!   maintain per-thread scope stacks and exact per-scope aggregates
-//!   (calls, total/self wall time, attributed allocations). Disabled —
+//!   (calls, total/self wall time). Disabled —
 //!   the default — a site costs one relaxed atomic load, the same
 //!   contract as `SpanTracer`.
 //! * [`sampler`] — a background ticker that folds live scope stacks
@@ -19,15 +19,12 @@
 //!   publishing wait/hold log2 histograms and contention counters, and
 //!   recovering poisoning instead of propagating it. These histograms
 //!   are the before/after evidence for the ROADMAP lock-removal work.
-//! * [`alloc`] — [`CountingAlloc`], an optional `GlobalAlloc` wrapper
-//!   attributing allocation count/bytes to the innermost scope.
 //!
 //! [`ProfileReport`] snapshots all of it into canonical plain data with
 //! a validated binary codec and an associative, commutative merge — so
 //! profile dumps travel the serve wire, merge in the router, and stay
 //! byte-identical however they are folded.
 
-pub mod alloc;
 pub mod codec;
 pub mod hist;
 pub mod lock;
@@ -35,7 +32,6 @@ pub mod report;
 pub mod sampler;
 pub mod scope;
 
-pub use alloc::{alloc_tracking, set_alloc_tracking, CountingAlloc};
 pub use hist::{bucket_index, bucket_lower_bound, bucket_upper_bound, Hist, HistSnapshot};
 pub use lock::{lock_stats_enabled, set_lock_stats, LockSnapshot, PqGuard, PqMutex};
 pub use report::{

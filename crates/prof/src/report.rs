@@ -45,7 +45,11 @@ pub struct ScopeEntry {
     pub calls: u64,
     pub total_ns: u64,
     pub child_ns: u64,
+    /// Allocations attributed to the scope. No allocator hook counts
+    /// them in this workspace, so a captured report carries 0; the
+    /// field stays in PQPF so every dump keeps one layout.
     pub allocs: u64,
+    /// Bytes of those allocations; 0 like `allocs`.
     pub alloc_bytes: u64,
 }
 
@@ -86,16 +90,14 @@ impl ProfileReport {
     pub fn capture() -> ProfileReport {
         let scopes = scope::scopes_snapshot()
             .into_iter()
-            .map(
-                |(name, calls, total_ns, child_ns, allocs, alloc_bytes)| ScopeEntry {
-                    name: name.to_string(),
-                    calls,
-                    total_ns,
-                    child_ns,
-                    allocs,
-                    alloc_bytes,
-                },
-            )
+            .map(|(name, calls, total_ns, child_ns)| ScopeEntry {
+                name: name.to_string(),
+                calls,
+                total_ns,
+                child_ns,
+                allocs: 0,
+                alloc_bytes: 0,
+            })
             .collect();
         let stacks = sampler::stacks_snapshot()
             .into_iter()

@@ -8,8 +8,8 @@
 //! * pushes the scope's interned id onto the thread's lock-free stack
 //!   (a seqlock-versioned fixed array the sampler can read from another
 //!   thread without stopping it),
-//! * swaps the thread-local "innermost scope" pointer (used by the
-//!   counting allocator to attribute allocations), and
+//! * swaps the thread-local "innermost scope" pointer (the parent whose
+//!   `child_ns` the scope adds to), and
 //! * starts a wall clock.
 //!
 //! Dropping the guard pops the stack and folds the elapsed time into the
@@ -50,8 +50,6 @@ pub struct ScopeStat {
     calls: AtomicU64,
     total_ns: AtomicU64,
     child_ns: AtomicU64,
-    allocs: AtomicU64,
-    alloc_bytes: AtomicU64,
 }
 
 impl ScopeStat {
@@ -62,14 +60,7 @@ impl ScopeStat {
             calls: AtomicU64::new(0),
             total_ns: AtomicU64::new(0),
             child_ns: AtomicU64::new(0),
-            allocs: AtomicU64::new(0),
-            alloc_bytes: AtomicU64::new(0),
         }
-    }
-
-    pub(crate) fn note_alloc(&self, bytes: u64) {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
-        self.alloc_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 }
 
@@ -96,9 +87,9 @@ pub(crate) fn stat_by_id(id: u32) -> Option<&'static ScopeStat> {
     reg.get(id as usize - 1).copied()
 }
 
-/// `(name, calls, total_ns, child_ns, allocs, alloc_bytes)` for every
-/// scope that has recorded activity, sorted by name.
-pub(crate) fn scopes_snapshot() -> Vec<(&'static str, u64, u64, u64, u64, u64)> {
+/// `(name, calls, total_ns, child_ns)` for every scope that has recorded
+/// activity, sorted by name.
+pub(crate) fn scopes_snapshot() -> Vec<(&'static str, u64, u64, u64)> {
     let reg = SCOPES.lock().unwrap_or_else(|p| p.into_inner());
     let mut out: Vec<_> = reg
         .iter()
@@ -108,11 +99,9 @@ pub(crate) fn scopes_snapshot() -> Vec<(&'static str, u64, u64, u64, u64, u64)> 
                 s.calls.load(Ordering::Relaxed),
                 s.total_ns.load(Ordering::Relaxed),
                 s.child_ns.load(Ordering::Relaxed),
-                s.allocs.load(Ordering::Relaxed),
-                s.alloc_bytes.load(Ordering::Relaxed),
             )
         })
-        .filter(|&(_, calls, _, _, allocs, _)| calls > 0 || allocs > 0)
+        .filter(|&(_, calls, _, _)| calls > 0)
         .collect();
     out.sort_by(|a, b| a.0.cmp(b.0));
     out
@@ -125,8 +114,6 @@ pub(crate) fn reset_scopes() {
         s.calls.store(0, Ordering::Relaxed);
         s.total_ns.store(0, Ordering::Relaxed);
         s.child_ns.store(0, Ordering::Relaxed);
-        s.allocs.store(0, Ordering::Relaxed);
-        s.alloc_bytes.store(0, Ordering::Relaxed);
     }
 }
 
@@ -269,16 +256,9 @@ fn register_thread() -> Tls {
 
 thread_local! {
     static TLS: Tls = register_thread();
-    /// Innermost active scope, for allocator attribution and parent
-    /// `child_ns` accounting. Const-init so the allocator can probe it
-    /// without triggering a lazy (allocating) TLS init.
+    /// Innermost active scope, for parent `child_ns` accounting.
+    /// Const-init, so reading it never runs a lazy TLS init.
     static CURRENT: Cell<*const ScopeStat> = const { Cell::new(ptr::null()) };
-}
-
-/// The innermost active scope on this thread, if any (allocator hook).
-#[inline]
-pub(crate) fn current_stat() -> *const ScopeStat {
-    CURRENT.try_with(|c| c.get()).unwrap_or(ptr::null())
 }
 
 /// RAII guard produced by [`scope!`](crate::scope!). Inactive (a no-op)

@@ -104,11 +104,13 @@ pub struct CodecState {
     prev_frozen: Option<u64>,
 }
 
-/// The queue-monitor chunks of one port's previous checkpoint and the bytes
-/// each slot encoded to. The next checkpoint writes a chunk it finds here
-/// unchanged as a one-byte reference, or — as the first checkpoint of a new
-/// segment, which may not refer back — copies its bytes instead of encoding
-/// the rows again. It outlives segment rotation.
+/// The queue-monitor chunks and deeper time windows of one port's previous
+/// checkpoint, and the bytes each encoded to. The next checkpoint writes a
+/// chunk it finds here unchanged as a one-byte reference, or — as the first
+/// checkpoint of a new segment, which may not refer back — copies its bytes
+/// instead of encoding the rows again. A window it finds here is copied the
+/// same way: format version 2 has no window reference, and a window's bytes
+/// are a function of its cells alone. It outlives segment rotation.
 ///
 /// "Unchanged" is a property of the rows, not of the allocation: a chunk is
 /// the same allocation when [`QueueMonitor::freeze`] shared it, which
@@ -118,17 +120,32 @@ pub struct CodecState {
 /// `Arc` it compares by pointer, the allocation cannot be freed and its
 /// address handed to different rows.
 ///
+/// A window is only ever matched by pointer — the allocation
+/// [`TimeWindowSet::freeze`] shared — and otherwise walked, which writes
+/// the same bytes.
+///
 /// [`QueueMonitor::freeze`]: pq_core::queue_monitor::QueueMonitor::freeze
+/// [`TimeWindowSet::freeze`]: pq_core::time_windows::TimeWindowSet::freeze
 #[derive(Default)]
 pub struct EncodeMemo {
     /// `[monitor][slot]` of the previous checkpoint; `None` where the slot
     /// was empty.
     monitors: Vec<Vec<Option<ChunkMemo>>>,
+    /// Windows `1..` of the previous checkpoint; empty before the first.
+    windows: Vec<WindowMemo>,
 }
 
 struct ChunkMemo {
     rows: Arc<[Row]>,
     /// The slot's tag and rows.
+    bytes: Vec<u8>,
+}
+
+#[derive(Default)]
+struct WindowMemo {
+    /// No window's allocation until one is encoded: a window has cells.
+    cells: Arc<[Cell]>,
+    /// The window's occupied count and runs.
     bytes: Vec<u8>,
 }
 
@@ -215,6 +232,30 @@ fn put_slot(
     }
 }
 
+/// Append one window's occupied count and its runs of occupied cells.
+fn put_window(out: &mut Vec<u8>, cells: &[Cell]) {
+    // One walk over the cells: the occupied count goes in front of the
+    // runs once it is known, which moves the few KB just written instead
+    // of reading the whole window a second time.
+    let runs_at = out.len();
+    let mut occupied = 0u64;
+    let mut prev_idx: Option<u64> = None;
+    let mut prev_cycle: Option<u64> = None;
+    for (idx, cell) in cells.iter().enumerate() {
+        if *cell == Cell::EMPTY {
+            continue;
+        }
+        occupied += 1;
+        // Indices are emitted ascending, so deltas are strictly
+        // positive after the first.
+        put_delta_u64(out, &mut prev_idx, idx as u64);
+        put_varint(out, u64::from(cell.flow.0));
+        put_delta_u64(out, &mut prev_cycle, cell.cycle);
+    }
+    put_varint(out, occupied);
+    out[runs_at..].rotate_right(varint_len(occupied));
+}
+
 /// Append one checkpoint to `out`, in format version 2.
 ///
 /// Fails with `InvalidInput` if the checkpoint's window configuration
@@ -252,27 +293,24 @@ pub fn encode_checkpoint(
         put_varint(out, trigger.to.saturating_sub(trigger.from));
     }
 
+    let deeper = usize::from(tw.t).saturating_sub(1);
+    memo.windows.resize_with(deeper, WindowMemo::default);
     for w in 0..tw.t {
-        // One walk over the cells: the occupied count goes in front of the
-        // runs once it is known, which moves the few KB just written instead
-        // of reading the whole window a second time.
-        let runs_at = out.len();
-        let mut occupied = 0u64;
-        let mut prev_idx: Option<u64> = None;
-        let mut prev_cycle: Option<u64> = None;
-        for (idx, cell) in cp.windows.window(w).iter().enumerate() {
-            if *cell == Cell::EMPTY {
-                continue;
-            }
-            occupied += 1;
-            // Indices are emitted ascending, so deltas are strictly
-            // positive after the first.
-            put_delta_u64(out, &mut prev_idx, idx as u64);
-            put_varint(out, u64::from(cell.flow.0));
-            put_delta_u64(out, &mut prev_cycle, cell.cycle);
+        let cells = cp.windows.shared_window(w);
+        // Window 0 changes with every packet, so it is always walked.
+        let Some(known) = usize::from(w).checked_sub(1).map(|i| &mut memo.windows[i]) else {
+            put_window(out, cells);
+            continue;
+        };
+        if Arc::ptr_eq(&known.cells, cells) {
+            out.extend_from_slice(&known.bytes);
+            continue;
         }
-        put_varint(out, occupied);
-        out[runs_at..].rotate_right(varint_len(occupied));
+        let at = out.len();
+        put_window(out, cells);
+        known.cells = Arc::clone(cells);
+        known.bytes.clear();
+        known.bytes.extend_from_slice(&out[at..]);
     }
 
     put_varint(out, cp.queue_monitors.len() as u64);
@@ -412,7 +450,9 @@ pub fn decode_checkpoint(
     budget.charge((t as u64) * (cells as u64) * std::mem::size_of::<Cell>() as u64)?;
     let mut windows = Vec::with_capacity(t);
     for _ in 0..t {
-        let mut window = vec![Cell::EMPTY; cells];
+        // Filled in its shared allocation, which nothing else holds yet.
+        let mut shared: Arc<[Cell]> = std::iter::repeat_n(Cell::EMPTY, cells).collect();
+        let window = Arc::get_mut(&mut shared).expect("a fresh allocation is unique");
         let occupied = codec::len(cursor, cells)?;
         let mut prev_idx: Option<u64> = None;
         let mut prev_cycle: Option<u64> = None;
@@ -427,9 +467,9 @@ pub fn decode_checkpoint(
             let cycle = read_delta_u64(cursor, &mut prev_cycle)?;
             window[idx as usize] = Cell { flow, cycle };
         }
-        windows.push(window);
+        windows.push(shared);
     }
-    let windows = TimeWindowSnapshot::from_parts(*tw, windows, flags & FLAG_FILTERED != 0);
+    let windows = TimeWindowSnapshot::from_shared(*tw, windows, flags & FLAG_FILTERED != 0);
 
     let n_monitors = codec::len(cursor, MAX_MONITORS)?;
     let mut queue_monitors = Vec::with_capacity(n_monitors);

@@ -118,9 +118,12 @@ pub mod names {
     /// decode cost scale with (histogram, entries).
     pub const CONTROL_QM_OCCUPIED_ENTRIES: &str = "pq_control_qm_occupied_entries";
     /// Queue-monitor entries a freeze rebuilt rather than shared with the
-    /// previous checkpoint — occupied : captured is how much of a freeze
-    /// was unchanged (histogram, entries).
+    /// previous freeze — occupied : captured is how much of a freeze was
+    /// unchanged (histogram, entries).
     pub const CONTROL_QM_CAPTURED_ENTRIES: &str = "pq_control_qm_captured_entries";
+    /// Time-window cells a freeze copied rather than shared with the
+    /// previous freeze; 0 when no window changed (histogram, cells).
+    pub const CONTROL_TW_CAPTURED_CELLS: &str = "pq_control_tw_captured_cells";
     /// Live time-window query wall-clock latency (histogram, ns).
     pub const CONTROL_QUERY_NS: &str = "pq_control_query_ns";
 
@@ -312,7 +315,10 @@ pub mod names {
             CONTROL_READ_NS => "Freeze-and-read sim-time duration in ns.",
             CONTROL_QM_OCCUPIED_ENTRIES => "Occupied queue-monitor entries per freeze.",
             CONTROL_QM_CAPTURED_ENTRIES => {
-                "Queue-monitor entries per freeze not shared with the previous checkpoint."
+                "Queue-monitor entries per freeze not shared with the previous freeze."
+            }
+            CONTROL_TW_CAPTURED_CELLS => {
+                "Time-window cells per freeze not shared with the previous freeze."
             }
             CONTROL_QUERY_NS => "Live time-window query wall-clock latency in ns.",
             STORE_CHECKPOINTS_WRITTEN => "Checkpoints appended to a store.",

@@ -11,7 +11,7 @@ use printqueue::core::export::CheckpointArchive;
 use printqueue::core::params::TimeWindowConfig;
 use printqueue::core::printqueue::{PrintQueue, PrintQueueConfig};
 use printqueue::core::queue_monitor::QueueMonitorSnapshot;
-use printqueue::core::snapshot::QueryInterval;
+use printqueue::core::snapshot::{QueryInterval, TimeWindowSnapshot};
 use printqueue::packet::FlowId;
 use printqueue::store::{
     archives_from_json, archives_to_pqa, ship_archive, verify_replica, write_archives,
@@ -22,6 +22,7 @@ use printqueue::telemetry::{names, Telemetry};
 use proptest::prelude::*;
 use serde::Value;
 use std::io::Cursor;
+use std::sync::Arc;
 
 #[test]
 fn spilled_store_queries_match_live_bit_for_bit() {
@@ -799,6 +800,83 @@ fn shared_chunk_archive_equals_its_unshared_rebuild() {
     );
     let (shared, unshared) = (handle.finish().unwrap(), fresh.finish().unwrap());
     assert!(shared == unshared, "archives differ");
+}
+
+/// The same identity for the time windows: a dense-polled port whose
+/// deeper windows rarely change between polls, frozen window by window
+/// against the previous freeze and encoded through the writer's memo, is
+/// byte for byte the archive of the same checkpoints with every window
+/// deep-copied — and decoding that archive and writing it again gives the
+/// same bytes once more.
+#[test]
+fn shared_window_archive_equals_its_unshared_rebuild() {
+    let tw = TimeWindowConfig::new(6, 1, 10, 3);
+    let policy = SegmentPolicy {
+        checkpoints_per_segment: 32,
+        ..SegmentPolicy::default()
+    };
+    let mut pq = PrintQueue::new(PrintQueueConfig::single_port(tw, 110));
+    let handle = SharedStoreWriter::new(StoreWriter::new(Vec::new(), tw, policy).unwrap());
+    let ap = pq.analysis_mut();
+    ap.set_spill(Box::new(handle.clone()));
+    // A few dozen near-MTU dequeues a poll at jittered instants: most of
+    // them land in empty window-0 cells, and a pass now and then moves
+    // the deeper windows.
+    let mut rng = 13u64;
+    for poll in 1..=200u64 {
+        for step in 0..32u64 {
+            rng = rng
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let jitter = (rng >> 33) % (tw.set_period() / 32);
+            let now = (poll - 1) * tw.set_period() + step * (tw.set_period() / 32) + jitter;
+            ap.record_dequeue(0, FlowId((rng >> 40) as u32 % 50), now);
+        }
+        ap.on_tick(poll * tw.set_period());
+    }
+    let stored = ap.checkpoints(0);
+    assert_eq!(stored.len(), 200);
+    let (mut shared, mut walked) = (0, 0);
+    for pair in stored.windows(2) {
+        for w in 1..tw.t {
+            let (old, new) = (
+                pair[0].windows.shared_window(w),
+                pair[1].windows.shared_window(w),
+            );
+            match Arc::ptr_eq(old, new) {
+                true => shared += 1,
+                false => walked += 1,
+            }
+        }
+    }
+    assert!(
+        shared > walked && walked > 0,
+        "want mostly shared deep windows, some not: {shared} shared, {walked} copied"
+    );
+
+    let mut fresh = StoreWriter::new(Vec::new(), tw, policy).unwrap();
+    for cp in stored {
+        let mut unshared = cp.clone();
+        let windows = (0..tw.t).map(|w| cp.windows.window(w).to_vec()).collect();
+        unshared.windows = TimeWindowSnapshot::from_parts(tw, windows, cp.windows.is_filtered());
+        fresh.push(0, &unshared).unwrap();
+    }
+    let (shared, unshared) = (handle.finish().unwrap(), fresh.finish().unwrap());
+    assert!(shared == unshared, "archives differ");
+
+    let decoded = StoreReader::open(Cursor::new(shared.clone()))
+        .unwrap()
+        .read_port(0)
+        .unwrap();
+    assert!(decoded.gaps.is_empty());
+    let mut again = StoreWriter::new(Vec::new(), tw, policy).unwrap();
+    for cp in &decoded.checkpoints {
+        again.push(0, cp).unwrap();
+    }
+    assert!(
+        again.finish().unwrap() == shared,
+        "re-encoding changed the bytes"
+    );
 }
 
 proptest! {

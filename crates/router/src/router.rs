@@ -39,11 +39,11 @@ use pq_serve::{
 };
 use pq_stream::{Closed, DepthAgg, WindowKey};
 use pq_telemetry::{
-    names, new_trace_id, provenance, to_prometheus, ActiveTrace, Counter, Gauge, Histogram,
-    Telemetry, TraceClock, TraceContext,
+    names, provenance, to_prometheus, Counter, Gauge, Histogram, RequestTrace, Telemetry,
+    TraceClock, TraceContext,
 };
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
+use std::fmt::Display;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -191,33 +191,6 @@ struct Shared {
 struct StandingPartial {
     windows: BTreeMap<(u16, u64, u64), StreamResult>,
     watermark: u64,
-}
-
-/// One routed request's trace: the `route` span it reserved and when it
-/// began, the context backends continue as that span's children, and
-/// whether a backend's Busy shed force-sampled the retried context.
-struct RouteTrace<'a> {
-    clock: &'a TraceClock,
-    tracer: Option<ActiveTrace>,
-    span: u64,
-    start: u64,
-    child: Option<TraceContext>,
-    upgraded: bool,
-}
-
-impl RouteTrace<'_> {
-    /// Record a child of the `route` span from `start` until now.
-    fn record(&mut self, name: &str, start: u64, tag: impl fmt::Display) {
-        if let Some(t) = self.tracer.as_mut() {
-            t.record(
-                name,
-                self.span,
-                start,
-                self.clock.now_ns(),
-                &tag.to_string(),
-            );
-        }
-    }
 }
 
 /// Transient failures fail over to a replica; authoritative ones do not
@@ -394,7 +367,7 @@ impl Shared {
         port: u16,
         epoch: u64,
         contacted: &mut BTreeSet<usize>,
-        rt: &mut RouteTrace<'_>,
+        rt: &mut Option<RequestTrace<'_>>,
         mut call: impl FnMut(&mut Client, &RetryPolicy) -> Result<T, ClientError>,
     ) -> Result<T, ClientError> {
         let owners = self.owners(port, epoch);
@@ -406,17 +379,17 @@ impl Shared {
             contacted.insert(bi);
             let attempt_start = self.trace_clock.now_ns();
             let out = self.sub_call(bi, |client| {
-                client.set_trace_context(rt.child);
+                client.set_trace_context(rt.as_ref().map(RequestTrace::child));
                 let r = call(client, &self.config.retry);
-                if let Some(c) = client.trace_context() {
-                    rt.upgraded |= c.sampled;
+                if let (Some(t), Some(c)) = (rt.as_mut(), client.trace_context()) {
+                    t.upgrade(c.sampled);
                 }
                 client.set_trace_context(None);
                 r
             });
             if attempt > 0 {
                 let backend = &self.backends[bi].spec.name;
-                rt.record(names::SPAN_FAILOVER, attempt_start, backend);
+                self.span(rt, names::SPAN_FAILOVER, attempt_start, backend);
             }
             match out {
                 Ok(v) => return Ok(v),
@@ -428,51 +401,27 @@ impl Shared {
         Err(last_err.unwrap_or_else(|| ClientError::Protocol("no backends configured".into())))
     }
 
-    /// Start one routed request's trace. With tracing enabled it continues
-    /// the propagated context, or originates a root here so router-edge
-    /// queries are traceable too, and reserves the `route` span.
-    fn start_trace(&self, trace: Option<TraceContext>) -> RouteTrace<'_> {
+    /// Open one routed request's trace: the `route` span is its root and
+    /// backends continue it as that span's children.
+    fn open_trace(&self, trace: Option<TraceContext>) -> Option<RequestTrace<'_>> {
         let start = self.trace_clock.now_ns();
-        let traces = self.instruments.plane.traces();
-        let mut tracer = traces.is_enabled().then(|| {
-            let ctx = trace.unwrap_or_else(|| {
-                let tid = new_trace_id();
-                TraceContext::root(tid, traces.should_sample(tid))
-            });
-            ActiveTrace::new(ctx, "router")
-        });
-        let span = tracer.as_mut().map(ActiveTrace::reserve).unwrap_or(0);
-        let child = tracer.as_ref().map(|t| t.ctx().child(span));
-        RouteTrace {
-            clock: &self.trace_clock,
-            tracer,
-            span,
-            start,
-            child,
-            upgraded: false,
+        RequestTrace::open(self.instruments.plane.traces(), trace, "router", start)
+    }
+
+    /// Record a child of the `route` span from `start` until now.
+    fn span(&self, rt: &mut Option<RequestTrace<'_>>, name: &str, start: u64, tag: impl Display) {
+        if let Some(t) = rt {
+            let end = self.trace_clock.now_ns();
+            t.record(name, t.root_span(), start, end, &tag.to_string());
         }
     }
 
-    /// Close a routed request's `route` span and commit the trace when it
-    /// is sampled (originally, or upgraded by a Busy shed downstream) or
-    /// slow.
-    fn finish_trace(&self, rt: RouteTrace<'_>, errored: bool) {
-        let Some(mut t) = rt.tracer else { return };
-        let end = rt.clock.now_ns();
-        let ctx = t.ctx();
-        t.record_with_id(
-            rt.span,
-            names::SPAN_ROUTE,
-            ctx.parent_span,
-            rt.start,
-            end,
-            if errored { "error" } else { "ok" },
-        );
-        let traces = self.instruments.plane.traces();
-        let duration = end.saturating_sub(rt.start);
-        let slow = traces.is_slow(duration);
-        if ctx.sampled || rt.upgraded || slow {
-            traces.commit(t.finish(rt.span, duration, slow));
+    /// Close the `route` span; the trace commits when it is sampled
+    /// (originally, or upgraded by a Busy shed downstream) or slow.
+    fn close_trace(&self, rt: Option<RequestTrace<'_>>, errored: bool) {
+        if let Some(t) = rt {
+            let tag = if errored { "error" } else { "ok" };
+            t.close(names::SPAN_ROUTE, self.trace_clock.now_ns(), tag);
         }
     }
 
@@ -487,7 +436,7 @@ impl Shared {
         // Backends continue the trace as children of the route span; a
         // backend that sheds with Busy force-samples the retried context,
         // and the flag surfaces back here through the pooled client.
-        let mut rt = self.start_trace(trace);
+        let mut rt = self.open_trace(trace);
         let slices = epochs(from, to, self.config.epoch_ns);
         let mut contacted = BTreeSet::new();
         let mut partials = Vec::with_capacity(slices.len());
@@ -526,7 +475,7 @@ impl Shared {
             None => {
                 let merge_start = self.trace_clock.now_ns();
                 let merged = merge_results(partials).expect("epochs() never returns zero slices");
-                rt.record(names::SPAN_MERGE, merge_start, slices.len());
+                self.span(&mut rt, names::SPAN_MERGE, merge_start, slices.len());
                 self.instruments.completed(if replay_d.is_some() {
                     "replay"
                 } else {
@@ -536,7 +485,7 @@ impl Shared {
             }
         };
         let errored = matches!(frames.first(), Some(Frame::Error { .. }));
-        self.finish_trace(rt, errored);
+        self.close_trace(rt, errored);
         frames
     }
 
@@ -549,7 +498,7 @@ impl Shared {
         at: u64,
         trace: Option<TraceContext>,
     ) -> Vec<Frame> {
-        let mut rt = self.start_trace(trace);
+        let mut rt = self.open_trace(trace);
         let epoch = epoch_of(at, self.config.epoch_ns);
         let mut contacted = BTreeSet::new();
         let got = self.shard_call(port, epoch, &mut contacted, &mut rt, |c, retry| {
@@ -572,7 +521,7 @@ impl Shared {
             }
         };
         let errored = matches!(frames.first(), Some(Frame::Error { .. }));
-        self.finish_trace(rt, errored);
+        self.close_trace(rt, errored);
         frames
     }
 
@@ -592,7 +541,7 @@ impl Shared {
         max_flows: u32,
         trace: Option<TraceContext>,
     ) -> Vec<Frame> {
-        let mut rt = self.start_trace(trace);
+        let mut rt = self.open_trace(trace);
         let slices = epochs(from, to, self.config.epoch_ns);
         let mut contacted = BTreeSet::new();
         let mut partials = Vec::with_capacity(slices.len());
@@ -624,7 +573,7 @@ impl Shared {
                 self.instruments.rtt_merges.inc();
                 let dropped = merged.truncate_flows(max_flows as usize);
                 let degraded = merged.degraded() || dropped > 0;
-                rt.record(names::SPAN_RTT_MERGE, merge_start, partials.len());
+                self.span(&mut rt, names::SPAN_RTT_MERGE, merge_start, partials.len());
                 self.instruments.completed("rtt");
                 let answer = RemoteRtt {
                     report: merged,
@@ -635,7 +584,7 @@ impl Shared {
             }
         };
         let errored = matches!(frames.first(), Some(Frame::Error { .. }));
-        self.finish_trace(rt, errored);
+        self.close_trace(rt, errored);
         frames
     }
 
@@ -716,8 +665,8 @@ impl Shared {
             return;
         };
         self.instruments.req_standing.inc();
-        let mut rt = self.start_trace(trace);
-        let child = rt.child;
+        let mut rt = self.open_trace(trace);
+        let child = rt.as_ref().map(RequestTrace::child);
         let mut stripped = parsed.clone();
         stripped.predicate = None;
         stripped.top_k = None;
@@ -798,8 +747,13 @@ impl Shared {
             }
         }
         emitter.seal(stop_after_seal, gate);
-        rt.record(names::SPAN_MERGE, merge_start, emitter.frame_count());
-        self.finish_trace(rt, any_dead);
+        self.span(
+            &mut rt,
+            names::SPAN_MERGE,
+            merge_start,
+            emitter.frame_count(),
+        );
+        self.close_trace(rt, any_dead);
         self.standing.register(conn, emitter, gate);
     }
 

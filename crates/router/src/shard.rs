@@ -12,6 +12,8 @@
 //! Scores hash the backend **name**, not its address, so a backend can
 //! restart on a new port (or move hosts) without reshuffling ownership.
 
+use pq_telemetry::trace::splitmix64;
+
 /// One backend a router can route to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BackendSpec {
@@ -49,13 +51,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// A backend's rendezvous score for the `(port, epoch)` shard key.

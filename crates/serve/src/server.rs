@@ -33,8 +33,8 @@ use pq_rtt::{RttReport, RTT_SEGMENT_KIND};
 use pq_store::StoreReader;
 use pq_stream::{Record as StreamRecord, Standing};
 use pq_telemetry::{
-    delta, names, new_trace_id, provenance, to_prometheus, ActiveTrace, Counter, Gauge, Histogram,
-    RegistrySnapshot, Telemetry, TraceClock, TraceContext,
+    delta, names, provenance, to_prometheus, Counter, Gauge, Histogram, OpenSpan, RegistrySnapshot,
+    RequestTrace, Telemetry, TraceClock, TraceContext,
 };
 use std::collections::VecDeque;
 use std::fs::File;
@@ -734,27 +734,19 @@ fn worker_loop(shared: &Arc<Shared>) {
         let kind = job.work.kind();
         match job.work {
             Work::Query(req, trace) => {
-                let started_ns = shared.now_ns();
-                let port = req.port();
-                let traces = shared.instruments.plane.traces();
                 // Continue the propagated context, or originate a root here
                 // so locally-issued queries are traceable too. The echo is
                 // the context exactly as the request carried it — old
                 // clients that sent none get none back.
-                let echo = trace;
-                let mut tracer = if traces.is_enabled() {
-                    let ctx = trace.unwrap_or_else(|| {
-                        let tid = new_trace_id();
-                        TraceContext::root(tid, traces.should_sample(tid))
-                    });
-                    Some(ActiveTrace::new(ctx, &shared.process))
-                } else {
-                    None
-                };
-                // Reserve ids up front: execute() parents segment_decode
-                // under worker_exec before either interval is closed.
-                let root_span = tracer.as_mut().map(ActiveTrace::reserve).unwrap_or(0);
-                let exec_span = tracer.as_mut().map(ActiveTrace::reserve).unwrap_or(0);
+                let admit_ns = picked_ns.saturating_sub(wait_ns);
+                let traces = shared.instruments.plane.traces();
+                let mut tracer = RequestTrace::open(traces, trace, &shared.process, admit_ns);
+                // execute() parents segment_decode under worker_exec before
+                // that span closes.
+                let exec = tracer
+                    .as_mut()
+                    .map(|t| t.open_span(t.root_span(), picked_ns));
+                let exec_span = exec.as_ref().map_or(0, OpenSpan::id);
                 // The profiling scope closes with this block — before the
                 // answer is sent below — so a client that reads its result
                 // and immediately pulls a profile dump sees its own query's
@@ -767,7 +759,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                         &mut reader,
                         job.id,
                         req,
-                        echo,
+                        trace,
                         tracer.as_mut(),
                         exec_span,
                     )
@@ -778,64 +770,25 @@ fn worker_loop(shared: &Arc<Shared>) {
                 // own query in the counters (read-your-writes; the
                 // get-vs-prom consistency test relies on it).
                 let latency = u64::try_from(job.admitted.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                let slow = traces.is_slow(latency);
-                let committed = tracer
-                    .as_ref()
-                    .map(|t| t.ctx().sampled || slow)
-                    .unwrap_or(false);
-                if committed {
-                    let tid = tracer.as_ref().map(|t| t.ctx().trace_id).unwrap_or(0);
-                    shared.instruments.request_ns.record_exemplar(latency, tid);
-                } else {
-                    shared.instruments.request_ns.record(latency);
-                }
                 let errored = matches!(frames.first(), Some(Frame::Error { .. }));
+                let committed = tracer.zip(exec).and_then(|(mut t, exec)| {
+                    let root = t.root_span();
+                    t.record(names::SPAN_ADMISSION_WAIT, root, admit_ns, picked_ns, "");
+                    let tag = if errored { "error" } else { "ok" };
+                    t.close_span(exec, names::SPAN_WORKER_EXEC, exec_end_ns, tag);
+                    t.close(names::SPAN_SERVE_REQUEST, exec_end_ns, kind)
+                });
+                match committed {
+                    Some(tid) => shared.instruments.request_ns.record_exemplar(latency, tid),
+                    None => shared.instruments.request_ns.record(latency),
+                }
                 if errored {
                     shared.instruments.errored(kind);
                 } else {
                     shared.instruments.completed(kind);
                 }
-                if let Some(mut t) = tracer {
-                    let ctx = t.ctx();
-                    let admit_ns = picked_ns.saturating_sub(wait_ns);
-                    t.record(
-                        names::SPAN_ADMISSION_WAIT,
-                        root_span,
-                        admit_ns,
-                        picked_ns,
-                        "",
-                    );
-                    t.record_with_id(
-                        exec_span,
-                        names::SPAN_WORKER_EXEC,
-                        root_span,
-                        picked_ns,
-                        exec_end_ns,
-                        if errored { "error" } else { "ok" },
-                    );
-                    t.record_with_id(
-                        root_span,
-                        names::SPAN_SERVE_REQUEST,
-                        ctx.parent_span,
-                        admit_ns,
-                        exec_end_ns,
-                        kind,
-                    );
-                    if committed {
-                        traces.commit(t.finish(root_span, latency, slow));
-                    }
-                }
-                let sent = job.conn.send(&frames);
+                let _ = job.conn.send(&frames);
                 job.conn.inflight.fetch_sub(1, Ordering::SeqCst);
-                if shared.instruments.plane.tracing_enabled() {
-                    shared.instruments.plane.spans().record(
-                        names::SPAN_SERVE_REQUEST,
-                        started_ns,
-                        shared.now_ns(),
-                        u32::from(port),
-                    );
-                }
-                let _ = sent;
             }
             Work::MetricsGet => {
                 shared.touch_uptime();
@@ -1103,26 +1056,17 @@ fn register_standing(
     // materialization and an `emit` span around the send, committed
     // only when the pass produced frames.
     let traces = shared.instruments.plane.traces();
-    let sampled = trace.filter(|ctx| ctx.sampled && traces.is_enabled() && sent > 0);
-    if let Some(ctx) = sampled {
-        let mut t = ActiveTrace::new(ctx, &shared.process);
+    let sent_trace = trace.filter(|_| sent > 0);
+    if let Some(mut t) = RequestTrace::follow(traces, sent_trace, &shared.process, close_start_ns) {
         let end_ns = shared.trace_clock.now_ns();
-        let root = t.record(
-            names::SPAN_WINDOW_CLOSE,
-            ctx.parent_span,
-            close_start_ns,
-            emit_start_ns,
-            &closed.to_string(),
-        );
         t.record(
             names::SPAN_EMIT,
-            ctx.parent_span,
+            t.parent_span(),
             emit_start_ns,
             end_ns,
             &sent.to_string(),
         );
-        let duration = end_ns.saturating_sub(close_start_ns);
-        traces.commit(t.finish(root, duration, false));
+        t.close(names::SPAN_WINDOW_CLOSE, emit_start_ns, &closed.to_string());
     }
 }
 
@@ -1138,7 +1082,7 @@ fn execute(
     id: u64,
     req: Request,
     echo: Option<TraceContext>,
-    tracer: Option<&mut ActiveTrace>,
+    tracer: Option<&mut RequestTrace<'_>>,
     exec_span: u64,
 ) -> Vec<Frame> {
     match req {

@@ -57,8 +57,8 @@ pub use prometheus::{
 pub use registry::{Counter, Gauge, MetricKey, MetricValue, Registry, RegistrySnapshot};
 pub use spans::{SpanEvent, SpanTracer};
 pub use trace::{
-    new_trace_id, trace_from_json, trace_to_json, traces_from_jsonl, ActiveTrace, Trace,
-    TraceClock, TraceContext, TraceSink, TraceSpan, TraceStore, SAMPLE_ALWAYS_PPM,
+    new_trace_id, trace_to_json, OpenSpan, RequestTrace, Trace, TraceClock, TraceContext,
+    TraceSink, TraceSpan, TraceStore, SAMPLE_ALWAYS_PPM,
 };
 
 use std::sync::Arc;

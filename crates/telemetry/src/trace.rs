@@ -2,15 +2,13 @@
 //! parented spans, head + tail sampling, a slow-query log, and JSON-lines
 //! spill for cross-process stitching.
 //!
-//! The existing [`SpanTracer`](crate::SpanTracer) answers "what did this
-//! *process* spend time on" with anonymous sim-clock intervals. This
-//! module answers "why was *this query* slow" across processes: a
-//! [`TraceContext`] (128-bit trace id, 64-bit parent span, sampling flag)
-//! rides the wire from client → router → backend, each tier records
-//! parented [`TraceSpan`]s against it, and completed [`Trace`]s land in a
-//! bounded per-process [`TraceStore`] from which they can be dumped over
-//! the wire, spilled as JSON-lines, and stitched into one Chrome-viewable
-//! cross-process timeline.
+//! [`SpanTracer`](crate::SpanTracer) answers "what did this *process*
+//! spend time on" in sim time; this module answers "why was *this query*
+//! slow" across processes. A [`TraceContext`] rides the wire from client
+//! → router → backend, each tier records its spans through one
+//! [`RequestTrace`], and the committed [`Trace`]s land in a bounded
+//! [`TraceStore`], which dumps them over the wire, spills them as JSON
+//! lines, and stitches them into one Chrome timeline.
 //!
 //! Sampling is head-based and deterministic in the trace id (the same id
 //! makes the same decision in every process — no coordination needed),
@@ -33,12 +31,6 @@ use std::time::Instant;
 /// Sampling rate denominator: `sample_ppm` is parts-per-million, so
 /// `1_000_000` means "sample every trace".
 pub const SAMPLE_ALWAYS_PPM: u32 = 1_000_000;
-
-/// Default bound on the recent-trace ring.
-pub const DEFAULT_RECENT_CAP: usize = 256;
-
-/// Default bound on the top-N slow-query log.
-pub const DEFAULT_SLOW_CAP: usize = 32;
 
 /// The wire-propagated identity of one end-to-end request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,10 +98,10 @@ pub struct Trace {
     pub trace_id: u128,
     /// Span id of this process's root span for the request.
     pub root_span: u64,
-    /// Root-span duration in nanoseconds (the per-process wall time).
+    /// The per-process wall time: root-span start to the latest span end.
     pub duration_ns: u64,
-    /// True when this trace crossed the slow threshold (or was
-    /// tail-captured via a `Busy` retry).
+    /// True when `duration_ns` crossed the slow threshold, which also
+    /// entered the trace into the slow log.
     pub slow: bool,
     /// The recorded spans, in recording order.
     pub spans: Vec<TraceSpan>,
@@ -125,9 +117,13 @@ pub fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-#[inline]
 fn fold128(id: u128) -> u64 {
     (id as u64) ^ ((id >> 64) as u64)
+}
+
+/// The never-zero id of a process's `seq`-th span of a trace.
+fn span_id(trace_id: u128, process_salt: u64, seq: u64) -> u64 {
+    splitmix64(fold128(trace_id) ^ process_salt ^ seq).max(1)
 }
 
 static TRACE_ID_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -137,20 +133,20 @@ static TRACE_ID_SEQ: AtomicU64 = AtomicU64::new(0);
 /// processes started in the same nanosecond are broken by the per-process
 /// address-space entropy of the sequence cell.
 pub fn new_trace_id() -> u128 {
-    let now = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
-        .unwrap_or(0);
+    let now = system_now_ns();
     let seq = TRACE_ID_SEQ.fetch_add(1, Ordering::Relaxed);
     let salt = &TRACE_ID_SEQ as *const _ as u64;
     let hi = splitmix64(now ^ salt.rotate_left(32));
     let lo = splitmix64(seq.wrapping_add(now).wrapping_add(salt));
-    let id = (u128::from(hi) << 64) | u128::from(lo);
-    if id == 0 {
-        1
-    } else {
-        id
-    }
+    ((u128::from(hi) << 64) | u128::from(lo)).max(1)
+}
+
+/// The system clock in Unix-epoch nanoseconds (0 before the epoch).
+fn system_now_ns() -> u64 {
+    std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
+        .unwrap_or(0)
 }
 
 /// A Unix-epoch-anchored monotonic clock.
@@ -176,12 +172,8 @@ impl Default for TraceClock {
 impl TraceClock {
     /// Anchor a new clock to the current system time.
     pub fn new() -> TraceClock {
-        let epoch_ns = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
-            .unwrap_or(0);
         TraceClock {
-            epoch_ns,
+            epoch_ns: system_now_ns(),
             started: Instant::now(),
         }
     }
@@ -193,116 +185,189 @@ impl TraceClock {
     }
 }
 
-/// The span collector for one in-flight request in one process.
+/// One request's trace in one process: the one open → record → close
+/// lifecycle the daemon's query and standing paths and the router share.
+///
+/// [`open`](Self::open) continues the propagated context, or originates a
+/// root whose sampling [`TraceStore::should_sample`] decides, and reserves
+/// this process's root span; callees continue [`child`](Self::child).
+/// [`close`](Self::close) records the root span and commits the trace only
+/// when it is sampled, upgraded by a downstream `Busy` shed, or slow.
 ///
 /// Span ids are derived deterministically from `(trace id, process,
 /// sequence)` through [`splitmix64`], so concurrent tiers cannot collide
 /// and tests can assert exact parentage. Collection is allocation-light
-/// (a `Vec` push per span) and lock-free — the `ActiveTrace` is owned by
-/// the one worker driving the request.
+/// (a `Vec` push per span) and lock-free — the trace is owned by the one
+/// worker driving the request.
 #[derive(Debug)]
-pub struct ActiveTrace {
+pub struct RequestTrace<'a> {
+    store: &'a TraceStore,
     ctx: TraceContext,
-    process: String,
+    process: &'a str,
     process_salt: u64,
     next_seq: u64,
+    root: OpenSpan,
+    /// Latest end of any recorded span: the trace's extent in this process.
+    end_ns: u64,
+    /// Whether the slow threshold may commit this trace.
+    tail: bool,
+    upgraded: bool,
     spans: Vec<TraceSpan>,
 }
 
-impl ActiveTrace {
-    /// Start collecting spans for `ctx` in the named process.
-    pub fn new(ctx: TraceContext, process: &str) -> ActiveTrace {
-        let mut salt = 0xcbf2_9ce4_8422_2325u64; // FNV offset basis
-        for b in process.bytes() {
-            salt = (salt ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3);
+/// A span whose id is handed out before it closes, so children recorded
+/// in the meantime can name it as their parent.
+#[derive(Debug)]
+#[must_use = "an open span is recorded only by `close_span`"]
+pub struct OpenSpan {
+    id: u64,
+    parent: u64,
+    start_ns: u64,
+}
+
+impl OpenSpan {
+    /// This span's id, for children to name as their parent.
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+}
+
+impl<'a> RequestTrace<'a> {
+    /// Open a request's trace whose root span starts at `start_ns`:
+    /// continue `propagated`, or originate a root here so edge-issued
+    /// requests are traceable too. `None` when the store is disabled —
+    /// one relaxed load, nothing allocated.
+    pub fn open(
+        store: &'a TraceStore,
+        propagated: Option<TraceContext>,
+        process: &'a str,
+        start_ns: u64,
+    ) -> Option<RequestTrace<'a>> {
+        if !store.is_enabled() {
+            return None;
         }
-        ActiveTrace {
+        let ctx = propagated.unwrap_or_else(|| {
+            let tid = new_trace_id();
+            TraceContext::root(tid, store.should_sample(tid))
+        });
+        Some(RequestTrace::new(store, ctx, process, start_ns))
+    }
+
+    /// Continue a propagated *sampled* context only: nothing is
+    /// originated here and the slow threshold never applies (a standing
+    /// query's registration pass).
+    pub fn follow(
+        store: &'a TraceStore,
+        propagated: Option<TraceContext>,
+        process: &'a str,
+        start_ns: u64,
+    ) -> Option<RequestTrace<'a>> {
+        let ctx = propagated.filter(|c| c.sampled && store.is_enabled())?;
+        Some(RequestTrace {
+            tail: false,
+            ..RequestTrace::new(store, ctx, process, start_ns)
+        })
+    }
+
+    fn new(store: &'a TraceStore, ctx: TraceContext, process: &'a str, start_ns: u64) -> Self {
+        // FNV-1a of the process name.
+        let process_salt = process.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
+        });
+        RequestTrace {
+            store,
             ctx,
-            process: process.to_string(),
-            process_salt: salt,
-            next_seq: 0,
+            process,
+            process_salt,
+            next_seq: 1,
+            root: OpenSpan {
+                id: span_id(ctx.trace_id, process_salt, 1),
+                parent: ctx.parent_span,
+                start_ns,
+            },
+            end_ns: start_ns,
+            tail: true,
+            upgraded: false,
             spans: Vec::new(),
         }
     }
 
-    /// The context this collector was started with.
-    pub fn ctx(&self) -> TraceContext {
-        self.ctx
+    /// This process's root span id.
+    pub fn root_span(&self) -> u64 {
+        self.root.id
     }
 
-    /// Upgrade the sampling decision (tail capture: slow or Busy-retried).
-    pub fn set_sampled(&mut self, sampled: bool) {
-        self.ctx.sampled = sampled;
+    /// The caller's enclosing span, which the root span is parented to.
+    pub fn parent_span(&self) -> u64 {
+        self.ctx.parent_span
     }
 
-    /// Allocate the next span id without recording anything — for spans
-    /// whose children are recorded before the span itself closes.
-    pub fn reserve(&mut self) -> u64 {
+    /// The context a callee continues: same trace and sampling decision,
+    /// parented to this process's root span.
+    pub fn child(&self) -> TraceContext {
+        self.ctx.child(self.root.id)
+    }
+
+    /// Fold in a callee's returned sampling flag: a `Busy` shed force-samples
+    /// the retried context (tail capture), and then this trace commits too.
+    pub fn upgrade(&mut self, sampled: bool) {
+        self.upgraded |= sampled;
+    }
+
+    /// Open a span under `parent` starting at `start_ns`.
+    pub fn open_span(&mut self, parent: u64, start_ns: u64) -> OpenSpan {
         self.next_seq += 1;
-        let mix = fold128(self.ctx.trace_id) ^ self.process_salt ^ self.next_seq;
-        let id = splitmix64(mix);
-        if id == 0 {
-            1
-        } else {
-            id
+        let id = span_id(self.ctx.trace_id, self.process_salt, self.next_seq);
+        OpenSpan {
+            id,
+            parent,
+            start_ns,
         }
     }
 
-    /// Record a completed span under `parent_span`, returning its id.
-    pub fn record(
-        &mut self,
-        name: &str,
-        parent_span: u64,
-        start_ns: u64,
-        end_ns: u64,
-        tag: &str,
-    ) -> u64 {
-        let span_id = self.reserve();
-        self.record_with_id(span_id, name, parent_span, start_ns, end_ns, tag);
-        span_id
-    }
-
-    /// Record a completed span under an id previously handed out by
-    /// [`Self::reserve`].
-    pub fn record_with_id(
-        &mut self,
-        span_id: u64,
-        name: &str,
-        parent_span: u64,
-        start_ns: u64,
-        end_ns: u64,
-        tag: &str,
-    ) {
+    /// Record an open span as ending at `end_ns`.
+    pub fn close_span(&mut self, span: OpenSpan, name: &str, end_ns: u64, tag: &str) {
+        let end_ns = end_ns.max(span.start_ns);
+        self.end_ns = self.end_ns.max(end_ns);
         self.spans.push(TraceSpan {
-            span_id,
-            parent_span,
+            span_id: span.id,
+            parent_span: span.parent,
             name: name.to_string(),
-            process: self.process.clone(),
+            process: self.process.to_string(),
             tag: tag.to_string(),
-            start_ns,
-            end_ns: end_ns.max(start_ns),
+            start_ns: span.start_ns,
+            end_ns,
         });
     }
 
-    /// Number of spans recorded so far.
-    pub fn len(&self) -> usize {
-        self.spans.len()
+    /// Record a completed span under `parent`, returning its id.
+    pub fn record(&mut self, name: &str, parent: u64, start: u64, end: u64, tag: &str) -> u64 {
+        let span = self.open_span(parent, start);
+        let id = span.id;
+        self.close_span(span, name, end, tag);
+        id
     }
 
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
-    /// Close the collector into a [`Trace`] rooted at `root_span`.
-    pub fn finish(self, root_span: u64, duration_ns: u64, slow: bool) -> Trace {
-        Trace {
+    /// Close the root span at `end_ns` and commit the trace when it is
+    /// sampled, upgraded or slow (its extent crosses the store's slow
+    /// threshold). Returns the committed trace id, for a latency
+    /// histogram's exemplar.
+    pub fn close(mut self, name: &str, end_ns: u64, tag: &str) -> Option<u128> {
+        let root = OpenSpan { ..self.root };
+        self.close_span(root, name, end_ns, tag);
+        let duration_ns = self.end_ns.saturating_sub(self.root.start_ns);
+        let slow = self.tail && duration_ns >= self.store.slow_ns();
+        if !(self.ctx.sampled || self.upgraded || slow) {
+            return None;
+        }
+        self.store.commit(Trace {
             trace_id: self.ctx.trace_id,
-            root_span,
+            root_span: self.root.id,
             duration_ns,
             slow,
             spans: self.spans,
-        }
+        });
+        Some(self.ctx.trace_id)
     }
 }
 
@@ -362,6 +427,7 @@ impl TraceSink {
     }
 }
 
+#[derive(Default)]
 struct TraceStoreInner {
     recent: VecDeque<Trace>,
     slow: Vec<Trace>,
@@ -389,7 +455,8 @@ pub struct TraceStore {
 
 impl Default for TraceStore {
     fn default() -> Self {
-        TraceStore::with_capacity(DEFAULT_RECENT_CAP, DEFAULT_SLOW_CAP)
+        // The 256 most recent traces and the 32 slowest.
+        TraceStore::with_capacity(256, 32)
     }
 }
 
@@ -405,11 +472,7 @@ impl TraceStore {
             dropped: AtomicU64::new(0),
             recent_cap: recent_cap.max(1),
             slow_cap: slow_cap.max(1),
-            inner: Mutex::new(TraceStoreInner {
-                recent: VecDeque::new(),
-                slow: Vec::new(),
-                sink: None,
-            }),
+            inner: Mutex::default(),
         }
     }
 
@@ -431,11 +494,6 @@ impl TraceStore {
             .store(ppm.min(SAMPLE_ALWAYS_PPM), Ordering::Relaxed);
     }
 
-    /// The configured head-sampling rate, parts-per-million.
-    pub fn sample_ppm(&self) -> u32 {
-        self.sample_ppm.load(Ordering::Relaxed)
-    }
-
     /// Set the slow threshold: a root span at least this long is always
     /// committed and entered into the slow log.
     pub fn set_slow_ns(&self, ns: u64) {
@@ -445,12 +503,6 @@ impl TraceStore {
     /// The slow threshold in nanoseconds (`u64::MAX` = never slow).
     pub fn slow_ns(&self) -> u64 {
         self.slow_ns.load(Ordering::Relaxed)
-    }
-
-    /// True when `duration_ns` crosses the slow threshold.
-    #[inline]
-    pub fn is_slow(&self, duration_ns: u64) -> bool {
-        duration_ns >= self.slow_ns()
     }
 
     /// The deterministic head-sampling decision for `trace_id`: the id is
@@ -518,20 +570,13 @@ impl TraceStore {
         let inner = self.inner.lock().unwrap();
         inner.slow.iter().take(n).cloned().collect()
     }
-
-    /// Drop all retained traces (configuration is untouched).
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.recent.clear();
-        inner.slow.clear();
-    }
 }
 
 impl std::fmt::Debug for TraceStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceStore")
             .field("enabled", &self.is_enabled())
-            .field("sample_ppm", &self.sample_ppm())
+            .field("sample_ppm", &self.sample_ppm.load(Ordering::Relaxed))
             .field("committed", &self.committed())
             .field("dropped", &self.dropped())
             .finish()
@@ -542,301 +587,33 @@ impl std::fmt::Debug for TraceStore {
 /// Ids are zero-padded hex strings — JSON numbers can't carry 64/128 bits
 /// losslessly through double-precision tooling.
 pub fn trace_to_json(trace: &Trace) -> String {
-    let mut out = String::with_capacity(128 + trace.spans.len() * 160);
-    out.push_str("{\"trace_id\":\"");
-    out.push_str(&format!("{:032x}", trace.trace_id));
-    out.push_str("\",\"root_span\":\"");
-    out.push_str(&format!("{:016x}", trace.root_span));
-    out.push_str("\",\"duration_ns\":");
-    out.push_str(&trace.duration_ns.to_string());
-    out.push_str(",\"slow\":");
-    out.push_str(if trace.slow { "true" } else { "false" });
-    out.push_str(",\"spans\":[");
+    use std::fmt::Write as _;
+    let mut out = format!(
+        "{{\"trace_id\":\"{:032x}\",\"root_span\":\"{:016x}\",\"duration_ns\":{},\"slow\":{},\"spans\":[",
+        trace.trace_id, trace.root_span, trace.duration_ns, trace.slow
+    );
     for (i, s) in trace.spans.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str("{\"span_id\":\"");
-        out.push_str(&format!("{:016x}", s.span_id));
-        out.push_str("\",\"parent_span\":\"");
-        out.push_str(&format!("{:016x}", s.parent_span));
-        out.push_str("\",\"name\":\"");
+        let (id, parent) = (s.span_id, s.parent_span);
+        let _ = write!(
+            out,
+            "{{\"span_id\":\"{id:016x}\",\"parent_span\":\"{parent:016x}\",\"name\":\""
+        );
         pq_prof::escape_into(&mut out, &s.name);
         out.push_str("\",\"process\":\"");
         pq_prof::escape_into(&mut out, &s.process);
         out.push_str("\",\"tag\":\"");
         pq_prof::escape_into(&mut out, &s.tag);
-        out.push_str("\",\"start_ns\":");
-        out.push_str(&s.start_ns.to_string());
-        out.push_str(",\"end_ns\":");
-        out.push_str(&s.end_ns.to_string());
-        out.push('}');
+        let _ = write!(
+            out,
+            "\",\"start_ns\":{},\"end_ns\":{}}}",
+            s.start_ns, s.end_ns
+        );
     }
     out.push_str("]}");
     out
-}
-
-// ---- minimal JSON reader (just enough for the trace schema) ----------
-
-#[derive(Debug)]
-enum JsonValue {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<JsonValue>),
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a JsonValue> {
-        match self {
-            JsonValue::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.at)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.at += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> Option<()> {
-        self.skip_ws();
-        if self.bytes.get(self.at) == Some(&b) {
-            self.at += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.at).copied()
-    }
-
-    fn value(&mut self, depth: u32) -> Option<JsonValue> {
-        if depth > 32 {
-            return None; // bounded recursion: hostile input can't blow the stack
-        }
-        match self.peek()? {
-            b'{' => self.object(depth),
-            b'[' => self.array(depth),
-            b'"' => self.string().map(JsonValue::Str),
-            b't' => self.literal(b"true", JsonValue::Bool(true)),
-            b'f' => self.literal(b"false", JsonValue::Bool(false)),
-            b'n' => self.literal(b"null", JsonValue::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn literal(&mut self, word: &[u8], v: JsonValue) -> Option<JsonValue> {
-        self.skip_ws();
-        if self.bytes[self.at..].starts_with(word) {
-            self.at += word.len();
-            Some(v)
-        } else {
-            None
-        }
-    }
-
-    fn number(&mut self) -> Option<JsonValue> {
-        self.skip_ws();
-        let start = self.at;
-        while self
-            .bytes
-            .get(self.at)
-            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.at += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.at])
-            .ok()?
-            .parse::<f64>()
-            .ok()
-            .map(JsonValue::Num)
-    }
-
-    fn string(&mut self) -> Option<String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.at).copied()? {
-                b'"' => {
-                    self.at += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    self.at += 1;
-                    match self.bytes.get(self.at).copied()? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self.bytes.get(self.at + 1..self.at + 5)?;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.at += 4;
-                        }
-                        _ => return None,
-                    }
-                    self.at += 1;
-                }
-                _ => {
-                    // Consume one UTF-8 scalar (the input is a &str upstream,
-                    // so byte-level continuation handling suffices).
-                    let rest = std::str::from_utf8(&self.bytes[self.at..]).ok()?;
-                    let c = rest.chars().next()?;
-                    out.push(c);
-                    self.at += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self, depth: u32) -> Option<JsonValue> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.at += 1;
-            return Some(JsonValue::Arr(items));
-        }
-        loop {
-            items.push(self.value(depth + 1)?);
-            match self.peek()? {
-                b',' => self.at += 1,
-                b']' => {
-                    self.at += 1;
-                    return Some(JsonValue::Arr(items));
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn object(&mut self, depth: u32) -> Option<JsonValue> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.at += 1;
-            return Some(JsonValue::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.eat(b':')?;
-            let val = self.value(depth + 1)?;
-            fields.push((key, val));
-            match self.peek()? {
-                b',' => self.at += 1,
-                b'}' => {
-                    self.at += 1;
-                    return Some(JsonValue::Obj(fields));
-                }
-                _ => return None,
-            }
-        }
-    }
-}
-
-fn hex_u128(s: &str) -> Option<u128> {
-    if s.is_empty() || s.len() > 32 {
-        return None;
-    }
-    u128::from_str_radix(s, 16).ok()
-}
-
-fn hex_u64(s: &str) -> Option<u64> {
-    if s.is_empty() || s.len() > 16 {
-        return None;
-    }
-    u64::from_str_radix(s, 16).ok()
-}
-
-/// Parse one JSON line produced by [`trace_to_json`]. Returns `None` on
-/// any malformation — a corrupt spill line loses itself, nothing else.
-pub fn trace_from_json(line: &str) -> Option<Trace> {
-    let mut p = JsonParser {
-        bytes: line.as_bytes(),
-        at: 0,
-    };
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.at != p.bytes.len() {
-        return None;
-    }
-    let spans = match v.get("spans")? {
-        JsonValue::Arr(items) => items
-            .iter()
-            .map(|s| {
-                Some(TraceSpan {
-                    span_id: hex_u64(s.get("span_id")?.as_str()?)?,
-                    parent_span: hex_u64(s.get("parent_span")?.as_str()?)?,
-                    name: s.get("name")?.as_str()?.to_string(),
-                    process: s.get("process")?.as_str()?.to_string(),
-                    tag: s.get("tag")?.as_str()?.to_string(),
-                    start_ns: s.get("start_ns")?.as_u64()?,
-                    end_ns: s.get("end_ns")?.as_u64()?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?,
-        _ => return None,
-    };
-    Some(Trace {
-        trace_id: hex_u128(v.get("trace_id")?.as_str()?)?,
-        root_span: hex_u64(v.get("root_span")?.as_str()?)?,
-        duration_ns: v.get("duration_ns")?.as_u64()?,
-        slow: v.get("slow")?.as_bool()?,
-        spans,
-    })
-}
-
-/// Parse a whole JSON-lines spill, skipping blank and corrupt lines.
-pub fn traces_from_jsonl(text: &str) -> Vec<Trace> {
-    text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .filter_map(trace_from_json)
-        .collect()
 }
 
 #[cfg(test)]
@@ -876,10 +653,13 @@ mod tests {
 
     #[test]
     fn span_ids_are_unique_and_nonzero() {
-        let mut t = ActiveTrace::new(TraceContext::root(1, true), "serve");
-        let mut seen = std::collections::HashSet::new();
+        let store = TraceStore::default();
+        store.set_enabled(true);
+        let mut t = RequestTrace::open(&store, Some(TraceContext::root(1, true)), "serve", 0)
+            .expect("enabled store opens");
+        let mut seen = std::collections::HashSet::from([t.root_span()]);
         for _ in 0..1000 {
-            let id = t.reserve();
+            let id = t.open_span(0, 0).id();
             assert_ne!(id, 0);
             assert!(seen.insert(id), "span id collision");
         }
@@ -936,72 +716,105 @@ mod tests {
         assert_eq!(slow[0].duration_ns, 300);
     }
 
-    #[test]
-    fn json_round_trips_exactly() {
-        let t = Trace {
-            trace_id: u128::MAX - 3,
-            root_span: 0xdead_beef,
-            duration_ns: 123_456_789,
-            slow: true,
-            spans: vec![
-                TraceSpan {
-                    span_id: 1,
-                    parent_span: 0,
-                    name: "route".to_string(),
-                    process: "router".to_string(),
-                    tag: String::new(),
-                    start_ns: 5,
-                    end_ns: 50,
-                },
-                TraceSpan {
-                    span_id: 2,
-                    parent_span: 1,
-                    name: "worker \"exec\"\n".to_string(),
-                    process: "serve:a\\b".to_string(),
-                    tag: "cache=hit".to_string(),
-                    start_ns: 10,
-                    end_ns: 40,
-                },
-            ],
-        };
-        let line = trace_to_json(&t);
-        let back = trace_from_json(&line).expect("own output must parse");
-        assert_eq!(back, t);
+    /// An enabled store that never head-samples, with a 1 000 ns slow bar.
+    fn lifecycle_store() -> TraceStore {
+        let store = TraceStore::default();
+        store.set_enabled(true);
+        store.set_slow_ns(1_000);
+        store
     }
 
     #[test]
-    fn corrupt_json_lines_are_skipped_not_fatal() {
-        let good = trace_to_json(&trace(9, 10, false));
-        let text = format!("\n{{\"truncated\": \n{good}\nnot json at all\n");
-        let parsed = traces_from_jsonl(&text);
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].trace_id, 9);
-    }
-
-    #[test]
-    fn sink_spills_commits_as_jsonl() {
-        use std::sync::{Arc, Mutex};
-        #[derive(Clone)]
-        struct Buf(Arc<Mutex<Vec<u8>>>);
-        impl Write for Buf {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
+    fn commits_exactly_when_sampled_upgraded_or_slow() {
+        for sampled in [false, true] {
+            for upgraded in [false, true] {
+                for slow in [false, true] {
+                    let store = lifecycle_store();
+                    let ctx = TraceContext::root(7, sampled);
+                    let mut t = RequestTrace::open(&store, Some(ctx), "serve", 100).unwrap();
+                    t.upgrade(upgraded);
+                    let end = if slow { 1_100 } else { 1_099 };
+                    let id = t.close("serve_request", end, "");
+                    let commit = sampled || upgraded || slow;
+                    assert_eq!(
+                        store.committed(),
+                        u64::from(commit),
+                        "{sampled}/{upgraded}/{slow}"
+                    );
+                    // The exemplar id comes back exactly when committed.
+                    assert_eq!(id, commit.then_some(7));
+                    assert_eq!(store.slowest(1).len(), usize::from(slow));
+                    if commit {
+                        let trace = &store.recent()[0];
+                        assert_eq!(trace.slow, slow);
+                        assert_eq!(trace.duration_ns, end - 100);
+                    }
+                }
             }
         }
-        let buf = Buf(Arc::new(Mutex::new(Vec::new())));
+    }
+
+    #[test]
+    fn root_parents_to_the_caller_and_children_to_the_root() {
+        let store = lifecycle_store();
+        let ctx = TraceContext::root(9, true).child(0xabc);
+        let mut t = RequestTrace::open(&store, Some(ctx), "router", 10).unwrap();
+        let child = t.child();
+        assert_eq!((child.trace_id, child.sampled), (9, true));
+        let root = t.root_span();
+        assert_eq!(child.parent_span, root);
+        let exec = t.open_span(root, 20);
+        let exec_id = exec.id();
+        let decode = t.record("segment_decode", exec_id, 25, 30, "cache=miss");
+        t.close_span(exec, "worker_exec", 40, "ok");
+        assert_eq!(t.close("route", 50, "ok"), Some(9));
+        let trace = &store.recent()[0];
+        assert_eq!(trace.root_span, root);
+        let parent_of = |id| trace.spans.iter().find(|s| s.span_id == id).unwrap();
+        assert_eq!(parent_of(root).parent_span, 0xabc);
+        assert_eq!((parent_of(root).start_ns, parent_of(root).end_ns), (10, 50));
+        assert_eq!(parent_of(exec_id).parent_span, root);
+        assert_eq!(parent_of(decode).parent_span, exec_id);
+    }
+
+    #[test]
+    fn an_unpropagated_request_originates_a_head_sampled_root() {
+        let store = lifecycle_store();
+        store.set_sample_ppm(SAMPLE_ALWAYS_PPM);
+        let t = RequestTrace::open(&store, None, "serve", 0).unwrap();
+        let ctx = t.child();
+        assert!(ctx.sampled && ctx.trace_id != 0);
+        assert_eq!(t.close("serve_request", 5, ""), Some(ctx.trace_id));
+        assert_eq!(store.recent()[0].spans[0].parent_span, 0);
+    }
+
+    #[test]
+    fn a_disabled_store_opens_nothing() {
         let store = TraceStore::default();
-        store.set_sink(TraceSink::new(Box::new(buf.clone())));
-        store.commit(trace(1, 5, false));
-        store.commit(trace(2, 6, true));
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        let parsed = traces_from_jsonl(&text);
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[1].trace_id, 2);
-        assert!(parsed[1].slow);
+        store.set_sample_ppm(SAMPLE_ALWAYS_PPM);
+        let ctx = Some(TraceContext::root(3, true));
+        assert!(RequestTrace::open(&store, ctx, "serve", 0).is_none());
+        assert!(RequestTrace::open(&store, None, "serve", 0).is_none());
+        assert!(RequestTrace::follow(&store, ctx, "serve", 0).is_none());
+        assert_eq!(store.committed(), 0);
+    }
+
+    #[test]
+    fn follow_continues_only_sampled_contexts_and_skips_the_slow_log() {
+        let store = lifecycle_store();
+        store.set_sample_ppm(SAMPLE_ALWAYS_PPM);
+        assert!(RequestTrace::follow(&store, None, "serve", 0).is_none());
+        let unsampled = Some(TraceContext::root(4, false));
+        assert!(RequestTrace::follow(&store, unsampled, "serve", 0).is_none());
+        let ctx = TraceContext::root(5, true).child(0x11);
+        let mut t = RequestTrace::follow(&store, Some(ctx), "serve", 0).unwrap();
+        t.record("emit", t.parent_span(), 4_000, 9_000, "3");
+        assert_eq!(t.close("window_close", 4_000, "3"), Some(5));
+        let trace = &store.recent()[0];
+        // The extent covers every span, yet the slow log stays empty.
+        assert_eq!((trace.duration_ns, trace.slow), (9_000, false));
+        assert!(store.slowest(1).is_empty());
+        assert!(trace.spans.iter().all(|s| s.parent_span == 0x11));
     }
 
     #[test]

@@ -129,6 +129,7 @@ use printqueue::store::{SegmentPolicy, SharedStoreWriter, StoreWriter};
 use printqueue::telemetry::{self, MetricValue, Telemetry};
 use printqueue::trace::workload::GeneratedTrace;
 use printqueue::trace::{io as trace_io, scenario};
+use printqueue::tracefile;
 use std::path::PathBuf;
 use std::process::exit;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -1607,7 +1608,7 @@ fn cmd_trace(args: &Args) -> CliResult {
         .filter(|s| !s.is_empty())
     {
         let text = std::fs::read_to_string(path).map_err(|err| format!("read {path}: {err}"))?;
-        let got = telemetry::traces_from_jsonl(&text);
+        let got = tracefile::traces_from_jsonl(&text);
         progress!("{path}: {} trace record(s)", got.len());
         records.extend(got);
     }

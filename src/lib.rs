@@ -93,6 +93,7 @@ pub use pq_telemetry as telemetry;
 pub use pq_trace as trace;
 
 pub mod queryfmt;
+pub mod tracefile;
 
 /// The names almost every user of the library needs.
 pub mod prelude {

@@ -347,6 +347,32 @@ fn replay_query_cli_imports_json_and_refuses_missing_ports() {
     }
 }
 
+/// JSON nested past the importer's depth limit is refused with an error
+/// (exit 1), not a stack overflow that aborts the process.
+#[test]
+fn deeply_nested_json_is_refused_not_a_crash() {
+    let json = std::env::temp_dir().join(format!("pq-deep-{}.json", std::process::id()));
+    let pqa = json.with_extension("pqa");
+    std::fs::write(&json, "[".repeat(1_000_000)).unwrap();
+    let (json, pqa) = (json.to_str().unwrap(), pqa.to_str().unwrap());
+    let pqsim = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_pqsim"))
+            .args(args)
+            .arg("--quiet")
+            .output()
+            .unwrap()
+    };
+    let convert = pqsim(&["convert", json, pqa]);
+    let query = pqsim(&["replay-query", json, "--from", "0", "--to", "2000"]);
+    for out in [convert, query] {
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("nesting deeper than 128"), "{stderr}");
+    }
+    assert!(!std::path::Path::new(pqa).exists());
+    std::fs::remove_file(json).unwrap();
+}
+
 /// A refused write publishes nothing. `pqsim convert` of archives that
 /// disagree on their window configuration used to exit 1 and leave a
 /// header-only `.pqa` behind, which read back as an archive of zero

@@ -4,14 +4,17 @@
 //! v1 client must interoperate with a tracing server, slow queries must
 //! enter the slow log even when untraced, latency histograms must carry
 //! exemplars linking buckets back to trace ids, and a routed failover must
-//! show up as a span naming the backend that took over.
+//! show up as a span naming the backend that took over. Spilled traces
+//! read back (`pqsim trace --files`) exactly as they were committed.
 
 use pq_bench::serving::{spill_program, tiny_segments, Fleet, PORTS};
 use printqueue::router::{rendezvous_rank, RouterConfig};
 use printqueue::serve::{Client, Request, ServeConfig};
 use printqueue::telemetry::{
-    self, names, new_trace_id, to_prometheus, traces_to_chrome, MetricValue, Trace, TraceContext,
+    self, names, new_trace_id, to_prometheus, trace_to_json, traces_to_chrome, MetricValue, Trace,
+    TraceContext, TraceSink, TraceSpan, TraceStore,
 };
+use printqueue::tracefile::traces_from_jsonl;
 use std::time::{Duration, Instant};
 
 /// `n` backends over replicas of the two-port archive, tracing enabled
@@ -247,4 +250,147 @@ fn latency_histograms_carry_trace_exemplars() {
     assert!(prom.contains(telemetry::names::TRACE_SPANS_DROPPED));
 
     fleet.shutdown();
+}
+
+fn span(name: &str, start_ns: u64, end_ns: u64) -> TraceSpan {
+    TraceSpan {
+        span_id: 7,
+        parent_span: 0,
+        name: name.to_string(),
+        process: "test".to_string(),
+        tag: String::new(),
+        start_ns,
+        end_ns,
+    }
+}
+
+fn trace(id: u128, duration: u64, slow: bool) -> Trace {
+    Trace {
+        trace_id: id,
+        root_span: 7,
+        duration_ns: duration,
+        slow,
+        spans: vec![span("route", 10, 10 + duration)],
+    }
+}
+
+/// Run `pqsim trace --files PATH --json --quiet` over one spill file.
+fn pqsim_trace_files(name: &str, text: &str) -> std::process::Output {
+    let path = std::env::temp_dir().join(format!("pq-{name}-{}.jsonl", std::process::id()));
+    std::fs::write(&path, text).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_pqsim"))
+        .args([
+            "trace",
+            "--files",
+            path.to_str().unwrap(),
+            "--json",
+            "--quiet",
+        ])
+        .output()
+        .unwrap();
+    std::fs::remove_file(&path).unwrap();
+    out
+}
+
+#[test]
+fn json_round_trips_exactly() {
+    let t = Trace {
+        trace_id: u128::MAX - 3,
+        root_span: 0xdead_beef,
+        duration_ns: 123_456_789,
+        slow: true,
+        spans: vec![
+            TraceSpan {
+                span_id: 1,
+                parent_span: 0,
+                name: "route".to_string(),
+                process: "router".to_string(),
+                tag: String::new(),
+                start_ns: 5,
+                end_ns: 50,
+            },
+            TraceSpan {
+                span_id: 2,
+                parent_span: 1,
+                name: "worker \"exec\"\n".to_string(),
+                process: "serve:a\\b".to_string(),
+                tag: "cache=hit".to_string(),
+                start_ns: 10,
+                end_ns: 40,
+            },
+        ],
+    };
+    assert_eq!(traces_from_jsonl(&trace_to_json(&t)), vec![t]);
+}
+
+#[test]
+fn corrupt_json_lines_are_skipped_not_fatal() {
+    let good = trace_to_json(&trace(9, 10, false));
+    let too_deep = "[".repeat(1_000_000);
+    let wide_id = good.replacen("\"trace_id\":\"", "\"trace_id\":\"0", 1);
+    let text = format!("\n{{\"truncated\": \n{good}\nnot json at all\n{too_deep}\n{wide_id}\n");
+    let parsed = traces_from_jsonl(&text);
+    assert_eq!(parsed.len(), 1);
+    assert_eq!(parsed[0].trace_id, 9);
+}
+
+#[test]
+fn sink_spills_commits_as_jsonl() {
+    use std::io::Write;
+    use std::sync::{Arc, Mutex};
+    #[derive(Clone)]
+    struct Buf(Arc<Mutex<Vec<u8>>>);
+    impl Write for Buf {
+        fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(b);
+            Ok(b.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    let buf = Buf(Arc::new(Mutex::new(Vec::new())));
+    let store = TraceStore::default();
+    store.set_sink(TraceSink::new(Box::new(buf.clone())));
+    store.commit(trace(1, 5, false));
+    store.commit(trace(2, 6, true));
+    let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+    let parsed = traces_from_jsonl(&text);
+    assert_eq!(parsed.len(), 2);
+    assert_eq!(parsed[1].trace_id, 2);
+    assert!(parsed[1].slow);
+}
+
+#[test]
+fn spilled_epoch_nanoseconds_read_back_exactly() {
+    // Above 2^53: a reader that goes through f64 returns ...768 here.
+    let start = 1_760_000_000_123_456_789u64;
+    let t = Trace {
+        trace_id: 0x0123_4567_89ab_cdef_fedc_ba98_7654_3210,
+        root_span: u64::MAX,
+        duration_ns: u64::MAX - 1,
+        slow: false,
+        spans: vec![span("serve_request", start, start + 1_001)],
+    };
+    let path = std::env::temp_dir().join(format!("pq-spill-exact-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    TraceSink::to_file(&path).unwrap().spill(&t);
+    let spilled = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let out = pqsim_trace_files("trace-exact", &spilled);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(stdout, spilled);
+    assert_eq!(traces_from_jsonl(&stdout), vec![t]);
+}
+
+#[test]
+fn trace_files_skip_a_line_nested_past_the_json_depth_limit() {
+    let good = trace_to_json(&trace(11, 10, false));
+    let out = pqsim_trace_files(
+        "trace-deep",
+        &format!("{}\n{good}\n", "[".repeat(1_000_000)),
+    );
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(String::from_utf8(out.stdout).unwrap(), good + "\n");
 }

@@ -540,12 +540,6 @@ impl AnalysisProgram {
         self.spill = Some(sink);
     }
 
-    /// Remove and return the installed spill sink (e.g. to finalize a
-    /// store after the run).
-    pub fn take_spill(&mut self) -> Option<Box<dyn CheckpointSink>> {
-        self.spill.take()
-    }
-
     /// Control-plane health counters, read out of the telemetry registry
     /// (the registry is the source of truth; this struct is a view).
     pub fn health(&self) -> ControlHealth {

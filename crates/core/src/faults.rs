@@ -45,15 +45,6 @@ impl LatencyModel {
             }
         }
     }
-
-    /// The largest latency this model can produce.
-    pub fn worst_case(&self) -> Nanos {
-        match *self {
-            LatencyModel::Zero => 0,
-            LatencyModel::Fixed(ns) => ns,
-            LatencyModel::Uniform(min, max) => max.max(min),
-        }
-    }
 }
 
 /// Periodic control-plane stalls: during `[k·period, k·period + duration)`

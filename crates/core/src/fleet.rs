@@ -74,18 +74,6 @@ pub struct FleetHealth {
     pub total: ControlHealth,
 }
 
-impl FleetHealth {
-    /// Switch ids whose control plane has recorded coverage gaps, dropped
-    /// checkpoints, or failed reads — the ones whose answers may be stale.
-    pub fn degraded_switches(&self) -> Vec<SwitchId> {
-        self.per_switch
-            .iter()
-            .filter(|(_, h)| !h.is_healthy())
-            .map(|(id, _)| *id)
-            .collect()
-    }
-}
-
 /// A fabric of per-switch PrintQueue instances.
 pub struct Fleet {
     instances: HashMap<SwitchId, PrintQueue>,

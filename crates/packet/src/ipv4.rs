@@ -125,12 +125,6 @@ impl<T: AsRef<[u8]>> Packet<T> {
         self.buffer.as_ref()[9]
     }
 
-    /// Header checksum field.
-    pub fn header_checksum(&self) -> u16 {
-        let b = self.buffer.as_ref();
-        u16::from_be_bytes([b[10], b[11]])
-    }
-
     /// Source address.
     pub fn src_addr(&self) -> Address {
         let b = self.buffer.as_ref();

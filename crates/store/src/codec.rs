@@ -30,12 +30,25 @@
 //! occupied` and every occupied row, with one sequence chain across the
 //! monitors of a checkpoint.
 //!
+//! **Time windows (format version 3).** A window is `varint(2·n)` and the
+//! runs of its `n` occupied cells (whole, as versions 1 and 2 wrote every
+//! window with a plain `n`), or `varint(2·c + 1)` and the `c` cells that
+//! differ from the same window of the previous checkpoint in the segment
+//! (a patch): each cell's index delta-coded like a run, its flow, and its
+//! cycle as a zigzag delta against the cycle of the cell it replaces. A
+//! cell is written raw, so a patch can empty one. The encoder patches iff
+//! `c = 0` or `c < n`, so an unchanged window costs one byte and the bytes
+//! stay a function of the checkpoint sequence; a segment's first
+//! checkpoint never patches. A patch of no cells decodes to the previous
+//! checkpoint's window itself, so decoded checkpoints share unchanged
+//! windows.
+//!
 //! Decoding never trusts a length from the wire: counts are bounded by
 //! the structure they index into, and bulk allocations are charged
 //! against a [`DecodeBudget`] so an adversarial header cannot balloon
 //! memory.
 
-use crate::format::{invalid, SLOT_LEVELS, VERSION_V1};
+use crate::format::{invalid, SLOT_LEVELS, VERSION, VERSION_V1};
 use pq_core::control::Checkpoint;
 use pq_core::params::TimeWindowConfig;
 use pq_core::queue_monitor::{Entry, Half, QueueMonitorSnapshot, Row};
@@ -104,13 +117,12 @@ pub struct CodecState {
     prev_frozen: Option<u64>,
 }
 
-/// The queue-monitor chunks and deeper time windows of one port's previous
-/// checkpoint, and the bytes each encoded to. The next checkpoint writes a
-/// chunk it finds here unchanged as a one-byte reference, or — as the first
-/// checkpoint of a new segment, which may not refer back — copies its bytes
-/// instead of encoding the rows again. A window it finds here is copied the
-/// same way: format version 2 has no window reference, and a window's bytes
-/// are a function of its cells alone. It outlives segment rotation.
+/// The queue-monitor chunks and time windows of one port's previous
+/// checkpoint, and the bytes each chunk encoded to. The next checkpoint
+/// writes a chunk it finds here unchanged as a one-byte reference, or — as
+/// the first checkpoint of a new segment, which may not refer back — copies
+/// its bytes instead of encoding the rows again. A window is written as a
+/// patch against the one here, or whole. It outlives segment rotation.
 ///
 /// "Unchanged" is a property of the rows, not of the allocation: a chunk is
 /// the same allocation when [`QueueMonitor::freeze`] shared it, which
@@ -120,9 +132,9 @@ pub struct CodecState {
 /// `Arc` it compares by pointer, the allocation cannot be freed and its
 /// address handed to different rows.
 ///
-/// A window is only ever matched by pointer — the allocation
-/// [`TimeWindowSet::freeze`] shared — and otherwise walked, which writes
-/// the same bytes.
+/// A window is the same allocation when [`TimeWindowSet::freeze`] shared
+/// it, and is otherwise compared cell by cell; either way the patch has
+/// the same cells.
 ///
 /// [`QueueMonitor::freeze`]: pq_core::queue_monitor::QueueMonitor::freeze
 /// [`TimeWindowSet::freeze`]: pq_core::time_windows::TimeWindowSet::freeze
@@ -131,21 +143,16 @@ pub struct EncodeMemo {
     /// `[monitor][slot]` of the previous checkpoint; `None` where the slot
     /// was empty.
     monitors: Vec<Vec<Option<ChunkMemo>>>,
-    /// Windows `1..` of the previous checkpoint; empty before the first.
-    windows: Vec<WindowMemo>,
+    /// Every window of the previous checkpoint; empty before the first.
+    windows: Vec<Arc<[Cell]>>,
+    /// Scratch for one window's compare pass: the indices of the cells
+    /// that changed, then spare slots (one per cell).
+    changed: Vec<u32>,
 }
 
 struct ChunkMemo {
     rows: Arc<[Row]>,
     /// The slot's tag and rows.
-    bytes: Vec<u8>,
-}
-
-#[derive(Default)]
-struct WindowMemo {
-    /// No window's allocation until one is encoded: a window has cells.
-    cells: Arc<[Cell]>,
-    /// The window's occupied count and runs.
     bytes: Vec<u8>,
 }
 
@@ -232,31 +239,105 @@ fn put_slot(
     }
 }
 
-/// Append one window's occupied count and its runs of occupied cells.
-fn put_window(out: &mut Vec<u8>, cells: &[Cell]) {
-    // One walk over the cells: the occupied count goes in front of the
-    // runs once it is known, which moves the few KB just written instead
-    // of reading the whole window a second time.
-    let runs_at = out.len();
-    let mut occupied = 0u64;
+/// Whether `cell` holds a packet, without a branch per field.
+#[inline(always)]
+fn occupied(cell: &Cell) -> bool {
+    (cell.flow != Cell::EMPTY.flow) | (cell.cycle != Cell::EMPTY.cycle)
+}
+
+/// Append the runs of `cells`' occupied cells; returns how many there were.
+fn put_runs(out: &mut Vec<u8>, cells: &[Cell]) -> usize {
+    let mut n = 0;
     let mut prev_idx: Option<u64> = None;
     let mut prev_cycle: Option<u64> = None;
     for (idx, cell) in cells.iter().enumerate() {
-        if *cell == Cell::EMPTY {
+        if !occupied(cell) {
             continue;
         }
-        occupied += 1;
+        n += 1;
         // Indices are emitted ascending, so deltas are strictly
         // positive after the first.
         put_delta_u64(out, &mut prev_idx, idx as u64);
         put_varint(out, u64::from(cell.flow.0));
         put_delta_u64(out, &mut prev_cycle, cell.cycle);
     }
-    put_varint(out, occupied);
-    out[runs_at..].rotate_right(varint_len(occupied));
+    n
 }
 
-/// Append one checkpoint to `out`, in format version 2.
+/// Append a whole window — `varint(2·n)` and its runs — in one walk over
+/// its cells. The head goes in front of the runs once it is known, which
+/// moves the few KB just written instead of reading the whole window a
+/// second time.
+fn put_window(out: &mut Vec<u8>, cells: &[Cell]) {
+    let runs_at = out.len();
+    let head = 2 * put_runs(out, cells) as u64;
+    put_varint(out, head);
+    out[runs_at..].rotate_right(varint_len(head));
+}
+
+/// The compare pass of a window against the same window of the previous
+/// checkpoint: returns `(c, n)`, the number of cells that differ and of
+/// occupied cells, and leaves the `c` changed indices, ascending, at the
+/// front of `changed`.
+fn compare(before: &[Cell], cells: &[Cell], changed: &mut Vec<u32>) -> (usize, usize) {
+    // Every index is stored, and only a changed one is kept: the cursor
+    // advances by the comparison, not by a branch on it.
+    changed.resize(cells.len(), 0);
+    let (mut c, mut n) = (0, 0);
+    for (idx, (old, new)) in before.iter().zip(cells).enumerate() {
+        changed[c] = idx as u32;
+        c += usize::from((old.flow != new.flow) | (old.cycle != new.cycle));
+        n += usize::from(occupied(new));
+    }
+    (c, n)
+}
+
+/// Append a patch: `varint(2·c + 1)`, then each changed cell's index
+/// (delta-coded like a run), its flow, and its cycle as a zigzag delta
+/// against the cycle of the cell it replaces in `before`.
+fn put_patch(out: &mut Vec<u8>, before: &[Cell], cells: &[Cell], changed: &[u32]) {
+    put_varint(out, 2 * changed.len() as u64 + 1);
+    let mut prev_idx: Option<u64> = None;
+    for &idx in changed {
+        let (old, new) = (&before[idx as usize], &cells[idx as usize]);
+        put_delta_u64(out, &mut prev_idx, u64::from(idx));
+        put_varint(out, u64::from(new.flow.0));
+        put_zigzag(out, new.cycle.wrapping_sub(old.cycle) as i64);
+    }
+}
+
+/// Append window `cells` given what the previous checkpoint held there
+/// (`known`), and leave `known` holding `cells`. `follows` is whether this
+/// checkpoint has a predecessor in the body to patch against.
+///
+/// A patch is written iff no cell changed or fewer changed than are
+/// occupied (`c = 0 ∨ c < n`), a rule of the two windows' contents alone.
+fn put_window_after(
+    out: &mut Vec<u8>,
+    cells: &Arc<[Cell]>,
+    known: &mut Arc<[Cell]>,
+    changed: &mut Vec<u32>,
+    follows: bool,
+) {
+    // A memo that never saw a window of this size (a fresh one) holds
+    // nothing to patch against.
+    if !follows || known.len() != cells.len() {
+        put_window(out, cells);
+    } else if Arc::ptr_eq(known, cells) {
+        put_varint(out, 1); // a patch of no cells
+    } else {
+        let (c, n) = compare(known, cells, changed);
+        if c == 0 || c < n {
+            put_patch(out, known, cells, &changed[..c]);
+        } else {
+            put_varint(out, 2 * n as u64);
+            put_runs(out, cells);
+        }
+    }
+    *known = Arc::clone(cells);
+}
+
+/// Append one checkpoint to `out`, in format version 3.
 ///
 /// Fails with `InvalidInput` if the checkpoint's window configuration
 /// disagrees with the store's file header — a `.pqa` file holds exactly
@@ -293,24 +374,10 @@ pub fn encode_checkpoint(
         put_varint(out, trigger.to.saturating_sub(trigger.from));
     }
 
-    let deeper = usize::from(tw.t).saturating_sub(1);
-    memo.windows.resize_with(deeper, WindowMemo::default);
-    for w in 0..tw.t {
+    memo.windows.resize_with(usize::from(tw.t), Arc::default);
+    for (w, known) in (0..tw.t).zip(&mut memo.windows) {
         let cells = cp.windows.shared_window(w);
-        // Window 0 changes with every packet, so it is always walked.
-        let Some(known) = usize::from(w).checked_sub(1).map(|i| &mut memo.windows[i]) else {
-            put_window(out, cells);
-            continue;
-        };
-        if Arc::ptr_eq(&known.cells, cells) {
-            out.extend_from_slice(&known.bytes);
-            continue;
-        }
-        let at = out.len();
-        put_window(out, cells);
-        known.cells = Arc::clone(cells);
-        known.bytes.clear();
-        known.bytes.extend_from_slice(&out[at..]);
+        put_window_after(out, cells, known, &mut memo.changed, follows);
     }
 
     put_varint(out, cp.queue_monitors.len() as u64);
@@ -354,6 +421,80 @@ fn read_entry(cursor: &mut &[u8], prev_seq: &mut Option<u64>) -> io::Result<Entr
         };
     }
     Ok(entry)
+}
+
+/// A whole window: `n` occupied cells' runs, `n` already admitted.
+fn read_runs(
+    cursor: &mut &[u8],
+    cells: usize,
+    budget: &mut DecodeBudget,
+    n: usize,
+) -> io::Result<Arc<[Cell]>> {
+    budget.charge(cells as u64 * std::mem::size_of::<Cell>() as u64)?;
+    // Filled in its shared allocation, which nothing else holds yet.
+    let mut shared: Arc<[Cell]> = std::iter::repeat_n(Cell::EMPTY, cells).collect();
+    let window = Arc::get_mut(&mut shared).expect("a fresh allocation is unique");
+    let mut prev_idx: Option<u64> = None;
+    let mut prev_cycle: Option<u64> = None;
+    let mut last_idx: Option<usize> = None;
+    for _ in 0..n {
+        let idx = read_delta_u64(cursor, &mut prev_idx)?;
+        if idx >= cells as u64 || last_idx.is_some_and(|l| idx as usize <= l) {
+            return Err(invalid("cell index out of order or out of range"));
+        }
+        last_idx = Some(idx as usize);
+        let flow = read_flow(cursor)?;
+        let cycle = read_delta_u64(cursor, &mut prev_cycle)?;
+        window[idx as usize] = Cell { flow, cycle };
+    }
+    Ok(shared)
+}
+
+/// A version-3 window, whole or patched against `before`: the same window
+/// of the previous checkpoint of the body, if there is one. A patch of no
+/// cells is `before` itself; any other is a copy of it, the cells applied.
+fn read_window_v3(
+    cursor: &mut &[u8],
+    cells: usize,
+    budget: &mut DecodeBudget,
+    before: Option<&Arc<[Cell]>>,
+) -> io::Result<Arc<[Cell]>> {
+    let head = codec::varint(cursor)?;
+    // Every cell, whole or patched, takes at least three bytes.
+    let n = codec::count(
+        cursor,
+        usize::try_from(head >> 1).unwrap_or(usize::MAX),
+        cells,
+        3,
+    )?;
+    if head & 1 == 0 {
+        return read_runs(cursor, cells, budget, n);
+    }
+    let Some(before) = before.filter(|b| b.len() == cells) else {
+        return Err(invalid("window patch with no predecessor to patch"));
+    };
+    if n == 0 {
+        return Ok(Arc::clone(before));
+    }
+    budget.charge(cells as u64 * std::mem::size_of::<Cell>() as u64)?;
+    let mut shared: Arc<[Cell]> = Arc::from(&before[..]);
+    let window = Arc::get_mut(&mut shared).expect("a fresh allocation is unique");
+    let mut prev_idx: Option<u64> = None;
+    let mut next = 0u64;
+    for _ in 0..n {
+        let idx = read_delta_u64(cursor, &mut prev_idx)?;
+        if idx >= cells as u64 {
+            return Err(invalid("window patch index out of range"));
+        }
+        if idx < next {
+            return Err(invalid("window patch indices not ascending"));
+        }
+        next = idx + 1;
+        let cell = &mut window[idx as usize];
+        cell.flow = read_flow(cursor)?;
+        cell.cycle = cell.cycle.wrapping_add(codec::zigzag(cursor)? as u64);
+    }
+    Ok(shared)
 }
 
 /// A version-1 monitor's rows: an occupied count, then every row, the
@@ -423,7 +564,8 @@ fn read_slots(
 
 /// Decode one checkpoint of a format-`version` body from the cursor.
 /// `prev` is the checkpoint decoded just before it from the same body
-/// (`None` for the body's first), whose rows a version-2 reference copies.
+/// (`None` for the body's first), whose rows a monitor-slot reference
+/// copies and whose windows a version-3 patch starts from.
 pub fn decode_checkpoint(
     cursor: &mut &[u8],
     tw: &TimeWindowConfig,
@@ -446,28 +588,16 @@ pub fn decode_checkpoint(
     };
 
     let cells = tw.cells();
-    let t = usize::from(tw.t);
-    budget.charge((t as u64) * (cells as u64) * std::mem::size_of::<Cell>() as u64)?;
-    let mut windows = Vec::with_capacity(t);
-    for _ in 0..t {
-        // Filled in its shared allocation, which nothing else holds yet.
-        let mut shared: Arc<[Cell]> = std::iter::repeat_n(Cell::EMPTY, cells).collect();
-        let window = Arc::get_mut(&mut shared).expect("a fresh allocation is unique");
-        let occupied = codec::len(cursor, cells)?;
-        let mut prev_idx: Option<u64> = None;
-        let mut prev_cycle: Option<u64> = None;
-        let mut last_idx: Option<usize> = None;
-        for _ in 0..occupied {
-            let idx = read_delta_u64(cursor, &mut prev_idx)?;
-            if idx >= cells as u64 || last_idx.is_some_and(|l| idx as usize <= l) {
-                return Err(invalid("cell index out of order or out of range"));
-            }
-            last_idx = Some(idx as usize);
-            let flow = read_flow(cursor)?;
-            let cycle = read_delta_u64(cursor, &mut prev_cycle)?;
-            window[idx as usize] = Cell { flow, cycle };
-        }
-        windows.push(shared);
+    let mut windows = Vec::with_capacity(usize::from(tw.t));
+    for w in 0..tw.t {
+        let window = if version >= VERSION {
+            let before = prev.map(|p| p.windows.shared_window(w));
+            read_window_v3(cursor, cells, budget, before)?
+        } else {
+            let n = codec::len(cursor, cells)?;
+            read_runs(cursor, cells, budget, n)?
+        };
+        windows.push(window);
     }
     let windows = TimeWindowSnapshot::from_shared(*tw, windows, flags & FLAG_FILTERED != 0);
 
@@ -505,7 +635,7 @@ pub fn decode_checkpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::VERSION;
+    use crate::format::VERSION_V2;
     use pq_core::queue_monitor::QueueMonitor;
     use proptest::prelude::*;
 
@@ -741,6 +871,42 @@ mod tests {
         shrunk.frozen_at += 640;
         shrunk.queue_monitors = vec![QueueMonitorSnapshot::from_dense(&dense[..20_000], 4)];
         truncate_and_flip(&tw, &[first, again, rebuilt, shrunk]);
+        // Version-3 window patches: one rewritten, one emptied and one
+        // filled cell, then none.
+        truncate_and_flip(&tw, &window_run(&tw));
+    }
+
+    /// Three checkpoints whose windows carry over: eight occupied cells in
+    /// each window, then window 0 with a cell's cycle moved, a cell
+    /// emptied and one filled (a three-cell patch), then the same again
+    /// (patches of none).
+    fn window_run(tw: &TimeWindowConfig) -> Vec<Checkpoint> {
+        let mut dense = vec![vec![Cell::EMPTY; tw.cells()]; usize::from(tw.t)];
+        for (w, window) in dense.iter_mut().enumerate() {
+            for i in 0..8 {
+                window[2 * i + w % 2] = Cell {
+                    flow: FlowId(i as u32),
+                    cycle: 40 + i as u64,
+                };
+            }
+        }
+        let mut first = sample_checkpoint(tw, 500);
+        first.windows = TimeWindowSnapshot::from_parts(*tw, dense.clone(), false);
+        dense[0][2].cycle += 5;
+        dense[0][4] = Cell::EMPTY;
+        dense[0][5] = Cell {
+            flow: FlowId(77),
+            cycle: 3,
+        };
+        let mut second = sample_checkpoint(tw, 1_140);
+        second.windows = TimeWindowSnapshot::from_parts(*tw, dense, false);
+        let mut third = second.clone();
+        third.frozen_at += 640;
+        let cps = vec![first, second, third];
+        let body = encode_body(tw, &mut EncodeMemo::default(), &cps);
+        let whole: usize = cps.iter().map(|cp| encode_one(tw, cp).len()).sum();
+        assert!(body.len() + 50 < whole, "{} vs {whole} bytes", body.len());
+        cps
     }
 
     /// Decode `cps`' body cut at every length and with every byte flipped.
@@ -1011,39 +1177,185 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
-    /// The version-1 encoder as it ran over dense snapshots: every monitor
-    /// array scanned once to count and once to emit, no memo. The writer no longer produces version 1; this is
-    /// what the v1 decoder is checked against, and its time-window half is
-    /// the reference for the one-walk window encoder.
+    /// A checkpoint's head (freeze time 501, no flags), then `windows` and
+    /// no monitors, every field a varint.
+    fn with_window_section(windows: &[u64]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        put_varint(&mut bytes, 501);
+        bytes.push(0);
+        for &field in windows {
+            put_varint(&mut bytes, field);
+        }
+        put_varint(&mut bytes, 0);
+        bytes
+    }
+
+    /// Decoding `windows` after `prev` fails with `InvalidData` saying
+    /// `why`.
+    fn window_refused(
+        tw: &TimeWindowConfig,
+        prev: Option<&Checkpoint>,
+        windows: &[u64],
+        why: &str,
+    ) {
+        let err = decode_after(&with_window_section(windows), tw, prev).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{windows:?}");
+        assert!(err.to_string().contains(why), "{windows:?}: {err}");
+    }
+
+    fn window_accepted(
+        tw: &TimeWindowConfig,
+        prev: Option<&Checkpoint>,
+        windows: &[u64],
+    ) -> Checkpoint {
+        decode_after(&with_window_section(windows), tw, prev).unwrap()
+    }
+
+    /// Zigzag, as the codec writes a signed delta.
+    fn zz(delta: i64) -> u64 {
+        ((delta << 1) ^ (delta >> 63)) as u64
+    }
+
+    #[test]
+    fn window_patch_in_a_bodys_first_checkpoint_is_refused() {
+        let tw = TimeWindowConfig::new(4, 2, 4, 3);
+        // Window 0 a patch of no cells, windows 1 and 2 whole and empty.
+        let section = [1, 0, 0];
+        window_refused(&tw, None, &section, "no predecessor");
+        let prev = sample_checkpoint(&tw, 500);
+        let back = window_accepted(&tw, Some(&prev), &section);
+        assert!(Arc::ptr_eq(
+            back.windows.shared_window(0),
+            prev.windows.shared_window(0)
+        ));
+        assert!(back.windows.window(1).iter().all(|c| *c == Cell::EMPTY));
+    }
+
+    #[test]
+    fn window_patch_index_out_of_range_is_refused() {
+        let tw = TimeWindowConfig::new(4, 2, 4, 3);
+        let prev = sample_checkpoint(&tw, 500);
+        let last = tw.cells() as u64 - 1;
+        // One cell: index, flow, cycle delta.
+        let one = |idx| [3, idx, 4, zz(-1), 0, 0];
+        window_refused(&tw, Some(&prev), &one(last + 1), "index out of range");
+        let back = window_accepted(&tw, Some(&prev), &one(last));
+        let cell = Cell {
+            flow: FlowId(4),
+            cycle: 7,
+        };
+        assert_eq!(back.windows.window(0)[last as usize], cell);
+        assert_eq!(back.windows.window(0)[1], prev.windows.window(0)[1]);
+    }
+
+    #[test]
+    fn window_patch_indices_not_ascending_are_refused() {
+        let tw = TimeWindowConfig::new(4, 2, 4, 3);
+        let prev = sample_checkpoint(&tw, 500);
+        // Two cells, the second's index a zigzag delta: 5 then 3, 5
+        // twice, 5 then 7.
+        let two = |delta| [5, 5, 4, zz(1), zz(delta), 4, zz(1), 0, 0];
+        let why = "indices not ascending";
+        window_refused(&tw, Some(&prev), &two(-2), why);
+        window_refused(&tw, Some(&prev), &two(0), why);
+        let back = window_accepted(&tw, Some(&prev), &two(2));
+        let occupied: Vec<usize> = (0..tw.cells())
+            .filter(|&i| back.windows.window(0)[i] != Cell::EMPTY)
+            .collect();
+        assert_eq!(occupied, [1, 5, 7, 15]);
+    }
+
+    #[test]
+    fn window_count_above_its_cells_is_refused() {
+        let tw = TimeWindowConfig::new(4, 2, 4, 3);
+        let prev = sample_checkpoint(&tw, 500);
+        let cells = tw.cells() as u64;
+        // One cell more than the window has, each with its three bytes, as
+        // a patch and whole.
+        for (head, cycle) in [(2 * (cells + 1) + 1, zz(1)), (2 * (cells + 1), 0)] {
+            let mut section = vec![head];
+            for i in 0..=cells {
+                section.extend([if i == 0 { 0 } else { zz(1) }, 4, cycle]);
+            }
+            section.extend([0, 0]);
+            window_refused(&tw, Some(&prev), &section, "count exceeds its cap");
+        }
+        let full = [2 * cells + 1, 0, 4, zz(1)];
+        let mut section: Vec<u64> = full.to_vec();
+        for _ in 1..cells {
+            section.extend([zz(1), 4, zz(1)]);
+        }
+        section.extend([0, 0]);
+        let back = window_accepted(&tw, Some(&prev), &section);
+        assert!(back.windows.window(0).iter().all(|c| c.flow == FlowId(4)));
+    }
+
+    #[test]
+    fn windows_shared_with_the_predecessor_are_not_charged() {
+        let tw = TimeWindowConfig::new(4, 2, 12, 4);
+        let window = tw.cells() as u64 * std::mem::size_of::<Cell>() as u64;
+        let mut dense = vec![vec![Cell::EMPTY; tw.cells()]; 4];
+        for window in &mut dense {
+            window[3] = Cell {
+                flow: FlowId(1),
+                cycle: 2,
+            };
+            window[9] = window[3];
+        }
+        let cp = |frozen_at, dense: &Vec<Vec<Cell>>| Checkpoint {
+            frozen_at,
+            on_demand: false,
+            trigger: None,
+            windows: TimeWindowSnapshot::from_parts(tw, dense.clone(), false),
+            queue_monitors: vec![],
+        };
+        let mut cps = vec![cp(1, &dense), cp(2, &dense)];
+        dense[0][9].cycle = 5;
+        cps.push(cp(3, &dense));
+        let body = encode_body(&tw, &mut EncodeMemo::default(), &cps);
+        // Four windows, then none, then window 0 patched in a copy.
+        let decode = |budget| {
+            let (mut cursor, mut state) = (body.as_slice(), CodecState::default());
+            let mut budget = DecodeBudget::new(budget);
+            let mut back: Vec<Checkpoint> = Vec::new();
+            while !cursor.is_empty() {
+                let next = decode_checkpoint(
+                    &mut cursor,
+                    &tw,
+                    VERSION,
+                    &mut state,
+                    &mut budget,
+                    back.last(),
+                )?;
+                back.push(next);
+            }
+            io::Result::Ok(back)
+        };
+        assert!(decode(5 * window - 1).is_err());
+        let back = decode(5 * window).unwrap();
+        for (back, cp) in back.iter().zip(&cps) {
+            assert!(same(back, cp));
+        }
+        for w in 0..tw.t {
+            let shared = |a: &Checkpoint, b: &Checkpoint| {
+                Arc::ptr_eq(a.windows.shared_window(w), b.windows.shared_window(w))
+            };
+            assert!(shared(&back[0], &back[1]), "window {w}");
+            assert_eq!(shared(&back[1], &back[2]), w > 0, "window {w}");
+        }
+    }
+
+    /// The version-1 encoder as it ran over dense snapshots: every window
+    /// whole, every monitor array scanned once to count and once to emit,
+    /// no memo. The writer no longer produces version 1; this is what the
+    /// v1 decoder is checked against.
     fn encode_checkpoint_dense(
         out: &mut Vec<u8>,
         tw: &TimeWindowConfig,
         state: &mut CodecState,
         cp: &Checkpoint,
     ) {
-        delta(out, &mut state.prev_frozen, cp.frozen_at);
-        out.push(
-            (u8::from(cp.on_demand) * FLAG_ON_DEMAND)
-                | (u8::from(cp.trigger.is_some()) * FLAG_TRIGGER)
-                | (u8::from(cp.windows.is_filtered()) * FLAG_FILTERED),
-        );
-        if let Some(trigger) = cp.trigger {
-            put_varint(out, trigger.from);
-            put_varint(out, trigger.to.saturating_sub(trigger.from));
-        }
-        for w in 0..tw.t {
-            let cells = cp.windows.window(w);
-            let occupied = cells.iter().filter(|c| **c != Cell::EMPTY).count();
-            put_varint(out, occupied as u64);
-            let (mut prev_idx, mut prev_cycle) = (None, None);
-            for (idx, cell) in cells.iter().enumerate() {
-                if *cell != Cell::EMPTY {
-                    delta(out, &mut prev_idx, idx as u64);
-                    put_varint(out, u64::from(cell.flow.0));
-                    delta(out, &mut prev_cycle, cell.cycle);
-                }
-            }
-        }
+        reference_head(out, tw, VERSION_V1, state, None, cp);
         put_varint(out, cp.queue_monitors.len() as u64);
         let mut prev_seq = None;
         for monitor in &cp.queue_monitors {
@@ -1070,6 +1382,65 @@ mod tests {
         *prev = Some(value);
     }
 
+    /// The freeze time, flags, trigger and windows of `cp` in format
+    /// `version`, from first principles: a version-3 window after a
+    /// predecessor (`prev`) is a patch of the cells that differ from the
+    /// predecessor's when there are none or fewer than its occupied cells,
+    /// and every other window is whole.
+    fn reference_head(
+        out: &mut Vec<u8>,
+        tw: &TimeWindowConfig,
+        version: u8,
+        state: &mut CodecState,
+        prev: Option<&Checkpoint>,
+        cp: &Checkpoint,
+    ) {
+        delta(out, &mut state.prev_frozen, cp.frozen_at);
+        out.push(
+            (u8::from(cp.on_demand) * FLAG_ON_DEMAND)
+                | (u8::from(cp.trigger.is_some()) * FLAG_TRIGGER)
+                | (u8::from(cp.windows.is_filtered()) * FLAG_FILTERED),
+        );
+        if let Some(trigger) = cp.trigger {
+            put_varint(out, trigger.from);
+            put_varint(out, trigger.to.saturating_sub(trigger.from));
+        }
+        for w in 0..tw.t {
+            let cells = cp.windows.window(w);
+            let occupied = cells.iter().filter(|c| **c != Cell::EMPTY).count();
+            if let Some(before) = prev.filter(|_| version == VERSION) {
+                let before = before.windows.window(w);
+                let changed: Vec<usize> = (0..cells.len())
+                    .filter(|&i| before[i] != cells[i])
+                    .collect();
+                if changed.is_empty() || changed.len() < occupied {
+                    put_varint(out, 2 * changed.len() as u64 + 1);
+                    let mut prev_idx = None;
+                    for i in changed {
+                        delta(out, &mut prev_idx, i as u64);
+                        put_varint(out, u64::from(cells[i].flow.0));
+                        put_zigzag(out, cells[i].cycle.wrapping_sub(before[i].cycle) as i64);
+                    }
+                    continue;
+                }
+            }
+            let head = if version == VERSION {
+                2 * occupied
+            } else {
+                occupied
+            };
+            put_varint(out, head as u64);
+            let (mut prev_idx, mut prev_cycle) = (None, None);
+            for (idx, cell) in cells.iter().enumerate() {
+                if *cell != Cell::EMPTY {
+                    delta(out, &mut prev_idx, idx as u64);
+                    put_varint(out, u64::from(cell.flow.0));
+                    delta(out, &mut prev_cycle, cell.cycle);
+                }
+            }
+        }
+    }
+
     /// The reference encoders' row.
     fn dense_row(
         out: &mut Vec<u8>,
@@ -1091,21 +1462,20 @@ mod tests {
         }
     }
 
-    /// Version 2 from first principles, for the memoising encoder to be
-    /// checked against: dense arrays, a slot "same" when its occupied
+    /// Format `version` 2 or 3 from first principles, for the memoising
+    /// encoder to be checked against: dense arrays, windows as
+    /// [`reference_head`] writes them, a slot "same" when its occupied
     /// entries equal those of the slot in `prev` (the previous checkpoint of
     /// the body), every other slot's rows encoded afresh.
     fn encode_checkpoint_reference(
         out: &mut Vec<u8>,
         tw: &TimeWindowConfig,
+        version: u8,
         state: &mut CodecState,
         prev: Option<&Checkpoint>,
         cp: &Checkpoint,
     ) {
-        let mut head = cp.clone();
-        head.queue_monitors.clear();
-        encode_checkpoint_dense(out, tw, state, &head);
-        out.pop(); // the zero monitor count
+        reference_head(out, tw, version, state, prev, cp);
         let occupied = |entries: &[Entry], c: usize| -> Vec<(u64, Entry)> {
             let span = entries
                 .iter()
@@ -1143,9 +1513,10 @@ mod tests {
 
     #[test]
     fn window_count_lands_in_front_of_its_runs_at_every_varint_width() {
-        // 0, 1-, 2- and 3-byte occupied counts, the last a full window.
+        // 1-, 2- and 3-byte heads (`2·n`) at both sides of each width, the
+        // last a full window.
         let tw = TimeWindowConfig::new(4, 2, 14, 2);
-        for occupied in [0usize, 1, 127, 128, 300, 16_383, 16_384] {
+        for occupied in [0usize, 1, 63, 64, 300, 8_191, 8_192, 16_384] {
             let mut windows = vec![vec![Cell::EMPTY; tw.cells()]; 2];
             for (w, window) in windows.iter_mut().enumerate() {
                 let stride = if w == 0 {
@@ -1162,12 +1533,12 @@ mod tests {
             }
             let mut cp = sample_checkpoint(&TimeWindowConfig::new(4, 2, 4, 3), 77);
             cp.windows = TimeWindowSnapshot::from_parts(tw, windows, false);
-            // Without monitors both versions write the same bytes.
             cp.queue_monitors.clear();
-            let mut dense = Vec::new();
-            encode_checkpoint_dense(&mut dense, &tw, &mut CodecState::default(), &cp);
+            let mut reference = Vec::new();
+            let mut state = CodecState::default();
+            encode_checkpoint_reference(&mut reference, &tw, VERSION, &mut state, None, &cp);
             let bytes = encode_one(&tw, &cp);
-            assert!(bytes == dense, "{occupied} occupied cells");
+            assert!(bytes == reference, "{occupied} occupied cells");
             let back = decode_one(&bytes, &tw, &mut DecodeBudget::default()).unwrap();
             assert_eq!(back.windows.window(1), cp.windows.window(1));
         }
@@ -1240,19 +1611,40 @@ mod tests {
     /// Runs of checkpoints, each `true` starting a new body, whose monitors
     /// often repeat the previous checkpoint's: the same snapshots (shared
     /// chunks), the same rows in new allocations, or the same with one
-    /// level rewritten.
+    /// level rewritten. Windows repeat the same ways: shared, copied, or
+    /// copied with a cell rewritten or emptied.
     fn arb_run(tw: TimeWindowConfig) -> impl Strategy<Value = Vec<(Checkpoint, bool)>> {
         let step = (
             arb_checkpoint(tw),
-            0u8..4,
+            (0u8..4, 0u8..4),
             0u8..4,
             any::<usize>(),
             arb_half(),
         );
-        prop::collection::vec(step, 1..7).prop_map(|steps| {
+        prop::collection::vec(step, 1..7).prop_map(move |steps| {
             let mut run: Vec<(Checkpoint, bool)> = Vec::new();
-            for (mut cp, reuse, rotate, at, half) in steps {
+            for (mut cp, (reuse, reuse_windows), rotate, at, half) in steps {
                 if let Some((last, _)) = run.last() {
+                    let filtered = cp.windows.is_filtered();
+                    let mut dense: Vec<Vec<Cell>> =
+                        (0..tw.t).map(|w| last.windows.window(w).to_vec()).collect();
+                    match reuse_windows {
+                        0 => {}
+                        1 => cp.windows = last.windows.clone(),
+                        _ => {
+                            if reuse_windows == 3 {
+                                let cell = &mut dense[at % usize::from(tw.t)][at % tw.cells()];
+                                *cell = match half == Half::default() {
+                                    true => Cell::EMPTY,
+                                    false => Cell {
+                                        flow: half.flow,
+                                        cycle: half.seq,
+                                    },
+                                };
+                            }
+                            cp.windows = TimeWindowSnapshot::from_parts(tw, dense, filtered);
+                        }
+                    }
                     let last = &last.queue_monitors;
                     match reuse {
                         0 => {}
@@ -1281,41 +1673,49 @@ mod tests {
     }
 
     proptest! {
-        /// One memo across a run's bodies writes what the reference writes;
-        /// every body decodes to its checkpoints, and re-encoding the
-        /// decoded run through a fresh memo gives the same bytes.
+        /// One memo across a run's bodies writes what the version-3
+        /// reference writes; every body decodes to its checkpoints, and
+        /// re-encoding the decoded run through a fresh memo gives the same
+        /// bytes. The version-2 reference's bodies of the same run decode to
+        /// the same checkpoints through the version-2 path.
         #[test]
-        fn v2_runs_match_the_reference_and_reencode_identically(
+        fn v3_runs_match_the_reference_and_reencode_identically(
             run in arb_run(TimeWindowConfig::new(4, 2, 4, 3)),
         ) {
             let tw = TimeWindowConfig::new(4, 2, 4, 3);
             let mut memo = EncodeMemo::default();
-            let (mut bodies, mut reference): (Vec<Vec<u8>>, Vec<Vec<u8>>) = (Vec::new(), Vec::new());
-            let (mut state, mut r_state) = (CodecState::default(), CodecState::default());
+            let (mut bodies, mut reference, mut v2) = (Vec::new(), Vec::new(), Vec::new());
+            let mut states: (CodecState, CodecState, CodecState) = Default::default();
             let mut segments: Vec<Vec<Checkpoint>> = Vec::new();
             for (cp, starts) in &run {
                 if *starts {
                     bodies.push(Vec::new());
                     reference.push(Vec::new());
+                    v2.push(Vec::new());
                     segments.push(Vec::new());
-                    (state, r_state) = Default::default();
+                    states = Default::default();
                 }
                 let prev = segments.last().and_then(|s| s.last());
-                encode_checkpoint_reference(reference.last_mut().unwrap(), &tw, &mut r_state, prev, cp);
-                encode_checkpoint(bodies.last_mut().unwrap(), &tw, &mut state, &mut memo, cp).unwrap();
+                encode_checkpoint(bodies.last_mut().unwrap(), &tw, &mut states.0, &mut memo, cp).unwrap();
+                encode_checkpoint_reference(reference.last_mut().unwrap(), &tw, VERSION, &mut states.1, prev, cp);
+                encode_checkpoint_reference(v2.last_mut().unwrap(), &tw, VERSION_V2, &mut states.2, prev, cp);
                 segments.last_mut().unwrap().push(cp.clone());
             }
             prop_assert_eq!(&bodies, &reference);
 
             let mut memo = EncodeMemo::default();
-            for (body, cps) in bodies.iter().zip(&segments) {
-                let back = decode_body(body, &tw, VERSION)
-                    .map_err(|e| TestCaseError::fail(e.to_string()))?;
-                prop_assert_eq!(back.len(), cps.len());
-                for (back, cp) in back.iter().zip(cps) {
-                    prop_assert!(same(back, cp));
+            for ((body, v2), cps) in bodies.iter().zip(&v2).zip(&segments) {
+                for (body, version) in [(body, VERSION), (v2, VERSION_V2)] {
+                    let back = decode_body(body, &tw, version)
+                        .map_err(|e| TestCaseError::fail(e.to_string()))?;
+                    prop_assert_eq!(back.len(), cps.len());
+                    for (back, cp) in back.iter().zip(cps) {
+                        prop_assert!(same(back, cp));
+                    }
+                    if version == VERSION {
+                        prop_assert_eq!(&encode_body(&tw, &mut memo, &back), body);
+                    }
                 }
-                prop_assert_eq!(&encode_body(&tw, &mut memo, &back), body);
             }
         }
 
@@ -1412,6 +1812,7 @@ mod tests {
             encode_checkpoint_reference(
                 &mut self.bodies.1,
                 &self.tw,
+                VERSION,
                 &mut self.states.1,
                 prev,
                 &cp,

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! FILE    := HEADER SEGMENT* [TRAILER]
-//! HEADER  := "PQAR" | version u8 (1 or 2) | m0 u8 | alpha u8 | k u8 | t u8
+//! HEADER  := "PQAR" | version u8 (1, 2 or 3) | m0 u8 | alpha u8 | k u8 | t u8
 //! SEGMENT := "PQSG" | hdr_len varint | SEGHDR | body_len varint | body
 //!            | crc32(body) u32-LE
 //! SEGHDR  := port varint | count varint | min_t varint | max_t varint
@@ -14,12 +14,15 @@
 //!            | index_len u64-LE | "PQEN"
 //! ```
 //!
-//! **Versions.** The writer writes version 2; the reader reads 1 and 2.
-//! They differ only in a checkpoint's queue-monitor section (see
-//! [`codec`](crate::codec)): version 1 writes every occupied row, version 2
-//! writes one tag per [`SLOT_LEVELS`]-level slot, and a slot unchanged since
-//! the previous checkpoint of the same segment costs one byte. Framing,
-//! index and segment kinds are the same in both.
+//! **Versions.** The writer writes version 3; the reader reads 1, 2 and 3.
+//! They differ only inside a checkpoint (see [`codec`](crate::codec)):
+//! version 1 writes every occupied monitor row, version 2 writes one tag
+//! per [`SLOT_LEVELS`]-level monitor slot, and a slot unchanged since the
+//! previous checkpoint of the same segment costs one byte. Version 3 keeps
+//! those slots and writes a time window either whole or as a patch of the
+//! cells that changed since the same window of the previous checkpoint in
+//! the segment; an unchanged window costs one byte. Framing, index and
+//! segment kinds are the same in all three.
 //!
 //! **Segment kinds.** `kind` selects the body codec: 0 is the original
 //! checkpoint stream, 1 is an RTT report (`pq-rtt`), and anything else
@@ -64,10 +67,13 @@ pub const TRAILER_MAGIC: [u8; 4] = *b"PQIX";
 /// End-of-file magic (after the trailer length).
 pub const END_MAGIC: [u8; 4] = *b"PQEN";
 /// Format version the writer writes.
-pub const VERSION: u8 = 2;
+pub const VERSION: u8 = 3;
 /// The first format version: every checkpoint whole. Read, never written.
 pub const VERSION_V1: u8 = 1;
-/// Depth levels per queue-monitor slot of a version-2 checkpoint.
+/// The second format version: monitor slots refer back, windows are
+/// whole. Read, never written.
+pub const VERSION_V2: u8 = 2;
+/// Depth levels per queue-monitor slot of a version-2 or -3 checkpoint.
 pub const SLOT_LEVELS: usize = 1024;
 // The codec maps pq-core's snapshot chunk `c` to slot `c`. Retuning the
 // chunk must not silently move slot boundaries on disk: that would be a new
@@ -118,7 +124,7 @@ pub fn read_header(bytes: &[u8]) -> io::Result<(TimeWindowConfig, u8)> {
         return Err(invalid("not a .pqa archive (bad magic)"));
     }
     let version = bytes[4];
-    if version != VERSION_V1 && version != VERSION {
+    if !matches!(version, VERSION_V1 | VERSION_V2 | VERSION) {
         return Err(invalid(format!("unsupported .pqa version {version}")));
     }
     let tw = TimeWindowConfig {
@@ -416,8 +422,10 @@ mod tests {
         write_header(&mut buf, &tw).unwrap();
         assert_eq!(buf.len() as u64, HEADER_LEN);
         assert_eq!(read_header(&buf).unwrap(), (tw, VERSION));
-        buf[4] = VERSION_V1;
-        assert_eq!(read_header(&buf).unwrap(), (tw, VERSION_V1));
+        for version in [VERSION_V1, VERSION_V2] {
+            buf[4] = version;
+            assert_eq!(read_header(&buf).unwrap(), (tw, version));
+        }
     }
 
     #[test]
@@ -426,8 +434,8 @@ mod tests {
         assert!(read_header(b"JSON{\"version\":1}").is_err());
         // Valid magic, absurd k.
         assert!(read_header(&[b'P', b'Q', b'A', b'R', 1, 6, 2, 60, 4]).is_err());
-        // A version neither reader knows.
-        for version in [0, 3] {
+        // A version the reader does not know.
+        for version in [0, VERSION + 1] {
             assert!(read_header(&[b'P', b'Q', b'A', b'R', version, 6, 2, 12, 4]).is_err());
         }
     }

@@ -1,20 +1,21 @@
 //! Format guard: fixed-seed archives must keep the exact bytes the writer
-//! produces, and archives of the first format version, committed as a hex
-//! fixture, must still read back to what was written.
+//! produces, and archives of the first two format versions, committed as
+//! hex fixtures, must still read back to what was written.
 
 use pq_core::control::{Checkpoint, CoverageGap};
 use pq_core::metrics::ControlHealth;
 use pq_core::params::TimeWindowConfig;
 use pq_core::queue_monitor::{Entry, Half, QueueMonitor, QueueMonitorSnapshot, CHUNK_LEVELS};
 use pq_core::snapshot::{QueryInterval, TimeWindowSnapshot};
-use pq_core::time_windows::Cell;
+use pq_core::time_windows::{Cell, TimeWindowSet};
 use pq_packet::FlowId;
 use pq_store::codec::{decode_checkpoint, CodecState};
-use pq_store::format::{VERSION, VERSION_V1};
+use pq_store::format::{VERSION, VERSION_V1, VERSION_V2};
 use pq_store::{
     DecodeBudget, Recovery, SegmentPolicy, StoreReader, StoreWriter, KIND_CHECKPOINTS, KIND_RTT,
 };
 use std::io::Cursor;
+use std::panic::catch_unwind;
 
 const TW: TimeWindowConfig = TimeWindowConfig {
     m0: 4,
@@ -26,6 +27,9 @@ const TW: TimeWindowConfig = TimeWindowConfig {
 /// `name hex` lines: [`pinned_archive`], [`framing_archive`] and
 /// [`reference_archive`] as the version-1 writer wrote them.
 const V1_FIXTURE: &str = include_str!("data/format_pin_v1.hex");
+/// The same three and [`window_archive`] as the version-2 writer wrote
+/// them.
+const V2_FIXTURE: &str = include_str!("data/format_pin_v2.hex");
 
 /// The fixed multiplicative generator every archive draws from.
 struct Gen {
@@ -239,6 +243,85 @@ fn reference_archive() -> (Vec<u8>, Pushed) {
     (w.finish().unwrap(), pushed)
 }
 
+/// Every way a time window carries over from one checkpoint to the next,
+/// four checkpoints a segment over two ports:
+///
+/// * port 0 freezes a live window set that records five packets a poll,
+///   except every fifth poll, which is idle, so a window no packet reached
+///   is the previous snapshot's allocation; every third snapshot is
+///   rebuilt from copies of its windows (equal cells in new allocations);
+/// * port 1's windows are built from dense arrays: each poll moves one
+///   cell's cycle or fills it, empties one and fills one in a random
+///   window; poll 7 rewrites every cell of window 0, and window 2 empties
+///   at poll 11 (both written whole: more cells changed than remain).
+fn window_archive() -> (Vec<u8>, Pushed) {
+    let policy = SegmentPolicy {
+        checkpoints_per_segment: 4,
+        ..SegmentPolicy::default()
+    };
+    let mut gen = Gen::new();
+    let mut w = StoreWriter::new(Vec::new(), TW, policy).unwrap();
+    let mut pushed = Vec::new();
+    let mut live = TimeWindowSet::new(TW);
+    let mut now = 0;
+    let cells = TW.cells() as u64;
+    let mut dense = vec![vec![Cell::EMPTY; TW.cells()]; usize::from(TW.t)];
+    for window in &mut dense {
+        for _ in 0..20 {
+            window[gen.next(cells) as usize] = fresh_cell(&mut gen, 0);
+        }
+    }
+    for i in 0..18u64 {
+        if i % 5 != 4 {
+            for _ in 0..5 {
+                now += 40 + gen.next(24);
+                live.record(FlowId(gen.next(50) as u32), now);
+            }
+        }
+        let mut cp = gen.checkpoint(i, 1);
+        cp.windows = live.freeze();
+        if i % 3 == 2 {
+            let copies = (0..TW.t).map(|w| cp.windows.window(w).to_vec()).collect();
+            cp.windows = TimeWindowSnapshot::from_parts(TW, copies, false);
+        }
+        w.push(0, &cp).unwrap();
+        pushed.push((0, cp));
+
+        let moved = &mut dense[0][gen.next(cells) as usize];
+        *moved = match *moved == Cell::EMPTY {
+            true => fresh_cell(&mut gen, i),
+            false => Cell {
+                cycle: moved.cycle + 1,
+                ..*moved
+            },
+        };
+        dense[0][gen.next(cells) as usize] = Cell::EMPTY;
+        let window = gen.next(u64::from(TW.t)) as usize;
+        dense[window][gen.next(cells) as usize] = fresh_cell(&mut gen, i);
+        if i == 7 {
+            for cell in &mut dense[0] {
+                *cell = fresh_cell(&mut gen, i);
+            }
+        }
+        if i == 11 {
+            dense[2].fill(Cell::EMPTY);
+        }
+        let mut cp = gen.checkpoint(i, 1);
+        cp.windows = TimeWindowSnapshot::from_parts(TW, dense.clone(), false);
+        w.push(1, &cp).unwrap();
+        pushed.push((1, cp));
+    }
+    (w.finish().unwrap(), pushed)
+}
+
+/// An occupied cell of a random flow in a cycle near `i`.
+fn fresh_cell(gen: &mut Gen, i: u64) -> Cell {
+    Cell {
+        flow: FlowId(gen.next(50) as u32),
+        cycle: i + gen.next(3),
+    }
+}
+
 /// `(port, kind, count, offset, len, body_crc)` of one segment.
 type SegmentRow = (u16, u64, u64, u64, u64, u32);
 
@@ -261,10 +344,8 @@ const FRAMING_SEGMENTS_V1: &[SegmentRow] = &[
     (700, 0, 2, 17896, 777, 0xEB24_E805),
 ];
 
-/// The three archives' segments as the version-2 writer lays them out. Any
-/// drift here, or in the whole-file length and CRC-32 beside it, is a
-/// `.pqa` format change.
-const PINNED_SEGMENTS: &[SegmentRow] = &[
+/// The three archives' segments as the version-2 writer laid them out.
+const PINNED_SEGMENTS_V2: &[SegmentRow] = &[
     (0, 0, 5, 9, 2307, 0x5EE6_98AC),
     (1, 0, 5, 2316, 2055, 0xE8D5_D2E4),
     (0, 0, 5, 4371, 1116, 0x29DE_4EB0),
@@ -274,7 +355,7 @@ const PINNED_SEGMENTS: &[SegmentRow] = &[
     (0, 0, 5, 11948, 1995, 0xDE11_5CF9),
     (1, 0, 5, 13943, 2022, 0x0C84_DFCC),
 ];
-const FRAMING_SEGMENTS: &[SegmentRow] = &[
+const FRAMING_SEGMENTS_V2: &[SegmentRow] = &[
     (1, 0, 4, 9, 1582, 0x5F8E_5F7F),
     (700, 0, 4, 1591, 1682, 0x5699_72F8),
     (1, 0, 2, 3273, 2830, 0xAE3F_7139),
@@ -289,7 +370,7 @@ const FRAMING_SEGMENTS: &[SegmentRow] = &[
     (1, 0, 2, 17284, 627, 0x46A1_4651),
     (700, 0, 2, 17911, 778, 0x9DCE_B22E),
 ];
-const REFERENCE_SEGMENTS: &[SegmentRow] = &[
+const REFERENCE_SEGMENTS_V2: &[SegmentRow] = &[
     (0, 0, 4, 9, 353, 0x676E_1B6D),
     (1, 0, 4, 362, 233, 0xADD7_AE29),
     (0, 0, 4, 595, 393, 0xFB98_2376),
@@ -300,6 +381,59 @@ const REFERENCE_SEGMENTS: &[SegmentRow] = &[
     (1, 0, 4, 2299, 362, 0xC454_8105),
     (0, 0, 2, 2661, 240, 0xC35F_D8F2),
     (1, 0, 2, 2901, 191, 0xA90B_EF12),
+];
+
+/// The four archives' segments as the version-3 writer lays them out. Any
+/// drift here, or in the whole-file length and CRC-32 beside it, is a
+/// `.pqa` format change.
+const PINNED_SEGMENTS: &[SegmentRow] = &[
+    (0, 0, 5, 9, 2307, 0xB9A4_CDEC),
+    (1, 0, 5, 2316, 2055, 0x1C9C_FE55),
+    (0, 0, 5, 4371, 1116, 0xE14E_D73A),
+    (1, 0, 5, 5487, 2746, 0x3F63_B53B),
+    (0, 0, 5, 8233, 1649, 0xC1AA_8095),
+    (1, 0, 5, 9882, 2066, 0x978E_3A0A),
+    (0, 0, 5, 11948, 1995, 0x09AC_23B8),
+    (1, 0, 5, 13943, 2022, 0x44ED_F8CA),
+];
+const FRAMING_SEGMENTS: &[SegmentRow] = &[
+    (1, 0, 4, 9, 1582, 0x4227_CB5E),
+    (700, 0, 4, 1591, 1682, 0x7556_BF53),
+    (1, 0, 2, 3273, 2830, 0x680C_4FC1),
+    (700, 0, 4, 6103, 1379, 0x5442_1EEB),
+    (1, 0, 3, 7482, 868, 0x3EA8_EB23),
+    (1, 1, 17, 8350, 353, 0x18B3_F850),
+    (700, 0, 2, 8703, 2200, 0x8617_F873),
+    (1, 0, 4, 10903, 1966, 0x1F8A_17B7),
+    (700, 0, 4, 12869, 965, 0xA843_C36F),
+    (1, 0, 4, 13834, 1283, 0x34DF_A15C),
+    (700, 0, 3, 15117, 2167, 0x8AB7_1245),
+    (1, 0, 2, 17284, 627, 0x613E_0306),
+    (700, 0, 2, 17911, 778, 0x5FAD_5513),
+];
+const REFERENCE_SEGMENTS: &[SegmentRow] = &[
+    (0, 0, 4, 9, 353, 0xE279_688D),
+    (1, 0, 4, 362, 233, 0x3CD3_5101),
+    (0, 0, 4, 595, 393, 0x5634_35FA),
+    (1, 0, 4, 988, 366, 0xF1B6_C035),
+    (0, 0, 4, 1354, 321, 0xE1F0_8D74),
+    (1, 0, 4, 1675, 299, 0x486A_171C),
+    (0, 0, 4, 1974, 325, 0x406F_D4B5),
+    (1, 0, 4, 2299, 362, 0x87CD_EF77),
+    (0, 0, 2, 2661, 240, 0xDB62_0455),
+    (1, 0, 2, 2901, 191, 0xF828_6C08),
+];
+const WINDOW_SEGMENTS: &[SegmentRow] = &[
+    (0, 0, 4, 9, 149, 0xD945_09DD),
+    (1, 0, 4, 158, 242, 0xD696_9420),
+    (0, 0, 4, 400, 205, 0x8BC3_0A4E),
+    (1, 0, 4, 605, 345, 0x1E13_4D24),
+    (0, 0, 4, 950, 238, 0x9559_7CD5),
+    (1, 0, 4, 1188, 319, 0x55A4_B963),
+    (0, 0, 4, 1507, 255, 0x717D_4ADF),
+    (1, 0, 4, 1762, 245, 0x858C_E2CA),
+    (0, 0, 2, 2007, 216, 0x40D4_FD33),
+    (1, 0, 2, 2223, 201, 0x21C7_4B97),
 ];
 
 fn segment_rows(reader: &StoreReader<Cursor<&Vec<u8>>>) -> Vec<SegmentRow> {
@@ -361,8 +495,9 @@ fn assert_reads_back(bytes: &Vec<u8>, pushed: &Pushed, name: &str) {
     }
 }
 
-fn v1_fixture(name: &str) -> Vec<u8> {
-    let line = V1_FIXTURE
+/// The archive `name` of a `name hex` fixture.
+fn fixture(lines: &str, name: &str) -> Vec<u8> {
+    let line = lines
         .lines()
         .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
         .expect("fixture line");
@@ -377,7 +512,8 @@ fn v1_fixture(name: &str) -> Vec<u8> {
 /// still decode to the generators' checkpoints.
 #[test]
 fn version_1_archives_still_read() {
-    let pinned = v1_fixture("pinned");
+    let v1 = |name| fixture(V1_FIXTURE, name);
+    let pinned = v1("pinned");
     assert_eq!(pinned[4], VERSION_V1);
     assert_eq!(
         (pinned.len(), pq_store::crc::crc32(&pinned)),
@@ -385,7 +521,7 @@ fn version_1_archives_still_read() {
     );
     assert_reads_back(&pinned, &pinned_archive().1, "v1 pinned");
 
-    let framing = v1_fixture("framing");
+    let framing = v1("framing");
     assert_pinned(
         &framing,
         FRAMING_SEGMENTS_V1,
@@ -397,7 +533,7 @@ fn version_1_archives_still_read() {
     let rtt = reader.raw_segments(1, KIND_RTT);
     assert_eq!(reader.read_raw_body(&rtt[0]).unwrap().len(), 333);
 
-    let reference = v1_fixture("reference");
+    let reference = v1("reference");
     assert_eq!(
         (reference.len(), pq_store::crc::crc32(&reference)),
         (4_361, 0xEDEB_5C50)
@@ -405,18 +541,54 @@ fn version_1_archives_still_read() {
     assert_reads_back(&reference, &reference_archive().1, "v1 reference");
 }
 
+/// The committed version-2 bytes are the ones the version-2 pins
+/// described (the window archive's were captured with them), and they
+/// still decode to the generators' checkpoints.
+#[test]
+fn version_2_archives_still_read() {
+    let v2 = |name| fixture(V2_FIXTURE, name);
+    let pinned = v2("pinned");
+    assert_eq!(pinned[4], VERSION_V2);
+    let pinned_pin = (16_178, 0xFD51_35A1);
+    assert_pinned(&pinned, PINNED_SEGMENTS_V2, pinned_pin, "v2 pinned");
+    assert_reads_back(&pinned, &pinned_archive().1, "v2 pinned");
+
+    let framing = v2("framing");
+    let framing_pin = (19_030, 0x94A4_C9E2);
+    assert_pinned(&framing, FRAMING_SEGMENTS_V2, framing_pin, "v2 framing");
+    assert_reads_back(&framing, &framing_archive().1, "v2 framing");
+
+    let reference = v2("reference");
+    let reference_pin = (3_331, 0xC85A_2175);
+    assert_pinned(
+        &reference,
+        REFERENCE_SEGMENTS_V2,
+        reference_pin,
+        "v2 reference",
+    );
+    assert_reads_back(&reference, &reference_archive().1, "v2 reference");
+
+    let windows = v2("windows");
+    assert_eq!(windows[4], VERSION_V2);
+    assert_eq!(
+        (windows.len(), pq_store::crc::crc32(&windows)),
+        (5_405, 0xDD94_6C65)
+    );
+    assert_reads_back(&windows, &window_archive().1, "v2 windows");
+}
+
 #[test]
 fn archive_bytes_are_pinned() {
     let (bytes, pushed) = pinned_archive();
     assert_eq!(bytes[4], VERSION);
-    assert_pinned(&bytes, PINNED_SEGMENTS, (16_178, 0xFD51_35A1), "pinned");
+    assert_pinned(&bytes, PINNED_SEGMENTS, (16_179, 0x2690_E02A), "pinned");
     assert_reads_back(&bytes, &pushed, "pinned");
 }
 
 #[test]
 fn framing_archive_is_pinned_segment_by_segment() {
     let (bytes, pushed) = framing_archive();
-    assert_pinned(&bytes, FRAMING_SEGMENTS, (19_030, 0x94A4_C9E2), "framing");
+    assert_pinned(&bytes, FRAMING_SEGMENTS, (19_032, 0x2499_0AA1), "framing");
     assert_reads_back(&bytes, &pushed, "framing");
 
     // The corpus covers what it claims to.
@@ -441,8 +613,8 @@ fn framing_archive_is_pinned_segment_by_segment() {
 }
 
 /// For each checkpoint segment of `bytes`, in file order: whether each
-/// checkpoint refers to its predecessor, found by decoding it once more
-/// as if it had none.
+/// checkpoint refers to its predecessor — a monitor-slot reference or a
+/// window patch — found by decoding it once more as if it had none.
 fn references(bytes: &Vec<u8>) -> Vec<(u16, Vec<bool>)> {
     let mut reader = StoreReader::open(Cursor::new(bytes)).unwrap();
     let metas = reader.segments().to_vec();
@@ -487,7 +659,7 @@ fn reference_archive_is_pinned_and_refers_within_segments_only() {
     assert_pinned(
         &bytes,
         REFERENCE_SEGMENTS,
-        (3_331, 0xC85A_2175),
+        (3_331, 0x7893_CDBF),
         "reference",
     );
     assert_reads_back(&bytes, &pushed, "reference");
@@ -509,4 +681,116 @@ fn reference_archive_is_pinned_and_refers_within_segments_only() {
     for port in [0, 1] {
         assert_eq!(reader.decodable_checkpoints(port), 0, "port {port}");
     }
+}
+
+#[test]
+fn window_archive_is_pinned_and_patches_within_segments_only() {
+    let (bytes, pushed) = window_archive();
+    assert_pinned(&bytes, WINDOW_SEGMENTS, (2_663, 0x018E_B93D), "windows");
+    assert_reads_back(&bytes, &pushed, "windows");
+    // Its monitors are empty, so what refers back is a window patch.
+    let segments = references(&bytes);
+    assert_eq!(segments.len(), 2 * 5);
+    for (port, refers) in &segments {
+        assert!(!refers[0], "port {port}: a segment opens with a patch");
+    }
+    let patched = segments
+        .iter()
+        .map(|(_, r)| r.iter().filter(|r| **r).count());
+    assert!(patched.sum::<usize>() >= 20);
+    // Patches shrink it well below what version 2 wrote.
+    let v2 = fixture(V2_FIXTURE, "windows");
+    assert!(
+        bytes.len() * 10 < v2.len() * 8,
+        "{} vs {}",
+        bytes.len(),
+        v2.len()
+    );
+}
+
+/// No archive opens a segment with a patch or a slot reference: a
+/// segment's first checkpoint decodes on its own.
+#[test]
+fn every_segment_opens_whole() {
+    for (name, (bytes, _)) in [
+        ("pinned", pinned_archive()),
+        ("framing", framing_archive()),
+        ("reference", reference_archive()),
+        ("windows", window_archive()),
+    ] {
+        for (port, refers) in references(&bytes) {
+            assert!(
+                !refers[0],
+                "{name} port {port}: a segment opens referring back"
+            );
+        }
+    }
+}
+
+/// The version-3 window archive with each byte flipped in turn (all
+/// eight bits): reading every port answers or errs and never panics. A
+/// flip inside a body only fails its CRC, so the bodies of the window and
+/// reference archives are flipped past it too, and decoded directly.
+#[test]
+fn every_single_byte_flip_decodes_or_errs() {
+    let mut bytes = window_archive().0;
+    for i in 0..bytes.len() {
+        bytes[i] ^= 0xff;
+        catch_unwind(|| {
+            if let Ok(mut reader) = StoreReader::open(Cursor::new(&bytes)) {
+                for port in [0, 1] {
+                    let _ = reader.read_port(port);
+                }
+            }
+        })
+        .unwrap_or_else(|_| panic!("byte {i} flipped panicked"));
+        bytes[i] ^= 0xff;
+    }
+
+    for (name, (bytes, _)) in [
+        ("reference", reference_archive()),
+        ("windows", window_archive()),
+    ] {
+        let mut reader = StoreReader::open(Cursor::new(&bytes)).unwrap();
+        let metas = reader.segments().to_vec();
+        let (mut flips, mut refused) = (0, 0);
+        for meta in metas.iter().filter(|m| m.kind == KIND_CHECKPOINTS) {
+            let mut body = reader.read_raw_body(meta).unwrap();
+            for i in 0..body.len() {
+                body[i] ^= 0xff;
+                let decoded = catch_unwind(|| decode_all(&body, meta.count)).unwrap_or_else(|_| {
+                    panic!(
+                        "`{name}` segment at {} with byte {i} flipped panicked",
+                        meta.offset
+                    )
+                });
+                refused += usize::from(decoded.is_err());
+                flips += 1;
+                body[i] ^= 0xff;
+            }
+        }
+        assert!(
+            refused > flips / 2,
+            "`{name}`: {refused} of {flips} flips refused"
+        );
+    }
+}
+
+/// Decode `count` checkpoints of one body, each after the one before.
+fn decode_all(body: &[u8], count: u64) -> std::io::Result<Vec<Checkpoint>> {
+    let (mut cursor, mut state) = (body, CodecState::default());
+    let mut budget = DecodeBudget::default();
+    let mut cps: Vec<Checkpoint> = Vec::new();
+    for _ in 0..count {
+        let cp = decode_checkpoint(
+            &mut cursor,
+            &TW,
+            VERSION,
+            &mut state,
+            &mut budget,
+            cps.last(),
+        )?;
+        cps.push(cp);
+    }
+    Ok(cps)
 }

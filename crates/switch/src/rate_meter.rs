@@ -52,21 +52,6 @@ impl RateMeter {
     pub fn peak_gbps(&self) -> f64 {
         self.samples.iter().map(|s| s.gbps).fold(0.0, f64::max)
     }
-
-    /// Mean rate across all completed intervals, weighted by duration
-    /// (equivalently: total bytes over total metered time).
-    pub fn mean_gbps(&self) -> f64 {
-        let (Some(first), Some(last)) = (self.samples.first(), self.samples.last()) else {
-            return 0.0;
-        };
-        let total_bytes: u64 = self.samples.iter().skip(1).map(|s| s.bytes).sum();
-        let span = last.at.saturating_sub(first.at);
-        if span == 0 {
-            0.0
-        } else {
-            total_bytes as f64 * 8.0 / span as f64
-        }
-    }
 }
 
 impl QueueHooks for RateMeter {

@@ -70,11 +70,6 @@ impl Router {
         let idx = key.signature() as usize % self.default_group.len();
         Some(self.default_group[idx])
     }
-
-    /// Number of installed exact routes.
-    pub fn flow_routes(&self) -> usize {
-        self.by_flow.len()
-    }
 }
 
 impl Default for Router {

@@ -219,11 +219,6 @@ impl Port {
         debug_assert!(self.transmitting, "tx_complete on idle port");
         self.transmitting = false;
     }
-
-    /// Number of queued packets (not cells).
-    pub fn queued_packets(&self) -> usize {
-        self.scheduler.len()
-    }
 }
 
 #[cfg(test)]

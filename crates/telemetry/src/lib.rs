@@ -247,6 +247,8 @@ pub mod names {
     pub const TRACE_COMMITTED: &str = "pq_trace_committed_total";
     /// Committed traces evicted from the recent ring (counter).
     pub const TRACE_DROPPED: &str = "pq_trace_dropped_total";
+    /// Committed traces the JSON-lines spill failed to write (counter).
+    pub const TRACE_SPILL_ERRORS: &str = "pq_trace_spill_errors_total";
 
     // -- pq-prof (continuous profiler) --------------------------------------
     /// Scope-stack samples captured by the profiling ticker (counter).
@@ -382,6 +384,7 @@ pub mod names {
             TRACE_SPANS_DROPPED => "Ring-buffer spans overwritten because the ring was full.",
             TRACE_COMMITTED => "Request traces committed to the per-process trace store.",
             TRACE_DROPPED => "Committed traces evicted from the recent-trace ring.",
+            TRACE_SPILL_ERRORS => "Committed traces the JSON-lines trace spill failed to write.",
             BUILD_INFO => "Build provenance: constant 1 with version and commit labels.",
             WATCH_UPDATES => "Subscription updates applied by this watch client.",
             WATCH_SERIES_CHANGED => "Metric series changed across applied updates.",
@@ -506,8 +509,9 @@ impl Telemetry {
     ///
     /// The snapshot also carries the tracing loss counters
     /// (`pq_trace_spans_dropped_total`, `pq_trace_committed_total`,
-    /// `pq_trace_dropped_total`) derived from the span ring and trace
-    /// store, so silent span loss is visible in every exposition path —
+    /// `pq_trace_dropped_total`, `pq_trace_spill_errors_total`) derived
+    /// from the span ring and trace store, so silent span loss is visible
+    /// in every exposition path —
     /// wire, Prometheus text, and `pqsim telemetry --require` alike.
     /// Counters merge by addition, so fleet rollups stay correct.
     pub fn snapshot(&self) -> RegistrySnapshot {
@@ -523,6 +527,10 @@ impl Telemetry {
         snap.insert(
             MetricKey::new(names::TRACE_DROPPED, &[]),
             MetricValue::Counter(self.traces.dropped()),
+        );
+        snap.insert(
+            MetricKey::new(names::TRACE_SPILL_ERRORS, &[]),
+            MetricValue::Counter(self.traces.spill_errors()),
         );
         if self.export_prof() {
             inject_prof(&mut snap);
@@ -615,6 +623,47 @@ mod tests {
         });
         let snap = tel.clone().snapshot();
         assert_eq!(snap.counter(names::TRACE_COMMITTED, &[]), Some(1));
+    }
+
+    #[test]
+    fn spill_errors_surface_as_a_counter() {
+        struct Broken;
+        impl std::io::Write for Broken {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::Error::other("disk gone"))
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let tel = Telemetry::new();
+        let errors = |tel: &Telemetry| tel.snapshot().counter(names::TRACE_SPILL_ERRORS, &[]);
+        assert_eq!(errors(&tel), Some(0), "the series exists before any sink");
+        tel.traces()
+            .set_sink(trace::TraceSink::new(Box::new(Broken)));
+        let commit = |id| {
+            tel.traces().commit(trace::Trace {
+                trace_id: id,
+                root_span: 1,
+                duration_ns: 5,
+                slow: false,
+                spans: Vec::new(),
+            })
+        };
+        commit(1);
+        commit(2);
+        assert_eq!(errors(&tel), Some(2));
+        // Replacing the sink keeps the count.
+        tel.traces()
+            .set_sink(trace::TraceSink::new(Box::new(Vec::new())));
+        commit(3);
+        assert_eq!(errors(&tel), Some(2));
+        assert_eq!(
+            tel.traces().recent().len(),
+            3,
+            "a failed spill still commits"
+        );
+        assert!(names::help(names::TRACE_SPILL_ERRORS).contains("spill"));
     }
 
     #[test]

@@ -25,7 +25,7 @@
 use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Sampling rate denominator: `sample_ppm` is parts-per-million, so
@@ -431,7 +431,6 @@ impl TraceSink {
 struct TraceStoreInner {
     recent: VecDeque<Trace>,
     slow: Vec<Trace>,
-    sink: Option<TraceSink>,
 }
 
 /// The bounded per-process store of committed traces: a recent ring plus
@@ -451,6 +450,11 @@ pub struct TraceStore {
     recent_cap: usize,
     slow_cap: usize,
     inner: Mutex<TraceStoreInner>,
+    /// The spill sink, apart from `inner`: a commit formats and writes
+    /// its line without holding the ring.
+    sink: Mutex<Option<Arc<TraceSink>>>,
+    /// Spill errors of sinks since replaced.
+    retired_spill_errors: AtomicU64,
 }
 
 impl Default for TraceStore {
@@ -473,6 +477,8 @@ impl TraceStore {
             recent_cap: recent_cap.max(1),
             slow_cap: slow_cap.max(1),
             inner: Mutex::default(),
+            sink: Mutex::default(),
+            retired_spill_errors: AtomicU64::new(0),
         }
     }
 
@@ -521,18 +527,29 @@ impl TraceStore {
 
     /// Attach (or replace) the JSON-lines spill sink.
     pub fn set_sink(&self, sink: TraceSink) {
-        self.inner.lock().unwrap().sink = Some(sink);
+        if let Some(old) = self.sink.lock().unwrap().replace(Arc::new(sink)) {
+            self.retired_spill_errors
+                .fetch_add(old.errors(), Ordering::Relaxed);
+        }
     }
 
-    /// Commit a completed trace: into the recent ring (evicting the
-    /// oldest on overflow), into the slow log if flagged slow, and out to
-    /// the sink if one is attached.
+    /// Spill I/O errors of every sink attached so far.
+    pub fn spill_errors(&self) -> u64 {
+        let current = self.sink.lock().unwrap().as_ref().map_or(0, |s| s.errors());
+        self.retired_spill_errors.load(Ordering::Relaxed) + current
+    }
+
+    /// Commit a completed trace: out to the sink if one is attached, into
+    /// the recent ring (evicting the oldest on overflow), and into the slow
+    /// log if flagged slow. The spill runs outside the ring's lock, so a
+    /// slow disk never holds up a reader of the store.
     pub fn commit(&self, trace: Trace) {
         self.committed.fetch_add(1, Ordering::Relaxed);
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(sink) = &inner.sink {
+        let sink = self.sink.lock().unwrap().clone();
+        if let Some(sink) = sink {
             sink.spill(&trace);
         }
+        let mut inner = self.inner.lock().unwrap();
         if trace.slow {
             let slow = &mut inner.slow;
             let at = slow

@@ -44,7 +44,7 @@
 //!   written by an earlier version is imported into `.pqa` in memory
 //!   first, so both answer through the same reader.
 //! * `convert SRC DST`
-//!   Import a JSON archive, or upgrade a version-1 `.pqa`, into a current
+//!   Import a JSON archive, or upgrade a version-1 or -2 `.pqa`, into a current
 //!   `.pqa`; the source format is detected from its leading bytes.
 //! * `serve [FILE.pqtr] --listen ADDR [--archive FILE.pqa] [tw flags]
 //!   [--workers N --queue-cap N --inflight N --max-conns N --cache-mb MB
@@ -1607,8 +1607,10 @@ fn cmd_trace(args: &Args) -> CliResult {
         .split(',')
         .filter(|s| !s.is_empty())
     {
-        let text = std::fs::read_to_string(path).map_err(|err| format!("read {path}: {err}"))?;
-        let got = tracefile::traces_from_jsonl(&text);
+        let got = std::fs::File::open(path)
+            .map(std::io::BufReader::new)
+            .and_then(tracefile::traces_from_reader)
+            .map_err(|err| format!("read {path}: {err}"))?;
         progress!("{path}: {} trace record(s)", got.len());
         records.extend(got);
     }

@@ -1,33 +1,37 @@
-//! Extension experiment: cost of live metrics subscriptions on serving.
+//! Extension experiment: cost of live metrics watching on serving.
 //!
 //! Re-runs the `ext_serve_throughput` cache-on workload — concurrent
 //! clients issuing replay queries against a spilled archive — three
-//! times, with 0, 1, and 4 metrics subscribers attached for the whole
-//! run. Each subscriber streams snapshot-delta updates at 250 ms —
-//! four times the watch dashboard's default 1 s cadence, to be
-//! conservative — while the query load runs; the publisher thread and
-//! the per-update snapshot/diff work are the overhead being measured.
+//! times, with 0, 1, and 4 watchers attached for the whole run. Each
+//! watcher polls the daemon's metrics snapshot (`MetricsGet`, what
+//! `pqsim watch` does) every 250 ms — four times the watch dashboard's
+//! default 1 s cadence, to be conservative — while the query load runs;
+//! the snapshots the daemon's reader threads cut and send are the
+//! overhead being measured.
 //!
 //! Reported per scenario: achieved qps, p50/p99 request latency, and
-//! how many updates/changed-series the subscribers saw. The headline
-//! numbers — fractional qps regression with 1 and with 4 subscribers
-//! relative to the 0-subscriber baseline — are stamped into the `meta`
-//! block of `results/ext_watch_overhead.json`.
+//! how many polls/changed-series the watchers saw. The headline numbers
+//! — fractional qps regression with 1 and with 4 watchers relative to
+//! the 0-watcher baseline — are stamped into the `meta` block of
+//! `results/ext_watch_overhead.json`.
 
 use pq_bench::report::{write_json_with_meta, CommonArgs, Table};
 use pq_bench::serving::{best_of_rounds, intervals, spill_polls, Fleet, Storm, MIN_PKT_TX_DELAY};
 use pq_serve::{Client, Request, ServeConfig};
 use pq_store::SegmentPolicy;
+use pq_telemetry::delta;
 use serde::{Serialize, Value};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 const PORT: u16 = 0;
-const SUB_INTERVAL_MS: u32 = 250;
+const POLL_INTERVAL_MS: u64 = 250;
 
 #[derive(Serialize)]
 struct Row {
     scenario: String,
-    subscribers: usize,
+    watchers: usize,
     clients: usize,
     requests: usize,
     ok: usize,
@@ -36,45 +40,51 @@ struct Row {
     qps: f64,
     p50_ms: f64,
     p99_ms: f64,
-    updates_seen: usize,
+    polls_seen: usize,
     series_seen: usize,
 }
 
-/// Drive the query workload with `subscribers` live metrics streams
-/// attached for the whole run. Subscribers fold updates until the
-/// server's shutdown drain delivers the `last` frame, so they observe
-/// every phase of the workload including teardown. Returns the storm and
-/// the updates and changed series the subscribers saw.
+/// Drive the query workload with `watchers` metrics pollers attached for
+/// the whole run. Each watcher polls once before the storm, every
+/// interval during it, and once after it, so it observes every phase of
+/// the workload. Returns the storm and the polls and changed series the
+/// watchers saw (every series of a watcher's first poll counts).
 fn run_scenario(
     archive: &[u8],
     clients: usize,
     per_client: usize,
     mix: &[(u64, u64)],
-    subscribers: usize,
+    watchers: usize,
 ) -> (Storm, (usize, usize)) {
     let fleet = Fleet::archive(archive, &ServeConfig::default());
     let addr = fleet.addr(0);
-    let sub_threads: Vec<_> = (0..subscribers)
+    let done = Arc::new(AtomicBool::new(false));
+    let watch_threads: Vec<_> = (0..watchers)
         .map(|_| {
+            let done = Arc::clone(&done);
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).unwrap();
-                let first = client.subscribe(SUB_INTERVAL_MS, 0).unwrap();
-                let mut updates = 1usize;
-                let mut series = first.changed.iter().count();
-                while let Ok(update) = client.next_update() {
-                    updates += 1;
-                    series += update.changed.iter().count();
-                    if update.last {
-                        break;
+                let mut prev = client.metrics_snapshot().unwrap().changed;
+                let (mut polls, mut series) = (1usize, prev.len());
+                loop {
+                    let last = done.load(Ordering::SeqCst);
+                    if !last {
+                        std::thread::sleep(Duration::from_millis(POLL_INTERVAL_MS));
+                    }
+                    let snap = client.metrics_snapshot().unwrap().changed;
+                    polls += 1;
+                    series += delta::changed(&prev, &snap).len();
+                    prev = snap;
+                    if last {
+                        return (polls, series);
                     }
                 }
-                (updates, series)
             })
         })
         .collect();
-    // Let the worker pool and every subscription settle before the
-    // measured region starts — unconditionally, so the 0-subscriber
-    // baseline gets the same grace period as the watched runs.
+    // Let the worker pool and every watcher settle before the measured
+    // region starts — unconditionally, so the 0-watcher baseline gets the
+    // same grace period as the watched runs.
     std::thread::sleep(Duration::from_millis(50));
 
     let storm = Storm::run(addr, clients, per_client, |c, r| {
@@ -87,12 +97,13 @@ fn run_scenario(
         }
     });
 
-    // Shut down; the drain sends each subscriber its final update.
-    fleet.shutdown();
-    let seen = sub_threads
+    // Each watcher takes its final poll, then the daemon shuts down.
+    done.store(true, Ordering::SeqCst);
+    let seen = watch_threads
         .into_iter()
         .map(|t| t.join().unwrap())
         .fold((0, 0), |(u, s), (du, ds)| (u + du, s + ds));
+    fleet.shutdown();
     (storm, seen)
 }
 
@@ -106,31 +117,32 @@ fn main() {
     let mix = intervals(n_checkpoints, 8);
     eprintln!(
         "[ext_watch_overhead] spilling {n_checkpoints} checkpoints, \
-         {clients} clients x {per_client} queries, subscribers 0/1/4"
+         {clients} clients x {per_client} queries, watchers 0/1/4"
     );
     let (_, archive) = spill_polls(&[PORT], n_checkpoints, SegmentPolicy::default());
 
     let mut rows = Vec::new();
     let mut table = Table::new(vec![
-        "scenario", "subs", "clients", "ok", "busy", "qps", "p50 ms", "p99 ms", "updates", "series",
+        "scenario", "watchers", "clients", "ok", "busy", "qps", "p50 ms", "p99 ms", "polls",
+        "series",
     ]);
-    let mut push = |subs: usize, (out, (updates, series)): &(Storm, (usize, usize))| {
+    let mut push = |watchers: usize, (out, (polls, series)): &(Storm, (usize, usize))| {
         let (qps, p50, p99) = (out.qps(), out.percentile(0.50), out.percentile(0.99));
         table.row(vec![
-            format!("subs_{subs}"),
-            format!("{subs}"),
+            format!("watch_{watchers}"),
+            format!("{watchers}"),
             format!("{clients}"),
             format!("{}", out.ok),
             format!("{}", out.busy),
             format!("{qps:.0}"),
             format!("{p50:.3}"),
             format!("{p99:.3}"),
-            format!("{updates}"),
+            format!("{polls}"),
             format!("{series}"),
         ]);
         rows.push(Row {
-            scenario: format!("subs_{subs}"),
-            subscribers: subs,
+            scenario: format!("watch_{watchers}"),
+            watchers,
             clients,
             requests: clients * per_client,
             ok: out.ok,
@@ -139,7 +151,7 @@ fn main() {
             qps,
             p50_ms: p50,
             p99_ms: p99,
-            updates_seen: *updates,
+            polls_seen: *polls,
             series_seen: *series,
         });
         qps
@@ -147,27 +159,27 @@ fn main() {
 
     // Rounds interleave the three scenarios so progressive system
     // warming cannot bias any one of them.
-    let subs = [0, 1, 4];
-    let best = best_of_rounds(subs.len(), trials, |slot| {
-        run_scenario(&archive, clients, per_client, &mix, subs[slot])
+    let watchers = [0, 1, 4];
+    let best = best_of_rounds(watchers.len(), trials, |slot| {
+        run_scenario(&archive, clients, per_client, &mix, watchers[slot])
     });
-    let [qps_0, qps_1, qps_4] = [0, 1, 2].map(|slot| push(subs[slot], &best[slot]));
-    let updates = |slot: usize| best[slot].1 .0;
+    let [qps_0, qps_1, qps_4] = [0, 1, 2].map(|slot| push(watchers[slot], &best[slot]));
+    let polls = |slot: usize| best[slot].1 .0;
     assert!(
-        updates(1) >= 2,
-        "the subscriber must see at least the initial snapshot and the drain"
+        polls(1) >= 2,
+        "the watcher must poll at least before and after the storm"
     );
-    assert!(updates(2) >= 8, "all four subscribers must stream");
+    assert!(polls(2) >= 8, "all four watchers must poll");
 
-    // Fractional qps regression vs. the 0-subscriber baseline. Negative
+    // Fractional qps regression vs. the 0-watcher baseline. Negative
     // values mean the watched run measured faster (scheduling noise).
     let overhead = |qps: f64| (qps_0 - qps) / qps_0;
     let overhead_1 = overhead(qps_1);
     let overhead_4 = overhead(qps_4);
 
-    table.print("Extension — watch overhead: serve qps with 0/1/4 metrics subscribers");
+    table.print("Extension — watch overhead: serve qps with 0/1/4 polling watchers");
     println!(
-        "qps {:.0} (0 subs) -> {:.0} (1 sub, {:+.2}%) -> {:.0} (4 subs, {:+.2}%)",
+        "qps {:.0} (0 watchers) -> {:.0} (1, {:+.2}%) -> {:.0} (4, {:+.2}%)",
         qps_0,
         qps_1,
         overhead_1 * 100.0,
@@ -179,12 +191,9 @@ fn main() {
         &rows,
         false,
         vec![
-            ("overhead_1_sub".to_string(), Value::F64(overhead_1)),
-            ("overhead_4_subs".to_string(), Value::F64(overhead_4)),
-            (
-                "sub_interval_ms".to_string(),
-                Value::U64(u64::from(SUB_INTERVAL_MS)),
-            ),
+            ("overhead_1_watcher".to_string(), Value::F64(overhead_1)),
+            ("overhead_4_watchers".to_string(), Value::F64(overhead_4)),
+            ("poll_interval_ms".to_string(), Value::U64(POLL_INTERVAL_MS)),
         ],
     );
 }

@@ -993,7 +993,6 @@ impl Handler for Shared {
             queue_cap: 0,
             active_conns: self.front.active_conns() as u32,
             max_conns: self.config.max_conns as u32,
-            subscribers: 0,
             draining: self.shutdown.load(Ordering::SeqCst),
             version,
             commit,
@@ -1024,14 +1023,6 @@ impl Handler for Shared {
             conn.close();
             return;
         }
-        // The router has no publisher thread: one full snapshot, marked
-        // `last`, answers `MetricsGet` and a subscription alike.
-        let snapshot = || MetricsUpdate {
-            seq: 0,
-            t_ns: self.now_ns(),
-            last: true,
-            changed: self.instruments.plane.snapshot(),
-        };
         match frame {
             Frame::Request { id, req, trace } => {
                 let frames = match req {
@@ -1054,21 +1045,9 @@ impl Handler for Shared {
                 let _ = conn.send(&[Frame::MetricsText { id, text }]);
             }
             Frame::MetricsGet { id } => {
-                let _ = conn.send(&snapshot().to_frames(id));
-            }
-            Frame::MetricsSubscribe {
-                id,
-                interval_ms,
-                max_updates,
-            } => {
-                // Acked echoing the clamp the serve daemon applies, then
-                // answered as `max_updates == 1` would be.
-                let _ = conn.send(&[Frame::SubscribeAck {
-                    id,
-                    interval_ms: interval_ms.clamp(10, 60_000),
-                    max_updates,
-                }]);
-                let _ = conn.send(&snapshot().to_frames(id));
+                let update =
+                    MetricsUpdate::snapshot(self.now_ns(), self.instruments.plane.snapshot());
+                let _ = conn.send(&update.to_frames(id));
             }
             Frame::StandingQueryReq {
                 id,

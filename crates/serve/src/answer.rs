@@ -335,22 +335,30 @@ pub(crate) fn profile_from_frames(
     )
 }
 
-/// One metrics update (from `MetricsGet` or a subscription).
+/// One metrics update: the answer to `MetricsGet`.
 #[derive(Debug, Clone)]
 pub struct MetricsUpdate {
-    /// Update ordinal within its subscription (0 = the full baseline).
+    /// Update ordinal; always 0, since every answer is a full snapshot.
     pub seq: u64,
     /// Server clock (nanos since server start) when the update was cut.
     pub t_ns: u64,
-    /// True when the server will send no further updates for this stream.
+    /// Always true: no further updates follow an answer.
     pub last: bool,
-    /// The carried series, as absolute values. For `seq > 0` this holds
-    /// only series that changed; fold onto the baseline with
-    /// [`RegistrySnapshot::apply`].
+    /// Every series of the peer's registry, as absolute values.
     pub changed: RegistrySnapshot,
 }
 
 impl MetricsUpdate {
+    /// The answer to `MetricsGet`: the whole of `snapshot`, cut at `t_ns`.
+    pub fn snapshot(t_ns: u64, snapshot: RegistrySnapshot) -> MetricsUpdate {
+        MetricsUpdate {
+            seq: 0,
+            t_ns,
+            last: true,
+            changed: snapshot,
+        }
+    }
+
     /// The update's frame sequence under request `id` (key order
     /// preserved; histograms carry only occupied buckets).
     pub fn to_frames(&self, id: u64) -> Vec<Frame> {

@@ -171,11 +171,6 @@ pub struct Client {
     writer: BufWriter<TcpStream>,
     max_frame: u32,
     next_id: u64,
-    /// Request id of the active metrics subscription, if any.
-    sub_id: Option<u64>,
-    /// Effective cadence of the active subscription, as echoed by the
-    /// server's `SubscribeAck` after clamping.
-    sub_interval_ms: Option<u32>,
     /// Trace context attached to outgoing requests (see
     /// [`set_trace_context`](Self::set_trace_context)).
     trace: Option<TraceContext>,
@@ -245,8 +240,6 @@ impl Client {
             writer: BufWriter::new(stream),
             max_frame: MAX_FRAME_LEN,
             next_id: 1,
-            sub_id: None,
-            sub_interval_ms: None,
             trace: None,
         };
         client.send(&Frame::Hello {
@@ -482,64 +475,11 @@ impl Client {
             .map_err(|e| ClientError::Protocol(format!("profile dump: {e}")))
     }
 
-    /// Fetch one full structured metrics snapshot.
+    /// Fetch one full structured metrics snapshot (`seq` 0, `last` set).
+    /// A watcher polls this; comparing two polls with
+    /// `pq_telemetry::delta::changed` gives the series that moved.
     pub fn metrics_snapshot(&mut self) -> Result<MetricsUpdate, ClientError> {
         let (id, head) = self.exchange(|id| Frame::MetricsGet { id })?;
-        MetricsUpdate::from_frames(head, || self.recv(id, id))
-    }
-
-    /// Start a metrics subscription and return its first (full-snapshot)
-    /// update. `interval_ms` is clamped server-side to [10, 60000]; the
-    /// effective cadence the server acked is readable afterwards via
-    /// [`subscribed_interval_ms`](Self::subscribed_interval_ms).
-    /// `max_updates == 0` means unbounded. Fetch later updates with
-    /// [`next_update`](Self::next_update); the stream ends when an update
-    /// arrives with `last == true`.
-    pub fn subscribe(
-        &mut self,
-        interval_ms: u32,
-        max_updates: u32,
-    ) -> Result<MetricsUpdate, ClientError> {
-        // The ack always precedes the first update (both go through the
-        // server's serialized writer); an admission shed still arrives
-        // as `Busy` right after it and surfaces from `read_update`.
-        let (id, head) = self.exchange(|id| Frame::MetricsSubscribe {
-            id,
-            interval_ms,
-            max_updates,
-        })?;
-        let Frame::SubscribeAck { interval_ms, .. } = head else {
-            return Err(unexpected("SubscribeAck", &head));
-        };
-        self.sub_interval_ms = Some(interval_ms);
-        let update = self.read_update(id)?;
-        self.sub_id = (!update.last).then_some(id);
-        Ok(update)
-    }
-
-    /// The effective update cadence of the most recent subscription, as
-    /// echoed by the server after clamping (`None` before any
-    /// subscribe). A watcher that asked for 1ms learns here that it is
-    /// actually getting 10ms.
-    pub fn subscribed_interval_ms(&self) -> Option<u32> {
-        self.sub_interval_ms
-    }
-
-    /// Block for the next update of the active subscription.
-    pub fn next_update(&mut self) -> Result<MetricsUpdate, ClientError> {
-        let Some(id) = self.sub_id else {
-            return Err(ClientError::Protocol("no active subscription".into()));
-        };
-        let update = self.read_update(id)?;
-        if update.last {
-            self.sub_id = None;
-        }
-        Ok(update)
-    }
-
-    /// Read one pushed metrics update of subscription `id`.
-    fn read_update(&mut self, id: u64) -> Result<MetricsUpdate, ClientError> {
-        let head = self.recv(id, id)?;
         MetricsUpdate::from_frames(head, || self.recv(id, id))
     }
 

@@ -67,7 +67,7 @@ pub trait Handler: Send + Sync + 'static {
     fn health(&self) -> HealthInfo;
     /// The serving topology (answered on the reader thread, like health).
     fn shard_map(&self) -> ShardMap;
-    /// Any other client frame: queries, metrics, subscriptions, dumps.
+    /// Any other client frame: queries, metrics, standing queries, dumps.
     fn dispatch(&self, conn: &Arc<Conn>, frame: Frame);
 }
 

@@ -29,10 +29,9 @@
 //! Everything observable is exported under the `pq_serve_*` telemetry
 //! namespace via [`pq_telemetry`] — and the wire carries that
 //! observability too: `HealthReq` answers a health summary inline (it
-//! works even when the pool is saturated), `MetricsGet` returns one
-//! structured snapshot, and `MetricsSubscribe` streams periodic
-//! changed-series updates that `pqsim watch` folds into a live
-//! dashboard and alert evaluation.
+//! works even when the pool is saturated), and `MetricsGet` returns one
+//! structured snapshot, answered inline the same way. `pqsim watch`
+//! polls it into a live dashboard and alert evaluation.
 //!
 //! The daemon also answers **standing continuous queries**
 //! (`StandingQueryReq`): at registration it runs `pq-stream` window

@@ -4,8 +4,10 @@
 //!
 //! * one **acceptor** (the thread that called [`Server::run`]) and one
 //!   lightweight **reader** thread per connection, both run by the shared
-//!   [`crate::front`]; the reader *admits* requests — admission is where
-//!   load shedding happens, so a slow query can never stall frame parsing;
+//!   [`crate::front`]; the reader *admits* queries — admission is where
+//!   load shedding happens, so a slow query can never stall frame parsing
+//!   — and answers metrics reads, health and dumps itself, so a read of
+//!   the daemon's state is never queued behind (or shed with) queries;
 //! * a fixed pool of **workers** executes queries. Live register state
 //!   ([`AnalysisProgram`]) is shared immutably (`Arc`, wait-free reads);
 //!   archive access is **sharded per worker** — each worker owns its own
@@ -33,8 +35,8 @@ use pq_rtt::{RttReport, RTT_SEGMENT_KIND};
 use pq_store::StoreReader;
 use pq_stream::{Record as StreamRecord, Standing};
 use pq_telemetry::{
-    delta, names, provenance, to_prometheus, Counter, Gauge, Histogram, OpenSpan, RegistrySnapshot,
-    RequestTrace, Telemetry, TraceClock, TraceContext,
+    names, provenance, to_prometheus, Counter, Gauge, Histogram, OpenSpan, RequestTrace, Telemetry,
+    TraceClock, TraceContext,
 };
 use std::collections::VecDeque;
 use std::fs::File;
@@ -68,21 +70,10 @@ pub struct ServeConfig {
     /// Artificial per-query service delay, for load tests and the
     /// overload bench scenario. Zero in normal operation.
     pub work_delay: Duration,
-    /// Cap on concurrent metrics subscriptions; further `MetricsSubscribe`
-    /// requests are shed with `Busy`, like any other overload.
-    pub max_subs: usize,
     /// Shard identity this daemon serves under (empty when unsharded).
     /// Carried in `HealthAck` and `ShardMapAck` so a router — or an
     /// operator watching a mixed fleet — can tell backends apart.
     pub shard: String,
-    /// Enable the `pq-prof` continuous profiler at bind: scope timing
-    /// turns on and the daemon exports `pq_prof_*` / `pq_lock_*` series
-    /// on its metrics plane. Dump requests are answered either way —
-    /// with an empty report when profiling never ran.
-    pub prof: bool,
-    /// Stack-sampling period in milliseconds; 0 leaves the sampler off
-    /// (exact scope aggregation still runs when `prof` is set).
-    pub prof_sample_ms: u64,
 }
 
 impl Default for ServeConfig {
@@ -96,10 +87,7 @@ impl Default for ServeConfig {
             retry_after_ms: 50,
             drain_deadline: Duration::from_secs(5),
             work_delay: Duration::ZERO,
-            max_subs: 16,
             shard: String::new(),
-            prof: false,
-            prof_sample_ms: 0,
         }
     }
 }
@@ -126,7 +114,6 @@ struct Instruments {
     req_rtt: Counter,
     req_metrics: Counter,
     req_health: Counter,
-    req_subscribe: Counter,
     req_standing: Counter,
     err_time_windows: Counter,
     err_queue_monitor: Counter,
@@ -137,8 +124,6 @@ struct Instruments {
     request_ns: Histogram,
     queue_depth: Gauge,
     uptime_secs: Gauge,
-    subscribers: Gauge,
-    metric_updates: Counter,
     stream_subs: Gauge,
     stream_windows_closed: Counter,
     stream_late: Counter,
@@ -160,7 +145,6 @@ impl Instruments {
             req_rtt: req("rtt"),
             req_metrics: req("metrics"),
             req_health: req("health"),
-            req_subscribe: req("subscribe"),
             req_standing: req("standing"),
             err_time_windows: err("time_windows"),
             err_queue_monitor: err("queue_monitor"),
@@ -171,8 +155,6 @@ impl Instruments {
             request_ns: reg.histogram(names::SERVE_REQUEST_NS, &[]),
             queue_depth: reg.gauge(names::SERVE_QUEUE_DEPTH, &[]),
             uptime_secs: reg.gauge(names::SERVE_UPTIME, &[]),
-            subscribers: reg.gauge(names::SERVE_SUBSCRIBERS, &[]),
-            metric_updates: reg.counter(names::SERVE_METRIC_UPDATES, &[]),
             stream_subs: reg.gauge(names::STREAM_SUBSCRIPTIONS, &[]),
             stream_windows_closed: reg.counter(names::STREAM_WINDOWS_CLOSED, &[]),
             stream_late: reg.counter(names::STREAM_LATE_RECORDS, &[]),
@@ -187,12 +169,9 @@ impl Instruments {
         match kind {
             "time_windows" => self.req_time_windows.inc(),
             "queue_monitor" => self.req_queue_monitor.inc(),
-            "replay" => self.req_replay.inc(),
             "rtt" => self.req_rtt.inc(),
-            "subscribe" => self.req_subscribe.inc(),
             "standing" => self.req_standing.inc(),
-            "health" => self.req_health.inc(),
-            _ => self.req_metrics.inc(),
+            _ => self.req_replay.inc(),
         }
     }
 
@@ -206,59 +185,24 @@ impl Instruments {
     }
 }
 
-/// What a worker is being asked to do. Queries and metrics requests ride
-/// the same admission queue so overload sheds them uniformly.
-enum Work {
-    /// A diagnosis query (time-windows, queue-monitor, replay), with the
-    /// trace context the request carried (if any).
-    Query(Request, Option<TraceContext>),
-    /// One-shot full metrics snapshot over the wire.
-    MetricsGet,
-    /// Start a periodic metrics subscription on this connection.
-    Subscribe {
-        interval: Duration,
-        max_updates: u32,
-    },
-}
-
-impl Work {
-    /// Instrumentation kind label (matches [`Instruments::completed`]).
-    fn kind(&self) -> &'static str {
-        match self {
-            Work::Query(req, _) => req.kind(),
-            Work::MetricsGet => "metrics",
-            Work::Subscribe { .. } => "subscribe",
-        }
-    }
-}
-
-/// One admitted query waiting for (or held by) a worker.
+/// One admitted query waiting for (or held by) a worker, with the trace
+/// context the request carried (if any).
 struct Job {
     conn: Arc<Conn>,
     id: u64,
-    work: Work,
+    req: Request,
+    trace: Option<TraceContext>,
     admitted: Instant,
-}
-
-/// One live metrics subscription, owned by the publisher thread.
-struct Sub {
-    conn: Arc<Conn>,
-    id: u64,
-    interval: Duration,
-    /// Next due time as nanos since `Shared::started`.
-    next_due_ns: u64,
-    /// Updates left to send (`None` = unbounded).
-    remaining: Option<u32>,
-    seq: u64,
-    /// Snapshot the previous update was computed against; updates carry
-    /// only series that changed since, as absolute values.
-    prev: RegistrySnapshot,
 }
 
 /// Bound on simultaneously open windows per standing subscription; the
 /// oldest window is force-closed (and flagged `forced`) past it, so a
 /// pathological sliding query cannot grow server state without bound.
 const MAX_OPEN_WINDOWS: usize = 4096;
+
+/// Bound on standing subscriptions whose stream is still open; a
+/// registration beyond it is shed with `Busy`, like any other overload.
+const MAX_OPEN_STREAMS: usize = 16;
 
 struct Shared {
     config: ServeConfig,
@@ -275,8 +219,6 @@ struct Shared {
     front: Front,
     /// Workers currently executing a job (not waiting on the queue).
     busy_workers: AtomicUsize,
-    /// Live metrics subscriptions, serviced by the publisher thread.
-    subs: Mutex<Vec<Sub>>,
     /// Standing subscriptions still owed their final frame.
     streams: Subscriptions,
     /// Canonical RTT reports (live hook output plus archive spill),
@@ -347,7 +289,7 @@ impl ServerHandle {
     }
 
     /// Abruptly terminate the server — the in-process analog of `SIGKILL`
-    /// for chaos tests. No drain, no final subscriber updates: every
+    /// for chaos tests. No drain, no final stream frames: every
     /// connection socket is torn down immediately (peers see EOF/reset,
     /// exactly what a killed process's kernel would send), queued work is
     /// abandoned, and the acceptor exits.
@@ -356,7 +298,6 @@ impl ServerHandle {
         // A deadline already in the past: any queued job a worker still
         // pops is answered with ShuttingDown into a dead socket.
         self.shared.drain_deadline_ns.store(1, Ordering::SeqCst);
-        self.shared.subs.lock().unwrap().clear();
         self.shared.streams.clear();
         self.shared.front.close_all();
         self.shared.queue_cv.notify_all();
@@ -416,17 +357,6 @@ impl Server {
             reg.counter(names::RTT_SAMPLES, &labels)
                 .add(r.samples.len() as u64);
         }
-        // Profiling is process-global ("a process has one profile"),
-        // but only the process-owning plane exports it — a fleet of
-        // per-port planes merged downstream would double-count the
-        // shared globals.
-        if config.prof {
-            pq_prof::set_enabled(true);
-            plane.set_export_prof(true);
-            if config.prof_sample_ms > 0 {
-                pq_prof::start_sampler(Duration::from_millis(config.prof_sample_ms));
-            }
-        }
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener
             .local_addr()
@@ -458,7 +388,6 @@ impl Server {
             drain_deadline_ns: AtomicU64::new(0),
             front,
             busy_workers: AtomicUsize::new(0),
-            subs: Mutex::new(Vec::new()),
             streams: Subscriptions::new(instruments.stream_subs.clone()),
             rtt,
             instruments,
@@ -492,21 +421,12 @@ impl Server {
                     .spawn(move || worker_loop(&shared))?,
             );
         }
-        let publisher = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("pq-serve-publisher".into())
-                .spawn(move || publisher_loop(&shared))?
-        };
         front::serve(&self.listener, &shared)?;
         for w in workers {
             let _ = w.join();
         }
-        let _ = publisher.join();
-        // Queries are drained; close every subscription with one final
-        // `last` update so watchers see the post-drain counter values
-        // instead of a dropped stream.
-        drain_subscribers(&shared);
+        // Queries are drained; close every open standing stream with its
+        // final `last` frame instead of a dropped socket.
         shared.streams.drain();
         // Workers are done; release any reader threads still blocked on
         // their sockets.
@@ -555,7 +475,6 @@ impl Handler for Shared {
             queue_cap: self.config.queue_cap as u32,
             active_conns: self.front.active_conns() as u32,
             max_conns: self.config.max_conns as u32,
-            subscribers: self.subs.lock().unwrap().len() as u32,
             draining: self.shutdown.load(Ordering::SeqCst),
             version,
             commit,
@@ -577,43 +496,25 @@ impl Handler for Shared {
         }
     }
 
-    /// Admit or answer one request; all real work happens in the pool.
+    /// Admit a query to the pool, or answer any other request inline.
     fn dispatch(&self, conn: &Arc<Conn>, frame: Frame) {
         match frame {
-            Frame::Request { id, req, trace } => admit(self, conn, id, Work::Query(req, trace)),
+            Frame::Request { id, req, trace } => admit(self, conn, id, req, trace),
             Frame::MetricsReq { id } => {
                 self.instruments.req_metrics.inc();
                 self.touch_uptime();
                 let text = to_prometheus(&self.instruments.plane.snapshot());
                 let _ = conn.send(&[Frame::MetricsText { id, text }]);
             }
-            Frame::MetricsGet { id } => admit(self, conn, id, Work::MetricsGet),
-            Frame::MetricsSubscribe {
-                id,
-                interval_ms,
-                max_updates,
-            } => {
-                // Echo the *effective* cadence before any update — the
-                // clamp below used to be silent, so a watcher asking for
-                // 1ms believed it was getting 1ms while the server sent
-                // 10ms. The ack precedes the first update because both
-                // are sent through the connection's serialized writer.
-                let effective_ms = interval_ms.clamp(10, 60_000);
-                let _ = conn.send(&[Frame::SubscribeAck {
-                    id,
-                    interval_ms: effective_ms,
-                    max_updates,
-                }]);
-                let interval = Duration::from_millis(u64::from(effective_ms));
-                admit(
-                    self,
-                    conn,
-                    id,
-                    Work::Subscribe {
-                        interval,
-                        max_updates,
-                    },
-                );
+            Frame::MetricsGet { id } => {
+                // The structured twin of `MetricsReq`, answered the same
+                // way: a watcher polls it, and a poll is never queued
+                // behind or shed with the queries it is watching.
+                self.instruments.req_metrics.inc();
+                self.touch_uptime();
+                let update =
+                    MetricsUpdate::snapshot(self.now_ns(), self.instruments.plane.snapshot());
+                let _ = conn.send(&update.to_frames(id));
             }
             Frame::StandingQueryReq {
                 id,
@@ -648,7 +549,7 @@ impl Handler for Shared {
 }
 
 /// Admission control: shed (never block, never silently drop) or enqueue.
-fn admit(shared: &Shared, conn: &Arc<Conn>, id: u64, work: Work) {
+fn admit(shared: &Shared, conn: &Arc<Conn>, id: u64, req: Request, trace: Option<TraceContext>) {
     let busy = |frame_id| {
         shared.instruments.shed.inc();
         let _ = conn.send(&[Frame::Busy {
@@ -664,14 +565,6 @@ fn admit(shared: &Shared, conn: &Arc<Conn>, id: u64, work: Work) {
         busy(id);
         return;
     }
-    // Subscriptions hold server-side state, so they carry their own cap
-    // on top of the queue bound.
-    if matches!(work, Work::Subscribe { .. })
-        && shared.subs.lock().unwrap().len() >= shared.config.max_subs
-    {
-        busy(id);
-        return;
-    }
     let mut queue = shared.queue.lock().unwrap();
     if queue.len() >= shared.config.queue_cap {
         drop(queue);
@@ -682,7 +575,8 @@ fn admit(shared: &Shared, conn: &Arc<Conn>, id: u64, work: Work) {
     queue.push_back(Job {
         conn: Arc::clone(conn),
         id,
-        work,
+        req,
+        trace,
         admitted: Instant::now(),
     });
     shared.instruments.queue_depth.set(queue.len() as u64);
@@ -731,190 +625,64 @@ fn worker_loop(shared: &Arc<Shared>) {
         if !shared.config.work_delay.is_zero() {
             thread::sleep(shared.config.work_delay);
         }
-        let kind = job.work.kind();
-        match job.work {
-            Work::Query(req, trace) => {
-                // Continue the propagated context, or originate a root here
-                // so locally-issued queries are traceable too. The echo is
-                // the context exactly as the request carried it — old
-                // clients that sent none get none back.
-                let admit_ns = picked_ns.saturating_sub(wait_ns);
-                let traces = shared.instruments.plane.traces();
-                let mut tracer = RequestTrace::open(traces, trace, &shared.process, admit_ns);
-                // execute() parents segment_decode under worker_exec before
-                // that span closes.
-                let exec = tracer
-                    .as_mut()
-                    .map(|t| t.open_span(t.root_span(), picked_ns));
-                let exec_span = exec.as_ref().map_or(0, OpenSpan::id);
-                // The profiling scope closes with this block — before the
-                // answer is sent below — so a client that reads its result
-                // and immediately pulls a profile dump sees its own query's
-                // time (the same read-your-writes contract the request
-                // counters keep).
-                let frames = {
-                    pq_prof::scope!("serve/worker_exec");
-                    execute(
-                        shared,
-                        &mut reader,
-                        job.id,
-                        req,
-                        trace,
-                        tracer.as_mut(),
-                        exec_span,
-                    )
-                };
-                let exec_end_ns = shared.trace_clock.now_ns();
-                // Count before answering: a synchronous client that reads
-                // its result and immediately asks for metrics must see its
-                // own query in the counters (read-your-writes; the
-                // get-vs-prom consistency test relies on it).
-                let latency = u64::try_from(job.admitted.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                let errored = matches!(frames.first(), Some(Frame::Error { .. }));
-                let committed = tracer.zip(exec).and_then(|(mut t, exec)| {
-                    let root = t.root_span();
-                    t.record(names::SPAN_ADMISSION_WAIT, root, admit_ns, picked_ns, "");
-                    let tag = if errored { "error" } else { "ok" };
-                    t.close_span(exec, names::SPAN_WORKER_EXEC, exec_end_ns, tag);
-                    t.close(names::SPAN_SERVE_REQUEST, exec_end_ns, kind)
-                });
-                match committed {
-                    Some(tid) => shared.instruments.request_ns.record_exemplar(latency, tid),
-                    None => shared.instruments.request_ns.record(latency),
-                }
-                if errored {
-                    shared.instruments.errored(kind);
-                } else {
-                    shared.instruments.completed(kind);
-                }
-                let _ = job.conn.send(&frames);
-                job.conn.inflight.fetch_sub(1, Ordering::SeqCst);
-            }
-            Work::MetricsGet => {
-                shared.touch_uptime();
-                let update = MetricsUpdate {
-                    seq: 0,
-                    t_ns: shared.now_ns(),
-                    last: true,
-                    changed: shared.instruments.plane.snapshot(),
-                };
-                let frames = update.to_frames(job.id);
-                let latency = u64::try_from(job.admitted.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                shared.instruments.request_ns.record(latency);
-                shared.instruments.completed(kind);
-                let _ = job.conn.send(&frames);
-                job.conn.inflight.fetch_sub(1, Ordering::SeqCst);
-            }
-            Work::Subscribe {
-                interval,
-                max_updates,
-            } => {
-                // The first update carries the full snapshot so the client
-                // can fold later deltas onto a complete baseline.
-                shared.touch_uptime();
-                let now = shared.now_ns();
-                let last = max_updates == 1;
-                let update = MetricsUpdate {
-                    seq: 0,
-                    t_ns: now,
-                    last,
-                    changed: shared.instruments.plane.snapshot(),
-                };
-                let frames = update.to_frames(job.id);
-                shared.instruments.metric_updates.inc();
-                shared.instruments.completed(kind);
-                let sent = job.conn.send(&frames);
-                job.conn.inflight.fetch_sub(1, Ordering::SeqCst);
-                if sent.is_ok() && !last {
-                    let interval_ns = u64::try_from(interval.as_nanos()).unwrap_or(u64::MAX);
-                    let mut subs = shared.subs.lock().unwrap();
-                    subs.push(Sub {
-                        conn: job.conn,
-                        id: job.id,
-                        interval,
-                        next_due_ns: now.saturating_add(interval_ns),
-                        // `checked_sub` maps the 0 = unbounded sentinel to
-                        // `None` in one step.
-                        remaining: max_updates.checked_sub(1),
-                        seq: 1,
-                        prev: update.changed,
-                    });
-                    shared.instruments.subscribers.set(subs.len() as u64);
-                }
-            }
+        let kind = job.req.kind();
+        // Continue the propagated context, or originate a root here
+        // so locally-issued queries are traceable too. The echo is
+        // the context exactly as the request carried it — old
+        // clients that sent none get none back.
+        let admit_ns = picked_ns.saturating_sub(wait_ns);
+        let traces = shared.instruments.plane.traces();
+        let mut tracer = RequestTrace::open(traces, job.trace, &shared.process, admit_ns);
+        // execute() parents segment_decode under worker_exec before
+        // that span closes.
+        let exec = tracer
+            .as_mut()
+            .map(|t| t.open_span(t.root_span(), picked_ns));
+        let exec_span = exec.as_ref().map_or(0, OpenSpan::id);
+        // The profiling scope closes with this block — before the
+        // answer is sent below — so a client that reads its result
+        // and immediately pulls a profile dump sees its own query's
+        // time (the same read-your-writes contract the request
+        // counters keep).
+        let frames = {
+            pq_prof::scope!("serve/worker_exec");
+            execute(
+                shared,
+                &mut reader,
+                job.id,
+                job.req,
+                job.trace,
+                tracer.as_mut(),
+                exec_span,
+            )
+        };
+        let exec_end_ns = shared.trace_clock.now_ns();
+        // Count before answering: a synchronous client that reads
+        // its result and immediately asks for metrics must see its
+        // own query in the counters (read-your-writes; the
+        // get-vs-prom consistency test relies on it).
+        let latency = u64::try_from(job.admitted.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let errored = matches!(frames.first(), Some(Frame::Error { .. }));
+        let committed = tracer.zip(exec).and_then(|(mut t, exec)| {
+            let root = t.root_span();
+            t.record(names::SPAN_ADMISSION_WAIT, root, admit_ns, picked_ns, "");
+            let tag = if errored { "error" } else { "ok" };
+            t.close_span(exec, names::SPAN_WORKER_EXEC, exec_end_ns, tag);
+            t.close(names::SPAN_SERVE_REQUEST, exec_end_ns, kind)
+        });
+        match committed {
+            Some(tid) => shared.instruments.request_ns.record_exemplar(latency, tid),
+            None => shared.instruments.request_ns.record(latency),
         }
+        if errored {
+            shared.instruments.errored(kind);
+        } else {
+            shared.instruments.completed(kind);
+        }
+        let _ = job.conn.send(&frames);
+        job.conn.inflight.fetch_sub(1, Ordering::SeqCst);
         shared.busy_workers.fetch_sub(1, Ordering::SeqCst);
     }
-}
-
-/// The publisher thread: wakes every few milliseconds, and for each due
-/// subscription sends the series that changed since its previous update
-/// (absolute values, so a missed frame self-heals on the next one).
-/// Exits when shutdown is initiated; `drain_subscribers` then closes the
-/// streams.
-fn publisher_loop(shared: &Arc<Shared>) {
-    const TICK: Duration = Duration::from_millis(10);
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        thread::sleep(TICK);
-        let now = shared.now_ns();
-        {
-            let subs = shared.subs.lock().unwrap();
-            if !subs.iter().any(|s| s.next_due_ns <= now) {
-                continue;
-            }
-        }
-        shared.touch_uptime();
-        let snap = shared.instruments.plane.snapshot();
-        let mut subs = shared.subs.lock().unwrap();
-        subs.retain_mut(|sub| {
-            if sub.next_due_ns > now {
-                return true;
-            }
-            let update = MetricsUpdate {
-                seq: sub.seq,
-                t_ns: now,
-                last: sub.remaining == Some(1),
-                changed: delta::changed(&sub.prev, &snap),
-            };
-            if sub.conn.send(&update.to_frames(sub.id)).is_err() {
-                return false;
-            }
-            shared.instruments.metric_updates.inc();
-            sub.prev = snap.clone();
-            sub.seq += 1;
-            if let Some(r) = &mut sub.remaining {
-                *r -= 1;
-                if *r == 0 {
-                    return false;
-                }
-            }
-            let interval_ns = u64::try_from(sub.interval.as_nanos()).unwrap_or(u64::MAX);
-            sub.next_due_ns = now.saturating_add(interval_ns);
-            true
-        });
-        shared.instruments.subscribers.set(subs.len() as u64);
-    }
-}
-
-/// Send every remaining subscription one final `last` update carrying the
-/// post-drain counter values, then forget them all.
-fn drain_subscribers(shared: &Arc<Shared>) {
-    shared.touch_uptime();
-    let snap = shared.instruments.plane.snapshot();
-    let now = shared.now_ns();
-    let mut subs = shared.subs.lock().unwrap();
-    for sub in subs.drain(..) {
-        let update = MetricsUpdate {
-            seq: sub.seq,
-            t_ns: now,
-            last: true,
-            changed: delta::changed(&sub.prev, &snap),
-        };
-        if sub.conn.send(&update.to_frames(sub.id)).is_ok() {
-            shared.instruments.metric_updates.inc();
-        }
-    }
-    shared.instruments.subscribers.set(0);
 }
 
 /// Register a standing continuous query on this connection and answer
@@ -962,9 +730,7 @@ fn register_standing(
             return;
         }
     }
-    // Open subscriptions share the metrics-subscription cap and shed
-    // with Busy beyond it.
-    if shared.streams.count() >= shared.config.max_subs {
+    if shared.streams.count() >= MAX_OPEN_STREAMS {
         shared.instruments.shed.inc();
         let _ = conn.send(&[Frame::Busy {
             id,

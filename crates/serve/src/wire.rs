@@ -52,7 +52,11 @@ use std::io::{self, Read, Write};
 /// exemplars inside metric samples. A v2 peer never sends the extension
 /// to a v1 peer — the negotiated version gates it — so v1 byte layouts
 /// are unchanged.
-pub const PROTOCOL_VERSION: u16 = 2;
+///
+/// v3 removes the metrics subscription: its request and ack frames
+/// (tags 0x07 and 0x92) and the subscriber count in [`HealthInfo`].
+/// Metrics are read by polling `MetricsGet`.
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Hard cap on a frame's `len` field (type byte + payload).
 pub const MAX_FRAME_LEN: u32 = 1 << 20;
@@ -208,8 +212,6 @@ pub struct HealthInfo {
     pub active_conns: u32,
     /// Connection cap.
     pub max_conns: u32,
-    /// Metrics subscriptions currently attached.
-    pub subscribers: u32,
     /// True once shutdown has been initiated (draining).
     pub draining: bool,
     /// Build version (`pq_build_info` label; `unknown` if unstamped).
@@ -606,7 +608,6 @@ wire_struct!(HealthInfo {
     queue_cap,
     active_conns,
     max_conns,
-    subscribers,
     draining,
     version,
     commit,
@@ -1067,12 +1068,10 @@ wire_enum! {
         0x04 => ShutdownReq { id: u64 },
         /// Ask for the server's health self-report.
         0x05 => HealthReq { id: u64 },
-        /// Ask for one structured metrics snapshot (streamed like a
-        /// subscription update with `seq` 0 and `last` set).
+        /// Ask for one structured metrics snapshot, streamed as one
+        /// update with `seq` 0 and `last` set.
         0x06 => MetricsGet { id: u64 },
-        /// Subscribe to periodic metrics updates every `interval_ms`;
-        /// `max_updates` 0 means unbounded (until shutdown or disconnect).
-        0x07 => MetricsSubscribe { id: u64, interval_ms: u32, max_updates: u32 },
+        // 0x07 is retired: it was the metrics subscription before v3.
         /// Ask for the serving topology: a router answers with its backend
         /// set, a lone daemon with a one-entry map describing itself.
         0x08 => ShardMapReq { id: u64 },
@@ -1149,10 +1148,10 @@ wire_enum! {
         0x8B => ShutdownAck { id: u64 },
         /// Health self-report.
         0x8C => HealthAck { id: u64, health: HealthInfo },
-        /// Start of one metrics update: `seq` counts updates on this
-        /// subscription, `t_ns` is the server clock, `total` the sample count
-        /// across the chunks that follow, `last` marks the final update of a
-        /// subscription (shutdown drain or `max_updates` reached).
+        /// Start of one metrics update: `t_ns` is the server clock, `total`
+        /// the sample count across the chunks that follow. A `MetricsGet`
+        /// answer always carries `seq` 0 and `last` set; both fields
+        /// remain from the metrics subscription retired in v3.
         0x8D => MetricsHeader { id: u64, seq: u64, t_ns: u64, total: u32, last: bool },
         /// Up to [`METRIC_SAMPLES_PER_FRAME`] metric samples. Terminated by
         /// `ResultEnd`, like every streamed answer.
@@ -1167,10 +1166,7 @@ wire_enum! {
         /// One closed window on a standing subscription (`id` is the
         /// registering request's id).
         0x91 => StandingQueryResult { id: u64, result: Box<StreamResult> },
-        /// Acknowledges a `MetricsSubscribe` with the *effective* interval
-        /// and update budget after server-side clamping, so operators are
-        /// never misled about the cadence they actually get.
-        0x92 => SubscribeAck { id: u64, interval_ms: u32, max_updates: u32 },
+        // 0x92 is retired: it acked the metrics subscription before v3.
         /// Recent completed traces, newest first (answer to `TraceDumpReq`).
         /// Per-process: a router answers with its own traces, not its
         /// backends' — `pqsim trace` stitches dumps from several addresses.
@@ -1494,7 +1490,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(Frame::TAGS.len(), 35);
+        assert_eq!(Frame::TAGS.len(), 33);
         assert!(Frame::TAGS.windows(2).all(|w| w[0] < w[1]));
     }
 

@@ -141,7 +141,7 @@ fn arb_health() -> impl Strategy<Value = HealthInfo> {
             any::<u32>(),
             any::<u32>(),
         ),
-        (any::<u32>(), any::<u32>(), any::<u32>(), any::<bool>()),
+        (any::<u32>(), any::<u32>(), any::<bool>()),
         arb_string(16),
         arb_string(48),
         arb_string(24),
@@ -149,7 +149,7 @@ fn arb_health() -> impl Strategy<Value = HealthInfo> {
         .prop_map(
             |(
                 (uptime_ns, workers, busy_workers, queue_depth, queue_cap),
-                (active_conns, max_conns, subscribers, draining),
+                (active_conns, max_conns, draining),
                 version,
                 commit,
                 shard,
@@ -161,7 +161,6 @@ fn arb_health() -> impl Strategy<Value = HealthInfo> {
                 queue_cap,
                 active_conns,
                 max_conns,
-                subscribers,
                 draining,
                 version,
                 commit,
@@ -307,13 +306,6 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
             .boxed(),
         any::<u64>().prop_map(|id| Frame::HealthReq { id }).boxed(),
         any::<u64>().prop_map(|id| Frame::MetricsGet { id }).boxed(),
-        (any::<u64>(), any::<u32>(), any::<u32>())
-            .prop_map(|(id, interval_ms, max_updates)| Frame::MetricsSubscribe {
-                id,
-                interval_ms,
-                max_updates,
-            })
-            .boxed(),
         (any::<u64>(), arb_health())
             .prop_map(|(id, health)| Frame::HealthAck { id, health })
             .boxed(),

@@ -384,8 +384,8 @@ const REFERENCE_SEGMENTS_V2: &[SegmentRow] = &[
 ];
 
 /// The four archives' segments as the version-3 writer lays them out. Any
-/// drift here, or in the whole-file length and CRC-32 beside it, is a
-/// `.pqa` format change.
+/// drift here, or in the whole-file [`pin`] beside it, is a `.pqa` format
+/// change.
 const PINNED_SEGMENTS: &[SegmentRow] = &[
     (0, 0, 5, 9, 2307, 0xB9A4_CDEC),
     (1, 0, 5, 2316, 2055, 0x1C9C_FE55),
@@ -436,6 +436,20 @@ const WINDOW_SEGMENTS: &[SegmentRow] = &[
     (1, 0, 2, 2223, 201, 0x21C7_4B97),
 ];
 
+/// FNV-1a-64 digests of the whole archives, for [`pin`]: the committed
+/// version-1 and version-2 fixtures, then the version-3 writer's output.
+const V1_PINNED: u64 = 0x66B5_43D9_FF87_EA22;
+const V1_FRAMING: u64 = 0xB510_DBB2_76C0_BB42;
+const V1_REFERENCE: u64 = 0xEF12_19A1_270B_CA88;
+const V2_PINNED: u64 = 0xDF6D_D1F2_7502_1582;
+const V2_FRAMING: u64 = 0x409A_EDC1_A19B_80BB;
+const V2_REFERENCE: u64 = 0x9608_9B8E_E7F4_A3F7;
+const V2_WINDOWS: u64 = 0x5A49_1B14_D1C3_67B0;
+const PINNED: u64 = 0xDF9D_CA1E_4F36_0445;
+const FRAMING: u64 = 0x7E47_B69D_38EC_F689;
+const REFERENCE: u64 = 0x19EF_8172_783E_E101;
+const WINDOWS: u64 = 0x8ADD_0364_0414_B6E0;
+
 fn segment_rows(reader: &StoreReader<Cursor<&Vec<u8>>>) -> Vec<SegmentRow> {
     reader
         .segments()
@@ -444,9 +458,32 @@ fn segment_rows(reader: &StoreReader<Cursor<&Vec<u8>>>) -> Vec<SegmentRow> {
         .collect()
 }
 
+/// A whole archive's pin: its length and FNV-1a-64 digest.
+///
+/// Not its CRC-32: every segment body and the trailer index are followed
+/// by their own CRC-32, and the CRC-32 of a message with its CRC-32
+/// appended is a constant, so a same-length change inside a body whose
+/// CRC is sealed again leaves the whole-file CRC-32 as it was.
+fn pin(bytes: &[u8]) -> (usize, u64) {
+    let digest = bytes.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    });
+    (bytes.len(), digest)
+}
+
+/// Assert `bytes` carry the whole-archive pin `expect`.
+fn assert_pin(bytes: &[u8], expect: (usize, u64), name: &str) {
+    let (len, digest) = pin(bytes);
+    assert_eq!(
+        (len, digest),
+        expect,
+        "{name}: whole-file length and FNV-1a-64 (actual ({len}, 0x{digest:016X}))"
+    );
+}
+
 /// `bytes` open through the trailer, hold exactly the segments `expect`
-/// lists and are `len` bytes with CRC-32 `crc`.
-fn assert_pinned(bytes: &Vec<u8>, expect: &[SegmentRow], (len, crc): (usize, u32), name: &str) {
+/// lists and carry the whole-archive pin `whole`.
+fn assert_pinned(bytes: &Vec<u8>, expect: &[SegmentRow], whole: (usize, u64), name: &str) {
     let reader = StoreReader::open(Cursor::new(bytes)).unwrap();
     assert_eq!(reader.recovery(), Recovery::Index, "{name}");
     let got = segment_rows(&reader);
@@ -456,13 +493,7 @@ fn assert_pinned(bytes: &Vec<u8>, expect: &[SegmentRow], (len, crc): (usize, u32
         }
         panic!("{name}: segment table drifted (actual rows above)");
     }
-    assert_eq!(
-        (bytes.len(), pq_store::crc::crc32(bytes)),
-        (len, crc),
-        "{name}: whole-file length and CRC-32 (actual {} / 0x{:08X})",
-        bytes.len(),
-        pq_store::crc::crc32(bytes)
-    );
+    assert_pin(bytes, whole, name);
 }
 
 /// Field-by-field equality (`Checkpoint` has no `PartialEq`).
@@ -515,17 +546,14 @@ fn version_1_archives_still_read() {
     let v1 = |name| fixture(V1_FIXTURE, name);
     let pinned = v1("pinned");
     assert_eq!(pinned[4], VERSION_V1);
-    assert_eq!(
-        (pinned.len(), pq_store::crc::crc32(&pinned)),
-        (16_165, 0x4FA1_8EB0)
-    );
+    assert_pin(&pinned, (16_165, V1_PINNED), "v1 pinned");
     assert_reads_back(&pinned, &pinned_archive().1, "v1 pinned");
 
     let framing = v1("framing");
     assert_pinned(
         &framing,
         FRAMING_SEGMENTS_V1,
-        (19_014, 0x3557_A69A),
+        (19_014, V1_FRAMING),
         "v1 framing",
     );
     assert_reads_back(&framing, &framing_archive().1, "v1 framing");
@@ -534,10 +562,7 @@ fn version_1_archives_still_read() {
     assert_eq!(reader.read_raw_body(&rtt[0]).unwrap().len(), 333);
 
     let reference = v1("reference");
-    assert_eq!(
-        (reference.len(), pq_store::crc::crc32(&reference)),
-        (4_361, 0xEDEB_5C50)
-    );
+    assert_pin(&reference, (4_361, V1_REFERENCE), "v1 reference");
     assert_reads_back(&reference, &reference_archive().1, "v1 reference");
 }
 
@@ -549,17 +574,17 @@ fn version_2_archives_still_read() {
     let v2 = |name| fixture(V2_FIXTURE, name);
     let pinned = v2("pinned");
     assert_eq!(pinned[4], VERSION_V2);
-    let pinned_pin = (16_178, 0xFD51_35A1);
+    let pinned_pin = (16_178, V2_PINNED);
     assert_pinned(&pinned, PINNED_SEGMENTS_V2, pinned_pin, "v2 pinned");
     assert_reads_back(&pinned, &pinned_archive().1, "v2 pinned");
 
     let framing = v2("framing");
-    let framing_pin = (19_030, 0x94A4_C9E2);
+    let framing_pin = (19_030, V2_FRAMING);
     assert_pinned(&framing, FRAMING_SEGMENTS_V2, framing_pin, "v2 framing");
     assert_reads_back(&framing, &framing_archive().1, "v2 framing");
 
     let reference = v2("reference");
-    let reference_pin = (3_331, 0xC85A_2175);
+    let reference_pin = (3_331, V2_REFERENCE);
     assert_pinned(
         &reference,
         REFERENCE_SEGMENTS_V2,
@@ -570,10 +595,7 @@ fn version_2_archives_still_read() {
 
     let windows = v2("windows");
     assert_eq!(windows[4], VERSION_V2);
-    assert_eq!(
-        (windows.len(), pq_store::crc::crc32(&windows)),
-        (5_405, 0xDD94_6C65)
-    );
+    assert_pin(&windows, (5_405, V2_WINDOWS), "v2 windows");
     assert_reads_back(&windows, &window_archive().1, "v2 windows");
 }
 
@@ -581,14 +603,39 @@ fn version_2_archives_still_read() {
 fn archive_bytes_are_pinned() {
     let (bytes, pushed) = pinned_archive();
     assert_eq!(bytes[4], VERSION);
-    assert_pinned(&bytes, PINNED_SEGMENTS, (16_179, 0x2690_E02A), "pinned");
+    assert_pinned(&bytes, PINNED_SEGMENTS, (16_179, PINNED), "pinned");
     assert_reads_back(&bytes, &pushed, "pinned");
+}
+
+/// A change inside a segment body, its CRC sealed again behind it: the
+/// whole-file CRC-32 and the segment table (whose index still carries the
+/// old body CRC) pass as before, and only the digest pin sees it.
+#[test]
+fn a_resealed_body_change_passes_a_crc_pin_and_fails_the_digest_pin() {
+    let (mut bytes, _) = pinned_archive();
+    let crc_pin = (bytes.len(), pq_store::crc::crc32(&bytes));
+    let (start, end, old_crc) = {
+        let mut reader = StoreReader::open(Cursor::new(&bytes)).unwrap();
+        let meta = reader.segments()[0];
+        let body = reader.read_raw_body(&meta).unwrap();
+        let end = (meta.offset + meta.len) as usize - 4;
+        (end - body.len(), end, meta.body_crc)
+    };
+    bytes[(start + end) / 2] ^= 0x5A;
+    let crc = pq_store::crc::crc32(&bytes[start..end]);
+    bytes[end..end + 4].copy_from_slice(&crc.to_le_bytes());
+    assert_ne!(crc, old_crc, "the body changed");
+
+    let reader = StoreReader::open(Cursor::new(&bytes)).unwrap();
+    assert_eq!(segment_rows(&reader), PINNED_SEGMENTS);
+    assert_eq!((bytes.len(), pq_store::crc::crc32(&bytes)), crc_pin);
+    assert_ne!(pin(&bytes), (16_179, PINNED));
 }
 
 #[test]
 fn framing_archive_is_pinned_segment_by_segment() {
     let (bytes, pushed) = framing_archive();
-    assert_pinned(&bytes, FRAMING_SEGMENTS, (19_032, 0x2499_0AA1), "framing");
+    assert_pinned(&bytes, FRAMING_SEGMENTS, (19_032, FRAMING), "framing");
     assert_reads_back(&bytes, &pushed, "framing");
 
     // The corpus covers what it claims to.
@@ -656,12 +703,7 @@ fn references(bytes: &Vec<u8>) -> Vec<(u16, Vec<bool>)> {
 #[test]
 fn reference_archive_is_pinned_and_refers_within_segments_only() {
     let (bytes, pushed) = reference_archive();
-    assert_pinned(
-        &bytes,
-        REFERENCE_SEGMENTS,
-        (3_331, 0x7893_CDBF),
-        "reference",
-    );
+    assert_pinned(&bytes, REFERENCE_SEGMENTS, (3_331, REFERENCE), "reference");
     assert_reads_back(&bytes, &pushed, "reference");
 
     let segments = references(&bytes);
@@ -686,7 +728,7 @@ fn reference_archive_is_pinned_and_refers_within_segments_only() {
 #[test]
 fn window_archive_is_pinned_and_patches_within_segments_only() {
     let (bytes, pushed) = window_archive();
-    assert_pinned(&bytes, WINDOW_SEGMENTS, (2_663, 0x018E_B93D), "windows");
+    assert_pinned(&bytes, WINDOW_SEGMENTS, (2_663, WINDOWS), "windows");
     assert_reads_back(&bytes, &pushed, "windows");
     // Its monitors are empty, so what refers back is a window patch.
     let segments = references(&bytes);

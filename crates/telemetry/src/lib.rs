@@ -169,10 +169,6 @@ pub mod names {
     pub const SERVE_CACHE_BYTES: &str = "pq_serve_cache_bytes";
     /// Seconds since the serve daemon started (gauge).
     pub const SERVE_UPTIME: &str = "pq_serve_uptime_seconds";
-    /// Metrics subscriptions currently attached to the daemon (gauge).
-    pub const SERVE_SUBSCRIBERS: &str = "pq_serve_subscribers";
-    /// Subscription snapshot updates pushed to watchers (counter).
-    pub const SERVE_METRIC_UPDATES: &str = "pq_serve_metric_updates_total";
 
     // -- pq-router ---------------------------------------------------------
     /// Queries routed to completion, label `kind` ∈ {`time_windows`,
@@ -281,9 +277,10 @@ pub mod names {
     pub const BUILD_INFO: &str = "pq_build_info";
 
     // -- pqsim watch (client side) -----------------------------------------
-    /// Subscription updates applied by a watch client (counter).
+    /// Metrics snapshots polled by a watch client (counter).
     pub const WATCH_UPDATES: &str = "pq_watch_updates_total";
-    /// Metric series changed across applied updates (counter).
+    /// Metric series changed between consecutive polls, every series
+    /// of the first poll included (counter).
     pub const WATCH_SERIES_CHANGED: &str = "pq_watch_series_changed_total";
     /// Alert rules currently firing as seen by the watch client (gauge).
     pub const WATCH_ALERTS_FIRING: &str = "pq_watch_alerts_firing";
@@ -341,8 +338,6 @@ pub mod names {
             SERVE_CACHE_EVICTIONS => "Segments evicted from the decode cache.",
             SERVE_CACHE_BYTES => "Approximate bytes of decoded checkpoints held by the cache.",
             SERVE_UPTIME => "Seconds since the serve daemon started.",
-            SERVE_SUBSCRIBERS => "Metrics subscriptions currently attached.",
-            SERVE_METRIC_UPDATES => "Subscription snapshot updates pushed to watchers.",
             ROUTER_REQUESTS => "Queries routed to completion, by kind.",
             ROUTER_ERRORS => "Routed queries that ended in an error frame to the caller.",
             ROUTER_FANOUT => "Backends a routed query fanned out to.",
@@ -386,8 +381,8 @@ pub mod names {
             TRACE_DROPPED => "Committed traces evicted from the recent-trace ring.",
             TRACE_SPILL_ERRORS => "Committed traces the JSON-lines trace spill failed to write.",
             BUILD_INFO => "Build provenance: constant 1 with version and commit labels.",
-            WATCH_UPDATES => "Subscription updates applied by this watch client.",
-            WATCH_SERIES_CHANGED => "Metric series changed across applied updates.",
+            WATCH_UPDATES => "Metrics snapshots polled by this watch client.",
+            WATCH_SERIES_CHANGED => "Metric series changed between consecutive polls.",
             WATCH_ALERTS_FIRING => "Alert rules currently firing.",
             WATCH_ALERT_EVENTS => "Alert transitions observed, by kind.",
             _ => "PrintQueue reproduction metric.",

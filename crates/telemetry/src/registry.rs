@@ -229,20 +229,6 @@ impl RegistrySnapshot {
         self.metrics.insert(key, value);
     }
 
-    /// Overwrite every series present in `update` with `update`'s value,
-    /// leaving other series untouched.
-    ///
-    /// This is the client-side fold for subscription updates carrying
-    /// *absolute* values for changed series: applying the same update
-    /// twice is a no-op, and a skipped update is healed by the next one —
-    /// which is what makes the wire format safe under reconnects and
-    /// counter resets.
-    pub fn apply(&mut self, update: &RegistrySnapshot) {
-        for (key, value) in &update.metrics {
-            self.metrics.insert(key.clone(), value.clone());
-        }
-    }
-
     /// Number of metric series in the snapshot.
     pub fn len(&self) -> usize {
         self.metrics.len()

@@ -83,13 +83,14 @@
 //!   the request and prints it, ready to pull with `pqsim trace`.
 //! * `watch ADDR [--interval-ms N] [--updates N] [--rules FILE] [--once]
 //!   [--json]`
-//!   Watch a running `serve` daemon live: subscribe to its metrics
-//!   stream, fold the changed-series updates into a local snapshot, and
+//!   Watch a running `serve` daemon or router live: poll its metrics
+//!   snapshot every `--interval-ms` (`--updates N` polls, 0 = until the
+//!   peer stops), count the series that changed between polls, and
 //!   render a plaintext dashboard (qps, queue depth, cache hit rate,
 //!   shed rate, alert states). `--rules FILE` loads declarative alert
 //!   rules (threshold / rate / absence, with debounce and hysteresis)
-//!   evaluated against every update. `--once --json` takes two updates
-//!   an interval apart (so rates are defined), prints one JSON document,
+//!   evaluated against every poll. `--once --json` takes two polls an
+//!   interval apart (so rates are defined), prints one JSON document,
 //!   and exits nonzero when any rule fires — a CI gate in one line.
 //! * `stream ADDR --query Q [--cap N] [--windows N] [--once] [--json]`
 //!   Register a standing continuous query (DESIGN.md §13's one-line
@@ -1046,10 +1047,11 @@ fn configure_tracing(args: &Args, plane: &Telemetry) -> CliResult {
 }
 
 /// Start-up and shutdown shared by `serve` and `router`: stamp the build
-/// info, apply the `--trace*` flags, `bind` to `--listen` (which hands back
-/// the bound address and the daemon's run loop), print the address as
-/// `"{verb} on ADDR"` (and write it to `--addr-file`), run until stopped,
-/// then write the Prometheus exposition to `--metrics-file`.
+/// info, apply the `--trace*` and `--prof*` flags, `bind` to `--listen`
+/// (which hands back the bound address and the daemon's run loop), print
+/// the address as `"{verb} on ADDR"` (and write it to `--addr-file`), run
+/// until stopped, then write the Prometheus exposition to
+/// `--metrics-file`.
 fn run_daemon<R: FnOnce() -> std::io::Result<()>>(
     args: &Args,
     plane: &Telemetry,
@@ -1062,6 +1064,18 @@ fn run_daemon<R: FnOnce() -> std::io::Result<()>>(
         &printqueue::telemetry::provenance::git_commit(),
     );
     configure_tracing(args, plane)?;
+    // `--prof [--prof-sample-ms N]`: the profiler is process-global ("a
+    // process has one profile"), so only the plane that owns the process
+    // exports its `pq_prof_*` / `pq_lock_*` series. Dump requests are
+    // answered either way, with an empty report when profiling never ran.
+    let sample_ms: u64 = args.get("prof-sample-ms", 0);
+    if args.has("prof") || sample_ms > 0 {
+        printqueue::prof::set_enabled(true);
+        plane.set_export_prof(true);
+        if sample_ms > 0 {
+            printqueue::prof::start_sampler(std::time::Duration::from_millis(sample_ms));
+        }
+    }
     let listen = args.get_str("listen").unwrap_or("127.0.0.1:0");
     let (addr, run) = bind(listen).map_err(|err| format!("bind {listen}: {err}"))?;
     println!("{verb} on {addr}");
@@ -1109,7 +1123,6 @@ fn cmd_serve(args: &Args) -> CliResult {
     }
 
     let defaults = ServeConfig::default();
-    let prof_sample_ms = args.get("prof-sample-ms", defaults.prof_sample_ms);
     let config = ServeConfig {
         workers: args.get("workers", defaults.workers),
         queue_cap: args.get("queue-cap", defaults.queue_cap),
@@ -1119,10 +1132,7 @@ fn cmd_serve(args: &Args) -> CliResult {
         retry_after_ms: args.get("retry-after-ms", defaults.retry_after_ms),
         drain_deadline: args.get_ms("drain-ms", defaults.drain_deadline),
         work_delay: args.get_ms("work-delay-ms", defaults.work_delay),
-        max_subs: args.get("max-subs", defaults.max_subs),
         shard: args.get("shard", defaults.shard),
-        prof: defaults.prof || args.has("prof") || prof_sample_ms > 0,
-        prof_sample_ms,
     };
     let sources = Sources {
         live,
@@ -1167,17 +1177,6 @@ fn cmd_router(args: &Args) -> CliResult {
     };
     let plane = Telemetry::new();
     run_daemon(args, &plane, ("router", "routing"), |listen| {
-        // The router profiles like a daemon does: process-global scopes
-        // on, `pq_prof_*` series on its own plane. Its dump answer stays
-        // the merged backends-only report either way.
-        let sample_ms: u64 = args.get("prof-sample-ms", 0);
-        if args.has("prof") || sample_ms > 0 {
-            printqueue::prof::set_enabled(true);
-            plane.set_export_prof(true);
-            if sample_ms > 0 {
-                printqueue::prof::start_sampler(std::time::Duration::from_millis(sample_ms));
-            }
-        }
         progress!(
             "routing across {} backend(s), replication {}",
             backends.len(),
@@ -1775,15 +1774,16 @@ fn cmd_prof(args: &Args) -> CliResult {
 }
 
 fn cmd_watch(args: &Args) -> CliResult {
-    use printqueue::serve::Client;
-    use printqueue::telemetry::{names, AlertEngine, GaugeHistory};
+    use printqueue::serve::{Client, HealthInfo, MetricsUpdate};
+    use printqueue::telemetry::{delta, names, AlertEngine, GaugeHistory};
     let Some(addr) = args.positional.first().cloned() else {
         usage()
     };
     let interval_ms: u32 = args.get("interval-ms", 1_000);
     let json = args.has("json");
     let once = args.has("once");
-    let max_updates: u32 = args.get("updates", 0);
+    // Two polls for `--once`, so rates are defined; 0 = until the peer stops.
+    let polls: u32 = if once { 2 } else { args.get("updates", 0) };
 
     let mut rules = Vec::new();
     if let Some(path) = args.get_str("rules") {
@@ -1810,78 +1810,72 @@ fn cmd_watch(args: &Args) -> CliResult {
 
     let mut client =
         Client::connect(addr.as_str()).map_err(|err| format!("connect {addr}: {err}"))?;
-    let sub_updates = if once { 2 } else { max_updates };
-    let first = client
-        .subscribe(interval_ms, sub_updates)
-        .map_err(|err| format!("subscribe: {err}"))?;
-    // The server clamps the publisher tick to its supported range and
-    // echoes the effective value in the subscribe ack; surface it so an
-    // operator asking for 1ms is not silently misled about cadence.
-    let effective_ms = client.subscribed_interval_ms().unwrap_or(interval_ms);
-    if effective_ms != interval_ms {
-        progress!("watch {addr}: interval clamped to {effective_ms}ms (requested {interval_ms}ms)");
-    }
-    // Update 0 is the full baseline; later updates carry only changed
-    // series (absolute values), folded in with `apply`.
-    let mut folded = first.changed.clone();
-    let mut last_seen = first.last;
-    updates_ctr.inc();
-    changed_ctr.add(first.changed.iter().count() as u64);
-    let baseline_events = engine.evaluate(first.t_ns, &folded);
-    events_ctr.add(baseline_events.len() as u64);
-    firing_gauge.set(engine.firing().len() as u64);
-    let mut prev = (first.t_ns, folded.clone());
-
     let mut qps_hist = GaugeHistory::new(60);
     let mut depth_hist = GaugeHistory::new(60);
-
-    loop {
-        if last_seen {
-            break;
+    let mut health: Option<HealthInfo> = None;
+    let mut prev: Option<MetricsUpdate> = None;
+    let mut taken = 0u32;
+    while polls == 0 || taken < polls {
+        if prev.is_some() {
+            std::thread::sleep(std::time::Duration::from_millis(u64::from(interval_ms)));
         }
-        let update = client
-            .next_update()
-            .map_err(|err| format!("update: {err}"))?;
-        last_seen = update.last;
-        folded.apply(&update.changed);
+        let poll = match client.metrics_snapshot() {
+            Ok(poll) => poll,
+            // A peer that stops ends the watch with its final report.
+            Err(err) if prev.is_some() => {
+                progress!("watch {addr}: peer stopped ({err})");
+                break;
+            }
+            Err(err) => return Err(format!("metrics: {err}")),
+        };
+        taken += 1;
+        let snap = &poll.changed;
         updates_ctr.inc();
-        changed_ctr.add(update.changed.iter().count() as u64);
-        let fresh_events = engine.evaluate(update.t_ns, &folded);
+        let changed = match &prev {
+            Some(p) => delta::changed(&p.changed, snap).len(),
+            None => snap.len(),
+        };
+        changed_ctr.add(changed as u64);
+        let fresh_events = engine.evaluate(poll.t_ns, snap);
         events_ctr.add(fresh_events.len() as u64);
         firing_gauge.set(engine.firing().len() as u64);
-
-        let (prev_t, prev_snap) = &prev;
-        let elapsed = update.t_ns.saturating_sub(*prev_t);
-        let qps = telemetry::rate_per_sec(
-            sum_counter(prev_snap, names::SERVE_REQUESTS),
-            sum_counter(&folded, names::SERVE_REQUESTS),
-            elapsed,
-        );
-        qps_hist.push(update.t_ns, qps);
         depth_hist.push(
-            update.t_ns,
-            sum_counter(&folded, names::SERVE_QUEUE_DEPTH) as f64,
+            poll.t_ns,
+            sum_counter(snap, names::SERVE_QUEUE_DEPTH) as f64,
         );
-        if once {
-            break;
+        if let Some(p) = &prev {
+            let qps = telemetry::rate_per_sec(
+                requests_total(&p.changed),
+                requests_total(snap),
+                poll.t_ns.saturating_sub(p.t_ns),
+            );
+            qps_hist.push(poll.t_ns, qps);
+            if !once {
+                let Ok(h) = client.health() else { break };
+                render_watch_frame(
+                    &addr,
+                    &h,
+                    interval_ms,
+                    snap,
+                    qps,
+                    &qps_hist,
+                    &depth_hist,
+                    &engine,
+                    &fresh_events,
+                );
+                health = Some(h);
+            }
         }
-        let health = client.health().map_err(|err| format!("health: {err}"))?;
-        render_watch_frame(
-            &addr,
-            &health,
-            effective_ms,
-            &folded,
-            qps,
-            &qps_hist,
-            &depth_hist,
-            &engine,
-            &fresh_events,
-        );
-        prev = (update.t_ns, folded.clone());
+        prev = Some(poll);
     }
+    let server = prev.expect("the first poll answered").changed;
 
-    // Final (or only, with --once) report.
-    let health = client.health().map_err(|err| format!("health: {err}"))?;
+    // Final (or only, with --once) report. A peer that stopped reports
+    // the last health it answered with, marked draining.
+    let health = client.health().unwrap_or_else(|_| HealthInfo {
+        draining: true,
+        ..health.unwrap_or_default()
+    });
     let firing = engine.firing();
     if json {
         println!(
@@ -1889,8 +1883,9 @@ fn cmd_watch(args: &Args) -> CliResult {
             watch_json(
                 &addr,
                 &health,
-                effective_ms,
-                &folded,
+                interval_ms,
+                &server,
+                &qps_hist,
                 &plane.snapshot(),
                 &engine
             )
@@ -1898,7 +1893,7 @@ fn cmd_watch(args: &Args) -> CliResult {
     } else {
         print!(
             "{}",
-            watch_text(&addr, &health, effective_ms, &folded, &qps_hist, &engine)
+            watch_text(&addr, &health, interval_ms, &server, &qps_hist, &engine)
         );
     }
     if !firing.is_empty() {
@@ -2072,6 +2067,13 @@ fn stream_result_json(r: &printqueue::serve::StreamResult) -> String {
     )
 }
 
+/// Requests a daemon (`pq_serve_requests_total`) or a router
+/// (`pq_router_requests_total`) has answered: each exports only its own.
+fn requests_total(snap: &telemetry::RegistrySnapshot) -> u64 {
+    sum_counter(snap, telemetry::names::SERVE_REQUESTS)
+        + sum_counter(snap, telemetry::names::ROUTER_REQUESTS)
+}
+
 /// Sum a counter's or gauge's value across all of its label sets.
 fn sum_counter(snap: &telemetry::RegistrySnapshot, name: &str) -> u64 {
     snap.iter()
@@ -2142,8 +2144,8 @@ fn snapshot_json(snap: &telemetry::RegistrySnapshot) -> String {
 fn health_json(health: &printqueue::serve::HealthInfo) -> String {
     format!(
         "{{\"uptime_ns\":{},\"workers\":{},\"busy_workers\":{},\"queue_depth\":{},\
-         \"queue_cap\":{},\"active_conns\":{},\"max_conns\":{},\"subscribers\":{},\
-         \"draining\":{},\"version\":\"{}\",\"commit\":\"{}\",\"shard\":\"{}\"}}",
+         \"queue_cap\":{},\"active_conns\":{},\"max_conns\":{},\"draining\":{},\
+         \"version\":\"{}\",\"commit\":\"{}\",\"shard\":\"{}\"}}",
         health.uptime_ns,
         health.workers,
         health.busy_workers,
@@ -2151,7 +2153,6 @@ fn health_json(health: &printqueue::serve::HealthInfo) -> String {
         health.queue_cap,
         health.active_conns,
         health.max_conns,
-        health.subscribers,
         health.draining,
         json_escape(&health.version),
         json_escape(&health.commit),
@@ -2214,13 +2215,15 @@ fn exemplar_json(snap: &telemetry::RegistrySnapshot) -> String {
     }
 }
 
-/// The `--json` document: health, the folded server metrics, the watch
-/// client's own metrics, and every rule's status.
+/// The `--json` document: health, the last polled server metrics, the
+/// request rate between the last two polls, the watch client's own
+/// metrics, and every rule's status.
 fn watch_json(
     addr: &str,
     health: &printqueue::serve::HealthInfo,
     interval_ms: u32,
     server: &telemetry::RegistrySnapshot,
+    qps_hist: &printqueue::telemetry::GaugeHistory,
     watch: &telemetry::RegistrySnapshot,
     engine: &printqueue::telemetry::AlertEngine,
 ) -> String {
@@ -2233,11 +2236,12 @@ fn watch_json(
     // CI scripts pointed at a fleet member can assert who answered with a
     // one-key lookup.
     format!(
-        "{{\"addr\":\"{}\",\"shard\":\"{}\",\"interval_ms\":{},\"health\":{},\"metrics\":{},\
-         \"watch\":{},\"alerts\":{},\"firing\":[{}],\"exemplar\":{}}}",
+        "{{\"addr\":\"{}\",\"shard\":\"{}\",\"interval_ms\":{},\"qps\":{},\"health\":{},\
+         \"metrics\":{},\"watch\":{},\"alerts\":{},\"firing\":[{}],\"exemplar\":{}}}",
         json_escape(addr),
         json_escape(&health.shard),
         interval_ms,
+        qps_hist.latest().map_or(0.0, |(_, qps)| qps),
         health_json(health),
         snapshot_json(server),
         snapshot_json(watch),
@@ -2250,7 +2254,7 @@ fn watch_json(
     )
 }
 
-/// The plaintext summary printed by `--once` (and at stream end).
+/// The plaintext summary printed by `--once` (and when polling ends).
 fn watch_text(
     addr: &str,
     health: &printqueue::serve::HealthInfo,
@@ -2272,7 +2276,7 @@ fn watch_text(
     let _ = writeln!(
         out,
         "watch {addr}{shard}: every {interval_ms}ms, up {}s, version {} ({}), \
-         {}/{} workers busy, queue {}/{}, conns {}/{}, subscribers {}{}",
+         {}/{} workers busy, queue {}/{}, conns {}/{}{}",
         health.uptime_ns / 1_000_000_000,
         health.version,
         &health.commit[..health.commit.len().min(12)],
@@ -2282,11 +2286,11 @@ fn watch_text(
         health.queue_cap,
         health.active_conns,
         health.max_conns,
-        health.subscribers,
         if health.draining { ", DRAINING" } else { "" },
     );
-    let requests = sum_counter(server, telemetry::names::SERVE_REQUESTS);
-    let shed = sum_counter(server, telemetry::names::SERVE_SHED);
+    let requests = requests_total(server);
+    let shed = sum_counter(server, telemetry::names::SERVE_SHED)
+        + sum_counter(server, telemetry::names::ROUTER_SHED);
     let hits = sum_counter(server, telemetry::names::SERVE_CACHE_HIT);
     let misses = sum_counter(server, telemetry::names::SERVE_CACHE_MISS);
     let hit_rate = if hits + misses > 0 {

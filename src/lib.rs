@@ -43,9 +43,10 @@
 //!   window operators with watermark-driven deterministic closes under
 //!   out-of-order arrival, and bounded per-subscription state via a
 //!   space-saving top-k summary with explicit eviction accounting. The
-//!   daemon evaluates subscriptions on a dedicated thread and pushes
-//!   `StandingQueryResult` frames; the router fans a standing query to
-//!   every shard and merges per-window partials associatively;
+//!   daemon answers a subscription in one pass when it registers, on
+//!   the connection's reader thread, sending `StandingQueryResult`
+//!   frames; the router fans a standing query to every shard and merges
+//!   per-window partials associatively;
 //! * [`rtt`] — passive RTT diagnosis: seq-match and QUIC spin-bit
 //!   detectors over a budgeted per-flow table of log2 RTT histograms,
 //!   canonical mergeable reports that spill into `.pqa` archives and

@@ -9,6 +9,7 @@ use printqueue::router::RouterConfig;
 use printqueue::serve::wire::{self, ErrorCode, Frame, HealthInfo, Request, WireSample, WireValue};
 use printqueue::serve::{Client, ClientError, ServeConfig, Sources};
 use printqueue::telemetry::{names, AlertEngine, AlertRule, Op, Stat};
+use serde::Value;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread;
 use std::time::Duration;
@@ -56,7 +57,7 @@ fn hello(addr: SocketAddr, version: u16) -> (TcpStream, Option<Frame>) {
 /// request, and every refusal in full followed by the close.
 fn transcript(addr: SocketAddr) -> Vec<String> {
     let mut lines = Vec::new();
-    for version in [0, 1, 2, 9] {
+    for version in [0, 1, 2, 3, 9] {
         let (mut stream, reply) = hello(addr, version);
         let then = (version == 0).then(|| format!(" then {:?}", recv(&mut stream)));
         lines.push(format!(
@@ -160,7 +161,8 @@ fn a_daemon_and_a_router_present_the_same_front() {
     has("hello v0: Some(Error { id: 0, code: Unsupported");
     has("hello v1: Some(HelloAck { version: 1,");
     has("hello v2: Some(HelloAck { version: 2,");
-    has("hello v9: Some(HelloAck { version: 2,");
+    has("hello v3: Some(HelloAck { version: 3,");
+    has("hello v9: Some(HelloAck { version: 3,");
     has("0x05 -> [8c]");
     has("0x08 -> [8f]");
     has("0x03 -> [8a]");
@@ -276,7 +278,6 @@ fn every_method(addr: SocketAddr) -> Vec<(&'static str, ClientError)> {
         ("health", c.health().err().unwrap()),
         ("shard_map", c.shard_map().err().unwrap()),
         ("metrics_snapshot", c.metrics_snapshot().err().unwrap()),
-        ("subscribe", c.subscribe(10, 1).err().unwrap()),
         ("trace_dump", c.trace_dump(4, false).err().unwrap()),
         ("profile_dump_bytes", c.profile_dump_bytes().err().unwrap()),
         ("standing", c.standing("q", 4, 0, true).err().unwrap()),
@@ -304,7 +305,7 @@ fn every_client_method_judges_busy_and_ids_alike() {
 }
 
 /// A peer that handshakes, answers health probes, and answers every
-/// metrics pull or subscription with one final update carrying `samples`.
+/// other request with one metrics update carrying `samples`.
 /// Serves `conns` connections, one after the other.
 fn metrics_peer(samples: Vec<WireSample>, conns: usize) -> (SocketAddr, thread::JoinHandle<()>) {
     let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
@@ -322,25 +323,10 @@ fn metrics_peer(samples: Vec<WireSample>, conns: usize) -> (SocketAddr, thread::
             );
             while let Some(request) = recv(&mut stream) {
                 let id = request.id();
-                match request {
-                    Frame::HealthReq { .. } => {
-                        let health = HealthInfo::default();
-                        send(&mut stream, &Frame::HealthAck { id, health });
-                        continue;
-                    }
-                    Frame::MetricsSubscribe {
-                        interval_ms,
-                        max_updates,
-                        ..
-                    } => send(
-                        &mut stream,
-                        &Frame::SubscribeAck {
-                            id,
-                            interval_ms,
-                            max_updates,
-                        },
-                    ),
-                    _ => {}
+                if let Frame::HealthReq { .. } = request {
+                    let health = HealthInfo::default();
+                    send(&mut stream, &Frame::HealthAck { id, health });
+                    continue;
                 }
                 let header = Frame::MetricsHeader {
                     id,
@@ -424,4 +410,49 @@ fn an_inconsistent_peer_histogram_is_queried_not_panicked_on() {
     assert!(out.contains("rtt 5 samples"), "no rtt row in {out}");
     assert!(out.contains("freeze wait p99"), "no hotspot row in {out}");
     peer.join().unwrap();
+}
+
+/// `pqsim watch` polls a router exactly as it polls a daemon: `--once`
+/// takes two polls and `--updates N` takes N, whichever is watched, and
+/// the request rate between polls is a finite number.
+#[test]
+fn watch_polls_a_router_like_a_daemon() {
+    let fleet = pair(8);
+    for addr in [fleet.addr(0), fleet.router()] {
+        let watch = |extra: &[&str]| {
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_pqsim"))
+                .args(["watch", &addr.to_string(), "--interval-ms", "20", "--json"])
+                .args(extra)
+                .arg("--quiet")
+                .output()
+                .unwrap();
+            let (stdout, stderr) = (
+                String::from_utf8_lossy(&out.stdout),
+                String::from_utf8_lossy(&out.stderr),
+            );
+            assert!(out.status.success(), "watch {addr} {extra:?}: {stderr}");
+            // Without `--once` the dashboard frames come first; the JSON
+            // report is the last line.
+            let last = stdout.lines().last().unwrap_or_default().to_string();
+            let doc: Value = serde_json::from_str(&last)
+                .unwrap_or_else(|e| panic!("watch {addr} {extra:?}: {e}: {stdout}"));
+            let updates = doc
+                .get("watch")
+                .and_then(|w| w.get("pq_watch_updates_total"));
+            let Some(&Value::U64(updates)) = updates else {
+                panic!("watch {addr} {extra:?}: no poll count in {last}")
+            };
+            let qps = match doc.get("qps") {
+                Some(&Value::F64(qps)) => Some(qps),
+                Some(&Value::U64(qps)) => Some(qps as f64),
+                _ => None,
+            };
+            (updates, qps)
+        };
+        let (updates, qps) = watch(&["--once"]);
+        assert!(updates >= 2, "watch {addr} --once: {updates} polls");
+        assert!(qps.is_some_and(f64::is_finite), "watch {addr}: qps {qps:?}");
+        assert_eq!(watch(&["--updates", "3"]).0, 3, "watch {addr} --updates 3");
+    }
+    fleet.shutdown();
 }

@@ -19,15 +19,23 @@ use printqueue::telemetry::{parse_prometheus, Telemetry};
 /// driven for `until` ns. Spilling it here also exercises the
 /// instrumented freeze gate and store-writer locks, so the dumps and
 /// expositions below have real lock data to show.
+///
+/// Profiling is switched on as `pqsim serve --prof` does it: scope
+/// timing on for the process, `pq_prof_*` / `pq_lock_*` series exported
+/// by each daemon's plane. The stack sampler stays off: dump stability
+/// is the point.
 fn profiled_fleet(until: u64, n: usize) -> Fleet {
     let (_, bytes) = spill_program(until, tiny_segments());
+    prof::set_enabled(true);
     let config = ServeConfig {
-        prof: true,
-        prof_sample_ms: 0, // sampler off: dump stability is the point
-        cache_bytes: 0,    // every replay decodes, so segment_decode records
+        cache_bytes: 0, // every replay decodes, so segment_decode records
         ..ServeConfig::default()
     };
-    Fleet::replicas(&bytes, n, &config)
+    let fleet = Fleet::replicas(&bytes, n, &config);
+    for i in 0..n {
+        fleet.plane(i).set_export_prof(true);
+    }
+    fleet
 }
 
 #[test]

@@ -9,7 +9,7 @@ use printqueue::core::coefficient::Coefficients;
 use printqueue::core::snapshot::QueryInterval;
 use printqueue::packet::FlowId;
 use printqueue::serve::wire::{self, Frame};
-use printqueue::serve::{Client, ClientError, Request, ServeConfig};
+use printqueue::serve::{Client, ClientError, HealthInfo, Request, ServeConfig};
 use printqueue::store::StoreReader;
 use printqueue::telemetry::parse_prometheus;
 use std::io::{Cursor, Read};
@@ -351,7 +351,6 @@ fn health_answers_inline_and_reflects_config() {
     assert_eq!(health.queue_cap, 17);
     assert_eq!(health.max_conns, 9);
     assert_eq!(health.active_conns, 1);
-    assert_eq!(health.subscribers, 0);
     assert!(!health.draining);
     assert_eq!(health.version, "9.9.9");
     assert_eq!(health.commit, "cafe1234");
@@ -414,23 +413,24 @@ fn metrics_get_matches_prometheus_exposition() {
     fleet.shutdown();
 }
 
+/// A watcher polls `MetricsGet`: each poll is the whole registry, so the
+/// last poll after the work settles equals the server's own state, and
+/// the series that moved between two polls are exactly the ones
+/// `delta::changed` names.
 #[test]
-fn subscription_deltas_fold_to_server_state() {
+fn polled_snapshots_equal_server_state() {
     let ap = Arc::new(drive_program(None, 2_000, 0));
     let fleet = Fleet::live(&[ap], &ServeConfig::default());
     let mut client = Client::connect(fleet.addr(0)).unwrap();
-    let first = client.subscribe(100, 4).unwrap();
-    assert_eq!(first.seq, 0);
-    assert!(!first.last);
-    // The baseline must be a full snapshot: core serve series present.
+    let first = client.metrics_snapshot().unwrap();
+    assert_eq!((first.seq, first.last), (0, true));
+    // A full snapshot: core serve series present.
     assert!(first
         .changed
         .counter(printqueue::telemetry::names::SERVE_SHED, &[])
         .is_some());
-    let mut folded = first.changed.clone();
 
-    // Work a second connection while updates stream so deltas are
-    // non-trivial.
+    // Work a second connection between the polls.
     let mut worker = Client::connect(fleet.addr(0)).unwrap();
     for _ in 0..3 {
         worker
@@ -441,75 +441,73 @@ fn subscription_deltas_fold_to_server_state() {
             })
             .unwrap();
     }
-    let mut seq = first.seq;
-    loop {
-        let update = client.next_update().unwrap();
-        assert_eq!(update.seq, seq + 1, "updates must arrive in order");
-        seq = update.seq;
-        folded.apply(&update.changed);
-        if update.last {
-            break;
-        }
-    }
-    // All three queries finished before the last delta was cut, so the
-    // folded client-side view matches the server's own count exactly.
-    assert_eq!(
-        folded.counter(
+    let second = client.metrics_snapshot().unwrap();
+    assert!(second.t_ns >= first.t_ns);
+    let tw = |snap: &printqueue::telemetry::RegistrySnapshot| {
+        snap.counter(
             printqueue::telemetry::names::SERVE_REQUESTS,
-            &[("kind", "time_windows")]
-        ),
-        Some(3)
-    );
+            &[("kind", "time_windows")],
+        )
+    };
+    // All three queries were answered before the poll, so the polled
+    // view matches the server's own count exactly.
+    assert_eq!(tw(&second.changed), Some(3));
+    assert_eq!(tw(&fleet.plane(0).snapshot()), Some(3));
+    let moved = printqueue::telemetry::delta::changed(&first.changed, &second.changed);
+    assert_eq!(tw(&moved), Some(3));
+    for (key, value) in second.changed.iter() {
+        assert!(moved.get(key) == Some(value) || first.changed.get(key) == Some(value));
+    }
     fleet.shutdown();
 }
 
+/// A metrics read is answered on the connection's reader thread: with
+/// the only worker busy and the admission queue full, where a queued
+/// request would be shed, a poll is answered.
 #[test]
-fn subscriptions_beyond_cap_shed_busy() {
+fn metrics_reads_are_never_queued_or_shed() {
     let ap = Arc::new(drive_program(None, 500, 0));
     let config = ServeConfig {
-        max_subs: 1,
-        retry_after_ms: 23,
+        workers: 1,
+        queue_cap: 1,
+        work_delay: Duration::from_millis(500),
         ..ServeConfig::default()
     };
     let fleet = Fleet::live(&[ap], &config);
-    let mut first = Client::connect(fleet.addr(0)).unwrap();
-    first.subscribe(1_000, 0).unwrap();
-    // The worker registers the subscription just after sending the
-    // initial update the subscribe() call returns on; give it a beat.
-    std::thread::sleep(Duration::from_millis(100));
-    let mut second = Client::connect(fleet.addr(0)).unwrap();
-    match second.subscribe(1_000, 0) {
-        Err(ClientError::Busy { retry_after_ms }) => assert_eq!(retry_after_ms, 23),
-        other => panic!("expected Busy beyond the subscription cap, got {other:?}"),
-    }
-    fleet.shutdown();
-}
-
-#[test]
-fn shutdown_sends_subscribers_a_final_update() {
-    let ap = Arc::new(drive_program(None, 500, 0));
-    let fleet = Fleet::live(&[ap], &ServeConfig::default());
-    let mut client = Client::connect(fleet.addr(0)).unwrap();
-    let first = client.subscribe(60_000, 0).unwrap();
-    assert!(!first.last);
-    // Initiate shutdown from another connection; the blocking shutdown()
-    // returns only after the drain, which must have closed the stream
-    // with one final `last` update (not a dropped socket).
-    let mut stopper = Client::connect(fleet.addr(0)).unwrap();
-    stopper.shutdown_server().unwrap();
-    fleet.shutdown();
-    let mut saw_last = false;
-    for _ in 0..8 {
-        let update = client.next_update().unwrap();
-        if update.last {
-            saw_last = true;
-            break;
+    let addr = fleet.addr(0);
+    let mut client = Client::connect(addr).unwrap();
+    // One query executing, then one queued: the pool is saturated.
+    let mut saturate = |until: fn(&HealthInfo) -> bool| {
+        let query = std::thread::spawn(move || {
+            Client::connect(addr).unwrap().query(Request::TimeWindows {
+                port: 0,
+                from: 0,
+                to: 400,
+            })
+        });
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !until(&client.health().unwrap()) {
+            assert!(Instant::now() < deadline, "the query was never admitted");
+            std::thread::sleep(Duration::from_millis(2));
         }
-    }
-    assert!(
-        saw_last,
-        "drain must close subscriptions with a last update"
+        query
+    };
+    let queries = [
+        saturate(|h| h.busy_workers == 1),
+        saturate(|h| h.queue_depth == 1),
+    ];
+    let update = client.metrics_snapshot().unwrap();
+    let snap = &update.changed;
+    let names = (
+        printqueue::telemetry::names::SERVE_QUEUE_DEPTH,
+        printqueue::telemetry::names::SERVE_SHED,
     );
+    assert_eq!(snap.gauge(names.0, &[]), Some(1), "cut with the queue full");
+    assert_eq!(snap.counter(names.1, &[]), Some(0));
+    for query in queries {
+        query.join().unwrap().unwrap();
+    }
+    fleet.shutdown();
 }
 
 #[test]

@@ -214,14 +214,6 @@ fn vectors() -> Vec<(&'static str, Frame)> {
         ("shutdown_req", Frame::ShutdownReq { id: 4 }),
         ("health_req", Frame::HealthReq { id: 11 }),
         ("metrics_get", Frame::MetricsGet { id: 12 }),
-        (
-            "metrics_subscribe",
-            Frame::MetricsSubscribe {
-                id: 13,
-                interval_ms: 250,
-                max_updates: 4,
-            },
-        ),
         ("shard_map_req", Frame::ShardMapReq { id: 21 }),
         ("standing_query_req", standing_req(None)),
         ("standing_query_req_traced", standing_req(ctx())),
@@ -346,7 +338,6 @@ fn vectors() -> Vec<(&'static str, Frame)> {
                     queue_cap: 128,
                     active_conns: 1,
                     max_conns: 64,
-                    subscribers: 1,
                     draining: true,
                     version: "0.1.0".into(),
                     commit: "abc123".into(),
@@ -442,14 +433,6 @@ fn vectors() -> Vec<(&'static str, Frame)> {
                     gaps(ENTRIES_PER_FRAME),
                     RttAgg::default(),
                 ),
-            },
-        ),
-        (
-            "subscribe_ack",
-            Frame::SubscribeAck {
-                id: 33,
-                interval_ms: 10,
-                max_updates: 4,
             },
         ),
         (
@@ -573,7 +556,29 @@ fn every_frame_tag_has_a_vector() {
     let covered: BTreeSet<u8> = vectors().iter().map(|(_, f)| encode_body(f)[0]).collect();
     let declared: BTreeSet<u8> = Frame::TAGS.iter().copied().collect();
     assert_eq!(covered, declared, "frame tags without a golden vector");
-    assert_eq!(declared.len(), 35, "the tag set is the parent commit's");
+    assert_eq!(
+        declared.len(),
+        33,
+        "35 tags less the metrics subscription's two"
+    );
+}
+
+/// The metrics subscription's frames, retired in protocol version 3, as
+/// their last golden vectors encoded them: a peer still sending either
+/// gets a decode error, never a panic and never another frame.
+#[test]
+fn retired_subscription_tags_are_refused() {
+    let retired = [
+        ("metrics_subscribe", "070d00000000000000fa00000004000000"),
+        ("subscribe_ack", "9221000000000000000a00000004000000"),
+    ];
+    for (name, bytes) in retired {
+        let bytes = unhex(bytes);
+        assert!(!Frame::TAGS.contains(&bytes[0]), "`{name}` tag is live");
+        let decoded = catch_unwind(|| decode_body(&bytes))
+            .unwrap_or_else(|_| panic!("`{name}` panicked the decoder"));
+        assert!(decoded.is_err(), "`{name}` decoded to {decoded:?}");
+    }
 }
 
 /// Every vector with each byte flipped in turn (all eight bits): the

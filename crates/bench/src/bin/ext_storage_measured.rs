@@ -14,7 +14,7 @@ use pq_bench::report::{write_json, CommonArgs, Table};
 use pq_core::culprits::GroundTruth;
 use pq_core::metrics::{self, precision_recall};
 use pq_core::params::TimeWindowConfig;
-use pq_core::printqueue::{PrintQueue, PrintQueueConfig};
+use pq_core::printqueue::PrintQueue;
 use pq_core::snapshot::QueryInterval;
 use pq_packet::NanosExt;
 use pq_store::{SegmentPolicy, SharedStoreWriter, StoreWriter};
@@ -46,7 +46,7 @@ fn main() {
     let trace = Workload::paper_testbed(WorkloadKind::Uw, duration, args.seed).generate();
     eprintln!("[ext_storage_measured] UW: {} packets", trace.packets());
 
-    let mut pq = PrintQueue::new(PrintQueueConfig::single_port(tw, config.min_pkt_tx_delay));
+    let mut pq = PrintQueue::new(config.pq.clone());
     let writer = StoreWriter::new(Vec::new(), tw, SegmentPolicy::default()).expect("UW geometry");
     let archive = SharedStoreWriter::new(writer);
     pq.analysis_mut().set_spill(Box::new(archive.clone()));

@@ -64,7 +64,7 @@ fn main() {
     let tw = TimeWindowConfig::WS_DM;
     let mut config = RunConfig::new(tw, 200); // burst datagrams are 250 B → d = 200 ns
     config.max_depth_cells = 40_000;
-    config.poll_period = Some(2u64.millis());
+    config.pq.control.poll_period = 2u64.millis();
     let mut out = run(&config, &cs.trace);
 
     // The victim: the first new-TCP packet that experienced heavy queueing.

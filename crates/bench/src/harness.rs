@@ -78,42 +78,27 @@ impl QueueHooks for BaselineHook {
 /// One experiment run's configuration.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
-    /// Time-window parameters.
-    pub tw: TimeWindowConfig,
+    /// PrintQueue itself: time windows, polling, queue monitor, trigger
+    /// and fault injection.
+    pub pq: PrintQueueConfig,
     /// Egress port rate in Gbps.
     pub port_rate_gbps: f64,
     /// Tail-drop threshold in cells.
     pub max_depth_cells: u32,
-    /// Theorem-3 boot value: min packet tx delay in ns.
-    pub min_pkt_tx_delay: Nanos,
     /// Attach the baselines?
     pub with_baselines: bool,
-    /// Data-plane trigger (for DQ experiments).
-    pub trigger: Option<DataPlaneTrigger>,
-    /// Queue-monitor entries (0 disables by using 1 entry).
-    pub qm_entries: usize,
-    /// Control-plane poll period override (`None` = once per set period,
-    /// the paper's default).
-    pub poll_period: Option<Nanos>,
-    /// Fault injection for the control plane (`None` = perfectly reliable
-    /// reads, the historical behaviour).
-    pub faults: Option<FaultConfig>,
 }
 
 impl RunConfig {
     /// Defaults matching the paper's testbed: 10 Gbps bottleneck, deep
-    /// buffer, min-packet delay of the workload's packet floor.
+    /// buffer, min-packet delay of the workload's packet floor, and
+    /// PrintQueue polling once per set period.
     pub fn new(tw: TimeWindowConfig, min_pkt_tx_delay: Nanos) -> RunConfig {
         RunConfig {
-            tw,
+            pq: PrintQueueConfig::single_port(tw, min_pkt_tx_delay),
             port_rate_gbps: 10.0,
             max_depth_cells: 32_768,
-            min_pkt_tx_delay,
             with_baselines: false,
-            trigger: None,
-            qm_entries: 32 * 1024,
-            poll_period: None,
-            faults: None,
         }
     }
 
@@ -125,13 +110,13 @@ impl RunConfig {
 
     /// Install a data-plane trigger.
     pub fn with_trigger(mut self, trigger: DataPlaneTrigger) -> RunConfig {
-        self.trigger = Some(trigger);
+        self.pq = self.pq.with_trigger(trigger);
         self
     }
 
     /// Inject control-plane faults during the run.
     pub fn with_faults(mut self, faults: FaultConfig) -> RunConfig {
-        self.faults = Some(faults);
+        self.pq = self.pq.with_faults(faults);
         self
     }
 }
@@ -155,21 +140,11 @@ pub struct RunOutput {
 /// Run `trace` through a single-port switch with PrintQueue (and optionally
 /// the baselines) attached.
 pub fn run(config: &RunConfig, trace: &GeneratedTrace) -> RunOutput {
-    let mut pq_config = PrintQueueConfig::single_port(config.tw, config.min_pkt_tx_delay);
-    pq_config.qm_entries = config.qm_entries.max(1);
-    if let Some(poll) = config.poll_period {
-        pq_config.control.poll_period = poll;
-    }
-    if let Some(trigger) = config.trigger {
-        pq_config = pq_config.with_trigger(trigger);
-    }
-    if let Some(faults) = config.faults.clone() {
-        pq_config = pq_config.with_faults(faults);
-    }
     // The switch tick drives both the analysis program's polling and the
     // baselines' resets.
-    let set_period = pq_config.control.poll_period.min(config.tw.set_period());
-    let mut printqueue = PrintQueue::new(pq_config);
+    let pq = &config.pq;
+    let set_period = pq.control.poll_period.min(pq.time_windows.set_period());
+    let mut printqueue = PrintQueue::new(pq.clone());
     let mut sink = TelemetrySink::new();
     let mut baselines = config.with_baselines.then(|| {
         let keys: Vec<FlowKey> = trace.flows.iter().map(|(_, k)| *k).collect();

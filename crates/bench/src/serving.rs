@@ -15,6 +15,7 @@
 
 use pq_core::control::{AnalysisProgram, ControlConfig};
 use pq_core::params::TimeWindowConfig;
+use pq_core::printqueue::PrintQueueConfig;
 use pq_core::snapshot::QueryInterval;
 use pq_packet::FlowId;
 use pq_router::{BackendSpec, Router, RouterConfig, RouterHandle};
@@ -47,25 +48,23 @@ pub fn tiny_segments() -> SegmentPolicy {
 /// Drive a two-port program for `until` ns with a poll every 64 ns and a
 /// silence window (no polls) in the middle that opens a coverage gap.
 /// `flow_offset` shifts every flow id, so shards of a routed fleet can own
-/// disjoint populations; it is 0 for a single program. Its output is
-/// pinned by `tests/data/checkpoint_archive.json`.
+/// disjoint populations; it is 0 for a single program. Its checkpoints
+/// and gaps at `until` = 640 are pinned by `tests/data/checkpoint_archive.pqa`.
 pub fn drive_program(
     spill: Option<SharedStoreWriter<Vec<u8>>>,
     until: u64,
     flow_offset: u32,
 ) -> AnalysisProgram {
     let tw = tw_small();
-    let mut ap = AnalysisProgram::new(
-        tw,
-        ControlConfig {
+    let mut ap = AnalysisProgram::new(&PrintQueueConfig {
+        control: ControlConfig {
             poll_period: 64,
             max_snapshots: 10_000,
         },
-        &PORTS,
-        32,
-        1,
-        1,
-    );
+        ports: PORTS.to_vec(),
+        qm_entries: 32,
+        ..PrintQueueConfig::single_port(tw, 1)
+    });
     if let Some(handle) = spill {
         ap.set_spill(Box::new(handle));
     }
@@ -131,17 +130,15 @@ pub fn drive_polls(
     polls: u64,
     spill: Option<SharedStoreWriter<Vec<u8>>>,
 ) -> AnalysisProgram {
-    let mut ap = AnalysisProgram::new(
-        tw(),
-        ControlConfig {
+    let mut ap = AnalysisProgram::new(&PrintQueueConfig {
+        control: ControlConfig {
             poll_period: POLL_PERIOD,
             max_snapshots: polls as usize + 8,
         },
-        ports,
-        64,
-        1,
-        MIN_PKT_TX_DELAY,
-    );
+        ports: ports.to_vec(),
+        qm_entries: 64,
+        ..PrintQueueConfig::single_port(tw(), MIN_PKT_TX_DELAY)
+    });
     if let Some(handle) = spill {
         ap.set_spill(Box::new(handle));
     }

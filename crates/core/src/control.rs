@@ -40,15 +40,16 @@
 //! reported so experiments can mark infeasible configurations.
 
 use crate::coefficient::Coefficients;
-use crate::faults::{FaultConfig, FaultInjector, RetryPolicy};
+use crate::faults::{FaultInjector, RetryPolicy};
 use crate::metrics::{ControlCounters, ControlHealth};
 use crate::params::TimeWindowConfig;
+use crate::printqueue::PrintQueueConfig;
 use crate::queue_monitor::{QueueMonitor, QueueMonitorSnapshot};
 use crate::snapshot::{FlowEstimates, QueryInterval, TimeWindowSnapshot};
 use crate::time_windows::TimeWindowSet;
 use pq_packet::{FlowId, Nanos};
 use pq_telemetry::{names, Telemetry};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::ops::Deref;
 use std::time::Instant;
 
@@ -58,7 +59,7 @@ use std::time::Instant;
 const MAX_STORED_GAPS: usize = 4096;
 
 /// Control-plane configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct ControlConfig {
     /// Poll period. Must be ≤ the set period or coverage gaps appear
     /// (§6.2: "at least once per t_set"). Defaults to the set period.
@@ -80,7 +81,7 @@ impl ControlConfig {
 /// A span of time over which the periodic-checkpoint chain lost coverage:
 /// more than `t_set` passed after `from` without a stored checkpoint, so
 /// ring history between the endpoints may have been overwritten unread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CoverageGap {
     /// The last successfully stored periodic checkpoint before the gap.
     pub from: Nanos,
@@ -115,7 +116,7 @@ impl CoverageGap {
 /// Dereferences to its [`FlowEstimates`], so call sites that only care
 /// about counts keep working unchanged; resilience-aware callers inspect
 /// [`QueryResult::degraded`] and [`QueryResult::gaps`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct QueryResult {
     /// Per-flow estimated packet counts over the interval.
     pub estimates: FlowEstimates,
@@ -191,7 +192,7 @@ impl Deref for QueueMonitorAnswer<'_> {
 }
 
 /// A stored checkpoint of one port's data-plane state.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     /// When the freeze happened.
     pub frozen_at: Nanos,
@@ -420,43 +421,13 @@ pub struct AnalysisProgram {
 }
 
 impl AnalysisProgram {
-    /// Configure PrintQueue on `ports` (§6.1), with queue monitors of
-    /// `qm_entries` × `qm_cells_per_entry` granularity, and `d` =
-    /// minimum-packet transmission delay for the coefficient boot value.
-    pub fn new(
-        tw_config: TimeWindowConfig,
-        control: ControlConfig,
-        ports: &[u16],
-        qm_entries: usize,
-        qm_cells_per_entry: u32,
-        d: Nanos,
-    ) -> AnalysisProgram {
-        Self::with_options(
-            tw_config,
-            control,
-            ports,
-            qm_entries,
-            qm_cells_per_entry,
-            d,
-            1,
-            true,
-        )
-    }
-
-    /// [`AnalysisProgram::new`] with per-port queue count (each queue gets
-    /// its own monitor) and the Algorithm-1 passing rule made optional
-    /// (`passing = false` is the ablation: every eviction drops).
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_options(
-        tw_config: TimeWindowConfig,
-        control: ControlConfig,
-        ports: &[u16],
-        qm_entries: usize,
-        qm_cells_per_entry: u32,
-        d: Nanos,
-        queues_per_port: u8,
-        passing: bool,
-    ) -> AnalysisProgram {
+    /// Configure the control plane and register files `config` describes
+    /// (§6.1): its ports, time windows, polling, queue monitors (one per
+    /// egress queue), passing rule, coefficient boot value (`min_pkt_tx_delay`), and fault
+    /// injection with its retry policy. The data-plane trigger is the
+    /// [`PrintQueue`](crate::printqueue::PrintQueue) facade's.
+    pub fn new(config: &PrintQueueConfig) -> AnalysisProgram {
+        let (tw_config, control, ports) = (config.time_windows, config.control, &config.ports);
         assert!(!ports.is_empty(), "activate at least one port");
         assert!(
             control.poll_period <= tw_config.set_period(),
@@ -467,7 +438,7 @@ impl AnalysisProgram {
         let telemetry = Telemetry::new();
         let counters = ControlCounters::resolve(&telemetry);
         AnalysisProgram {
-            coeffs: Coefficients::compute(&tw_config, d),
+            coeffs: Coefficients::compute(&tw_config, config.min_pkt_tx_delay),
             ports: ports
                 .iter()
                 .map(|p| {
@@ -475,18 +446,18 @@ impl AnalysisProgram {
                         *p,
                         PortRegisters::new(
                             &tw_config,
-                            qm_entries,
-                            qm_cells_per_entry,
-                            queues_per_port,
-                            passing,
+                            config.qm_entries,
+                            config.qm_cells_per_entry,
+                            config.queues_per_port,
+                            !config.ablate_passing,
                         ),
                     )
                 })
                 .collect(),
             checkpoints: ports.iter().map(|_| SnapshotRing::default()).collect(),
             gaps: vec![Vec::new(); ports.len()],
-            faults: None,
-            retry_policy: RetryPolicy::default(),
+            faults: config.faults.clone().map(FaultInjector::new),
+            retry_policy: config.retry,
             spill: None,
             telemetry,
             counters,
@@ -510,21 +481,9 @@ impl AnalysisProgram {
         &self.coeffs
     }
 
-    /// Install a fault injector (see [`crate::faults`]). Reads issued from
-    /// now on are subject to the configured failures, latencies, stalls,
-    /// and checkpoint drops.
-    pub fn set_faults(&mut self, config: FaultConfig) {
-        self.faults = Some(FaultInjector::new(config));
-    }
-
     /// The installed fault injector, if any.
     pub fn faults(&self) -> Option<&FaultInjector> {
         self.faults.as_ref()
-    }
-
-    /// Replace the retry/backoff policy for failed reads.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry_policy = policy;
     }
 
     /// The retry/backoff policy in force.
@@ -1022,22 +981,28 @@ impl AnalysisProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{FaultProfile, LatencyModel};
+    use crate::faults::{FaultConfig, FaultProfile, LatencyModel};
 
-    fn program(poll: Nanos) -> AnalysisProgram {
+    fn config(poll: Nanos) -> PrintQueueConfig {
         // Tiny: 64 cells, 2 windows → set period 64 + 128 = 192 ns.
         let tw = TimeWindowConfig::new(0, 1, 6, 2);
-        AnalysisProgram::new(
-            tw,
-            ControlConfig {
+        PrintQueueConfig {
+            control: ControlConfig {
                 poll_period: poll,
                 max_snapshots: 8,
             },
-            &[0],
-            32,
-            1,
-            1,
-        )
+            qm_entries: 32,
+            ..PrintQueueConfig::single_port(tw, 1)
+        }
+    }
+
+    fn program(poll: Nanos) -> AnalysisProgram {
+        AnalysisProgram::new(&config(poll))
+    }
+
+    /// [`program`] polling every 64 ns under `faults`.
+    fn faulty(faults: FaultConfig) -> AnalysisProgram {
+        AnalysisProgram::new(&config(64).with_faults(faults))
     }
 
     #[test]
@@ -1226,17 +1191,9 @@ mod tests {
     #[should_panic(expected = "coverage gap")]
     fn poll_slower_than_set_period_rejected() {
         let tw = TimeWindowConfig::new(0, 1, 4, 2);
-        let _ = AnalysisProgram::new(
-            tw,
-            ControlConfig {
-                poll_period: tw.set_period() + 1,
-                max_snapshots: 1,
-            },
-            &[0],
-            8,
-            1,
-            1,
-        );
+        let mut config = PrintQueueConfig::single_port(tw, 1);
+        config.control.poll_period = tw.set_period() + 1;
+        let _ = AnalysisProgram::new(&config);
     }
 
     #[test]
@@ -1245,8 +1202,7 @@ mod tests {
         // original path: same checkpoints, same query answers, no health
         // noise beyond the attempt counter.
         let mut plain = program(64);
-        let mut injected = program(64);
-        injected.set_faults(FaultConfig::new(3));
+        let mut injected = faulty(FaultConfig::new(3));
         for t in 0..200u64 {
             plain.record_dequeue(0, FlowId((t % 3) as u32), t);
             injected.record_dequeue(0, FlowId((t % 3) as u32), t);
@@ -1268,13 +1224,15 @@ mod tests {
 
     #[test]
     fn failed_reads_schedule_backed_off_retries() {
-        let mut ap = program(64);
-        ap.set_retry_policy(RetryPolicy {
-            base_backoff: 16,
-            max_backoff: 64,
-            jitter: 0.0,
+        let mut ap = AnalysisProgram::new(&PrintQueueConfig {
+            retry: RetryPolicy {
+                base_backoff: 16,
+                max_backoff: 64,
+                jitter: 0.0,
+            },
+            ..config(64)
+                .with_faults(FaultConfig::new(5).with_base(FaultProfile::read_failures(1.0)))
         });
-        ap.set_faults(FaultConfig::new(5).with_base(FaultProfile::read_failures(1.0)));
         for t in 1..=100u64 {
             ap.on_tick(t * 4);
         }
@@ -1322,8 +1280,7 @@ mod tests {
 
     #[test]
     fn read_latency_locks_special_set_for_duration() {
-        let mut ap = program(64);
-        ap.set_faults(FaultConfig::new(2).with_base(FaultProfile {
+        let mut ap = faulty(FaultConfig::new(2).with_base(FaultProfile {
             read_latency: LatencyModel::Fixed(50),
             ..FaultProfile::none()
         }));
@@ -1339,8 +1296,7 @@ mod tests {
 
     #[test]
     fn poll_queued_behind_inflight_read_completes_later() {
-        let mut ap = program(64);
-        ap.set_faults(FaultConfig::new(4).with_base(FaultProfile {
+        let mut ap = faulty(FaultConfig::new(4).with_base(FaultProfile {
             read_latency: LatencyModel::Fixed(100),
             ..FaultProfile::none()
         }));
@@ -1353,8 +1309,7 @@ mod tests {
 
     #[test]
     fn dropped_checkpoints_open_gaps() {
-        let mut ap = program(64);
-        ap.set_faults(FaultConfig::new(9).with_base(FaultProfile {
+        let mut ap = faulty(FaultConfig::new(9).with_base(FaultProfile {
             drop_checkpoint_prob: 1.0,
             ..FaultProfile::none()
         }));
@@ -1372,8 +1327,7 @@ mod tests {
     /// Two polls, nothing written between them, both checkpoints dropped:
     /// the sum of `name` over both freezes.
     fn captured_over_two_dropped_polls(name: &str) -> u64 {
-        let mut ap = program(64);
-        ap.set_faults(FaultConfig::new(9).with_base(FaultProfile {
+        let mut ap = faulty(FaultConfig::new(9).with_base(FaultProfile {
             drop_checkpoint_prob: 1.0,
             ..FaultProfile::none()
         }));

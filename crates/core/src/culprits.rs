@@ -17,11 +17,11 @@
 
 use pq_packet::{FlowId, Nanos};
 use pq_switch::TelemetryRecord;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// Per-flow ground-truth packet counts for one victim's congestion regime.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct CulpritReport {
     /// Packets dequeued within the victim's queueing interval, per flow.
     pub direct: HashMap<FlowId, u64>,

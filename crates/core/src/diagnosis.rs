@@ -13,11 +13,11 @@
 use crate::control::{AnalysisProgram, CoverageGap};
 use crate::snapshot::{FlowEstimates, QueryInterval};
 use pq_packet::{FlowId, Nanos};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A coarse classification of the congestion pattern, in the spirit of the
 /// §2 examples.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum CongestionPattern {
     /// One or two flows dominate the direct culprits — a heavy hitter (or
     /// a priority class) is crowding the victim out.
@@ -32,7 +32,7 @@ pub enum CongestionPattern {
 }
 
 /// The full report for one victim.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Diagnosis {
     /// The victim's queueing interval.
     pub interval: QueryInterval,
@@ -47,10 +47,8 @@ pub struct Diagnosis {
     pub pattern: CongestionPattern,
     /// True when any contributing query was answered over a control-plane
     /// coverage gap: the report is best-effort, not authoritative.
-    #[serde(default)]
     pub degraded: bool,
     /// The coverage gaps that intersected the queries, if any.
-    #[serde(default)]
     pub gaps: Vec<CoverageGap>,
 }
 

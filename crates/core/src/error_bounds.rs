@@ -21,10 +21,10 @@
 //! windows hurt (Figure 11).
 
 use crate::coefficient::Coefficients;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Uncertainty summary for one recovered count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RecoveryBound {
     /// The recovered (expected-original) count `X / c`.
     pub estimate: f64,

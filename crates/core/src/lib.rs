@@ -34,9 +34,7 @@ pub mod control;
 pub mod culprits;
 pub mod diagnosis;
 pub mod error_bounds;
-pub mod export;
 pub mod faults;
-pub mod fleet;
 pub mod metrics;
 pub mod params;
 pub mod printqueue;

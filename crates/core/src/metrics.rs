@@ -8,14 +8,14 @@
 
 use pq_packet::FlowId;
 use pq_telemetry::{names, Counter, Histogram, Telemetry};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// Per-flow packet counts (either estimated or ground truth).
 pub type FlowCounts = HashMap<FlowId, f64>;
 
 /// A precision/recall pair.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct PrecisionRecall {
     pub precision: f64,
     pub recall: f64,
@@ -36,7 +36,7 @@ impl PrecisionRecall {
 /// faring under (possibly injected) faults. All counters are cumulative
 /// since construction; with no fault injector only `polls_attempted` and
 /// `checkpoints_stored` move (and stay equal).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ControlHealth {
     /// Freeze-and-read attempts issued (first tries and retries alike).
     pub polls_attempted: u64,
@@ -61,12 +61,11 @@ pub struct ControlHealth {
     pub dp_triggers_rejected: u64,
     /// Checkpoint-spill sink writes that failed (the checkpoint stays in
     /// the in-RAM ring; on-disk history has a hole). Zero without a sink.
-    #[serde(default)]
     pub spill_errors: u64,
 }
 
 impl ControlHealth {
-    /// Accumulate another instance's counters (fleet rollups).
+    /// Accumulate another instance's counters (rollups across runs or switches).
     pub fn merge(&mut self, other: &ControlHealth) {
         self.polls_attempted += other.polls_attempted;
         self.polls_failed += other.polls_failed;

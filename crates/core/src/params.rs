@@ -6,10 +6,10 @@
 //! `Σ_{i<T} 2^{m0 + αi + k} = (2^{αT} − 1)/(2^α − 1) · 2^{m0+k}` ns.
 
 use pq_packet::Nanos;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Configuration of a set of time windows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TimeWindowConfig {
     /// `m0`: log2 of window 0's cell period in nanoseconds. Chosen as
     /// `⌊log2(min packet transmission delay)⌋` so window 0 never sees two

@@ -18,10 +18,10 @@ use crate::snapshot::QueryInterval;
 use pq_packet::{Nanos, SimPacket};
 use pq_switch::QueueHooks;
 use pq_telemetry::Telemetry;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// When should the data plane trigger an on-demand query?
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct DataPlaneTrigger {
     /// Trigger when a dequeued packet's queueing delay is at least this.
     pub min_deq_timedelta: u32,
@@ -43,7 +43,7 @@ impl DataPlaneTrigger {
 }
 
 /// Whole-system configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PrintQueueConfig {
     /// Time-window parameters.
     pub time_windows: TimeWindowConfig,
@@ -67,11 +67,9 @@ pub struct PrintQueueConfig {
     pub queues_per_port: u8,
     /// Optional control-plane fault injection (see [`crate::faults`]).
     /// `None` (the default) keeps the perfect substrate.
-    #[serde(default)]
     pub faults: Option<FaultConfig>,
     /// Retry/backoff policy for failed control-plane reads. Only exercised
     /// under fault injection.
-    #[serde(default)]
     pub retry: RetryPolicy,
 }
 
@@ -124,20 +122,7 @@ pub struct PrintQueue {
 impl PrintQueue {
     /// Build from configuration.
     pub fn new(config: PrintQueueConfig) -> PrintQueue {
-        let mut analysis = AnalysisProgram::with_options(
-            config.time_windows,
-            config.control,
-            &config.ports,
-            config.qm_entries,
-            config.qm_cells_per_entry,
-            config.min_pkt_tx_delay,
-            config.queues_per_port,
-            !config.ablate_passing,
-        );
-        analysis.set_retry_policy(config.retry);
-        if let Some(faults) = config.faults.clone() {
-            analysis.set_faults(faults);
-        }
+        let analysis = AnalysisProgram::new(&config);
         PrintQueue {
             config,
             analysis,

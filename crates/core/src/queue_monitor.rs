@@ -20,11 +20,11 @@
 
 use pq_packet::{FlowId, Nanos};
 use pq_switch::RegisterArray;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// One half of a depth entry: who moved the depth here, and when (sequence).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Half {
     /// Flow of the packet that caused the transition.
     pub flow: FlowId,
@@ -51,7 +51,7 @@ impl Default for Half {
 }
 
 /// A depth entry: increase (upper) and decrease (lower) halves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Entry {
     /// Written when an enqueue raises the depth to this level.
     pub inc: Half,
@@ -60,7 +60,7 @@ pub struct Entry {
 }
 
 /// An original-culprit record recovered by the filter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct OriginalCulprit {
     /// Depth level (in entry granularity) the packet raised the queue to.
     pub level: u32,
@@ -460,20 +460,6 @@ impl QueueMonitorSnapshot {
     }
 }
 
-/// The dense `{entries, top}` object JSON archives carry.
-#[derive(Deserialize)]
-struct DenseSnapshot {
-    entries: Vec<Entry>,
-    top: u32,
-}
-
-impl Deserialize for QueueMonitorSnapshot {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let dense = DenseSnapshot::from_value(v)?;
-        Ok(QueueMonitorSnapshot::from_dense(&dense.entries, dense.top))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -770,17 +756,5 @@ mod sparse_equivalence {
             prop_assert!(snap.chunks().iter().flatten().all(|chunk| !chunk.is_empty()));
             prop_assert_eq!(snap.original_culprits(), dense_culprits(&dense, top));
         }
-    }
-
-    #[test]
-    fn json_imports_the_dense_shape() {
-        let mut qm = QueueMonitor::new(4, 1);
-        qm.on_enqueue(FlowId(9), 2, 0);
-        let empty = r#"{"inc":{"flow":4294967295,"seq":0},"dec":{"flow":4294967295,"seq":0}}"#;
-        let written = r#"{"inc":{"flow":9,"seq":1},"dec":{"flow":4294967295,"seq":0}}"#;
-        let json = format!(r#"{{"entries":[{empty},{empty},{written},{empty}],"top":2}}"#);
-        let back: QueueMonitorSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, qm.snapshot());
-        assert!(serde_json::from_str::<QueueMonitorSnapshot>(r#"{"top":2}"#).is_err());
     }
 }

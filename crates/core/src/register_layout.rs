@@ -21,11 +21,11 @@
 //! translation stay faithful — and it is property-tested to be a bijection.
 
 use crate::resources::r_ports;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The §6.1 ingress gate: maps an egress port to its register prefix, or
 /// refuses (PrintQueue disabled on that port).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PortGateTable {
     /// Activated ports in prefix order: `prefix = position in this list`.
     ports: Vec<u16>,
@@ -67,7 +67,7 @@ impl PortGateTable {
 }
 
 /// The full index decomposition for one register access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct RegisterIndex {
     /// Highest bit: the data-plane-query (special) copy.
     pub special: bool,
@@ -81,7 +81,7 @@ pub struct RegisterIndex {
 
 /// Compose/decompose physical indices for arrays of `2^k` cells per
 /// partition and `q` prefix bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct RegisterLayout {
     /// Cell bits.
     pub k: u8,

@@ -9,7 +9,7 @@
 
 use crate::params::TimeWindowConfig;
 use pq_packet::Nanos;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Bytes per time-window cell: a 32-bit flow signature plus a 32-bit
 /// cycle-ID register pair.
@@ -42,7 +42,7 @@ pub fn r_ports(ports: u32) -> u32 {
 }
 
 /// Resource summary for one configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ResourceModel {
     /// Time-window SRAM in bytes (all copies, all port partitions).
     pub tw_sram_bytes: u64,

@@ -15,7 +15,7 @@ use crate::params::TimeWindowConfig;
 use crate::time_windows::{Cell, TimeWindowSet};
 use crate::tts::Tts;
 use pq_packet::{FlowId, Nanos};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
@@ -28,7 +28,7 @@ const BOUNDED_WINDOWS: usize = 8;
 
 /// A closed time interval `[from, to]` in nanoseconds — usually a victim
 /// packet's `[enq_timestamp, deq_timestamp]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct QueryInterval {
     pub from: Nanos,
     pub to: Nanos,
@@ -72,27 +72,6 @@ pub struct TimeWindowSnapshot {
     /// Per window, [`TimeWindowSnapshot::cycle_bound`] once a query has
     /// asked for it. Derived from `windows`, so never serialized.
     cycle_bounds: [OnceLock<u64>; BOUNDED_WINDOWS],
-}
-
-/// The serialized form of a [`TimeWindowSnapshot`]: the fields it has
-/// besides its cycle bounds, each window a plain array of cells.
-#[derive(Deserialize)]
-struct TimeWindowSnapshotParts {
-    config: TimeWindowConfig,
-    windows: Vec<Vec<Cell>>,
-    filtered: bool,
-}
-
-impl Deserialize for TimeWindowSnapshot {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let parts = TimeWindowSnapshotParts::from_value(v)?;
-        Ok(TimeWindowSnapshot {
-            config: parts.config,
-            windows: parts.windows.into_iter().map(Arc::from).collect(),
-            filtered: parts.filtered,
-            cycle_bounds: Default::default(),
-        })
-    }
 }
 
 /// Equal configuration, cells and filtered flag: the cycle bounds are a
@@ -458,7 +437,7 @@ impl TimeWindowSnapshot {
 }
 
 /// Summary of one window within a snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct WindowOccupancy {
     /// Window index.
     pub window: u8,
@@ -575,7 +554,7 @@ impl Hasher for FlowHash {
 }
 
 /// Per-flow estimated packet counts returned by a query.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct FlowEstimates {
     /// Estimated packets per flow over the query interval.
     pub counts: HashMap<FlowId, f64>,

@@ -13,14 +13,14 @@ use crate::snapshot::TimeWindowSnapshot;
 use crate::tts::Tts;
 use pq_packet::{FlowId, Nanos};
 use pq_switch::RegisterArray;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// One register cell: a single packet's flow ID and cycle ID (Figure 4).
 ///
 /// On the Tofino this is a paired 32-bit register entry; 8 bytes per cell is
 /// the figure the SRAM model uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Cell {
     /// Flow occupying the cell ([`FlowId::NONE`] when empty).
     pub flow: FlowId,
@@ -48,7 +48,7 @@ impl Default for Cell {
 }
 
 /// Statistics of the per-packet update path, useful for the ablation bench.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct TimeWindowStats {
     /// Packets recorded into window 0.
     pub recorded: u64,
@@ -59,7 +59,7 @@ pub struct TimeWindowStats {
 }
 
 /// A set of `T` time windows for one egress port.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TimeWindowSet {
     config: TimeWindowConfig,
     windows: Vec<RegisterArray<Cell>>,

@@ -12,11 +12,11 @@
 use crate::printqueue::PrintQueueConfig;
 use crate::resources::{ResourceModel, READ_LIMIT_MBPS};
 use pq_packet::Nanos;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// What the deployment will monitor — the few numbers feasibility depends
 /// on.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct DeploymentProfile {
     /// Bottleneck port rate in Gbps.
     pub port_rate_gbps: f64,
@@ -41,7 +41,7 @@ impl DeploymentProfile {
 }
 
 /// Severity of a finding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Severity {
     /// The deployment will lose data or answer wrongly.
     Error,
@@ -50,7 +50,7 @@ pub enum Severity {
 }
 
 /// One validation finding.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Finding {
     pub severity: Severity,
     /// Stable identifier, e.g. `m0-too-large`.

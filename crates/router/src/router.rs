@@ -862,6 +862,7 @@ impl Router {
             instruments.shed.clone(),
             None,
             plane,
+            names::ROUTER_REQUESTS,
             "pq-router-conn",
         );
         let reg = plane.registry();
@@ -1018,11 +1019,6 @@ impl Handler for Shared {
     }
 
     fn dispatch(&self, conn: &Arc<Conn>, frame: Frame) {
-        if self.stopping() {
-            let _ = conn.send(&[Frame::error(0, ErrorCode::ShuttingDown, "router stopping")]);
-            conn.close();
-            return;
-        }
         match frame {
             Frame::Request { id, req, trace } => {
                 let frames = match req {

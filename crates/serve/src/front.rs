@@ -8,10 +8,12 @@
 //! serialized write half ([`Conn::send`]), the `Hello` handshake, the
 //! framed read loop with its error policy (EOF closes quietly; a
 //! malformed or oversized frame earns an id-0 `Protocol` error and a
-//! close, since the stream is no longer framed), and the requests every
-//! front answers the same way. Whatever is specific to the process
-//! behind it arrives through [`Handler`]. It is also the one seam a
-//! simulated transport would slot in behind.
+//! close, since the stream is no longer framed), the requests every
+//! front answers the same way — each read counted under the tier's own
+//! requests family — and the end of a connection when the process stops
+//! (a final `Error{id: 0, ShuttingDown}`, then the close). Whatever is
+//! specific to the process behind it arrives through [`Handler`]. It is
+//! also the one seam a simulated transport would slot in behind.
 
 use crate::wire::{
     self, ErrorCode, Frame, HealthInfo, ShardMap, WireError, MAX_FRAME_LEN, MAX_SPANS_PER_TRACE,
@@ -51,7 +53,24 @@ impl Conn {
     pub fn close(&self) {
         let _ = self.stream.shutdown(Shutdown::Both);
     }
+
+    /// The graceful end: tell the peer the process is stopping, then
+    /// close. Never waits behind a response another thread is writing, nor
+    /// on a peer that stopped reading.
+    fn farewell(&self) {
+        if let Ok(_guard) = self.write.try_lock() {
+            let frame = Frame::error(0, ErrorCode::ShuttingDown, "stopping");
+            let mut buf = Vec::with_capacity(32);
+            wire::put_frame(&mut buf, &frame);
+            let _ = self.stream.set_write_timeout(Some(FAREWELL_TIMEOUT));
+            let _ = (&self.stream).write_all(&buf);
+        }
+        self.close();
+    }
 }
+
+/// How long a farewell may wait on a full socket buffer.
+const FAREWELL_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// The process behind a front.
 pub trait Handler: Send + Sync + 'static {
@@ -77,6 +96,10 @@ pub struct Front {
     retry_after_ms: u32,
     shed: Counter,
     accepted: Option<Counter>,
+    req_health: Counter,
+    req_shard_map: Counter,
+    req_trace_dump: Counter,
+    req_metrics: Counter,
     plane: Telemetry,
     thread_name: &'static str,
     active: AtomicUsize,
@@ -86,21 +109,29 @@ pub struct Front {
 impl Front {
     /// A front refusing connections beyond `max_conns` with
     /// `Busy{retry_after_ms}`, counting each refusal on `shed` and each
-    /// accept on `accepted`, answering trace dumps from `plane`, and
-    /// naming its reader threads `thread_name`.
+    /// accept on `accepted`, counting the health, shard-map, trace-dump
+    /// and metrics reads it sees in `plane`'s `requests` family, answering
+    /// trace dumps from `plane`, and naming its reader threads
+    /// `thread_name`.
     pub fn new(
         max_conns: usize,
         retry_after_ms: u32,
         shed: Counter,
         accepted: Option<Counter>,
         plane: &Telemetry,
+        requests: &str,
         thread_name: &'static str,
     ) -> Front {
+        let req = |kind| plane.registry().counter(requests, &[("kind", kind)]);
         Front {
             max_conns,
             retry_after_ms,
             shed,
             accepted,
+            req_health: req("health"),
+            req_shard_map: req("shard_map"),
+            req_trace_dump: req("trace_dump"),
+            req_metrics: req("metrics"),
             plane: plane.clone(),
             thread_name,
             active: AtomicUsize::new(0),
@@ -113,14 +144,22 @@ impl Front {
         self.active.load(Ordering::SeqCst)
     }
 
-    /// Tear down every open connection, releasing reader threads still
-    /// blocked on their sockets.
+    /// End every open connection gracefully — the final
+    /// `Error{id: 0, ShuttingDown}`, then the close — releasing reader
+    /// threads still blocked on their sockets.
     pub fn close_all(&self) {
-        for conn in self.conns.lock().expect("conn registry poisoned").drain(..) {
-            if let Some(conn) = conn.upgrade() {
-                conn.close();
-            }
-        }
+        self.open_conns().for_each(|conn| conn.farewell());
+    }
+
+    /// Tear every open connection down without a frame, the way a killed
+    /// process's sockets end.
+    pub fn kill_all(&self) {
+        self.open_conns().for_each(|conn| conn.close());
+    }
+
+    fn open_conns(&self) -> impl Iterator<Item = Arc<Conn>> {
+        let conns = std::mem::take(&mut *self.conns.lock().expect("conn registry poisoned"));
+        conns.into_iter().filter_map(|conn| conn.upgrade())
     }
 }
 
@@ -183,6 +222,7 @@ fn accept<H: Handler>(handler: &Arc<H>, stream: TcpStream) {
 /// Handshake, then parse frames from one connection until EOF or a
 /// protocol violation. Blocking reads keep this thread cheap.
 fn connection<H: Handler>(handler: &H, conn: &Arc<Conn>) -> io::Result<()> {
+    let front = handler.front();
     let refuse = |code, message: &str| -> io::Result<()> {
         let _ = conn.send(&[Frame::error(0, code, message)]);
         Ok(())
@@ -220,10 +260,12 @@ fn connection<H: Handler>(handler: &H, conn: &Arc<Conn>) -> io::Result<()> {
                 )
             }
             Frame::HealthReq { id } => {
+                front.req_health.inc();
                 let health = handler.health();
                 let _ = conn.send(&[Frame::HealthAck { id, health }]);
             }
             Frame::ShardMapReq { id } => {
+                front.req_shard_map.inc();
                 let map = handler.shard_map();
                 let _ = conn.send(&[Frame::ShardMapAck { id, map }]);
             }
@@ -232,7 +274,8 @@ fn connection<H: Handler>(handler: &H, conn: &Arc<Conn>) -> io::Result<()> {
                 // diagnostic read and must keep working when the process
                 // behind the front is saturated — that saturation is
                 // usually exactly what the caller is debugging.
-                let traces = handler.front().plane.traces();
+                front.req_trace_dump.inc();
+                let traces = front.plane.traces();
                 let max = (max as usize).clamp(1, MAX_TRACES_PER_DUMP);
                 let mut traces = if slow_only {
                     traces.slowest(max)
@@ -253,7 +296,18 @@ fn connection<H: Handler>(handler: &H, conn: &Arc<Conn>) -> io::Result<()> {
                 handler.stop();
                 let _ = conn.send(&[Frame::ShutdownAck { id }]);
             }
-            frame => handler.dispatch(conn, frame),
+            // A stopping process takes no new work. With answers still
+            // owed on this connection the handler refuses the frame itself,
+            // so none of them is cut off.
+            _ if handler.stopping() && conn.inflight.load(Ordering::SeqCst) == 0 => {
+                return refuse(ErrorCode::ShuttingDown, "stopping")
+            }
+            frame => {
+                if matches!(frame, Frame::MetricsReq { .. } | Frame::MetricsGet { .. }) {
+                    front.req_metrics.inc();
+                }
+                handler.dispatch(conn, frame)
+            }
         }
     }
 }

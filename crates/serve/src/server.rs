@@ -20,7 +20,9 @@
 //! `pq_serve_shed_total` increment. Shutdown (a `ShutdownReq` frame or
 //! [`ServerHandle::shutdown`]) stops accepting, drains queued queries
 //! until a deadline, then answers the remainder with typed
-//! `ShuttingDown` errors — in-flight work is never abandoned mid-write.
+//! `ShuttingDown` errors — in-flight work is never abandoned mid-write —
+//! and the front ends each open connection with `Error{id: 0,
+//! ShuttingDown}`.
 
 use crate::answer::{self, MetricsUpdate, RemoteMonitor, RemoteResult, RemoteRtt};
 use crate::cache::DecodeCache;
@@ -112,8 +114,6 @@ struct Instruments {
     req_queue_monitor: Counter,
     req_replay: Counter,
     req_rtt: Counter,
-    req_metrics: Counter,
-    req_health: Counter,
     req_standing: Counter,
     err_time_windows: Counter,
     err_queue_monitor: Counter,
@@ -143,8 +143,6 @@ impl Instruments {
             req_queue_monitor: req("queue_monitor"),
             req_replay: req("replay"),
             req_rtt: req("rtt"),
-            req_metrics: req("metrics"),
-            req_health: req("health"),
             req_standing: req("standing"),
             err_time_windows: err("time_windows"),
             err_queue_monitor: err("queue_monitor"),
@@ -299,7 +297,7 @@ impl ServerHandle {
         // pops is answered with ShuttingDown into a dead socket.
         self.shared.drain_deadline_ns.store(1, Ordering::SeqCst);
         self.shared.streams.clear();
-        self.shared.front.close_all();
+        self.shared.front.kill_all();
         self.shared.queue_cv.notify_all();
         self.join.join().expect("server thread panicked")
     }
@@ -375,6 +373,7 @@ impl Server {
             instruments.shed.clone(),
             Some(plane.registry().counter(names::SERVE_CONNECTIONS, &[])),
             plane,
+            names::SERVE_REQUESTS,
             "pq-serve-conn",
         );
         let shared = Arc::new(Shared {
@@ -462,7 +461,6 @@ impl Handler for Shared {
     /// run inline on the reader thread, so health stays answerable even
     /// when every worker is wedged.
     fn health(&self) -> HealthInfo {
-        self.instruments.req_health.inc();
         self.touch_uptime();
         let snap = self.instruments.plane.snapshot();
         let (version, commit) = provenance::build_info(&snap)
@@ -501,7 +499,6 @@ impl Handler for Shared {
         match frame {
             Frame::Request { id, req, trace } => admit(self, conn, id, req, trace),
             Frame::MetricsReq { id } => {
-                self.instruments.req_metrics.inc();
                 self.touch_uptime();
                 let text = to_prometheus(&self.instruments.plane.snapshot());
                 let _ = conn.send(&[Frame::MetricsText { id, text }]);
@@ -510,7 +507,6 @@ impl Handler for Shared {
                 // The structured twin of `MetricsReq`, answered the same
                 // way: a watcher polls it, and a poll is never queued
                 // behind or shed with the queries it is watching.
-                self.instruments.req_metrics.inc();
                 self.touch_uptime();
                 let update =
                     MetricsUpdate::snapshot(self.now_ns(), self.instruments.plane.snapshot());

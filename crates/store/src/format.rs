@@ -121,7 +121,7 @@ pub fn write_header<W: Write>(w: &mut W, tw: &TimeWindowConfig) -> io::Result<()
 /// format version.
 pub fn read_header(bytes: &[u8]) -> io::Result<(TimeWindowConfig, u8)> {
     if bytes.len() < HEADER_LEN as usize || bytes[..4] != FILE_MAGIC {
-        return Err(invalid("not a .pqa archive (bad magic)"));
+        return Err(invalid("not a .pqa archive (no PQAR magic)"));
     }
     let version = bytes[4];
     if !matches!(version, VERSION_V1 | VERSION_V2 | VERSION) {

@@ -24,25 +24,25 @@
 //!   segments whose checkpoint chains overlap the interval, and corrupt
 //!   segments degrade to [`CoverageGap`](pq_core::control::CoverageGap)s
 //!   instead of failing the file;
-//! * **import** ([`json`]) — magic-byte auto-detection and a one-way,
-//!   lossless import of the JSON `CheckpointArchive` files earlier
-//!   versions wrote into `.pqa`, the only format anything writes;
+//! * **archives** ([`CheckpointArchive`]) — one port's decoded state in
+//!   RAM, and whole-file [`read_archives`] / [`write_archives`] over
+//!   `.pqa`, the only archive format;
 //! * **replication** ([`replication`]) — CRC-verified seal-and-ship of a
 //!   sealed archive to a replica peer with atomic publish, plus a
 //!   segment-level audit that proves two replicas equivalent, backing
 //!   the scale-out query tier's any-owner-can-answer contract.
 
+pub mod archive;
 pub mod codec;
 pub mod crc;
 pub mod format;
-pub mod json;
 pub mod reader;
 pub mod replication;
 pub mod writer;
 
+pub use archive::{archives_to_pqa, read_archives, write_archives, CheckpointArchive};
 pub use codec::DecodeBudget;
 pub use format::{PortMeta, SegmentMeta, KIND_CHECKPOINTS, KIND_RTT, KNOWN_KINDS};
-pub use json::{archives_from_json, archives_to_pqa, read_archives, write_archives, ArchiveFormat};
 pub use reader::{QueryStats, Recovery, SegmentCache, SegmentKey, StoreReader};
 pub use replication::{ship_archive, verify_replica, ReplicaDivergence, ShipReport};
 pub use writer::{SegmentPolicy, SharedStoreWriter, StoreWriter};

@@ -18,12 +18,12 @@
 //! `prev_periodic`, which keeps pruned results bit-identical to a full
 //! in-RAM replay.
 
+use crate::archive::CheckpointArchive;
 use crate::codec::{decode_checkpoint, CodecState, DecodeBudget};
 use crate::crc::crc32;
 use crate::format::{self, invalid, PortMeta, SegmentMeta};
 use pq_core::coefficient::Coefficients;
 use pq_core::control::{query_slices, Checkpoint, CoverageGap, QueryResult};
-use pq_core::export::CheckpointArchive;
 use pq_core::params::TimeWindowConfig;
 use pq_core::snapshot::{FlowEstimates, QueryInterval};
 use pq_prof::codec;
@@ -512,9 +512,8 @@ impl<R: Read + Seek> StoreReader<R> {
             .sum()
     }
 
-    /// Decode everything stored for `port` into a [`CheckpointArchive`]
-    /// (the JSON-compatible in-RAM form). Corrupt segments are skipped and
-    /// appended to the archive's gap list.
+    /// Decode everything stored for `port` into a [`CheckpointArchive`].
+    /// Corrupt segments are skipped and appended to the archive's gap list.
     pub fn read_port(&mut self, port: u16) -> io::Result<CheckpointArchive> {
         let metas: Vec<SegmentMeta> = self
             .segments
@@ -547,7 +546,6 @@ impl<R: Read + Seek> StoreReader<R> {
                 .map(|(_, g)| *g),
         );
         Ok(CheckpointArchive {
-            version: 1,
             tw_config: self.tw,
             port,
             checkpoints,

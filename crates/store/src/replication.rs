@@ -16,8 +16,8 @@
 //! bounds) and reports the first divergence, so a fleet check can prove
 //! replica equivalence without decoding checkpoint bodies.
 
+use crate::archive::publish;
 use crate::format::SegmentMeta;
-use crate::json::publish;
 use crate::reader::StoreReader;
 use std::fs;
 use std::io::{self, Cursor, Write};

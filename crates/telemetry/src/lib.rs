@@ -144,8 +144,10 @@ pub mod names {
     pub const STORE_REPLAY_QUERY_NS: &str = "pq_store_replay_query_ns";
 
     // -- pq-serve ----------------------------------------------------------
-    /// Query requests executed to completion, label `kind` ∈
-    /// {`time_windows`, `queue_monitor`, `replay`, `metrics`} (counter).
+    /// Requests answered, label `kind`: queries executed to completion
+    /// (`time_windows`, `queue_monitor`, `replay`, `rtt`, `standing`) and
+    /// the reads the connection front answers (`health`, `shard_map`,
+    /// `trace_dump`, `metrics`) (counter).
     pub const SERVE_REQUESTS: &str = "pq_serve_requests_total";
     /// Requests that ended in a typed error frame (counter, label `kind`).
     pub const SERVE_ERRORS: &str = "pq_serve_errors_total";
@@ -171,8 +173,10 @@ pub mod names {
     pub const SERVE_UPTIME: &str = "pq_serve_uptime_seconds";
 
     // -- pq-router ---------------------------------------------------------
-    /// Queries routed to completion, label `kind` ∈ {`time_windows`,
-    /// `queue_monitor`, `replay`} (counter).
+    /// Requests answered, label `kind`: queries routed to completion
+    /// (`time_windows`, `queue_monitor`, `replay`, `rtt`, `standing`) and
+    /// the reads the connection front answers (`health`, `shard_map`,
+    /// `trace_dump`, `metrics`) (counter).
     pub const ROUTER_REQUESTS: &str = "pq_router_requests_total";
     /// Routed queries that ended in an error frame to the caller (counter).
     pub const ROUTER_ERRORS: &str = "pq_router_errors_total";
@@ -327,7 +331,7 @@ pub mod names {
             STORE_SEGMENTS_DECODED => "Segments decoded by a reader.",
             STORE_CHECKPOINTS_DECODED => "Checkpoints decoded by a reader.",
             STORE_REPLAY_QUERY_NS => "Replay-query wall-clock latency in ns.",
-            SERVE_REQUESTS => "Query requests executed to completion, by kind.",
+            SERVE_REQUESTS => "Queries executed and front reads answered, by kind.",
             SERVE_ERRORS => "Requests that ended in a typed error frame, by kind.",
             SERVE_SHED => "Requests shed with a Busy frame.",
             SERVE_REQUEST_NS => "Wall-clock latency from admission to response flush, in ns.",
@@ -338,7 +342,7 @@ pub mod names {
             SERVE_CACHE_EVICTIONS => "Segments evicted from the decode cache.",
             SERVE_CACHE_BYTES => "Approximate bytes of decoded checkpoints held by the cache.",
             SERVE_UPTIME => "Seconds since the serve daemon started.",
-            ROUTER_REQUESTS => "Queries routed to completion, by kind.",
+            ROUTER_REQUESTS => "Queries routed and front reads answered, by kind.",
             ROUTER_ERRORS => "Routed queries that ended in an error frame to the caller.",
             ROUTER_FANOUT => "Backends a routed query fanned out to.",
             ROUTER_BACKEND_NS => "Per-backend sub-query wall-clock latency in ns.",

@@ -1,6 +1,5 @@
-//! Fabric-wide path tracing: per-switch PrintQueue instances coordinated by
-//! a [`printqueue::core::fleet::Fleet`], diagnosing one packet's delay
-//! across three hops.
+//! Fabric-wide path tracing: one PrintQueue instance per switch, diagnosing
+//! one packet's delay across three hops.
 //!
 //! This is the §8 integration story: PrintQueue stays strictly per-switch,
 //! and a higher-level (provenance-style) layer combines per-hop answers —
@@ -8,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example fleet_path_trace`
 
-use printqueue::core::fleet::{Fleet, HopRecord};
+use printqueue::core::diagnosis::diagnose;
 use printqueue::prelude::*;
 use printqueue::switch::topology::DepartureTap;
 
@@ -17,15 +16,9 @@ fn main() {
     // (40G). Victim flow 0 shares the path with heavy flow 1; flow 2 joins
     // only at switch 2.
     let tw = TimeWindowConfig::WS_DM;
-    let mk_config = || {
-        let mut c = PrintQueueConfig::single_port(tw, 1200);
-        c.control.poll_period = 1_000_000;
-        c
-    };
-    let mut fleet = Fleet::new();
-    for sw_id in [1u32, 2, 3] {
-        fleet.deploy(sw_id, mk_config());
-    }
+    let mut config = PrintQueueConfig::single_port(tw, 1200);
+    config.control.poll_period = 1_000_000;
+    let mut switches: Vec<PrintQueue> = (0..3).map(|_| PrintQueue::new(config.clone())).collect();
 
     // Traffic into switch 1.
     let mut arrivals = Vec::new();
@@ -45,8 +38,7 @@ fn main() {
     let mut tap1 = DepartureTap::new(0, 0, 3_000);
     let mut sink1 = TelemetrySink::new();
     {
-        let mut hook = fleet.hook(1);
-        let mut hooks: Vec<&mut dyn QueueHooks> = vec![&mut tap1, &mut hook, &mut sink1];
+        let mut hooks: Vec<&mut dyn QueueHooks> = vec![&mut tap1, &mut switches[0], &mut sink1];
         sw1.run(arrivals, &mut hooks, 1_000_000);
     }
 
@@ -60,8 +52,7 @@ fn main() {
     let mut tap2 = DepartureTap::new(0, 0, 3_000);
     let mut sink2 = TelemetrySink::new();
     {
-        let mut hook = fleet.hook(2);
-        let mut hooks: Vec<&mut dyn QueueHooks> = vec![&mut tap2, &mut hook, &mut sink2];
+        let mut hooks: Vec<&mut dyn QueueHooks> = vec![&mut tap2, &mut switches[1], &mut sink2];
         sw2.run(hop2_arrivals, &mut hooks, 1_000_000);
     }
 
@@ -69,13 +60,13 @@ fn main() {
     let mut sw3 = Switch::new(SwitchConfig::single_port(40.0, 32_768));
     let mut sink3 = TelemetrySink::new();
     {
-        let mut hook = fleet.hook(3);
-        let mut hooks: Vec<&mut dyn QueueHooks> = vec![&mut hook, &mut sink3];
+        let mut hooks: Vec<&mut dyn QueueHooks> = vec![&mut switches[2], &mut sink3];
         sw3.run(tap2.into_arrivals(), &mut hooks, 1_000_000);
     }
 
-    // Assemble the victim's per-hop path record from each hop's telemetry
-    // (in deployment: INT postcards or per-hop probes).
+    // Assemble the victim's per-hop record from each hop's telemetry (in
+    // deployment: INT postcards or per-hop probes), then diagnose each hop
+    // against that switch's own checkpoints.
     let pick = |sink: &TelemetrySink| {
         sink.records
             .iter()
@@ -84,53 +75,44 @@ fn main() {
             .copied()
             .expect("victim traversed the hop")
     };
-    let (v1, v2, v3) = (pick(&sink1), pick(&sink2), pick(&sink3));
-    let path = vec![
-        HopRecord {
-            switch: 1,
-            port: 0,
-            enq_timestamp: v1.meta.enq_timestamp,
-            deq_timestamp: v1.deq_timestamp(),
-        },
-        HopRecord {
-            switch: 2,
-            port: 0,
-            enq_timestamp: v2.meta.enq_timestamp,
-            deq_timestamp: v2.deq_timestamp(),
-        },
-        HopRecord {
-            switch: 3,
-            port: 0,
-            enq_timestamp: v3.meta.enq_timestamp,
-            deq_timestamp: v3.deq_timestamp(),
-        },
-    ];
+    let hops = [pick(&sink1), pick(&sink2), pick(&sink3)];
+    let delays: Vec<Nanos> = hops.iter().map(|v| v.meta.deq_timedelta.into()).collect();
+    let total: Nanos = delays.iter().sum();
+    let dominant = (0..hops.len()).max_by_key(|&i| delays[i]).unwrap_or(0);
+    let diagnoses: Vec<_> = hops
+        .iter()
+        .zip(&switches)
+        .map(|(v, pq)| {
+            diagnose(
+                pq.analysis(),
+                0,
+                v.meta.enq_timestamp,
+                v.deq_timestamp(),
+                None,
+            )
+        })
+        .collect();
 
-    let result = fleet.diagnose_path(&path);
     println!(
         "path diagnosis for flow#0 (total queueing {:.1} µs):",
-        result.total_delay as f64 / 1e3
+        total as f64 / 1e3
     );
-    for (i, hop) in result.hops.iter().enumerate() {
-        let top = hop.diagnosis.top_direct(1);
+    for (i, diagnosis) in diagnoses.iter().enumerate() {
+        let top = diagnosis.top_direct(1);
         println!(
             "  hop {} (switch {}): {:>6.1} µs ({:>4.1}%){} — top culprit: {}",
             i + 1,
-            hop.hop.switch,
-            hop.hop.delay() as f64 / 1e3,
-            hop.delay_share * 100.0,
-            if i == result.dominant_hop {
-                "  ← dominant"
-            } else {
-                ""
-            },
+            i + 1,
+            delays[i] as f64 / 1e3,
+            delays[i] as f64 / total.max(1) as f64 * 100.0,
+            if i == dominant { "  ← dominant" } else { "" },
             top.first()
                 .map(|(f, n)| format!("{f} (~{n:.0} pkts)"))
                 .unwrap_or_else(|| "-".into()),
         );
     }
-    assert_eq!(result.dominant_hop, 1, "switch 2 must dominate");
-    let culprits = result.hops[1].diagnosis.top_direct(2);
+    assert_eq!(dominant, 1, "switch 2 must dominate");
+    let culprits = diagnoses[1].top_direct(2);
     println!(
         "\nswitch 2's culprits include the cross-traffic that joined there: {:?}",
         culprits.iter().map(|(f, _)| f.0).collect::<Vec<_>>()

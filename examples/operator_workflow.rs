@@ -10,10 +10,9 @@
 //! Run with: `cargo run --release --example operator_workflow`
 
 use printqueue::core::diagnosis::diagnose;
-use printqueue::core::export::CheckpointArchive;
 use printqueue::core::validation::{is_deployable, validate, DeploymentProfile};
 use printqueue::prelude::*;
-use printqueue::store::{archives_to_pqa, SegmentPolicy, StoreReader};
+use printqueue::store::{archives_to_pqa, CheckpointArchive, SegmentPolicy, StoreReader};
 use printqueue::switch::{DepthSampler, RateMeter};
 use std::io::Cursor;
 

@@ -38,14 +38,12 @@
 //!   Run a trace and archive every active port's checkpoints as a `.pqa`
 //!   store, streamed to disk as the control plane polls them (bounded
 //!   RAM).
-//! * `replay-query ARCHIVE --from NS --to NS [--port P] [--d NS] [--json]`
-//!   Re-run a time-window query against an archived checkpoint store,
-//!   decoding only the segments overlapping the interval. A JSON archive
-//!   written by an earlier version is imported into `.pqa` in memory
-//!   first, so both answer through the same reader.
-//! * `convert SRC DST`
-//!   Import a JSON archive, or upgrade a version-1 or -2 `.pqa`, into a current
-//!   `.pqa`; the source format is detected from its leading bytes.
+//! * `replay-query ARCHIVE.pqa --from NS --to NS [--port P] [--d NS] [--json]`
+//!   Re-run a time-window query against an archived checkpoint store of
+//!   any `.pqa` format version, decoding only the segments overlapping
+//!   the interval. `--port` defaults to the first port in the file.
+//! * `convert SRC.pqa DST.pqa`
+//!   Rewrite a `.pqa` of any format version (1, 2 or 3) as a current one.
 //! * `serve [FILE.pqtr] --listen ADDR [--archive FILE.pqa] [tw flags]
 //!   [--workers N --queue-cap N --inflight N --max-conns N --cache-mb MB
 //!   --addr-file PATH --metrics-file PATH] [trace flags]`
@@ -163,8 +161,8 @@ fn usage() -> ! {
          pqsim depth FILE.pqtr [--step-us N]\n  \
          pqsim validate [tw flags] [--rate-gbps G] [--min-pkt B]\n  \
          pqsim archive FILE.pqtr OUT.pqa [tw flags]\n  \
-         pqsim replay-query ARCHIVE --from NS --to NS [--port P] [--d NS] [--json]\n  \
-         pqsim convert SRC DST\n  \
+         pqsim replay-query ARCHIVE.pqa --from NS --to NS [--port P] [--d NS] [--json]\n  \
+         pqsim convert SRC.pqa DST.pqa\n  \
          pqsim serve [FILE.pqtr] --listen ADDR [--archive FILE.pqa] [tw flags]\n  \
          \x20         [--workers N] [--queue-cap N] [--inflight N] [--max-conns N]\n  \
          \x20         [--cache-mb MB] [--work-delay-ms N] [--shard NAME]\n  \
@@ -915,52 +913,21 @@ fn emit_monitor(
     }
 }
 
+/// Answer a time-window query from a `.pqa` archive — `--port`
+/// defaulting to the first port in the file — refusing a port it does not
+/// hold the way a daemon serving the same file does.
 fn cmd_replay_query(args: &Args) -> CliResult {
-    use printqueue::store::{archives_to_pqa, read_archives, ArchiveFormat, StoreReader};
     let Some(path) = args.positional.first() else {
         usage()
     };
-    let path = PathBuf::from(path);
-    let format = ArchiveFormat::detect(&path)
-        .map_err(|err| format!("detect format of {}: {err}", path.display()))?;
-    match format {
-        ArchiveFormat::Pqa => {
-            let file = std::fs::File::open(&path)
-                .map_err(|err| format!("open {}: {err}", path.display()))?;
-            let reader = StoreReader::open(std::io::BufReader::new(file))
-                .map_err(|err| format!("store open: {err}"))?;
-            let first = reader.ports().first().copied();
-            replay_answer(args, reader, first)
-        }
-        ArchiveFormat::Json => {
-            // An earlier version's JSON archive is imported into an
-            // in-memory `.pqa` and answered by the same reader. Those bytes
-            // come from our own writer, already held in RAM as parsed
-            // archives, so the budget that guards untrusted files is off.
-            let archives = read_archives(&path).map_err(|err| format!("archive read: {err}"))?;
-            let pqa = archives_to_pqa(Vec::new(), &archives, SegmentPolicy::default())
-                .map_err(|err| format!("archive import: {err}"))?;
-            let mut reader = StoreReader::open(std::io::Cursor::new(pqa))
-                .map_err(|err| format!("store open: {err}"))?;
-            reader.set_decode_budget(u64::MAX);
-            replay_answer(args, reader, archives.first().map(|a| a.port))
-        }
-    }
-}
-
-/// Answer `replay-query` from an open store — `--port` defaulting to
-/// `first`, the first port in the file — refusing a port it does not hold
-/// the way a daemon serving the same file does.
-fn replay_answer<R: std::io::Read + std::io::Seek>(
-    args: &Args,
-    mut reader: printqueue::store::StoreReader<R>,
-    first: Option<u16>,
-) -> CliResult {
+    let file = std::fs::File::open(path).map_err(|err| format!("open {path}: {err}"))?;
+    let mut reader = printqueue::store::StoreReader::open(std::io::BufReader::new(file))
+        .map_err(|err| format!("store open: {err}"))?;
     let from: u64 = args.get("from", 0);
     let to: u64 = args.get("to", u64::MAX);
     let d: u64 = args.get("d", 110);
     let ports = reader.ports();
-    let port: u16 = args.get("port", first.unwrap_or(0));
+    let port: u16 = args.get("port", ports.first().copied().unwrap_or(0));
     if !ports.contains(&port) {
         return Err(format!("port {port} not present in archive"));
     }

@@ -197,3 +197,72 @@ fn dataplane_triggers_capture_fresh_state() {
         "data-plane queries should be near-exact, got {mr}"
     );
 }
+
+/// Two-hop fabric with one PrintQueue per switch: hop 2 (10 Gbps) is the
+/// bottleneck. Diagnosing each hop against its own switch's checkpoints
+/// must put the victim's delay there and name the competing flow.
+#[test]
+fn path_diagnosis_finds_the_dominant_hop() {
+    use printqueue::core::diagnosis::diagnose;
+    use printqueue::switch::topology::DepartureTap;
+    let tw = TimeWindowConfig::new(10, 1, 10, 3);
+    let mut config = PrintQueueConfig::single_port(tw, 1200);
+    config.control.poll_period = 500_000;
+    let (mut pq1, mut pq2) = (PrintQueue::new(config.clone()), PrintQueue::new(config));
+
+    // Victim flow 0 and a heavy competitor flow 1 share both hops.
+    let mut arrivals = Vec::new();
+    for i in 0..2_000u64 {
+        arrivals.push(Arrival::new(SimPacket::new(FlowId(1), 1500, i * 600), 0));
+        if i % 20 == 0 {
+            arrivals.push(Arrival::new(
+                SimPacket::new(FlowId(0), 1500, i * 600 + 1),
+                0,
+            ));
+        }
+    }
+    arrivals.sort_by_key(|a| a.pkt.arrival);
+    let mut tap = DepartureTap::new(0, 0, 2_000);
+    let (mut sink1, mut sink2) = (TelemetrySink::new(), TelemetrySink::new());
+    {
+        let mut hooks: Vec<&mut dyn QueueHooks> = vec![&mut tap, &mut pq1, &mut sink1];
+        Switch::new(SwitchConfig::single_port(40.0, 32_768)).run(arrivals, &mut hooks, 500_000);
+    }
+    {
+        let mut hooks: Vec<&mut dyn QueueHooks> = vec![&mut pq2, &mut sink2];
+        Switch::new(SwitchConfig::single_port(10.0, 32_768)).run(
+            tap.into_arrivals(),
+            &mut hooks,
+            500_000,
+        );
+    }
+
+    // The victim's most-delayed packet at each hop.
+    let victim = |sink: &TelemetrySink| {
+        sink.records
+            .iter()
+            .filter(|r| r.flow == FlowId(0))
+            .max_by_key(|r| r.meta.deq_timedelta)
+            .copied()
+            .unwrap()
+    };
+    let (v1, v2) = (victim(&sink1), victim(&sink2));
+    let (d1, d2) = (v1.meta.deq_timedelta, v2.meta.deq_timedelta);
+    assert!(d2 > 9 * d1, "hop 2 is the bottleneck: {d1} vs {d2} ns");
+    let hop2 = diagnose(
+        pq2.analysis(),
+        0,
+        v2.meta.enq_timestamp,
+        v2.deq_timestamp(),
+        None,
+    );
+    assert_eq!(hop2.top_direct(1)[0].0, FlowId(1));
+    let hop1 = diagnose(
+        pq1.analysis(),
+        0,
+        v1.meta.enq_timestamp,
+        v1.deq_timestamp(),
+        None,
+    );
+    assert!(hop1.interval.len() < hop2.interval.len());
+}

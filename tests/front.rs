@@ -204,33 +204,55 @@ fn both_fronts_refuse_and_count_connections_over_the_cap() {
     fleet.shutdown();
 }
 
+/// A stopping daemon and a stopping router end alike: an idle
+/// connection's next query is refused with `Error{id: 0, ShuttingDown}`
+/// (connection level, so it belongs to whatever exchange is running), and
+/// a connection that sends nothing reads that same frame before its close.
 #[test]
 fn a_stopping_router_s_refusal_keeps_its_typed_code() {
-    let fleet = pair(8);
-    let mut stopper = Client::connect(fleet.router()).unwrap();
-    let mut bystander = Client::connect(fleet.router()).unwrap();
-    stopper.shutdown_server().unwrap();
-    // The router answers with `Error{id: 0, ShuttingDown}`: connection
-    // level, so it belongs to whatever exchange is running.
-    let refused = bystander
-        .query(Request::Replay {
-            port: 0,
-            from: 0,
-            to: 10,
-            d: 1,
-        })
-        .expect_err("a stopping router answers no query");
-    assert!(
-        matches!(
-            refused,
-            ClientError::Remote {
-                code: ErrorCode::ShuttingDown,
-                ..
-            }
-        ),
-        "{refused}"
-    );
-    fleet.shutdown();
+    for front in ["daemon", "router"] {
+        let fleet = pair(8);
+        let addr = match front {
+            "daemon" => fleet.addr(0),
+            _ => fleet.router(),
+        };
+        let (mut silent, _) = hello(addr, wire::PROTOCOL_VERSION);
+        let mut stopper = Client::connect(addr).unwrap();
+        let mut bystander = Client::connect(addr).unwrap();
+        stopper.shutdown_server().unwrap();
+        let refused = bystander
+            .query(Request::Replay {
+                port: 0,
+                from: 0,
+                to: 10,
+                d: 1,
+            })
+            .expect_err("a stopping process answers no query");
+        assert!(
+            matches!(
+                refused,
+                ClientError::Remote {
+                    code: ErrorCode::ShuttingDown,
+                    ..
+                }
+            ),
+            "{front}: {refused}"
+        );
+        let last = recv(&mut silent);
+        assert!(
+            matches!(
+                last,
+                Some(Frame::Error {
+                    id: 0,
+                    code: ErrorCode::ShuttingDown,
+                    ..
+                })
+            ),
+            "{front}: {last:?}"
+        );
+        assert!(recv(&mut silent).is_none(), "{front}: no close");
+        fleet.shutdown();
+    }
 }
 
 /// A peer that handshakes, then answers every request with `Busy` under
@@ -414,7 +436,8 @@ fn an_inconsistent_peer_histogram_is_queried_not_panicked_on() {
 
 /// `pqsim watch` polls a router exactly as it polls a daemon: `--once`
 /// takes two polls and `--updates N` takes N, whichever is watched, and
-/// the request rate between polls is a finite number.
+/// the request rate between polls counts the watcher's own reads, so it
+/// is finite and above zero on either tier.
 #[test]
 fn watch_polls_a_router_like_a_daemon() {
     let fleet = pair(8);
@@ -451,7 +474,10 @@ fn watch_polls_a_router_like_a_daemon() {
         };
         let (updates, qps) = watch(&["--once"]);
         assert!(updates >= 2, "watch {addr} --once: {updates} polls");
-        assert!(qps.is_some_and(f64::is_finite), "watch {addr}: qps {qps:?}");
+        assert!(
+            qps.is_some_and(|qps| qps.is_finite() && qps > 0.0),
+            "watch {addr}: qps {qps:?}"
+        );
         assert_eq!(watch(&["--updates", "3"]).0, 3, "watch {addr} --updates 3");
     }
     fleet.shutdown();

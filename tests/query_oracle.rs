@@ -28,6 +28,7 @@
 use printqueue::core::coefficient::Coefficients;
 use printqueue::core::control::{AnalysisProgram, Checkpoint, ControlConfig};
 use printqueue::core::params::TimeWindowConfig;
+use printqueue::core::printqueue::PrintQueueConfig;
 use printqueue::core::snapshot::{QueryInterval, TimeWindowSnapshot};
 use printqueue::core::time_windows::{Cell, TimeWindowSet};
 use printqueue::packet::{FlowId, Nanos};
@@ -639,17 +640,14 @@ fn check_programs(polling: Polling, seeds: std::ops::Range<u64>, reach: &mut Rea
             Polling::Random => rng.gen_range(1..=set),
             Polling::Dense => rng.gen_range(config.window_period(config.t - 1).min(set)..=set),
         };
-        let mut ap = AnalysisProgram::new(
-            config,
-            ControlConfig {
+        let mut ap = AnalysisProgram::new(&PrintQueueConfig {
+            control: ControlConfig {
                 poll_period,
                 max_snapshots: 100_000,
             },
-            &[0],
-            8,
-            1,
-            1,
-        );
+            qm_entries: 8,
+            ..PrintQueueConfig::single_port(config, 1)
+        });
         let policy = SegmentPolicy {
             checkpoints_per_segment: rng.gen_range(1..=6),
             max_segment_bytes: 1 << 20,

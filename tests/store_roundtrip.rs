@@ -1,26 +1,23 @@
 //! `.pqa` store integration tests: lossless round-trips against the
 //! in-RAM analysis program, time-range pruning, crash/corruption
-//! tolerance, and the one-way import of JSON archives.
+//! tolerance, and the committed `.pqa` fixture of `drive_program`.
 
 use pq_bench::serving::{
     drive_program, spill_program, sweep_intervals, tiny_segments, tw_small, PORTS,
 };
 use printqueue::core::coefficient::Coefficients;
 use printqueue::core::control::CoverageGap;
-use printqueue::core::export::CheckpointArchive;
 use printqueue::core::params::TimeWindowConfig;
 use printqueue::core::printqueue::{PrintQueue, PrintQueueConfig};
 use printqueue::core::queue_monitor::QueueMonitorSnapshot;
 use printqueue::core::snapshot::{QueryInterval, TimeWindowSnapshot};
 use printqueue::packet::FlowId;
 use printqueue::store::{
-    archives_from_json, archives_to_pqa, ship_archive, verify_replica, write_archives,
-    ArchiveFormat, Recovery, SegmentPolicy, SharedStoreWriter, StoreReader, StoreWriter,
-    KIND_CHECKPOINTS, KIND_RTT,
+    archives_to_pqa, ship_archive, verify_replica, write_archives, CheckpointArchive, Recovery,
+    SegmentPolicy, SharedStoreWriter, StoreReader, StoreWriter, KIND_CHECKPOINTS, KIND_RTT,
 };
 use printqueue::telemetry::{names, Telemetry};
 use proptest::prelude::*;
-use serde::Value;
 use std::io::Cursor;
 use std::sync::Arc;
 
@@ -203,61 +200,40 @@ fn retention_drops_old_segments_and_records_gaps() {
     assert!(q.degraded);
 }
 
-/// `drive_program(None, JSON_UNTIL, 0)`'s two ports as the JSON archive array
-/// the last version with a JSON writer wrote; element 0 is the historical
-/// single-object form. Kept byte for byte: it pins the importer.
-const JSON_ARCHIVES: &str = include_str!("data/checkpoint_archive.json");
-const JSON_UNTIL: u64 = 640;
+/// `drive_program(None, FIXTURE_UNTIL, 0)`'s two ports as a `.pqa`, kept
+/// byte for byte: the program's checkpoints may not drift from it.
+const FIXTURE: &[u8] = include_bytes!("data/checkpoint_archive.pqa");
+const FIXTURE_UNTIL: u64 = 640;
 
-/// Element 0 of [`JSON_ARCHIVES`]: port 0's archive as a single object.
-fn json_port0() -> Value {
-    let Value::Array(mut archives) = serde_json::from_str(JSON_ARCHIVES).unwrap() else {
-        panic!("the fixture is an array")
-    };
-    archives.swap_remove(0)
+fn fixture_archives() -> Vec<CheckpointArchive> {
+    StoreReader::open(Cursor::new(FIXTURE))
+        .unwrap()
+        .read_all()
+        .unwrap()
 }
 
+/// Rewriting the fixture's archives under another segment policy loses
+/// nothing: every port reads back equal.
 #[test]
-fn json_archives_convert_losslessly_and_auto_detect() {
-    // The single-object form imports as one port, the array form as both,
-    // and element 0 identically.
-    let single = serde_json::to_string(&json_port0()).unwrap();
-    assert_eq!(
-        ArchiveFormat::sniff(single.as_bytes()).unwrap(),
-        ArchiveFormat::Json
-    );
-    let parsed = archives_from_json(&single).unwrap();
-    assert_eq!(parsed.len(), 1);
-    assert_eq!(parsed[0].port, PORTS[0]);
-    let archives = archives_from_json(JSON_ARCHIVES).unwrap();
+fn pqa_fixture_converts_losslessly() {
+    let archives = fixture_archives();
     assert_eq!(archives.len(), PORTS.len());
-    assert_eq!(parsed[0], archives[0]);
-
-    // JSON → .pqa → archives is lossless.
     let pqa = archives_to_pqa(Vec::new(), &archives, tiny_segments()).unwrap();
-    assert_eq!(ArchiveFormat::sniff(&pqa).unwrap(), ArchiveFormat::Pqa);
     let mut reader = StoreReader::open(Cursor::new(pqa)).unwrap();
     for archive in &archives {
         assert_eq!(reader.read_port(archive.port).unwrap(), *archive);
     }
 }
 
-/// A coverage gap recorded in a JSON archive (written the way the last
-/// JSON writer wrote one, `{"from":…,"to":…}`) survives the import:
-/// `read_port` gives it back, and a `.pqa` query overlapping it is degraded
-/// with it while one clear of it is not.
+/// A coverage gap recorded in an archive survives its conversion:
+/// `read_port` gives it back, and a query overlapping it is degraded with
+/// it while one clear of it is not.
 #[test]
-fn json_coverage_gap_survives_import() {
+fn coverage_gap_survives_conversion() {
     let gap = CoverageGap { from: 256, to: 448 };
-    let text = edited_json(|archive| {
-        let gap = vec![
-            ("from".to_string(), Value::U64(gap.from)),
-            ("to".to_string(), Value::U64(gap.to)),
-        ];
-        *field(archive, "gaps") = Value::Array(vec![Value::Object(gap)]);
-    });
-    let archives = archives_from_json(&text).unwrap();
-    assert_eq!(archives[0].gaps, [gap]);
+    let mut archives = fixture_archives();
+    archives.truncate(1);
+    archives[0].gaps = vec![gap];
     let pqa = archives_to_pqa(Vec::new(), &archives, tiny_segments()).unwrap();
     let mut reader = StoreReader::open(Cursor::new(pqa)).unwrap();
     assert_eq!(reader.read_port(0).unwrap().gaps, [gap]);
@@ -274,15 +250,13 @@ fn json_coverage_gap_survives_import() {
     assert!(clear.gaps.is_empty());
 }
 
-/// The imported fixture answers exactly as the program rebuilt from the
-/// same drive: every checkpoint comes back from `read_all`, and every
+/// The fixture answers exactly as the program rebuilt from the same
+/// drive: every checkpoint and gap comes back from `read_all`, and every
 /// `StoreReader::query` equals the live `query_time_windows` bit for bit.
 #[test]
-fn json_fixture_imports_and_answers_like_its_program() {
-    let ap = drive_program(None, JSON_UNTIL, 0);
-    let archives = archives_from_json(JSON_ARCHIVES).unwrap();
-    let pqa = archives_to_pqa(Vec::new(), &archives, tiny_segments()).unwrap();
-    let mut reader = StoreReader::open(Cursor::new(pqa)).unwrap();
+fn pqa_fixture_answers_like_its_program() {
+    let ap = drive_program(None, FIXTURE_UNTIL, 0);
+    let mut reader = StoreReader::open(Cursor::new(FIXTURE)).unwrap();
     let back = reader.read_all().unwrap();
     assert_eq!(back.len(), PORTS.len());
     let coeffs = Coefficients::compute(&tw_small(), 1);
@@ -302,75 +276,86 @@ fn json_fixture_imports_and_answers_like_its_program() {
     }
 }
 
-/// `pqsim replay-query` answers a JSON archive and its `convert`ed `.pqa`
+/// Runs `pqsim` with `args` and `--quiet`.
+fn pqsim(args: &[&str]) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_pqsim"))
+        .args(args)
+        .arg("--quiet")
+        .output()
+        .unwrap()
+}
+
+/// `pqsim replay-query PATH --from 0 --to 2000 --port PORT`.
+fn replay_query(path: &str, port: &str) -> std::process::Output {
+    pqsim(&[
+        "replay-query",
+        path,
+        "--from",
+        "0",
+        "--to",
+        "2000",
+        "--port",
+        port,
+    ])
+}
+
+/// Writes `text` to a scratch `.json` file and asserts that `pqsim
+/// convert` and `pqsim replay-query` both refuse it at its missing `PQAR`
+/// magic, with exit 1 and no file written.
+fn assert_cli_refuses_json(name: &str, text: &[u8]) {
+    let json = std::env::temp_dir().join(format!("pq-json-cli-{}-{name}.json", std::process::id()));
+    let out = json.with_extension("out.pqa");
+    std::fs::write(&json, text).unwrap();
+    let (json_s, out_s) = (json.to_str().unwrap(), out.to_str().unwrap());
+    let convert = pqsim(&["convert", json_s, out_s]);
+    for refused in [convert, replay_query(json_s, "0")] {
+        assert_eq!(refused.status.code(), Some(1), "{refused:?}");
+        let stderr = String::from_utf8_lossy(&refused.stderr);
+        assert!(stderr.contains("no PQAR magic"), "{stderr}");
+    }
+    assert!(!out.exists());
+    std::fs::remove_file(json).ok();
+}
+
+/// `pqsim replay-query` answers the fixture and its `convert`ed copy
 /// alike, and refuses a port the archive does not hold — with exit 1 and
-/// the message a daemon serving the same file gives.
+/// the message a daemon serving the same file gives. A JSON archive is no
+/// longer imported: both commands refuse it at its missing `PQAR` magic.
 #[test]
 fn replay_query_cli_imports_json_and_refuses_missing_ports() {
-    let json = std::env::temp_dir().join(format!("pq-replay-cli-{}.json", std::process::id()));
-    let pqa = json.with_extension("pqa");
-    std::fs::write(&json, JSON_ARCHIVES).unwrap();
-    let (json, pqa) = (json.to_str().unwrap(), pqa.to_str().unwrap());
-    let pqsim = |args: &[&str]| {
-        std::process::Command::new(env!("CARGO_BIN_EXE_pqsim"))
-            .args(args)
-            .arg("--quiet")
-            .output()
-            .unwrap()
-    };
-    let convert = pqsim(&["convert", json, pqa]);
+    let src = std::env::temp_dir().join(format!("pq-replay-cli-{}.pqa", std::process::id()));
+    std::fs::write(&src, FIXTURE).unwrap();
+    let dst = src.with_extension("v3.pqa");
+    let (src, dst) = (src.to_str().unwrap(), dst.to_str().unwrap());
+    let convert = pqsim(&["convert", src, dst]);
     assert!(convert.status.success(), "{convert:?}");
-    let query = |path: &str, port: &str| {
-        pqsim(&[
-            "replay-query",
-            path,
-            "--from",
-            "0",
-            "--to",
-            "2000",
-            "--port",
-            port,
-        ])
-    };
-    let (from_json, from_pqa) = (query(json, "3"), query(pqa, "3"));
-    assert!(from_json.status.success(), "{from_json:?}");
-    assert!(!from_json.stdout.is_empty());
-    assert_eq!(from_json.stdout, from_pqa.stdout);
-    for path in [json, pqa] {
-        let missing = query(path, "9");
+    let (from_src, from_dst) = (replay_query(src, "3"), replay_query(dst, "3"));
+    assert!(from_src.status.success(), "{from_src:?}");
+    assert!(!from_src.stdout.is_empty());
+    assert_eq!(from_src.stdout, from_dst.stdout);
+    for path in [src, dst] {
+        let missing = replay_query(path, "9");
         assert_eq!(missing.status.code(), Some(1), "{missing:?}");
         let stderr = String::from_utf8_lossy(&missing.stderr);
         assert!(stderr.contains("port 9 not present in archive"), "{stderr}");
     }
-    for p in [json, pqa] {
+    assert_cli_refuses_json("flat", br#"{"version":1,"port":0}"#);
+    for p in [src, dst] {
         std::fs::remove_file(p).ok();
     }
 }
 
-/// JSON nested past the importer's depth limit is refused with an error
-/// (exit 1), not a stack overflow that aborts the process.
+/// A million-deep JSON nesting is refused at the header, by the reader
+/// and by both CLI commands, without recursing into it.
 #[test]
 fn deeply_nested_json_is_refused_not_a_crash() {
-    let json = std::env::temp_dir().join(format!("pq-deep-{}.json", std::process::id()));
-    let pqa = json.with_extension("pqa");
-    std::fs::write(&json, "[".repeat(1_000_000)).unwrap();
-    let (json, pqa) = (json.to_str().unwrap(), pqa.to_str().unwrap());
-    let pqsim = |args: &[&str]| {
-        std::process::Command::new(env!("CARGO_BIN_EXE_pqsim"))
-            .args(args)
-            .arg("--quiet")
-            .output()
-            .unwrap()
-    };
-    let convert = pqsim(&["convert", json, pqa]);
-    let query = pqsim(&["replay-query", json, "--from", "0", "--to", "2000"]);
-    for out in [convert, query] {
-        assert_eq!(out.status.code(), Some(1), "{out:?}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("nesting deeper than 128"), "{stderr}");
-    }
-    assert!(!std::path::Path::new(pqa).exists());
-    std::fs::remove_file(json).unwrap();
+    let text = "[".repeat(1_000_000).into_bytes();
+    let err = StoreReader::open(Cursor::new(text.clone()))
+        .err()
+        .expect("refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("no PQAR magic"), "{err}");
+    assert_cli_refuses_json("nested", &text);
 }
 
 /// A refused write publishes nothing. `pqsim convert` of archives that
@@ -379,7 +364,7 @@ fn deeply_nested_json_is_refused_not_a_crash() {
 /// checkpoints; an existing destination was truncated the same way.
 #[test]
 fn refused_archive_write_leaves_no_file_behind() {
-    let mut archives = archives_from_json(JSON_ARCHIVES).unwrap();
+    let mut archives = fixture_archives();
     archives[1].tw_config.k += 1;
     let tmp =
         |name: &str| std::env::temp_dir().join(format!("pq-refused-{}-{name}", std::process::id()));
@@ -407,83 +392,38 @@ fn refused_archive_write_leaves_no_file_behind() {
     }
 }
 
-fn field<'a>(fields: &'a mut [(String, Value)], key: &str) -> &'a mut Value {
-    &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1
+/// Opens `bytes` and returns the refusal, which must be `InvalidData`
+/// at open, before any segment is read.
+fn refused_at_open(bytes: Vec<u8>) -> String {
+    let err = StoreReader::open(Cursor::new(bytes))
+        .err()
+        .expect("refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    err.to_string()
 }
 
-/// Port 0's JSON archive with `edit` applied to the document's fields.
-fn edited_json(edit: impl FnOnce(&mut Vec<(String, Value)>)) -> String {
-    let mut doc = json_port0();
-    let Value::Object(fields) = &mut doc else {
-        panic!("an archive is an object")
-    };
-    edit(fields);
-    serde_json::to_string(&doc).unwrap()
-}
-
-/// [`edited_json`] with `edit` applied to the first checkpoint's windows.
-fn edited_windows(edit: impl FnOnce(&mut Vec<(String, Value)>)) -> String {
-    edited_json(|archive| {
-        let Value::Array(checkpoints) = field(archive, "checkpoints") else {
-            panic!("checkpoints are an array")
-        };
-        let Value::Object(cp) = &mut checkpoints[0] else {
-            panic!("a checkpoint is an object")
-        };
-        let Value::Object(windows) = field(cp, "windows") else {
-            panic!("windows are an object")
-        };
-        edit(windows);
-    })
-}
-
-fn cells_of(windows: &mut [(String, Value)]) -> &mut Vec<Value> {
-    match field(windows, "windows") {
-        Value::Array(cells) => cells,
-        _ => panic!("window cells are an array"),
+/// An archive of a version this reader does not know is refused: a
+/// `.pqa` header of format version 4, and a JSON archive of any
+/// `version`, which carries no `PQAR` magic.
+#[test]
+fn json_of_another_version_is_refused() {
+    let mut v4 = FIXTURE.to_vec();
+    v4[4] = 4;
+    assert!(refused_at_open(v4).contains("unsupported .pqa version 4"));
+    for version in [1, 2, 99] {
+        let json = format!(r#"{{"version":{version},"port":0,"checkpoints":[]}}"#);
+        assert!(refused_at_open(json.into_bytes()).contains("no PQAR magic"));
     }
 }
 
-fn set_k(config: &mut Value, k: u64) {
-    let Value::Object(config) = config else {
-        panic!("a config is an object")
-    };
-    *field(config, "k") = Value::U64(k);
-}
-
-/// Hand-edited JSON whose windows a query or an encoder would index out
-/// of — or whose configuration nothing could have captured — is refused
-/// with `InvalidData` at load, not panicked on (or answered) later.
-fn assert_refused(text: &str) {
-    let err = archives_from_json(text).expect_err("refused");
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
-}
-
-#[test]
-fn json_checkpoint_missing_a_window_is_refused() {
-    assert!(archives_from_json(&edited_windows(|_| {})).is_ok());
-    assert_refused(&edited_windows(|w| {
-        cells_of(w).pop();
-    }));
-}
-
-#[test]
-fn json_window_of_the_wrong_length_is_refused() {
-    assert_refused(&edited_windows(|w| match &mut cells_of(w)[1] {
-        Value::Array(cells) => cells.truncate(10),
-        _ => panic!("a window is an array"),
-    }));
-}
-
-#[test]
-fn json_of_another_version_is_refused() {
-    assert_refused(&edited_json(|a| *field(a, "version") = Value::U64(2)));
-}
-
+/// A header holding a window configuration nothing could have captured
+/// is refused at open.
 #[test]
 fn json_config_out_of_range_is_refused() {
-    assert_refused(&edited_windows(|w| set_k(field(w, "config"), 70)));
-    assert_refused(&edited_json(|a| set_k(field(a, "tw_config"), 70)));
+    let mut bytes = FIXTURE.to_vec();
+    // Byte 7 is `k`: 70 exceeds the 24 the registers allow.
+    bytes[7] = 70;
+    assert!(refused_at_open(bytes).contains("out of range"));
 }
 
 #[test]

@@ -248,7 +248,7 @@ const _: () = assert!(std::mem::size_of::<Row>() <= std::mem::size_of::<Entry>()
 
 impl Row {
     /// Pack `entry` at `level`.
-    fn new(level: u32, entry: Entry) -> Row {
+    pub fn new(level: u32, entry: Entry) -> Row {
         Row {
             level,
             inc_flow: entry.inc.flow,
@@ -337,6 +337,35 @@ impl QueueMonitorSnapshot {
             chunks,
             top,
         }
+    }
+
+    /// Assemble from chunks built elsewhere (the store's decoder): slot `c`
+    /// holds the occupied rows of levels `c * CHUNK_LEVELS..`, ascending,
+    /// `None` where there are none. The caller upholds what
+    /// [`QueueMonitorSnapshot::chunks`] promises: one slot per
+    /// `CHUNK_LEVELS` levels of `len`, no empty chunk, no default row, and
+    /// every level inside its slot and below `len`.
+    pub fn from_chunks(
+        len: usize,
+        chunks: Vec<Option<Arc<[Row]>>>,
+        top: u32,
+    ) -> QueueMonitorSnapshot {
+        debug_assert_eq!(
+            chunks.len(),
+            len.div_ceil(CHUNK_LEVELS),
+            "one slot per span"
+        );
+        debug_assert!(chunks.iter().enumerate().all(|(c, slot)| {
+            let span = (c * CHUNK_LEVELS) as u64..((c + 1) * CHUNK_LEVELS).min(len) as u64;
+            slot.as_ref().is_none_or(|rows| {
+                !rows.is_empty()
+                    && rows.windows(2).all(|w| w[0].level < w[1].level)
+                    && rows.iter().all(|r| {
+                        span.contains(&u64::from(r.level)) && r.entry() != Entry::default()
+                    })
+            })
+        }));
+        QueueMonitorSnapshot { len, chunks, top }
     }
 
     /// The dense register image: `len()` entries, default where unoccupied.

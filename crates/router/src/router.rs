@@ -906,13 +906,16 @@ impl Router {
                 .name("pq-router-probe".into())
                 .spawn(move || probe_loop(&shared))?
         };
-        front::serve(&self.listener, &shared)?;
-        let _ = prober.join();
-        // Close every routed subscription with its final `last` frame
-        // before the connections go.
+        let served = front::serve(&self.listener, &shared);
+        // Stopping, however the accept loop ended: close every routed
+        // subscription with its final `last` frame before the connections
+        // go, then wake the prober from its wait.
+        shared.shutdown.store(true, Ordering::SeqCst);
         shared.standing.drain();
         shared.front.close_all();
-        Ok(())
+        prober.thread().unpark();
+        let _ = prober.join();
+        served
     }
 
     /// Run on a background thread, returning a shutdown handle.
@@ -930,9 +933,23 @@ impl Router {
 /// ones that answer again. Uses the same inline `HealthReq` the serve
 /// daemon guarantees to answer even under full load, so a merely-busy
 /// backend comes back as soon as it can speak.
+///
+/// Between rounds it waits out `probe_interval` parked, so shutdown
+/// ([`Router::run`] unparks it) ends the wait at once.
 fn probe_loop(shared: &Arc<Shared>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        thread::sleep(shared.config.probe_interval);
+    let stopping = || shared.shutdown.load(Ordering::SeqCst);
+    while !stopping() {
+        let interval = shared.config.probe_interval;
+        let round = Instant::now().checked_add(interval);
+        // `park_timeout` may return early, so wait again until the round
+        // is due or shutdown begins.
+        loop {
+            let left = round.map_or(interval, |r| r.saturating_duration_since(Instant::now()));
+            if stopping() || left.is_zero() {
+                break;
+            }
+            thread::park_timeout(left);
+        }
         for backend in &shared.backends {
             if !backend.quarantined.load(Ordering::SeqCst) || shared.shutdown.load(Ordering::SeqCst)
             {

@@ -25,10 +25,14 @@ use pq_telemetry::{names, Counter, Gauge, Telemetry};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// Approximate bytes of one decoded checkpoint (register cells + monitor
-/// entry arrays + fixed overhead). Monitors are counted at their array
-/// length, not at the occupied rows actually resident, so the budget keeps
-/// admitting the segments it always has.
+/// What one decoded checkpoint costs the cache: an admission rule,
+/// deliberately dense-equivalent, not its resident size. Every window is
+/// counted in full and every monitor at its array length (register cells +
+/// monitor entry arrays + fixed overhead), although a decoded checkpoint
+/// holds only its occupied rows and shares unchanged windows and monitor
+/// chunks with its predecessor; so the budget keeps admitting exactly the
+/// segments it always has, and `pq_serve_cache_resident_bytes` overstates
+/// what is resident.
 fn checkpoint_cost(cp: &Checkpoint) -> u64 {
     let tw = cp.windows.config();
     let cells = u64::from(tw.t) * (tw.cells() as u64) * (std::mem::size_of::<Cell>() as u64);

@@ -43,10 +43,14 @@
 //! checkpoint's window itself, so decoded checkpoints share unchanged
 //! windows.
 //!
+//! A monitor decodes straight into its chunks: a slot that refers back is
+//! the previous checkpoint's chunk itself, and a fresh slot's rows are
+//! gathered into a new one, so no dense array is ever built.
+//!
 //! Decoding never trusts a length from the wire: counts are bounded by
-//! the structure they index into, and bulk allocations are charged
-//! against a [`DecodeBudget`] so an adversarial header cannot balloon
-//! memory.
+//! the structure they index into and by the bytes left, and bulk
+//! allocations are charged against a [`DecodeBudget`] so an adversarial
+//! header cannot balloon memory.
 
 use crate::format::{invalid, SLOT_LEVELS, VERSION, VERSION_V1};
 use pq_core::control::Checkpoint;
@@ -76,9 +80,9 @@ const MAX_MONITORS: usize = 1024;
 
 /// Allocation budget for decoding untrusted bodies.
 ///
-/// Every bulk allocation (window cell arrays, monitor entry arrays) is
-/// charged here *before* the memory is reserved; exceeding the budget is
-/// an `InvalidData` error, not an OOM. The default (64 MiB) comfortably
+/// Every bulk allocation (window cell arrays, monitor slot tables and
+/// rows) is charged here *before* the memory is reserved; exceeding the
+/// budget is an `InvalidData` error, not an OOM. The default (64 MiB) comfortably
 /// fits any configuration the simulator produces (a maxed-out k = 24,
 /// T = 4 snapshot is ~1 GiB and is rejected — real deployments keep
 /// k ≤ 16 per §4.1's SRAM budget).
@@ -497,76 +501,162 @@ fn read_window_v3(
     Ok(shared)
 }
 
-/// A version-1 monitor's rows: an occupied count, then every row, the
-/// sequence chain continuing from the checkpoint's previous monitor.
-fn read_rows_v1(
-    cursor: &mut &[u8],
-    entries: &mut [Entry],
-    prev_seq: &mut Option<u64>,
-) -> io::Result<()> {
-    let occupied = codec::len(cursor, entries.len())?;
-    let mut prev_idx: Option<u64> = None;
-    let mut last_idx: Option<usize> = None;
-    for _ in 0..occupied {
-        let idx = read_delta_u64(cursor, &mut prev_idx)?;
-        if idx >= entries.len() as u64 || last_idx.is_some_and(|l| idx as usize <= l) {
-            return Err(invalid("monitor entry index out of order or out of range"));
-        }
-        last_idx = Some(idx as usize);
-        entries[idx as usize] = read_entry(cursor, prev_seq)?;
-    }
-    Ok(())
+/// A monitor's slot table: one slot per [`SLOT_LEVELS`] levels, charged
+/// before it is allocated.
+fn slot_table(slots: usize, budget: &mut DecodeBudget) -> io::Result<Vec<Option<Arc<[Row]>>>> {
+    budget.charge(slots as u64 * std::mem::size_of::<Option<Arc<[Row]>>>() as u64)?;
+    Ok(Vec::with_capacity(slots))
 }
 
-/// A version-2 monitor's slots, references resolved against `before`: the
-/// same monitor in the previous checkpoint of the body, if there is one.
+/// The rows gathered in `scratch` as one shared chunk, `None` if there are
+/// none; leaves `scratch` empty.
+fn take_chunk(scratch: &mut Vec<Row>) -> Option<Arc<[Row]>> {
+    let chunk = (!scratch.is_empty()).then(|| Arc::from(&scratch[..]));
+    scratch.clear();
+    chunk
+}
+
+/// Admit `n` rows announced on the wire and charge them before anything is
+/// reserved: at most `cap`, and each takes at least four bytes (level,
+/// halves, one flow and one sequence).
+fn admit_rows(cursor: &[u8], n: usize, cap: usize, budget: &mut DecodeBudget) -> io::Result<usize> {
+    let n = codec::count(cursor, n, cap, 4)?;
+    budget.charge(n as u64 * std::mem::size_of::<Row>() as u64)?;
+    Ok(n)
+}
+
+/// A version-1 monitor's chunks: an occupied count, then every row, the
+/// sequence chain continuing from the checkpoint's previous monitor. Rows
+/// are split into slots as they arrive.
+fn read_rows_v1(
+    cursor: &mut &[u8],
+    len: usize,
+    budget: &mut DecodeBudget,
+    prev_seq: &mut Option<u64>,
+    scratch: &mut Vec<Row>,
+) -> io::Result<Vec<Option<Arc<[Row]>>>> {
+    let occupied = codec::len(cursor, len)?;
+    let occupied = admit_rows(cursor, occupied, len, budget)?;
+    let mut chunks = slot_table(len.div_ceil(SLOT_LEVELS), budget)?;
+    chunks.resize(len.div_ceil(SLOT_LEVELS), None);
+    let mut prev_idx: Option<u64> = None;
+    let (mut next, mut slot) = (0u64, 0usize);
+    for _ in 0..occupied {
+        let idx = read_delta_u64(cursor, &mut prev_idx)?;
+        if idx < next || idx >= len as u64 {
+            return Err(invalid("monitor entry index out of order or out of range"));
+        }
+        next = idx + 1;
+        let entry = read_entry(cursor, prev_seq)?;
+        if idx as usize / SLOT_LEVELS != slot {
+            chunks[slot] = take_chunk(scratch);
+            slot = idx as usize / SLOT_LEVELS;
+        }
+        if entry != Entry::default() {
+            scratch.push(Row::new(idx as u32, entry));
+        }
+    }
+    if let Some(last) = chunks.get_mut(slot) {
+        *last = take_chunk(scratch);
+    }
+    Ok(chunks)
+}
+
+/// A version-2 monitor's chunks: one tag per slot. A slot that refers back
+/// is the chunk of `before` — the same monitor in the previous checkpoint of
+/// the body — itself, and costs nothing; a fresh slot's rows are charged
+/// one [`Row`] each.
 fn read_slots(
     cursor: &mut &[u8],
-    entries: &mut [Entry],
+    len: usize,
+    budget: &mut DecodeBudget,
     before: Option<&QueueMonitorSnapshot>,
-) -> io::Result<()> {
-    for (c, span) in entries.chunks_mut(SLOT_LEVELS).enumerate() {
+    scratch: &mut Vec<Row>,
+) -> io::Result<Vec<Option<Arc<[Row]>>>> {
+    // Every slot's tag takes at least one byte.
+    let slots = codec::count(cursor, len.div_ceil(SLOT_LEVELS), usize::MAX, 1)?;
+    let mut chunks = slot_table(slots, budget)?;
+    for c in 0..slots {
         let base = c * SLOT_LEVELS;
-        match codec::varint(cursor)? {
-            TAG_EMPTY => {}
+        let span = (len - base).min(SLOT_LEVELS);
+        let chunk = match codec::varint(cursor)? {
+            TAG_EMPTY => None,
             TAG_SAME => {
                 let rows = before
-                    .and_then(|b| b.chunks().get(c)?.as_deref())
+                    .and_then(|b| b.chunks().get(c)?.as_ref())
                     .ok_or_else(|| invalid("monitor slot refers to one its predecessor lacks"))?;
-                for row in rows {
-                    let Some(entry) = span.get_mut((row.level() as usize).wrapping_sub(base))
-                    else {
-                        return Err(invalid("referenced monitor rows lie past the array"));
-                    };
-                    *entry = row.entry();
+                // Rows ascend, so the last is the highest.
+                if rows.last().is_some_and(|r| r.level() as usize >= len) {
+                    return Err(invalid("referenced monitor rows lie past the array"));
                 }
+                Some(Arc::clone(rows))
             }
             tag => {
-                let n = tag - TAG_SAME;
-                if n > span.len() as u64 {
+                if tag - TAG_SAME > span as u64 {
                     return Err(invalid("monitor slot holds more rows than levels"));
                 }
+                let n = admit_rows(cursor, (tag - TAG_SAME) as usize, span, budget)?;
+                scratch.reserve(n);
                 let (mut prev_idx, mut prev_seq) = (None, None);
                 let mut next = 0u64;
                 for _ in 0..n {
                     let at = read_delta_u64(cursor, &mut prev_idx)?.wrapping_sub(base as u64);
-                    if at < next || at >= span.len() as u64 {
+                    if at < next || at >= span as u64 {
                         return Err(invalid("monitor row outside its slot or out of order"));
                     }
                     next = at + 1;
-                    span[at as usize] = read_entry(cursor, &mut prev_seq)?;
+                    let entry = read_entry(cursor, &mut prev_seq)?;
+                    if entry != Entry::default() {
+                        scratch.push(Row::new((base as u64 + at) as u32, entry));
+                    }
                 }
+                take_chunk(scratch)
             }
-        }
+        };
+        chunks.push(chunk);
     }
-    Ok(())
+    Ok(chunks)
 }
 
 /// Decode one checkpoint of a format-`version` body from the cursor.
 /// `prev` is the checkpoint decoded just before it from the same body
-/// (`None` for the body's first), whose rows a monitor-slot reference
-/// copies and whose windows a version-3 patch starts from.
+/// (`None` for the body's first), whose chunks a monitor-slot reference
+/// shares and whose windows a version-3 patch starts from.
 pub fn decode_checkpoint(
+    cursor: &mut &[u8],
+    tw: &TimeWindowConfig,
+    version: u8,
+    state: &mut CodecState,
+    budget: &mut DecodeBudget,
+    prev: Option<&Checkpoint>,
+) -> io::Result<Checkpoint> {
+    let mut cp = read_head(cursor, tw, version, state, budget, prev)?;
+    let n_monitors = codec::len(cursor, MAX_MONITORS)?;
+    cp.queue_monitors.reserve_exact(n_monitors);
+    let mut prev_seq: Option<u64> = None;
+    // One slot's rows at a time, before they become a shared chunk.
+    let mut scratch = Vec::new();
+    for m in 0..n_monitors {
+        let len = codec::len(cursor, u32::MAX as usize)?;
+        let top = codec::len(cursor, u32::MAX as usize)? as u32;
+        if len > 0 && u64::from(top) >= len as u64 {
+            return Err(invalid("queue-monitor top beyond entry array"));
+        }
+        let chunks = if version == VERSION_V1 {
+            read_rows_v1(cursor, len, budget, &mut prev_seq, &mut scratch)?
+        } else {
+            let before = prev.and_then(|p| p.queue_monitors.get(m));
+            read_slots(cursor, len, budget, before, &mut scratch)?
+        };
+        cp.queue_monitors
+            .push(QueueMonitorSnapshot::from_chunks(len, chunks, top));
+    }
+    Ok(cp)
+}
+
+/// A checkpoint's freeze time, flags, trigger and windows, with no
+/// monitors yet.
+fn read_head(
     cursor: &mut &[u8],
     tw: &TimeWindowConfig,
     version: u8,
@@ -599,36 +689,12 @@ pub fn decode_checkpoint(
         };
         windows.push(window);
     }
-    let windows = TimeWindowSnapshot::from_shared(*tw, windows, flags & FLAG_FILTERED != 0);
-
-    let n_monitors = codec::len(cursor, MAX_MONITORS)?;
-    let mut queue_monitors = Vec::with_capacity(n_monitors);
-    let mut prev_seq: Option<u64> = None;
-    for m in 0..n_monitors {
-        // A monitor entry costs at least one wire byte when occupied, but
-        // the array length itself is untrusted — charge it up front.
-        let n_entries = codec::len(cursor, u32::MAX as usize)?;
-        budget.charge(n_entries as u64 * std::mem::size_of::<Entry>() as u64)?;
-        let top = codec::len(cursor, u32::MAX as usize)? as u32;
-        if n_entries > 0 && u64::from(top) >= n_entries as u64 {
-            return Err(invalid("queue-monitor top beyond entry array"));
-        }
-        let mut entries = vec![Entry::default(); n_entries];
-        if version == VERSION_V1 {
-            read_rows_v1(cursor, &mut entries, &mut prev_seq)?;
-        } else {
-            let before = prev.and_then(|p| p.queue_monitors.get(m));
-            read_slots(cursor, &mut entries, before)?;
-        }
-        queue_monitors.push(QueueMonitorSnapshot::from_dense(&entries, top));
-    }
-
     Ok(Checkpoint {
         frozen_at,
         on_demand: flags & FLAG_ON_DEMAND != 0,
         trigger,
-        windows,
-        queue_monitors,
+        windows: TimeWindowSnapshot::from_shared(*tw, windows, flags & FLAG_FILTERED != 0),
+        queue_monitors: Vec::new(),
     })
 }
 
@@ -747,11 +813,38 @@ mod tests {
         tw: &TimeWindowConfig,
         version: u8,
     ) -> io::Result<Vec<Checkpoint>> {
+        decode_body_with(
+            bytes,
+            tw,
+            version,
+            DecodeBudget::default(),
+            decode_checkpoint,
+        )
+    }
+
+    /// A checkpoint decoder's signature.
+    type Decoder = fn(
+        &mut &[u8],
+        &TimeWindowConfig,
+        u8,
+        &mut CodecState,
+        &mut DecodeBudget,
+        Option<&Checkpoint>,
+    ) -> io::Result<Checkpoint>;
+
+    /// [`decode_body`] through `decode`, under `budget`.
+    fn decode_body_with(
+        bytes: &[u8],
+        tw: &TimeWindowConfig,
+        version: u8,
+        mut budget: DecodeBudget,
+        decode: Decoder,
+    ) -> io::Result<Vec<Checkpoint>> {
         let mut cursor = bytes;
-        let (mut state, mut budget) = (CodecState::default(), DecodeBudget::default());
+        let mut state = CodecState::default();
         let mut cps: Vec<Checkpoint> = Vec::new();
         while !cursor.is_empty() {
-            let cp = decode_checkpoint(
+            let cp = decode(
                 &mut cursor,
                 tw,
                 version,
@@ -992,19 +1085,183 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
+    /// Bytes a fresh decode of one `len`-level monitor with `rows` rows
+    /// charges: its slot table and its rows.
+    fn monitor_charge(len: usize, rows: usize) -> u64 {
+        let slots = len.div_ceil(SLOT_LEVELS) * std::mem::size_of::<Option<Arc<[Row]>>>();
+        (slots + rows * std::mem::size_of::<Row>()) as u64
+    }
+
     #[test]
     fn tiny_budget_rejects_a_many_row_monitor() {
         let tw = TimeWindowConfig::new(4, 2, 4, 3);
         let cp = many_row_checkpoint(&tw, 32 * 1024, 3_000);
         let bytes = encode_one(&tw, &cp);
-        let windows = tw.cells() as u64 * 3 * std::mem::size_of::<Cell>() as u64;
-        // The decoder still materialises the whole array, so that is what
-        // it charges, however few rows are occupied.
-        let array = 32 * 1024 * std::mem::size_of::<Entry>() as u64;
-        let err = decode_one(&bytes, &tw, &mut DecodeBudget::new(windows + array - 1)).unwrap_err();
+        // The rows that are occupied, not the array they sit in.
+        let need = windows_charge(&tw) + monitor_charge(32 * 1024, 3_000);
+        assert!(need < 32 * 1024 * std::mem::size_of::<Entry>() as u64);
+        let err = decode_one(&bytes, &tw, &mut DecodeBudget::new(need - 1)).unwrap_err();
         assert!(err.to_string().contains("budget exhausted"), "{err}");
-        let back = decode_one(&bytes, &tw, &mut DecodeBudget::new(windows + array)).unwrap();
+        let mut budget = DecodeBudget::new(need);
+        let back = decode_one(&bytes, &tw, &mut budget).unwrap();
         assert_eq!(back.queue_monitors, cp.queue_monitors);
+        assert_eq!(budget.remaining, 0);
+    }
+
+    /// Every window of `tw` decoded whole: what a body's first checkpoint
+    /// charges before its monitors.
+    fn windows_charge(tw: &TimeWindowConfig) -> u64 {
+        u64::from(tw.t) * (tw.cells() * std::mem::size_of::<Cell>()) as u64
+    }
+
+    #[test]
+    fn slot_rows_beyond_the_bytes_left_are_refused_before_reserving() {
+        let tw = TimeWindowConfig::new(4, 2, 4, 3);
+        // One slot of 100 rows, each four bytes: levels 0, 1, … (the first
+        // raw, then zigzag +1), an increase half of flow 1, sequences 1, 2, …
+        let mut bytes = with_monitor_section(
+            &tw,
+            &sample_checkpoint(&tw, 501),
+            &[1, SLOT_LEVELS as u64, 0, TAG_SAME + 100],
+        );
+        bytes.extend([0, 1, 1, 1]);
+        for _ in 1..100 {
+            bytes.extend([2, 1, 1, 2]);
+        }
+        let spent = |bytes: &[u8]| {
+            let mut budget = DecodeBudget::new(1 << 20);
+            let result = decode_one(bytes, &tw, &mut budget);
+            (result, (1 << 20) - budget.remaining)
+        };
+        let (back, charged) = spent(&bytes);
+        assert_eq!(back.unwrap().queue_monitors[0].occupied_len(), 100);
+        let head = windows_charge(&tw) + monitor_charge(SLOT_LEVELS, 0);
+        assert_eq!(charged, head + monitor_charge(0, 100));
+        // One byte short: the count is refused and nothing is charged for it.
+        bytes.pop();
+        let (err, charged) = spent(&bytes);
+        let err = err.unwrap_err();
+        assert!(
+            err.to_string().contains("count exceeds bytes present"),
+            "{err}"
+        );
+        assert_eq!(charged, head);
+    }
+
+    #[test]
+    fn a_u32_max_monitor_length_is_refused_without_allocating_its_slot_table() {
+        let tw = TimeWindowConfig::new(4, 2, 4, 3);
+        // Empty windows, whose bytes every version reads alike.
+        let mut cp = sample_checkpoint(&tw, 501);
+        let empty = vec![vec![Cell::EMPTY; tw.cells()]; usize::from(tw.t)];
+        cp.windows = TimeWindowSnapshot::from_parts(tw, empty, false);
+        // 4 Mi slots announced, a handful of bytes to hold their tags.
+        let mut bytes = with_monitor_section(&tw, &cp, &[1, u64::from(u32::MAX), 0]);
+        bytes.extend([TAG_EMPTY as u8; 8]);
+        let mut budget = DecodeBudget::new(u64::MAX);
+        let err = decode_one(&bytes, &tw, &mut budget).unwrap_err();
+        assert!(
+            err.to_string().contains("count exceeds bytes present"),
+            "{err}"
+        );
+        assert_eq!(u64::MAX - budget.remaining, windows_charge(&tw));
+        // Version 1 spends no byte a slot, so its table is charged, and the
+        // default budget cannot hold 4 Mi of them.
+        let mut cursor = bytes.as_slice();
+        let mut budget = DecodeBudget::default();
+        let err = decode_checkpoint(
+            &mut cursor,
+            &tw,
+            VERSION_V1,
+            &mut CodecState::default(),
+            &mut budget,
+            None,
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("budget exhausted"), "{err}");
+        let windows = windows_charge(&tw);
+        assert_eq!(
+            budget.remaining,
+            DecodeBudget::default().remaining - windows
+        );
+    }
+
+    #[test]
+    fn monitor_slots_shared_with_the_predecessor_are_not_charged() {
+        let tw = TimeWindowConfig::new(4, 2, 4, 3);
+        let levels: Vec<usize> = (0..40).map(|i| i * 800 + 3).collect();
+        let first = monitor_checkpoint(&tw, 32 * 1024, &levels);
+        let mut second = first.clone();
+        second.frozen_at += 640;
+        // The third rewrites one level of slot 7: only that slot is fresh.
+        let mut third = second.clone();
+        third.frozen_at += 640;
+        let mut dense = third.queue_monitors[0].to_dense();
+        dense[7 * SLOT_LEVELS + 5].dec = Half {
+            flow: FlowId(9),
+            seq: 77,
+        };
+        third.queue_monitors = vec![QueueMonitorSnapshot::from_dense(&dense, 0)];
+        let cps = [first, second, third];
+        let body = encode_body(&tw, &mut EncodeMemo::default(), &cps);
+
+        let (mut cursor, mut state) = (body.as_slice(), CodecState::default());
+        let mut back: Vec<Checkpoint> = Vec::new();
+        let mut charged = Vec::new();
+        while !cursor.is_empty() {
+            let mut budget = DecodeBudget::new(1 << 30);
+            let cp = decode_checkpoint(
+                &mut cursor,
+                &tw,
+                VERSION,
+                &mut state,
+                &mut budget,
+                back.last(),
+            )
+            .unwrap();
+            charged.push((1 << 30) - budget.remaining);
+            back.push(cp);
+        }
+        for (back, cp) in back.iter().zip(&cps) {
+            assert!(same(back, cp));
+        }
+        let table = monitor_charge(32 * 1024, 0);
+        assert_eq!(
+            charged[0],
+            windows_charge(&tw) + table + monitor_charge(0, 40)
+        );
+        // Windows patched by no cell, every slot a reference: the table only.
+        assert_eq!(charged[1], table);
+        let slot_7 = slot_rows(&back[2], 7);
+        assert_eq!(charged[2], table + monitor_charge(0, slot_7));
+        for (c, (old, new)) in back[0].queue_monitors[0]
+            .chunks()
+            .iter()
+            .zip(back[1].queue_monitors[0].chunks())
+            .enumerate()
+        {
+            match (old, new) {
+                (Some(old), Some(new)) => assert!(Arc::ptr_eq(old, new), "slot {c}"),
+                (None, None) => {}
+                _ => panic!("slot {c} changed"),
+            }
+        }
+        let chunks = |cp: &Checkpoint| cp.queue_monitors[0].chunks().to_vec();
+        let (before, after) = (chunks(&back[1]), chunks(&back[2]));
+        for (c, (old, new)) in before.iter().zip(&after).enumerate() {
+            let shared = match (old, new) {
+                (Some(old), Some(new)) => Arc::ptr_eq(old, new),
+                _ => false,
+            };
+            assert_eq!(shared, old.is_some() && c != 7, "slot {c}");
+        }
+    }
+
+    /// How many rows slot `c` of `cp`'s first monitor holds.
+    fn slot_rows(cp: &Checkpoint, c: usize) -> usize {
+        cp.queue_monitors[0].chunks()[c]
+            .as_ref()
+            .map_or(0, |rows| rows.len())
     }
 
     #[test]
@@ -1348,12 +1605,15 @@ mod tests {
     /// The version-1 encoder as it ran over dense snapshots: every window
     /// whole, every monitor array scanned once to count and once to emit,
     /// no memo. The writer no longer produces version 1; this is what the
-    /// v1 decoder is checked against.
+    /// v1 decoder is checked against. A default entry at a level of
+    /// `phantoms` (modulo each monitor's length) is written out as a row,
+    /// as a writer that spelled out empty halves would.
     fn encode_checkpoint_dense(
         out: &mut Vec<u8>,
         tw: &TimeWindowConfig,
         state: &mut CodecState,
         cp: &Checkpoint,
+        phantoms: &[usize],
     ) {
         reference_head(out, tw, VERSION_V1, state, None, cp);
         put_varint(out, cp.queue_monitors.len() as u64);
@@ -1362,15 +1622,28 @@ mod tests {
             let entries = monitor.to_dense();
             put_varint(out, entries.len() as u64);
             put_varint(out, u64::from(monitor.top));
-            let occupied = entries.iter().filter(|e| **e != Entry::default()).count();
-            put_varint(out, occupied as u64);
+            let rows = spelled(&entries, 0..entries.len(), phantoms);
+            put_varint(out, rows.len() as u64);
             let mut prev_idx = None;
-            for (idx, entry) in entries.iter().enumerate() {
-                if *entry != Entry::default() {
-                    dense_row(out, &mut prev_idx, &mut prev_seq, idx as u64, entry);
-                }
+            for (level, entry) in &rows {
+                dense_row(out, &mut prev_idx, &mut prev_seq, *level, entry);
             }
         }
+    }
+
+    /// The rows a reference encoder writes for `levels` of `entries`: the
+    /// occupied ones, and the default entries at `phantoms` (modulo the
+    /// length), ascending.
+    fn spelled(
+        entries: &[Entry],
+        levels: std::ops::Range<usize>,
+        phantoms: &[usize],
+    ) -> Vec<(u64, Entry)> {
+        let phantom = |level: usize| phantoms.iter().any(|p| p % entries.len() == level);
+        levels
+            .filter(|&level| entries[level] != Entry::default() || phantom(level))
+            .map(|level| (level as u64, entries[level]))
+            .collect()
     }
 
     /// The reference encoders' delta.
@@ -1450,12 +1723,13 @@ mod tests {
         entry: &Entry,
     ) {
         delta(out, prev_idx, level);
-        out.push(
-            (u8::from(entry.inc != Half::default()) * HALF_INC)
-                | (u8::from(entry.dec != Half::default()) * HALF_DEC),
-        );
-        for half in [&entry.inc, &entry.dec] {
-            if *half != Half::default() {
+        let halves = (u8::from(entry.inc != Half::default()) * HALF_INC)
+            | (u8::from(entry.dec != Half::default()) * HALF_DEC);
+        // The default entry is spelled out as a default increase half.
+        let halves = halves.max(HALF_INC);
+        out.push(halves);
+        for (flag, half) in [(HALF_INC, &entry.inc), (HALF_DEC, &entry.dec)] {
+            if halves & flag != 0 {
                 put_varint(out, u64::from(half.flow.0));
                 delta(out, prev_seq, half.seq);
             }
@@ -1466,7 +1740,9 @@ mod tests {
     /// encoder to be checked against: dense arrays, windows as
     /// [`reference_head`] writes them, a slot "same" when its occupied
     /// entries equal those of the slot in `prev` (the previous checkpoint of
-    /// the body), every other slot's rows encoded afresh.
+    /// the body), every other slot's rows encoded afresh, with the default
+    /// entries at `phantoms` spelled out as [`encode_checkpoint_dense`]
+    /// does.
     fn encode_checkpoint_reference(
         out: &mut Vec<u8>,
         tw: &TimeWindowConfig,
@@ -1474,18 +1750,17 @@ mod tests {
         state: &mut CodecState,
         prev: Option<&Checkpoint>,
         cp: &Checkpoint,
+        phantoms: &[usize],
     ) {
         reference_head(out, tw, version, state, prev, cp);
-        let occupied = |entries: &[Entry], c: usize| -> Vec<(u64, Entry)> {
-            let span = entries
-                .iter()
-                .enumerate()
-                .skip(c * SLOT_LEVELS)
-                .take(SLOT_LEVELS);
-            span.filter(|(_, e)| **e != Entry::default())
-                .map(|(level, e)| (level as u64, *e))
-                .collect()
+        let slot = |entries: &[Entry], c: usize, phantoms: &[usize]| {
+            spelled(
+                entries,
+                c * SLOT_LEVELS..((c + 1) * SLOT_LEVELS).min(entries.len()),
+                phantoms,
+            )
         };
+        let occupied = |entries: &[Entry], c: usize| slot(entries, c, &[]);
         put_varint(out, cp.queue_monitors.len() as u64);
         for (m, monitor) in cp.queue_monitors.iter().enumerate() {
             let entries = monitor.to_dense();
@@ -1496,14 +1771,17 @@ mod tests {
                 .map(|b| b.to_dense());
             for c in 0..entries.len().div_ceil(SLOT_LEVELS) {
                 let rows = occupied(&entries, c);
-                if rows.is_empty() {
+                let spelled = slot(&entries, c, phantoms);
+                if spelled.is_empty() {
                     put_varint(out, TAG_EMPTY);
-                } else if before.as_ref().is_some_and(|b| occupied(b, c) == rows) {
+                } else if !rows.is_empty()
+                    && before.as_ref().is_some_and(|b| occupied(b, c) == rows)
+                {
                     put_varint(out, TAG_SAME);
                 } else {
-                    put_varint(out, TAG_SAME + rows.len() as u64);
+                    put_varint(out, TAG_SAME + spelled.len() as u64);
                     let (mut prev_idx, mut prev_seq) = (None, None);
-                    for (level, entry) in &rows {
+                    for (level, entry) in &spelled {
                         dense_row(out, &mut prev_idx, &mut prev_seq, *level, entry);
                     }
                 }
@@ -1536,7 +1814,7 @@ mod tests {
             cp.queue_monitors.clear();
             let mut reference = Vec::new();
             let mut state = CodecState::default();
-            encode_checkpoint_reference(&mut reference, &tw, VERSION, &mut state, None, &cp);
+            encode_checkpoint_reference(&mut reference, &tw, VERSION, &mut state, None, &cp, &[]);
             let bytes = encode_one(&tw, &cp);
             assert!(bytes == reference, "{occupied} occupied cells");
             let back = decode_one(&bytes, &tw, &mut DecodeBudget::default()).unwrap();
@@ -1610,13 +1888,14 @@ mod tests {
 
     /// Runs of checkpoints, each `true` starting a new body, whose monitors
     /// often repeat the previous checkpoint's: the same snapshots (shared
-    /// chunks), the same rows in new allocations, or the same with one
-    /// level rewritten. Windows repeat the same ways: shared, copied, or
-    /// copied with a cell rewritten or emptied.
+    /// chunks), the same rows in new allocations, the same with one level
+    /// rewritten, or the same with one monitor cut short. Windows repeat the
+    /// same ways: shared, copied, or copied with a cell rewritten or
+    /// emptied.
     fn arb_run(tw: TimeWindowConfig) -> impl Strategy<Value = Vec<(Checkpoint, bool)>> {
         let step = (
             arb_checkpoint(tw),
-            (0u8..4, 0u8..4),
+            (0u8..5, 0u8..4),
             0u8..4,
             any::<usize>(),
             arb_half(),
@@ -1660,8 +1939,13 @@ mod tests {
                             if let Some(m) = cp.queue_monitors.get_mut(at % last.len().max(1)) {
                                 let mut dense = m.to_dense();
                                 let level = at % dense.len();
-                                dense[level].inc = half;
-                                *m = QueueMonitorSnapshot::from_dense(&dense, m.top);
+                                if reuse == 3 {
+                                    dense[level].inc = half;
+                                } else {
+                                    dense.truncate(level + 1);
+                                }
+                                let top = m.top.min(level as u32);
+                                *m = QueueMonitorSnapshot::from_dense(&dense, top);
                             }
                         }
                     }
@@ -1697,8 +1981,8 @@ mod tests {
                 }
                 let prev = segments.last().and_then(|s| s.last());
                 encode_checkpoint(bodies.last_mut().unwrap(), &tw, &mut states.0, &mut memo, cp).unwrap();
-                encode_checkpoint_reference(reference.last_mut().unwrap(), &tw, VERSION, &mut states.1, prev, cp);
-                encode_checkpoint_reference(v2.last_mut().unwrap(), &tw, VERSION_V2, &mut states.2, prev, cp);
+                encode_checkpoint_reference(reference.last_mut().unwrap(), &tw, VERSION, &mut states.1, prev, cp, &[]);
+                encode_checkpoint_reference(v2.last_mut().unwrap(), &tw, VERSION_V2, &mut states.2, prev, cp, &[]);
                 segments.last_mut().unwrap().push(cp.clone());
             }
             prop_assert_eq!(&bodies, &reference);
@@ -1728,13 +2012,199 @@ mod tests {
             let tw = TimeWindowConfig::new(4, 2, 4, 3);
             let (mut body, mut state) = (Vec::new(), CodecState::default());
             for cp in &cps {
-                encode_checkpoint_dense(&mut body, &tw, &mut state, cp);
+                encode_checkpoint_dense(&mut body, &tw, &mut state, cp, &[]);
             }
             let back = decode_body(&body, &tw, VERSION_V1)
                 .map_err(|e| TestCaseError::fail(e.to_string()))?;
             prop_assert_eq!(back.len(), cps.len());
             for (back, cp) in back.iter().zip(&cps) {
                 prop_assert!(same(back, cp));
+            }
+        }
+    }
+
+    /// The decoder as it was before monitors were built as chunks: each
+    /// monitor a dense array, charged whole, filled — a reference copying
+    /// the predecessor's rows level by level — then thinned by `from_dense`.
+    /// The chunk-building decoder is checked against it.
+    fn decode_checkpoint_dense(
+        cursor: &mut &[u8],
+        tw: &TimeWindowConfig,
+        version: u8,
+        state: &mut CodecState,
+        budget: &mut DecodeBudget,
+        prev: Option<&Checkpoint>,
+    ) -> io::Result<Checkpoint> {
+        let mut cp = read_head(cursor, tw, version, state, budget, prev)?;
+        let n_monitors = codec::len(cursor, MAX_MONITORS)?;
+        let mut prev_seq: Option<u64> = None;
+        for m in 0..n_monitors {
+            let n_entries = codec::len(cursor, u32::MAX as usize)?;
+            budget.charge(n_entries as u64 * std::mem::size_of::<Entry>() as u64)?;
+            let top = codec::len(cursor, u32::MAX as usize)? as u32;
+            if n_entries > 0 && u64::from(top) >= n_entries as u64 {
+                return Err(invalid("queue-monitor top beyond entry array"));
+            }
+            let mut entries = vec![Entry::default(); n_entries];
+            if version == VERSION_V1 {
+                dense_rows_v1(cursor, &mut entries, &mut prev_seq)?;
+            } else {
+                let before = prev.and_then(|p| p.queue_monitors.get(m));
+                dense_slots(cursor, &mut entries, before)?;
+            }
+            cp.queue_monitors
+                .push(QueueMonitorSnapshot::from_dense(&entries, top));
+        }
+        Ok(cp)
+    }
+
+    /// [`decode_checkpoint_dense`]'s version-1 rows.
+    fn dense_rows_v1(
+        cursor: &mut &[u8],
+        entries: &mut [Entry],
+        prev_seq: &mut Option<u64>,
+    ) -> io::Result<()> {
+        let occupied = codec::len(cursor, entries.len())?;
+        let mut prev_idx: Option<u64> = None;
+        let mut last_idx: Option<usize> = None;
+        for _ in 0..occupied {
+            let idx = read_delta_u64(cursor, &mut prev_idx)?;
+            if idx >= entries.len() as u64 || last_idx.is_some_and(|l| idx as usize <= l) {
+                return Err(invalid("monitor entry index out of order or out of range"));
+            }
+            last_idx = Some(idx as usize);
+            entries[idx as usize] = read_entry(cursor, prev_seq)?;
+        }
+        Ok(())
+    }
+
+    /// [`decode_checkpoint_dense`]'s version-2 slots.
+    fn dense_slots(
+        cursor: &mut &[u8],
+        entries: &mut [Entry],
+        before: Option<&QueueMonitorSnapshot>,
+    ) -> io::Result<()> {
+        for (c, span) in entries.chunks_mut(SLOT_LEVELS).enumerate() {
+            let base = c * SLOT_LEVELS;
+            match codec::varint(cursor)? {
+                TAG_EMPTY => {}
+                TAG_SAME => {
+                    let rows = before
+                        .and_then(|b| b.chunks().get(c)?.as_deref())
+                        .ok_or_else(|| invalid(LACKS))?;
+                    for row in rows {
+                        let Some(entry) = span.get_mut((row.level() as usize).wrapping_sub(base))
+                        else {
+                            return Err(invalid("referenced monitor rows lie past the array"));
+                        };
+                        *entry = row.entry();
+                    }
+                }
+                tag => {
+                    let n = tag - TAG_SAME;
+                    if n > span.len() as u64 {
+                        return Err(invalid("monitor slot holds more rows than levels"));
+                    }
+                    let (mut prev_idx, mut prev_seq) = (None, None);
+                    let mut next = 0u64;
+                    for _ in 0..n {
+                        let at = read_delta_u64(cursor, &mut prev_idx)?.wrapping_sub(base as u64);
+                        if at < next || at >= span.len() as u64 {
+                            return Err(invalid("monitor row outside its slot or out of order"));
+                        }
+                        next = at + 1;
+                        span[at as usize] = read_entry(cursor, &mut prev_seq)?;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// One body of `cps` in format `version`, through the reference
+    /// encoders, with the default entries at `phantoms` spelled out.
+    fn reference_body(
+        tw: &TimeWindowConfig,
+        version: u8,
+        cps: &[Checkpoint],
+        phantoms: &[usize],
+    ) -> Vec<u8> {
+        let (mut body, mut state) = (Vec::new(), CodecState::default());
+        let mut prev = None;
+        for cp in cps {
+            if version == VERSION_V1 {
+                encode_checkpoint_dense(&mut body, tw, &mut state, cp, phantoms);
+            } else {
+                encode_checkpoint_reference(&mut body, tw, version, &mut state, prev, cp, phantoms);
+            }
+            prev = Some(cp);
+        }
+        body
+    }
+
+    proptest! {
+        /// The chunk-building decoder against the dense one it replaced,
+        /// over version 1, 2 and 3 bodies of runs whose monitors repeat,
+        /// shrink and carry default-valued rows on the wire. Both decode
+        /// every body to its checkpoints, and re-encoding them gives the
+        /// body written without the default-valued rows. With a byte of the
+        /// body flipped, whatever the dense decoder accepts the sparse one
+        /// decodes the same, and the sparse one refuses only what the dense
+        /// one does, or what the dense array did not fit the budget for.
+        #[test]
+        fn sparse_decode_matches_the_dense_decoder(
+            run in arb_run(TimeWindowConfig::new(4, 2, 4, 3)),
+            phantoms in prop::collection::vec(any::<usize>(), 0..4),
+            at in any::<usize>(),
+            flip in 1u8..=255,
+        ) {
+            let tw = TimeWindowConfig::new(4, 2, 4, 3);
+            let mut segments: Vec<Vec<Checkpoint>> = Vec::new();
+            for (cp, starts) in &run {
+                if *starts {
+                    segments.push(Vec::new());
+                }
+                segments.last_mut().unwrap().push(cp.clone());
+            }
+            let budget = || DecodeBudget::new(8 << 20);
+            let dense = |body: &[u8], version| {
+                decode_body_with(body, &tw, version, budget(), decode_checkpoint_dense)
+            };
+            let sparse = |body: &[u8], version| {
+                decode_body_with(body, &tw, version, budget(), decode_checkpoint)
+            };
+            for version in [VERSION_V1, VERSION_V2, VERSION] {
+                for cps in &segments {
+                    let plain = reference_body(&tw, version, cps, &[]);
+                    let spelled = reference_body(&tw, version, cps, &phantoms);
+                    for body in [&plain, &spelled] {
+                        let back = sparse(body, version).map_err(|e| TestCaseError::fail(e.to_string()))?;
+                        let reference = dense(body, version).map_err(|e| TestCaseError::fail(e.to_string()))?;
+                        prop_assert_eq!(back.len(), cps.len());
+                        for ((back, reference), cp) in back.iter().zip(&reference).zip(cps) {
+                            prop_assert!(same(back, reference));
+                            prop_assert!(same(back, cp));
+                        }
+                        prop_assert_eq!(&reference_body(&tw, version, &back, &[]), &plain);
+                        if version == VERSION {
+                            prop_assert_eq!(&encode_body(&tw, &mut EncodeMemo::default(), &back), &plain);
+                        }
+                    }
+                    let mut flipped = spelled.clone();
+                    let i = at % flipped.len();
+                    flipped[i] ^= flip;
+                    match (sparse(&flipped, version), dense(&flipped, version)) {
+                        (Ok(back), Ok(reference)) => {
+                            prop_assert_eq!(back.len(), reference.len());
+                            for (back, reference) in back.iter().zip(&reference) {
+                                prop_assert!(same(back, reference));
+                            }
+                        }
+                        (Err(e), Ok(_)) => prop_assert!(false, "only the sparse decoder refused: {}", e),
+                        (Ok(_), Err(e)) => prop_assert!(e.to_string().contains("budget exhausted"), "{}", e),
+                        (Err(_), Err(_)) => {}
+                    }
+                }
             }
         }
     }
@@ -1816,6 +2286,7 @@ mod tests {
                 &mut self.states.1,
                 prev,
                 &cp,
+                &[],
             );
             assert!(
                 self.bodies.0 == self.bodies.1,

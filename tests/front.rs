@@ -5,14 +5,14 @@
 //! way whichever method is waiting.
 
 use pq_bench::serving::Fleet;
-use printqueue::router::RouterConfig;
+use printqueue::router::{BackendSpec, Router, RouterConfig};
 use printqueue::serve::wire::{self, ErrorCode, Frame, HealthInfo, Request, WireSample, WireValue};
 use printqueue::serve::{Client, ClientError, ServeConfig, Sources};
-use printqueue::telemetry::{names, AlertEngine, AlertRule, Op, Stat};
+use printqueue::telemetry::{names, AlertEngine, AlertRule, Op, Stat, Telemetry};
 use serde::Value;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A source-less daemon and a router in front of it, both capped at
 /// `max_conns` client connections.
@@ -23,8 +23,6 @@ fn pair(max_conns: usize) -> Fleet {
     };
     let config = RouterConfig {
         max_conns,
-        // Shutdown joins the probe loop mid-sleep, so a stopping router
-        // keeps its connections open about this long.
         probe_interval: Duration::from_millis(400),
         ..RouterConfig::default()
     };
@@ -253,6 +251,57 @@ fn a_stopping_router_s_refusal_keeps_its_typed_code() {
         assert!(recv(&mut silent).is_none(), "{front}: no close");
         fleet.shutdown();
     }
+}
+
+/// A router stopped by `ShutdownReq` says farewell and exits without
+/// waiting out its prober's interval.
+#[test]
+fn a_router_stopped_by_request_does_not_wait_for_its_prober() {
+    let fleet = Fleet::new(vec![Sources::default()], &ServeConfig::default());
+    let config = RouterConfig {
+        probe_interval: Duration::from_secs(10),
+        ..RouterConfig::default()
+    };
+    let backend = BackendSpec {
+        name: "shard-0".into(),
+        addr: fleet.addr(0).to_string(),
+    };
+    let router = Router::bind(("127.0.0.1", 0), vec![backend], config, &Telemetry::new()).unwrap();
+    let addr = router.local_addr().unwrap();
+    let running = thread::spawn(move || router.run());
+    let silent: Vec<TcpStream> = (0..3)
+        .map(|_| hello(addr, wire::PROTOCOL_VERSION).0)
+        .collect();
+    let stopped = Instant::now();
+    Client::connect(addr).unwrap().shutdown_server().unwrap();
+    for mut stream in silent {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        let last = recv(&mut stream);
+        assert!(
+            matches!(
+                last,
+                Some(Frame::Error {
+                    id: 0,
+                    code: ErrorCode::ShuttingDown,
+                    ..
+                })
+            ),
+            "{last:?}"
+        );
+        assert!(recv(&mut stream).is_none(), "no close");
+    }
+    while !running.is_finished() && stopped.elapsed() < Duration::from_secs(2) {
+        thread::sleep(Duration::from_millis(5));
+    }
+    assert!(
+        stopped.elapsed() < Duration::from_secs(1),
+        "the router took {:?} to stop",
+        stopped.elapsed()
+    );
+    running.join().unwrap().unwrap();
+    fleet.shutdown();
 }
 
 /// A peer that handshakes, then answers every request with `Busy` under

@@ -633,16 +633,14 @@ fn replication_verifies_raw_segments() {
     }
 }
 
-/// PR 12's finding, still open: with the default policy (64 checkpoints a
-/// segment) and `single_port`'s 32 Ki-entry queue monitor, every decoded
-/// checkpoint charges the whole 1 MiB array against the 64 MiB per-segment
-/// `DecodeBudget`, so archives are written fine and then refused
-/// ("decoded 244 of 436 indexed checkpoints"). The decoder still builds
-/// the dense array before thinning it, so it still has to charge it; this
-/// is the test the read-path change (charge per occupied row) must turn
-/// green.
+/// Archives written with the default policy (64 checkpoints a segment)
+/// over `single_port`'s 32 Ki-entry queue monitor ship and answer as the
+/// live program does. A decoder that charged every monitor's whole array
+/// against the 64 MiB per-segment `DecodeBudget` refused their full
+/// segments ("decoded 1 of 129 indexed checkpoints"); it is charged the
+/// slot table and the rows it builds, and a slot that refers back costs
+/// nothing.
 #[test]
-#[ignore = "known bug: dense DecodeBudget charge refuses default-policy archives (CHANGES.md PR 13)"]
 fn default_policy_archive_of_a_32k_entry_monitor_ships_and_answers() {
     let tw = tw_small();
     let mut pq = PrintQueue::new(PrintQueueConfig::single_port(tw, 1));

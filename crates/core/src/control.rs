@@ -275,10 +275,15 @@ pub trait CheckpointSink: Send + Sync {
 /// (releasing its register images at once) and the dead prefix is cut off
 /// when it outgrows the live part, so a push is amortised O(1) however
 /// long the run.
+///
+/// What eviction lets go is remembered as one gap from t = 0 to the last
+/// evicted periodic freeze: the span the evicted checkpoints answered,
+/// which no retained checkpoint's windows reach back over in full.
 #[derive(Default)]
 struct SnapshotRing {
     buf: Vec<Checkpoint>,
     start: usize,
+    evicted: Option<CoverageGap>,
 }
 
 impl SnapshotRing {
@@ -286,18 +291,27 @@ impl SnapshotRing {
         &self.buf[self.start..]
     }
 
-    fn push(&mut self, cp: Checkpoint, max_snapshots: usize) {
+    /// Store `cp`; true when that evicted the oldest checkpoint.
+    fn push(&mut self, cp: Checkpoint, max_snapshots: usize) -> bool {
         self.buf.push(cp);
-        if self.buf.len() - self.start > max_snapshots {
+        let evicting = self.buf.len() - self.start > max_snapshots;
+        if evicting {
             let evicted = &mut self.buf[self.start];
             evicted.windows.release();
             evicted.queue_monitors = Vec::new();
+            if !evicted.on_demand {
+                self.evicted = Some(CoverageGap {
+                    from: 0,
+                    to: evicted.frozen_at,
+                });
+            }
             self.start += 1;
         }
         if self.start > self.buf.len() / 2 {
             self.buf.drain(..self.start);
             self.start = 0;
         }
+        evicting
     }
 }
 
@@ -511,9 +525,8 @@ impl AnalysisProgram {
     /// counts accumulated under the previous plane are carried over so
     /// totals never regress.
     pub fn set_telemetry(&mut self, plane: &Telemetry) {
-        let old = self.counters.health();
         let counters = ControlCounters::resolve(plane);
-        counters.seed(&old, self.entries_read, self.bytes_read);
+        counters.seed(&self.counters, self.entries_read, self.bytes_read);
         self.counters = counters;
         self.telemetry = plane.clone();
     }
@@ -846,7 +859,21 @@ impl AnalysisProgram {
                 self.counters.spill_errors.inc();
             }
         }
-        self.checkpoints[i].push(cp, self.control.max_snapshots);
+        if self.checkpoints[i].push(cp, self.control.max_snapshots) {
+            self.counters.ring_evictions.inc();
+        }
+    }
+
+    /// Port `i`'s coverage gaps that `keep` selects, oldest first: the span
+    /// the snapshot ring has evicted, then the recorded gaps.
+    fn gaps_where(&self, i: usize, keep: impl Fn(&CoverageGap) -> bool) -> Vec<CoverageGap> {
+        self.checkpoints[i]
+            .evicted
+            .iter()
+            .chain(&self.gaps[i])
+            .filter(|g| keep(g))
+            .copied()
+            .collect()
     }
 
     /// Record a coverage gap on port `i`: counted, handed to the spill
@@ -900,11 +927,7 @@ impl AnalysisProgram {
             None,
             &mut result,
         );
-        let gaps: Vec<CoverageGap> = self.gaps[i]
-            .iter()
-            .filter(|g| g.overlaps(interval))
-            .copied()
-            .collect();
+        let gaps = self.gaps_where(i, |g| g.overlaps(interval));
         let answer = QueryResult::covering(
             result,
             gaps,
@@ -962,11 +985,7 @@ impl AnalysisProgram {
             .min_by_key(|cp| cp.frozen_at.abs_diff(at))?;
         let snapshot = cp.queue_monitors.get(usize::from(queue))?;
         let staleness = cp.frozen_at.abs_diff(at);
-        let gaps: Vec<CoverageGap> = self.gaps[i]
-            .iter()
-            .filter(|g| g.contains(at))
-            .copied()
-            .collect();
+        let gaps = self.gaps_where(i, |g| g.contains(at));
         let degraded = !gaps.is_empty() || staleness > self.tw_config.set_period();
         Some(QueueMonitorAnswer {
             snapshot,

@@ -115,6 +115,7 @@ pub(crate) struct ControlCounters {
     pub backoff_ceiling_hits: Counter,
     pub dp_triggers_rejected: Counter,
     pub spill_errors: Counter,
+    pub ring_evictions: Counter,
     pub entries_read: Counter,
     pub bytes_read: Counter,
     pub read_ns: Histogram,
@@ -140,6 +141,7 @@ impl ControlCounters {
             backoff_ceiling_hits: reg.counter(names::CONTROL_BACKOFF_CEILING, &[]),
             dp_triggers_rejected: reg.counter(names::CONTROL_DP_REJECTED, &[]),
             spill_errors: reg.counter(names::CONTROL_SPILL_ERRORS, &[]),
+            ring_evictions: reg.counter(names::CONTROL_RING_EVICTIONS, &[]),
             entries_read: reg.counter(names::CONTROL_ENTRIES_READ, &[]),
             bytes_read: reg.counter(names::CONTROL_BYTES_READ, &[]),
             read_ns: reg.histogram(names::CONTROL_READ_NS, &[]),
@@ -152,7 +154,8 @@ impl ControlCounters {
 
     /// Carry counts accumulated under a previous plane into this one, so
     /// attaching telemetry mid-run loses nothing.
-    pub fn seed(&self, health: &ControlHealth, entries_read: u64, bytes_read: u64) {
+    pub fn seed(&self, prev: &ControlCounters, entries_read: u64, bytes_read: u64) {
+        let health = prev.health();
         self.polls_attempted.add(health.polls_attempted);
         self.polls_failed.add(health.polls_failed);
         self.polls_retried.add(health.polls_retried);
@@ -164,6 +167,7 @@ impl ControlCounters {
         self.backoff_ceiling_hits.add(health.backoff_ceiling_hits);
         self.dp_triggers_rejected.add(health.dp_triggers_rejected);
         self.spill_errors.add(health.spill_errors);
+        self.ring_evictions.add(prev.ring_evictions.get());
         self.entries_read.add(entries_read);
         self.bytes_read.add(bytes_read);
     }

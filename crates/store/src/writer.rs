@@ -21,10 +21,15 @@
 //! memory that is already mapped: a `Vec` regrown from empty for every
 //! segment paid a page fault per 4 KiB of every segment.
 //!
-//! [`SharedStoreWriter`] adapts the writer to the
-//! [`CheckpointSink`] spill hook of the
-//! analysis program while the caller keeps a handle to `finish()` the
-//! file afterwards.
+//! **The spill runs on its own thread.** [`SharedStoreWriter`], the
+//! analysis program's only [`CheckpointSink`], moves the writer onto one
+//! `pq-store-writer` thread and hands it each checkpoint and gap in order
+//! over a bounded queue, so freeze-and-read never waits for encode, CRC and
+//! seal — the control plane beside the data plane, as in Figure 8. A full
+//! queue blocks and never drops, so the bytes are those of an inline
+//! writer; a push error comes back from the next hand-off or from
+//! `finish()`, which drains and joins the thread before it writes the
+//! trailer.
 
 use crate::codec::{encode_checkpoint, CodecState, EncodeMemo};
 use crate::crc::crc32;
@@ -35,9 +40,12 @@ use pq_core::params::TimeWindowConfig;
 use pq_packet::Nanos;
 use pq_prof::codec::{put_u32, varint_len, MAX_VARINT_LEN};
 use pq_telemetry::{names, Counter, Histogram, Telemetry};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Write};
-use std::sync::Arc;
+use std::sync::mpsc::{self, TrySendError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, JoinHandle};
+use std::time::Instant;
 
 /// Segment rotation and retention knobs.
 #[derive(Debug, Clone, Copy)]
@@ -401,65 +409,235 @@ impl<W: Write> StoreWriter<W> {
     }
 }
 
+/// Jobs the queue holds before `on_checkpoint` blocks. A job is a
+/// reference-counted checkpoint (its windows and monitor chunks are shared
+/// with the live ring), so a full queue holds little beyond what the ring
+/// already does; it only has to ride out one segment seal behind a dense
+/// poll.
+const QUEUE_DEPTH: usize = 64;
+
+/// One unit of work for the writer thread, run in the order sent. A
+/// checkpoint travels inline: the queue's slots are allocated once, and a
+/// `Box` would cost an allocation per hand-off.
+#[allow(clippy::large_enum_variant)]
+enum Job {
+    Checkpoint(u16, Checkpoint),
+    Gap(u16, CoverageGap),
+    /// Answered once every job sent before it has run.
+    Barrier(mpsc::SyncSender<()>),
+}
+
+/// What the handles and the writer thread share.
+struct Core<W: Write> {
+    /// The writer itself; the writer thread takes it once per job.
+    writer: pq_prof::PqMutex<Option<StoreWriter<W>>>,
+    /// Push errors no caller has been handed yet, oldest first.
+    errors: Mutex<VecDeque<io::Error>>,
+}
+
+impl<W: Write> Core<W> {
+    /// The writer thread's loop: run every job in order until the last
+    /// sender is gone (`finish`, or every handle dropped).
+    fn drain(&self, jobs: mpsc::Receiver<Job>) {
+        for job in jobs {
+            let result = match job {
+                Job::Checkpoint(port, cp) => self.run(|w| w.push(port, &cp)),
+                Job::Gap(port, gap) => self.run(|w| {
+                    w.push_gap(port, gap);
+                    Ok(())
+                }),
+                Job::Barrier(done) => {
+                    let _ = done.send(());
+                    Ok(())
+                }
+            };
+            if let Err(err) = result {
+                lock(&self.errors).push_back(err);
+            }
+        }
+    }
+
+    fn run(&self, f: impl FnOnce(&mut StoreWriter<W>) -> io::Result<()>) -> io::Result<()> {
+        self.writer.lock().as_mut().map_or_else(|| Err(closed()), f)
+    }
+}
+
+/// The queue's sending end and the thread draining it.
+struct Link {
+    jobs: mpsc::SyncSender<Job>,
+    thread: JoinHandle<()>,
+}
+
+struct Shared<W: Write> {
+    core: Arc<Core<W>>,
+    /// `None` once finished. Held across a send, so jobs from every handle
+    /// enter the queue in one order.
+    link: Mutex<Option<Link>>,
+    /// `pq_control_spill_wait_ns`, when the writer has a telemetry plane.
+    spill_wait: Option<Histogram>,
+}
+
+impl<W: Write> Drop for Shared<W> {
+    /// The last handle dropped without `finish`: close the queue and wait
+    /// for the thread to run what is in it. The file gets no trailer.
+    fn drop(&mut self) {
+        let link = self.link.get_mut().unwrap_or_else(PoisonError::into_inner);
+        if let Some(Link { jobs, thread }) = link.take() {
+            drop(jobs);
+            let _ = thread.join();
+        }
+    }
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn closed() -> io::Error {
+    io::Error::other("store writer already finished")
+}
+
+fn stopped() -> io::Error {
+    io::Error::other("store writer thread stopped")
+}
+
 /// A clonable, `'static`, thread-safe handle to a [`StoreWriter`] usable
 /// as the analysis program's [`CheckpointSink`] while the caller retains
 /// the ability to [`finish`](SharedStoreWriter::finish) the file.
 ///
-/// The interior mutex is pq-prof's instrumented facade under the name
-/// `store_writer`, so every checkpoint append publishes its wait/hold
-/// time as `pq_lock_wait_ns{lock="store_writer"}` — the contention
-/// evidence the ROADMAP "remove the `Arc<Mutex>` store writer" item
-/// needs before and after. Poisoning (a writer thread panicking mid-
-/// append) is recovered rather than propagated; the segment CRCs guard
-/// the file itself.
+/// The writer runs on a thread of its own, `pq-store-writer`, as the
+/// switch CPU runs beside the ASIC. [`on_checkpoint`] and [`on_gap`] only
+/// queue the job — a checkpoint clone is a few reference counts — and
+/// return; the thread encodes, checksums, seals and writes. Jobs from every
+/// handle run in the order they were queued, so the file is byte for byte
+/// what a [`StoreWriter`] fed inline writes.
+///
+/// - **Backpressure.** The queue holds 64 jobs; a full queue blocks the
+///   caller and never drops one. The time blocked is recorded as
+///   `pq_control_spill_wait_ns` when the writer has a telemetry plane.
+/// - **Deferred errors.** A failed push is handed back by the next
+///   `on_checkpoint`/`on_gap` (one error per call), so the analysis program
+///   still counts it in `spill_errors`; one still pending at the end comes
+///   back from [`finish`](SharedStoreWriter::finish).
+/// - **[`with`](SharedStoreWriter::with)** waits until every job queued
+///   before it has run, then runs its closure under the same lock.
+///
+/// The lock is pq-prof's instrumented facade under the name
+/// `store_writer`; the writer thread takes it once per job, so its
+/// wait/hold time in `pq_lock_wait_ns{lock="store_writer"}` measures the
+/// writer thread against `with`, not the data plane. Poisoning is
+/// recovered rather than propagated; the segment CRCs guard the file
+/// itself.
+///
+/// [`on_checkpoint`]: CheckpointSink::on_checkpoint
+/// [`on_gap`]: CheckpointSink::on_gap
 pub struct SharedStoreWriter<W: Write> {
-    inner: Arc<pq_prof::PqMutex<Option<StoreWriter<W>>>>,
+    shared: Arc<Shared<W>>,
 }
 
 impl<W: Write> Clone for SharedStoreWriter<W> {
     fn clone(&self) -> Self {
         SharedStoreWriter {
-            inner: Arc::clone(&self.inner),
+            shared: Arc::clone(&self.shared),
+        }
+    }
+}
+
+impl<W: Write + Send + 'static> SharedStoreWriter<W> {
+    /// Wrap a writer for sharing and start its `pq-store-writer` thread.
+    pub fn new(writer: StoreWriter<W>) -> SharedStoreWriter<W> {
+        let spill_wait = writer.telemetry.as_ref().map(|t| {
+            t.plane
+                .registry()
+                .histogram(names::CONTROL_SPILL_WAIT_NS, &[])
+        });
+        let core = Arc::new(Core {
+            writer: pq_prof::PqMutex::new("store_writer", Some(writer)),
+            errors: Mutex::default(),
+        });
+        let (jobs, queue) = mpsc::sync_channel(QUEUE_DEPTH);
+        let thread = {
+            let core = Arc::clone(&core);
+            thread::Builder::new()
+                .name("pq-store-writer".into())
+                .spawn(move || core.drain(queue))
+                .expect("spawn the store writer thread")
+        };
+        SharedStoreWriter {
+            shared: Arc::new(Shared {
+                core,
+                link: Mutex::new(Some(Link { jobs, thread })),
+                spill_wait,
+            }),
         }
     }
 }
 
 impl<W: Write> SharedStoreWriter<W> {
-    /// Wrap a writer for sharing.
-    pub fn new(writer: StoreWriter<W>) -> SharedStoreWriter<W> {
-        SharedStoreWriter {
-            inner: Arc::new(pq_prof::PqMutex::new("store_writer", Some(writer))),
+    /// Queue `job` behind every job sent before it, blocking while the
+    /// queue is full.
+    fn send(&self, job: Job) -> io::Result<()> {
+        let link = lock(&self.shared.link);
+        let jobs = &link.as_ref().ok_or_else(closed)?.jobs;
+        match jobs.try_send(job) {
+            Ok(()) => Ok(()),
+            Err(TrySendError::Full(job)) => {
+                let started = Instant::now();
+                jobs.send(job).map_err(|_| stopped())?;
+                if let Some(wait) = &self.shared.spill_wait {
+                    wait.record(started.elapsed().as_nanos() as u64);
+                }
+                Ok(())
+            }
+            Err(TrySendError::Disconnected(_)) => Err(stopped()),
         }
     }
 
-    fn closed() -> io::Error {
-        io::Error::other("store writer already finished")
+    /// Queue `job`, then hand back the oldest push error not yet returned.
+    fn spill(&self, job: Job) -> io::Result<()> {
+        self.send(job)?;
+        lock(&self.shared.core.errors)
+            .pop_front()
+            .map_or(Ok(()), Err)
     }
 
-    /// Run `f` against the writer (errors once finished).
+    /// Run `f` against the writer once every checkpoint and gap queued
+    /// before this call is in it (errors once finished).
     pub fn with<R>(&self, f: impl FnOnce(&mut StoreWriter<W>) -> R) -> io::Result<R> {
-        match self.inner.lock().as_mut() {
+        let (done, ran) = mpsc::sync_channel(1);
+        self.send(Job::Barrier(done))?;
+        ran.recv().map_err(|_| stopped())?;
+        match self.shared.core.writer.lock().as_mut() {
             Some(w) => Ok(f(w)),
-            None => Err(Self::closed()),
+            None => Err(closed()),
         }
     }
 
-    /// Finish the store, consuming the shared writer's interior.
+    /// Run what is queued, stop and join the writer thread, and finish the
+    /// store. A push error no `on_checkpoint` handed back is returned here,
+    /// after the trailer is written.
     pub fn finish(&self) -> io::Result<W> {
-        match self.inner.lock().take() {
-            Some(w) => w.finish(),
-            None => Err(Self::closed()),
+        let Link { jobs, thread } = lock(&self.shared.link).take().ok_or_else(closed)?;
+        drop(jobs);
+        thread
+            .join()
+            .map_err(|_| io::Error::other("store writer thread panicked"))?;
+        let writer = self.shared.core.writer.lock().take().ok_or_else(closed)?;
+        let out = writer.finish();
+        match lock(&self.shared.core.errors).pop_front() {
+            Some(err) => Err(err),
+            None => out,
         }
     }
 }
 
 impl<W: Write + Send + 'static> CheckpointSink for SharedStoreWriter<W> {
     fn on_checkpoint(&mut self, port: u16, cp: &Checkpoint) -> io::Result<()> {
-        self.with(|w| w.push(port, cp))?
+        self.spill(Job::Checkpoint(port, cp.clone()))
     }
 
     fn on_gap(&mut self, port: u16, gap: CoverageGap) -> io::Result<()> {
-        self.with(|w| w.push_gap(port, gap))
+        self.spill(Job::Gap(port, gap))
     }
 }
 

@@ -108,6 +108,11 @@ pub mod names {
     pub const CONTROL_DP_REJECTED: &str = "pq_control_dp_triggers_rejected_total";
     /// Checkpoint-spill sink writes that failed (counter).
     pub const CONTROL_SPILL_ERRORS: &str = "pq_control_spill_errors_total";
+    /// Time a checkpoint or gap hand-off blocked on the store writer's full
+    /// queue (histogram, ns; only blocked hand-offs are recorded).
+    pub const CONTROL_SPILL_WAIT_NS: &str = "pq_control_spill_wait_ns";
+    /// Checkpoints evicted from the in-RAM snapshot ring (counter).
+    pub const CONTROL_RING_EVICTIONS: &str = "pq_control_ring_evictions_total";
     /// Register entries read across PCIe (counter).
     pub const CONTROL_ENTRIES_READ: &str = "pq_control_entries_read_total";
     /// Bytes read across PCIe (counter).
@@ -313,6 +318,10 @@ pub mod names {
             CONTROL_BACKOFF_CEILING => "Failures whose backoff had reached the policy ceiling.",
             CONTROL_DP_REJECTED => "Data-plane triggers rejected while a special read was out.",
             CONTROL_SPILL_ERRORS => "Checkpoint-spill sink writes that failed.",
+            CONTROL_SPILL_WAIT_NS => {
+                "Time a spill hand-off blocked on the writer's full queue, in ns."
+            }
+            CONTROL_RING_EVICTIONS => "Checkpoints evicted from the in-RAM snapshot ring.",
             CONTROL_ENTRIES_READ => "Register entries read across PCIe.",
             CONTROL_BYTES_READ => "Bytes read across PCIe.",
             CONTROL_READ_NS => "Freeze-and-read sim-time duration in ns.",

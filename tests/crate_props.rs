@@ -16,5 +16,7 @@ mod prof_properties;
 mod router_properties;
 #[path = "../crates/stream/tests/properties.rs"]
 mod stream_properties;
+#[path = "../crates/store/tests/threaded_writer.rs"]
+mod threaded_writer;
 #[path = "../crates/serve/tests/wire_props.rs"]
 mod wire_props;

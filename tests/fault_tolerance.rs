@@ -247,3 +247,47 @@ fn same_seed_reproduces_the_same_faulted_run() {
         pq_b.analysis().coverage_gaps(0)
     );
 }
+
+#[test]
+fn ring_eviction_degrades_queries_over_evicted_history() {
+    // The live ring keeps four checkpoints of a 26 ms run polled every
+    // t_set: a query over the third set period asks about history the
+    // ring let go, and must say so instead of answering "no flows".
+    let tw = small_tw();
+    let t_set = tw.set_period();
+    let mut config = PrintQueueConfig::single_port(tw, 640);
+    config.control.max_snapshots = 4;
+    let arrivals: Vec<Arrival> = (0..26_000u64)
+        .map(|i| Arrival::new(SimPacket::new(FlowId((i % 7) as u32), 800, i * 1_000), 0))
+        .collect();
+    let (pq, _) = run_pq(config, arrivals, t_set);
+    let ap = pq.analysis();
+    let kept = ap.checkpoints(0);
+    assert_eq!(kept.len(), 4);
+    let stored = ap.health().checkpoints_stored;
+    assert!(stored > 200, "{stored} polls over 26 ms");
+
+    let early = ap.query_time_windows(0, QueryInterval::new(2 * t_set, 3 * t_set));
+    assert!(early.degraded, "evicted history answered as complete");
+    assert_eq!(early.gaps.len(), 1, "{:?}", early.gaps);
+    let evicted = early.gaps[0];
+    assert_eq!(evicted.from, 0);
+    assert!(evicted.to >= 3 * t_set && evicted.to < kept[0].frozen_at);
+    let qm = ap.query_queue_monitor(0, 2 * t_set).unwrap();
+    assert!(qm.degraded);
+    assert_eq!(qm.gaps, vec![evicted]);
+
+    // The retained tail still answers in full.
+    let last = kept[3].frozen_at;
+    let recent = ap.query_time_windows(0, QueryInterval::new(last - t_set / 2, last));
+    assert!(!recent.degraded, "{:?}", recent.gaps);
+    assert_eq!(recent.counts.len(), 7);
+    assert!(ap.coverage_gaps(0).is_empty(), "no poll was missed");
+
+    let evictions = ap
+        .telemetry()
+        .registry()
+        .snapshot()
+        .counter(printqueue::telemetry::names::CONTROL_RING_EVICTIONS, &[]);
+    assert_eq!(evictions, Some(stored - 4));
+}
